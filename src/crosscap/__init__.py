@@ -37,7 +37,6 @@ from .model import (
     build_curve,
     build_umbrella,
     classify_tangency,
-    classify_tangency_spec,
     curve_multiplicity,
     default_series_order,
     image_curve,

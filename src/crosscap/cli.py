@@ -11,7 +11,8 @@ from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
 from .verify import has_hard_failure, render_rows, run_sweep, verify_fixture
 from .model import GeneralCurve
-from .pipeline import analyze, osculating_ruled
+from .developable import DevelopableError
+from .pipeline import analyze
 from .obj import (
     obj_mesh_text,
     obj_polyline_text,
@@ -68,8 +69,7 @@ def _cmd_mesh(args) -> int:
     curve_pts = sample_curve_polyline(analysis.image, mesh.x_range, mesh.curve_samples)
     write_obj(os.path.join(args.out, "curve.obj"), obj_polyline_text(curve_pts))
 
-    ruled = osculating_ruled(analysis)
-    od = sample_ruled_surface(ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
+    od = sample_ruled_surface(analysis.ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
     write_obj(os.path.join(args.out, "od_w.obj"), obj_mesh_text(od))
     return 0
 
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DevelopableError) as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
     except OSError as exc:

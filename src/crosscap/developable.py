@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
-    FLOAT_TOL,
     UniSeries,
     Vec3Series,
     factor_power,
@@ -58,18 +57,13 @@ class RuledSurface:
         if all(is_zero_coeff(self.xi.field, v) for v in c):
             raise DevelopableError("director curve vanishes at 0")
 
-    def evaluate(self, x: float, y: float):
-        g = self.gamma.evaluate(x)
-        d = self.xi.evaluate(x)
-        return tuple(gc + y * dc for gc, dc in zip(g, d))
-
 
 def developability_residual(surface: RuledSurface) -> UniSeries:
     """det(gamma', xi, xi') as a series; identically zero iff developable."""
     return surface.gamma.diff().dot(surface.xi.cross(surface.xi.diff()))
 
 
-def striction_curve(surface: RuledSurface, tol: float | None = None):
+def striction_curve(surface: RuledSurface):
     """Striction curve s = gamma - (<gamma', xi_bar'>/<xi_bar', xi_bar'>) xi_bar.
 
     Defined for non-(pseudo-)cylindrical surfaces whose numerator valuation
@@ -78,11 +72,11 @@ def striction_curve(surface: RuledSurface, tol: float | None = None):
     xi_bar = surface.xi.unit()
     w = xi_bar.diff()
     den = w.dot(w)
-    vd = valuation(den, tol)
+    vd = valuation(den)
     if vd.is_zero_to_order:
         raise DevelopableError("director derivative vanishes to reliable order: cylinder")
     num = surface.gamma.diff().dot(w)
-    scale = factor_power(num, vd.order, tol) * reciprocal(factor_power(den, vd.order, tol))
+    scale = factor_power(num, vd.order) * reciprocal(factor_power(den, vd.order))
     return scale, surface.gamma - xi_bar.scale(scale)
 
 
@@ -157,7 +151,7 @@ def osculating_director(
     return director, branch, (t1, t2, t3), (t2b, t3b, rho_sq)
 
 
-def delta_invariant(tilde, shifted, report: CurvatureReport, tol: float = FLOAT_TOL):
+def delta_invariant(tilde, shifted, report: CurvatureReport):
     """delta per its branch formula; returns (series, order, top)."""
     t1, t2, t3 = tilde
     t2b, t3b, rho_sq = shifted
@@ -167,7 +161,7 @@ def delta_invariant(tilde, shifted, report: CurvatureReport, tol: float = FLOAT_
         delta = lead + t2b * t3.diff() - t2b.diff() * t3
     else:
         delta = lead + t2 * t3b.diff() - t2.diff() * t3b
-    v = valuation(delta, tol)
+    v = valuation(delta)
     if v.is_zero_to_order:
         return delta, None, None
     return delta, v.order, v.leading
@@ -214,13 +208,12 @@ def osculating_developable(
     factors: FrameFactors,
     frame: DarbouxFrame,
     report: CurvatureReport,
-    tol: float = FLOAT_TOL,
 ) -> DevelopableData:
     """Full invariant chain: director, delta, striction, sigma, classification."""
     if report.degrees[0] is None:
         raise DevelopableError("tangential structure function vanishes to reliable order")
     director, branch, tilde, shifted = osculating_director(factors, frame, report)
-    delta, k_cyl, delta_top = delta_invariant(tilde, shifted, report, tol)
+    delta, k_cyl, delta_top = delta_invariant(tilde, shifted, report)
     classification = classify_EF(factors, report, tilde)
 
     a0 = factors.alpha0
@@ -255,13 +248,11 @@ def osculating_developable(
         dpr = director.diff()
         den = dpr.dot(dpr)
         num = img.diff().dot(dpr)
-        scale = factor_power(num, 2 * k_cyl, tol) * reciprocal(
-            factor_power(den, 2 * k_cyl, tol)
-        )
+        scale = factor_power(num, 2 * k_cyl) * reciprocal(factor_power(den, 2 * k_cyl))
         s_curve = img - director.scale(scale)
         if passes:
             sigma = s_curve.diff().dot(director)
-            v = valuation(sigma, tol)
+            v = valuation(sigma)
             if v.is_zero_to_order:
                 sigma_order, sigma_top = None, None
                 sigma_lower = v.reliable_order + 1

@@ -39,14 +39,7 @@ from .series import (
     vec3_factor_power,
     vec3_valuation,
 )
-from .model import (
-    CurveSpec,
-    FamilyMPQ,
-    GeneralCurve,
-    UmbrellaCoefficients,
-    image_curve,
-    normal_field_raw,
-)
+from .model import CurveSpec, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
 
 
 class FrameError(ValueError):
@@ -65,12 +58,10 @@ class FrameFactors:
     curve: Vec3Series  # E_c
 
 
-def frame_factors(W, c1: UniSeries, c2: UniSeries) -> FrameFactors:
-    """Factor the derivative, the raw normal and the curve itself."""
-    img = image_curve(W, c1, c2)
+def frame_factors(img: Vec3Series, raw: Vec3Series) -> FrameFactors:
+    """Factor the image curve, its derivative and the raw normal along it."""
     alpha0, e_c = _factor(img, "curve")
     alpha, e_t = _factor(img.diff(), "tangent derivative")
-    raw = normal_field_raw(W, c1, c2)
     beta, n = _factor(raw, "normal field")
     return FrameFactors(alpha=alpha, tangent=e_t, beta=beta, normal=n, alpha0=alpha0, curve=e_c)
 
@@ -127,7 +118,8 @@ class CurvatureReport:
     reliable order (recorded in ``reliable_orders``); for the closed-form
     source it never happens.  ``advisory`` flags table entries whose constant
     is known to disagree with the series computation on some inputs; the
-    comparison layer reports instead of failing on those.
+    comparison layer reports instead of failing on those.  ``numerators``
+    holds the khat_i an oracle report was extracted from.
     """
 
     source: ReportSource
@@ -135,29 +127,16 @@ class CurvatureReport:
     tops: tuple
     reliable_orders: tuple
     advisory: tuple = (False, False, False)
-    kappa: tuple | None = None  # FLOAT curvature series, attached on oracle reports
-
-    def entry(self, i: int):
-        return self.degrees[i], self.tops[i]
-
-    def with_kappa(self, kappa) -> "CurvatureReport":
-        return CurvatureReport(
-            source=self.source,
-            degrees=self.degrees,
-            tops=self.tops,
-            reliable_orders=self.reliable_orders,
-            advisory=self.advisory,
-            kappa=tuple(kappa),
-        )
+    numerators: tuple | None = None
 
 
-def divergence_report(numerators, tol: float | None = None) -> CurvatureReport:
+def divergence_report(numerators) -> CurvatureReport:
     """Valuations and leading coefficients of the three curvature numerators."""
     degrees = []
     tops = []
     rel = []
     for k in numerators:
-        v = valuation(k, tol)
+        v = valuation(k)
         degrees.append(v.order)
         tops.append(v.leading)
         rel.append(v.reliable_order)
@@ -166,6 +145,7 @@ def divergence_report(numerators, tol: float | None = None) -> CurvatureReport:
         degrees=tuple(degrees),
         tops=tuple(tops),
         reliable_orders=tuple(rel),
+        numerators=tuple(numerators),
     )
 
 
@@ -280,10 +260,10 @@ def norm_series(vec: Vec3Series) -> UniSeries:
 
 
 def kappa_tilde_series(factors: FrameFactors, report: CurvatureReport):
-    """Unit parts kappa~_i = kappa_i / x^{alpha_i} built from the exact numerators."""
+    """Unit parts kappa~_i = kappa_i / x^{alpha_i} built from the oracle's numerators."""
     if any(d is None for d in report.degrees):
         raise FrameError("a curvature numerator vanishes to reliable order")
-    k1, k2, k3 = curvature_numerators(factors)
+    k1, k2, k3 = report.numerators
     inv_e = reciprocal(norm_series(factors.tangent))
     inv_n = reciprocal(norm_series(factors.normal))
     inv_e2 = inv_e * inv_e

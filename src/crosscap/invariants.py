@@ -26,6 +26,7 @@ from .series import (
     Field,
     UniSeries,
     Vec3Series,
+    is_zero_coeff,
     vec3_factor_power,
     vec3_valuation,
 )
@@ -33,9 +34,7 @@ from .model import (
     CurveSpec,
     FamilyMP,
     UmbrellaCoefficients,
-    build_curve,
     build_umbrella,
-    default_series_order,
     image_curve,
 )
 from .frame import DarbouxFrame, FrameFactors
@@ -123,14 +122,11 @@ class ProjectionTangency:
     unit_coeff_along_n: float
 
 
-def projection_tangency(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> ProjectionTangency:
+def projection_tangency(
+    coeffs: UmbrellaCoefficients, spec: CurveSpec, img: Vec3Series, inv: TopInvariants
+) -> ProjectionTangency:
+    """Verdict from the EXACT image curve, cross-checked against the invariants."""
     m, c0, _ = c2m_shape(spec)
-    order = default_series_order(spec, coeffs.degree)
-    if order < 3 * m:
-        raise InvariantError("series order %d cannot resolve degree %d" % (order, 3 * m))
-    W = build_umbrella(coeffs)
-    c1, c2 = build_curve(spec, order)
-    img = image_curve(W, c1, c2)
     a02 = coeffs.a02
     b_dir = Vec3Series.make(Field.EXACT, [-a02], [0], [2 * c0], img.reliable_order)
     pb = img.dot(b_dir)
@@ -144,7 +140,6 @@ def projection_tangency(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> Projec
             raise InvariantError("unexpected low-order term in the projected curve")
     cb = pb.coefficient(3 * m)
     cn = pn.coefficient(3 * m)
-    inv = top_invariants(coeffs, spec)
     if cb * 3 != inv.A or cn * 3 != inv.B:
         raise InvariantError("projected coefficients disagree with the invariants")
     if cb == 0 and cn == 0:
@@ -260,7 +255,6 @@ def contour_deviation(
     spec: CurveSpec,
     factors: FrameFactors,
     frame: DarbouxFrame,
-    tol: float = 1e-9,
 ) -> ContourDeviation:
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
@@ -278,5 +272,5 @@ def contour_deviation(
     pairing = n_unit.dot(b0_vec)
     coeff = pairing.coefficient(m)
     return ContourDeviation(
-        coefficient=coeff, exact_coefficient=exact, vanishes=abs(coeff) <= tol
+        coefficient=coeff, exact_coefficient=exact, vanishes=is_zero_coeff(Field.FLOAT, coeff)
     )

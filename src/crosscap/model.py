@@ -320,9 +320,3 @@ def classify_tangency(coeffs: UmbrellaCoefficients, c1: UniSeries, c2: UniSeries
     return TangencyClassification(
         case=case, kind=_CASE_KIND[case], limiting_tangent=_normalize(tangent)
     )
-
-
-def classify_tangency_spec(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> TangencyClassification:
-    order = default_series_order(spec, coeffs.degree)
-    c1, c2 = build_curve(spec, order)
-    return classify_tangency(coeffs, c1, c2)

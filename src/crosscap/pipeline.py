@@ -1,19 +1,21 @@
 """End-to-end analysis of one surface + curve fixture.
 
-Chains the model, frame, invariants and developable modules and collects
-everything a report needs.  Pieces that only apply to particular curve
-shapes (closed forms, the A/B/C/D block, geometric verdicts) are populated
-when applicable and left as None with a reason otherwise.
+``Analysis`` names every quantity of the chain surface jet -> image curve
+and raw normal -> factorizations -> curvature numerators -> degrees and
+tops -> invariants and developable.  Each stage is computed on first access
+and cached, so report, verify and mesh share one computation and each runs
+only the stages it reads.  Pieces that only apply to particular curve
+shapes (closed forms, the A/B/C/D block, geometric verdicts, the
+developable) are None with a reason otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
-from .series import Field, UniSeries, Vec3Series
+from .series import Field, Vec3Series
 from .model import (
     CurveSpec,
-    GeneralCurve,
     TangencyClassification,
     UmbrellaCoefficients,
     build_curve,
@@ -49,121 +51,139 @@ from .invariants import (
 from .developable import (
     DevelopableData,
     DevelopableError,
+    RuledSurface,
     osculating_developable,
     osculating_surface,
 )
 
 
-@dataclass
+def _value_or_reason(compute, errors):
+    """(value, None), or (None, message) when ``compute`` raises one of ``errors``."""
+    try:
+        return compute(), None
+    except errors as exc:
+        return None, str(exc)
+
+
 class Analysis:
-    coeffs: UmbrellaCoefficients
-    spec: CurveSpec
-    field: Field
-    order: int
-    W: object
-    c1: UniSeries
-    c2: UniSeries
-    image: Vec3Series
-    raw_normal: Vec3Series
-    tangency: TangencyClassification
-    factors: FrameFactors
-    frame: DarbouxFrame
-    kappas: tuple
-    numerators: tuple
-    oracle: CurvatureReport
-    closed_form: CurvatureReport | None
-    closed_form_reason: str | None
-    invariants: TopInvariants | None
-    invariants_reason: str | None
-    projection: ProjectionTangency | None
-    self_int: SelfIntersectionCurve | None
-    contour: ContourDeviation | None
-    developable: DevelopableData | None
-    developable_reason: str | None
+    """The lazily staged analysis of one surface jet and curve in one field.
+
+    The EXACT surface and curve, which every stage starts from, are built on
+    construction; every other attribute is a stage computed on first access.
+    """
+
+    def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec, field: Field = Field.EXACT):
+        self.coeffs = coeffs
+        self.spec = spec
+        self.field = field
+        self.order = default_series_order(spec, coeffs.degree)
+        self.W = build_umbrella(coeffs)
+        self.c1, self.c2 = build_curve(spec, self.order)
+
+    @cached_property
+    def tangency(self) -> TangencyClassification:
+        return classify_tangency(self.coeffs, self.c1, self.c2)
+
+    @cached_property
+    def _working(self):
+        """Surface and curve in the analysis field."""
+        if self.field is Field.FLOAT:
+            return self.W.to_float(), self.c1.to_float(), self.c2.to_float()
+        return self.W, self.c1, self.c2
+
+    @cached_property
+    def image(self) -> Vec3Series:
+        return image_curve(*self._working)
+
+    @cached_property
+    def raw_normal(self) -> Vec3Series:
+        return normal_field_raw(*self._working)
+
+    @cached_property
+    def factors(self) -> FrameFactors:
+        return frame_factors(self.image, self.raw_normal)
+
+    @cached_property
+    def frame(self) -> DarbouxFrame:
+        return darboux_frame(self.factors)
+
+    @cached_property
+    def kappas(self) -> tuple:
+        return curvature_series(self.frame)
+
+    @cached_property
+    def numerators(self) -> tuple:
+        return curvature_numerators(self.factors)
+
+    @cached_property
+    def oracle(self) -> CurvatureReport:
+        return divergence_report(self.numerators)
+
+    @cached_property
+    def _closed_form(self):
+        return _value_or_reason(lambda: closed_form_reference(self.spec, self.coeffs), FrameError)
+
+    @property
+    def closed_form(self) -> CurvatureReport | None:
+        return self._closed_form[0]
+
+    @property
+    def closed_form_reason(self) -> str | None:
+        return self._closed_form[1]
+
+    @cached_property
+    def _invariants(self):
+        return _value_or_reason(lambda: top_invariants(self.coeffs, self.spec), InvariantError)
+
+    @property
+    def invariants(self) -> TopInvariants | None:
+        return self._invariants[0]
+
+    @property
+    def invariants_reason(self) -> str | None:
+        return self._invariants[1]
+
+    @cached_property
+    def projection(self) -> ProjectionTangency | None:
+        if self.invariants is None:
+            return None
+        exact_image = self.image if self.field is Field.EXACT else image_curve(self.W, self.c1, self.c2)
+        return projection_tangency(self.coeffs, self.spec, exact_image, self.invariants)
+
+    @cached_property
+    def self_int(self) -> SelfIntersectionCurve | None:
+        if self.invariants is None:
+            return None
+        return self_intersection(self.coeffs, self.spec)
+
+    @cached_property
+    def contour(self) -> ContourDeviation | None:
+        if self.invariants is None:
+            return None
+        return contour_deviation(self.coeffs, self.spec, self.factors, self.frame)
+
+    @cached_property
+    def _developable(self):
+        return _value_or_reason(
+            lambda: osculating_developable(self.factors, self.frame, self.oracle),
+            (DevelopableError, FrameError),
+        )
+
+    @property
+    def developable(self) -> DevelopableData | None:
+        return self._developable[0]
+
+    @property
+    def developable_reason(self) -> str | None:
+        return self._developable[1]
+
+    @cached_property
+    def ruled(self) -> RuledSurface:
+        """The osculating developable as a ruled surface; DevelopableError if it has none."""
+        if self.developable is None:
+            raise DevelopableError(self.developable_reason)
+        return osculating_surface(self.factors, self.developable)
 
 
-def analyze(
-    coeffs: UmbrellaCoefficients,
-    spec: CurveSpec,
-    field: Field = Field.EXACT,
-    order: int | None = None,
-) -> Analysis:
-    if order is None:
-        order = default_series_order(spec, coeffs.degree)
-    W = build_umbrella(coeffs)
-    c1, c2 = build_curve(spec, order)
-    tangency = classify_tangency(coeffs, c1, c2)
-    if field is Field.FLOAT:
-        c1w, c2w = c1.to_float(), c2.to_float()
-        Ww = _umbrella_float(W)
-    else:
-        c1w, c2w, Ww = c1, c2, W
-    img = image_curve(Ww, c1w, c2w)
-    raw = normal_field_raw(Ww, c1w, c2w)
-    factors = frame_factors(Ww, c1w, c2w)
-    frame = darboux_frame(factors)
-    kappas = curvature_series(frame)
-    numerators = curvature_numerators(factors)
-    oracle = divergence_report(numerators).with_kappa(kappas)
-
-    closed = closed_reason = None
-    if isinstance(spec, GeneralCurve):
-        closed_reason = "closed forms apply only to the two curve families"
-    else:
-        closed = closed_form_reference(spec, coeffs)
-
-    inv = inv_reason = None
-    proj = selfint = contour = None
-    try:
-        inv = top_invariants(coeffs, spec)
-    except InvariantError as exc:
-        inv_reason = str(exc)
-    if inv is not None:
-        proj = projection_tangency(coeffs, spec)
-        selfint = self_intersection(coeffs, spec)
-        contour = contour_deviation(coeffs, spec, factors, frame)
-
-    dev = dev_reason = None
-    try:
-        dev = osculating_developable(factors, frame, oracle)
-    except (DevelopableError, FrameError) as exc:
-        dev_reason = str(exc)
-
-    return Analysis(
-        coeffs=coeffs,
-        spec=spec,
-        field=field,
-        order=order,
-        W=W,
-        c1=c1,
-        c2=c2,
-        image=img,
-        raw_normal=raw,
-        tangency=tangency,
-        factors=factors,
-        frame=frame,
-        kappas=kappas,
-        numerators=numerators,
-        oracle=oracle,
-        closed_form=closed,
-        closed_form_reason=closed_reason,
-        invariants=inv,
-        invariants_reason=inv_reason,
-        projection=proj,
-        self_int=selfint,
-        contour=contour,
-        developable=dev,
-        developable_reason=dev_reason,
-    )
-
-
-def _umbrella_float(W):
-    from .series import Vec3BiSeries
-
-    return Vec3BiSeries(W.x.to_float(), W.y.to_float(), W.z.to_float())
-
-
-def osculating_ruled(analysis: Analysis):
-    if analysis.developable is None:
-        raise DevelopableError(analysis.developable_reason or "developable data missing")
-    return osculating_surface(analysis.factors, analysis.developable)
+def analyze(coeffs: UmbrellaCoefficients, spec: CurveSpec, field: Field = Field.EXACT) -> Analysis:
+    return Analysis(coeffs, spec, field)

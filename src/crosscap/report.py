@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .config import RunConfig, config_to_dict
 from .pipeline import Analysis, analyze
+from .series import Field, is_zero_coeff
 
 
 def _num(value):
@@ -73,7 +74,7 @@ def report_from_analysis(cfg: RunConfig, a: Analysis) -> dict:
             if o is None or c is None:
                 return o is None and c is None
             if isinstance(o, float):
-                return abs(o - float(c)) <= 1e-9
+                return is_zero_coeff(Field.FLOAT, o - float(c))
             return o == c
 
         matches_deg = [o == c for o, c in zip(a.oracle.degrees, cf.degrees)]
@@ -165,7 +166,7 @@ def report_from_analysis(cfg: RunConfig, a: Analysis) -> dict:
             d.sigma_order is not None
             and cls.case == "ii"
             and cls.F_coeff is not None
-            and abs(cls.F_coeff) <= 1e-9
+            and is_zero_coeff(Field.FLOAT, cls.F_coeff)
         ):
             flags.append(
                 "sigma top-term vanishes: order > %d" % (a.factors.alpha0 - 1)

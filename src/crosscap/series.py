@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-#: Default absolute tolerance for treating a FLOAT coefficient as zero.
+#: Absolute tolerance for treating a FLOAT coefficient as zero.
 FLOAT_TOL = 1e-9
 
 
@@ -49,11 +49,11 @@ def _zero(field: Field) -> Coeff:
     return Fraction(0) if field is Field.EXACT else 0.0
 
 
-def is_zero_coeff(field: Field, value: Coeff, tol: float | None = None) -> bool:
-    """Zero test: exact in EXACT, absolute tolerance (default 1e-9) in FLOAT."""
+def is_zero_coeff(field: Field, value: Coeff) -> bool:
+    """Zero test: exact in EXACT, absolute tolerance FLOAT_TOL in FLOAT."""
     if field is Field.EXACT:
         return value == 0
-    return abs(value) <= (FLOAT_TOL if tol is None else tol)
+    return abs(value) <= FLOAT_TOL
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,6 @@ class UniSeries:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(float(c)) for c in self.coeffs), default=0.0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -225,15 +222,15 @@ class Valuation:
         return self.order is None
 
 
-def valuation(a: UniSeries, tol: float | None = None) -> Valuation:
+def valuation(a: UniSeries) -> Valuation:
     """Smallest degree with a nonzero reliable coefficient, and that coefficient."""
     for i, c in enumerate(a.coeffs):
-        if not is_zero_coeff(a.field, c, tol):
+        if not is_zero_coeff(a.field, c):
             return Valuation(i, c, a.reliable_order)
     return Valuation(None, None, a.reliable_order)
 
 
-def factor_power(a: UniSeries, power: int, tol: float | None = None) -> UniSeries:
+def factor_power(a: UniSeries, power: int) -> UniSeries:
     """Divide by x^power given that val(a) >= power; reliability drops by power."""
     if power < 0:
         raise SeriesError("power must be >= 0")
@@ -242,7 +239,7 @@ def factor_power(a: UniSeries, power: int, tol: float | None = None) -> UniSerie
     if a.reliable_order < power:
         raise SeriesError("series not reliable far enough to factor x^%d" % power)
     for c in a.coeffs[:power]:
-        if not is_zero_coeff(a.field, c, tol):
+        if not is_zero_coeff(a.field, c):
             raise SeriesError(
                 "valuation smaller than %d: cannot factor x^%d out of the series" % (power, power)
             )
@@ -528,11 +525,11 @@ class Vec3Series:
         return self.scale(inv_norm)
 
 
-def vec3_valuation(a: Vec3Series, tol: float | None = None) -> Valuation:
+def vec3_valuation(a: Vec3Series) -> Valuation:
     """Minimum valuation over the three components (ZERO_TO_ORDER if all vanish)."""
     best: Valuation | None = None
     for comp in a.components:
-        v = valuation(comp, tol)
+        v = valuation(comp)
         if v.is_zero_to_order:
             continue
         if best is None or v.order < best.order:
@@ -542,11 +539,11 @@ def vec3_valuation(a: Vec3Series, tol: float | None = None) -> Valuation:
     return Valuation(best.order, best.leading, a.reliable_order)
 
 
-def vec3_factor_power(a: Vec3Series, power: int, tol: float | None = None) -> Vec3Series:
+def vec3_factor_power(a: Vec3Series, power: int) -> Vec3Series:
     return Vec3Series(
-        factor_power(a.x, power, tol),
-        factor_power(a.y, power, tol),
-        factor_power(a.z, power, tol),
+        factor_power(a.x, power),
+        factor_power(a.y, power),
+        factor_power(a.z, power),
     )
 
 

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import FamilyMP, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
-from .frame import (
-    closed_form_reference,
-    curvature_numerators,
-    divergence_report,
-    frame_factors,
-)
-from .model import build_curve, build_umbrella, default_series_order
+from .pipeline import Analysis
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -111,12 +105,8 @@ def _row_status(comparisons) -> str:
 def verify_fixture(coeffs: UmbrellaCoefficients, spec, subcase: str = "fixture", draw: int = 0) -> VerifyRow:
     if isinstance(spec, GeneralCurve):
         raise ValueError("verify requires a family curve; general curves have no closed forms")
-    W = build_umbrella(coeffs)
-    order = default_series_order(spec, coeffs.degree)
-    c1, c2 = build_curve(spec, order)
-    oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
-    reference = closed_form_reference(spec, coeffs)
-    comparisons = compare_reports(oracle, reference)
+    analysis = Analysis(coeffs, spec)
+    comparisons = compare_reports(analysis.oracle, analysis.closed_form)
     return VerifyRow(
         subcase=subcase,
         draw=draw,

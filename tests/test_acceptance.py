@@ -19,7 +19,6 @@ from crosscap import (
     expected_tops,
     osculating_surface,
     parse_config,
-    projection_tangency,
     reconstruct_regular_curvatures,
     self_intersection,
     top_invariants,
@@ -127,14 +126,14 @@ def test_criterion_6_verdict_suite(s2_coeffs, s2_spec):
     assert inv.B == 0
     si = self_intersection(s2_coeffs, s2_spec)
     assert si.tangent_to_curve is True
-    proj = projection_tangency(s2_coeffs, s2_spec)
+    proj = analyze(s2_coeffs, s2_spec).projection
     assert proj.verdict == PROJ_TANGENT_TO_B
 
     # constructed A = 0 fixture projects along n(0)
     a0_co = UmbrellaCoefficients(degree=9, a={(0, 2): 2, (1, 1): 1}, b={})
     a0_spec = FamilyMP(m=1, p=2, c=(1, 1))
     assert top_invariants(a0_co, a0_spec).A == 0
-    assert projection_tangency(a0_co, a0_spec).verdict == PROJ_TANGENT_TO_N
+    assert analyze(a0_co, a0_spec).projection.verdict == PROJ_TANGENT_TO_N
 
     # constructed C = 0 fixture zeroes the contour pairing at order m
     c0_co = UmbrellaCoefficients(degree=9, a={(0, 2): 2, (1, 1): 1}, b={3: 2})

@@ -237,6 +237,19 @@ def test_mesh_vertex_count_from_options(tmp_path):
     assert sum(1 for line in umbrella.splitlines() if line.startswith("v ")) == 42
 
 
+def test_mesh_without_developable_exit_code(tmp_path, capsys):
+    # the tangential structure function vanishes to reliable order: no director
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        '{"truncation": 4, "surface": {"a": {"0,2": "1"}},'
+        ' "curve": {"family": "mp", "m": 1, "p": 9, "c": ["1"]}}'
+    )
+    rc = main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "tangential structure function vanishes to reliable order\n"
+
+
 # ---------------------------------------------------------------------------
 # fixtures command and CLI surface
 # ---------------------------------------------------------------------------

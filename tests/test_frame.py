@@ -12,9 +12,7 @@ from crosscap import (
     UmbrellaCoefficients,
     analyze,
     closed_form_reference,
-    curvature_numerators,
     direct_regular_curvatures,
-    divergence_report,
     frame_factors,
     kappa_tilde_series,
     reconstruct_regular_curvatures,
@@ -63,8 +61,7 @@ def test_normal_value_cross_cap_diagonal_curve():
         c1=UniSeries.make(Field.EXACT, [0, 1], 12),
         c2=UniSeries.make(Field.EXACT, [0, 1, 1], 12),
     )
-    c1, c2 = build_curve(g, 12)
-    f = frame_factors(build_umbrella(co), c1, c2)
+    f = analyze(co, g).factors
     assert f.normal.constant_vector() == (0, -2, 1)
 
 
@@ -80,7 +77,7 @@ def test_factorization_identities_exact():
 
         img = image_curve(W, c1, c2)
         raw = normal_field_raw(W, c1, c2)
-        f = frame_factors(W, c1, c2)
+        f = frame_factors(img, raw)
         der = img.diff()
         back = f.tangent.shift(f.alpha)
         for orig, rec in zip(der.components, back.components):
@@ -290,10 +287,7 @@ def test_genericity_guard_b3_zero():
     # must strictly exceed it (checked for the flat-curve entries)
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1, (0, 3): 1}, b={})
     for spec in (FamilyMP(m=1, p=5, c=(1,)), FamilyMP(m=1, p=3, c=(2,))):
-        W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
-        c1, c2 = build_curve(spec, order)
-        oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
+        oracle = analyze(co, spec).oracle
         ref = closed_form_reference(spec, co)
         for i in range(3):
             if ref.tops[i] == 0:
@@ -310,10 +304,7 @@ def test_adjudicated_constant_mp_p3plus_kappa2():
     for m, p in ((1, 3), (2, 3), (1, 5), (3, 4)):
         co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1}, b={3: 4})
         spec = FamilyMP(m=m, p=p, c=(2, 1))
-        W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
-        c1, c2 = build_curve(spec, order)
-        oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
+        oracle = analyze(co, spec).oracle
         assert oracle.degrees[1] == m - 1
         assert oracle.tops[1] == Fraction(-(m**2) * 2 * 4, 2)  # no (p - 1) factor
 
@@ -322,10 +313,7 @@ def test_adjudicated_constant_mp_p5plus_kappa1_sign():
     for m, p in ((1, 5), (2, 5), (1, 6)):
         co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1}, b={3: 4})
         spec = FamilyMP(m=m, p=p, c=(2, 1))
-        W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
-        c1, c2 = build_curve(spec, order)
-        oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
+        oracle = analyze(co, spec).oracle
         assert oracle.degrees[0] == 2 * m - 1
         assert oracle.tops[0] == Fraction(-(m**3) * 4 * 4, 2)  # negative sign
 
@@ -334,10 +322,7 @@ def test_adjudicated_constant_mpq_p4plus_kappa1():
     for m, q, p in ((2, 1, 4), (3, 1, 4), (3, 2, 5)):
         co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1}, b={3: 4})
         spec = FamilyMPQ(m=m, p=p, q=q, c=(2, 1))
-        W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
-        c1, c2 = build_curve(spec, order)
-        oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
+        oracle = analyze(co, spec).oracle
         assert oracle.degrees[0] == 2 * m - 1
         assert oracle.tops[0] == Fraction(-(m**3) * 4 * 4, 2)
 
@@ -346,10 +331,7 @@ def test_adjudicated_constant_mpq_p1_kappa3_c0_squared():
     for m, q, c0 in ((2, 1, 2), (3, 2, 2), (3, 1, -3)):
         co = UmbrellaCoefficients(degree=6, a={(0, 2): 3, (1, 1): 1, (0, 3): 1}, b={3: 2})
         spec = FamilyMPQ(m=m, p=1, q=q, c=(c0,))
-        W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
-        c1, c2 = build_curve(spec, order)
-        oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
+        oracle = analyze(co, spec).oracle
         assert oracle.degrees[2] == q - 1
         assert oracle.tops[2] == -Fraction(q * (m + q) * 3) * c0 * c0
 
@@ -359,10 +341,7 @@ def test_p4_entry_exact_for_all_m():
     for m, c0, b3 in ((1, 2, 4), (2, 1, 2), (2, -2, 6)):
         co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1}, b={3: b3})
         spec = FamilyMP(m=m, p=4, c=(c0,))
-        W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
-        c1, c2 = build_curve(spec, order)
-        oracle = divergence_report(curvature_numerators(frame_factors(W, c1, c2)))
+        oracle = analyze(co, spec).oracle
         expected = -Fraction(m**3) * 4 * (8 * Fraction(c0) + Fraction(b3, 2))
         assert oracle.degrees[0] == 2 * m - 1
         assert oracle.tops[0] == expected

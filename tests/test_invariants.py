@@ -12,7 +12,6 @@ from crosscap import (
     analyze,
     c2m_shape,
     expected_tops,
-    projection_tangency,
     secondary_normal_top,
     self_intersection,
     top_invariants,
@@ -125,7 +124,7 @@ def test_secondary_normal_top_when_B_vanishes():
 
 
 def test_projection_s1_generic(s1_coeffs, s1_spec):
-    p = projection_tangency(s1_coeffs, s1_spec)
+    p = analyze(s1_coeffs, s1_spec).projection
     assert p.verdict == PROJ_GENERIC
     assert (p.coeff_along_b, p.coeff_along_n) == (2, 1)  # A/3, B/3
     assert abs(p.unit_coeff_along_b - 1 / math.sqrt(2)) < 1e-12
@@ -133,7 +132,7 @@ def test_projection_s1_generic(s1_coeffs, s1_spec):
 
 
 def test_projection_s2_tangent_to_b(s2_coeffs, s2_spec):
-    p = projection_tangency(s2_coeffs, s2_spec)
+    p = analyze(s2_coeffs, s2_spec).projection
     assert p.verdict == PROJ_TANGENT_TO_B
     assert p.coeff_along_n == 0
     assert p.coeff_along_b == 4
@@ -143,7 +142,7 @@ def test_projection_a0_tangent_to_n():
     co, spec = a0_fixture()
     inv = top_invariants(co, spec)
     assert inv.A == 0 and inv.B == 3
-    p = projection_tangency(co, spec)
+    p = analyze(co, spec).projection
     assert p.verdict == PROJ_TANGENT_TO_N
     assert p.coeff_along_b == 0
 
@@ -152,7 +151,7 @@ def test_projection_degenerate_when_A_and_B_vanish():
     # c0 = 1, a02 = 2, b3 = -6 makes B = 0; pick cm so A = 0 too
     co = UmbrellaCoefficients(degree=9, a={(0, 2): 2, (1, 1): 1}, b={3: -6})
     spec = FamilyMP(m=1, p=2, c=(1, 1))  # A = 6 + 0 - 6 = 0
-    p = projection_tangency(co, spec)
+    p = analyze(co, spec).projection
     assert p.verdict == PROJ_DEGENERATE
 
 
@@ -164,7 +163,7 @@ def test_projection_verdict_matches_invariants_randomly():
         c = [rand_fraction(rng, nonzero=True)] + [Fraction(0)] * (m - 1) + [rand_fraction(rng)]
         spec = FamilyMP(m=m, p=2, c=tuple(c))
         inv = top_invariants(co, spec)
-        p = projection_tangency(co, spec)
+        p = analyze(co, spec).projection
         assert p.coeff_along_b * 3 == inv.A
         assert p.coeff_along_n * 3 == inv.B
 

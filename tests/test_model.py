@@ -11,10 +11,10 @@ from crosscap import (
     ModelError,
     UmbrellaCoefficients,
     UniSeries,
+    analyze,
     build_curve,
     build_umbrella,
     classify_tangency,
-    classify_tangency_spec,
     default_series_order,
     image_curve,
     normal_field_raw,
@@ -199,7 +199,7 @@ def test_normality_identity_on_random_fixtures():
 
 
 def test_case3_limiting_tangent_s1(s1_coeffs, s1_spec):
-    t = classify_tangency_spec(s1_coeffs, s1_spec)
+    t = analyze(s1_coeffs, s1_spec).tangency
     assert t.case == 3
     assert t.kind == "principal-plane"
     r = 1 / math.sqrt(2)
@@ -219,7 +219,7 @@ def test_case1_along_tangent_line():
 def test_case4_along_principal_intersection():
     co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
     spec = FamilyMP(m=1, p=5, c=(1,))
-    t = classify_tangency_spec(co, spec)
+    t = analyze(co, spec).tangency
     assert t.case == 4
     assert t.limiting_tangent == (0.0, 0.0, 1.0)
     assert t.kind == "principal-intersection-line"
@@ -230,7 +230,7 @@ def test_case_mapping_per_family():
     for _ in range(30):
         co = random_surface(rng)
         spec = random_family(rng)
-        t = classify_tangency_spec(co, spec)
+        t = analyze(co, spec).tangency
         if isinstance(spec, FamilyMPQ):
             assert t.case == (2 if spec.p == 1 else 4)
         elif spec.p == 2:
@@ -249,7 +249,7 @@ def test_limiting_tangent_matches_frame(s1, s2, s3):
 
 def test_fixed_directions():
     co = UmbrellaCoefficients(degree=4, a={(0, 2): 2}, b={})
-    t = classify_tangency_spec(co, FamilyMP(m=1, p=2, c=(1,)))
+    t = analyze(co, FamilyMP(m=1, p=2, c=(1,))).tangency
     assert t.tangent_line_direction == (1.0, 0.0, 0.0)
     assert t.principal_intersection_direction == (0.0, 0.0, 1.0)
     assert t.null_vector == (0.0, 1.0)
