@@ -10,10 +10,14 @@ from importlib import resources
 from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
 from .verify import has_hard_failure, render_rows, run_sweep, verify_fixture
-from .model import GeneralCurve
+from .series import SeriesError
+from .model import GeneralCurve, ModelError
+from .frame import FrameError
+from .invariants import InvariantError
 from .developable import DevelopableError
 from .pipeline import analyze
 from .obj import (
+    MeshError,
     obj_mesh_text,
     obj_polyline_text,
     sample_curve_polyline,
@@ -45,14 +49,13 @@ def _cmd_verify(args) -> int:
         rows = run_sweep(seed=args.seed, draws=args.draws)
     else:
         if not args.config:
-            raise SystemExit("verify: provide a config file or --sweep")
+            sys.stderr.write("verify: provide a config file or --sweep\n")
+            return 2
         cfg = _load_config(args.config)
         if isinstance(cfg.spec, GeneralCurve):
-            raise SystemExit("verify: general curves have no closed forms to verify against")
-        if cfg.sweep is not None:
-            rows = run_sweep(seed=cfg.sweep.seed, draws=cfg.sweep.draws)
-        else:
-            rows = [verify_fixture(cfg.coeffs, cfg.spec)]
+            sys.stderr.write("verify: general curves have no closed forms to verify against\n")
+            return 2
+        rows = [verify_fixture(cfg.coeffs, cfg.spec)]
     sys.stdout.write(render_rows(rows))
     return 1 if has_hard_failure(rows) else 0
 
@@ -61,6 +64,7 @@ def _cmd_mesh(args) -> int:
     cfg = _load_config(args.config)
     mesh = cfg.mesh or MeshOptions()
     analysis = analyze(cfg.coeffs, cfg.spec)
+    ruled = analysis.ruled  # fails before any file is written when there is no developable
     os.makedirs(args.out, exist_ok=True)
 
     patch = sample_surface_patch(analysis.W, mesh.u_range, mesh.v_range, mesh.nu, mesh.nv)
@@ -69,7 +73,7 @@ def _cmd_mesh(args) -> int:
     curve_pts = sample_curve_polyline(analysis.image, mesh.x_range, mesh.curve_samples)
     write_obj(os.path.join(args.out, "curve.obj"), obj_polyline_text(curve_pts))
 
-    od = sample_ruled_surface(analysis.ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
+    od = sample_ruled_surface(ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
     write_obj(os.path.join(args.out, "od_w.obj"), obj_mesh_text(od))
     return 0
 
@@ -130,7 +134,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DevelopableError) as exc:
+    except (
+        ConfigError,
+        SeriesError,
+        ModelError,
+        FrameError,
+        InvariantError,
+        DevelopableError,
+        MeshError,
+    ) as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
     except OSError as exc:

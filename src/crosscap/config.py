@@ -8,7 +8,7 @@ reported, not just the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .series import Field, UniSeries
@@ -30,53 +30,33 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join("  - " + p for p in self.problems))
 
 
-_TOP_KEYS = {"truncation", "surface", "curve", "field", "description", "mesh", "sweep"}
+_TOP_KEYS = {"truncation", "surface", "curve", "field", "description", "mesh"}
 _SURFACE_KEYS = {"a", "b"}
 _CURVE_KEYS = {"family", "m", "p", "q", "c", "c1", "c2"}
-_MESH_KEYS = {"x_range", "y_range", "nx", "ny", "u_range", "v_range", "nu", "nv", "curve_samples"}
-_SWEEP_KEYS = {"seed", "draws"}
-
-MESH_DEFAULTS = {
-    "x_range": (-0.3, 0.3),
-    "y_range": (-0.3, 0.3),
-    "nx": 41,
-    "ny": 21,
-    "u_range": (-0.35, 0.35),
-    "v_range": (-0.35, 0.35),
-    "nu": 41,
-    "nv": 41,
-    "curve_samples": 81,
-}
 
 
 @dataclass(frozen=True)
 class MeshOptions:
-    x_range: tuple = MESH_DEFAULTS["x_range"]
-    y_range: tuple = MESH_DEFAULTS["y_range"]
-    nx: int = MESH_DEFAULTS["nx"]
-    ny: int = MESH_DEFAULTS["ny"]
-    u_range: tuple = MESH_DEFAULTS["u_range"]
-    v_range: tuple = MESH_DEFAULTS["v_range"]
-    nu: int = MESH_DEFAULTS["nu"]
-    nv: int = MESH_DEFAULTS["nv"]
-    curve_samples: int = MESH_DEFAULTS["curve_samples"]
+    """The ``mesh`` keys with their defaults: [lo, hi] windows and resolutions >= 2."""
 
-
-@dataclass(frozen=True)
-class SweepOptions:
-    seed: int = 0
-    draws: int = 10
+    x_range: tuple = (-0.3, 0.3)
+    y_range: tuple = (-0.3, 0.3)
+    nx: int = 41
+    ny: int = 21
+    u_range: tuple = (-0.35, 0.35)
+    v_range: tuple = (-0.35, 0.35)
+    nu: int = 41
+    nv: int = 41
+    curve_samples: int = 81
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    truncation: int
-    coeffs: UmbrellaCoefficients
+    coeffs: UmbrellaCoefficients  # its degree is the configured truncation
     spec: CurveSpec
     field: Field = Field.EXACT
     description: str | None = None
     mesh: MeshOptions | None = None
-    sweep: SweepOptions | None = None
 
 
 def parse_rational(value, where: str, problems) -> Fraction:
@@ -131,19 +111,10 @@ def config_from_dict(doc) -> RunConfig:
         problems.append("description: must be a string")
 
     mesh = _parse_mesh(doc.get("mesh"), problems)
-    sweep = _parse_sweep(doc.get("sweep"), problems)
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        truncation=truncation,
-        coeffs=coeffs,
-        spec=spec,
-        field=field,
-        description=description,
-        mesh=mesh,
-        sweep=sweep,
-    )
+    return RunConfig(coeffs=coeffs, spec=spec, field=field, description=description, mesh=mesh)
 
 
 def _parse_surface(surface, problems, truncation) -> UmbrellaCoefficients | None:
@@ -245,46 +216,28 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
     if not isinstance(mesh, dict):
         problems.append("mesh: must be an object")
         return None
-    _check_keys(mesh, _MESH_KEYS, "mesh", problems)
+    options = fields(MeshOptions)
+    _check_keys(mesh, {f.name for f in options}, "mesh", problems)
     kwargs = {}
-    for name in ("x_range", "y_range", "u_range", "v_range"):
-        if name in mesh:
-            raw = mesh[name]
+    for f in options:
+        if f.name not in mesh:
+            continue
+        raw = mesh[f.name]
+        if isinstance(f.default, tuple):
             if (
                 not isinstance(raw, list)
                 or len(raw) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
                 or not raw[0] < raw[1]
             ):
-                problems.append(f"mesh.{name}: must be [lo, hi] with lo < hi")
+                problems.append(f"mesh.{f.name}: must be [lo, hi] with lo < hi")
             else:
-                kwargs[name] = (float(raw[0]), float(raw[1]))
-    for name in ("nx", "ny", "nu", "nv", "curve_samples"):
-        if name in mesh:
-            raw = mesh[name]
-            if not isinstance(raw, int) or isinstance(raw, bool) or raw < 2:
-                problems.append(f"mesh.{name}: must be an integer >= 2")
-            else:
-                kwargs[name] = raw
+                kwargs[f.name] = (float(raw[0]), float(raw[1]))
+        elif not isinstance(raw, int) or isinstance(raw, bool) or raw < 2:
+            problems.append(f"mesh.{f.name}: must be an integer >= 2")
+        else:
+            kwargs[f.name] = raw
     return MeshOptions(**kwargs)
-
-
-def _parse_sweep(sweep, problems) -> SweepOptions | None:
-    if sweep is None:
-        return None
-    if not isinstance(sweep, dict):
-        problems.append("sweep: must be an object")
-        return None
-    _check_keys(sweep, _SWEEP_KEYS, "sweep", problems)
-    kwargs = {}
-    for name, minimum in (("seed", 0), ("draws", 1)):
-        if name in sweep:
-            raw = sweep[name]
-            if not isinstance(raw, int) or isinstance(raw, bool) or raw < minimum:
-                problems.append(f"sweep.{name}: must be an integer >= {minimum}")
-            else:
-                kwargs[name] = raw
-    return SweepOptions(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +245,13 @@ def _parse_sweep(sweep, problems) -> SweepOptions | None:
 # ---------------------------------------------------------------------------
 
 
-def _rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
-    doc: dict = {"truncation": cfg.truncation}
+    doc: dict = {"truncation": cfg.coeffs.degree}
     surface: dict = {"a": {}, "b": {}}
     for (i, j), value in sorted(cfg.coeffs.a.items()):
-        surface["a"][f"{i},{j}"] = _rational_str(value)
+        surface["a"][f"{i},{j}"] = str(value)
     for i, value in sorted(cfg.coeffs.b.items()):
-        surface["b"][str(i)] = _rational_str(value)
+        surface["b"][str(i)] = str(value)
     doc["surface"] = surface
     spec = cfg.spec
     if isinstance(spec, FamilyMPQ):
@@ -311,40 +260,27 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "m": spec.m,
             "p": spec.p,
             "q": spec.q,
-            "c": [_rational_str(v) for v in spec.c],
+            "c": [str(v) for v in spec.c],
         }
     elif isinstance(spec, FamilyMP):
         doc["curve"] = {
             "family": "mp",
             "m": spec.m,
             "p": spec.p,
-            "c": [_rational_str(v) for v in spec.c],
+            "c": [str(v) for v in spec.c],
         }
     else:
         doc["curve"] = {
             "family": "general",
-            "c1": [_rational_str(v) for v in spec.c1.coeffs],
-            "c2": [_rational_str(v) for v in spec.c2.coeffs],
+            "c1": [str(v) for v in spec.c1.coeffs],
+            "c2": [str(v) for v in spec.c2.coeffs],
         }
     doc["field"] = cfg.field.value
     if cfg.description is not None:
         doc["description"] = cfg.description
     if cfg.mesh is not None:
         doc["mesh"] = {
-            "x_range": list(cfg.mesh.x_range),
-            "y_range": list(cfg.mesh.y_range),
-            "nx": cfg.mesh.nx,
-            "ny": cfg.mesh.ny,
-            "u_range": list(cfg.mesh.u_range),
-            "v_range": list(cfg.mesh.v_range),
-            "nu": cfg.mesh.nu,
-            "nv": cfg.mesh.nv,
-            "curve_samples": cfg.mesh.curve_samples,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(cfg.mesh).items()
         }
-    if cfg.sweep is not None:
-        doc["sweep"] = {"seed": cfg.sweep.seed, "draws": cfg.sweep.draws}
     return doc
-
-
-def emit_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2) + "\n"

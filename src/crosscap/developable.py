@@ -58,28 +58,6 @@ class RuledSurface:
             raise DevelopableError("director curve vanishes at 0")
 
 
-def developability_residual(surface: RuledSurface) -> UniSeries:
-    """det(gamma', xi, xi') as a series; identically zero iff developable."""
-    return surface.gamma.diff().dot(surface.xi.cross(surface.xi.diff()))
-
-
-def striction_curve(surface: RuledSurface):
-    """Striction curve s = gamma - (<gamma', xi_bar'>/<xi_bar', xi_bar'>) xi_bar.
-
-    Defined for non-(pseudo-)cylindrical surfaces whose numerator valuation
-    does not fall below the denominator's; returns (scale series, curve).
-    """
-    xi_bar = surface.xi.unit()
-    w = xi_bar.diff()
-    den = w.dot(w)
-    vd = valuation(den)
-    if vd.is_zero_to_order:
-        raise DevelopableError("director derivative vanishes to reliable order: cylinder")
-    num = surface.gamma.diff().dot(w)
-    scale = factor_power(num, vd.order) * reciprocal(factor_power(den, vd.order))
-    return scale, surface.gamma - xi_bar.scale(scale)
-
-
 # ---------------------------------------------------------------------------
 # The osculating developable along the curve
 # ---------------------------------------------------------------------------

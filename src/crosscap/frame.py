@@ -24,7 +24,6 @@ top-terms T_i of the curvatures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -273,97 +272,3 @@ def kappa_tilde_series(factors: FrameFactors, report: CurvatureReport):
     t2 = factor_power(k2, a2).to_float() * (inv_e * inv_n)
     t3 = factor_power(k3, a3).to_float() * (inv_e * inv_n2)
     return (t1, t2, t3)
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction of the regular-point curvatures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularCurvatures:
-    """Geodesic curvature, normal curvature and geodesic torsion at one x != 0."""
-
-    kappa_g: float
-    kappa_nu: float
-    kappa_t: float
-
-
-def _sgn_power(x: float, t: int) -> float:
-    return -1.0 if (x < 0.0 and t % 2 == 1) else 1.0
-
-
-def reconstruct_regular_curvatures(
-    kappas, factors: FrameFactors, x: float
-) -> RegularCurvatures:
-    """Undo the divergent normalization at a regular parameter value.
-
-    kappa_g = sgn(x^{alpha+beta}) kappa_1(x) / (|E_t(x)| x^alpha) and its two
-    companions; the sign factors account for the frame flipping across 0 when
-    the factored exponents are odd.
-    """
-    if x == 0.0:
-        raise FrameError("regular curvatures are undefined at the singular point")
-    k1, k2, k3 = (k.evaluate(x) for k in kappas)
-    et = factors.tangent.to_float().evaluate(x)
-    norm_et = math.sqrt(sum(c * c for c in et))
-    denom = norm_et * x**factors.alpha
-    sab = _sgn_power(x, factors.alpha + factors.beta)
-    sb = _sgn_power(x, factors.beta)
-    return RegularCurvatures(
-        kappa_g=sab * k1 / denom,
-        kappa_nu=sb * k2 / denom,
-        kappa_t=k3 / denom,
-    )
-
-
-def direct_regular_curvatures(img: Vec3Series, raw_normal: Vec3Series, x: float) -> RegularCurvatures:
-    """Independent regular-point pipeline straight from the unfactored series.
-
-    Builds the frame pointwise from the curve derivative and the raw normal,
-    then applies the textbook formulas; shares nothing with the factored path
-    beyond the input series.
-    """
-    if x == 0.0:
-        raise FrameError("regular curvatures are undefined at the singular point")
-    imgf = img.to_float()
-    d1 = imgf.diff()
-    d2 = d1.diff()
-    nraw = raw_normal.to_float()
-    dnraw = nraw.diff()
-
-    c1 = d1.evaluate(x)
-    c2 = d2.evaluate(x)
-    nv = nraw.evaluate(x)
-    dnv = dnraw.evaluate(x)
-
-    def norm(v):
-        return math.sqrt(sum(c * c for c in v))
-
-    def scale(v, s):
-        return tuple(c * s for c in v)
-
-    def dot(a, b):
-        return sum(p * q for p, q in zip(a, b))
-
-    def cross(a, b):
-        return (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-
-    speed = norm(c1)
-    ebar = scale(c1, 1.0 / speed)
-    nn = norm(nv)
-    nbar = scale(nv, 1.0 / nn)
-    bbar = cross(nbar, ebar)
-    # d/dx of n_raw/|n_raw| by the quotient rule, evaluated numerically.
-    nbar_dx = tuple(
-        dnv[i] / nn - nv[i] * dot(nv, dnv) / nn**3 for i in range(3)
-    )
-    return RegularCurvatures(
-        kappa_g=dot(c2, bbar) / speed**2,
-        kappa_nu=dot(c2, nbar) / speed**2,
-        kappa_t=-dot(nbar_dx, bbar) / speed,
-    )

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .series import (
     Field,
     UniSeries,
+    Vec3BiSeries,
     Vec3Series,
     is_zero_coeff,
     vec3_factor_power,
@@ -34,7 +35,6 @@ from .model import (
     CurveSpec,
     FamilyMP,
     UmbrellaCoefficients,
-    build_umbrella,
     image_curve,
 )
 from .frame import DarbouxFrame, FrameFactors
@@ -82,17 +82,6 @@ def top_invariants(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> TopInvarian
         C=2 * c0 * c0 + b3 * c0 - a02 * a02,
         D=(a11 * b3 - a03) * c0 - 5 * a02 * cm - b4 * a02 / 3,
     )
-
-
-def expected_tops(inv: TopInvariants, m: int, a02: Fraction):
-    """The curvature top-terms this family must produce: (m^3 a02 A, -m^2 a02 B, -m^2 a02 C)."""
-    mf = Fraction(m)
-    return (mf**3 * a02 * inv.A, -(mf**2) * a02 * inv.B, -(mf**2) * a02 * inv.C)
-
-
-def secondary_normal_top(inv: TopInvariants, m: int):
-    """Top-term of the normal structure function once B = 0: m^2 D at degree 2m-1."""
-    return Fraction(m) ** 2 * inv.D
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +174,9 @@ class SelfIntersectionCurve:
 
 
 def self_intersection(
-    coeffs: UmbrellaCoefficients, spec: CurveSpec | None = None
+    coeffs: UmbrellaCoefficients, W: Vec3BiSeries, spec: CurveSpec | None = None
 ) -> SelfIntersectionCurve:
+    """The double-point curve of the EXACT umbrella ``W`` built from ``coeffs``."""
     a02 = coeffs.a02
     a11 = coeffs.a_coeff(1, 1)
     a03 = coeffs.a_coeff(0, 3)
@@ -194,7 +184,6 @@ def self_intersection(
     d12 = -b3 / 6
     d22 = (b3 * a11 - a03) / (6 * a02)
     order = coeffs.degree  # composition with a multiplicity-1 curve keeps degree k
-    W = build_umbrella(coeffs)
     d1 = UniSeries.make(Field.EXACT, [0, 0, d12], order)
     d2 = UniSeries.make(Field.EXACT, [0, 1, d22], order)
     img = image_curve(W, d1, d2)

@@ -32,7 +32,6 @@ from .frame import (
     FrameFactors,
     closed_form_reference,
     curvature_numerators,
-    curvature_series,
     darboux_frame,
     divergence_report,
     frame_factors,
@@ -108,10 +107,6 @@ class Analysis:
         return darboux_frame(self.factors)
 
     @cached_property
-    def kappas(self) -> tuple:
-        return curvature_series(self.frame)
-
-    @cached_property
     def numerators(self) -> tuple:
         return curvature_numerators(self.factors)
 
@@ -154,7 +149,7 @@ class Analysis:
     def self_int(self) -> SelfIntersectionCurve | None:
         if self.invariants is None:
             return None
-        return self_intersection(self.coeffs, self.spec)
+        return self_intersection(self.coeffs, self.W, self.spec)
 
     @cached_property
     def contour(self) -> ContourDeviation | None:

@@ -8,27 +8,26 @@ import random
 import time
 from fractions import Fraction
 
-from crosscap import (
-    FamilyMP,
-    FamilyMPQ,
-    UmbrellaCoefficients,
-    analyze,
-    closed_form_reference,
-    developability_residual,
-    direct_regular_curvatures,
-    expected_tops,
-    osculating_surface,
-    parse_config,
-    reconstruct_regular_curvatures,
+from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients, analyze, parse_config
+from crosscap.cli import fixture_text, main
+from crosscap.developable import BRANCH_A3_GE_A2, CASE_II, osculating_surface
+from crosscap.frame import closed_form_reference, curvature_series
+from crosscap.invariants import (
+    PROJ_TANGENT_TO_B,
+    PROJ_TANGENT_TO_N,
     self_intersection,
     top_invariants,
 )
-from crosscap.cli import fixture_text, main
-from crosscap.developable import BRANCH_A3_GE_A2, CASE_II
-from crosscap.invariants import PROJ_TANGENT_TO_B, PROJ_TANGENT_TO_N
+from crosscap.model import build_umbrella
 from crosscap.report import build_report, render_report
 from crosscap.verify import FAIL, SUBCASES, run_sweep
 from conftest import rand_fraction, random_family, random_surface
+from reference import (
+    developability_residual,
+    direct_regular_curvatures,
+    expected_tops,
+    reconstruct_regular_curvatures,
+)
 from test_frame import frame_magnitude, orthonormality_defect
 
 
@@ -111,8 +110,9 @@ def test_criterion_4_frame_properties(s1, s2, s3):
 
 def test_criterion_5_regular_curvature_reconstruction(s1, s2, s3):
     for a in (s1, s2, s3):
+        kappas = curvature_series(a.frame)
         for x in (0.01, -0.01, 0.02, -0.02):
-            rec = reconstruct_regular_curvatures(a.kappas, a.factors, x)
+            rec = reconstruct_regular_curvatures(kappas, a.factors, x)
             ref = direct_regular_curvatures(a.image, a.raw_normal, x)
             for name in ("kappa_g", "kappa_nu", "kappa_t"):
                 lhs, rhs = getattr(rec, name), getattr(ref, name)
@@ -124,7 +124,7 @@ def test_criterion_6_verdict_suite(s2_coeffs, s2_spec):
     # S2: B = 0, tangent to the self-intersection curve, projection along b(0)
     inv = top_invariants(s2_coeffs, s2_spec)
     assert inv.B == 0
-    si = self_intersection(s2_coeffs, s2_spec)
+    si = self_intersection(s2_coeffs, build_umbrella(s2_coeffs), s2_spec)
     assert si.tangent_to_curve is True
     proj = analyze(s2_coeffs, s2_spec).projection
     assert proj.verdict == PROJ_TANGENT_TO_B
@@ -199,7 +199,7 @@ def test_criterion_8_self_intersection_coefficients():
     rng = random.Random(300)
     for _ in range(10):
         co = random_surface(rng)
-        si = self_intersection(co)
+        si = self_intersection(co, build_umbrella(co))
         b3 = co.b_coeff(3)
         a11 = co.a_coeff(1, 1)
         a03 = co.a_coeff(0, 3)

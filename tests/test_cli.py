@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from crosscap import ConfigError, parse_config, emit_config
+from crosscap import ConfigError, parse_config
 from crosscap.cli import fixture_names, fixture_text, main
-from crosscap.config import MeshOptions, SweepOptions
+from crosscap.config import MeshOptions, config_to_dict
 from crosscap.report import build_report, render_report
 from crosscap.verify import PASS, verify_fixture
 
@@ -21,13 +21,13 @@ def test_bundled_fixtures_parse():
     assert fixture_names() == ["s1", "s2", "s3"]
     for name in fixture_names():
         cfg = parse_config(fixture_text(name))
-        assert cfg.truncation >= 3
+        assert cfg.coeffs.degree >= 3
 
 
 def test_round_trip_all_fixtures():
     for name in fixture_names():
         cfg = parse_config(fixture_text(name))
-        assert parse_config(emit_config(cfg)) == cfg
+        assert parse_config(json.dumps(config_to_dict(cfg))) == cfg
 
 
 def test_round_trip_with_options():
@@ -38,14 +38,12 @@ def test_round_trip_with_options():
                 "surface": {"a": {"0,2": "3/2"}, "b": {"4": "-1/3"}},
                 "curve": {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["2", "1/2"]},
                 "mesh": {"nx": 11, "x_range": [-0.2, 0.2]},
-                "sweep": {"seed": 3, "draws": 4},
             }
         )
     )
     assert cfg.mesh.nx == 11
     assert cfg.mesh.ny == MeshOptions().ny
-    assert cfg.sweep == SweepOptions(seed=3, draws=4)
-    assert parse_config(emit_config(cfg)) == cfg
+    assert parse_config(json.dumps(config_to_dict(cfg))) == cfg
 
 
 def test_zero_a02_rejected():
@@ -192,14 +190,19 @@ def test_verify_sweep_determinism(capsys):
     assert rc1 == rc2 == 0
 
 
-def test_verify_rejects_general_curve(tmp_path):
+GENERAL_CURVE = (
+    '{"truncation": 4, "surface": {"a": {"0,2": "1"}},'
+    ' "curve": {"family": "general", "c1": ["0", "1"], "c2": ["0", "0", "1"]}}'
+)
+
+
+def test_verify_rejects_general_curve(tmp_path, capsys):
     cfg_path = tmp_path / "general.json"
-    cfg_path.write_text(
-        '{"truncation": 4, "surface": {"a": {"0,2": "1"}},'
-        ' "curve": {"family": "general", "c1": ["0", "1"], "c2": ["0", "0", "1"]}}'
-    )
-    with pytest.raises(SystemExit, match="general curves"):
-        main(["verify", str(cfg_path)])
+    cfg_path.write_text(GENERAL_CURVE)
+    assert main(["verify", str(cfg_path)]) == 2
+    assert "general curves" in capsys.readouterr().err
+    assert main(["verify"]) == 2
+    assert "provide a config file or --sweep" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,39 @@ def test_mesh_without_developable_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "tangential structure function vanishes to reliable order\n"
+    assert list(tmp_path.rglob("*.obj")) == []
+
+
+# Valid exact configs whose float frame or striction scale is too small for
+# the float zero test: the analysis cannot be completed, which the CLI reports
+# in one line with exit code 2.
+TINY_SCALE = {
+    "mp-c1e-5": ("1/100000000", {"family": "mp", "m": 1, "p": 2, "c": ["1/100000"]}),
+    "mp-a1e-12": ("1/1000000000000", {"family": "mp", "m": 1, "p": 2, "c": ["1"]}),
+    "mpq-a1e-8": ("1/100000000", {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [(cmd, name) for name in TINY_SCALE for cmd in ("report", "mesh")] + [("verify", "general")],
+)
+def test_library_errors_exit_2_in_one_line(tmp_path, capsys, command, config):
+    cfg_path = tmp_path / "cfg.json"
+    if config == "general":
+        cfg_path.write_text(GENERAL_CURVE)
+    else:
+        a02, curve = TINY_SCALE[config]
+        cfg_path.write_text(
+            json.dumps({"truncation": 6, "surface": {"a": {"0,2": a02}}, "curve": curve})
+        )
+    argv = [command, str(cfg_path)] + (["--out", str(tmp_path / "out")] if command == "mesh" else [])
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*.obj")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +356,7 @@ def test_general_curve_report():
     assert doc["developable"]["applicable"] is True
     # ((1 + x) x^2, x) has a vanishing tangential invariant: degree jumps to 1
     assert doc["curvatures"]["degrees"][0] == 1
-    assert parse_config(emit_config(cfg)) == cfg
+    assert parse_config(json.dumps(config_to_dict(cfg))) == cfg
 
 
 def test_general_curve_polynomial_reliability():

@@ -10,11 +10,7 @@ from crosscap import (
     Field,
     UmbrellaCoefficients,
     UniSeries,
-    Vec3Series,
     analyze,
-    developability_residual,
-    osculating_surface,
-    striction_curve,
 )
 from crosscap.developable import (
     BRANCH_A2_GT_A3,
@@ -23,9 +19,10 @@ from crosscap.developable import (
     CASE_SIGMA_TOP_NONZERO,
     RuledSurface,
     osculating_director,
+    osculating_surface,
 )
 from crosscap.frame import kappa_tilde_series, norm_series
-from crosscap.series import reciprocal, sqrt_series
+from crosscap.series import Vec3Series, reciprocal, sqrt_series
 from crosscap.obj import (
     MeshError,
     obj_mesh_text,
@@ -35,6 +32,7 @@ from crosscap.obj import (
     sample_surface_patch,
 )
 from conftest import rand_fraction, random_surface
+from reference import developability_residual, striction_curve
 
 
 def series_small(s, tol=1e-8, cap=None):
@@ -310,7 +308,7 @@ def test_od_mesh_finite(s1):
 
 def test_cross_cap_double_segment():
     co = UmbrellaCoefficients(degree=4, a={(0, 2): 2}, b={})
-    from crosscap import build_umbrella
+    from crosscap.model import build_umbrella
 
     W = build_umbrella(co)
     mesh = sample_surface_patch(W, (-0.4, 0.4), (-0.4, 0.4), 5, 5)

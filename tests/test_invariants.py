@@ -4,25 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from crosscap import (
-    FamilyMP,
-    FamilyMPQ,
-    InvariantError,
-    UmbrellaCoefficients,
-    analyze,
-    c2m_shape,
-    expected_tops,
-    secondary_normal_top,
-    self_intersection,
-    top_invariants,
-)
+from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients, analyze
 from crosscap.invariants import (
     PROJ_DEGENERATE,
     PROJ_GENERIC,
     PROJ_TANGENT_TO_B,
     PROJ_TANGENT_TO_N,
+    InvariantError,
+    c2m_shape,
+    self_intersection,
+    top_invariants,
 )
+from crosscap.model import build_umbrella
 from conftest import rand_fraction, random_surface
+from reference import expected_tops, secondary_normal_top
 
 
 def a0_fixture():
@@ -175,14 +170,14 @@ def test_projection_verdict_matches_invariants_randomly():
 
 def test_self_intersection_printed_formulas():
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1, (0, 3): 2}, b={3: 6})
-    si = self_intersection(co)
+    si = self_intersection(co, build_umbrella(co))
     assert si.d12 == -1  # -b3/6
     assert si.d22 == Fraction(6 * 1 - 2, 6 * 2)  # (b3 a11 - a03)/(6 a02) = 1/3
     assert (si.d11, si.d21) == (0, 1)
 
 
 def test_self_intersection_s1(s1_coeffs, s1_spec):
-    si = self_intersection(s1_coeffs, s1_spec)
+    si = self_intersection(s1_coeffs, build_umbrella(s1_coeffs), s1_spec)
     assert si.d12 == 0 and si.d22 == 0
     # image tangent along the principal intersection line
     assert si.image_tangent_direction == (0, 0, 2)
@@ -190,7 +185,7 @@ def test_self_intersection_s1(s1_coeffs, s1_spec):
 
 
 def test_self_intersection_s2_tangency(s2_coeffs, s2_spec):
-    si = self_intersection(s2_coeffs, s2_spec)
+    si = self_intersection(s2_coeffs, build_umbrella(s2_coeffs), s2_spec)
     assert si.image_tangent_direction == (2, 0, 1)
     assert si.curve_tangent_direction == (2, 0, 1)
     assert si.tangent_to_curve is True
@@ -200,7 +195,7 @@ def test_self_intersection_symmetry_random():
     rng = random.Random(66)
     for _ in range(10):
         co = random_surface(rng)
-        si = self_intersection(co)
+        si = self_intersection(co, build_umbrella(co))
         for comp in si.image.components:
             for deg in range(min(4, comp.reliable_order + 1)):
                 if deg % 2 == 1:
@@ -215,14 +210,14 @@ def test_self_intersection_tangency_iff_B_zero():
         c0 = rand_fraction(rng, nonzero=True)
         spec = FamilyMP(m=1, p=2, c=(c0,))
         inv = top_invariants(co, spec)
-        si = self_intersection(co, spec)
+        si = self_intersection(co, build_umbrella(co), spec)
         assert si.tangent_to_curve == (inv.B == 0)
         done += 1
     # and a constructed B = 0 instance
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 3, (1, 1): 1}, b={3: -12})
     spec = FamilyMP(m=1, p=2, c=(2,))
     assert top_invariants(co, spec).B == 0
-    assert self_intersection(co, spec).tangent_to_curve is True
+    assert self_intersection(co, build_umbrella(co), spec).tangent_to_curve is True
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +254,7 @@ def test_contour_exact_equals_C_randomly():
 def test_normal_pairing_with_itself(s1):
     n = s1.frame.n
     n0 = n.constant_vector()
-    from crosscap import Field, Vec3Series
+    from crosscap.series import Field, Vec3Series
 
     const = Vec3Series.make(Field.FLOAT, [n0[0]], [n0[1]], [n0[2]], n.reliable_order)
     assert abs(n.dot(const).coeffs[0] - 1.0) < 1e-12

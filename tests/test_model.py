@@ -8,10 +8,12 @@ from crosscap import (
     FamilyMPQ,
     Field,
     GeneralCurve,
-    ModelError,
     UmbrellaCoefficients,
     UniSeries,
     analyze,
+)
+from crosscap.model import (
+    ModelError,
     build_curve,
     build_umbrella,
     classify_tangency,
