@@ -46,6 +46,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.sweep:
+        if args.draws < 1:
+            sys.stderr.write("verify: --draws must be >= 1\n")
+            return 2
         rows = run_sweep(seed=args.seed, draws=args.draws)
     else:
         if not args.config:

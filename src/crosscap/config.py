@@ -8,7 +8,7 @@ reported, not just the first.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .series import Field, UniSeries
@@ -32,7 +32,11 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"truncation", "surface", "curve", "field", "description", "mesh"}
 _SURFACE_KEYS = {"a", "b"}
-_CURVE_KEYS = {"family", "m", "p", "q", "c", "c1", "c2"}
+#: The curve families by their ``family`` tag; a family's keys are its fields.
+_CURVE_FAMILIES = {"mpq": FamilyMPQ, "mp": FamilyMP, "general": GeneralCurve}
+_CURVE_KEYS = ("family",) + tuple(
+    dict.fromkeys(f.name for cls in _CURVE_FAMILIES.values() for f in fields(cls))
+)
 
 
 @dataclass(frozen=True)
@@ -159,9 +163,13 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
         return None
     _check_keys(curve, _CURVE_KEYS, "curve", problems)
     family = curve.get("family")
-    if family not in ("mpq", "mp", "general"):
+    if family not in _CURVE_FAMILIES:
         problems.append("curve.family: must be 'mpq', 'mp' or 'general'")
         return None
+    own_keys = {f.name for f in fields(_CURVE_FAMILIES[family])}
+    for key in _CURVE_KEYS[1:]:
+        if key in curve and key not in own_keys:
+            problems.append(f"curve.{key}: not a family {family!r} key")
 
     def _int(name, minimum):
         value = curve.get(name)
@@ -179,18 +187,9 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
 
     try:
         if family == "mpq":
-            for key in ("c1", "c2"):
-                if key in curve:
-                    problems.append(f"curve.{key}: not a family 'mpq' key")
             return FamilyMPQ(m=_int("m", 2), p=_int("p", 1), q=_int("q", 1), c=_coeff_list("c"))
         if family == "mp":
-            for key in ("q", "c1", "c2"):
-                if key in curve:
-                    problems.append(f"curve.{key}: not a family 'mp' key")
             return FamilyMP(m=_int("m", 1), p=_int("p", 2), c=_coeff_list("c"))
-        for key in ("m", "p", "q", "c"):
-            if key in curve:
-                problems.append(f"curve.{key}: not a 'general' curve key")
         c1 = _coeff_list("c1")
         c2 = _coeff_list("c2")
         # Config-sourced components are exact polynomials: pad them to the
@@ -245,6 +244,28 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
 # ---------------------------------------------------------------------------
 
 
+def json_value(value, omit=frozenset()):
+    """``value`` as JSON data, with the field names of ``omit`` left out at any depth.
+
+    A dataclass becomes an object of its fields in declaration order, a
+    series the list of its coefficients, a tuple a list and a Fraction its
+    "p/q" string; other values pass through.
+    """
+    if isinstance(value, UniSeries):
+        value = value.coeffs
+    if is_dataclass(value):
+        return {
+            f.name: json_value(getattr(value, f.name), omit)
+            for f in fields(value)
+            if f.name not in omit
+        }
+    if isinstance(value, tuple):
+        return [json_value(v, omit) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     doc: dict = {"truncation": cfg.coeffs.degree}
     surface: dict = {"a": {}, "b": {}}
@@ -253,34 +274,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
     for i, value in sorted(cfg.coeffs.b.items()):
         surface["b"][str(i)] = str(value)
     doc["surface"] = surface
-    spec = cfg.spec
-    if isinstance(spec, FamilyMPQ):
-        doc["curve"] = {
-            "family": "mpq",
-            "m": spec.m,
-            "p": spec.p,
-            "q": spec.q,
-            "c": [str(v) for v in spec.c],
-        }
-    elif isinstance(spec, FamilyMP):
-        doc["curve"] = {
-            "family": "mp",
-            "m": spec.m,
-            "p": spec.p,
-            "c": [str(v) for v in spec.c],
-        }
-    else:
-        doc["curve"] = {
-            "family": "general",
-            "c1": [str(v) for v in spec.c1.coeffs],
-            "c2": [str(v) for v in spec.c2.coeffs],
-        }
+    family = next(tag for tag, cls in _CURVE_FAMILIES.items() if isinstance(cfg.spec, cls))
+    doc["curve"] = {"family": family, **json_value(cfg.spec)}
     doc["field"] = cfg.field.value
     if cfg.description is not None:
         doc["description"] = cfg.description
     if cfg.mesh is not None:
-        doc["mesh"] = {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in asdict(cfg.mesh).items()
-        }
+        doc["mesh"] = json_value(cfg.mesh)
     return doc

@@ -115,14 +115,9 @@ def osculating_director(
         )
     t1, t2, t3 = kappa_tilde_series(factors, report)
     a2, a3 = report.degrees[1], report.degrees[2]
-    if a2 > a3:
-        branch = BRANCH_A2_GT_A3
-        t2b = t2.shift(a2 - a3)
-        t3b = t3
-    else:
-        branch = BRANCH_A3_GE_A2
-        t2b = t2
-        t3b = t3.shift(a3 - a2)
+    branch = BRANCH_A2_GT_A3 if a2 > a3 else BRANCH_A3_GE_A2
+    t2b = t2.shift(max(a2 - a3, 0))
+    t3b = t3.shift(max(a3 - a2, 0))
     rho_sq = t2b * t2b + t3b * t3b
     inv_rho = reciprocal(sqrt_series(rho_sq))
     director = (frame.e.scale(t3b) - frame.b.scale(t2b)).scale(inv_rho)
@@ -130,15 +125,9 @@ def osculating_director(
 
 
 def delta_invariant(tilde, shifted, report: CurvatureReport):
-    """delta per its branch formula; returns (series, order, top)."""
-    t1, t2, t3 = tilde
+    """delta = k1~ x^a1 rho^2 + t2b t3b' - t2b' t3b; returns (series, order, top)."""
     t2b, t3b, rho_sq = shifted
-    a1, a2, a3 = report.degrees
-    lead = t1.shift(a1) * rho_sq
-    if a2 > a3:
-        delta = lead + t2b * t3.diff() - t2b.diff() * t3
-    else:
-        delta = lead + t2 * t3b.diff() - t2.diff() * t3b
+    delta = tilde[0].shift(report.degrees[0]) * rho_sq + t2b * t3b.diff() - t2b.diff() * t3b
     v = valuation(delta)
     if v.is_zero_to_order:
         return delta, None, None
@@ -172,9 +161,9 @@ def classify_EF(
     e_coeff = t1.coeffs[0] * t3.coeffs[0] - (a2 - a3) * t2.coeffs[0]
     f_coeff = t1.coeffs[0] * t3.coeffs[0] - (a0 + a2 - a3) * t2.coeffs[0]
     T1, T2, T3 = report.tops
-    nE2 = factors.tangent.norm_sq().coefficient(0)
-    nN2 = factors.normal.norm_sq().coefficient(0)
     if isinstance(T1, Fraction):
+        nE2 = sum(c * c for c in factors.tangent.constant_vector())
+        nN2 = sum(c * c for c in factors.normal.constant_vector())
         e_scaled = T1 * T3 - (a2 - a3) * T2 * nE2 * nN2
         f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * nE2 * nN2
     else:
@@ -197,32 +186,14 @@ def osculating_developable(
     a0 = factors.alpha0
     a2, a3 = report.degrees[1], report.degrees[2]
     exists_bound = a0 + a2 - a3 - 1 if branch == BRANCH_A2_GT_A3 else a0 - 1
-    img = factors.curve.to_float().shift(a0)
 
-    if k_cyl is None:
-        striction = StrictionData(False, False, None, None)
-        return DevelopableData(
-            branch=branch,
-            director=director,
-            delta=delta,
-            delta_order=None,
-            delta_top=None,
-            striction=striction,
-            sigma=None,
-            sigma_order=None,
-            sigma_top=None,
-            sigma_order_lower_bound=0,
-            classification=classification,
-        )
-
-    exists = exists_bound >= k_cyl
-    passes = exists_bound > k_cyl
-    scale = s_curve = None
-    sigma = None
-    sigma_order = None
-    sigma_top = None
+    # A cylinder (delta vanishing to reliable order) has no striction curve.
+    exists = k_cyl is not None and exists_bound >= k_cyl
+    passes = exists and exists_bound > k_cyl
+    scale = s_curve = sigma = sigma_order = sigma_top = None
     sigma_lower = 0
     if exists:
+        img = factors.curve.to_float().shift(a0)
         dpr = director.diff()
         den = dpr.dot(dpr)
         num = img.diff().dot(dpr)
@@ -232,7 +203,6 @@ def osculating_developable(
             sigma = s_curve.diff().dot(director)
             v = valuation(sigma)
             if v.is_zero_to_order:
-                sigma_order, sigma_top = None, None
                 sigma_lower = v.reliable_order + 1
             else:
                 sigma_order, sigma_top = v.order, v.leading

@@ -149,11 +149,13 @@ class GeneralCurve:
     def __post_init__(self):
         if self.c1.field is not Field.EXACT or self.c2.field is not Field.EXACT:
             raise ModelError("general curves must be given in the EXACT field")
-        v1, v2 = valuation(self.c1), valuation(self.c2)
-        if v1.is_zero_to_order and v2.is_zero_to_order:
-            raise ModelError("curve components vanish to reliable order")
-        for v in (v1, v2):
-            if not v.is_zero_to_order and v.order == 0:
+        for name, series in (("c1", self.c1), ("c2", self.c2)):
+            v = valuation(series)
+            if v.is_zero_to_order:
+                raise ModelError(
+                    f"curve component {name} vanishes to its reliable order {series.reliable_order}"
+                )
+            if v.order == 0:
                 raise ModelError("curve must pass through the origin")
         if not _rank_two(self.c1, self.c2):
             raise ModelError(
@@ -165,11 +167,9 @@ CurveSpec = Union[FamilyMPQ, FamilyMP, GeneralCurve]
 
 
 def _rank_two(c1: UniSeries, c2: UniSeries) -> bool:
-    # Dependent iff one component vanishes or both are scalar multiples of a
-    # common series, checked coefficientwise up to the shared reliable order.
+    # Dependent iff both nonzero components are scalar multiples of a common
+    # series, checked coefficientwise up to the shared reliable order.
     v1, v2 = valuation(c1), valuation(c2)
-    if v1.is_zero_to_order or v2.is_zero_to_order:
-        return False
     if v1.order != v2.order:
         return True
     r = min(c1.reliable_order, c2.reliable_order)

@@ -150,8 +150,6 @@ class UniSeries:
         cs[0] = cs[0] + c0
         return UniSeries(self.field, tuple(cs), self.reliable_order)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniSeries(self.field, tuple(-c for c in self.coeffs), self.reliable_order)
 
@@ -159,9 +157,6 @@ class UniSeries:
         if isinstance(other, UniSeries):
             return self + (-other)
         return self + (-_coerce(self.field, other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, UniSeries):
@@ -403,11 +398,11 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     for s, name in ((u, "u"), (v, "v")):
         if not is_zero_coeff(s.field, s.coeffs[0]):
             raise SeriesError(f"compose_bi requires {name}(0) = 0")
-    m_min = min(_valuation_lower_bound(u), _valuation_lower_bound(v))
-    if m_min < 1:
-        raise SeriesError("substituted series must have positive valuation")
     val_u = _valuation_lower_bound(u)
     val_v = _valuation_lower_bound(v)
+    m_min = min(val_u, val_v)
+    if m_min < 1:
+        raise SeriesError("substituted series must have positive valuation")
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")

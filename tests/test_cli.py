@@ -190,6 +190,14 @@ def test_verify_sweep_determinism(capsys):
     assert rc1 == rc2 == 0
 
 
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_verify_sweep_rejects_draws_below_one(capsys, draws):
+    assert main(["verify", "--sweep", "--draws", draws]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: --draws must be >= 1\n"
+
+
 GENERAL_CURVE = (
     '{"truncation": 4, "surface": {"a": {"0,2": "1"}},'
     ' "curve": {"family": "general", "c1": ["0", "1"], "c2": ["0", "0", "1"]}}'
@@ -383,6 +391,20 @@ def test_general_curve_requires_origin():
                     "truncation": 5,
                     "surface": {"a": {"0,2": "2"}},
                     "curve": {"family": "general", "c1": ["1", "1"], "c2": ["0", "1"]},
+                }
+            )
+        )
+
+
+def test_general_curve_names_a_truncated_component():
+    # x^12 keeps no term below the reliable order m (k + 1) - 1 = 4
+    with pytest.raises(ConfigError, match="component c1 vanishes to its reliable order 4"):
+        parse_config(
+            json.dumps(
+                {
+                    "truncation": 4,
+                    "surface": {"a": {"0,2": "1"}},
+                    "curve": {"family": "general", "c1": ["0"] * 12 + ["1"], "c2": ["0", "1"]},
                 }
             )
         )
