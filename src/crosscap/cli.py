@@ -27,6 +27,12 @@ from .obj import (
 )
 
 
+#: Largest ``verify --sweep --draws``.  Each draw adds one row per subcase,
+#: nine rows of exact work; 1000 draws take about half a minute on a 2-core
+#: x86_64 host.
+MAX_DRAWS = 1000
+
+
 def _load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
@@ -48,6 +54,9 @@ def _cmd_verify(args) -> int:
     if args.sweep:
         if args.draws < 1:
             sys.stderr.write("verify: --draws must be >= 1\n")
+            return 2
+        if args.draws > MAX_DRAWS:
+            sys.stderr.write(f"verify: --draws must be <= {MAX_DRAWS}\n")
             return 2
         rows = run_sweep(seed=args.seed, draws=args.draws)
     else:

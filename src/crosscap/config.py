@@ -30,6 +30,17 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join("  - " + p for p in self.problems))
 
 
+#: Cost budget of one configuration, not an option.  Products and
+#: compositions are quadratic in the series order m (truncation + 1) - 1, and
+#: the surface has about truncation^2 / 2 terms.  At the cap a report of a
+#: dense exact jet takes about 16 s with m = 1 (truncation 200) and 1.4 s
+#: with m = 3 (truncation 66) on a 2-core x86_64 host.
+MAX_SERIES_ORDER = 200
+#: Largest vertex count of one exported mesh: nu * nv for the umbrella,
+#: nx * ny for the developable and curve_samples for the curve polyline.  At
+#: the cap one OBJ file is about 12 MB.
+MAX_MESH_VERTICES = 250_000
+
 _TOP_KEYS = {"truncation", "surface", "curve", "field", "description", "mesh"}
 _SURFACE_KEYS = {"a", "b"}
 #: The curve families by their ``family`` tag; a family's keys are its fields.
@@ -185,11 +196,21 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
             return (Fraction(1),)
         return tuple(parse_rational(v, f"curve.{name}[{i}]", problems) for i, v in enumerate(raw))
 
+    def _within_budget(m) -> bool:
+        order = m * (truncation + 1) - 1
+        if order > MAX_SERIES_ORDER:
+            problems.append(
+                f"curve: series order m (truncation + 1) - 1 = {order} exceeds {MAX_SERIES_ORDER}"
+            )
+        return order <= MAX_SERIES_ORDER
+
     try:
-        if family == "mpq":
-            return FamilyMPQ(m=_int("m", 2), p=_int("p", 1), q=_int("q", 1), c=_coeff_list("c"))
-        if family == "mp":
-            return FamilyMP(m=_int("m", 1), p=_int("p", 2), c=_coeff_list("c"))
+        if family in ("mpq", "mp"):
+            if family == "mpq":
+                spec = FamilyMPQ(m=_int("m", 2), p=_int("p", 1), q=_int("q", 1), c=_coeff_list("c"))
+            else:
+                spec = FamilyMP(m=_int("m", 1), p=_int("p", 2), c=_coeff_list("c"))
+            return spec if _within_budget(spec.m) else None
         c1 = _coeff_list("c1")
         c2 = _coeff_list("c2")
         # Config-sourced components are exact polynomials: pad them to the
@@ -198,6 +219,8 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
         m_min = min((v for v in vals if v is not None and v > 0), default=None)
         if m_min is None:
             problems.append("curve: components must vanish at 0 with a nonzero jet")
+            return None
+        if not _within_budget(m_min):
             return None
         order = m_min * (truncation + 1) - 1
         return GeneralCurve(
@@ -236,7 +259,15 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
             problems.append(f"mesh.{f.name}: must be an integer >= 2")
         else:
             kwargs[f.name] = raw
-    return MeshOptions(**kwargs)
+    mesh = MeshOptions(**kwargs)
+    for name, vertices in (
+        ("nu * nv", mesh.nu * mesh.nv),
+        ("nx * ny", mesh.nx * mesh.ny),
+        ("curve_samples", mesh.curve_samples),
+    ):
+        if vertices > MAX_MESH_VERTICES:
+            problems.append(f"mesh: {name} = {vertices} vertices exceed {MAX_MESH_VERTICES}")
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,16 @@ The univariate variable is called x throughout; bivariate series live in
 
 Square roots exist only in the FLOAT field; the EXACT field stays inside the
 rationals so that degree/top-term extraction is bit-exact.
+
+EXACT coefficients are stored as reduced ``Fraction`` objects, but the
+products do their arithmetic on integers, as FLINT's ``fmpq_poly`` does:
+each operand becomes its integer numerators over the least common
+denominator of its coefficients (``_over_lcd``), the numerators are
+convolved (``_convolve``, ``_bi_convolve``), and each output coefficient is
+built once as ``Fraction(numerator, common denominator)``.  ``compose_bi``
+keeps the powers u^i and v^j as integer lists over du^i and dv^j and sums
+the terms c u^i v^j over one common denominator, so a composition builds
+only its r + 1 output ``Fraction`` objects.
 """
 
 from __future__ import annotations
@@ -54,6 +64,34 @@ def is_zero_coeff(field: Field, value: Coeff) -> bool:
     if field is Field.EXACT:
         return value == 0
     return abs(value) <= FLOAT_TOL
+
+
+def _over_lcd(coeffs) -> tuple:
+    """Integer numerators of the rationals ``coeffs`` over their least common denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _over(numerators, d: int) -> tuple:
+    """The reduced rationals n / d; zeros share one ``Fraction(0)``."""
+    zero = Fraction(0)
+    return tuple(Fraction(n, d) if n else zero for n in numerators)
+
+
+def _convolve(a, b, r: int, zero=0) -> list:
+    """Coefficients 0..r of the product of the coefficient lists ``a`` and ``b``.
+
+    Integer numerators and floats share this loop.  Zero entries are skipped
+    and the products are added in ascending (i, j) order, which fixes the
+    rounding of a FLOAT product.
+    """
+    out = [zero] * (r + 1)
+    for i, x in enumerate(a[: r + 1]):
+        if x:
+            for k, y in enumerate(b[: r + 1 - i], i):
+                if y:
+                    out[k] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,18 +200,12 @@ class UniSeries:
         if isinstance(other, UniSeries):
             self._check_field(other)
             r = min(self.reliable_order, other.reliable_order)
-            zero = _zero(self.field)
-            cs = [zero] * (r + 1)
-            for i, a in enumerate(self.coeffs):
-                if i > r:
-                    break
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs[: r + 1 - i]):
-                    if b == 0:
-                        continue
-                    cs[i + j] += a * b
-            return UniSeries(self.field, tuple(cs), r)
+            if self.field is Field.FLOAT:
+                return UniSeries(self.field, tuple(_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
+            na, da = _over_lcd(self.coeffs[: r + 1])
+            nb, db = _over_lcd(other.coeffs[: r + 1])
+            d = da * db
+            return UniSeries(self.field, _over(_convolve(na, nb, r), d), r)
         c = _coerce(self.field, other)
         return UniSeries(self.field, tuple(a * c for a in self.coeffs), self.reliable_order)
 
@@ -325,7 +357,7 @@ class BiSeries:
         for (i, j), c in other.coeffs.items():
             if i + j <= r:
                 out[(i, j)] = out.get((i, j), _zero(self.field)) + c
-        return BiSeries.make(self.field, out, r)
+        return BiSeries(self.field, _nonzero(out), r)
 
     def __neg__(self) -> "BiSeries":
         return BiSeries(self.field, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
@@ -336,33 +368,27 @@ class BiSeries:
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         self._check_field(other)
         r = min(self.reliable_order, other.reliable_order)
-        out: dict = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > r:
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, _zero(self.field)) + c1 * c2
-        return BiSeries.make(self.field, out, r)
+        if self.field is Field.FLOAT:
+            return BiSeries(self.field, _nonzero(_bi_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
+        na, da = _over_lcd(self.coeffs.values())
+        nb, db = _over_lcd(other.coeffs.values())
+        out = _bi_convolve(dict(zip(self.coeffs, na)), dict(zip(other.coeffs, nb)), r, 0)
+        d = da * db
+        return BiSeries(self.field, {k: Fraction(n, d) for k, n in out.items() if n}, r)
 
     def diff_u(self) -> "BiSeries":
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i >= 1:
-                out[(i - 1, j)] = c * i
-        return BiSeries.make(self.field, out, self.reliable_order - 1)
+        r = self.reliable_order - 1
+        out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
+        return BiSeries(self.field, _nonzero(out), r)
 
     def diff_v(self) -> "BiSeries":
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if j >= 1:
-                out[(i, j - 1)] = c * j
-        return BiSeries.make(self.field, out, self.reliable_order - 1)
+        r = self.reliable_order - 1
+        out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
+        return BiSeries(self.field, _nonzero(out), r)
 
     def evaluate(self, u, v) -> Coeff:
         u = _coerce(self.field, u)
@@ -378,6 +404,23 @@ class BiSeries:
         return BiSeries(
             Field.FLOAT, {k: float(c) for k, c in self.coeffs.items()}, self.reliable_order
         )
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return {k: c for k, c in coeffs.items() if c != 0}
+
+
+def _bi_convolve(a: Mapping, b: Mapping, r: int, zero) -> dict:
+    """The terms of total degree <= r of the product of the (i, j) maps ``a`` and ``b``."""
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > r:
+                continue
+            key = (i, j)
+            out[key] = out.get(key, zero) + c1 * c2
+    return out
 
 
 def _valuation_lower_bound(a: UniSeries) -> int:
@@ -406,31 +449,39 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")
-    u = u.truncate(r_out)
-    v = v.truncate(r_out)
-    zero = UniSeries.zero(F.field, r_out)
-    one = UniSeries.constant(F.field, 1, r_out)
+    terms = [
+        (i, j, c) for (i, j), c in sorted(F.coeffs.items()) if i * val_u + j * val_v <= r_out
+    ]
+    top_i = max((i for i, _, _ in terms), default=0)
+    top_j = max((j for _, j, _ in terms), default=0)
+    if F.field is Field.FLOAT:
+        u_pows = _powers(u.coeffs, top_i, r_out, 0.0, 1.0)
+        v_pows = _powers(v.coeffs, top_j, r_out, 0.0, 1.0)
+        acc = [0.0] * (r_out + 1)
+        for i, j, c in terms:
+            acc = [a + x * c for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out, 0.0))]
+        return UniSeries(Field.FLOAT, tuple(acc), r_out)
+    # u^i v^j has the numerators u_pows[i] * v_pows[j] over du^i dv^j; each
+    # term is scaled up to the common denominator lcd * du^top_i * dv^top_j.
+    nu, du = _over_lcd(u.coeffs[: r_out + 1])
+    nv, dv = _over_lcd(v.coeffs[: r_out + 1])
+    u_pows = _powers(nu, top_i, r_out, 0, 1)
+    v_pows = _powers(nv, top_j, r_out, 0, 1)
+    lcd = math.lcm(*(c.denominator for _, _, c in terms))
+    acc = [0] * (r_out + 1)
+    for i, j, c in terms:
+        scale = c.numerator * (lcd // c.denominator) * du ** (top_i - i) * dv ** (top_j - j)
+        acc = [a + scale * x for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out))]
+    d = lcd * du**top_i * dv**top_j
+    return UniSeries(Field.EXACT, _over(acc, d), r_out)
 
-    # Cache powers of u and v up to the largest exponent that can contribute.
-    u_pows = [one]
-    v_pows = [one]
 
-    def upow(i: int) -> UniSeries:
-        while len(u_pows) <= i:
-            u_pows.append(u_pows[-1] * u)
-        return u_pows[i]
-
-    def vpow(j: int) -> UniSeries:
-        while len(v_pows) <= j:
-            v_pows.append(v_pows[-1] * v)
-        return v_pows[j]
-
-    acc = zero
-    for (i, j), c in sorted(F.coeffs.items()):
-        if i * val_u + j * val_v > r_out:
-            continue
-        acc = acc + upow(i) * vpow(j) * c
-    return acc
+def _powers(coeffs, n: int, r: int, zero, one) -> list:
+    """The coefficient lists of s^0 .. s^n, truncated after degree r."""
+    pows = [[one] + [zero] * r]
+    for _ in range(n):
+        pows.append(_convolve(pows[-1], coeffs, r, zero))
+    return pows
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
-and the striction curve of a generic ruled surface, and the curvature
-top-terms that the A/B/C/D invariants predict.
+and the striction curve of a generic ruled surface, the curvature top-terms
+that the A/B/C/D invariants predict, and the series products and the
+composition as coefficient-by-coefficient ``Fraction`` loops.
 """
 
 from __future__ import annotations
@@ -15,7 +16,18 @@ from fractions import Fraction
 from crosscap.developable import DevelopableError, RuledSurface
 from crosscap.frame import FrameError, FrameFactors
 from crosscap.invariants import TopInvariants
-from crosscap.series import UniSeries, Vec3Series, factor_power, reciprocal, valuation
+from crosscap.series import (
+    BiSeries,
+    SeriesError,
+    UniSeries,
+    Vec3Series,
+    _valuation_lower_bound,
+    _zero,
+    factor_power,
+    is_zero_coeff,
+    reciprocal,
+    valuation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +165,88 @@ def expected_tops(inv: TopInvariants, m: int, a02: Fraction):
 def secondary_normal_top(inv: TopInvariants, m: int):
     """Top-term of the normal structure function once B = 0: m^2 D at degree 2m-1."""
     return Fraction(m) ** 2 * inv.D
+
+
+# ---------------------------------------------------------------------------
+# Series kernels as Fraction loops
+# ---------------------------------------------------------------------------
+#
+# The series products and the composition as they were written before the
+# integer-numerator kernels, one coefficient operation at a time.  The
+# composition multiplies with ``reference_mul``; scalar products and sums
+# still use ``UniSeries`` operators, which do the same operations as here.
+
+
+def reference_mul(self: UniSeries, other: UniSeries) -> UniSeries:
+    """``UniSeries.__mul__`` of two series."""
+    self._check_field(other)
+    r = min(self.reliable_order, other.reliable_order)
+    zero = _zero(self.field)
+    cs = [zero] * (r + 1)
+    for i, a in enumerate(self.coeffs):
+        if i > r:
+            break
+        if a == 0:
+            continue
+        for j, b in enumerate(other.coeffs[: r + 1 - i]):
+            if b == 0:
+                continue
+            cs[i + j] += a * b
+    return UniSeries(self.field, tuple(cs), r)
+
+
+def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
+    """``BiSeries.__mul__``."""
+    self._check_field(other)
+    r = min(self.reliable_order, other.reliable_order)
+    out: dict = {}
+    for (i1, j1), c1 in self.coeffs.items():
+        for (i2, j2), c2 in other.coeffs.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > r:
+                continue
+            key = (i, j)
+            out[key] = out.get(key, _zero(self.field)) + c1 * c2
+    return BiSeries.make(self.field, out, r)
+
+
+def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
+    """``compose_bi``: sums c u^i v^j series by series."""
+    if u.field is not v.field or u.field is not F.field:
+        raise SeriesError("field mismatch between series operands")
+    for s, name in ((u, "u"), (v, "v")):
+        if not is_zero_coeff(s.field, s.coeffs[0]):
+            raise SeriesError(f"compose_bi requires {name}(0) = 0")
+    val_u = _valuation_lower_bound(u)
+    val_v = _valuation_lower_bound(v)
+    m_min = min(val_u, val_v)
+    if m_min < 1:
+        raise SeriesError("substituted series must have positive valuation")
+    r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
+    if r_out < 0:
+        raise SeriesError("composition carries no reliable coefficients")
+    u = u.truncate(r_out)
+    v = v.truncate(r_out)
+    zero = UniSeries.zero(F.field, r_out)
+    one = UniSeries.constant(F.field, 1, r_out)
+
+    # Cache powers of u and v up to the largest exponent that can contribute.
+    u_pows = [one]
+    v_pows = [one]
+
+    def upow(i: int) -> UniSeries:
+        while len(u_pows) <= i:
+            u_pows.append(reference_mul(u_pows[-1], u))
+        return u_pows[i]
+
+    def vpow(j: int) -> UniSeries:
+        while len(v_pows) <= j:
+            v_pows.append(reference_mul(v_pows[-1], v))
+        return v_pows[j]
+
+    acc = zero
+    for (i, j), c in sorted(F.coeffs.items()):
+        if i * val_u + j * val_v > r_out:
+            continue
+        acc = acc + reference_mul(upow(i), vpow(j)) * c
+    return acc

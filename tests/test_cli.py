@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from crosscap import ConfigError, parse_config
-from crosscap.cli import fixture_names, fixture_text, main
-from crosscap.config import MeshOptions, config_to_dict
+from crosscap.cli import MAX_DRAWS, fixture_names, fixture_text, main
+from crosscap.config import MAX_MESH_VERTICES, MAX_SERIES_ORDER, MeshOptions, config_to_dict
 from crosscap.report import build_report, render_report
 from crosscap.verify import PASS, verify_fixture
 
@@ -196,6 +196,19 @@ def test_verify_sweep_rejects_draws_below_one(capsys, draws):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "verify: --draws must be >= 1\n"
+
+
+def test_verify_sweep_draws_cap(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("crosscap.cli.run_sweep", lambda seed, draws: calls.append(draws) or [])
+    assert main(["verify", "--sweep", "--draws", str(MAX_DRAWS)]) == 0
+    assert calls == [MAX_DRAWS]
+    capsys.readouterr()
+    assert main(["verify", "--sweep", "--draws", str(MAX_DRAWS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert calls == [MAX_DRAWS]
+    assert captured.out == ""
+    assert captured.err == f"verify: --draws must be <= {MAX_DRAWS}\n"
 
 
 GENERAL_CURVE = (
@@ -408,3 +421,79 @@ def test_general_curve_names_a_truncated_component():
                 }
             )
         )
+
+
+# ---------------------------------------------------------------------------
+# cost budget
+# ---------------------------------------------------------------------------
+
+# m = 1, so the series order m (truncation + 1) - 1 is the truncation.
+BUDGET_CURVES = {
+    "mp": {"family": "mp", "m": 1, "p": 2, "c": ["1"]},
+    "general": {"family": "general", "c1": ["0", "1"], "c2": ["0", "0", "1"]},
+}
+
+
+def _budget_config(truncation, curve, mesh=None):
+    doc = {"truncation": truncation, "surface": {"a": {"0,2": "1"}}, "curve": curve}
+    if mesh is not None:
+        doc["mesh"] = mesh
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("family", sorted(BUDGET_CURVES))
+def test_series_order_cap(family):
+    cfg = parse_config(_budget_config(MAX_SERIES_ORDER, BUDGET_CURVES[family]))
+    assert cfg.coeffs.degree == MAX_SERIES_ORDER
+    with pytest.raises(ConfigError) as err:
+        parse_config(_budget_config(MAX_SERIES_ORDER + 1, BUDGET_CURVES[family]))
+    assert err.value.problems == [
+        f"curve: series order m (truncation + 1) - 1 = {MAX_SERIES_ORDER + 1} "
+        f"exceeds {MAX_SERIES_ORDER}"
+    ]
+
+
+def test_series_order_cap_counts_the_multiplicity():
+    # m = 2: truncation t gives order 2 t + 1
+    curve = {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}
+    top = (MAX_SERIES_ORDER - 1) // 2
+    parse_config(_budget_config(top, curve))
+    with pytest.raises(ConfigError, match=f"= {2 * top + 3} exceeds"):
+        parse_config(_budget_config(top + 1, curve))
+
+
+def _factor_pair(n):
+    d = next(d for d in range(2, n) if n % d == 0)
+    return d, n // d
+
+
+@pytest.mark.parametrize("keys", [("nu", "nv"), ("nx", "ny"), ("curve_samples",)])
+def test_mesh_vertex_cap(keys):
+    def mesh(vertices):
+        return dict(zip(keys, _factor_pair(vertices) if len(keys) == 2 else (vertices,)))
+
+    cfg = parse_config(_budget_config(4, BUDGET_CURVES["mp"], mesh(MAX_MESH_VERTICES)))
+    assert cfg.mesh == MeshOptions(**mesh(MAX_MESH_VERTICES))
+    with pytest.raises(ConfigError) as err:
+        parse_config(_budget_config(4, BUDGET_CURVES["mp"], mesh(MAX_MESH_VERTICES + 1)))
+    assert err.value.problems == [
+        f"mesh: {' * '.join(keys)} = {MAX_MESH_VERTICES + 1} vertices exceed {MAX_MESH_VERTICES}"
+    ]
+
+
+def test_budget_admits_the_benchmark_inputs():
+    # The densest benchmark inputs: series order 50 (mp m = 3 at truncation
+    # 16) and the 81 x 81 umbrella, 81 x 41 developable and 161 curve
+    # samples of the denser meshes.  The fixtures parse in
+    # test_bundled_fixtures_parse.
+    dense = {"nx": 81, "ny": 41, "nu": 81, "nv": 81, "curve_samples": 161}
+    parse_config(_budget_config(16, {"family": "mp", "m": 3, "p": 2, "c": ["1"]}, dense))
+
+
+def test_budget_exits_2_from_the_cli(tmp_path, capsys):
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(_budget_config(MAX_SERIES_ORDER + 1, BUDGET_CURVES["mp"]))
+    assert main(["report", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds" in captured.err and "Traceback" not in captured.err
