@@ -23,11 +23,15 @@ from .model import (
 
 
 class ConfigError(ValueError):
-    """One or more validation problems; ``problems`` lists all of them."""
+    """One or more validation problems; ``problems`` lists all of them.
+
+    The message is one line, ``invalid configuration: <p1>; <p2>``, like
+    every other error the CLI prints.
+    """
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid configuration:\n" + "\n".join("  - " + p for p in self.problems))
+        super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
 #: Cost budget of one configuration, not an option.  Products and

@@ -86,6 +86,14 @@ class UmbrellaCoefficients:
     def b_coeff(self, i: int) -> Fraction:
         return self.b.get(i, Fraction(0))
 
+    def truncated(self, degree: int) -> "UmbrellaCoefficients":
+        """The same jet cut at total degree ``degree``: a_ij with i+j > degree and b_i with i > degree dropped."""
+        return UmbrellaCoefficients(
+            degree,
+            {key: value for key, value in self.a.items() if sum(key) <= degree},
+            {i: value for i, value in self.b.items() if i <= degree},
+        )
+
 
 @dataclass(frozen=True)
 class FamilyMPQ:

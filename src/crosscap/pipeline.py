@@ -7,6 +7,18 @@ and cached, so report, verify and mesh share one computation and each runs
 only the stages it reads.  Pieces that only apply to particular curve
 shapes (closed forms, the A/B/C/D block, geometric verdicts, the
 developable) are None with a reason otherwise.
+
+Every reported number is the lowest nonvanishing coefficient of a series,
+so a short jet usually fixes it already.  ``Analysis.climb`` first runs the
+same analysis on the jet cut at the working truncation k' = 5 when
+2 k' <= k, then on the configured truncation k itself.  It returns the
+first of these rungs whose results the consumer accepts as complete.  The
+reliability rules make this exact: a coefficient within its reliable order
+on the lower rung equals the one at truncation k.  The configured
+truncation is the last rung, and its outcome (values, reasons and errors)
+is final.  ``report`` climbs for every result it prints and ``verify`` for
+the oracle; ``mesh`` and the series-valued stages stay at the configured
+truncation.
 """
 
 from __future__ import annotations
@@ -56,6 +68,33 @@ from .developable import (
 )
 
 
+#: The one working truncation below the configured one.  The invariants
+#: A-D read the jet through degree 4 (b4 in D), and delta and sigma
+#: differentiate once more.  Of the 128 dense jets of ``bench/workloads.py``,
+#: truncation 5 completes the report of 124 and truncation 4 only 16, and an
+#: incomplete rung costs almost as much as a complete one.  Over those jets
+#: (process time, 2-core x86_64, Python 3.11) a rung at 5 made the reports
+#: 2.05x faster than the configured truncation alone in the exact field and
+#: 1.7x in the float field; rungs from 4 (4, 8, ...) made them no faster
+#: (1.0x and 0.8x).  No benchmark input has truncation 20 or more, so no
+#: higher rung was measured and none runs.
+FIRST_RUNG = 5
+
+
+def lower_truncations(k: int) -> list:
+    """The working truncations run before k: FIRST_RUNG if 2 FIRST_RUNG <= k, else none.
+
+    A rung close to k saves little when it completes and costs nearly a
+    second analysis when it does not, so every input below truncation 10
+    (the bundled fixtures, the sweep) runs the configured truncation alone.
+    A rung at 5 under truncation 8 or 9 made the 32 dense jets of those
+    truncations 1.5x faster (0.258 -> 0.176 s), but the s1 and s2 reports,
+    which it does not complete and which are the median job of the CLI
+    benchmark, slower: 3.9 -> 6.1 ms and 4.1 -> 5.9 ms.
+    """
+    return [FIRST_RUNG] if 2 * FIRST_RUNG <= k else []
+
+
 def _value_or_reason(compute, errors):
     """(value, None), or (None, message) when ``compute`` raises one of ``errors``."""
     try:
@@ -78,6 +117,30 @@ class Analysis:
         self.order = default_series_order(spec, coeffs.degree)
         self.W = build_umbrella(coeffs)
         self.c1, self.c2 = build_curve(spec, self.order)
+
+    def climb(self, complete) -> "Analysis":
+        """The lowest rung whose results ``complete(rung)`` accepts.
+
+        A lower rung is this analysis on the jet cut at one of
+        ``lower_truncations(k)``.  A library error there (a ValueError, or
+        an ArithmeticError of a short float jet) moves on to the next rung:
+        a short jet may fail where the configured one does not, and an
+        error that is real is raised again by the configured truncation.
+        Any other exception is a bug and propagates.  This analysis is the
+        last rung and is returned unchecked.  A curve given to less than
+        the configured order caps every reliable order, which then does not
+        grow with the truncation; it runs no lower rung.
+        """
+        if min(self.c1.reliable_order, self.c2.reliable_order) < self.order:
+            return self
+        for k in lower_truncations(self.coeffs.degree):
+            try:
+                rung = Analysis(self.coeffs.truncated(k), self.spec, self.field)
+                if complete(rung):
+                    return rung
+            except (ValueError, ArithmeticError):
+                continue
+        return self
 
     @cached_property
     def tangency(self) -> TangencyClassification:

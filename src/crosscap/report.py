@@ -30,18 +30,44 @@ def build_report(cfg: RunConfig) -> dict:
     return report_from_analysis(cfg, analysis)
 
 
-def report_from_analysis(cfg: RunConfig, a: Analysis) -> dict:
+def _complete(a: Analysis) -> bool:
+    """Whether a rung finds every result the report prints.
+
+    Every factor exponent and curvature degree is found, the developable
+    exists with its delta order, and with its sigma order whenever the
+    striction curve passes through the singular point, and the verdicts
+    compute.  The other stages the report reads are read here for their
+    errors only, so that an error there moves on to the next rung as well.
+    """
+    a.tangency, a.self_int
+    d = a.developable
+    return (
+        None not in a.oracle.degrees
+        and d is not None
+        and d.delta_order is not None
+        and (d.sigma_order is not None or not d.striction.passes_through_singularity)
+        and (a.invariants is None or None not in (a.projection, a.contour))
+    )
+
+
+def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
+    """The report of ``analysis``, each result read from the lowest rung that completes it."""
+    a = analysis.climb(_complete)
     doc: dict = {}
     doc["config"] = config_to_dict(cfg)
-    doc["series_order"] = a.order
+    doc["series_order"] = analysis.order
 
     doc["tangency"] = _section(a.tangency)
     doc["exponents"] = _section(a.factors)
 
+    # Once the valuations are fixed, every reliability rule takes a minimum
+    # of, or adds a constant to, orders that all grow by m per truncation
+    # step, as the curve's order m (k + 1) - 1 does.  So a reliable order on
+    # the rung grows by analysis.order - a.order = m (k - k') at truncation k.
     curv: dict = {
         "degrees": list(a.oracle.degrees),
         "tops": json_value(a.oracle.tops),
-        "reliable_orders": list(a.oracle.reliable_orders),
+        "reliable_orders": [r + analysis.order - a.order for r in a.oracle.reliable_orders],
     }
     flags = []
     if any(d is None for d in a.oracle.degrees):

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,10 @@ from crosscap import (
     UmbrellaCoefficients,
     analyze,
 )
+
+#: ``bench/`` on the path, so that tests can import the benchmark's recorded
+#: input universe (``workloads``) read-only, as ``bench/tests`` does.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 
 @pytest.fixture(scope="session")

@@ -497,3 +497,37 @@ def test_budget_exits_2_from_the_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+
+CONFIG_ERRORS = {
+    "over-cap": (
+        _budget_config(MAX_SERIES_ORDER + 1, BUDGET_CURVES["mp"]),
+        [f"curve: series order m (truncation + 1) - 1 = {MAX_SERIES_ORDER + 1} exceeds {MAX_SERIES_ORDER}"],
+    ),
+    "two-problems": (
+        json.dumps(
+            {
+                "truncation": 4,
+                "surface": {"a": {"0,2": "1"}},
+                "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"]},
+                "field": "double",
+                "bogus": 1,
+            }
+        ),
+        ["top level: unknown key 'bogus'", "field: must be 'exact' or 'float'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_prints_one_line(tmp_path, capsys, case):
+    text, problems = CONFIG_ERRORS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["report", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration: " + "; ".join(problems) + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == problems

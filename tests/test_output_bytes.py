@@ -2,16 +2,22 @@
 
 The digests are those of ``crosscap report`` (exact and float field),
 ``crosscap mesh`` and ``crosscap verify --sweep --seed 0`` on the bundled
-fixtures.  A change that alters these bytes on purpose records the new
-digests here and says why in CHANGES.md.
+fixtures, of ``verify --sweep --seed 1``, and one digest over the 256 dense
+reports of the benchmark's jet universe (``bench/workloads.dense_config``:
+16 shapes x 8 draws x exact/float, truncation 8 to 16).  A change that
+alters these bytes on purpose records the new digests here and says why in
+CHANGES.md.
 """
 
 import hashlib
 import json
 
 import pytest
+import workloads  # the benchmark's recorded input universe (bench/ is put on the path by conftest)
 
+from crosscap import parse_config
 from crosscap.cli import fixture_text, main
+from crosscap.report import build_report, render_report
 
 REPORT_SHA256 = {
     ("s1", "exact"): "56de40a30299280664ecd20d818c743dd3303e9bff44e1d4ec8af08166473425",
@@ -40,7 +46,14 @@ MESH_SHA256 = {
     },
 }
 
-SWEEP_SEED_0_SHA256 = "45a90c92af4967d2adb75002bfa5e42837efec2105f59303fa2854521642b86d"
+SWEEP_SHA256 = {
+    0: "45a90c92af4967d2adb75002bfa5e42837efec2105f59303fa2854521642b86d",
+    1: "86b96a5441f548f170922f53c7c7c5c1ca7f7374c89aa637c672ee1021d2b660",
+}
+
+#: One digest over the concatenated dense reports, exact field first, then
+#: shape by shape and draw by draw.
+DENSE_REPORTS_SHA256 = "509ca7af25c6da9bfffb766ea4b49ee1e82c10c426baa0eee734951eed9bafdc"
 
 
 def _sha256(data: bytes) -> str:
@@ -70,6 +83,24 @@ def test_mesh_bytes(tmp_path, name):
     assert digests == MESH_SHA256[name]
 
 
+def _sweep_digest(capsys, seed):
+    assert main(["verify", "--sweep", "--seed", str(seed)]) == 0
+    return _sha256(capsys.readouterr().out.encode())
+
+
 def test_verify_sweep_bytes(capsys):
-    assert main(["verify", "--sweep", "--seed", "0"]) == 0
-    assert _sha256(capsys.readouterr().out.encode()) == SWEEP_SEED_0_SHA256
+    assert _sweep_digest(capsys, 0) == SWEEP_SHA256[0]
+
+
+def test_verify_sweep_seed_1_bytes(capsys):
+    assert _sweep_digest(capsys, 1) == SWEEP_SHA256[1]
+
+
+def test_dense_report_bytes():
+    digest = hashlib.sha256()
+    for field in ("exact", "float"):
+        for shape in range(len(workloads.DENSE_SHAPES)):
+            for variant in range(workloads.DENSE_VARIANTS):
+                cfg = parse_config(workloads.dense_config(shape, variant, field))
+                digest.update(render_report(build_report(cfg)).encode())
+    assert digest.hexdigest() == DENSE_REPORTS_SHA256

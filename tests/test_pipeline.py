@@ -2,25 +2,47 @@
 
 Each case counts calls through every ``crosscap`` module binding of the
 counted function, so a consumer that rebuilds a stage by hand is counted too.
+
+The ladder of working truncations must not change a byte: reports and
+verify rows produced through it are compared with those of the configured
+truncation alone, obtained by raising ``pipeline.FIRST_RUNG`` above every
+truncation so that no lower rung runs.
 """
 
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
+import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
+from hypothesis import given, settings, strategies as st
 
-from crosscap import frame, parse_config, series
+from crosscap import (
+    FamilyMP,
+    Field,
+    GeneralCurve,
+    UmbrellaCoefficients,
+    UniSeries,
+    analyze,
+    frame,
+    parse_config,
+    pipeline,
+    series,
+)
 from crosscap.cli import fixture_text, main
-from crosscap.report import build_report
+from crosscap.config import RunConfig
+from crosscap.report import _complete, build_report, render_report
 from crosscap.verify import verify_fixture
 
 
-def count_calls(monkeypatch, module, name):
+def count_calls(monkeypatch, module, name, record=None):
+    """The calls of ``module.name``: its name per call, or what ``record(*args)`` returns."""
     original = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(name if record is None else record(*args))
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -72,3 +94,185 @@ def test_verify_skips_the_float_frame(calls):
     assert len(calls["compose_bi"]) == 6
     assert len(calls["curvature_numerators"]) == 1
     assert calls["darboux_frame"] == []
+
+
+# ---------------------------------------------------------------------------
+# The ladder of working truncations
+# ---------------------------------------------------------------------------
+
+
+def test_lower_truncations():
+    assert pipeline.lower_truncations(9) == []
+    assert pipeline.lower_truncations(10) == [5]
+    assert pipeline.lower_truncations(200) == [5]
+
+
+def through_ladder_and_alone(produce):
+    """``produce()`` through the ladder, and with the configured truncation alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "FIRST_RUNG", sys.maxsize)
+        alone = produce()
+    return produce(), alone
+
+
+def resolving_truncation(cfg):
+    return analyze(cfg.coeffs, cfg.spec, cfg.field).climb(_complete).coeffs.degree
+
+
+def assert_ladder_keeps_bytes(cfg):
+    laddered, alone = through_ladder_and_alone(lambda: render_report(build_report(cfg)))
+    assert laddered == alone
+    if not isinstance(cfg.spec, GeneralCurve):
+        rows = through_ladder_and_alone(lambda: verify_fixture(cfg.coeffs, cfg.spec))
+        assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("field", ["exact", "float"])
+def test_ladder_keeps_the_dense_reports(field):
+    resolved_low = 0
+    for shape in range(len(workloads.DENSE_SHAPES)):
+        cfg = parse_config(workloads.dense_config(shape, shape % workloads.DENSE_VARIANTS, field))
+        assert_ladder_keeps_bytes(cfg)
+        resolved_low += resolving_truncation(cfg) < cfg.coeffs.degree
+    assert resolved_low >= 10  # 12 of the 16 shapes have truncation >= 10
+
+
+def fixture_at(name, truncation, field="exact"):
+    raw = json.loads(fixture_text(name))
+    raw["truncation"] = truncation
+    raw["field"] = field
+    return parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize(
+    "name, truncation, resolved",
+    [
+        ("s1", 12, 12),  # a cylinder: only the configured truncation completes it
+        ("s2", 14, 14),  # sigma first appears at truncation 7
+        ("s2", 20, 20),  # no rung between 5 and the configured truncation
+        ("s3", 16, 5),
+    ],
+)
+def test_ladder_keeps_the_fixture_reports(name, truncation, resolved, field):
+    cfg = fixture_at(name, truncation, field)
+    assert resolving_truncation(cfg) == resolved
+    assert_ladder_keeps_bytes(cfg)
+
+
+def test_verify_climbs_past_an_unresolved_degree():
+    # With b3 = 0 the tabulated kappa2 top of this curve vanishes (a
+    # NON-GENERIC row); the true degree, 3, lies beyond what truncation 5
+    # resolves, so the oracle must come from the configured truncation.
+    coeffs = UmbrellaCoefficients(12, {(0, 2): 1}, {})
+    spec = FamilyMP(m=1, p=5, c=(1,))
+    assert analyze(coeffs.truncated(5), spec).oracle.degrees[1] is None
+    assert verify_fixture(coeffs, spec).comparisons[1].degree_oracle == 3
+    assert_ladder_keeps_bytes(RunConfig(coeffs=coeffs, spec=spec))
+
+
+def rational(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+@st.composite
+def family_jets(draw):
+    """A jet of truncation 10..14 with terms up to that degree and a family curve."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(10, 14))
+    a = {f"{i},{s - i}": str(rational(rng)) for s in range(2, k + 1) for i in range(s + 1) if rng.random() < 0.6}
+    a["0,2"] = str(rng.choice((1, -1, 2, Fraction(1, 3))))
+    b = {str(i): str(rational(rng)) for i in range(3, k + 1) if rng.random() < 0.6}
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 3))
+        curve = {"family": "mpq", "m": m, "p": draw(st.integers(1, 4)), "q": draw(st.integers(1, m - 1))}
+    else:
+        m = draw(st.integers(1, 3))
+        curve = {"family": "mp", "m": m, "p": draw(st.integers(2, 5))}
+    curve["c"] = [str(rng.choice((1, -2, Fraction(1, 2))))] + [str(rational(rng)) for _ in range(m + 1)]
+    field = draw(st.sampled_from(["exact", "float"]))
+    doc = {"truncation": k, "surface": {"a": a, "b": b}, "curve": curve, "field": field}
+    return parse_config(json.dumps(doc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(family_jets())
+def test_ladder_keeps_drawn_family_jets(cfg):
+    assert_ladder_keeps_bytes(cfg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ladder_keeps_general_curves(seed):
+    rng = random.Random(f"general/{seed}")
+    k = rng.choice((10, 11, 12))
+    a = {f"{i},{s - i}": str(rational(rng)) for s in range(2, k + 1) for i in range(s + 1)}
+    a["0,2"] = "1"
+    v1, v2 = rng.sample((1, 2, 3), 2)
+    c1 = [0] * v1 + [rng.choice((1, -1, 3))] + [str(rational(rng)) for _ in range(4)]
+    c2 = [0] * v2 + [rng.choice((2, -1))] + [str(rational(rng)) for _ in range(4)]
+    doc = {
+        "truncation": k,
+        "surface": {"a": a, "b": {str(i): str(rational(rng)) for i in range(3, k + 1)}},
+        "curve": {"family": "general", "c1": c1, "c2": c2},
+        "field": rng.choice(("exact", "float")),
+    }
+    assert_ladder_keeps_bytes(parse_config(json.dumps(doc)))
+
+
+def test_curve_short_of_the_configured_order_runs_no_lower_rung():
+    # A curve reliable to less than m (k + 1) - 1 caps every reliable order,
+    # so no lower rung may stand in for the configured truncation.
+    spec = GeneralCurve(
+        c1=UniSeries.make(Field.EXACT, [0, 1, 0, 1], 9),
+        c2=UniSeries.make(Field.EXACT, [0, 0, 1], 9),
+    )
+    a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec)
+    assert a.order == 12 and a.c1.reliable_order == 9
+    assert a.climb(lambda rung: True) is a
+
+
+def test_climb_moves_on_only_past_library_errors():
+    a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), FamilyMP(m=1, p=2, c=(1,)))
+
+    def library_error(rung):
+        raise ValueError("unresolved on a short jet")
+
+    def bug(rung):
+        raise TypeError("a programming error")
+
+    assert a.climb(library_error) is a
+    with pytest.raises(TypeError):
+        a.climb(bug)
+
+
+@pytest.fixture
+def compose_orders(monkeypatch):
+    """The reliable order of the substituted curve of every ``compose_bi`` call."""
+    return count_calls(monkeypatch, series, "compose_bi", lambda F, u, v: u.reliable_order)
+
+
+# s3 at truncation 16 completes at rung 5.  Its curve has multiplicity 3, so
+# the curve is built to order 3 (5 + 1) - 1 = 17 there and to 3 (16 + 1) - 1 = 50
+# at the configured truncation.
+S3_RUNG_5_ORDER = 17
+S3_TRUNCATION_16_ORDER = 50
+
+
+def test_report_composes_only_on_the_resolving_rung(compose_orders):
+    build_report(fixture_at("s3", 16))
+    assert compose_orders == [S3_RUNG_5_ORDER] * 6  # the image and the normal
+
+
+def test_verify_composes_only_on_the_resolving_rung(compose_orders):
+    cfg = fixture_at("s3", 16)
+    verify_fixture(cfg.coeffs, cfg.spec)
+    assert compose_orders == [S3_RUNG_5_ORDER] * 6
+
+
+def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_path):
+    raw = json.loads(fixture_text("s3"))
+    raw["truncation"] = 16
+    cfg_path = tmp_path / "s3.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert compose_orders == [S3_TRUNCATION_16_ORDER] * 6
