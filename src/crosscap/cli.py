@@ -11,7 +11,7 @@ from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
 from .verify import has_hard_failure, render_rows, run_sweep, verify_fixture
 from .series import SeriesError
-from .model import GeneralCurve, ModelError
+from .model import ModelError
 from .frame import FrameError
 from .invariants import InvariantError
 from .developable import DevelopableError
@@ -64,9 +64,6 @@ def _cmd_verify(args) -> int:
             sys.stderr.write("verify: provide a config file or --sweep\n")
             return 2
         cfg = _load_config(args.config)
-        if isinstance(cfg.spec, GeneralCurve):
-            sys.stderr.write("verify: general curves have no closed forms to verify against\n")
-            return 2
         rows = [verify_fixture(cfg.coeffs, cfg.spec)]
     sys.stdout.write(render_rows(rows))
     return 1 if has_hard_failure(rows) else 0
@@ -76,17 +73,20 @@ def _cmd_mesh(args) -> int:
     cfg = _load_config(args.config)
     mesh = cfg.mesh or MeshOptions()
     analysis = analyze(cfg.coeffs, cfg.spec)
-    ruled = analysis.ruled  # fails before any file is written when there is no developable
-    os.makedirs(args.out, exist_ok=True)
-
+    ruled = analysis.ruled  # fails first when the curve has no developable
+    # Every mesh is sampled and formatted before any file is written, so a
+    # refusal (no developable, a non-finite vertex) leaves no partial output.
     patch = sample_surface_patch(analysis.W, mesh.u_range, mesh.v_range, mesh.nu, mesh.nv)
-    write_obj(os.path.join(args.out, "umbrella.obj"), obj_mesh_text(patch))
-
     curve_pts = sample_curve_polyline(analysis.image, mesh.x_range, mesh.curve_samples)
-    write_obj(os.path.join(args.out, "curve.obj"), obj_polyline_text(curve_pts))
-
     od = sample_ruled_surface(ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
-    write_obj(os.path.join(args.out, "od_w.obj"), obj_mesh_text(od))
+    texts = {
+        "umbrella.obj": obj_mesh_text(patch),
+        "curve.obj": obj_polyline_text(curve_pts),
+        "od_w.obj": obj_mesh_text(od),
+    }
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in texts.items():
+        write_obj(os.path.join(args.out, name), text)
     return 0
 
 
@@ -154,6 +154,7 @@ def main(argv=None) -> int:
         InvariantError,
         DevelopableError,
         MeshError,
+        OverflowError,  # a float conversion of a jet value beyond the float range
     ) as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2

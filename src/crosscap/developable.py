@@ -105,15 +105,13 @@ class DevelopableData:
     classification: EFClassification
 
 
-def osculating_director(
-    factors: FrameFactors, frame: DarbouxFrame, report: CurvatureReport
-):
+def osculating_director(frame: DarbouxFrame, report: CurvatureReport):
     """Unit director plus the branch data; needs nonvanishing k2~(0), k3~(0)."""
     if report.degrees[1] is None or report.degrees[2] is None:
         raise DevelopableError(
             "a normal structure function vanishes to reliable order: no director"
         )
-    t1, t2, t3 = kappa_tilde_series(factors, report)
+    t1, t2, t3 = kappa_tilde_series(frame, report)
     a2, a3 = report.degrees[1], report.degrees[2]
     branch = BRANCH_A2_GT_A3 if a2 > a3 else BRANCH_A3_GE_A2
     t2b = t2.shift(max(a2 - a3, 0))
@@ -179,7 +177,7 @@ def osculating_developable(
     """Full invariant chain: director, delta, striction, sigma, classification."""
     if report.degrees[0] is None:
         raise DevelopableError("tangential structure function vanishes to reliable order")
-    director, branch, tilde, shifted = osculating_director(factors, frame, report)
+    director, branch, tilde, shifted = osculating_director(frame, report)
     delta, k_cyl, delta_top = delta_invariant(tilde, shifted, report)
     classification = classify_EF(factors, report, tilde)
 

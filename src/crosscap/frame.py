@@ -79,12 +79,18 @@ class DarbouxFrame:
     e: Vec3Series
     b: Vec3Series
     n: Vec3Series
+    inv_e: UniSeries  # 1/|E_t|, reused by the unit curvature parts
+    inv_n: UniSeries  # 1/|N|
 
 
 def darboux_frame(factors: FrameFactors) -> DarbouxFrame:
-    e = factors.tangent.to_float().unit()
-    n = factors.normal.to_float().unit()
-    return DarbouxFrame(e=e, b=n.cross(e), n=n)
+    e_t = factors.tangent.to_float()
+    inv_e = reciprocal(sqrt_series(e_t.norm_sq()))
+    e = e_t.scale(inv_e)
+    n_f = factors.normal.to_float()
+    inv_n = reciprocal(sqrt_series(n_f.norm_sq()))
+    n = n_f.scale(inv_n)
+    return DarbouxFrame(e=e, b=n.cross(e), n=n, inv_e=inv_e, inv_n=inv_n)
 
 
 def curvature_series(frame: DarbouxFrame):
@@ -253,22 +259,14 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
 # ---------------------------------------------------------------------------
 
 
-def norm_series(vec: Vec3Series) -> UniSeries:
-    """|vec| as a FLOAT series (the value at 0 must be nonzero)."""
-    return sqrt_series(vec.to_float().norm_sq())
-
-
-def kappa_tilde_series(factors: FrameFactors, report: CurvatureReport):
+def kappa_tilde_series(frame: DarbouxFrame, report: CurvatureReport):
     """Unit parts kappa~_i = kappa_i / x^{alpha_i} built from the oracle's numerators."""
     if any(d is None for d in report.degrees):
         raise FrameError("a curvature numerator vanishes to reliable order")
     k1, k2, k3 = report.numerators
-    inv_e = reciprocal(norm_series(factors.tangent))
-    inv_n = reciprocal(norm_series(factors.normal))
-    inv_e2 = inv_e * inv_e
-    inv_n2 = inv_n * inv_n
+    inv_e, inv_n = frame.inv_e, frame.inv_n
     a1, a2, a3 = report.degrees
-    t1 = factor_power(k1, a1).to_float() * (inv_e2 * inv_n)
+    t1 = factor_power(k1, a1).to_float() * (inv_e * inv_e * inv_n)
     t2 = factor_power(k2, a2).to_float() * (inv_e * inv_n)
-    t3 = factor_power(k3, a3).to_float() * (inv_e * inv_n2)
+    t3 = factor_power(k3, a3).to_float() * (inv_e * (inv_n * inv_n))
     return (t1, t2, t3)

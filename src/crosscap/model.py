@@ -203,9 +203,14 @@ def spec_multiplicity(spec: CurveSpec) -> int:
     return curve_multiplicity(spec.c1, spec.c2)
 
 
+def series_order(m: int, degree: int) -> int:
+    """The storage/reliable order m (k + 1) - 1 that a surface tail of degree k dictates."""
+    return m * (degree + 1) - 1
+
+
 def default_series_order(spec: CurveSpec, degree: int) -> int:
-    """Default storage/reliable order m_min (k + 1) - 1 dictated by the surface tail."""
-    return spec_multiplicity(spec) * (degree + 1) - 1
+    """``series_order`` at the curve's multiplicity."""
+    return series_order(spec_multiplicity(spec), degree)
 
 
 def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:

@@ -7,6 +7,7 @@ coordinates printed with 9 significant digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .series import Vec3BiSeries, Vec3Series
@@ -14,7 +15,7 @@ from .developable import RuledSurface
 
 
 class MeshError(ValueError):
-    """Degenerate sampling ranges or resolutions."""
+    """Degenerate sampling ranges or resolutions, or a non-finite vertex."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,8 @@ def sample_curve_polyline(curve: Vec3Series, x_range, n: int):
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise MeshError(f"non-finite vertex coordinate {value!r}: the window is too wide for this jet")
     return format(value, ".9g")
 
 

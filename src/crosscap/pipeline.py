@@ -2,11 +2,11 @@
 
 ``Analysis`` names every quantity of the chain surface jet -> image curve
 and raw normal -> factorizations -> curvature numerators -> degrees and
-tops -> invariants and developable.  Each stage is computed on first access
-and cached, so report, verify and mesh share one computation and each runs
-only the stages it reads.  Pieces that only apply to particular curve
-shapes (closed forms, the A/B/C/D block, geometric verdicts, the
-developable) are None with a reason otherwise.
+tops -> invariants and developable.  Each stage, the surface jet included,
+is computed on first access and cached, so report, verify and mesh share
+one computation and each runs only the stages it reads.  Pieces that only
+apply to particular curve shapes (closed forms, the A/B/C/D block,
+geometric verdicts, the developable) are None with a reason otherwise.
 
 Every reported number is the lowest nonvanishing coefficient of a series,
 so a short jet usually fixes it already.  ``Analysis.climb`` first runs the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .series import Field, Vec3Series
+from .series import Field, Vec3BiSeries, Vec3Series
 from .model import (
     CurveSpec,
     TangencyClassification,
@@ -106,8 +106,9 @@ def _value_or_reason(compute, errors):
 class Analysis:
     """The lazily staged analysis of one surface jet and curve in one field.
 
-    The EXACT surface and curve, which every stage starts from, are built on
-    construction; every other attribute is a stage computed on first access.
+    The EXACT curve, whose reliable order ``climb`` reads, is built on
+    construction; the surface jet and every other attribute are stages
+    computed on first access.
     """
 
     def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec, field: Field = Field.EXACT):
@@ -115,7 +116,6 @@ class Analysis:
         self.spec = spec
         self.field = field
         self.order = default_series_order(spec, coeffs.degree)
-        self.W = build_umbrella(coeffs)
         self.c1, self.c2 = build_curve(spec, self.order)
 
     def climb(self, complete) -> "Analysis":
@@ -135,12 +135,16 @@ class Analysis:
             return self
         for k in lower_truncations(self.coeffs.degree):
             try:
-                rung = Analysis(self.coeffs.truncated(k), self.spec, self.field)
+                rung = analyze(self.coeffs.truncated(k), self.spec, self.field)
                 if complete(rung):
                     return rung
             except (ValueError, ArithmeticError):
                 continue
         return self
+
+    @cached_property
+    def W(self) -> Vec3BiSeries:
+        return build_umbrella(self.coeffs)
 
     @cached_property
     def tangency(self) -> TangencyClassification:

@@ -565,11 +565,6 @@ class Vec3Series:
     def constant_vector(self):
         return (self.x.coeffs[0], self.y.coeffs[0], self.z.coeffs[0])
 
-    def unit(self) -> "Vec3Series":
-        """Normalized vector field (FLOAT only; needs a nonvanishing value at 0)."""
-        inv_norm = reciprocal(sqrt_series(self.norm_sq()))
-        return self.scale(inv_norm)
-
 
 def vec3_valuation(a: Vec3Series) -> Valuation:
     """Minimum valuation over the three components (ZERO_TO_ORDER if all vanish)."""

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import FamilyMP, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
+from .model import FamilyMP, FamilyMPQ, GeneralCurve, ModelError, UmbrellaCoefficients
 from .pipeline import Analysis
 
 PASS = "PASS"
@@ -104,7 +104,7 @@ def _row_status(comparisons) -> str:
 
 def verify_fixture(coeffs: UmbrellaCoefficients, spec, subcase: str = "fixture", draw: int = 0) -> VerifyRow:
     if isinstance(spec, GeneralCurve):
-        raise ValueError("verify requires a family curve; general curves have no closed forms")
+        raise ModelError("verify requires a family curve; general curves have no closed forms")
     analysis = Analysis(coeffs, spec)
     oracle = analysis.climb(lambda rung: None not in rung.oracle.degrees).oracle
     comparisons = compare_reports(oracle, analysis.closed_form)

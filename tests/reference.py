@@ -4,7 +4,8 @@ Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
 and the striction curve of a generic ruled surface, the curvature top-terms
 that the A/B/C/D invariants predict, and the series products and the
-composition as coefficient-by-coefficient ``Fraction`` loops.
+composition as coefficient-by-coefficient ``Fraction`` loops.  The float
+norm and unit vector of a vector series serve these checks.
 """
 
 from __future__ import annotations
@@ -26,8 +27,25 @@ from crosscap.series import (
     factor_power,
     is_zero_coeff,
     reciprocal,
+    sqrt_series,
     valuation,
 )
+
+
+# ---------------------------------------------------------------------------
+# Float normalisation
+# ---------------------------------------------------------------------------
+
+
+def norm_series(vec: Vec3Series) -> UniSeries:
+    """|vec| as a FLOAT series (the value at 0 must be nonzero)."""
+    return sqrt_series(vec.to_float().norm_sq())
+
+
+def unit(self: Vec3Series) -> Vec3Series:
+    """Normalized vector field (FLOAT only; needs a nonvanishing value at 0)."""
+    inv_norm = reciprocal(sqrt_series(self.norm_sq()))
+    return self.scale(inv_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +64,7 @@ def striction_curve(surface: RuledSurface):
     Defined for non-(pseudo-)cylindrical surfaces whose numerator valuation
     does not fall below the denominator's; returns (scale series, curve).
     """
-    xi_bar = surface.xi.unit()
+    xi_bar = unit(surface.xi)
     w = xi_bar.diff()
     den = w.dot(w)
     vd = valuation(den)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,13 @@ import pytest
 
 from crosscap import ConfigError, parse_config
 from crosscap.cli import MAX_DRAWS, fixture_names, fixture_text, main
-from crosscap.config import MAX_MESH_VERTICES, MAX_SERIES_ORDER, MeshOptions, config_to_dict
+from crosscap.config import (
+    MAX_MESH_VERTICES,
+    MAX_RATIONAL_DIGITS,
+    MAX_SERIES_ORDER,
+    MeshOptions,
+    config_to_dict,
+)
 from crosscap.report import build_report, render_report
 from crosscap.verify import PASS, verify_fixture
 
@@ -84,6 +91,33 @@ def test_float_coefficient_rejected():
             '{"truncation": 4, "surface": {"a": {"0,2": 0.5}},'
             ' "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"]}}'
         )
+
+
+#: The longest numerator or denominator admitted, and one digit more.
+LONGEST = "1" + "0" * (MAX_RATIONAL_DIGITS - 1)
+TOO_LONG = LONGEST + "0"
+
+
+def _jet_text(a02, curve=None, mesh=None):
+    """A truncation-6 config as JSON text, with ``a02`` inserted as raw JSON."""
+    doc = {"truncation": 6, "surface": {"a": {"0,2": "A02"}}}
+    doc["curve"] = curve or {"family": "mp", "m": 1, "p": 2, "c": ["1"]}
+    if mesh is not None:
+        doc["mesh"] = mesh
+    return json.dumps(doc).replace('"A02"', a02)
+
+
+def test_rationals_up_to_the_digit_cap_parse():
+    for a02 in (LONGEST, f'"-{LONGEST}"', f'"1/{LONGEST}"', f'"-{LONGEST}/{LONGEST[:-1]}7"'):
+        parse_config(_jet_text(a02))
+
+
+def test_digit_cap_names_the_rational():
+    with pytest.raises(ConfigError) as err:
+        parse_config(_jet_text(f'"1/{TOO_LONG}"'))
+    assert err.value.problems[0] == (
+        f"surface.a[0,2]: numerator or denominator has more than {MAX_RATIONAL_DIGITS} digits"
+    )
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -275,29 +309,55 @@ def test_mesh_without_developable_exit_code(tmp_path, capsys):
     assert list(tmp_path.rglob("*.obj")) == []
 
 
-# Valid exact configs whose float frame or striction scale is too small for
-# the float zero test: the analysis cannot be completed, which the CLI reports
-# in one line with exit code 2.
-TINY_SCALE = {
-    "mp-c1e-5": ("1/100000000", {"family": "mp", "m": 1, "p": 2, "c": ["1/100000"]}),
-    "mp-a1e-12": ("1/1000000000000", {"family": "mp", "m": 1, "p": 2, "c": ["1"]}),
-    "mpq-a1e-8": ("1/100000000", {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}),
+def test_mesh_refuses_a_window_that_overflows(tmp_path, capsys):
+    # Finite bounds whose grid step overflows: every sampled vertex is inf or nan.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_jet_text('"1"', mesh={"x_range": [-1e308, 1e308]}))
+    assert main(["report", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-finite vertex coordinate") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*.obj")) == []
+
+
+# Configs that report and mesh refuse in one line with exit code 2.
+ONE_LINE_ERRORS = {
+    # Valid exact configs whose float frame or striction scale is too small
+    # for the float zero test: the analysis cannot be completed.
+    "mp-c1e-5": _jet_text('"1/100000000"', {"family": "mp", "m": 1, "p": 2, "c": ["1/100000"]}),
+    "mp-a1e-12": _jet_text('"1/1000000000000"'),
+    "mpq-a1e-8": _jet_text('"1/100000000"', {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}),
+    # Unbounded input: rationals beyond the digit cap or not of the form
+    # p/q (json.loads itself refuses an integer of 5001 digits), windows
+    # that are not finite, and values within the cap whose float images
+    # pass the float range.
+    "json-integer-5001-digits": _jet_text("1" * 5001),
+    "exponent-1e-5000": _jet_text('"1e-5000"'),
+    "exponent-1e999999": _jet_text('"1e999999"'),
+    "decimal-string": _jet_text('"0.5"'),
+    "long-integer": _jet_text(TOO_LONG),
+    "long-numerator": _jet_text(f'"-{TOO_LONG}/3"'),
+    "long-denominator": _jet_text(f'"1/{TOO_LONG}"'),
+    "infinite-window": _jet_text('"1"', mesh={"x_range": [-math.inf, math.inf]}),
+    "nan-window": _jet_text('"1"', mesh={"u_range": [math.nan, 1]}),
+    "huge-values": json.dumps(
+        {
+            "truncation": 6,
+            "surface": {"a": {"0,2": LONGEST, "1,1": LONGEST, "0,3": "1"}, "b": {"3": LONGEST}},
+            "curve": {"family": "mp", "m": 1, "p": 2, "c": [LONGEST, "1"]},
+        }
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "command, config",
-    [(cmd, name) for name in TINY_SCALE for cmd in ("report", "mesh")] + [("verify", "general")],
+    [(cmd, name) for name in ONE_LINE_ERRORS for cmd in ("report", "mesh")] + [("verify", "general")],
 )
 def test_library_errors_exit_2_in_one_line(tmp_path, capsys, command, config):
     cfg_path = tmp_path / "cfg.json"
-    if config == "general":
-        cfg_path.write_text(GENERAL_CURVE)
-    else:
-        a02, curve = TINY_SCALE[config]
-        cfg_path.write_text(
-            json.dumps({"truncation": 6, "surface": {"a": {"0,2": a02}}, "curve": curve})
-        )
+    cfg_path.write_text(GENERAL_CURVE if config == "general" else ONE_LINE_ERRORS[config])
     argv = [command, str(cfg_path)] + (["--out", str(tmp_path / "out")] if command == "mesh" else [])
     rc = main(argv)
     err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from crosscap.frame import (
 from crosscap.model import build_curve, build_umbrella, default_series_order
 from crosscap.series import valuation
 from conftest import random_family, random_surface
-from reference import direct_regular_curvatures, reconstruct_regular_curvatures
+from reference import direct_regular_curvatures, norm_series, reconstruct_regular_curvatures
 
 
 def series_close(a, b, tol=1e-9):
@@ -202,7 +202,6 @@ def test_s1_numerators(s1):
 
 def test_numerators_match_float_curvatures(s1, s2, s3):
     # khat_i / (norm denominators) equals the frame-side kappa_i series
-    from crosscap.frame import norm_series
     from crosscap.series import reciprocal
 
     for a in (s1, s2, s3):
@@ -399,7 +398,7 @@ def test_reconstruction_rejects_zero():
 
 
 def test_kappa_tilde_tops(s2):
-    t1, t2, t3 = kappa_tilde_series(s2.factors, s2.oracle)
+    t1, t2, t3 = kappa_tilde_series(s2.frame, s2.oracle)
     ne = math.sqrt(5.0)
     assert abs(t1.coeffs[0] - 12 / 5) < 1e-9
     assert abs(t2.coeffs[0] - 4 / ne) < 1e-9

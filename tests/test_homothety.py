@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients
+from crosscap import FamilyMP, FamilyMPQ, Field, UmbrellaCoefficients
 from crosscap.config import RunConfig
 from crosscap.report import build_report
 
@@ -64,3 +64,56 @@ def orders(coeffs, spec):
 def test_homothety_keeps_the_orders(seed):
     coeffs, spec = draw_jet(seed)
     assert orders(*scaled(coeffs, spec, LAMBDA)) == orders(coeffs, spec)
+
+
+# ---------------------------------------------------------------------------
+# Known wrong outputs, pinned as strict xfails: the change that fixes one
+# must remove its marker.
+# ---------------------------------------------------------------------------
+
+CYLINDER_FLAG = "delta vanishes to reliable order; cylindrical to computed order"
+#: The curve (100 x^2, x) on a02 = 1 and its image under the homothety
+#: lambda = 1/100000.
+LARGE_C0 = (Fraction(1), Fraction(100))
+LARGE_C0_TWIN = (Fraction(1, 100000), Fraction(1, 1000))
+
+
+def curve_on_cross_cap(a02, c0, field=Field.EXACT):
+    """The report of the curve (c0 x^2, x) on the cross-cap with a_02 = a02 alone, truncation 8."""
+    coeffs = UmbrellaCoefficients(8, {(0, 2): a02}, {})
+    return build_report(RunConfig(coeffs=coeffs, spec=FamilyMP(m=1, p=2, c=(c0,)), field=field))
+
+
+def assert_cylinder(doc):
+    assert doc["developable"]["delta_order"] is None
+    assert CYLINDER_FLAG in doc["flags"]
+
+
+@pytest.mark.parametrize("c0", [1, 10, 30])
+def test_the_cylinder_is_reported(c0):
+    assert_cylinder(curve_on_cross_cap(Fraction(1), Fraction(c0)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: float rounding noise in delta reads as delta_order 3, delta_top 2^-16",
+)
+@pytest.mark.parametrize("a02, c0", [LARGE_C0, LARGE_C0_TWIN], ids=["c0=100", "homothety-twin"])
+def test_the_cylinder_is_reported_at_large_c0(a02, c0):
+    assert_cylinder(curve_on_cross_cap(a02, c0))
+
+
+#: The exact curvature degrees of the twin; kappa3's top is -19999/10^15.
+TWIN_DEGREES = [1, 0, 0]
+
+
+def test_the_exact_field_finds_the_degrees_of_the_twin():
+    assert curve_on_cross_cap(*LARGE_C0_TWIN)["curvatures"]["degrees"] == TWIN_DEGREES
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the absolute tolerance 1e-9 misses kappa3's top and flags NON-GENERIC",
+)
+def test_the_float_field_finds_the_exact_degrees_of_the_twin():
+    assert curve_on_cross_cap(*LARGE_C0_TWIN, Field.FLOAT)["curvatures"]["degrees"] == TWIN_DEGREES

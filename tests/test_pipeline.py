@@ -26,6 +26,7 @@ from crosscap import (
     UniSeries,
     analyze,
     frame,
+    model,
     parse_config,
     pipeline,
     series,
@@ -96,6 +97,16 @@ def test_verify_skips_the_float_frame(calls):
     assert calls["darboux_frame"] == []
 
 
+def test_report_normalises_the_frame_once(monkeypatch):
+    # The frame builds 1/|E_t| and 1/|N| and the unit curvatures reuse
+    # them; the third root and reciprocal normalise the director.
+    roots = count_calls(monkeypatch, series, "sqrt_series")
+    inverses = count_calls(monkeypatch, series, "reciprocal")
+    build_report(fixture_config("s1"))
+    assert len(roots) == 3
+    assert len(inverses) == 3
+
+
 # ---------------------------------------------------------------------------
 # The ladder of working truncations
 # ---------------------------------------------------------------------------
@@ -105,6 +116,25 @@ def test_lower_truncations():
     assert pipeline.lower_truncations(9) == []
     assert pipeline.lower_truncations(10) == [5]
     assert pipeline.lower_truncations(200) == [5]
+
+
+# Truncation 16, which truncation 5 completes.
+DENSE_16 = workloads.dense_config(8, 0, "exact")
+
+
+def test_report_builds_the_surface_jet_only_on_the_resolving_rung(monkeypatch):
+    truncations = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
+    build_report(parse_config(DENSE_16))
+    assert truncations == [5]
+
+
+@pytest.mark.parametrize(
+    "config, analyses", [(DENSE_16, 2), (fixture_text("s1"), 1)], ids=["dense-16", "s1"]
+)
+def test_each_rung_is_built_through_analyze(monkeypatch, config, analyses):
+    calls = count_calls(monkeypatch, pipeline, "analyze")
+    build_report(parse_config(config))
+    assert len(calls) == analyses
 
 
 def through_ladder_and_alone(produce):
