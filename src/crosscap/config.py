@@ -90,8 +90,12 @@ class RunConfig:
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(value, where: str, problems) -> Fraction:
-    """An integer, or a string "p", "-p", "p/q" or "-p/q" of decimal digits."""
+def parse_rational(value, where: str, problems) -> Fraction | None:
+    """An integer, or a string "p", "-p", "p/q" or "-p/q" of decimal digits.
+
+    A refused value adds its problem and gives None, so that no check of the
+    model runs on a value that was never read.
+    """
     text = str(value) if isinstance(value, int) and not isinstance(value, bool) else value
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
@@ -104,7 +108,7 @@ def parse_rational(value, where: str, problems) -> Fraction:
         problems.append(f"{where}: zero denominator in {value!r}")
     else:
         return Fraction(int(match[1] + match[2]), int(match[3] or 1))
-    return Fraction(0)
+    return None
 
 
 def _check_keys(obj: dict, allowed, where: str, problems) -> None:
@@ -183,6 +187,8 @@ def _parse_surface(surface, problems, truncation) -> UmbrellaCoefficients | None
             problems.append(f"surface.b: bad index key {key!r}")
             continue
         b[i] = parse_rational(value, f"surface.b[{key}]", problems)
+    if None in a.values() or None in b.values():
+        return None
     try:
         return UmbrellaCoefficients(degree=truncation, a=a, b=b)
     except ModelError as exc:
@@ -222,6 +228,8 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
         if family == "general":
             c1 = _coeff_list("c1")
             c2 = _coeff_list("c2")
+            if None in c1 + c2:
+                return None
             vals = [next((i for i, v in enumerate(cs) if v != 0), None) for cs in (c1, c2)]
             m = min((v for v in vals if v is not None and v > 0), default=None)
             if m is None:
@@ -229,9 +237,13 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
                 return None
         else:
             if family == "mpq":
-                spec = FamilyMPQ(m=_int("m", 2), p=_int("p", 1), q=_int("q", 1), c=_coeff_list("c"))
+                ints = {"m": _int("m", 2), "p": _int("p", 1), "q": _int("q", 1)}
             else:
-                spec = FamilyMP(m=_int("m", 1), p=_int("p", 2), c=_coeff_list("c"))
+                ints = {"m": _int("m", 1), "p": _int("p", 2)}
+            c = _coeff_list("c")
+            if None in c:
+                return None
+            spec = _CURVE_FAMILIES[family](**ints, c=c)
             m = spec.m
         order = series_order(m, truncation)
         if order > MAX_SERIES_ORDER:

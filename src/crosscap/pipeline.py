@@ -226,10 +226,15 @@ class Analysis:
 
     @cached_property
     def _developable(self):
-        return _value_or_reason(
-            lambda: osculating_developable(self.factors, self.frame, self.oracle),
-            (DevelopableError, FrameError),
-        )
+        return _value_or_reason(self._osculating_developable, (DevelopableError, FrameError))
+
+    def _osculating_developable(self) -> DevelopableData:
+        # The developable chain runs in floats: exact values beyond the float
+        # range make it not applicable, while the exact sections still print.
+        try:
+            return osculating_developable(self.factors, self.frame, self.oracle)
+        except OverflowError as exc:
+            raise DevelopableError(f"values beyond the float range ({exc})") from exc
 
     @property
     def developable(self) -> DevelopableData | None:

@@ -12,21 +12,28 @@ The univariate variable is called x throughout; bivariate series live in
 Square roots exist only in the FLOAT field; the EXACT field stays inside the
 rationals so that degree/top-term extraction is bit-exact.
 
-EXACT coefficients are stored as reduced ``Fraction`` objects, but the
-products do their arithmetic on integers, as FLINT's ``fmpq_poly`` does:
-each operand becomes its integer numerators over the least common
-denominator of its coefficients (``_over_lcd``), the numerators are
-convolved (``_convolve``, ``_bi_convolve``), and each output coefficient is
-built once as ``Fraction(numerator, common denominator)``.  ``compose_bi``
-keeps the powers u^i and v^j as integer lists over du^i and dv^j and sums
-the terms c u^i v^j over one common denominator, so a composition builds
-only its r + 1 output ``Fraction`` objects.
+An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
+polynomial: a tuple ``_num`` of integer numerators over one denominator
+``_den``, in canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), which
+is what ``_over_lcd`` gives for reduced coefficients.  Sums, differences,
+negation, scalar and series products, ``diff``, ``shift``, ``truncate``,
+``factor_power``, ``valuation`` (which builds only the leading ``Fraction``),
+``to_float`` (``n / _den``, rounded as ``float(Fraction)`` rounds) and
+``compose_bi`` work on these integers and bring each result back to that
+form with at most one ``math.gcd``.  A product convolves the numerators
+(``_convolve``) over the product of the denominators.  ``compose_bi`` keeps
+the powers u^i and v^j as integer lists over du^i and dv^j and sums the
+terms c u^i v^j over one common denominator.  The reduced ``Fraction`` tuple ``coeffs`` is built from the
+pair on first read and kept; since the pair is canonical, comparing pairs
+compares values.  ``BiSeries`` keep reduced ``Fraction`` coefficients, and
+their product convolves the numerators that ``_over_lcd`` gives
+(``_bi_convolve``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -94,23 +101,59 @@ def _convolve(a, b, r: int, zero=0) -> list:
     return out
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
 class UniSeries:
     """A univariate series c_0 + c_1 x + ... + c_R x^R + O(x^{R+1}).
 
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
-    never stores coefficients it cannot vouch for.
+    never stores coefficients it cannot vouch for.  An EXACT series also
+    holds the canonical pair ``_num``, ``_den`` (see the module docstring).
+    Instances are immutable.
     """
 
-    field: Field
-    coeffs: tuple
-    reliable_order: int
+    __slots__ = ("field", "reliable_order", "coeffs", "_num", "_den")
 
-    def __post_init__(self):
-        if self.reliable_order < 0:
+    def __init__(self, field: Field, coeffs, reliable_order: int):
+        if reliable_order < 0:
             raise SeriesError("reliable_order must be >= 0")
-        if len(self.coeffs) != self.reliable_order + 1:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != reliable_order + 1:
             raise SeriesError("coefficient count must equal reliable_order + 1")
+        if field is Field.EXACT:
+            coeffs = tuple(c if type(c) is Fraction else _coerce(field, c) for c in coeffs)
+            num, den = _over_lcd(coeffs)  # reduced inputs: already canonical
+            _set(self, "_num", tuple(num))
+            _set(self, "_den", den)
+        _set(self, "field", field)
+        _set(self, "reliable_order", reliable_order)
+        _set(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, UniSeries):
+            return NotImplemented
+        if self.field is not other.field or self.reliable_order != other.reliable_order:
+            return False
+        if self.field is Field.EXACT:
+            return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs, self.reliable_order))
+
+    def __repr__(self):
+        return (
+            f"UniSeries(field={self.field!r}, coeffs={self.coeffs!r}, "
+            f"reliable_order={self.reliable_order!r})"
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -156,12 +199,16 @@ class UniSeries:
 
     def truncate(self, reliable_order: int) -> "UniSeries":
         r = min(self.reliable_order, reliable_order)
+        if self.field is Field.EXACT:
+            return self if r == self.reliable_order else _exact(self._num[: r + 1], self._den, r)
         return UniSeries(self.field, self.coeffs[: r + 1], r)
 
     def to_float(self) -> "UniSeries":
         if self.field is Field.FLOAT:
             return self
-        return UniSeries(Field.FLOAT, tuple(float(c) for c in self.coeffs), self.reliable_order)
+        # Integer true division rounds correctly, as float(Fraction) does.
+        den = self._den
+        return UniSeries(Field.FLOAT, tuple([n / den for n in self._num]), self.reliable_order)
 
     def evaluate(self, x) -> Coeff:
         """Horner evaluation of the reliable polynomial part at x."""
@@ -180,19 +227,32 @@ class UniSeries:
     def __add__(self, other):
         if isinstance(other, UniSeries):
             self._check_field(other)
+            if self.field is Field.EXACT:
+                return _exact_sum(self, other, 1)
             r = min(self.reliable_order, other.reliable_order)
             cs = [self.coeffs[i] + other.coeffs[i] for i in range(r + 1)]
             return UniSeries(self.field, tuple(cs), r)
         c0 = _coerce(self.field, other)
+        if self.field is Field.EXACT:
+            d = math.lcm(self._den, c0.denominator)
+            scale = d // self._den
+            num = [n * scale for n in self._num]
+            num[0] += c0.numerator * (d // c0.denominator)
+            return _exact(num, d, self.reliable_order)
         cs = list(self.coeffs)
         cs[0] = cs[0] + c0
         return UniSeries(self.field, tuple(cs), self.reliable_order)
 
     def __neg__(self):
+        if self.field is Field.EXACT:
+            return _canonical(tuple([-n for n in self._num]), self._den, self.reliable_order)
         return UniSeries(self.field, tuple(-c for c in self.coeffs), self.reliable_order)
 
     def __sub__(self, other):
         if isinstance(other, UniSeries):
+            if self.field is Field.EXACT:
+                self._check_field(other)
+                return _exact_sum(self, other, -1)
             return self + (-other)
         return self + (-_coerce(self.field, other))
 
@@ -202,11 +262,11 @@ class UniSeries:
             r = min(self.reliable_order, other.reliable_order)
             if self.field is Field.FLOAT:
                 return UniSeries(self.field, tuple(_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
-            na, da = _over_lcd(self.coeffs[: r + 1])
-            nb, db = _over_lcd(other.coeffs[: r + 1])
-            d = da * db
-            return UniSeries(self.field, _over(_convolve(na, nb, r), d), r)
+            return _exact(_convolve(self._num, other._num, r), self._den * other._den, r)
         c = _coerce(self.field, other)
+        if self.field is Field.EXACT:
+            p = c.numerator
+            return _exact([n * p for n in self._num], self._den * c.denominator, self.reliable_order)
         return UniSeries(self.field, tuple(a * c for a in self.coeffs), self.reliable_order)
 
     __rmul__ = __mul__
@@ -215,6 +275,9 @@ class UniSeries:
         """d/dx; the output is reliable one order less."""
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
+        if self.field is Field.EXACT:
+            num = self._num
+            return _exact([i * num[i] for i in range(1, len(num))], self._den, self.reliable_order - 1)
         cs = [i * self.coeffs[i] for i in range(1, self.reliable_order + 1)]
         return UniSeries(self.field, tuple(cs), self.reliable_order - 1)
 
@@ -224,12 +287,65 @@ class UniSeries:
             raise SeriesError("shift power must be >= 0")
         if power == 0:
             return self
+        if self.field is Field.EXACT:
+            return _canonical((0,) * power + self._num, self._den, self.reliable_order + power)
         zero = _zero(self.field)
         return UniSeries(
             self.field,
             tuple([zero] * power + list(self.coeffs)),
             self.reliable_order + power,
         )
+
+
+class _ExactResult(UniSeries):
+    """An EXACT series made by an operation: ``coeffs`` is built on first read.
+
+    A property, not a ``__getattr__`` hook, so that reading the other
+    attributes of any series stays a plain slot read.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return self._coeffs
+        except AttributeError:
+            coeffs = _over(self._num, self._den)
+            _set(self, "_coeffs", coeffs)
+            return coeffs
+
+
+def _canonical(num: tuple, den: int, r: int) -> UniSeries:
+    """The EXACT series ``num / den`` of a pair that is already canonical."""
+    s = _new(_ExactResult)
+    _set(s, "field", Field.EXACT)
+    _set(s, "reliable_order", r)
+    _set(s, "_num", num)
+    _set(s, "_den", den)
+    return s
+
+
+def _exact(num, den: int, r: int) -> UniSeries:
+    """The EXACT series ``num / den`` (``den > 0``), divided by the gcd of the pair."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        den //= g
+        return _canonical(tuple([n // g for n in num]), den, r)
+    return _canonical(tuple(num), den, r)
+
+
+def _exact_sum(a: UniSeries, b: UniSeries, sign: int) -> UniSeries:
+    """a + sign * b for EXACT series, over the lcm of their denominators."""
+    na, da, nb, db = a._num, a._den, b._num, b._den
+    r = min(a.reliable_order, b.reliable_order)
+    if da == db:
+        if sign > 0:
+            return _exact([x + y for x, y in zip(na, nb)], da, r)
+        return _exact([x - y for x, y in zip(na, nb)], da, r)
+    d = math.lcm(da, db)
+    sa, sb = d // da, sign * (d // db)
+    return _exact([x * sa + y * sb for x, y in zip(na, nb)], d, r)
 
 
 @dataclass(frozen=True)
@@ -251,10 +367,18 @@ class Valuation:
 
 def valuation(a: UniSeries) -> Valuation:
     """Smallest degree with a nonzero reliable coefficient, and that coefficient."""
+    if a.field is Field.EXACT:
+        for i, n in enumerate(a._num):
+            if n:
+                return Valuation(i, Fraction(n, a._den), a.reliable_order)
+        return Valuation(None, None, a.reliable_order)
     for i, c in enumerate(a.coeffs):
         if not is_zero_coeff(a.field, c):
             return Valuation(i, c, a.reliable_order)
     return Valuation(None, None, a.reliable_order)
+
+
+_SMALL_VALUATION = "valuation smaller than %d: cannot factor x^%d out of the series"
 
 
 def factor_power(a: UniSeries, power: int) -> UniSeries:
@@ -265,11 +389,13 @@ def factor_power(a: UniSeries, power: int) -> UniSeries:
         return a
     if a.reliable_order < power:
         raise SeriesError("series not reliable far enough to factor x^%d" % power)
+    if a.field is Field.EXACT:
+        if any(a._num[:power]):
+            raise SeriesError(_SMALL_VALUATION % (power, power))
+        return _canonical(a._num[power:], a._den, a.reliable_order - power)
     for c in a.coeffs[:power]:
         if not is_zero_coeff(a.field, c):
-            raise SeriesError(
-                "valuation smaller than %d: cannot factor x^%d out of the series" % (power, power)
-            )
+            raise SeriesError(_SMALL_VALUATION % (power, power))
     return UniSeries(a.field, a.coeffs[power:], a.reliable_order - power)
 
 
@@ -438,14 +564,12 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     """
     if u.field is not v.field or u.field is not F.field:
         raise SeriesError("field mismatch between series operands")
-    for s, name in ((u, "u"), (v, "v")):
-        if not is_zero_coeff(s.field, s.coeffs[0]):
-            raise SeriesError(f"compose_bi requires {name}(0) = 0")
     val_u = _valuation_lower_bound(u)
     val_v = _valuation_lower_bound(v)
+    for val, name in ((val_u, "u"), (val_v, "v")):
+        if val == 0:
+            raise SeriesError(f"compose_bi requires {name}(0) = 0")
     m_min = min(val_u, val_v)
-    if m_min < 1:
-        raise SeriesError("substituted series must have positive valuation")
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")
@@ -463,17 +587,15 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
         return UniSeries(Field.FLOAT, tuple(acc), r_out)
     # u^i v^j has the numerators u_pows[i] * v_pows[j] over du^i dv^j; each
     # term is scaled up to the common denominator lcd * du^top_i * dv^top_j.
-    nu, du = _over_lcd(u.coeffs[: r_out + 1])
-    nv, dv = _over_lcd(v.coeffs[: r_out + 1])
-    u_pows = _powers(nu, top_i, r_out, 0, 1)
-    v_pows = _powers(nv, top_j, r_out, 0, 1)
+    du, dv = u._den, v._den
+    u_pows = _powers(u._num, top_i, r_out, 0, 1)
+    v_pows = _powers(v._num, top_j, r_out, 0, 1)
     lcd = math.lcm(*(c.denominator for _, _, c in terms))
     acc = [0] * (r_out + 1)
     for i, j, c in terms:
         scale = c.numerator * (lcd // c.denominator) * du ** (top_i - i) * dv ** (top_j - j)
         acc = [a + scale * x for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out))]
-    d = lcd * du**top_i * dv**top_j
-    return UniSeries(Field.EXACT, _over(acc, d), r_out)
+    return _exact(acc, lcd * du**top_i * dv**top_j, r_out)
 
 
 def _powers(coeffs, n: int, r: int, zero, one) -> list:

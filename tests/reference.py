@@ -3,8 +3,8 @@
 Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
 and the striction curve of a generic ruled surface, the curvature top-terms
-that the A/B/C/D invariants predict, and the series products and the
-composition as coefficient-by-coefficient ``Fraction`` loops.  The float
+that the A/B/C/D invariants predict, and the series operations, products
+and composition as coefficient-by-coefficient ``Fraction`` loops.  The float
 norm and unit vector of a vector series serve these checks.
 """
 
@@ -19,9 +19,12 @@ from crosscap.frame import FrameError, FrameFactors
 from crosscap.invariants import TopInvariants
 from crosscap.series import (
     BiSeries,
+    Field,
     SeriesError,
     UniSeries,
+    Valuation,
     Vec3Series,
+    _coerce,
     _valuation_lower_bound,
     _zero,
     factor_power,
@@ -189,10 +192,100 @@ def secondary_normal_top(inv: TopInvariants, m: int):
 # Series kernels as Fraction loops
 # ---------------------------------------------------------------------------
 #
-# The series products and the composition as they were written before the
-# integer-numerator kernels, one coefficient operation at a time.  The
-# composition multiplies with ``reference_mul``; scalar products and sums
-# still use ``UniSeries`` operators, which do the same operations as here.
+# The univariate series operations, the products and the composition as they
+# were written before EXACT series became integer numerators over one
+# denominator: one coefficient operation at a time on the ``coeffs`` tuples.
+# The composition uses only these references, no ``UniSeries`` operator.
+
+
+def reference_add(self: UniSeries, other) -> UniSeries:
+    """``UniSeries.__add__`` of a series and a series or a scalar."""
+    if isinstance(other, UniSeries):
+        self._check_field(other)
+        r = min(self.reliable_order, other.reliable_order)
+        cs = [self.coeffs[i] + other.coeffs[i] for i in range(r + 1)]
+        return UniSeries(self.field, tuple(cs), r)
+    c0 = _coerce(self.field, other)
+    cs = list(self.coeffs)
+    cs[0] = cs[0] + c0
+    return UniSeries(self.field, tuple(cs), self.reliable_order)
+
+
+def reference_neg(self: UniSeries) -> UniSeries:
+    """``UniSeries.__neg__``."""
+    return UniSeries(self.field, tuple(-c for c in self.coeffs), self.reliable_order)
+
+
+def reference_sub(self: UniSeries, other) -> UniSeries:
+    """``UniSeries.__sub__``."""
+    if isinstance(other, UniSeries):
+        return reference_add(self, reference_neg(other))
+    return reference_add(self, -_coerce(self.field, other))
+
+
+def reference_scale(self: UniSeries, other) -> UniSeries:
+    """The scalar branch of ``UniSeries.__mul__``."""
+    c = _coerce(self.field, other)
+    return UniSeries(self.field, tuple(a * c for a in self.coeffs), self.reliable_order)
+
+
+def reference_diff(self: UniSeries) -> UniSeries:
+    """``UniSeries.diff``."""
+    if self.reliable_order < 1:
+        raise SeriesError("cannot differentiate a series reliable only to order 0")
+    cs = [i * self.coeffs[i] for i in range(1, self.reliable_order + 1)]
+    return UniSeries(self.field, tuple(cs), self.reliable_order - 1)
+
+
+def reference_shift(self: UniSeries, power: int) -> UniSeries:
+    """``UniSeries.shift``."""
+    if power < 0:
+        raise SeriesError("shift power must be >= 0")
+    if power == 0:
+        return self
+    zero = _zero(self.field)
+    return UniSeries(
+        self.field,
+        tuple([zero] * power + list(self.coeffs)),
+        self.reliable_order + power,
+    )
+
+
+def reference_truncate(self: UniSeries, reliable_order: int) -> UniSeries:
+    """``UniSeries.truncate``."""
+    r = min(self.reliable_order, reliable_order)
+    return UniSeries(self.field, self.coeffs[: r + 1], r)
+
+
+def reference_to_float(self: UniSeries) -> UniSeries:
+    """``UniSeries.to_float``."""
+    if self.field is Field.FLOAT:
+        return self
+    return UniSeries(Field.FLOAT, tuple(float(c) for c in self.coeffs), self.reliable_order)
+
+
+def reference_valuation(a: UniSeries) -> Valuation:
+    """``valuation``."""
+    for i, c in enumerate(a.coeffs):
+        if not is_zero_coeff(a.field, c):
+            return Valuation(i, c, a.reliable_order)
+    return Valuation(None, None, a.reliable_order)
+
+
+def reference_factor_power(a: UniSeries, power: int) -> UniSeries:
+    """``factor_power``."""
+    if power < 0:
+        raise SeriesError("power must be >= 0")
+    if power == 0:
+        return a
+    if a.reliable_order < power:
+        raise SeriesError("series not reliable far enough to factor x^%d" % power)
+    for c in a.coeffs[:power]:
+        if not is_zero_coeff(a.field, c):
+            raise SeriesError(
+                "valuation smaller than %d: cannot factor x^%d out of the series" % (power, power)
+            )
+    return UniSeries(a.field, a.coeffs[power:], a.reliable_order - power)
 
 
 def reference_mul(self: UniSeries, other: UniSeries) -> UniSeries:
@@ -243,8 +336,8 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")
-    u = u.truncate(r_out)
-    v = v.truncate(r_out)
+    u = reference_truncate(u, r_out)
+    v = reference_truncate(v, r_out)
     zero = UniSeries.zero(F.field, r_out)
     one = UniSeries.constant(F.field, 1, r_out)
 
@@ -266,5 +359,5 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     for (i, j), c in sorted(F.coeffs.items()):
         if i * val_u + j * val_v > r_out:
             continue
-        acc = acc + reference_mul(upow(i), vpow(j)) * c
+        acc = reference_add(acc, reference_scale(reference_mul(upow(i), vpow(j)), c))
     return acc

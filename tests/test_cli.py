@@ -120,6 +120,33 @@ def test_digit_cap_names_the_rational():
     )
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (
+            _jet_text('"0.5"'),
+            "surface.a[0,2]: malformed rational '0.5'; "
+            "rationals must be integers or strings like '-3' or '1/2'",
+        ),
+        (
+            _jet_text('"1"', {"family": "mp", "m": 1, "p": 2, "c": ["x"]}),
+            "curve.c[0]: malformed rational 'x'; "
+            "rationals must be integers or strings like '-3' or '1/2'",
+        ),
+        (
+            _jet_text('"1"', {"family": "general", "c1": ["0", "1/0"], "c2": ["0", "0", "1"]}),
+            "curve.c1[1]: zero denominator in '1/0'",
+        ),
+    ],
+    ids=["a02", "c0", "general"],
+)
+def test_a_refused_rational_is_the_only_problem(text, problem):
+    # No model check (a_02 != 0, c_0 != 0, a nonzero jet) runs on a refused value.
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [problem]
+
+
 def test_unknown_keys_rejected_everywhere():
     with pytest.raises(ConfigError) as err:
         parse_config(
@@ -329,9 +356,8 @@ ONE_LINE_ERRORS = {
     "mp-a1e-12": _jet_text('"1/1000000000000"'),
     "mpq-a1e-8": _jet_text('"1/100000000"', {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}),
     # Unbounded input: rationals beyond the digit cap or not of the form
-    # p/q (json.loads itself refuses an integer of 5001 digits), windows
-    # that are not finite, and values within the cap whose float images
-    # pass the float range.
+    # p/q (json.loads itself refuses an integer of 5001 digits) and windows
+    # that are not finite.
     "json-integer-5001-digits": _jet_text("1" * 5001),
     "exponent-1e-5000": _jet_text('"1e-5000"'),
     "exponent-1e999999": _jet_text('"1e999999"'),
@@ -341,23 +367,26 @@ ONE_LINE_ERRORS = {
     "long-denominator": _jet_text(f'"1/{TOO_LONG}"'),
     "infinite-window": _jet_text('"1"', mesh={"x_range": [-math.inf, math.inf]}),
     "nan-window": _jet_text('"1"', mesh={"u_range": [math.nan, 1]}),
-    "huge-values": json.dumps(
-        {
-            "truncation": 6,
-            "surface": {"a": {"0,2": LONGEST, "1,1": LONGEST, "0,3": "1"}, "b": {"3": LONGEST}},
-            "curve": {"family": "mp", "m": 1, "p": 2, "c": [LONGEST, "1"]},
-        }
-    ),
 }
+#: Values within the digit cap whose float images pass the float range: the
+#: exact report prints without the developable, the mesh is refused.
+HUGE_VALUES = json.dumps(
+    {
+        "truncation": 6,
+        "surface": {"a": {"0,2": LONGEST, "1,1": LONGEST, "0,3": "1"}, "b": {"3": LONGEST}},
+        "curve": {"family": "mp", "m": 1, "p": 2, "c": [LONGEST, "1"]},
+    }
+)
 
 
 @pytest.mark.parametrize(
     "command, config",
-    [(cmd, name) for name in ONE_LINE_ERRORS for cmd in ("report", "mesh")] + [("verify", "general")],
+    [(cmd, name) for name in ONE_LINE_ERRORS for cmd in ("report", "mesh")]
+    + [("mesh", "huge-values"), ("verify", "general")],
 )
 def test_library_errors_exit_2_in_one_line(tmp_path, capsys, command, config):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(GENERAL_CURVE if config == "general" else ONE_LINE_ERRORS[config])
+    cfg_path.write_text({**ONE_LINE_ERRORS, "huge-values": HUGE_VALUES, "general": GENERAL_CURVE}[config])
     argv = [command, str(cfg_path)] + (["--out", str(tmp_path / "out")] if command == "mesh" else [])
     rc = main(argv)
     err = capsys.readouterr().err
@@ -365,6 +394,25 @@ def test_library_errors_exit_2_in_one_line(tmp_path, capsys, command, config):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert list(tmp_path.rglob("*.obj")) == []
+
+
+def test_exact_report_of_huge_values_leaves_out_only_the_developable(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(HUGE_VALUES)
+    assert main(["report", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["developable"] == {
+        "applicable": False,
+        "reason": "values beyond the float range (integer division result too large for a float)",
+    }
+    assert report["curvatures"]["degrees"] == [0, 0, 0]
+    assert all(top.startswith(("59999", "-35", "-2")) for top in report["curvatures"]["tops"])
+    assert report["invariants"]["applicable"] is True
+    assert report["verdicts"]["projection"]["verdict"] == "generic"
+    assert report["verdicts"]["self_intersection"]["tangent_to_curve"] is False
+    assert report["verdicts"]["contour"]["vanishes"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,44 @@
 """Differential tests: the integer-numerator series kernels against Fraction loops.
 
-``UniSeries.__mul__``, ``BiSeries.__mul__`` and ``compose_bi`` must return
-exactly what the coefficient-by-coefficient loops of ``tests/reference.py``
-return: equal values, reduced ``Fraction`` coefficients in the exact field,
-and the same float bits (and the same key order) in the float field.
+Every ``UniSeries`` operation, ``valuation``, ``factor_power``,
+``BiSeries.__mul__`` and ``compose_bi`` must return exactly what the
+coefficient-by-coefficient loops of ``tests/reference.py`` return: equal
+values, reduced ``Fraction`` coefficients and a canonical numerator /
+denominator pair in the exact field, and the same float bits (and the same
+key order) in the float field.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crosscap.series import BiSeries, Field, UniSeries, _valuation_lower_bound, compose_bi
-from reference import reference_bimul, reference_compose_bi, reference_mul
+from crosscap.series import (
+    BiSeries,
+    Field,
+    SeriesError,
+    UniSeries,
+    _valuation_lower_bound,
+    compose_bi,
+    factor_power,
+    valuation,
+)
+from reference import (
+    reference_add,
+    reference_bimul,
+    reference_compose_bi,
+    reference_diff,
+    reference_factor_power,
+    reference_mul,
+    reference_neg,
+    reference_scale,
+    reference_shift,
+    reference_sub,
+    reference_to_float,
+    reference_truncate,
+    reference_valuation,
+)
 
 E, F = Field.EXACT, Field.FLOAT
 
@@ -60,9 +87,19 @@ def ex(*cs):
     return UniSeries(E, tuple(Fraction(c) for c in cs), len(cs) - 1)
 
 
+def _assert_canonical(s: UniSeries):
+    """An EXACT series is its numerators over one denominator, den > 0, gcd 1."""
+    assert len(s._num) == s.reliable_order + 1
+    assert all(type(n) is int for n in s._num)
+    assert s._den > 0 and math.gcd(s._den, *s._num) == 1
+
+
 def _assert_same_uni(got: UniSeries, want: UniSeries):
+    assert got.field is want.field
     assert got.reliable_order == want.reliable_order
     if got.field is E:
+        _assert_canonical(got)
+        assert got == want
         assert got.coeffs == want.coeffs
         assert all(type(c) is Fraction for c in got.coeffs)
     else:
@@ -151,3 +188,97 @@ def test_bi_sum_and_derivatives_match_make(pair):
         dv = {(i, j - 1): c * j for (i, j), c in a.coeffs.items() if j >= 1}
         _assert_same_bi(a.diff_u(), BiSeries.make(a.field, du, a.reliable_order - 1))
         _assert_same_bi(a.diff_v(), BiSeries.make(a.field, dv, a.reliable_order - 1))
+
+
+SCALARS = st.one_of(st.integers(-30, 30), RATIONALS)
+
+
+@settings(deadline=None)
+@given(uni(E), uni(E), SCALARS)
+@example(ex(Fraction(1, 2), Fraction(1, 2)), ex(Fraction(1, 2), Fraction(-1, 2)), Fraction(2, 3))
+@example(ex(Fraction(1, 6), 0, Fraction(5, 4)), ex(Fraction(-1, 10), Fraction(7, 9)), 0)
+def test_exact_ring_operations_match_fraction_loops(a, b, c):
+    _assert_same_uni(a + b, reference_add(a, b))
+    _assert_same_uni(a - b, reference_sub(a, b))
+    _assert_same_uni(-a, reference_neg(a))
+    _assert_same_uni(a * b, reference_mul(a, b))
+    _assert_same_uni(a * c, reference_scale(a, c))
+    _assert_same_uni(c * a, reference_scale(a, c))
+    _assert_same_uni(a + c, reference_add(a, c))
+    _assert_same_uni(a - c, reference_sub(a, c))
+    _assert_same_uni(a - a, reference_scale(a, 0))
+
+
+@settings(deadline=None)
+@given(uni(E), st.integers(0, 16))
+@example(ex(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)), 1)
+def test_exact_calculus_and_slicing_match_fraction_loops(a, k):
+    if a.reliable_order >= 1:
+        _assert_same_uni(a.diff(), reference_diff(a))
+    else:
+        with pytest.raises(SeriesError):
+            a.diff()
+    _assert_same_uni(a.shift(k % 4), reference_shift(a, k % 4))
+    _assert_same_uni(a.truncate(k), reference_truncate(a, k))
+    _assert_same_uni(a.to_float(), reference_to_float(a))
+    assert valuation(a) == reference_valuation(a)
+    if k <= a.reliable_order and all(c == 0 for c in a.coeffs[:k]):
+        _assert_same_uni(factor_power(a, k), reference_factor_power(a, k))
+    else:
+        with pytest.raises(SeriesError) as want:
+            reference_factor_power(a, k)
+        with pytest.raises(SeriesError) as got:
+            factor_power(a, k)
+        assert str(got.value) == str(want.value)
+
+
+@settings(deadline=None)
+@given(substituted(E))
+def test_exact_factor_power_up_to_the_valuation(a):
+    v = valuation(a)
+    for power in range(a.reliable_order + 1 if v.order is None else v.order + 1):
+        _assert_same_uni(factor_power(a, power), reference_factor_power(a, power))
+
+
+@st.composite
+def extreme(draw):
+    """A rational n / d near the float range limits or among the subnormals."""
+    n = draw(st.integers(1, 2**60)) * draw(st.sampled_from((1, -1)))
+    e = draw(st.sampled_from((1024, 1023, -1022, -1074, -1075)) | st.integers(-1140, 1040))
+    e += draw(st.integers(-64, 0))
+    d = draw(st.integers(1, 10**6))
+    return Fraction(n * 2**e, d) if e >= 0 else Fraction(n, d * 2**-e)
+
+
+@settings(deadline=None)
+@given(st.lists(extreme() | RATIONALS, min_size=1, max_size=4))
+@example([Fraction(2**1024 - 2**970, 1), Fraction(1, 3)])  # max float, halfway up: overflows
+@example([Fraction(2**1024 - 2**971 - 1, 1), Fraction(1, 3)])  # just below: rounds to max
+@example([Fraction(1, 2**1075), Fraction(3, 2**1076), Fraction(1, 7)])  # ties at the bottom
+@example([Fraction(-(2**53 + 1), 2**1128), Fraction(0)])
+def test_to_float_rounds_like_float_of_fraction(cs):
+    a = UniSeries(E, tuple(cs), len(cs) - 1)
+    try:
+        want = [float(c) for c in cs]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            a.to_float()
+        return
+    got = a.to_float()
+    assert got.field is F and got.reliable_order == a.reliable_order
+    assert [repr(x) for x in got.coeffs] == [repr(x) for x in want]
+
+
+def test_series_built_from_fractions_are_canonical_and_read_back():
+    cs = (Fraction(2, 6), Fraction(0), Fraction(-5, 4), Fraction(7))
+    a = UniSeries(E, cs, 3)
+    _assert_canonical(a)
+    assert (a._num, a._den) == ((4, 0, -15, 84), 12)
+    assert a.coeffs == cs and a.coefficient(2) == Fraction(-5, 4)
+    b = (a * 3).truncate(1)  # 1 + 0 x over 1
+    assert (b._num, b._den) == ((1, 0), 1) and b.coeffs == (1, 0)
+    assert b == UniSeries(E, (1, 0), 1) and hash(b) == hash(UniSeries(E, (1, 0), 1))
+    assert a != a.to_float() and a.to_float() == UniSeries(F, (1 / 3, 0.0, -1.25, 7.0), 3)
+    for s in (a, b):
+        with pytest.raises(AttributeError):
+            s.reliable_order = 5
