@@ -51,7 +51,7 @@ MAX_SERIES_ORDER = 200
 MAX_RATIONAL_DIGITS = 100
 #: Largest vertex count of one exported mesh: nu * nv for the umbrella,
 #: nx * ny for the developable and curve_samples for the curve polyline.  At
-#: the cap one OBJ file is about 12 MB.
+#: the cap one OBJ file is about 17.5 MB.
 MAX_MESH_VERTICES = 250_000
 
 _TOP_KEYS = {"truncation", "surface", "curve", "field", "description", "mesh"}
@@ -202,7 +202,7 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
         return None
     _check_keys(curve, _CURVE_KEYS, "curve", problems)
     family = curve.get("family")
-    if family not in _CURVE_FAMILIES:
+    if not isinstance(family, str) or family not in _CURVE_FAMILIES:
         problems.append("curve.family: must be 'mpq', 'mp' or 'general'")
         return None
     own_keys = {f.name for f in fields(_CURVE_FAMILIES[family])}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .series import Vec3BiSeries, Vec3Series
 from .developable import RuledSurface
@@ -47,21 +48,43 @@ def sample_ruled_surface(surface: RuledSurface, x_range, y_range, nx: int, ny: i
     ys = _grid(y_range[0], y_range[1], ny)
     vertices = []
     for x in xs:
-        g = surface.gamma.evaluate(x)
-        d = surface.xi.evaluate(x)
-        for y in ys:
-            vertices.append(tuple(float(gc) + y * float(dc) for gc, dc in zip(g, d)))
+        gx, gy, gz = surface.gamma.evaluate(x)
+        dx, dy, dz = surface.xi.evaluate(x)
+        vertices += [(gx + y * dx, gy + y * dy, gz + y * dz) for y in ys]
     return QuadMesh(tuple(vertices), tuple(_quad_faces(nx, ny)))
+
+
+def _powers(name: str, values, exponents) -> dict:
+    """``{k: [x**k for x in values]}``; a power beyond the float range is a MeshError."""
+    table = {}
+    for k in sorted(exponents):
+        try:
+            table[k] = [x**k for x in values]
+        except OverflowError:
+            raise MeshError(f"{name}**{k} overflows: the window is too wide for this jet") from None
+    return table
 
 
 def sample_surface_patch(W: Vec3BiSeries, u_range, v_range, nu: int, nv: int) -> QuadMesh:
     us = _grid(u_range[0], u_range[1], nu)
     vs = _grid(v_range[0], v_range[1], nv)
-    Wf = W.to_float()
+    # Each coordinate adds c * u**i * v**j over its terms in dict order, left
+    # to right from 0.0: the float operations of a per-vertex evaluation, so
+    # the bytes of the OBJ text do not depend on this tabulation.  Not sum():
+    # from Python 3.12 on it adds floats with compensation.
+    terms = [list(comp.coeffs.items()) for comp in W.to_float().components]
+    upow = _powers("u", us, {i for t in terms for (i, _), _ in t})
+    vpow = _powers("v", vs, {j for t in terms for (_, j), _ in t})
     vertices = []
-    for u in us:
-        for v in vs:
-            vertices.append(tuple(float(c) for c in Wf.evaluate(u, v)))
+    for row in range(nu):
+        coords = []
+        for t in terms:
+            acc = [0.0] * nv
+            for (i, j), c in t:
+                cu = c * upow[i][row]
+                acc = [a + cu * p for a, p in zip(acc, vpow[j])]
+            coords.append(acc)
+        vertices += zip(*coords)
     return QuadMesh(tuple(vertices), tuple(_quad_faces(nu, nv)))
 
 
@@ -71,26 +94,28 @@ def sample_curve_polyline(curve: Vec3Series, x_range, n: int):
     return tuple(tuple(float(c) for c in cf.evaluate(x)) for x in xs)
 
 
-def _fmt(value: float) -> str:
-    if not math.isfinite(value):
-        raise MeshError(f"non-finite vertex coordinate {value!r}: the window is too wide for this jet")
-    return format(value, ".9g")
+def _coordinates(points) -> tuple:
+    """Every coordinate of ``points`` in vertex order; MeshError names the first non-finite one."""
+    flat = tuple(chain.from_iterable(points))
+    if not all(map(math.isfinite, flat)):
+        bad = next(c for c in flat if not math.isfinite(c))
+        raise MeshError(f"non-finite vertex coordinate {bad!r}: the window is too wide for this jet")
+    return flat
 
 
 def obj_mesh_text(mesh: QuadMesh) -> str:
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %s %s %s" % (_fmt(v[0]), _fmt(v[1]), _fmt(v[2])))
-    for f in mesh.faces:
-        lines.append("f %d %d %d %d" % tuple(i + 1 for i in f))
-    return "\n".join(lines) + "\n"
+    coords = _coordinates(mesh.vertices)
+    corners = tuple([i + 1 for f in mesh.faces for i in f])
+    return (
+        "v %.9g %.9g %.9g\n" * len(mesh.vertices) % coords
+        + "f %d %d %d %d\n" * len(mesh.faces) % corners
+    )
 
 
 def obj_polyline_text(points) -> str:
-    lines = ["v %s %s %s" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])) for p in points]
-    for i in range(len(points) - 1):
-        lines.append("l %d %d" % (i + 1, i + 2))
-    return "\n".join(lines) + "\n"
+    coords = _coordinates(points)
+    ends = tuple([k for i in range(1, len(points)) for k in (i, i + 1)])
+    return "v %.9g %.9g %.9g\n" * len(points) % coords + "l %d %d\n" * (len(points) - 1) % ends
 
 
 def write_obj(path, text: str) -> None:

@@ -516,14 +516,6 @@ class BiSeries:
         out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
         return BiSeries(self.field, _nonzero(out), r)
 
-    def evaluate(self, u, v) -> Coeff:
-        u = _coerce(self.field, u)
-        v = _coerce(self.field, v)
-        acc = _zero(self.field)
-        for (i, j), c in self.coeffs.items():
-            acc += c * u**i * v**j
-        return acc
-
     def to_float(self) -> "BiSeries":
         if self.field is Field.FLOAT:
             return self
@@ -749,9 +741,6 @@ class Vec3BiSeries:
             compose_bi(self.y, u, v),
             compose_bi(self.z, u, v),
         )
-
-    def evaluate(self, u, v):
-        return (self.x.evaluate(u, v), self.y.evaluate(u, v), self.z.evaluate(u, v))
 
     def to_float(self) -> "Vec3BiSeries":
         return Vec3BiSeries(self.x.to_float(), self.y.to_float(), self.z.to_float())

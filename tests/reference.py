@@ -4,8 +4,9 @@ Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
 and the striction curve of a generic ruled surface, the curvature top-terms
 that the A/B/C/D invariants predict, and the series operations, products
-and composition as coefficient-by-coefficient ``Fraction`` loops.  The float
-norm and unit vector of a vector series serve these checks.
+and composition as coefficient-by-coefficient ``Fraction`` loops, and the mesh
+vertices and OBJ text one vertex and one line at a time.  The float norm and
+unit vector of a vector series serve these checks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from crosscap.developable import DevelopableError, RuledSurface
 from crosscap.frame import FrameError, FrameFactors
 from crosscap.invariants import TopInvariants
+from crosscap.obj import MeshError, QuadMesh, _grid, _quad_faces
 from crosscap.series import (
     BiSeries,
     Field,
@@ -361,3 +363,67 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
             continue
         acc = reference_add(acc, reference_scale(reference_mul(upow(i), vpow(j)), c))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Mesh sampling and OBJ text
+# ---------------------------------------------------------------------------
+
+
+def reference_bi_evaluate(F: BiSeries, u, v):
+    """A bivariate series at (u, v), term by term: acc += c * u**i * v**j."""
+    u = _coerce(F.field, u)
+    v = _coerce(F.field, v)
+    acc = _zero(F.field)
+    for (i, j), c in F.coeffs.items():
+        acc += c * u**i * v**j
+    return acc
+
+
+def reference_surface_patch(W, u_range, v_range, nu: int, nv: int) -> QuadMesh:
+    """``obj.sample_surface_patch`` by one evaluation per vertex and component."""
+    us = _grid(u_range[0], u_range[1], nu)
+    vs = _grid(v_range[0], v_range[1], nv)
+    Wf = W.to_float()
+    vertices = []
+    for u in us:
+        for v in vs:
+            vertices.append(tuple(float(reference_bi_evaluate(c, u, v)) for c in Wf.components))
+    return QuadMesh(tuple(vertices), tuple(_quad_faces(nu, nv)))
+
+
+def reference_ruled_surface(surface: RuledSurface, x_range, y_range, nx: int, ny: int) -> QuadMesh:
+    """``obj.sample_ruled_surface`` by one evaluation of gamma and xi per vertex."""
+    xs = _grid(x_range[0], x_range[1], nx)
+    ys = _grid(y_range[0], y_range[1], ny)
+    vertices = []
+    for x in xs:
+        g = surface.gamma.evaluate(x)
+        d = surface.xi.evaluate(x)
+        for y in ys:
+            vertices.append(tuple(float(gc) + y * float(dc) for gc, dc in zip(g, d)))
+    return QuadMesh(tuple(vertices), tuple(_quad_faces(nx, ny)))
+
+
+def _reference_fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise MeshError(f"non-finite vertex coordinate {value!r}: the window is too wide for this jet")
+    return format(value, ".9g")
+
+
+def reference_obj_mesh_text(mesh: QuadMesh) -> str:
+    """``obj.obj_mesh_text``, one line at a time."""
+    lines = []
+    for v in mesh.vertices:
+        lines.append("v %s %s %s" % (_reference_fmt(v[0]), _reference_fmt(v[1]), _reference_fmt(v[2])))
+    for f in mesh.faces:
+        lines.append("f %d %d %d %d" % tuple(i + 1 for i in f))
+    return "\n".join(lines) + "\n"
+
+
+def reference_obj_polyline_text(points) -> str:
+    """``obj.obj_polyline_text``, one line at a time."""
+    lines = ["v %s %s %s" % (_reference_fmt(p[0]), _reference_fmt(p[1]), _reference_fmt(p[2])) for p in points]
+    for i in range(len(points) - 1):
+        lines.append("l %d %d" % (i + 1, i + 2))
+    return "\n".join(lines) + "\n"

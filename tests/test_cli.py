@@ -348,6 +348,23 @@ def test_mesh_refuses_a_window_that_overflows(tmp_path, capsys):
     assert list(tmp_path.rglob("*.obj")) == []
 
 
+@pytest.mark.parametrize("window", ["u_range", "v_range"])
+def test_mesh_refuses_an_umbrella_window_whose_powers_overflow(tmp_path, capsys, window):
+    # u**2 or v**2 of a bound passes the float range before any product does.
+    doc = {
+        "truncation": 6,
+        "surface": {"a": {"0,2": "2", "2,0": "1"}},
+        "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"]},
+        "mesh": {window: [-1e200, 1e200]},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{window[0]}**2 overflows: the window is too wide for this jet\n"
+    assert list(tmp_path.rglob("*.obj")) == []
+
+
 # Configs that report and mesh refuse in one line with exit code 2.
 ONE_LINE_ERRORS = {
     # Valid exact configs whose float frame or striction scale is too small
@@ -623,6 +640,11 @@ CONFIG_ERRORS = {
             }
         ),
         ["top level: unknown key 'bogus'", "field: must be 'exact' or 'float'"],
+    ),
+    # An unhashable family tag raised TypeError (found by tests/test_fuzz.py).
+    "list-family": (
+        _budget_config(4, {"family": [], "m": 1, "p": 2, "c": ["1"]}),
+        ["curve.family: must be 'mpq', 'mp' or 'general'"],
     ),
 }
 
