@@ -216,14 +216,15 @@ def default_series_order(spec: CurveSpec, degree: int) -> int:
 def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
     """The normal-form surface as a vector of bivariate series, reliable to degree k."""
     k = coeffs.degree
+    fact = math.factorial
     comp1 = BiSeries.make(Field.EXACT, {(1, 0): Fraction(1)}, k)
     second = {(1, 1): Fraction(1)}
     for i, b in coeffs.b.items():
-        second[(0, i)] = b / math.factorial(i)
+        second[(0, i)] = Fraction(b.numerator, b.denominator * fact(i))
     comp2 = BiSeries.make(Field.EXACT, second, k)
     third = {}
     for (i, j), a in coeffs.a.items():
-        third[(i, j)] = a / (math.factorial(i) * math.factorial(j))
+        third[(i, j)] = Fraction(a.numerator, a.denominator * fact(i) * fact(j))
     comp3 = BiSeries.make(Field.EXACT, third, k)
     return Vec3BiSeries(comp1, comp2, comp3)
 

@@ -23,6 +23,7 @@ truncation.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .series import Field, Vec3BiSeries, Vec3Series
@@ -231,10 +232,19 @@ class Analysis:
     def _osculating_developable(self) -> DevelopableData:
         # The developable chain runs in floats: exact values beyond the float
         # range make it not applicable, while the exact sections still print.
+        # They either overflow a conversion or leave inf/nan coefficients.
         try:
-            return osculating_developable(self.factors, self.frame, self.oracle)
+            data = osculating_developable(self.factors, self.frame, self.oracle)
         except OverflowError as exc:
             raise DevelopableError(f"values beyond the float range ({exc})") from exc
+        named = [("director", c) for c in data.director.components]
+        named += [("delta", data.delta), ("striction scale", data.striction.scale), ("sigma", data.sigma)]
+        for name, series in named:
+            if series is not None and not all(map(math.isfinite, series.coeffs)):
+                raise DevelopableError(
+                    f"values beyond the float range (the {name} has a non-finite coefficient)"
+                )
+        return data
 
     @property
     def developable(self) -> DevelopableData | None:

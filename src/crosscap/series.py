@@ -13,21 +13,27 @@ Square roots exist only in the FLOAT field; the EXACT field stays inside the
 rationals so that degree/top-term extraction is bit-exact.
 
 An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
-polynomial: a tuple ``_num`` of integer numerators over one denominator
-``_den``, in canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), which
-is what ``_over_lcd`` gives for reduced coefficients.  Sums, differences,
-negation, scalar and series products, ``diff``, ``shift``, ``truncate``,
+polynomial: integer numerators ``_num`` over one denominator ``_den``, in
+canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), which is what
+``_over_lcd`` gives for reduced coefficients.  A ``UniSeries`` keeps a tuple
+of numerators; a ``BiSeries`` keeps a dict (i, j) -> numerator without zero
+entries, in the key order of its ``coeffs``.  Sums, differences, negation,
+scalar and series products, derivatives, ``shift``, ``truncate``,
 ``factor_power``, ``valuation`` (which builds only the leading ``Fraction``),
 ``to_float`` (``n / _den``, rounded as ``float(Fraction)`` rounds) and
 ``compose_bi`` work on these integers and bring each result back to that
 form with at most one ``math.gcd``.  A product convolves the numerators
-(``_convolve``) over the product of the denominators.  ``compose_bi`` keeps
-the powers u^i and v^j as integer lists over du^i and dv^j and sums the
-terms c u^i v^j over one common denominator.  The reduced ``Fraction`` tuple ``coeffs`` is built from the
-pair on first read and kept; since the pair is canonical, comparing pairs
-compares values.  ``BiSeries`` keep reduced ``Fraction`` coefficients, and
-their product convolves the numerators that ``_over_lcd`` gives
-(``_bi_convolve``).
+(``_convolve``, ``_bi_convolve``) over the product of the denominators.
+The reduced ``Fraction`` coefficients ``coeffs`` are built from the pair on
+first read and kept; since the pair is canonical, comparing pairs compares
+values.
+
+A ``UniSeries`` also keeps the coefficient lists of its own powers, built on
+first use by ``compose_bi`` and extended on demand (``_powers``): integer
+numerators over ``_den^i`` in EXACT, floats in FLOAT.  Coefficient k of a
+``_convolve`` product does not depend on the order it is cut at, so one
+table, cut at the series' reliable order, serves every composition that
+substitutes the series.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ class SeriesError(ValueError):
 
 def _coerce(field: Field, value) -> Coeff:
     if field is Field.EXACT:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, float):
             raise SeriesError("EXACT series cannot absorb float coefficients")
         return Fraction(value)
@@ -105,16 +113,28 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-class UniSeries:
+class _Frozen:
+    """Immutable slotted instances: attributes are set once, with ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class UniSeries(_Frozen):
     """A univariate series c_0 + c_1 x + ... + c_R x^R + O(x^{R+1}).
 
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
     never stores coefficients it cannot vouch for.  An EXACT series also
     holds the canonical pair ``_num``, ``_den`` (see the module docstring).
-    Instances are immutable.
+    Instances are immutable; ``_pows``, the table of powers, only grows.
     """
 
-    __slots__ = ("field", "reliable_order", "coeffs", "_num", "_den")
+    __slots__ = ("field", "reliable_order", "coeffs", "_num", "_den", "_pows")
 
     def __init__(self, field: Field, coeffs, reliable_order: int):
         if reliable_order < 0:
@@ -130,12 +150,6 @@ class UniSeries:
         _set(self, "field", field)
         _set(self, "reliable_order", reliable_order)
         _set(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
@@ -436,18 +450,45 @@ def sqrt_series(a: UniSeries) -> UniSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(_Frozen):
     """A series in (u, v) truncated by total degree.
 
     ``coeffs`` maps (i, j) -> coefficient with i + j <= reliable_order; pairs
     that are absent are zero.  Reliability bookkeeping is by total degree,
-    exactly as in the univariate case.
+    exactly as in the univariate case.  An EXACT series holds no zero
+    coefficient and also holds the canonical pair ``_num``, ``_den`` (see the
+    module docstring).  Instances are immutable.
     """
 
-    field: Field
-    coeffs: Mapping
-    reliable_order: int
+    __slots__ = ("field", "reliable_order", "coeffs", "_num", "_den")
+
+    def __init__(self, field: Field, coeffs: Mapping, reliable_order: int):
+        if field is Field.EXACT:
+            coeffs = {k: c if type(c) is Fraction else _coerce(field, c) for k, c in coeffs.items()}
+            num, den = _over_lcd(coeffs.values())  # reduced inputs: already canonical
+            if not all(num):
+                coeffs = {k: c for (k, c), n in zip(coeffs.items(), num) if n}
+                num = [n for n in num if n]
+            _set(self, "_num", dict(zip(coeffs, num)))
+            _set(self, "_den", den)
+        _set(self, "field", field)
+        _set(self, "reliable_order", reliable_order)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, BiSeries):
+            return NotImplemented
+        if self.field is not other.field or self.reliable_order != other.reliable_order:
+            return False
+        if self.field is Field.EXACT:
+            return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return (
+            f"BiSeries(field={self.field!r}, coeffs={self.coeffs!r}, "
+            f"reliable_order={self.reliable_order!r})"
+        )
 
     @staticmethod
     def make(field: Field, coeffs: Mapping, reliable_order: int) -> "BiSeries":
@@ -457,12 +498,10 @@ class BiSeries:
         for (i, j), c in coeffs.items():
             if i < 0 or j < 0:
                 raise SeriesError("negative exponent in BiSeries")
-            if i + j > reliable_order:
-                continue
-            c = _coerce(field, c)
-            if c != 0:
-                clean[(i, j)] = c
-        return BiSeries(field, clean, reliable_order)
+            if i + j <= reliable_order:
+                clean[(i, j)] = _coerce(field, c)
+        # The constructor drops the zeros of an EXACT series by their numerators.
+        return BiSeries(field, clean if field is Field.EXACT else _nonzero(clean), reliable_order)
 
     def coefficient(self, i: int, j: int) -> Coeff:
         if i + j > self.reliable_order:
@@ -475,6 +514,8 @@ class BiSeries:
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check_field(other)
+        if self.field is Field.EXACT:
+            return _exact_bi_sum(self, other, 1)
         r = min(self.reliable_order, other.reliable_order)
         out = dict()
         for (i, j), c in self.coeffs.items():
@@ -486,9 +527,14 @@ class BiSeries:
         return BiSeries(self.field, _nonzero(out), r)
 
     def __neg__(self) -> "BiSeries":
+        if self.field is Field.EXACT:
+            return _canonical_bi({k: -n for k, n in self._num.items()}, self._den, self.reliable_order)
         return BiSeries(self.field, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
+        if self.field is Field.EXACT:
+            self._check_field(other)
+            return _exact_bi_sum(self, other, -1)
         return self + (-other)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
@@ -496,16 +542,14 @@ class BiSeries:
         r = min(self.reliable_order, other.reliable_order)
         if self.field is Field.FLOAT:
             return BiSeries(self.field, _nonzero(_bi_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
-        na, da = _over_lcd(self.coeffs.values())
-        nb, db = _over_lcd(other.coeffs.values())
-        out = _bi_convolve(dict(zip(self.coeffs, na)), dict(zip(other.coeffs, nb)), r, 0)
-        d = da * db
-        return BiSeries(self.field, {k: Fraction(n, d) for k, n in out.items() if n}, r)
+        return _exact_bi(_nonzero(_bi_convolve(self._num, other._num, r, 0)), self._den * other._den, r)
 
     def diff_u(self) -> "BiSeries":
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
         r = self.reliable_order - 1
+        if self.field is Field.EXACT:
+            return _exact_bi({(i - 1, j): n * i for (i, j), n in self._num.items() if i >= 1}, self._den, r)
         out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
         return BiSeries(self.field, _nonzero(out), r)
 
@@ -513,15 +557,63 @@ class BiSeries:
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
         r = self.reliable_order - 1
+        if self.field is Field.EXACT:
+            return _exact_bi({(i, j - 1): n * j for (i, j), n in self._num.items() if j >= 1}, self._den, r)
         out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
         return BiSeries(self.field, _nonzero(out), r)
 
     def to_float(self) -> "BiSeries":
         if self.field is Field.FLOAT:
             return self
-        return BiSeries(
-            Field.FLOAT, {k: float(c) for k, c in self.coeffs.items()}, self.reliable_order
-        )
+        # Integer true division rounds correctly, as float(Fraction) does.
+        den = self._den
+        return BiSeries(Field.FLOAT, {k: n / den for k, n in self._num.items()}, self.reliable_order)
+
+
+class _ExactBiResult(BiSeries):
+    """An EXACT ``BiSeries`` made by an operation: ``coeffs`` is built on first read."""
+
+    __slots__ = ("_coeffs",)
+
+    @property
+    def coeffs(self) -> dict:
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self._den
+            coeffs = {k: Fraction(n, den) for k, n in self._num.items()}
+            _set(self, "_coeffs", coeffs)
+            return coeffs
+
+
+def _canonical_bi(num: dict, den: int, r: int) -> BiSeries:
+    """The EXACT ``BiSeries`` ``num / den`` of a pair that is already canonical."""
+    s = _new(_ExactBiResult)
+    _set(s, "field", Field.EXACT)
+    _set(s, "reliable_order", r)
+    _set(s, "_num", num)
+    _set(s, "_den", den)
+    return s
+
+
+def _exact_bi(num: dict, den: int, r: int) -> BiSeries:
+    """The EXACT ``BiSeries`` ``num / den`` (``den > 0``, no zero entries), divided by the gcd of the pair."""
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        return _canonical_bi({k: n // g for k, n in num.items()}, den // g, r)
+    return _canonical_bi(num, den, r)
+
+
+def _exact_bi_sum(a: BiSeries, b: BiSeries, sign: int) -> BiSeries:
+    """a + sign * b for EXACT ``BiSeries``: a's terms, then b's new ones, over the lcm of the denominators."""
+    r = min(a.reliable_order, b.reliable_order)
+    d = math.lcm(a._den, b._den)
+    sa, sb = d // a._den, sign * (d // b._den)
+    out = {(i, j): n * sa for (i, j), n in a._num.items() if i + j <= r}
+    for (i, j), n in b._num.items():
+        if i + j <= r:
+            out[(i, j)] = out.get((i, j), 0) + n * sb
+    return _exact_bi(_nonzero(out), d, r)
 
 
 def _nonzero(coeffs: dict) -> dict:
@@ -542,6 +634,8 @@ def _bi_convolve(a: Mapping, b: Mapping, r: int, zero) -> dict:
 
 
 def _valuation_lower_bound(a: UniSeries) -> int:
+    if a.field is Field.EXACT:
+        return next((i for i, n in enumerate(a._num) if n), a.reliable_order + 1)
     v = valuation(a)
     return a.reliable_order + 1 if v.is_zero_to_order else v.order
 
@@ -565,36 +659,46 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")
+    exact = F.field is Field.EXACT
     terms = [
-        (i, j, c) for (i, j), c in sorted(F.coeffs.items()) if i * val_u + j * val_v <= r_out
+        (i, j, c)
+        for (i, j), c in sorted((F._num if exact else F.coeffs).items())
+        if i * val_u + j * val_v <= r_out
     ]
     top_i = max((i for i, _, _ in terms), default=0)
     top_j = max((j for _, j, _ in terms), default=0)
-    if F.field is Field.FLOAT:
-        u_pows = _powers(u.coeffs, top_i, r_out, 0.0, 1.0)
-        v_pows = _powers(v.coeffs, top_j, r_out, 0.0, 1.0)
+    u_pows = _powers(u, top_i)
+    v_pows = _powers(v, top_j)
+    if not exact:
         acc = [0.0] * (r_out + 1)
         for i, j, c in terms:
             acc = [a + x * c for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out, 0.0))]
         return UniSeries(Field.FLOAT, tuple(acc), r_out)
-    # u^i v^j has the numerators u_pows[i] * v_pows[j] over du^i dv^j; each
-    # term is scaled up to the common denominator lcd * du^top_i * dv^top_j.
+    # c u^i v^j is n / dF times the numerators u_pows[i] * v_pows[j] over
+    # du^i dv^j; each term is scaled up to the common denominator
+    # dF du^top_i dv^top_j.
     du, dv = u._den, v._den
-    u_pows = _powers(u._num, top_i, r_out, 0, 1)
-    v_pows = _powers(v._num, top_j, r_out, 0, 1)
-    lcd = math.lcm(*(c.denominator for _, _, c in terms))
     acc = [0] * (r_out + 1)
-    for i, j, c in terms:
-        scale = c.numerator * (lcd // c.denominator) * du ** (top_i - i) * dv ** (top_j - j)
+    for i, j, n in terms:
+        scale = n * du ** (top_i - i) * dv ** (top_j - j)
         acc = [a + scale * x for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out))]
-    return _exact(acc, lcd * du**top_i * dv**top_j, r_out)
+    return _exact(acc, F._den * du**top_i * dv**top_j, r_out)
 
 
-def _powers(coeffs, n: int, r: int, zero, one) -> list:
-    """The coefficient lists of s^0 .. s^n, truncated after degree r."""
-    pows = [[one] + [zero] * r]
-    for _ in range(n):
-        pows.append(_convolve(pows[-1], coeffs, r, zero))
+def _powers(s: UniSeries, n: int) -> list:
+    """The coefficient lists of s^0 .. s^n (at least), cut after s's reliable order.
+
+    EXACT lists hold the numerators over ``s._den`` to the power.  The table
+    is kept on ``s`` and extended on demand.
+    """
+    base, zero, one = (s._num, 0, 1) if s.field is Field.EXACT else (s.coeffs, 0.0, 1.0)
+    try:
+        pows = s._pows
+    except AttributeError:
+        pows = [[one] + [zero] * s.reliable_order]
+        _set(s, "_pows", pows)
+    while len(pows) <= n:
+        pows.append(_convolve(pows[-1], base, s.reliable_order, zero))
     return pows
 
 

@@ -27,7 +27,7 @@ from crosscap.series import (
     Valuation,
     Vec3Series,
     _coerce,
-    _valuation_lower_bound,
+    _nonzero,
     _zero,
     factor_power,
     is_zero_coeff,
@@ -194,10 +194,11 @@ def secondary_normal_top(inv: TopInvariants, m: int):
 # Series kernels as Fraction loops
 # ---------------------------------------------------------------------------
 #
-# The univariate series operations, the products and the composition as they
-# were written before EXACT series became integer numerators over one
-# denominator: one coefficient operation at a time on the ``coeffs`` tuples.
-# The composition uses only these references, no ``UniSeries`` operator.
+# The univariate and bivariate series operations, the products and the
+# composition as they were written before EXACT series became integer
+# numerators over one denominator: one coefficient operation at a time on the
+# ``coeffs`` tuples and maps.  The composition uses only these references, no
+# ``UniSeries`` operator, and builds its powers afresh on every call.
 
 
 def reference_add(self: UniSeries, other) -> UniSeries:
@@ -308,6 +309,73 @@ def reference_mul(self: UniSeries, other: UniSeries) -> UniSeries:
     return UniSeries(self.field, tuple(cs), r)
 
 
+def reference_bi_make(field: Field, coeffs, reliable_order: int) -> BiSeries:
+    """``BiSeries.make``."""
+    if reliable_order < 0:
+        raise SeriesError("reliable_order must be >= 0")
+    clean = {}
+    for (i, j), c in coeffs.items():
+        if i < 0 or j < 0:
+            raise SeriesError("negative exponent in BiSeries")
+        if i + j > reliable_order:
+            continue
+        c = _coerce(field, c)
+        if c != 0:
+            clean[(i, j)] = c
+    return BiSeries(field, clean, reliable_order)
+
+
+def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
+    """``BiSeries.__add__``."""
+    self._check_field(other)
+    r = min(self.reliable_order, other.reliable_order)
+    out = dict()
+    for (i, j), c in self.coeffs.items():
+        if i + j <= r:
+            out[(i, j)] = c
+    for (i, j), c in other.coeffs.items():
+        if i + j <= r:
+            out[(i, j)] = out.get((i, j), _zero(self.field)) + c
+    return BiSeries(self.field, _nonzero(out), r)
+
+
+def reference_bi_neg(self: BiSeries) -> BiSeries:
+    """``BiSeries.__neg__``."""
+    return BiSeries(self.field, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
+
+
+def reference_bi_sub(self: BiSeries, other: BiSeries) -> BiSeries:
+    """``BiSeries.__sub__``."""
+    return reference_bi_add(self, reference_bi_neg(other))
+
+
+def reference_bi_diff_u(self: BiSeries) -> BiSeries:
+    """``BiSeries.diff_u``."""
+    if self.reliable_order < 1:
+        raise SeriesError("cannot differentiate a series reliable only to order 0")
+    r = self.reliable_order - 1
+    out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
+    return BiSeries(self.field, _nonzero(out), r)
+
+
+def reference_bi_diff_v(self: BiSeries) -> BiSeries:
+    """``BiSeries.diff_v``."""
+    if self.reliable_order < 1:
+        raise SeriesError("cannot differentiate a series reliable only to order 0")
+    r = self.reliable_order - 1
+    out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
+    return BiSeries(self.field, _nonzero(out), r)
+
+
+def reference_bi_to_float(self: BiSeries) -> BiSeries:
+    """``BiSeries.to_float``."""
+    if self.field is Field.FLOAT:
+        return self
+    return BiSeries(
+        Field.FLOAT, {k: float(c) for k, c in self.coeffs.items()}, self.reliable_order
+    )
+
+
 def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
     """``BiSeries.__mul__``."""
     self._check_field(other)
@@ -330,8 +398,12 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     for s, name in ((u, "u"), (v, "v")):
         if not is_zero_coeff(s.field, s.coeffs[0]):
             raise SeriesError(f"compose_bi requires {name}(0) = 0")
-    val_u = _valuation_lower_bound(u)
-    val_v = _valuation_lower_bound(v)
+
+    def lower_bound(s: UniSeries) -> int:
+        val = reference_valuation(s)
+        return s.reliable_order + 1 if val.order is None else val.order
+
+    val_u, val_v = lower_bound(u), lower_bound(v)
     m_min = min(val_u, val_v)
     if m_min < 1:
         raise SeriesError("substituted series must have positive valuation")

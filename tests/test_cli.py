@@ -395,6 +395,18 @@ HUGE_VALUES = json.dumps(
     }
 )
 
+#: Values within the digit cap that no float conversion overflows, but whose
+#: float developable chain is not finite: the curve (10^99 x^2 + x^3, x) on
+#: a02 = a11 = 1 has a director with nan coefficients.
+NON_FINITE_DEVELOPABLE = json.dumps(
+    {
+        "truncation": 6,
+        "surface": {"a": {"0,2": "1", "1,1": "1"}},
+        "curve": {"family": "mp", "m": 1, "p": 2, "c": [LONGEST, "1"]},
+    }
+)
+NON_FINITE_REASON = "values beyond the float range (the director has a non-finite coefficient)"
+
 
 @pytest.mark.parametrize(
     "command, config",
@@ -430,6 +442,26 @@ def test_exact_report_of_huge_values_leaves_out_only_the_developable(tmp_path, c
     assert report["verdicts"]["projection"]["verdict"] == "generic"
     assert report["verdicts"]["self_intersection"]["tangent_to_curve"] is False
     assert report["verdicts"]["contour"]["vanishes"] is False
+
+
+def test_report_of_a_non_finite_developable_leaves_it_out(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(NON_FINITE_DEVELOPABLE)
+    assert main(["report", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["developable"] == {"applicable": False, "reason": NON_FINITE_REASON}
+    assert report["invariants"]["applicable"] is True
+
+
+def test_mesh_of_a_non_finite_developable_names_the_developable(tmp_path, capsys):
+    # Not the window: the director itself is not finite.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(NON_FINITE_DEVELOPABLE)
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == NON_FINITE_REASON + "\n"
+    assert list(tmp_path.rglob("*.obj")) == []
 
 
 # ---------------------------------------------------------------------------

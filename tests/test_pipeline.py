@@ -97,6 +97,25 @@ def test_verify_skips_the_float_frame(calls):
     assert calls["darboux_frame"] == []
 
 
+def test_verify_builds_each_power_table_once(monkeypatch):
+    # The six compositions (image and raw normal) read the powers of the
+    # curve components c1 and c2 from the tables kept on them: each table is
+    # built on the first composition and only read or extended afterwards.
+    built = []
+    original = series._powers
+
+    def recording(s, n):
+        if not hasattr(s, "_pows"):
+            built.append(s)
+        return original(s, n)
+
+    monkeypatch.setattr(series, "_powers", recording)
+    cfg = fixture_config("s1")
+    verify_fixture(cfg.coeffs, cfg.spec)
+    assert len(built) == 2 and built[0] is not built[1]
+    assert all(s.field is Field.EXACT for s in built)
+
+
 def test_report_normalises_the_frame_once(monkeypatch):
     # The frame builds 1/|E_t| and 1/|N| and the unit curvatures reuse
     # them; the third root and reciprocal normalise the director.

@@ -1,11 +1,13 @@
 """Differential tests: the integer-numerator series kernels against Fraction loops.
 
-Every ``UniSeries`` operation, ``valuation``, ``factor_power``,
-``BiSeries.__mul__`` and ``compose_bi`` must return exactly what the
+Every ``UniSeries`` and ``BiSeries`` operation, ``valuation``,
+``factor_power`` and ``compose_bi`` must return exactly what the
 coefficient-by-coefficient loops of ``tests/reference.py`` return: equal
 values, reduced ``Fraction`` coefficients and a canonical numerator /
-denominator pair in the exact field, and the same float bits (and the same
-key order) in the float field.
+denominator pair in the exact field, the same float bits in the float field,
+and for a ``BiSeries`` the same key order in both.  ``compose_bi`` must do so
+also when the power tables kept on its substituted series were built by
+earlier compositions.
 """
 
 import math
@@ -26,6 +28,13 @@ from crosscap.series import (
 )
 from reference import (
     reference_add,
+    reference_bi_add,
+    reference_bi_diff_u,
+    reference_bi_diff_v,
+    reference_bi_make,
+    reference_bi_neg,
+    reference_bi_sub,
+    reference_bi_to_float,
     reference_bimul,
     reference_compose_bi,
     reference_diff,
@@ -107,10 +116,20 @@ def _assert_same_uni(got: UniSeries, want: UniSeries):
         assert all(type(c) is float for c in got.coeffs)
 
 
+def _assert_canonical_bi(s: BiSeries):
+    """An EXACT BiSeries is nonzero integer numerators, in its coeffs' key order, over one denominator."""
+    assert list(s._num) == list(s.coeffs)
+    assert all(type(n) is int and n != 0 for n in s._num.values())
+    assert s._den > 0 and math.gcd(s._den, *s._num.values()) == 1
+
+
 def _assert_same_bi(got: BiSeries, want: BiSeries):
+    assert got.field is want.field
     assert got.reliable_order == want.reliable_order
     assert list(got.coeffs) == list(want.coeffs)  # same keys in the same order
     if got.field is E:
+        _assert_canonical_bi(got)
+        assert got == want
         assert list(got.coeffs.values()) == list(want.coeffs.values())
         assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values())
     else:
@@ -157,6 +176,40 @@ def test_compose_bi_matches_fraction_loop(args):
     _assert_same_uni(compose_bi(G, u, v), reference_compose_bi(G, u, v))
 
 
+def _fresh(s: UniSeries) -> UniSeries:
+    """The same series without the power table that compositions keep on it."""
+    return UniSeries(s.field, s.coeffs, s.reliable_order)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((E, F)).flatmap(
+        lambda f: st.tuples(bi(f), bi(f), substituted(f), substituted(f), st.booleans())
+    )
+)
+@example(
+    (
+        BiSeries(E, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3)}, 1),
+        BiSeries(E, {(3, 0): Fraction(2, 3), (2, 2): Fraction(5), (0, 4): Fraction(-1, 7)}, 4),
+        ex(0, Fraction(1, 3), 2, 0, Fraction(-1, 5), 0, 0, 0, 0, 0),
+        ex(0, 0, Fraction(3, 4), 1, 0, 0, Fraction(2, 9), 0, 0, 0),
+        False,
+    )
+)
+def test_compose_bi_reuses_the_power_tables_of_its_curves(args):
+    # The tables kept on u and v grow with the highest power a composition
+    # reads and are cut at their own reliable orders, not at the output
+    # order of the composition that built them.
+    G1, G2, u, v, same = args
+    if same:
+        v = u
+    for order in ((G1, G2), (G2, G1)):
+        u1 = _fresh(u)
+        v1 = u1 if same else _fresh(v)
+        for G in order + order:
+            _assert_same_uni(compose_bi(G, u1, v1), reference_compose_bi(G, u, v))
+
+
 def test_compose_bi_skips_terms_beyond_the_cut():
     # val u = 2, val v = 3, R_F = 3: r_out = 2 * 4 - 1 = 7, so the v^3 term
     # (x-degree 9) is cut while u and u^2 (x-degrees 2 and 4) contribute.
@@ -188,6 +241,64 @@ def test_bi_sum_and_derivatives_match_make(pair):
         dv = {(i, j - 1): c * j for (i, j), c in a.coeffs.items() if j >= 1}
         _assert_same_bi(a.diff_u(), BiSeries.make(a.field, du, a.reliable_order - 1))
         _assert_same_bi(a.diff_v(), BiSeries.make(a.field, dv, a.reliable_order - 1))
+
+
+@settings(deadline=None)
+@given(st.sampled_from((E, F)).flatmap(lambda f: st.tuples(bi(f), bi(f))))
+@example(
+    (
+        BiSeries(E, {(1, 0): Fraction(1, 2)}, 2),
+        BiSeries(E, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}, 3),
+    )
+)
+@example(
+    (
+        BiSeries(E, {(2, 0): Fraction(1, 2), (0, 3): Fraction(1, 6)}, 3),
+        BiSeries(E, {(0, 3): Fraction(1, 6)}, 3),
+    )
+)
+@example((BiSeries(E, {}, 0), BiSeries(E, {(0, 0): Fraction(-4, 3)}, 5)))
+def test_bi_ring_operations_match_fraction_loops(pair):
+    a, b = pair
+    _assert_same_bi(a + b, reference_bi_add(a, b))
+    _assert_same_bi(a - b, reference_bi_sub(a, b))
+    _assert_same_bi(b - a, reference_bi_sub(b, a))
+    _assert_same_bi(a - a, reference_bi_sub(a, a))
+    _assert_same_bi(-a, reference_bi_neg(a))
+    _assert_same_bi(a.to_float(), reference_bi_to_float(a))
+    if a.reliable_order >= 1:
+        _assert_same_bi(a.diff_u(), reference_bi_diff_u(a))
+        _assert_same_bi(a.diff_v(), reference_bi_diff_v(a))
+    else:
+        for op in (BiSeries.diff_u, BiSeries.diff_v):
+            with pytest.raises(SeriesError):
+                op(a)
+
+
+BI_INPUT_KEYS = st.tuples(st.integers(-1, 7), st.integers(-1, 7))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((E, F)).flatmap(
+        lambda f: st.tuples(
+            st.just(f),
+            st.dictionaries(BI_INPUT_KEYS, _values(f) | st.integers(-9, 9), max_size=12),
+            st.integers(-1, 6),
+        )
+    )
+)
+@example((E, {(0, 0): 0, (1, 0): Fraction(2, 4), (0, 1): 3, (4, 4): 1}, 3))
+@example((F, {(0, 0): 0.0, (1, 0): 0.5, (0, 9): 1.0}, 3))
+def test_bi_make_matches_fraction_loop(args):
+    field, coeffs, r = args
+    try:
+        want = reference_bi_make(field, coeffs, r)
+    except SeriesError as exc:
+        with pytest.raises(SeriesError, match=str(exc)):
+            BiSeries.make(field, coeffs, r)
+        return
+    _assert_same_bi(BiSeries.make(field, coeffs, r), want)
 
 
 SCALARS = st.one_of(st.integers(-30, 30), RATIONALS)
@@ -267,6 +378,21 @@ def test_to_float_rounds_like_float_of_fraction(cs):
     got = a.to_float()
     assert got.field is F and got.reliable_order == a.reliable_order
     assert [repr(x) for x in got.coeffs] == [repr(x) for x in want]
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), extreme() | RATIONALS, max_size=6))
+@example({(0, 0): Fraction(2**1024 - 2**970, 1), (1, 0): Fraction(1, 3)})  # overflows
+@example({(2, 1): Fraction(1, 2**1075), (0, 1): Fraction(3, 2**1076)})  # ties at the bottom
+def test_bi_to_float_rounds_like_float_of_fraction(coeffs):
+    a = BiSeries(E, coeffs, 6)
+    try:
+        want = reference_bi_to_float(a)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            a.to_float()
+        return
+    _assert_same_bi(a.to_float(), want)
 
 
 def test_series_built_from_fractions_are_canonical_and_read_back():
