@@ -308,25 +308,26 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
 # ---------------------------------------------------------------------------
 
 
-def json_value(value, omit=frozenset()):
+def json_value(value, omit=frozenset(), rational=str):
     """``value`` as JSON data, with the field names of ``omit`` left out at any depth.
 
     A dataclass becomes an object of its fields in declaration order, a
-    series the list of its coefficients, a tuple a list and a Fraction its
-    "p/q" string; other values pass through.
+    series the list of its coefficients, a tuple a list and a Fraction
+    ``rational(value)``: its "p/q" string by default, or its float; other
+    values pass through.
     """
     if isinstance(value, UniSeries):
         value = value.coeffs
     if is_dataclass(value):
         return {
-            f.name: json_value(getattr(value, f.name), omit)
+            f.name: json_value(getattr(value, f.name), omit, rational)
             for f in fields(value)
             if f.name not in omit
         }
     if isinstance(value, tuple):
-        return [json_value(v, omit) for v in value]
+        return [json_value(v, omit, rational) for v in value]
     if isinstance(value, Fraction):
-        return str(value)
+        return rational(value)
     return value
 
 

@@ -159,13 +159,10 @@ def classify_EF(
     e_coeff = t1.coeffs[0] * t3.coeffs[0] - (a2 - a3) * t2.coeffs[0]
     f_coeff = t1.coeffs[0] * t3.coeffs[0] - (a0 + a2 - a3) * t2.coeffs[0]
     T1, T2, T3 = report.tops
-    if isinstance(T1, Fraction):
-        nE2 = sum(c * c for c in factors.tangent.constant_vector())
-        nN2 = sum(c * c for c in factors.normal.constant_vector())
-        e_scaled = T1 * T3 - (a2 - a3) * T2 * nE2 * nN2
-        f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * nE2 * nN2
-    else:
-        e_scaled = f_scaled = None
+    nE2 = sum(c * c for c in factors.tangent.constant_vector())
+    nN2 = sum(c * c for c in factors.normal.constant_vector())
+    e_scaled = T1 * T3 - (a2 - a3) * T2 * nE2 * nN2
+    f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * nE2 * nN2
     return EFClassification(CASE_II, e_coeff, f_coeff, e_scaled, f_scaled)
 
 

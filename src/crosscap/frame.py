@@ -7,12 +7,14 @@ point; both factor as a nonvanishing vector series times a power of x:
     (W_u x W_v)(c_w(x))    = N(x)  x^beta,      N(0)  != 0,
     (W o c_w)(x)           = E_c(x) x^alpha0,   E_c(0) != 0.
 
-Normalizing E_t and N (FLOAT field) gives the extended frame {e, b, n} with
-b = n x e, and the structure functions
+The factors are EXACT series.  Normalizing E_t and N takes square roots,
+so the extended frame {e, b, n} with b = n x e is a FLOAT series built from
+them; it serves the unit directions of the contour verdict and the
+osculating developable only.  The structure functions are
 
     kappa_1 = <e', b>,   kappa_2 = <e', n>,   kappa_3 = <b', n>.
 
-The exact path never takes square roots: the numerators
+Their degrees and tops never take square roots: the EXACT numerators
 
     khat_1 = <E_t', N x E_t>, khat_2 = <E_t', N>, khat_3 = <N' x E_t, N>
 

@@ -27,7 +27,6 @@ from .series import (
     UniSeries,
     Vec3BiSeries,
     Vec3Series,
-    is_zero_coeff,
     vec3_factor_power,
     vec3_valuation,
 )
@@ -231,7 +230,8 @@ class ContourDeviation:
 
     The exact coefficient pairs the factored normal with the unnormalized
     direction (-a02, 0, 2c0) and equals C; the float value carries the
-    normalization sgn(a02) / (sqrt(4c0^2 + a02^2) |N(0)|).
+    normalization sgn(a02) / (sqrt(4c0^2 + a02^2) |N(0)|).  ``vanishes``
+    is decided on the exact coefficient.
     """
 
     coefficient: float
@@ -247,9 +247,7 @@ def contour_deviation(
 ) -> ContourDeviation:
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
-    b_dir = Vec3Series.make(
-        factors.normal.field, [-a02], [0], [2 * c0], factors.normal.reliable_order
-    )
+    b_dir = Vec3Series.make(Field.EXACT, [-a02], [0], [2 * c0], factors.normal.reliable_order)
     exact_pairing = factors.normal.dot(b_dir)
     if exact_pairing.reliable_order < m:
         raise InvariantError("series not reliable to degree %d" % m)
@@ -260,6 +258,4 @@ def contour_deviation(
     b0_vec = Vec3Series.make(Field.FLOAT, [b0[0]], [b0[1]], [b0[2]], n_unit.reliable_order)
     pairing = n_unit.dot(b0_vec)
     coeff = pairing.coefficient(m)
-    return ContourDeviation(
-        coefficient=coeff, exact_coefficient=exact, vanishes=is_zero_coeff(Field.FLOAT, coeff)
-    )
+    return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)

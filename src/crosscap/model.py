@@ -33,6 +33,8 @@ class ModelError(ValueError):
 
 
 def _frac(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ModelError("model coefficients must be exact rationals, not floats")
     try:

@@ -72,7 +72,7 @@ def sample_surface_patch(W: Vec3BiSeries, u_range, v_range, nu: int, nv: int) ->
     # to right from 0.0: the float operations of a per-vertex evaluation, so
     # the bytes of the OBJ text do not depend on this tabulation.  Not sum():
     # from Python 3.12 on it adds floats with compensation.
-    terms = [list(comp.coeffs.items()) for comp in W.to_float().components]
+    terms = [list(comp.float_coeffs().items()) for comp in W.components]
     upow = _powers("u", us, {i for t in terms for (i, _), _ in t})
     vpow = _powers("v", vs, {j for t in terms for (_, j), _ in t})
     vertices = []

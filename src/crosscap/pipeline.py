@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .series import Field, Vec3BiSeries, Vec3Series
+from .series import Vec3BiSeries, Vec3Series
 from .model import (
     CurveSpec,
     TangencyClassification,
@@ -105,17 +105,18 @@ def _value_or_reason(compute, errors):
 
 
 class Analysis:
-    """The lazily staged analysis of one surface jet and curve in one field.
+    """The lazily staged analysis of one surface jet and curve.
 
-    The EXACT curve, whose reliable order ``climb`` reads, is built on
+    The curve, whose reliable order ``climb`` reads, is built on
     construction; the surface jet and every other attribute are stages
-    computed on first access.
+    computed on first access.  Every stage reads the one exact surface jet
+    and curve; the float frame and the developable chain are built from the
+    exact factors.
     """
 
-    def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec, field: Field = Field.EXACT):
+    def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec):
         self.coeffs = coeffs
         self.spec = spec
-        self.field = field
         self.order = default_series_order(spec, coeffs.degree)
         self.c1, self.c2 = build_curve(spec, self.order)
 
@@ -136,7 +137,7 @@ class Analysis:
             return self
         for k in lower_truncations(self.coeffs.degree):
             try:
-                rung = analyze(self.coeffs.truncated(k), self.spec, self.field)
+                rung = analyze(self.coeffs.truncated(k), self.spec)
                 if complete(rung):
                     return rung
             except (ValueError, ArithmeticError):
@@ -152,19 +153,12 @@ class Analysis:
         return classify_tangency(self.coeffs, self.c1, self.c2)
 
     @cached_property
-    def _working(self):
-        """Surface and curve in the analysis field."""
-        if self.field is Field.FLOAT:
-            return self.W.to_float(), self.c1.to_float(), self.c2.to_float()
-        return self.W, self.c1, self.c2
-
-    @cached_property
     def image(self) -> Vec3Series:
-        return image_curve(*self._working)
+        return image_curve(self.W, self.c1, self.c2)
 
     @cached_property
     def raw_normal(self) -> Vec3Series:
-        return normal_field_raw(*self._working)
+        return normal_field_raw(self.W, self.c1, self.c2)
 
     @cached_property
     def factors(self) -> FrameFactors:
@@ -210,8 +204,7 @@ class Analysis:
     def projection(self) -> ProjectionTangency | None:
         if self.invariants is None:
             return None
-        exact_image = self.image if self.field is Field.EXACT else image_curve(self.W, self.c1, self.c2)
-        return projection_tangency(self.coeffs, self.spec, exact_image, self.invariants)
+        return projection_tangency(self.coeffs, self.spec, self.image, self.invariants)
 
     @cached_property
     def self_int(self) -> SelfIntersectionCurve | None:
@@ -262,5 +255,5 @@ class Analysis:
         return osculating_surface(self.factors, self.developable)
 
 
-def analyze(coeffs: UmbrellaCoefficients, spec: CurveSpec, field: Field = Field.EXACT) -> Analysis:
-    return Analysis(coeffs, spec, field)
+def analyze(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> Analysis:
+    return Analysis(coeffs, spec)

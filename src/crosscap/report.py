@@ -1,7 +1,10 @@
 """Deterministic JSON reports of a full fixture analysis.
 
-Exact values are serialized as "p/q" strings, floats as JSON numbers, so a
-reader can always tell which field produced an entry.  Key order is fixed by
+Every configuration is analysed once, in the exact field.  Exact values are
+serialized as "p/q" strings and float values as JSON numbers, so a reader
+can always tell which an entry is.  The ``float`` field prints each exact
+value of the result sections as its float instead; the ``config`` echo and
+the flags read the same in both fields.  Key order is fixed by
 construction; two runs over the same configuration emit identical bytes.
 """
 
@@ -11,7 +14,7 @@ import json
 
 from .config import RunConfig, config_to_dict, json_value
 from .pipeline import Analysis, analyze
-from .series import Field, is_zero_coeff
+from .series import Field
 
 #: Series-valued result fields: a section reports their orders and top-terms,
 #: never the series themselves.
@@ -19,14 +22,12 @@ _SERIES_FIELDS = frozenset(
     {"tangent", "normal", "curve", "image", "director", "delta", "sigma", "scale"}
 )
 
-
-def _section(result) -> dict:
-    """A result dataclass as a report section: every field but the series ones."""
-    return json_value(result, _SERIES_FIELDS)
+#: How each field prints an exact value of the result sections.
+_PRINT_RATIONAL = {Field.EXACT: str, Field.FLOAT: float}
 
 
 def build_report(cfg: RunConfig) -> dict:
-    analysis = analyze(cfg.coeffs, cfg.spec, field=cfg.field)
+    analysis = analyze(cfg.coeffs, cfg.spec)
     return report_from_analysis(cfg, analysis)
 
 
@@ -53,6 +54,12 @@ def _complete(a: Analysis) -> bool:
 def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
     """The report of ``analysis``, each result read from the lowest rung that completes it."""
     a = analysis.climb(_complete)
+    rational = _PRINT_RATIONAL[cfg.field]
+
+    def _section(result) -> dict:
+        """A result dataclass as a report section: every field but the series ones."""
+        return json_value(result, _SERIES_FIELDS, rational)
+
     doc: dict = {}
     doc["config"] = config_to_dict(cfg)
     doc["series_order"] = analysis.order
@@ -66,7 +73,7 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
     # the rung grows by analysis.order - a.order = m (k - k') at truncation k.
     curv: dict = {
         "degrees": list(a.oracle.degrees),
-        "tops": json_value(a.oracle.tops),
+        "tops": json_value(a.oracle.tops, rational=rational),
         "reliable_orders": [r + analysis.order - a.order for r in a.oracle.reliable_orders],
     }
     flags = []
@@ -74,20 +81,12 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
         flags.append("NON-GENERIC: a curvature numerator vanishes to reliable order")
     if a.closed_form is not None:
         cf = a.closed_form
-
-        def _tops_agree(o, c):
-            if o is None or c is None:
-                return o is None and c is None
-            if isinstance(o, float):
-                return is_zero_coeff(Field.FLOAT, o - float(c))
-            return o == c
-
         matches_deg = [o == c for o, c in zip(a.oracle.degrees, cf.degrees)]
-        matches_top = [_tops_agree(o, c) for o, c in zip(a.oracle.tops, cf.tops)]
+        matches_top = [o == c for o, c in zip(a.oracle.tops, cf.tops)]
         curv["closed_form"] = {
             "applicable": True,
             "degrees": list(cf.degrees),
-            "tops": json_value(cf.tops),
+            "tops": json_value(cf.tops, rational=rational),
             "advisory": list(cf.advisory),
             "degree_match": matches_deg,
             "top_match": matches_top,
@@ -123,12 +122,7 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
             flags.append(
                 "sigma vanishes to reliable order; conical to computed order"
             )
-        elif (
-            d.sigma_order is not None
-            and cls.case == "ii"
-            and cls.F_coeff is not None
-            and is_zero_coeff(Field.FLOAT, cls.F_coeff)
-        ):
+        elif d.sigma_order is not None and cls.case == "ii" and cls.F_scaled == 0:
             flags.append(
                 "sigma top-term vanishes: order > %d" % (a.factors.alpha0 - 1)
             )

@@ -1,7 +1,9 @@
 """Truncated power-series (jet) arithmetic with explicit reliability tracking.
 
-Series come in two coefficient fields: EXACT (arbitrary-precision rationals,
-``fractions.Fraction``) and FLOAT (binary64).  Every series carries a
+Univariate series come in two coefficient fields: EXACT (arbitrary-precision
+rationals, ``fractions.Fraction``) and FLOAT (binary64).  Bivariate series,
+the surface jets, are EXACT only; ``BiSeries.float_coeffs`` is their one
+float reading, for mesh sampling.  Every series carries a
 ``reliable_order`` R: coefficients of degree <= R are guaranteed by the
 computation that produced them, anything beyond is unknown.  All operations
 propagate R by a conservative documented rule and never claim more.
@@ -20,17 +22,17 @@ of numerators; a ``BiSeries`` keeps a dict (i, j) -> numerator without zero
 entries, in the key order of its ``coeffs``.  Sums, differences, negation,
 scalar and series products, derivatives, ``shift``, ``truncate``,
 ``factor_power``, ``valuation`` (which builds only the leading ``Fraction``),
-``to_float`` (``n / _den``, rounded as ``float(Fraction)`` rounds) and
-``compose_bi`` work on these integers and bring each result back to that
-form with at most one ``math.gcd``.  A product convolves the numerators
-(``_convolve``, ``_bi_convolve``) over the product of the denominators.
-The reduced ``Fraction`` coefficients ``coeffs`` are built from the pair on
-first read and kept; since the pair is canonical, comparing pairs compares
-values.
+``to_float`` and ``float_coeffs`` (``n / _den``, rounded as
+``float(Fraction)`` rounds) and ``compose_bi`` work on these integers and
+bring each result back to that form with at most one ``math.gcd``.  A
+product convolves the numerators (``_convolve``, ``_bi_convolve``) over the
+product of the denominators.  The reduced ``Fraction`` coefficients
+``coeffs`` are built from the pair on first read and kept; since the pair
+is canonical, comparing pairs compares values.
 
-A ``UniSeries`` also keeps the coefficient lists of its own powers, built on
-first use by ``compose_bi`` and extended on demand (``_powers``): integer
-numerators over ``_den^i`` in EXACT, floats in FLOAT.  Coefficient k of a
+``compose_bi`` substitutes EXACT series only.  A ``UniSeries`` keeps the
+numerator lists of its own powers over ``_den^i``, built on first use by
+``compose_bi`` and extended on demand (``_powers``).  Coefficient k of a
 ``_convolve`` product does not depend on the order it is cut at, so one
 table, cut at the series' reliable order, serves every composition that
 substitutes the series.
@@ -451,44 +453,44 @@ def sqrt_series(a: UniSeries) -> UniSeries:
 
 
 class BiSeries(_Frozen):
-    """A series in (u, v) truncated by total degree.
+    """A series in (u, v) truncated by total degree, with exact coefficients.
 
-    ``coeffs`` maps (i, j) -> coefficient with i + j <= reliable_order; pairs
-    that are absent are zero.  Reliability bookkeeping is by total degree,
-    exactly as in the univariate case.  An EXACT series holds no zero
-    coefficient and also holds the canonical pair ``_num``, ``_den`` (see the
-    module docstring).  Instances are immutable.
+    ``coeffs`` maps (i, j) -> nonzero Fraction with i + j <= reliable_order;
+    pairs that are absent are zero.  Reliability bookkeeping is by total
+    degree, exactly as in the univariate case.  The series also holds the
+    canonical pair ``_num``, ``_den`` (see the module docstring).  The field
+    is always EXACT; ``float_coeffs`` is the one float reading.  Instances
+    are immutable.
     """
 
-    __slots__ = ("field", "reliable_order", "coeffs", "_num", "_den")
+    __slots__ = ("reliable_order", "coeffs", "_num", "_den")
+
+    field = Field.EXACT
 
     def __init__(self, field: Field, coeffs: Mapping, reliable_order: int):
-        if field is Field.EXACT:
-            coeffs = {k: c if type(c) is Fraction else _coerce(field, c) for k, c in coeffs.items()}
-            num, den = _over_lcd(coeffs.values())  # reduced inputs: already canonical
-            if not all(num):
-                coeffs = {k: c for (k, c), n in zip(coeffs.items(), num) if n}
-                num = [n for n in num if n]
-            _set(self, "_num", dict(zip(coeffs, num)))
-            _set(self, "_den", den)
-        _set(self, "field", field)
+        if field is not Field.EXACT:
+            raise SeriesError("BiSeries is defined on the EXACT field only")
+        coeffs = {k: c if type(c) is Fraction else _coerce(field, c) for k, c in coeffs.items()}
+        num, den = _over_lcd(coeffs.values())  # reduced inputs: already canonical
+        if not all(num):
+            coeffs = {k: c for (k, c), n in zip(coeffs.items(), num) if n}
+            num = [n for n in num if n]
+        _set(self, "_num", dict(zip(coeffs, num)))
+        _set(self, "_den", den)
         _set(self, "reliable_order", reliable_order)
         _set(self, "coeffs", coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        if self.field is not other.field or self.reliable_order != other.reliable_order:
-            return False
-        if self.field is Field.EXACT:
-            return self._den == other._den and self._num == other._num
-        return self.coeffs == other.coeffs
+        return (
+            self.reliable_order == other.reliable_order
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __repr__(self):
-        return (
-            f"BiSeries(field={self.field!r}, coeffs={self.coeffs!r}, "
-            f"reliable_order={self.reliable_order!r})"
-        )
+        return f"BiSeries(coeffs={self.coeffs!r}, reliable_order={self.reliable_order!r})"
 
     @staticmethod
     def make(field: Field, coeffs: Mapping, reliable_order: int) -> "BiSeries":
@@ -499,75 +501,45 @@ class BiSeries(_Frozen):
             if i < 0 or j < 0:
                 raise SeriesError("negative exponent in BiSeries")
             if i + j <= reliable_order:
-                clean[(i, j)] = _coerce(field, c)
-        # The constructor drops the zeros of an EXACT series by their numerators.
-        return BiSeries(field, clean if field is Field.EXACT else _nonzero(clean), reliable_order)
+                clean[(i, j)] = c
+        # The constructor coerces and drops the zeros by their numerators.
+        return BiSeries(field, clean, reliable_order)
 
-    def coefficient(self, i: int, j: int) -> Coeff:
+    def coefficient(self, i: int, j: int) -> Fraction:
         if i + j > self.reliable_order:
             raise SeriesError("coefficient beyond reliable total degree requested")
-        return self.coeffs.get((i, j), _zero(self.field))
-
-    def _check_field(self, other: "BiSeries") -> None:
-        if self.field is not other.field:
-            raise SeriesError("field mismatch between series operands")
+        return self.coeffs.get((i, j), Fraction(0))
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_field(other)
-        if self.field is Field.EXACT:
-            return _exact_bi_sum(self, other, 1)
-        r = min(self.reliable_order, other.reliable_order)
-        out = dict()
-        for (i, j), c in self.coeffs.items():
-            if i + j <= r:
-                out[(i, j)] = c
-        for (i, j), c in other.coeffs.items():
-            if i + j <= r:
-                out[(i, j)] = out.get((i, j), _zero(self.field)) + c
-        return BiSeries(self.field, _nonzero(out), r)
+        return _exact_bi_sum(self, other, 1)
 
     def __neg__(self) -> "BiSeries":
-        if self.field is Field.EXACT:
-            return _canonical_bi({k: -n for k, n in self._num.items()}, self._den, self.reliable_order)
-        return BiSeries(self.field, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
+        return _canonical_bi({k: -n for k, n in self._num.items()}, self._den, self.reliable_order)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        if self.field is Field.EXACT:
-            self._check_field(other)
-            return _exact_bi_sum(self, other, -1)
-        return self + (-other)
+        return _exact_bi_sum(self, other, -1)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
-        self._check_field(other)
         r = min(self.reliable_order, other.reliable_order)
-        if self.field is Field.FLOAT:
-            return BiSeries(self.field, _nonzero(_bi_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
-        return _exact_bi(_nonzero(_bi_convolve(self._num, other._num, r, 0)), self._den * other._den, r)
+        return _exact_bi(_nonzero(_bi_convolve(self._num, other._num, r)), self._den * other._den, r)
 
     def diff_u(self) -> "BiSeries":
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
         r = self.reliable_order - 1
-        if self.field is Field.EXACT:
-            return _exact_bi({(i - 1, j): n * i for (i, j), n in self._num.items() if i >= 1}, self._den, r)
-        out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
-        return BiSeries(self.field, _nonzero(out), r)
+        return _exact_bi({(i - 1, j): n * i for (i, j), n in self._num.items() if i >= 1}, self._den, r)
 
     def diff_v(self) -> "BiSeries":
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
         r = self.reliable_order - 1
-        if self.field is Field.EXACT:
-            return _exact_bi({(i, j - 1): n * j for (i, j), n in self._num.items() if j >= 1}, self._den, r)
-        out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
-        return BiSeries(self.field, _nonzero(out), r)
+        return _exact_bi({(i, j - 1): n * j for (i, j), n in self._num.items() if j >= 1}, self._den, r)
 
-    def to_float(self) -> "BiSeries":
-        if self.field is Field.FLOAT:
-            return self
+    def float_coeffs(self) -> dict:
+        """The coefficients as floats, in the key order of ``coeffs``."""
         # Integer true division rounds correctly, as float(Fraction) does.
         den = self._den
-        return BiSeries(Field.FLOAT, {k: n / den for k, n in self._num.items()}, self.reliable_order)
+        return {k: n / den for k, n in self._num.items()}
 
 
 class _ExactBiResult(BiSeries):
@@ -589,7 +561,6 @@ class _ExactBiResult(BiSeries):
 def _canonical_bi(num: dict, den: int, r: int) -> BiSeries:
     """The EXACT ``BiSeries`` ``num / den`` of a pair that is already canonical."""
     s = _new(_ExactBiResult)
-    _set(s, "field", Field.EXACT)
     _set(s, "reliable_order", r)
     _set(s, "_num", num)
     _set(s, "_den", den)
@@ -620,8 +591,8 @@ def _nonzero(coeffs: dict) -> dict:
     return {k: c for k, c in coeffs.items() if c != 0}
 
 
-def _bi_convolve(a: Mapping, b: Mapping, r: int, zero) -> dict:
-    """The terms of total degree <= r of the product of the (i, j) maps ``a`` and ``b``."""
+def _bi_convolve(a: Mapping, b: Mapping, r: int) -> dict:
+    """The terms of total degree <= r of the product of the integer (i, j) maps ``a`` and ``b``."""
     out: dict = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
@@ -629,15 +600,12 @@ def _bi_convolve(a: Mapping, b: Mapping, r: int, zero) -> dict:
             if i + j > r:
                 continue
             key = (i, j)
-            out[key] = out.get(key, zero) + c1 * c2
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
 def _valuation_lower_bound(a: UniSeries) -> int:
-    if a.field is Field.EXACT:
-        return next((i for i, n in enumerate(a._num) if n), a.reliable_order + 1)
-    v = valuation(a)
-    return a.reliable_order + 1 if v.is_zero_to_order else v.order
+    return next((i for i, n in enumerate(a._num) if n), a.reliable_order + 1)
 
 
 def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
@@ -646,7 +614,8 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     Output reliability: discarding the O(u,v)^{R_F + 1} tail of F loses
     information only from x-degree m_min * (R_F + 1) on, where m_min is the
     smaller valuation of the two substituted series (their reliable orders
-    cap the result as well).
+    cap the result as well).  The field is EXACT, the field of every
+    ``BiSeries``.
     """
     if u.field is not v.field or u.field is not F.field:
         raise SeriesError("field mismatch between series operands")
@@ -659,21 +628,11 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")
-    exact = F.field is Field.EXACT
-    terms = [
-        (i, j, c)
-        for (i, j), c in sorted((F._num if exact else F.coeffs).items())
-        if i * val_u + j * val_v <= r_out
-    ]
+    terms = [(i, j, n) for (i, j), n in sorted(F._num.items()) if i * val_u + j * val_v <= r_out]
     top_i = max((i for i, _, _ in terms), default=0)
     top_j = max((j for _, j, _ in terms), default=0)
     u_pows = _powers(u, top_i)
     v_pows = _powers(v, top_j)
-    if not exact:
-        acc = [0.0] * (r_out + 1)
-        for i, j, c in terms:
-            acc = [a + x * c for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out, 0.0))]
-        return UniSeries(Field.FLOAT, tuple(acc), r_out)
     # c u^i v^j is n / dF times the numerators u_pows[i] * v_pows[j] over
     # du^i dv^j; each term is scaled up to the common denominator
     # dF du^top_i dv^top_j.
@@ -686,19 +645,18 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
 
 
 def _powers(s: UniSeries, n: int) -> list:
-    """The coefficient lists of s^0 .. s^n (at least), cut after s's reliable order.
+    """The numerator lists of the EXACT s^0 .. s^n (at least), cut after s's reliable order.
 
-    EXACT lists hold the numerators over ``s._den`` to the power.  The table
-    is kept on ``s`` and extended on demand.
+    The list of s^i holds its numerators over ``s._den`` to the power i.  The
+    table is kept on ``s`` and extended on demand.
     """
-    base, zero, one = (s._num, 0, 1) if s.field is Field.EXACT else (s.coeffs, 0.0, 1.0)
     try:
         pows = s._pows
     except AttributeError:
-        pows = [[one] + [zero] * s.reliable_order]
+        pows = [[1] + [0] * s.reliable_order]
         _set(s, "_pows", pows)
     while len(pows) <= n:
-        pows.append(_convolve(pows[-1], base, s.reliable_order, zero))
+        pows.append(_convolve(pows[-1], s._num, s.reliable_order))
     return pows
 
 
@@ -815,10 +773,6 @@ class Vec3BiSeries:
     z: BiSeries
 
     @property
-    def field(self) -> Field:
-        return self.x.field
-
-    @property
     def reliable_order(self) -> int:
         return min(self.x.reliable_order, self.y.reliable_order, self.z.reliable_order)
 
@@ -845,6 +799,3 @@ class Vec3BiSeries:
             compose_bi(self.y, u, v),
             compose_bi(self.z, u, v),
         )
-
-    def to_float(self) -> "Vec3BiSeries":
-        return Vec3BiSeries(self.x.to_float(), self.y.to_float(), self.z.to_float())

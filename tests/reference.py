@@ -319,7 +319,7 @@ def reference_bi_make(field: Field, coeffs, reliable_order: int) -> BiSeries:
             raise SeriesError("negative exponent in BiSeries")
         if i + j > reliable_order:
             continue
-        c = _coerce(field, c)
+        c = _coerce(Field.EXACT, c)
         if c != 0:
             clean[(i, j)] = c
     return BiSeries(field, clean, reliable_order)
@@ -327,7 +327,6 @@ def reference_bi_make(field: Field, coeffs, reliable_order: int) -> BiSeries:
 
 def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
     """``BiSeries.__add__``."""
-    self._check_field(other)
     r = min(self.reliable_order, other.reliable_order)
     out = dict()
     for (i, j), c in self.coeffs.items():
@@ -335,13 +334,13 @@ def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
             out[(i, j)] = c
     for (i, j), c in other.coeffs.items():
         if i + j <= r:
-            out[(i, j)] = out.get((i, j), _zero(self.field)) + c
-    return BiSeries(self.field, _nonzero(out), r)
+            out[(i, j)] = out.get((i, j), Fraction(0)) + c
+    return BiSeries(Field.EXACT, _nonzero(out), r)
 
 
 def reference_bi_neg(self: BiSeries) -> BiSeries:
     """``BiSeries.__neg__``."""
-    return BiSeries(self.field, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
+    return BiSeries(Field.EXACT, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
 
 
 def reference_bi_sub(self: BiSeries, other: BiSeries) -> BiSeries:
@@ -355,7 +354,7 @@ def reference_bi_diff_u(self: BiSeries) -> BiSeries:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
     out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
-    return BiSeries(self.field, _nonzero(out), r)
+    return BiSeries(Field.EXACT, _nonzero(out), r)
 
 
 def reference_bi_diff_v(self: BiSeries) -> BiSeries:
@@ -364,21 +363,16 @@ def reference_bi_diff_v(self: BiSeries) -> BiSeries:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
     out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
-    return BiSeries(self.field, _nonzero(out), r)
+    return BiSeries(Field.EXACT, _nonzero(out), r)
 
 
-def reference_bi_to_float(self: BiSeries) -> BiSeries:
-    """``BiSeries.to_float``."""
-    if self.field is Field.FLOAT:
-        return self
-    return BiSeries(
-        Field.FLOAT, {k: float(c) for k, c in self.coeffs.items()}, self.reliable_order
-    )
+def reference_bi_float_coeffs(self: BiSeries) -> dict:
+    """``BiSeries.float_coeffs``."""
+    return {k: float(c) for k, c in self.coeffs.items()}
 
 
 def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
     """``BiSeries.__mul__``."""
-    self._check_field(other)
     r = min(self.reliable_order, other.reliable_order)
     out: dict = {}
     for (i1, j1), c1 in self.coeffs.items():
@@ -387,8 +381,8 @@ def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
             if i + j > r:
                 continue
             key = (i, j)
-            out[key] = out.get(key, _zero(self.field)) + c1 * c2
-    return BiSeries.make(self.field, out, r)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return BiSeries.make(Field.EXACT, out, r)
 
 
 def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
@@ -442,12 +436,10 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
 # ---------------------------------------------------------------------------
 
 
-def reference_bi_evaluate(F: BiSeries, u, v):
-    """A bivariate series at (u, v), term by term: acc += c * u**i * v**j."""
-    u = _coerce(F.field, u)
-    v = _coerce(F.field, v)
-    acc = _zero(F.field)
-    for (i, j), c in F.coeffs.items():
+def reference_bi_evaluate(coeffs: dict, u: float, v: float) -> float:
+    """The float coefficients (i, j) -> c of a bivariate series at (u, v), term by term."""
+    acc = 0.0
+    for (i, j), c in coeffs.items():
         acc += c * u**i * v**j
     return acc
 
@@ -456,11 +448,11 @@ def reference_surface_patch(W, u_range, v_range, nu: int, nv: int) -> QuadMesh:
     """``obj.sample_surface_patch`` by one evaluation per vertex and component."""
     us = _grid(u_range[0], u_range[1], nu)
     vs = _grid(v_range[0], v_range[1], nv)
-    Wf = W.to_float()
+    float_coeffs = [reference_bi_float_coeffs(c) for c in W.components]
     vertices = []
     for u in us:
         for v in vs:
-            vertices.append(tuple(float(reference_bi_evaluate(c, u, v)) for c in Wf.components))
+            vertices.append(tuple(reference_bi_evaluate(c, u, v) for c in float_coeffs))
     return QuadMesh(tuple(vertices), tuple(_quad_faces(nu, nv)))
 
 

@@ -517,6 +517,63 @@ def test_float_field_report():
     assert doc["curvatures"]["degrees"] == [0, 0, 0]
 
 
+def _in_field(text, field):
+    return json.dumps({**json.loads(text), "field": field})
+
+
+# The float field prints the exact analysis, so it fails where the exact
+# field fails: the tiny-scale jets in the float frame, the huge values when
+# a top-term is printed as a float.
+@pytest.mark.parametrize("config", ["mp-c1e-5", "mp-a1e-12", "mpq-a1e-8", "huge-values"])
+def test_float_field_report_exits_2_in_one_line(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_in_field({**ONE_LINE_ERRORS, "huge-values": HUGE_VALUES}[config], "float"))
+    assert main(["report", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+#: The curve (c0 x^2, x) with c0 = 1/1000 on the cross-cap a02 = 1/10^5 at
+#: truncation 8: kappa3's exact top is -19999/10^15, below the float zero
+#: tolerance 1e-9.
+TINY_TOP_TWIN = json.dumps(
+    {
+        "truncation": 8,
+        "surface": {"a": {"0,2": "1/100000"}},
+        "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1/1000"]},
+    }
+)
+
+
+def test_float_field_reports_the_exact_degrees_of_a_tiny_top(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_in_field(TINY_TOP_TWIN, "float"))
+    assert main(["report", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["curvatures"]["degrees"] == [1, 0, 0]
+    assert doc["curvatures"]["tops"][2] == -19999 / 10**15
+    assert not any(flag.startswith("NON-GENERIC") for flag in doc["flags"])
+
+
+#: b3 = 1 + 10^-12 puts the contour coefficient C at 1/(2 10^12): nonzero,
+#: but below the float zero tolerance 1e-9.
+SMALL_CONTOUR = json.dumps(
+    {
+        "truncation": 6,
+        "surface": {"a": {"0,2": "1"}, "b": {"3": "1000000000001/1000000000000"}},
+        "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1/2"]},
+    }
+)
+
+
+@pytest.mark.parametrize("field, exact_coefficient", [("exact", "1/2000000000000"), ("float", 5e-13)])
+def test_contour_vanishes_only_when_its_exact_coefficient_does(field, exact_coefficient):
+    contour = build_report(parse_config(_in_field(SMALL_CONTOUR, field)))["verdicts"]["contour"]
+    assert contour["exact_coefficient"] == exact_coefficient
+    assert contour["vanishes"] is False
+
+
 def test_general_curve_report():
     cfg = parse_config(
         json.dumps(

@@ -111,9 +111,6 @@ def test_the_exact_field_finds_the_degrees_of_the_twin():
     assert curve_on_cross_cap(*LARGE_C0_TWIN)["curvatures"]["degrees"] == TWIN_DEGREES
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the absolute tolerance 1e-9 misses kappa3's top and flags NON-GENERIC",
-)
 def test_the_float_field_finds_the_exact_degrees_of_the_twin():
+    # The float field prints the exact analysis: no tolerance decides a degree.
     assert curve_on_cross_cap(*LARGE_C0_TWIN, Field.FLOAT)["curvatures"]["degrees"] == TWIN_DEGREES

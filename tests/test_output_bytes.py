@@ -2,15 +2,21 @@
 
 The digests are those of ``crosscap report`` (exact and float field),
 ``crosscap mesh`` and ``crosscap verify --sweep --seed 0`` on the bundled
-fixtures, of ``verify --sweep --seed 1``, and one digest over the 256 dense
-reports of the benchmark's jet universe (``bench/workloads.dense_config``:
-16 shapes x 8 draws x exact/float, truncation 8 to 16).  A change that
-alters these bytes on purpose records the new digests here and says why in
-CHANGES.md.
+fixtures, of ``verify --sweep --seed 1``, and one digest per field over the
+128 dense reports of the benchmark's jet universe
+(``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16).
+A change that alters these bytes on purpose records the new digests here and
+says why in CHANGES.md.
+
+The float field prints the exact analysis with each rational of the result
+sections as its float; ``test_float_report_is_the_exact_report_in_floats``
+checks that contract value by value.
 """
 
 import hashlib
 import json
+import re
+from fractions import Fraction
 
 import pytest
 import workloads  # the benchmark's recorded input universe (bench/ is put on the path by conftest)
@@ -21,11 +27,11 @@ from crosscap.report import build_report, render_report
 
 REPORT_SHA256 = {
     ("s1", "exact"): "56de40a30299280664ecd20d818c743dd3303e9bff44e1d4ec8af08166473425",
-    ("s1", "float"): "204f2560b12205c222b14db968c9173ef722ce935f3e6481daa8bad9daba9e6b",
+    ("s1", "float"): "4c33c0632baadce9238ff9d2e0e194fae5f844874850d321af52d79330094715",
     ("s2", "exact"): "7161438a012547e3fa4bb35d2c21e9845aebcd044e5f76d614b0dd029ab77a79",
-    ("s2", "float"): "7077d720e7157af9b611e5738bb3f0217900b761813cee22bb5960066b6c483d",
+    ("s2", "float"): "286bc96f13adbbd13304d89589677c9e25ab2f03ac2cbab154662870232e1168",
     ("s3", "exact"): "50a6958d9589bc742dcd5108ccbe6ae1be5612f06e96bff39ea473728f849224",
-    ("s3", "float"): "c9becc70c1a0b7607aa97809777d9ed83388b984355c82de23321e3f87af4578",
+    ("s3", "float"): "0c2a6d8c865be71ef6bd2804ad87902a4d43cfacf45aee5ee4076dfebf69444a",
 }
 
 MESH_SHA256 = {
@@ -51,9 +57,12 @@ SWEEP_SHA256 = {
     1: "86b96a5441f548f170922f53c7c7c5c1ca7f7374c89aa637c672ee1021d2b660",
 }
 
-#: One digest over the concatenated dense reports, exact field first, then
-#: shape by shape and draw by draw.
-DENSE_REPORTS_SHA256 = "509ca7af25c6da9bfffb766ea4b49ee1e82c10c426baa0eee734951eed9bafdc"
+#: One digest per field over the concatenated dense reports, shape by shape
+#: and draw by draw.
+DENSE_REPORTS_SHA256 = {
+    "exact": "60b2ad8dccb8d483dc3c1a5c312c47c950489e53cdb1932b255c044dc71cca9c",
+    "float": "b60fe610c53d603f7431721aa9ad003f5583b9faaf3b8e00d542037ec0deebe4",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -96,11 +105,56 @@ def test_verify_sweep_seed_1_bytes(capsys):
     assert _sweep_digest(capsys, 1) == SWEEP_SHA256[1]
 
 
-def test_dense_report_bytes():
+def _dense_digest(field):
     digest = hashlib.sha256()
-    for field in ("exact", "float"):
-        for shape in range(len(workloads.DENSE_SHAPES)):
-            for variant in range(workloads.DENSE_VARIANTS):
-                cfg = parse_config(workloads.dense_config(shape, variant, field))
-                digest.update(render_report(build_report(cfg)).encode())
-    assert digest.hexdigest() == DENSE_REPORTS_SHA256
+    for shape in range(len(workloads.DENSE_SHAPES)):
+        for variant in range(workloads.DENSE_VARIANTS):
+            cfg = parse_config(workloads.dense_config(shape, variant, field))
+            digest.update(render_report(build_report(cfg)).encode())
+    return digest.hexdigest()
+
+
+def test_dense_report_bytes():
+    assert _dense_digest("exact") == DENSE_REPORTS_SHA256["exact"]
+
+
+def test_dense_float_report_bytes():
+    assert _dense_digest("float") == DENSE_REPORTS_SHA256["float"]
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def in_floats(value):
+    """A report section with every "p" or "p/q" string replaced by its float."""
+    if isinstance(value, dict):
+        return {key: in_floats(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [in_floats(v) for v in value]
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return float(Fraction(value))
+    return value
+
+
+def assert_float_report_is_the_exact_report_in_floats(exact_config: str):
+    doc = json.loads(exact_config)
+    exact = build_report(parse_config(json.dumps({**doc, "field": "exact"})))
+    floating = build_report(parse_config(json.dumps({**doc, "field": "float"})))
+    assert floating["config"] == {**exact["config"], "field": "float"}
+    assert floating["flags"] == exact["flags"]
+    assert list(floating) == list(exact)
+    for key in exact:
+        if key not in ("config", "flags"):
+            # As JSON text, so that 0 and 0.0, or 0.0 and -0.0, differ.
+            assert json.dumps(floating[key]) == json.dumps(in_floats(exact[key])), key
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_float_report_is_the_exact_report_in_floats(name):
+    assert_float_report_is_the_exact_report_in_floats(fixture_text(name))
+
+
+@pytest.mark.parametrize("shape", range(len(workloads.DENSE_SHAPES)))
+def test_dense_float_report_is_the_exact_report_in_floats(shape):
+    config = workloads.dense_config(shape, shape % workloads.DENSE_VARIANTS, "exact")
+    assert_float_report_is_the_exact_report_in_floats(config)
