@@ -16,12 +16,14 @@ osculating developable only.  The structure functions are
 
 Their degrees and tops never take square roots: the EXACT numerators
 
-    khat_1 = <E_t', N x E_t>, khat_2 = <E_t', N>, khat_3 = <N' x E_t, N>
+    khat_1 = <E_t', N x E_t>, khat_2 = <E_t', N>, khat_3 = -<N', N x E_t>
 
 satisfy kappa_1 = khat_1 / (|E_t|^2 |N|), kappa_2 = khat_2 / (|E_t| |N|),
 kappa_3 = khat_3 / (|N|^2 |E_t|), so valuations and leading coefficients of
 the khat_i are exactly the divergence degrees alpha_i and the normalized
-top-terms T_i of the curvatures.
+top-terms T_i of the curvatures.  khat_3 is the triple product
+<N' x E_t, N> written over the cross product N x E_t of khat_1, which is
+built once and shared.
 """
 
 from __future__ import annotations
@@ -103,12 +105,17 @@ def curvature_series(frame: DarbouxFrame):
 
 
 def curvature_numerators(factors: FrameFactors):
-    """Square-root-free curvature numerators khat_i in the EXACT field."""
+    """Square-root-free curvature numerators khat_i in the EXACT field.
+
+    The cross product N x E_t is built once and read by khat_1 and khat_3,
+    15 series products in all.
+    """
     e_t, n = factors.tangent, factors.normal
     de = e_t.diff()
-    k1 = de.dot(n.cross(e_t))
+    c = n.cross(e_t)
+    k1 = de.dot(c)
     k2 = de.dot(n)
-    k3 = n.diff().cross(e_t).dot(n)
+    k3 = -n.diff().dot(c)
     return (k1, k2, k3)
 
 

@@ -216,33 +216,43 @@ def default_series_order(spec: CurveSpec, degree: int) -> int:
 
 
 def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
-    """The normal-form surface as a vector of bivariate series, reliable to degree k."""
+    """The normal-form surface as a vector of bivariate series, reliable to degree k.
+
+    Each of the components u, u v + B and A is built as integer numerators
+    over one denominator; the b_i and the a_ij keep the order of ``coeffs``.
+    """
     k = coeffs.degree
     fact = math.factorial
-    comp1 = BiSeries.make(Field.EXACT, {(1, 0): Fraction(1)}, k)
-    second = {(1, 1): Fraction(1)}
+    second = {(1, 1): (1, 1)}
     for i, b in coeffs.b.items():
-        second[(0, i)] = Fraction(b.numerator, b.denominator * fact(i))
-    comp2 = BiSeries.make(Field.EXACT, second, k)
-    third = {}
-    for (i, j), a in coeffs.a.items():
-        third[(i, j)] = Fraction(a.numerator, a.denominator * fact(i) * fact(j))
-    comp3 = BiSeries.make(Field.EXACT, third, k)
-    return Vec3BiSeries(comp1, comp2, comp3)
+        second[(0, i)] = (b.numerator, b.denominator * fact(i))
+    third = {(i, j): (a.numerator, a.denominator * fact(i) * fact(j)) for (i, j), a in coeffs.a.items()}
+    return Vec3BiSeries(_bi_over_lcd({(1, 0): (1, 1)}, k), _bi_over_lcd(second, k), _bi_over_lcd(third, k))
+
+
+def _bi_over_lcd(terms: dict, k: int) -> BiSeries:
+    """The series of the terms (i, j) -> n / d (integers, d > 0) over the lcm of the d."""
+    den = math.lcm(*(d for _, d in terms.values()))
+    return BiSeries.from_numerators({key: n * (den // d) for key, (n, d) in terms.items()}, den, k)
 
 
 def build_curve(spec: CurveSpec, order: int) -> tuple:
-    """Component series (first, second) of the curve, exact to the given order."""
+    """Component series (first, second) of the curve, exact to the given order.
+
+    A family curve is built as integer numerators: c(x) x^e over the lcm
+    of the denominators of the c_n, and x^m over 1.
+    """
     if isinstance(spec, GeneralCurve):
         return spec.c1.truncate(order), spec.c2.truncate(order)
     shift = spec.first_exponent
-    first = [Fraction(0)] * (order + 1)
-    for n, cn in enumerate(spec.c):
-        if shift + n <= order:
-            first[shift + n] = cn
-    c1 = UniSeries.make(Field.EXACT, first, order)
-    c2 = UniSeries.monomial(Field.EXACT, 1, spec.m, order) if spec.m <= order else UniSeries.zero(Field.EXACT, order)
-    return c1, c2
+    den = math.lcm(*(cn.denominator for cn in spec.c))
+    first = [0] * (order + 1)
+    for n, cn in enumerate(spec.c[: max(order + 1 - shift, 0)]):
+        first[shift + n] = cn.numerator * (den // cn.denominator)
+    second = [0] * (order + 1)
+    if spec.m <= order:
+        second[spec.m] = 1
+    return UniSeries.from_numerators(first, den, order), UniSeries.from_numerators(second, 1, order)
 
 
 def image_curve(W: Vec3BiSeries, c1: UniSeries, c2: UniSeries) -> Vec3Series:

@@ -28,14 +28,19 @@ bring each result back to that form with at most one ``math.gcd``.  A
 product convolves the numerators (``_convolve``, ``_bi_convolve``) over the
 product of the denominators.  The reduced ``Fraction`` coefficients
 ``coeffs`` are built from the pair on first read and kept; since the pair
-is canonical, comparing pairs compares values.
+is canonical, comparing pairs compares values.  ``UniSeries.from_numerators``
+and ``BiSeries.from_numerators`` build a series from integer numerators
+over a positive denominator, with one ``math.gcd`` and no ``Fraction``.
 
 ``compose_bi`` substitutes EXACT series only.  A ``UniSeries`` keeps the
 numerator lists of its own powers over ``_den^i``, built on first use by
 ``compose_bi`` and extended on demand (``_powers``).  Coefficient k of a
 ``_convolve`` product does not depend on the order it is cut at, so one
 table, cut at the series' reliable order, serves every composition that
-substitutes the series.
+substitutes the series.  ``_convolve`` runs its outer loop over the nonzero
+entries of its first operand, so ``compose_bi`` passes the power of v
+first: a family curve substitutes v = x^m, whose powers are monomials, and
+each of its terms then costs one pass over the power of u.
 """
 
 from __future__ import annotations
@@ -183,6 +188,20 @@ class UniSeries(_Frozen):
         if len(cs) < reliable_order + 1:
             cs += [_zero(field)] * (reliable_order + 1 - len(cs))
         return UniSeries(field, tuple(cs[: reliable_order + 1]), reliable_order)
+
+    @staticmethod
+    def from_numerators(num, den: int, reliable_order: int) -> "UniSeries":
+        """The EXACT series with coefficients ``num[i] / den``, i = 0 .. reliable_order.
+
+        ``num`` holds integers and ``den`` is a positive integer; they may
+        share a factor, which one ``math.gcd`` removes.  No ``Fraction`` is
+        built.
+        """
+        if reliable_order < 0:
+            raise SeriesError("reliable_order must be >= 0")
+        if len(num) != reliable_order + 1 or den <= 0:
+            raise SeriesError("need reliable_order + 1 numerators over a positive denominator")
+        return _exact(num, den, reliable_order)
 
     @staticmethod
     def zero(field: Field, reliable_order: int) -> "UniSeries":
@@ -505,6 +524,24 @@ class BiSeries(_Frozen):
         # The constructor coerces and drops the zeros by their numerators.
         return BiSeries(field, clean, reliable_order)
 
+    @staticmethod
+    def from_numerators(num: Mapping, den: int, reliable_order: int) -> "BiSeries":
+        """The series with coefficients ``num[(i, j)] / den``, in the key order of ``num``.
+
+        ``num`` maps (i, j) with i, j >= 0 and i + j <= reliable_order to
+        integers; zero entries are dropped.  ``den`` is a positive integer
+        that may share a factor with the numerators, which one ``math.gcd``
+        removes.  No ``Fraction`` is built.
+        """
+        if reliable_order < 0:
+            raise SeriesError("reliable_order must be >= 0")
+        if den <= 0:
+            raise SeriesError("the denominator must be positive")
+        for i, j in num:
+            if i < 0 or j < 0 or i + j > reliable_order:
+                raise SeriesError("BiSeries exponent outside 0 <= i, j and i + j <= reliable_order")
+        return _exact_bi(_nonzero(num), den, reliable_order)
+
     def coefficient(self, i: int, j: int) -> Fraction:
         if i + j > self.reliable_order:
             raise SeriesError("coefficient beyond reliable total degree requested")
@@ -615,7 +652,8 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     information only from x-degree m_min * (R_F + 1) on, where m_min is the
     smaller valuation of the two substituted series (their reliable orders
     cap the result as well).  The field is EXACT, the field of every
-    ``BiSeries``.
+    ``BiSeries``.  Each term convolves the power of v, the outer operand,
+    with the power of u: for v = x^m that is one pass.
     """
     if u.field is not v.field or u.field is not F.field:
         raise SeriesError("field mismatch between series operands")
@@ -640,7 +678,7 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     acc = [0] * (r_out + 1)
     for i, j, n in terms:
         scale = n * du ** (top_i - i) * dv ** (top_j - j)
-        acc = [a + scale * x for a, x in zip(acc, _convolve(u_pows[i], v_pows[j], r_out))]
+        acc = [a + scale * x for a, x in zip(acc, _convolve(v_pows[j], u_pows[i], r_out))]
     return _exact(acc, F._den * du**top_i * dv**top_j, r_out)
 
 
@@ -743,17 +781,22 @@ class Vec3Series:
 
 
 def vec3_valuation(a: Vec3Series) -> Valuation:
-    """Minimum valuation over the three components (ZERO_TO_ORDER if all vanish)."""
-    best: Valuation | None = None
+    """Minimum valuation over the three components (ZERO_TO_ORDER if all vanish).
+
+    EXACT only.  The leading coefficient is that of the first component of
+    that order, the one ``Fraction`` built.
+    """
+    if a.field is not Field.EXACT:
+        raise SeriesError("vec3_valuation is defined on the EXACT field only")
+    first = None
     for comp in a.components:
-        v = valuation(comp)
-        if v.is_zero_to_order:
-            continue
-        if best is None or v.order < best.order:
-            best = v
-    if best is None:
+        order = _valuation_lower_bound(comp)
+        if order <= comp.reliable_order and (first is None or order < first[0]):
+            first = (order, comp)
+    if first is None:
         return Valuation(None, None, a.reliable_order)
-    return Valuation(best.order, best.leading, a.reliable_order)
+    order, comp = first
+    return Valuation(order, Fraction(comp._num[order], comp._den), a.reliable_order)
 
 
 def vec3_factor_power(a: Vec3Series, power: int) -> Vec3Series:

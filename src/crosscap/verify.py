@@ -128,12 +128,16 @@ def _describe_spec(spec) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The 27 draws num / den, num in -4..4 and den in (1, 2, 3), by numerator.
+_FRACTIONS = {num: tuple(Fraction(num, den) for den in (1, 2, 3)) for num in range(-4, 5)}
+
+
 def _rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
         num = rng.randint(-4, 4)
         if nonzero and num == 0:
             continue
-        return Fraction(num, rng.choice((1, 2, 3)))
+        return rng.choice(_FRACTIONS[num])
 
 
 def _draw_surface(rng: random.Random) -> UmbrellaCoefficients:

@@ -4,8 +4,10 @@ Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
 and the striction curve of a generic ruled surface, the curvature top-terms
 that the A/B/C/D invariants predict, and the series operations, products
-and composition as coefficient-by-coefficient ``Fraction`` loops, and the mesh
-vertices and OBJ text one vertex and one line at a time.  The float norm and
+and composition as coefficient-by-coefficient ``Fraction`` loops, the
+surface and curve builders, the vector valuation and the curvature
+numerators as they were before the exact builders, and the mesh vertices
+and OBJ text one vertex and one line at a time.  The float norm and
 unit vector of a vector series serve these checks.
 """
 
@@ -18,6 +20,7 @@ from fractions import Fraction
 from crosscap.developable import DevelopableError, RuledSurface
 from crosscap.frame import FrameError, FrameFactors
 from crosscap.invariants import TopInvariants
+from crosscap.model import CurveSpec, GeneralCurve, UmbrellaCoefficients
 from crosscap.obj import MeshError, QuadMesh, _grid, _quad_faces
 from crosscap.series import (
     BiSeries,
@@ -25,6 +28,7 @@ from crosscap.series import (
     SeriesError,
     UniSeries,
     Valuation,
+    Vec3BiSeries,
     Vec3Series,
     _coerce,
     _nonzero,
@@ -429,6 +433,69 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
             continue
         acc = reference_add(acc, reference_scale(reference_mul(upow(i), vpow(j)), c))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Model builders, vector valuation and curvature numerators
+# ---------------------------------------------------------------------------
+#
+# As they were written before the builders made integer numerators: one
+# ``Fraction`` per coefficient, one ``Valuation`` per component, and the
+# curvature numerators with two cross products (21 series products).
+
+
+def reference_build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
+    """``model.build_umbrella``."""
+    k = coeffs.degree
+    fact = math.factorial
+    comp1 = BiSeries.make(Field.EXACT, {(1, 0): Fraction(1)}, k)
+    second = {(1, 1): Fraction(1)}
+    for i, b in coeffs.b.items():
+        second[(0, i)] = Fraction(b.numerator, b.denominator * fact(i))
+    comp2 = BiSeries.make(Field.EXACT, second, k)
+    third = {}
+    for (i, j), a in coeffs.a.items():
+        third[(i, j)] = Fraction(a.numerator, a.denominator * fact(i) * fact(j))
+    comp3 = BiSeries.make(Field.EXACT, third, k)
+    return Vec3BiSeries(comp1, comp2, comp3)
+
+
+def reference_build_curve(spec: CurveSpec, order: int) -> tuple:
+    """``model.build_curve``."""
+    if isinstance(spec, GeneralCurve):
+        return spec.c1.truncate(order), spec.c2.truncate(order)
+    shift = spec.first_exponent
+    first = [Fraction(0)] * (order + 1)
+    for n, cn in enumerate(spec.c):
+        if shift + n <= order:
+            first[shift + n] = cn
+    c1 = UniSeries.make(Field.EXACT, first, order)
+    c2 = UniSeries.monomial(Field.EXACT, 1, spec.m, order) if spec.m <= order else UniSeries.zero(Field.EXACT, order)
+    return c1, c2
+
+
+def reference_vec3_valuation(a: Vec3Series) -> Valuation:
+    """``vec3_valuation``."""
+    best: Valuation | None = None
+    for comp in a.components:
+        v = valuation(comp)
+        if v.is_zero_to_order:
+            continue
+        if best is None or v.order < best.order:
+            best = v
+    if best is None:
+        return Valuation(None, None, a.reliable_order)
+    return Valuation(best.order, best.leading, a.reliable_order)
+
+
+def reference_curvature_numerators(factors: FrameFactors):
+    """``frame.curvature_numerators``."""
+    e_t, n = factors.tangent, factors.normal
+    de = e_t.diff()
+    k1 = de.dot(n.cross(e_t))
+    k2 = de.dot(n)
+    k3 = n.diff().cross(e_t).dot(n)
+    return (k1, k2, k3)
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,15 @@ def test_fixtures_show(capsys):
     assert json.loads(out)["curve"]["c"] == ["1", "-2"]
 
 
+@pytest.mark.parametrize("name", ["nope", "../fixtures/s1", "fixtures/s1", "s1.json", ""])
+def test_fixtures_show_accepts_only_bundled_names(capsys, name):
+    rc = main(["fixtures", "--show", name])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"fixtures: unknown fixture {name!r} (known: s1, s2, s3)\n"
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"truncation": 4}')

@@ -97,6 +97,26 @@ def test_verify_skips_the_float_frame(calls):
     assert calls["darboux_frame"] == []
 
 
+def test_curvature_numerators_share_one_cross_product(calls, monkeypatch):
+    # N x E_t is built once (6 products) and dotted with E_t' and N'; with
+    # E_t' . N that makes 3 + 3 + 3 more.  Two cross products made 21.
+    cfg = fixture_config("s1")
+    analysis = analyze(cfg.coeffs, cfg.spec)
+    analysis.factors  # the factorisation's own products are not counted
+    products = []
+    original = UniSeries.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(UniSeries, "__mul__", counting)
+    monkeypatch.setattr(UniSeries, "__rmul__", counting)
+    analysis.numerators
+    assert len(calls["curvature_numerators"]) == 1
+    assert len(products) == 15
+
+
 def test_verify_builds_each_power_table_once(monkeypatch):
     # The six compositions (image and raw normal) read the powers of the
     # curve components c1 and c2 from the tables kept on them: each table is

@@ -356,6 +356,11 @@ def test_vector_factor_componentwise():
     assert f.z.coeffs[:2] == (0, 1)
 
 
+def test_vector_valuation_is_exact_only():
+    with pytest.raises(SeriesError):
+        vec3_valuation(Vec3Series.make(Field.FLOAT, [0.0, 1.0], [0.0], [0.0], 2))
+
+
 def test_unit_vector_orthonormality():
     v = Vec3Series.make(Field.FLOAT, [2.0, 1.0], [0.0, 3.0], [2.0, 3.0, 1.0], 6)
     u = unit(v)
