@@ -1,39 +1,44 @@
-"""Ruled-surface machinery and the osculating developable along the curve.
+"""Ruled surfaces and the osculating developable along the curve, in EXACT arithmetic.
 
-The osculating developable rules the curve by the unit director
+The osculating developable rules the curve by D = V / |V|, where the director
 
-    D_o = (k3~ e - k2~ x^{a2-a3} b) / sqrt(k2~^2 x^{2(a2-a3)} + k3~^2)   (a2 > a3)
-    D_o = (k3~ x^{a3-a2} e - k2~ b) / sqrt(k2~^2 + k3~^2 x^{2(a3-a2)})   (a3 >= a2)
+    V = h3 E_t - h2 (N x E_t),   h_i = (khat_i / x^{a_i}) x^{max(a_i - a_j, 0)}  ({i, j} = {2, 3}),
 
-inside the tangent/co-normal plane, where k_i = k_i~ x^{a_i} splits each
-structure function into its divergence degree and unit part.  Two scalar
-invariants measure how far the surface is from a cylinder and from a cone:
-delta (the numerator of |D_o'|) with its vanishing order, and sigma (the
-speed of the striction curve) with its vanishing order.  All computations
-here run in the FLOAT field; classification constants are additionally
-produced in exact scaled form from the curvature top-terms.
+is rational: |E_t|^2 |N|^2 times (k3~ e - k2~ x^{a2-a3} b) of the unit frame.
+Two invariants measure how far the surface is from a cylinder and from a
+cone: delta (the numerator of |D'|) and sigma (the speed of the striction
+curve), with their vanishing orders.  Let k be the order of R, and R~, T~
+be R and T with x^k factored out:
+
+    delta = R / (|E_t|^4 |N|^5),   R = (V x V') . N;
+    striction curve = img - (T / R) V,   T = (V x img') . N = -x^alpha V . (N x E_t);
+    sigma = S / (|V| R~^2),   S = (img' . V) R~^2 - (V . V') T~ R~ - |V|^2 (T~' R~ - T~ R~').
+
+img' lies in span(V, V') on a developable, and T / R is its coefficient on
+V'.  T has order alpha + max(a2 - a3, 0), so T / R is a series exactly when
+the striction curve exists, and it vanishes at 0 exactly when that curve
+passes through the singular point.  Every order and case is decided on
+these exact series; each float top is an exact top over one square root
+(``over_sqrt``), and one beyond the float range makes the developable not
+applicable.  Only the mesh normalises V, in floats (``osculating_surface``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 from .series import (
     UniSeries,
     Vec3Series,
     factor_power,
-    is_zero_coeff,
+    over_sqrt,
     reciprocal,
     sqrt_series,
     valuation,
 )
-from .frame import (
-    CurvatureReport,
-    DarbouxFrame,
-    FrameFactors,
-    kappa_tilde_series,
-)
+from .frame import CurvatureReport, FrameFactors
 
 
 class DevelopableError(ValueError):
@@ -53,8 +58,7 @@ class RuledSurface:
     xi: Vec3Series
 
     def __post_init__(self):
-        c = self.xi.constant_vector()
-        if all(is_zero_coeff(self.xi.field, v) for v in c):
+        if all(v == 0 for v in self.xi.constant_vector()):
             raise DevelopableError("director curve vanishes at 0")
 
 
@@ -73,10 +77,11 @@ CASE_SIGMA_TOP_NONZERO = "sigma-top-guaranteed-nonzero"
 
 @dataclass(frozen=True)
 class StrictionData:
+    """Whether the striction curve img - (T~ / R~) V exists; ``scale`` is (T~, R~)."""
+
     exists: bool
     passes_through_singularity: bool
-    scale: UniSeries | None
-    curve: Vec3Series | None
+    scale: tuple | None
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,8 @@ class EFClassification:
 
 @dataclass(frozen=True)
 class DevelopableData:
+    """The exact chain: ``director`` is V, ``delta`` is R and ``sigma`` is S."""
+
     branch: str
     director: Vec3Series
     delta: UniSeries
@@ -105,36 +112,42 @@ class DevelopableData:
     classification: EFClassification
 
 
-def osculating_director(frame: DarbouxFrame, report: CurvatureReport):
-    """Unit director plus the branch data; needs nonvanishing k2~(0), k3~(0)."""
-    if report.degrees[1] is None or report.degrees[2] is None:
-        raise DevelopableError(
-            "a normal structure function vanishes to reliable order: no director"
-        )
-    t1, t2, t3 = kappa_tilde_series(frame, report)
-    a2, a3 = report.degrees[1], report.degrees[2]
+def _float_top(value: Fraction, radicand: Fraction) -> float:
+    """value / sqrt(radicand); DevelopableError when it passes the float range."""
+    try:
+        return over_sqrt(value, radicand)
+    except OverflowError as exc:
+        raise DevelopableError(f"values beyond the float range ({exc})") from exc
+
+
+def _square_norms(factors: FrameFactors):
+    """|E_t(0)|^2 and |N(0)|^2."""
+    return [sum(c * c for c in v.constant_vector()) for v in (factors.tangent, factors.normal)]
+
+
+def osculating_director(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series):
+    """The director V = h3 E_t - h2 (N x E_t) and its branch; needs alpha_2 and alpha_3."""
+    _, a2, a3 = report.degrees
+    if a2 is None or a3 is None:
+        raise DevelopableError("a normal structure function vanishes to reliable order: no director")
+    _, k2, k3 = report.numerators
+    h2 = factor_power(k2, a2).shift(max(a2 - a3, 0))
+    h3 = factor_power(k3, a3).shift(max(a3 - a2, 0))
     branch = BRANCH_A2_GT_A3 if a2 > a3 else BRANCH_A3_GE_A2
-    t2b = t2.shift(max(a2 - a3, 0))
-    t3b = t3.shift(max(a3 - a2, 0))
-    rho_sq = t2b * t2b + t3b * t3b
-    inv_rho = reciprocal(sqrt_series(rho_sq))
-    director = (frame.e.scale(t3b) - frame.b.scale(t2b)).scale(inv_rho)
-    return director, branch, (t1, t2, t3), (t2b, t3b, rho_sq)
+    return factors.tangent.scale(h3) - cross.scale(h2), branch
 
 
-def delta_invariant(tilde, shifted, report: CurvatureReport):
-    """delta = k1~ x^a1 rho^2 + t2b t3b' - t2b' t3b; returns (series, order, top)."""
-    t2b, t3b, rho_sq = shifted
-    delta = tilde[0].shift(report.degrees[0]) * rho_sq + t2b * t3b.diff() - t2b.diff() * t3b
-    v = valuation(delta)
+def delta_invariant(director: Vec3Series, factors: FrameFactors):
+    """R = (V x V') . N; returns (R, order, top), with delta's top R_top / (|E_t(0)|^4 |N(0)|^5)."""
+    r = director.cross(director.diff()).dot(factors.normal)
+    v = valuation(r)
     if v.is_zero_to_order:
-        return delta, None, None
-    return delta, v.order, v.leading
+        return r, None, None
+    e2, n2 = _square_norms(factors)
+    return r, v.order, _float_top(v.leading / (e2 * e2 * n2 * n2), n2)
 
 
-def classify_EF(
-    factors: FrameFactors, report: CurvatureReport, tilde
-) -> EFClassification:
+def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassification:
     """Vanishing analysis of the delta/sigma top-terms under a2 > a3.
 
     case (i): a1 < a2 - a3 - 1, (ii): equality, (iii): a1 > a2 - a3 - 1.
@@ -143,8 +156,9 @@ def classify_EF(
         E = k1~ k3~ - (a2 - a3) k2~,   F = k1~ k3~ - (a0 + a2 - a3) k2~
 
     at 0.  The scaled values multiply through by |E_t(0)|^3 |N(0)|^3 and are
-    exact rationals with the same signs.  For a3 >= a2 the sigma top-term
-    cannot vanish; no constants are attached.
+    exact rationals with the same signs; ``E_coeff`` and ``F_coeff`` are E
+    and F themselves.  For a3 >= a2 the sigma top-term cannot vanish; no
+    constants are attached.
     """
     a0 = factors.alpha0
     a1, a2, a3 = report.degrees
@@ -155,28 +169,25 @@ def classify_EF(
         return EFClassification(CASE_I, None, None, None, None)
     if a1 > gap:
         return EFClassification(CASE_III, None, None, None, None)
-    t1, t2, t3 = tilde
-    e_coeff = t1.coeffs[0] * t3.coeffs[0] - (a2 - a3) * t2.coeffs[0]
-    f_coeff = t1.coeffs[0] * t3.coeffs[0] - (a0 + a2 - a3) * t2.coeffs[0]
     T1, T2, T3 = report.tops
-    nE2 = sum(c * c for c in factors.tangent.constant_vector())
-    nN2 = sum(c * c for c in factors.normal.constant_vector())
-    e_scaled = T1 * T3 - (a2 - a3) * T2 * nE2 * nN2
-    f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * nE2 * nN2
+    e2n2 = math.prod(_square_norms(factors))
+    e_scaled = T1 * T3 - (a2 - a3) * T2 * e2n2
+    f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * e2n2
+    e_coeff = _float_top(e_scaled / e2n2, e2n2)
+    f_coeff = _float_top(f_scaled / e2n2, e2n2)
     return EFClassification(CASE_II, e_coeff, f_coeff, e_scaled, f_scaled)
 
 
-def osculating_developable(
-    factors: FrameFactors,
-    frame: DarbouxFrame,
-    report: CurvatureReport,
-) -> DevelopableData:
-    """Full invariant chain: director, delta, striction, sigma, classification."""
+def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
+    """Full invariant chain: director, delta, striction, sigma, classification.
+
+    ``cross`` is N x E_t, as ``frame.curvature_numerators`` builds it.
+    """
     if report.degrees[0] is None:
         raise DevelopableError("tangential structure function vanishes to reliable order")
-    director, branch, tilde, shifted = osculating_director(frame, report)
-    delta, k_cyl, delta_top = delta_invariant(tilde, shifted, report)
-    classification = classify_EF(factors, report, tilde)
+    V, branch = osculating_director(factors, report, cross)
+    R, k_cyl, delta_top = delta_invariant(V, factors)
+    classification = classify_EF(factors, report)
 
     a0 = factors.alpha0
     a2, a3 = report.degrees[1], report.degrees[2]
@@ -185,32 +196,31 @@ def osculating_developable(
     # A cylinder (delta vanishing to reliable order) has no striction curve.
     exists = k_cyl is not None and exists_bound >= k_cyl
     passes = exists and exists_bound > k_cyl
-    scale = s_curve = sigma = sigma_order = sigma_top = None
+    scale = S = sigma_order = sigma_top = None
     sigma_lower = 0
     if exists:
-        img = factors.curve.to_float().shift(a0)
-        dpr = director.diff()
-        den = dpr.dot(dpr)
-        num = img.diff().dot(dpr)
-        scale = factor_power(num, 2 * k_cyl) * reciprocal(factor_power(den, 2 * k_cyl))
-        s_curve = img - director.scale(scale)
+        T = factor_power(-V.dot(cross).shift(factors.alpha), k_cyl)
+        Rk = factor_power(R, k_cyl)
+        scale = (T, Rk)
         if passes:
-            sigma = s_curve.diff().dot(director)
-            v = valuation(sigma)
+            vv = V.norm_sq()
+            iv = factors.tangent.dot(V).shift(factors.alpha)
+            S = iv * (Rk * Rk) - (vv.diff() * Fraction(1, 2)) * (T * Rk) - vv * (T.diff() * Rk - T * Rk.diff())
+            v = valuation(S)
             if v.is_zero_to_order:
                 sigma_lower = v.reliable_order + 1
             else:
-                sigma_order, sigma_top = v.order, v.leading
-                sigma_lower = v.order
-    striction = StrictionData(exists, passes, scale, s_curve)
+                r0 = Rk.coeffs[0]
+                sigma_order, sigma_lower = v.order, v.order
+                sigma_top = _float_top(v.leading / (r0 * r0), vv.coeffs[0])
     return DevelopableData(
         branch=branch,
-        director=director,
-        delta=delta,
+        director=V,
+        delta=R,
         delta_order=k_cyl,
         delta_top=delta_top,
-        striction=striction,
-        sigma=sigma,
+        striction=StrictionData(exists, passes, scale),
+        sigma=S,
         sigma_order=sigma_order,
         sigma_top=sigma_top,
         sigma_order_lower_bound=sigma_lower,
@@ -219,6 +229,13 @@ def osculating_developable(
 
 
 def osculating_surface(factors: FrameFactors, data: DevelopableData) -> RuledSurface:
-    """The osculating developable as a ruled surface (base = the space curve)."""
-    img = factors.curve.to_float().shift(factors.alpha0)
-    return RuledSurface(gamma=img, xi=data.director)
+    """The osculating developable as a FLOAT ruled surface: the space curve and V / |V|."""
+    try:
+        v = data.director.to_float()
+        xi = v.scale(reciprocal(sqrt_series(v.norm_sq())))
+        finite = all(math.isfinite(c) for s in xi.components for c in s.coeffs)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DevelopableError("values beyond the float range (the director has a non-finite coefficient)")
+    return RuledSurface(gamma=factors.curve.shift(factors.alpha0).to_float(), xi=xi)

@@ -9,8 +9,8 @@ point; both factor as a nonvanishing vector series times a power of x:
 
 The factors are EXACT series.  Normalizing E_t and N takes square roots,
 so the extended frame {e, b, n} with b = n x e is a FLOAT series built from
-them; it serves the unit directions of the contour verdict and the
-osculating developable only.  The structure functions are
+them (``darboux_frame``).  No analysis reads it, only the tests (as a float
+reference) and the benchmark's tracer.  The structure functions are
 
     kappa_1 = <e', b>,   kappa_2 = <e', n>,   kappa_3 = <b', n>.
 
@@ -23,7 +23,7 @@ kappa_3 = khat_3 / (|N|^2 |E_t|), so valuations and leading coefficients of
 the khat_i are exactly the divergence degrees alpha_i and the normalized
 top-terms T_i of the curvatures.  khat_3 is the triple product
 <N' x E_t, N> written over the cross product N x E_t of khat_1, which is
-built once and shared.
+built once and shared with the osculating developable.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def curvature_series(frame: DarbouxFrame):
 
 
 def curvature_numerators(factors: FrameFactors):
-    """Square-root-free curvature numerators khat_i in the EXACT field.
+    """Square-root-free curvature numerators (khat_1, khat_2, khat_3) and N x E_t, EXACT.
 
-    The cross product N x E_t is built once and read by khat_1 and khat_3,
-    15 series products in all.
+    The cross product N x E_t is built once and read by khat_1, khat_3 and
+    the osculating developable; the numerators take 15 series products.
     """
     e_t, n = factors.tangent, factors.normal
     de = e_t.diff()
@@ -116,7 +116,7 @@ def curvature_numerators(factors: FrameFactors):
     k1 = de.dot(c)
     k2 = de.dot(n)
     k3 = -n.diff().dot(c)
-    return (k1, k2, k3)
+    return (k1, k2, k3), c
 
 
 class ReportSource(Enum):
@@ -264,7 +264,7 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
 
 
 # ---------------------------------------------------------------------------
-# FLOAT-side helpers shared with the developable computations
+# FLOAT unit curvature parts, a reference for the exact developable chain
 # ---------------------------------------------------------------------------
 
 

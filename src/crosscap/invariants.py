@@ -27,6 +27,7 @@ from .series import (
     UniSeries,
     Vec3BiSeries,
     Vec3Series,
+    over_sqrt,
     vec3_factor_power,
     vec3_valuation,
 )
@@ -36,7 +37,7 @@ from .model import (
     UmbrellaCoefficients,
     image_curve,
 )
-from .frame import DarbouxFrame, FrameFactors
+from .frame import FrameFactors
 
 
 class InvariantError(ValueError):
@@ -230,8 +231,8 @@ class ContourDeviation:
 
     The exact coefficient pairs the factored normal with the unnormalized
     direction (-a02, 0, 2c0) and equals C; the float value carries the
-    normalization sgn(a02) / (sqrt(4c0^2 + a02^2) |N(0)|).  ``vanishes``
-    is decided on the exact coefficient.
+    normalization sgn(a02) / (sqrt(4c0^2 + a02^2) |N(0)|), with one square
+    root.  ``vanishes`` is decided on the exact coefficient.
     """
 
     coefficient: float
@@ -243,7 +244,6 @@ def contour_deviation(
     coeffs: UmbrellaCoefficients,
     spec: CurveSpec,
     factors: FrameFactors,
-    frame: DarbouxFrame,
 ) -> ContourDeviation:
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
@@ -252,10 +252,6 @@ def contour_deviation(
     if exact_pairing.reliable_order < m:
         raise InvariantError("series not reliable to degree %d" % m)
     exact = exact_pairing.coefficient(m)
-
-    n_unit = frame.n
-    b0 = frame.b.constant_vector()
-    b0_vec = Vec3Series.make(Field.FLOAT, [b0[0]], [b0[1]], [b0[2]], n_unit.reliable_order)
-    pairing = n_unit.dot(b0_vec)
-    coeff = pairing.coefficient(m)
+    n2 = sum(c * c for c in factors.normal.constant_vector())
+    coeff = over_sqrt(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
     return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)

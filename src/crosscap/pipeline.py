@@ -2,9 +2,10 @@
 
 ``Analysis`` names every quantity of the chain surface jet -> image curve
 and raw normal -> factorizations -> curvature numerators -> degrees and
-tops -> invariants and developable.  Each stage, the surface jet included,
-is computed on first access and cached, so report, verify and mesh share
-one computation and each runs only the stages it reads.  Pieces that only
+tops -> invariants and developable, all in exact arithmetic.  Each stage,
+the surface jet included, is computed on first access and cached, so
+report, verify and mesh share one computation and each runs only the
+stages it reads.  Pieces that only
 apply to particular curve shapes (closed forms, the A/B/C/D block,
 geometric verdicts, the developable) are None with a reason otherwise.
 
@@ -23,7 +24,6 @@ truncation.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 from .series import Vec3BiSeries, Vec3Series
@@ -40,12 +40,10 @@ from .model import (
 )
 from .frame import (
     CurvatureReport,
-    DarbouxFrame,
     FrameError,
     FrameFactors,
     closed_form_reference,
     curvature_numerators,
-    darboux_frame,
     divergence_report,
     frame_factors,
 )
@@ -110,8 +108,8 @@ class Analysis:
     The curve, whose reliable order ``climb`` reads, is built on
     construction; the surface jet and every other attribute are stages
     computed on first access.  Every stage reads the one exact surface jet
-    and curve; the float frame and the developable chain are built from the
-    exact factors.
+    and curve and decides every order on exact series; only ``ruled``, the
+    mesh's developable, is a float series.
     """
 
     def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec):
@@ -125,7 +123,7 @@ class Analysis:
 
         A lower rung is this analysis on the jet cut at one of
         ``lower_truncations(k)``.  A library error there (a ValueError, or
-        an ArithmeticError of a short float jet) moves on to the next rung:
+        an ArithmeticError such as a float overflow) moves on to the next rung:
         a short jet may fail where the configured one does not, and an
         error that is real is raised again by the configured truncation.
         Any other exception is a bug and propagates.  This analysis is the
@@ -165,12 +163,17 @@ class Analysis:
         return frame_factors(self.image, self.raw_normal)
 
     @cached_property
-    def frame(self) -> DarbouxFrame:
-        return darboux_frame(self.factors)
-
-    @cached_property
-    def numerators(self) -> tuple:
+    def _curvature(self) -> tuple:
         return curvature_numerators(self.factors)
+
+    @property
+    def numerators(self) -> tuple:
+        return self._curvature[0]
+
+    @property
+    def cross(self) -> Vec3Series:
+        """N x E_t, shared by the curvature numerators and the developable."""
+        return self._curvature[1]
 
     @cached_property
     def oracle(self) -> CurvatureReport:
@@ -216,28 +219,13 @@ class Analysis:
     def contour(self) -> ContourDeviation | None:
         if self.invariants is None:
             return None
-        return contour_deviation(self.coeffs, self.spec, self.factors, self.frame)
+        return contour_deviation(self.coeffs, self.spec, self.factors)
 
     @cached_property
     def _developable(self):
-        return _value_or_reason(self._osculating_developable, (DevelopableError, FrameError))
-
-    def _osculating_developable(self) -> DevelopableData:
-        # The developable chain runs in floats: exact values beyond the float
-        # range make it not applicable, while the exact sections still print.
-        # They either overflow a conversion or leave inf/nan coefficients.
-        try:
-            data = osculating_developable(self.factors, self.frame, self.oracle)
-        except OverflowError as exc:
-            raise DevelopableError(f"values beyond the float range ({exc})") from exc
-        named = [("director", c) for c in data.director.components]
-        named += [("delta", data.delta), ("striction scale", data.striction.scale), ("sigma", data.sigma)]
-        for name, series in named:
-            if series is not None and not all(map(math.isfinite, series.coeffs)):
-                raise DevelopableError(
-                    f"values beyond the float range (the {name} has a non-finite coefficient)"
-                )
-        return data
+        return _value_or_reason(
+            lambda: osculating_developable(self.factors, self.oracle, self.cross), DevelopableError
+        )
 
     @property
     def developable(self) -> DevelopableData | None:
@@ -249,7 +237,7 @@ class Analysis:
 
     @cached_property
     def ruled(self) -> RuledSurface:
-        """The osculating developable as a ruled surface; DevelopableError if it has none."""
+        """The osculating developable as a float ruled surface; DevelopableError if it has none."""
         if self.developable is None:
             raise DevelopableError(self.developable_reason)
         return osculating_surface(self.factors, self.developable)

@@ -11,8 +11,9 @@ propagate R by a conservative documented rule and never claim more.
 The univariate variable is called x throughout; bivariate series live in
 (u, v) and are indexed by (i, j) exponent pairs with a total-degree bound.
 
-Square roots exist only in the FLOAT field; the EXACT field stays inside the
-rationals so that degree/top-term extraction is bit-exact.
+Zero tests, valuations and top-terms are EXACT only, so that degree/top-term
+extraction is bit-exact; square roots exist only in the FLOAT field, which the
+mesh reads.  ``over_sqrt`` rounds an exact value over an exact root to a float.
 
 An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
 polynomial: integer numerators ``_num`` over one denominator ``_den``, in
@@ -51,10 +52,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-#: Absolute tolerance for treating a FLOAT coefficient as zero.
-FLOAT_TOL = 1e-9
-
-
 class Field(Enum):
     EXACT = "exact"
     FLOAT = "float"
@@ -79,13 +76,6 @@ def _coerce(field: Field, value) -> Coeff:
 
 def _zero(field: Field) -> Coeff:
     return Fraction(0) if field is Field.EXACT else 0.0
-
-
-def is_zero_coeff(field: Field, value: Coeff) -> bool:
-    """Zero test: exact in EXACT, absolute tolerance FLOAT_TOL in FLOAT."""
-    if field is Field.EXACT:
-        return value == 0
-    return abs(value) <= FLOAT_TOL
 
 
 def _over_lcd(coeffs) -> tuple:
@@ -401,46 +391,35 @@ class Valuation:
 
 
 def valuation(a: UniSeries) -> Valuation:
-    """Smallest degree with a nonzero reliable coefficient, and that coefficient."""
-    if a.field is Field.EXACT:
-        for i, n in enumerate(a._num):
-            if n:
-                return Valuation(i, Fraction(n, a._den), a.reliable_order)
-        return Valuation(None, None, a.reliable_order)
-    for i, c in enumerate(a.coeffs):
-        if not is_zero_coeff(a.field, c):
-            return Valuation(i, c, a.reliable_order)
+    """Smallest degree with a nonzero reliable coefficient, and that coefficient (EXACT only)."""
+    if a.field is not Field.EXACT:
+        raise SeriesError("valuation is defined on the EXACT field only")
+    for i, n in enumerate(a._num):
+        if n:
+            return Valuation(i, Fraction(n, a._den), a.reliable_order)
     return Valuation(None, None, a.reliable_order)
 
 
-_SMALL_VALUATION = "valuation smaller than %d: cannot factor x^%d out of the series"
-
-
 def factor_power(a: UniSeries, power: int) -> UniSeries:
-    """Divide by x^power given that val(a) >= power; reliability drops by power."""
+    """Divide by x^power given that val(a) >= power; reliability drops by power (EXACT only)."""
+    if a.field is not Field.EXACT:
+        raise SeriesError("factor_power is defined on the EXACT field only")
     if power < 0:
         raise SeriesError("power must be >= 0")
     if power == 0:
         return a
     if a.reliable_order < power:
         raise SeriesError("series not reliable far enough to factor x^%d" % power)
-    if a.field is Field.EXACT:
-        if any(a._num[:power]):
-            raise SeriesError(_SMALL_VALUATION % (power, power))
-        return _canonical(a._num[power:], a._den, a.reliable_order - power)
-    for c in a.coeffs[:power]:
-        if not is_zero_coeff(a.field, c):
-            raise SeriesError(_SMALL_VALUATION % (power, power))
-    return UniSeries(a.field, a.coeffs[power:], a.reliable_order - power)
+    if any(a._num[:power]):
+        raise SeriesError("valuation smaller than %d: cannot factor x^%d out of the series" % (power, power))
+    return _canonical(a._num[power:], a._den, a.reliable_order - power)
 
 
 def reciprocal(a: UniSeries) -> UniSeries:
     """Multiplicative inverse: a * reciprocal(a) = 1 + O(x^{R+1}); needs a_0 != 0."""
-    if is_zero_coeff(a.field, a.coeffs[0]):
+    if a.coeffs[0] == 0:
         raise SeriesError("reciprocal requires a nonzero constant term")
-    inv0 = (
-        Fraction(1) / a.coeffs[0] if a.field is Field.EXACT else 1.0 / a.coeffs[0]
-    )
+    inv0 = 1 / a.coeffs[0]  # a Fraction in EXACT, a float in FLOAT
     out = [inv0]
     for n in range(1, a.reliable_order + 1):
         acc = _zero(a.field)
@@ -464,6 +443,24 @@ def sqrt_series(a: UniSeries) -> UniSeries:
             acc += out[k] * out[n - k]
         out.append((a.coeffs[n] - acc) / (2.0 * s0))
     return UniSeries(Field.FLOAT, tuple(out), a.reliable_order)
+
+
+def over_sqrt(value: Fraction, radicand: Fraction) -> float:
+    """value / sqrt(radicand) for rationals with radicand > 0, rounded to the nearest float.
+
+    The square root of value^2 / radicand is taken in integers, to at least
+    58 bits with a sticky bit, so that the one rounding to a float is that
+    of the real quotient.  OverflowError when it passes the float range.
+    """
+    q = value * value / radicand
+    shift = max(0, 58 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
+    n, rem = divmod(q.numerator << (2 * shift), q.denominator)
+    root = math.isqrt(n)
+    if rem or root * root != n:
+        # The real root lies strictly between root and root + 1.
+        root, shift = 2 * root + 1, shift + 1
+    x = root / (1 << shift)
+    return -x if value < 0 else x
 
 
 # ---------------------------------------------------------------------------

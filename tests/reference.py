@@ -2,13 +2,15 @@
 
 Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
-and the striction curve of a generic ruled surface, the curvature top-terms
+and the striction curve of a generic ruled surface, the osculating
+developable as the float chain of the unit Darboux frame, the curvature top-terms
 that the A/B/C/D invariants predict, and the series operations, products
 and composition as coefficient-by-coefficient ``Fraction`` loops, the
 surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices
 and OBJ text one vertex and one line at a time.  The float norm and
-unit vector of a vector series serve these checks.
+unit vector of a vector series and a float zero test with an absolute
+tolerance serve these checks.
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from crosscap.developable import DevelopableError, RuledSurface
-from crosscap.frame import FrameError, FrameFactors
+from crosscap.developable import (
+    BRANCH_A2_GT_A3,
+    BRANCH_A3_GE_A2,
+    CASE_I,
+    CASE_II,
+    CASE_III,
+    CASE_SIGMA_TOP_NONZERO,
+    DevelopableError,
+    RuledSurface,
+)
+from crosscap.frame import CurvatureReport, FrameError, FrameFactors, darboux_frame, kappa_tilde_series
 from crosscap.invariants import TopInvariants
 from crosscap.model import CurveSpec, GeneralCurve, UmbrellaCoefficients
 from crosscap.obj import MeshError, QuadMesh, _grid, _quad_faces
@@ -33,8 +44,6 @@ from crosscap.series import (
     _coerce,
     _nonzero,
     _zero,
-    factor_power,
-    is_zero_coeff,
     reciprocal,
     sqrt_series,
     valuation,
@@ -42,8 +51,19 @@ from crosscap.series import (
 
 
 # ---------------------------------------------------------------------------
-# Float normalisation
+# Float zero test and normalisation
 # ---------------------------------------------------------------------------
+
+#: Absolute tolerance for treating a FLOAT coefficient as zero.
+FLOAT_TOL = 1e-9
+
+
+def is_zero_coeff(field: Field, value) -> bool:
+    """Zero test: exact in EXACT, absolute tolerance FLOAT_TOL in FLOAT."""
+    if field is Field.EXACT:
+        return value == 0
+    return abs(value) <= FLOAT_TOL
+
 
 
 def norm_series(vec: Vec3Series) -> UniSeries:
@@ -76,12 +96,96 @@ def striction_curve(surface: RuledSurface):
     xi_bar = unit(surface.xi)
     w = xi_bar.diff()
     den = w.dot(w)
-    vd = valuation(den)
+    vd = reference_valuation(den)
     if vd.is_zero_to_order:
         raise DevelopableError("director derivative vanishes to reliable order: cylinder")
     num = surface.gamma.diff().dot(w)
-    scale = factor_power(num, vd.order) * reciprocal(factor_power(den, vd.order))
+    scale = reference_factor_power(num, vd.order) * reciprocal(reference_factor_power(den, vd.order))
     return scale, surface.gamma - xi_bar.scale(scale)
+
+
+# ---------------------------------------------------------------------------
+# The osculating developable in floats
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FloatDevelopable:
+    """The osculating developable as the float chain of the unit Darboux frame computes it.
+
+    ``director`` is the unit director, ``shifted`` the unit curvature parts
+    (t2b, t3b) with rho_sq = t2b^2 + t3b^2, ``scale`` and ``curve`` the
+    striction scale and curve.  Orders are decided with the absolute
+    tolerance FLOAT_TOL.
+    """
+
+    branch: str
+    tilde: tuple
+    shifted: tuple
+    director: Vec3Series
+    delta: UniSeries
+    delta_order: int | None
+    delta_top: float | None
+    exists: bool
+    passes: bool
+    scale: UniSeries | None
+    curve: Vec3Series | None
+    sigma: UniSeries | None
+    sigma_order: int | None
+    sigma_top: float | None
+    case: str
+    E_coeff: float | None
+    F_coeff: float | None
+
+
+def reference_osculating_developable(factors: FrameFactors, report: CurvatureReport) -> FloatDevelopable:
+    """The float chain: unit frame, kappa~_i, unit director, delta, striction and sigma.
+
+    delta = k1~ x^a1 rho^2 + t2b t3b' - t2b' t3b, the striction scale is
+    <img', D'> / <D', D'> with x^{2k} factored out of both, and sigma is the
+    speed <s', D> of the striction curve s.
+    """
+    frame = darboux_frame(factors)
+    tilde = t1, t2, t3 = kappa_tilde_series(frame, report)
+    a0 = factors.alpha0
+    a1, a2, a3 = report.degrees
+    branch = BRANCH_A2_GT_A3 if a2 > a3 else BRANCH_A3_GE_A2
+    t2b = t2.shift(max(a2 - a3, 0))
+    t3b = t3.shift(max(a3 - a2, 0))
+    rho_sq = t2b * t2b + t3b * t3b
+    director = (frame.e.scale(t3b) - frame.b.scale(t2b)).scale(reciprocal(sqrt_series(rho_sq)))
+    delta = t1.shift(a1) * rho_sq + t2b * t3b.diff() - t2b.diff() * t3b
+    v = reference_valuation(delta)
+    k, delta_top = v.order, v.leading
+
+    exists_bound = a0 + a2 - a3 - 1 if branch == BRANCH_A2_GT_A3 else a0 - 1
+    exists = k is not None and exists_bound >= k
+    passes = exists and exists_bound > k
+    scale = curve = sigma = sigma_order = sigma_top = None
+    if exists:
+        img = factors.curve.to_float().shift(a0)
+        dpr = director.diff()
+        num = reference_factor_power(img.diff().dot(dpr), 2 * k)
+        scale = num * reciprocal(reference_factor_power(dpr.dot(dpr), 2 * k))
+        curve = img - director.scale(scale)
+        if passes:
+            sigma = curve.diff().dot(director)
+            vs = reference_valuation(sigma)
+            sigma_order, sigma_top = vs.order, vs.leading
+
+    e_coeff = f_coeff = None
+    if a2 <= a3:
+        case = CASE_SIGMA_TOP_NONZERO
+    elif a1 != a2 - a3 - 1:
+        case = CASE_I if a1 < a2 - a3 - 1 else CASE_III
+    else:
+        case = CASE_II
+        e_coeff = t1.coeffs[0] * t3.coeffs[0] - (a2 - a3) * t2.coeffs[0]
+        f_coeff = t1.coeffs[0] * t3.coeffs[0] - (a0 + a2 - a3) * t2.coeffs[0]
+    return FloatDevelopable(
+        branch, tilde, (t2b, t3b, rho_sq), director, delta, k, delta_top, exists, passes,
+        scale, curve, sigma, sigma_order, sigma_top, case, e_coeff, f_coeff,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +593,7 @@ def reference_vec3_valuation(a: Vec3Series) -> Valuation:
 
 
 def reference_curvature_numerators(factors: FrameFactors):
-    """``frame.curvature_numerators``."""
+    """The curvature numerators of ``frame.curvature_numerators``."""
     e_t, n = factors.tangent, factors.normal
     de = e_t.diff()
     k1 = de.dot(n.cross(e_t))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients, analyze, parse_config
 from crosscap.cli import fixture_text, main
 from crosscap.developable import BRANCH_A3_GE_A2, CASE_II, osculating_surface
-from crosscap.frame import closed_form_reference, curvature_series
+from crosscap.frame import closed_form_reference, curvature_series, darboux_frame
 from crosscap.invariants import (
     PROJ_TANGENT_TO_B,
     PROJ_TANGENT_TO_N,
@@ -19,6 +19,7 @@ from crosscap.invariants import (
     top_invariants,
 )
 from crosscap.model import build_umbrella
+from crosscap.series import reciprocal
 from crosscap.report import build_report, render_report
 from crosscap.verify import FAIL, SUBCASES, run_sweep
 from conftest import rand_fraction, random_family, random_surface
@@ -90,8 +91,9 @@ def test_criterion_3_table_sweep():
 
 def test_criterion_4_frame_properties(s1, s2, s3):
     for a in (s1, s2, s3):
-        assert orthonormality_defect(a.frame) <= 1e-9
-        anti = a.frame.e.diff().dot(a.frame.b) + a.frame.b.diff().dot(a.frame.e)
+        fr = darboux_frame(a.factors)
+        assert orthonormality_defect(fr) <= 1e-9
+        anti = fr.e.diff().dot(fr.b) + fr.b.diff().dot(fr.e)
         assert max(abs(c) for c in anti.coeffs) <= 1e-9
     rng = random.Random(404)
     done = 0
@@ -99,10 +101,11 @@ def test_criterion_4_frame_properties(s1, s2, s3):
         co = random_surface(rng)
         spec = random_family(rng)
         a = analyze(co, spec)
-        if frame_magnitude(a.frame, 8) > 1e3:
+        fr = darboux_frame(a.factors)
+        if frame_magnitude(fr, 8) > 1e3:
             continue
-        assert orthonormality_defect(a.frame, order_cap=8) <= 1e-9
-        anti = (a.frame.e.diff().dot(a.frame.n) + a.frame.n.diff().dot(a.frame.e)).truncate(8)
+        assert orthonormality_defect(fr, order_cap=8) <= 1e-9
+        anti = (fr.e.diff().dot(fr.n) + fr.n.diff().dot(fr.e)).truncate(8)
         assert max(abs(c) for c in anti.coeffs) <= 1e-9
         done += 1
     _ok("criterion 4", "(orthonormality and antisymmetry <= 1e-9, fixtures + 25 draws)")
@@ -110,7 +113,7 @@ def test_criterion_4_frame_properties(s1, s2, s3):
 
 def test_criterion_5_regular_curvature_reconstruction(s1, s2, s3):
     for a in (s1, s2, s3):
-        kappas = curvature_series(a.frame)
+        kappas = curvature_series(darboux_frame(a.factors))
         for x in (0.01, -0.01, 0.02, -0.02):
             rec = reconstruct_regular_curvatures(kappas, a.factors, x)
             ref = direct_regular_curvatures(a.image, a.raw_normal, x)
@@ -151,11 +154,15 @@ def test_criterion_7_developable_suite(s1, s2, s3):
         resid = developability_residual(surface).truncate(8)
         assert max(abs(c) for c in resid.coeffs) <= 1e-8
 
+    # The exact striction curve img - (T~ / R~) V: orthogonal to D' and
+    # tangent to the rulings, coefficient by coefficient.
     d2 = s2.developable
-    ortho = d2.striction.curve.diff().dot(d2.director.diff()).truncate(6)
-    assert max(abs(c) for c in ortho.coeffs) <= 1e-8
-    coll = d2.striction.curve.diff().cross(d2.director)
-    assert all(max(abs(c) for c in comp.truncate(6).coeffs) <= 1e-8 for comp in coll.components)
+    t, r = d2.striction.scale
+    V, dV = d2.director, d2.director.diff()
+    sw = (s2.factors.curve.shift(s2.factors.alpha0) - V.scale(t * reciprocal(r))).diff()
+    ortho = sw.dot(dV.scale(V.norm_sq()) - V.scale(V.dot(dV)))
+    assert all(c == 0 for c in ortho.coeffs)
+    assert all(c == 0 for comp in sw.cross(V).components for c in comp.coeffs)
 
     assert d2.classification.case == CASE_II
     assert d2.classification.E_scaled == 40 and d2.classification.E_scaled != 0

@@ -365,13 +365,45 @@ def test_mesh_refuses_an_umbrella_window_whose_powers_overflow(tmp_path, capsys,
     assert list(tmp_path.rglob("*.obj")) == []
 
 
+#: Tiny-scale jets, whose frame and striction scale lie below any absolute
+#: float tolerance, with the orders the exact analysis finds:
+#: (delta_order, sigma_order).
+TINY_SCALE = {
+    "mp-c1e-5": (_jet_text('"1/100000000"', {"family": "mp", "m": 1, "p": 2, "c": ["1/100000"]}), (None, None)),
+    "mp-a1e-12": (_jet_text('"1/1000000000000"'), (None, None)),
+    "mpq-a1e-8": (_jet_text('"1/100000000"', {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize("config", sorted(TINY_SCALE))
+def test_tiny_scale_jet_reports_in_full(tmp_path, capsys, config, field):
+    text, (delta_order, sigma_order) = TINY_SCALE[config]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_in_field(text, field))
+    assert main(["report", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert None not in doc["curvatures"]["degrees"]
+    assert doc["developable"]["applicable"] is True
+    assert (doc["developable"]["delta_order"], doc["developable"]["sigma_order"]) == (delta_order, sigma_order)
+    cylinder = "delta vanishes to reliable order; cylindrical to computed order"
+    assert (cylinder in doc["flags"]) == (delta_order is None)
+    if config.startswith("mp-"):
+        assert doc["invariants"]["applicable"] is True and doc["verdicts"]["contour"]["vanishes"] is False
+
+
+@pytest.mark.parametrize("config", sorted(TINY_SCALE))
+def test_tiny_scale_jet_meshes(tmp_path, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(TINY_SCALE[config][0])
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["curve.obj", "od_w.obj", "umbrella.obj"]
+
+
 # Configs that report and mesh refuse in one line with exit code 2.
 ONE_LINE_ERRORS = {
-    # Valid exact configs whose float frame or striction scale is too small
-    # for the float zero test: the analysis cannot be completed.
-    "mp-c1e-5": _jet_text('"1/100000000"', {"family": "mp", "m": 1, "p": 2, "c": ["1/100000"]}),
-    "mp-a1e-12": _jet_text('"1/1000000000000"'),
-    "mpq-a1e-8": _jet_text('"1/100000000"', {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1"]}),
     # Unbounded input: rationals beyond the digit cap or not of the form
     # p/q (json.loads itself refuses an integer of 5001 digits) and windows
     # that are not finite.
@@ -386,7 +418,7 @@ ONE_LINE_ERRORS = {
     "nan-window": _jet_text('"1"', mesh={"u_range": [math.nan, 1]}),
 }
 #: Values within the digit cap whose float images pass the float range: the
-#: exact report prints without the developable, the mesh is refused.
+#: exact report prints in full, the float report and the mesh are refused.
 HUGE_VALUES = json.dumps(
     {
         "truncation": 6,
@@ -395,9 +427,20 @@ HUGE_VALUES = json.dumps(
     }
 )
 
-#: Values within the digit cap that no float conversion overflows, but whose
-#: float developable chain is not finite: the curve (10^99 x^2 + x^3, x) on
-#: a02 = a11 = 1 has a director with nan coefficients.
+#: Values within the digit cap whose delta top, |E_t(0)|^4 |N(0)|^5 times
+#: smaller than the exact top R_top, passes the float range: a02 = 10^-99,
+#: b3 = 10^99.
+HUGE_DELTA_TOP = json.dumps(
+    {
+        "truncation": 6,
+        "surface": {"a": {"0,2": "1/" + LONGEST, "1,1": "1"}, "b": {"3": LONGEST}},
+        "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1", "1"]},
+    }
+)
+
+#: Values within the digit cap that no exact value of the report passes, but
+#: whose float unit director is not finite: the curve (10^99 x^2 + x^3, x) on
+#: a02 = a11 = 1.
 NON_FINITE_DEVELOPABLE = json.dumps(
     {
         "truncation": 6,
@@ -425,17 +468,18 @@ def test_library_errors_exit_2_in_one_line(tmp_path, capsys, command, config):
     assert list(tmp_path.rglob("*.obj")) == []
 
 
-def test_exact_report_of_huge_values_leaves_out_only_the_developable(tmp_path, capsys):
+def test_exact_report_of_huge_values_prints_in_full(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(HUGE_VALUES)
     assert main(["report", str(cfg_path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
-    assert report["developable"] == {
-        "applicable": False,
-        "reason": "values beyond the float range (integer division result too large for a float)",
-    }
+    dev = report["developable"]
+    assert dev["applicable"] is True
+    assert (dev["delta_order"], dev["sigma_order"], dev["classification"]["case"]) == (
+        0, 0, "sigma-top-guaranteed-nonzero"
+    )
     assert report["curvatures"]["degrees"] == [0, 0, 0]
     assert all(top.startswith(("59999", "-35", "-2")) for top in report["curvatures"]["tops"])
     assert report["invariants"]["applicable"] is True
@@ -444,14 +488,33 @@ def test_exact_report_of_huge_values_leaves_out_only_the_developable(tmp_path, c
     assert report["verdicts"]["contour"]["vanishes"] is False
 
 
-def test_report_of_a_non_finite_developable_leaves_it_out(tmp_path, capsys):
+def test_exact_report_of_a_huge_delta_top_leaves_out_only_the_developable(tmp_path, capsys):
+    # The orders are exact; only the float reading of the top fails.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(HUGE_DELTA_TOP)
+    assert main(["report", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["developable"] == {
+        "applicable": False,
+        "reason": "values beyond the float range (integer division result too large for a float)",
+    }
+    assert None not in report["curvatures"]["degrees"]
+    assert report["invariants"]["applicable"] is True
+    assert report["verdicts"]["contour"]["vanishes"] is False
+
+
+def test_report_of_a_non_finite_float_director_prints_the_developable(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(NON_FINITE_DEVELOPABLE)
     assert main(["report", str(cfg_path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
-    assert report["developable"] == {"applicable": False, "reason": NON_FINITE_REASON}
+    dev = report["developable"]
+    assert (dev["applicable"], dev["delta_order"], dev["delta_top"]) == (True, 0, 2.0)
+    assert (dev["sigma_order"], dev["sigma_top"]) == (0, 1.5e198)
     assert report["invariants"]["applicable"] is True
 
 
@@ -530,13 +593,13 @@ def _in_field(text, field):
     return json.dumps({**json.loads(text), "field": field})
 
 
-# The float field prints the exact analysis, so it fails where the exact
-# field fails: the tiny-scale jets in the float frame, the huge values when
-# a top-term is printed as a float.
-@pytest.mark.parametrize("config", ["mp-c1e-5", "mp-a1e-12", "mpq-a1e-8", "huge-values"])
+# The float field prints the exact analysis, so it reports the tiny-scale
+# jets in full (``test_tiny_scale_jet_reports_in_full``); it refuses the huge
+# values, whose top-terms pass the float range when printed as floats.
+@pytest.mark.parametrize("config", ["huge-values"])
 def test_float_field_report_exits_2_in_one_line(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_in_field({**ONE_LINE_ERRORS, "huge-values": HUGE_VALUES}[config], "float"))
+    cfg_path.write_text(_in_field({"huge-values": HUGE_VALUES}[config], "float"))
     assert main(["report", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

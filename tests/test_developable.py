@@ -1,8 +1,19 @@
+"""The exact osculating developable: director V, delta numerator R, striction and sigma.
+
+Identities of the exact chain hold coefficient by coefficient, so they are
+checked with ``==``.  The float chain of the unit Darboux frame
+(``reference.reference_osculating_developable``) is the independent
+reference: on the fixtures and on the 128 dense jets of the benchmark's
+universe, each analysed at the truncation its report reads, both must find
+the same orders, case and signs, and the same tops to 1e-9 relative.
+"""
+
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
 
 from crosscap import (
     FamilyMP,
@@ -11,17 +22,19 @@ from crosscap import (
     UmbrellaCoefficients,
     UniSeries,
     analyze,
+    parse_config,
 )
+from crosscap.cli import fixture_text
 from crosscap.developable import (
     BRANCH_A2_GT_A3,
     BRANCH_A3_GE_A2,
     CASE_II,
     CASE_SIGMA_TOP_NONZERO,
     RuledSurface,
-    osculating_director,
     osculating_surface,
 )
-from crosscap.frame import kappa_tilde_series
+from crosscap.frame import darboux_frame, kappa_tilde_series
+from crosscap.report import _complete
 from crosscap.series import Vec3Series, reciprocal, sqrt_series
 from crosscap.obj import (
     MeshError,
@@ -32,7 +45,13 @@ from crosscap.obj import (
     sample_surface_patch,
 )
 from conftest import rand_fraction, random_surface
-from reference import developability_residual, norm_series, striction_curve
+from reference import (
+    FLOAT_TOL,
+    developability_residual,
+    norm_series,
+    reference_osculating_developable,
+    striction_curve,
+)
 
 
 def series_small(s, tol=1e-8, cap=None):
@@ -45,9 +64,23 @@ def vec_small(v, tol=1e-8, cap=None):
     return all(series_small(c, tol, cap) for c in v.components)
 
 
+def is_zero(s):
+    """Every reliable coefficient of the EXACT series s (or 3-vector of series) is 0."""
+    parts = s.components if isinstance(s, Vec3Series) else (s,)
+    return all(c == 0 for part in parts for c in part.coeffs)
+
+
 def s2_variant():
     co = UmbrellaCoefficients(degree=9, a={(0, 2): 1, (1, 1): 1}, b={3: -6})
     return co, FamilyMP(m=1, p=2, c=(1, 1))
+
+
+def striction(a):
+    """The exact striction curve img - (T~ / R~) V and the derivative img' of the curve."""
+    d = a.developable
+    t, r = d.striction.scale
+    img = a.factors.curve.shift(a.factors.alpha0)
+    return img - d.director.scale(t * reciprocal(r)), img.diff()
 
 
 # ---------------------------------------------------------------------------
@@ -58,27 +91,28 @@ def s2_variant():
 def test_s1_director_branch_and_frame_plane(s1):
     d = s1.developable
     assert d.branch == BRANCH_A3_GE_A2
-    ns = d.director.norm_sq()
-    assert abs(ns.coeffs[0] - 1.0) < 1e-9
-    assert series_small(ns - UniSeries.constant(Field.FLOAT, 1.0, ns.reliable_order))
-    assert series_small(d.director.dot(s1.frame.n))
+    assert is_zero(d.director.dot(s1.factors.normal))
+    unit = osculating_surface(s1.factors, d).xi
+    ns = unit.norm_sq()
+    assert series_small(ns - UniSeries.constant(Field.FLOAT, 1.0, ns.reliable_order), 1e-12)
 
 
 def test_s2_director_branch(s2):
     assert s2.developable.branch == BRANCH_A2_GT_A3
-    assert series_small(s2.developable.director.dot(s2.frame.n))
+    assert is_zero(s2.developable.director.dot(s2.factors.normal))
 
 
 def test_s1_director_value(s1):
-    # D_o(0) is the normalized (k3~ e - k2~ b)(0)
-    t1, t2, t3 = kappa_tilde_series(s1.frame, s1.oracle)
-    e0 = s1.frame.e.constant_vector()
-    b0 = s1.frame.b.constant_vector()
+    # D_o(0) is the normalized (k3~ e - k2~ b)(0) of the unit frame
+    frame = darboux_frame(s1.factors)
+    t1, t2, t3 = kappa_tilde_series(frame, s1.oracle)
+    e0 = frame.e.constant_vector()
+    b0 = frame.b.constant_vector()
     raw = tuple(t3.coeffs[0] * e - t2.coeffs[0] * b for e, b in zip(e0, b0))
     norm = math.sqrt(sum(c * c for c in raw))
     want = tuple(c / norm for c in raw)
-    got = s1.developable.director.constant_vector()
-    assert max(abs(p - q) for p, q in zip(got, want)) < 1e-9
+    got = osculating_surface(s1.factors, s1.developable).xi.constant_vector()
+    assert max(abs(p - q) for p, q in zip(got, want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -88,39 +122,33 @@ def test_s1_director_value(s1):
 
 def test_s1_is_cylindrical_to_computed_order(s1):
     # the image curve is planar, so the osculating developable degenerates
-    # to a cylinder: delta vanishes identically and D_o is constant
+    # to a cylinder: R vanishes identically and V' is parallel to V
     d = s1.developable
     assert d.delta_order is None
-    assert series_small(d.delta)
-    assert vec_small(d.director.diff() , 1e-9)
+    assert is_zero(d.delta)
+    assert is_zero(d.director.cross(d.director.diff()))
     assert d.striction.exists is False
 
 
 def test_s2_delta(s2):
     d = s2.developable
     assert d.delta_order == 0
-    assert abs(d.delta_top - 8.0) < 1e-9
+    assert d.delta_top == 8.0
     assert d.classification.case == CASE_II
 
 
 def test_s3_delta(s3):
     d = s3.developable
     assert d.delta_order == 1  # alpha1, case (ii) with E != 0
-    assert abs(d.delta_top - (-3.0)) < 1e-9
+    assert d.delta_top == -3.0
 
 
-def test_director_derivative_identity(s2, s3):
-    # D_o' = delta / rho^3 (k2~ x^{a2-a3} e + k3~ b) on the a2 > a3 branch
-    for a in (s2, s3):
+def test_director_derivative_identity(s1, s2, s3):
+    # V and V' lie in the tangent plane, so V x V' = (R / |N|^2) N
+    for a in (s1, s2, s3):
         d = a.developable
-        director, branch, tilde, shifted = osculating_director(a.frame, a.oracle)
-        t1, t2, t3 = tilde
-        t2b, t3b, rho_sq = shifted
-        rho = sqrt_series(rho_sq)
-        inv = reciprocal(rho_sq * rho)
-        closed = (a.frame.e.scale(t2b) + a.frame.b.scale(t3b)).scale(d.delta * inv)
-        resid = director.diff() - closed
-        assert vec_small(resid, 1e-8, cap=6)
+        normal = a.factors.normal
+        assert is_zero(d.director.cross(d.director.diff()).scale(normal.norm_sq()) - normal.scale(d.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +161,10 @@ def test_residual_vanishes_on_fixtures(s1, s2, s3):
         surface = osculating_surface(a.factors, a.developable)
         resid = developability_residual(surface)
         assert series_small(resid, 1e-8, cap=8)
+        # det(img', V, V') = 0 exactly
+        img = a.factors.curve.shift(a.factors.alpha0)
+        V = a.developable.director
+        assert is_zero(img.diff().dot(V.cross(V.diff())))
 
 
 def test_cylinder_residual_zero():
@@ -157,28 +189,32 @@ def test_generic_ruled_surface_not_developable():
 def test_s2_striction_exists_and_passes(s2):
     d = s2.developable
     assert d.striction.exists and d.striction.passes_through_singularity
-    s0 = d.striction.curve.evaluate(0.0)
-    assert max(abs(c) for c in s0) < 1e-12
+    s, _ = striction(s2)
+    assert all(c == 0 for c in s.constant_vector())
+    assert d.striction.scale[0].coeffs[0] == 0
 
 
 def test_s2_striction_orthogonality(s2):
-    d = s2.developable
-    pairing = d.striction.curve.diff().dot(d.director.diff())
-    assert series_small(pairing, 1e-8, cap=6)
+    # s' . D' = 0, with D' = (V' |V|^2 - V (V . V')) / |V|^3
+    V = s2.developable.director
+    dV = V.diff()
+    s, _ = striction(s2)
+    assert is_zero(s.diff().dot(dV.scale(V.norm_sq()) - V.scale(V.dot(dV))))
 
 
 def test_s2_sigma_collinearity(s2):
+    # s' = sigma D, so s' x V = 0 and S = (s' . V) R~^2
     d = s2.developable
-    sw = d.striction.curve.diff()
-    resid = sw - d.director.scale(d.sigma)
-    assert vec_small(resid, 1e-8, cap=6)
-    assert vec_small(sw.cross(d.director), 1e-8, cap=6)
+    s, _ = striction(s2)
+    r = d.striction.scale[1]
+    assert is_zero(s.diff().cross(d.director))
+    assert is_zero(s.diff().dot(d.director) * (r * r) - d.sigma)
 
 
 def test_s2_sigma_top_vanishes(s2):
     # F = 0 makes the x^{alpha0 - 1} coefficient of sigma vanish
     d = s2.developable
-    assert abs(d.classification.F_coeff) <= 1e-9
+    assert d.classification.F_coeff == 0.0
     assert d.sigma_order is not None and d.sigma_order > s2.factors.alpha0 - 1
 
 
@@ -187,7 +223,7 @@ def test_s2_classification_constants(s2):
     assert cls.case == CASE_II
     assert cls.E_scaled == 40  # 10 * 4: proportional to the exact value 4
     assert cls.F_scaled == 0
-    assert abs(cls.E_coeff - 8 / math.sqrt(5)) < 1e-9
+    assert abs(cls.E_coeff - 8 / math.sqrt(5)) < 1e-15
 
 
 def test_s2_variant_conical_order():
@@ -220,22 +256,23 @@ def test_s3_sigma(s3):
     d = s3.developable
     assert d.striction.exists and d.striction.passes_through_singularity
     assert d.sigma_order == s3.factors.alpha0 - 1 == 3
-    assert abs(d.sigma_top - (-14.0)) < 1e-8
-    pairing = d.striction.curve.diff().dot(d.director.diff())
-    assert series_small(pairing, 1e-8, cap=6)
+    assert abs(d.sigma_top - (-14.0)) < 1e-12
+    V = d.director
+    dV = V.diff()
+    s, _ = striction(s3)
+    assert is_zero(s.diff().dot(dV.scale(V.norm_sq()) - V.scale(V.dot(dV))))
 
 
 def test_sigma_closed_form_identity(s2, s3):
-    # sigma = |E_t| k3~ x^{alpha0-1} / rho - S' on the a2 > a3 branch
+    # The float reference: sigma = |E_t| k3~ x^{alpha0-1} / rho - S' on the a2 > a3 branch
     for a in (s2, s3):
-        d = a.developable
-        _, _, tilde, shifted = osculating_director(a.frame, a.oracle)
-        t1, t2, t3 = tilde
-        t2b, t3b, rho_sq = shifted
+        ref = reference_osculating_developable(a.factors, a.oracle)
+        t1, t2, t3 = ref.tilde
+        t2b, t3b, rho_sq = ref.shifted
         ne = norm_series(a.factors.tangent)
         first = (ne * t3 * reciprocal(sqrt_series(rho_sq))).shift(a.factors.alpha0 - 1)
-        closed = first - d.striction.scale.diff()
-        resid = closed - d.sigma
+        closed = first - ref.scale.diff()
+        resid = closed - ref.sigma
         assert series_small(resid, 1e-8, cap=5)
 
 
@@ -260,13 +297,13 @@ def test_guarantee_sigma_top_nonzero_when_a3_ge_a2():
         d = a.developable
         if d is None or d.branch != BRANCH_A3_GE_A2:
             continue
-        if d.delta_order is None or abs(d.delta_top) < 1e-6:
+        if d.delta_order is None:
             continue
         if not d.striction.passes_through_singularity:
             continue
         assert d.classification.case == CASE_SIGMA_TOP_NONZERO
         assert d.sigma_order == a.factors.alpha0 - d.delta_order - 2
-        assert abs(d.sigma_top) > 1e-9
+        assert d.sigma_top != 0
         done += 1
 
 
@@ -279,11 +316,62 @@ def test_cone_striction_is_apex():
 
 
 def test_striction_curve_utility_matches_osculating(s2):
-    d = s2.developable
-    surface = osculating_surface(s2.factors, d)
+    surface = osculating_surface(s2.factors, s2.developable)
     _, s = striction_curve(surface)
-    resid = s - d.striction.curve
+    resid = s - striction(s2)[0].to_float()
     assert vec_small(resid, 1e-8, cap=5)
+
+
+# ---------------------------------------------------------------------------
+# the exact chain against the float reference
+# ---------------------------------------------------------------------------
+
+
+def report_rungs():
+    """s1-s3 and the 128 dense jets, each analysed at the truncation its report reads."""
+    texts = [fixture_text(name) for name in ("s1", "s2", "s3")]
+    texts += [
+        workloads.dense_config(shape, variant, "exact")
+        for shape in range(len(workloads.DENSE_SHAPES))
+        for variant in range(workloads.DENSE_VARIANTS)
+    ]
+    for text in texts:
+        cfg = parse_config(text)
+        yield analyze(cfg.coeffs, cfg.spec).climb(_complete)
+
+
+def close(got, want):
+    return got == want or abs(got - want) <= 1e-9 * abs(want)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_exact_chain_agrees_with_the_float_reference():
+    count = 0
+    for a in report_rungs():
+        d, ref = a.developable, reference_osculating_developable(a.factors, a.oracle)
+        assert (d.branch, d.classification.case) == (ref.branch, ref.case)
+        assert d.delta_order == ref.delta_order
+        assert (d.striction.exists, d.striction.passes_through_singularity) == (ref.exists, ref.passes)
+        assert d.sigma_order == ref.sigma_order
+        for got, want in ((d.delta_top, ref.delta_top), (d.sigma_top, ref.sigma_top)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert sign(got) == sign(want) and close(got, want), (got, want)
+        cls = d.classification
+        for got, want in ((cls.E_coeff, ref.E_coeff), (cls.F_coeff, ref.F_coeff)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert abs(got - want) <= 1e-9 * abs(want) + FLOAT_TOL
+        # the mesh's unit director is the reference's; the float chain's
+        # rounding grows with the degree, so the comparison stops at x^8
+        unit = osculating_surface(a.factors, d).xi.truncate(8)
+        scale = max(abs(c) for comp in unit.components for c in comp.coeffs)
+        assert vec_small(unit - ref.director.truncate(8), 1e-9 * scale)
+        count += 1
+    assert count == 3 + 128
 
 
 # ---------------------------------------------------------------------------
@@ -353,26 +441,29 @@ def test_degenerate_mesh_ranges_rejected():
 
 
 def test_branch2_consistency_identities():
-    # a generic alpha3 >= alpha2 fixture: D_o' and sigma match their
-    # alpha3-branch closed displays
+    # a generic alpha3 >= alpha2 fixture: the float reference's D_o' and
+    # sigma match their alpha3-branch closed displays, and the exact chain
+    # finds the same orders
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1, (0, 3): 1}, b={3: 2})
     a = analyze(co, FamilyMP(m=1, p=3, c=(1,)))
     d = a.developable
-    assert d.branch == BRANCH_A3_GE_A2
-    director, branch, tilde, shifted = osculating_director(a.frame, a.oracle)
-    t1, t2, t3 = tilde
-    t2b, t3b, rho_sq = shifted
+    ref = reference_osculating_developable(a.factors, a.oracle)
+    assert d.branch == ref.branch == BRANCH_A3_GE_A2
+    frame = darboux_frame(a.factors)
+    t1, t2, t3 = ref.tilde
+    t2b, t3b, rho_sq = ref.shifted
     rho = sqrt_series(rho_sq)
-    closed_dir = (a.frame.e.scale(t2b) + a.frame.b.scale(t3b)).scale(
-        d.delta * reciprocal(rho_sq * rho)
+    closed_dir = (frame.e.scale(t2b) + frame.b.scale(t3b)).scale(
+        ref.delta * reciprocal(rho_sq * rho)
     )
-    assert vec_small(director.diff() - closed_dir, 1e-8, cap=5)
+    assert vec_small(ref.director.diff() - closed_dir, 1e-8, cap=5)
 
-    assert d.striction.passes_through_singularity
+    assert d.striction.passes_through_singularity and ref.passes
     ne = norm_series(a.factors.tangent)
     a0, a2, a3 = a.factors.alpha0, a.oracle.degrees[1], a.oracle.degrees[2]
     first = (ne * t3 * reciprocal(rho)).shift(a0 + a3 - a2 - 1)
-    closed_sigma = first - d.striction.scale.diff()
-    assert series_small(closed_sigma - d.sigma, 1e-8, cap=4)
-    pairing = d.striction.curve.diff().dot(d.director.diff())
+    closed_sigma = first - ref.scale.diff()
+    assert series_small(closed_sigma - ref.sigma, 1e-8, cap=4)
+    pairing = ref.curve.diff().dot(ref.director.diff())
     assert series_small(pairing, 1e-8, cap=5)
+    assert (d.delta_order, d.sigma_order) == (ref.delta_order, ref.sigma_order)

@@ -10,6 +10,7 @@ from crosscap.frame import (
     ReportSource,
     closed_form_reference,
     curvature_series,
+    darboux_frame,
     frame_factors,
     kappa_tilde_series,
 )
@@ -102,9 +103,10 @@ def test_normal_tangent_orthogonality_as_series(s1, s2, s3):
 
 
 def test_s1_frame_values(s1):
-    e0 = s1.frame.e.constant_vector()
-    n0 = s1.frame.n.constant_vector()
-    b0 = s1.frame.b.constant_vector()
+    fr = darboux_frame(s1.factors)
+    e0 = fr.e.constant_vector()
+    n0 = fr.n.constant_vector()
+    b0 = fr.b.constant_vector()
     r = 1 / math.sqrt(2)
     assert max(abs(a - b) for a, b in zip(e0, (r, 0, r))) < 1e-12
     assert max(abs(a - b) for a, b in zip(n0, (0, -1, 0))) < 1e-12
@@ -126,9 +128,10 @@ def test_frame_value_formula_random_c2m():
         e0 = (2 * c0f / r, 0.0, a02f / r)
         n0 = (0.0, -s, 0.0)
         b0 = (-s * a02f / r, 0.0, s * 2 * c0f / r)
-        assert max(abs(p - q) for p, q in zip(a.frame.e.constant_vector(), e0)) < 1e-9
-        assert max(abs(p - q) for p, q in zip(a.frame.n.constant_vector(), n0)) < 1e-9
-        assert max(abs(p - q) for p, q in zip(a.frame.b.constant_vector(), b0)) < 1e-9
+        fr = darboux_frame(a.factors)
+        assert max(abs(p - q) for p, q in zip(fr.e.constant_vector(), e0)) < 1e-9
+        assert max(abs(p - q) for p, q in zip(fr.n.constant_vector(), n0)) < 1e-9
+        assert max(abs(p - q) for p, q in zip(fr.b.constant_vector(), b0)) < 1e-9
 
 
 def orthonormality_defect(frame, order_cap=None):
@@ -163,8 +166,9 @@ def frame_magnitude(frame, order_cap):
 
 def test_orthonormality_fixtures(s1, s2, s3):
     for a in (s1, s2, s3):
-        assert orthonormality_defect(a.frame) <= 1e-9
-        cross = a.frame.n.cross(a.frame.e) - a.frame.b
+        fr = darboux_frame(a.factors)
+        assert orthonormality_defect(fr) <= 1e-9
+        cross = fr.n.cross(fr.e) - fr.b
         assert all(series_small(c, 1e-9) for c in cross.components)
 
 
@@ -175,20 +179,20 @@ def test_orthonormality_fixtures(s1, s2, s3):
 
 def test_frenet_antisymmetry(s1, s2, s3):
     for a in (s1, s2, s3):
-        fr = a.frame
+        fr = darboux_frame(a.factors)
         lhs = fr.e.diff().dot(fr.b) + fr.b.diff().dot(fr.e)
         assert series_small(lhs, 1e-9)
 
 
 def test_frenet_reconstruction(s1):
-    k1, k2, k3 = curvature_series(s1.frame)
-    fr = s1.frame
+    fr = darboux_frame(s1.factors)
+    k1, k2, k3 = curvature_series(fr)
     resid = fr.e.diff() - (fr.b.scale(k1) + fr.n.scale(k2))
     assert all(series_small(c, 1e-9) for c in resid.components)
 
 
 def test_s1_kappa2_constant_term(s1):
-    k2 = curvature_series(s1.frame)[1]
+    k2 = curvature_series(darboux_frame(s1.factors))[1]
     assert abs(k2.coeffs[0] - (-6 / (2 * math.sqrt(2) * 2))) < 1e-12
 
 
@@ -211,7 +215,7 @@ def test_numerators_match_float_curvatures(s1, s2, s3):
         d1 = reciprocal(ne * ne * nn)
         d2 = reciprocal(ne * nn)
         d3 = reciprocal(ne * nn * nn)
-        kappas = curvature_series(a.frame)
+        kappas = curvature_series(darboux_frame(a.factors))
         assert series_close(k1 * d1, kappas[0])
         assert series_close(k2 * d2, kappas[1])
         assert series_close(k3 * d3, kappas[2])
@@ -352,7 +356,7 @@ def test_p4_entry_exact_for_all_m():
 @pytest.mark.parametrize("x", [0.01, -0.01, 0.02, -0.02])
 def test_regular_reconstruction_matches_direct(s1, s2, s3, x):
     for a in (s1, s2, s3):
-        rec = reconstruct_regular_curvatures(curvature_series(a.frame), a.factors, x)
+        rec = reconstruct_regular_curvatures(curvature_series(darboux_frame(a.factors)), a.factors, x)
         ref = direct_regular_curvatures(a.image, a.raw_normal, x)
         for name in ("kappa_g", "kappa_nu", "kappa_t"):
             lhs, rhs = getattr(rec, name), getattr(ref, name)
@@ -361,7 +365,7 @@ def test_regular_reconstruction_matches_direct(s1, s2, s3, x):
 
 def test_sign_factor_flips_at_negative_x(s1):
     # alpha + beta = 2 even, beta = 1 odd: kappa_nu flips against kappa_2/|E|x
-    kappas = curvature_series(s1.frame)
+    kappas = curvature_series(darboux_frame(s1.factors))
     rec_pos = reconstruct_regular_curvatures(kappas, s1.factors, 0.01)
     rec_neg = reconstruct_regular_curvatures(kappas, s1.factors, -0.01)
     k2 = kappas[1]
@@ -378,7 +382,7 @@ def test_sign_factor_flips_at_negative_x(s1):
 def test_kappa_t_continuous_when_alpha3_ge_alpha(s2):
     # alpha3 = 0 < alpha = 1 here, so kappa_t diverges; instead check the
     # sign-free definition: kappa_t(x) = kappa_3(x)/(|E(x)| x^alpha) both sides
-    kappas = curvature_series(s2.frame)
+    kappas = curvature_series(darboux_frame(s2.factors))
     for x in (0.01, -0.01):
         rec = reconstruct_regular_curvatures(kappas, s2.factors, x)
         ref = direct_regular_curvatures(s2.image, s2.raw_normal, x)
@@ -398,7 +402,7 @@ def test_reconstruction_rejects_zero():
 
 
 def test_kappa_tilde_tops(s2):
-    t1, t2, t3 = kappa_tilde_series(s2.frame, s2.oracle)
+    t1, t2, t3 = kappa_tilde_series(darboux_frame(s2.factors), s2.oracle)
     ne = math.sqrt(5.0)
     assert abs(t1.coeffs[0] - 12 / 5) < 1e-9
     assert abs(t2.coeffs[0] - 4 / ne) < 1e-9
@@ -412,10 +416,10 @@ def test_frame_properties_random_draws():
         co = random_surface(rng)
         spec = random_family(rng)
         a = analyze(co, spec)
-        if frame_magnitude(a.frame, 8) > 1e3:
+        fr = darboux_frame(a.factors)
+        if frame_magnitude(fr, 8) > 1e3:
             continue  # outside the magnitude regime the tolerance presumes
-        assert orthonormality_defect(a.frame, order_cap=8) <= 1e-9
-        fr = a.frame
+        assert orthonormality_defect(fr, order_cap=8) <= 1e-9
         anti = (fr.e.diff().dot(fr.n) + fr.n.diff().dot(fr.e)).truncate(8)
         assert series_small(anti, 1e-9)
         done += 1

@@ -67,8 +67,8 @@ def test_homothety_keeps_the_orders(seed):
 
 
 # ---------------------------------------------------------------------------
-# Known wrong outputs, pinned as strict xfails: the change that fixes one
-# must remove its marker.
+# Cylinders and tiny tops: every order is decided on exact series, so no
+# scale of the jet makes rounding noise read as an order.
 # ---------------------------------------------------------------------------
 
 CYLINDER_FLAG = "delta vanishes to reliable order; cylindrical to computed order"
@@ -94,10 +94,6 @@ def test_the_cylinder_is_reported(c0):
     assert_cylinder(curve_on_cross_cap(Fraction(1), Fraction(c0)))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: float rounding noise in delta reads as delta_order 3, delta_top 2^-16",
-)
 @pytest.mark.parametrize("a02, c0", [LARGE_C0, LARGE_C0_TWIN], ids=["c0=100", "homothety-twin"])
 def test_the_cylinder_is_reported_at_large_c0(a02, c0):
     assert_cylinder(curve_on_cross_cap(a02, c0))

@@ -15,6 +15,8 @@ from crosscap.invariants import (
     self_intersection,
     top_invariants,
 )
+from crosscap.frame import darboux_frame
+from crosscap.series import Field, Vec3Series
 from crosscap.model import build_umbrella
 from conftest import rand_fraction, random_surface
 from reference import expected_tops, secondary_normal_top
@@ -251,10 +253,25 @@ def test_contour_exact_equals_C_randomly():
         assert a.contour.exact_coefficient == a.invariants.C
 
 
-def test_normal_pairing_with_itself(s1):
-    n = s1.frame.n
-    n0 = n.constant_vector()
-    from crosscap.series import Field, Vec3Series
+def test_contour_coefficient_is_the_float_frame_pairing(s1):
+    # The float coefficient is the x^m coefficient of <n(x), b(0)> of the
+    # unit Darboux frame, read with one square root from the exact C.
+    rng = random.Random(31)
+    draws = []
+    for _ in range(15):
+        m = rng.choice((1, 2))
+        c = [rand_fraction(rng, nonzero=True)] + [Fraction(0)] * (m - 1) + [rand_fraction(rng)]
+        draws.append(analyze(random_surface(rng), FamilyMP(m=m, p=2, c=tuple(c))))
+    for a in [s1] + draws:
+        fr = darboux_frame(a.factors)
+        b0 = fr.b.constant_vector()
+        pairing = fr.n.dot(Vec3Series.make(Field.FLOAT, [b0[0]], [b0[1]], [b0[2]], fr.n.reliable_order))
+        want = pairing.coefficient(a.spec.m)
+        assert abs(a.contour.coefficient - want) <= 1e-9 * abs(want) + 1e-12
 
+
+def test_normal_pairing_with_itself(s1):
+    n = darboux_frame(s1.factors).n
+    n0 = n.constant_vector()
     const = Vec3Series.make(Field.FLOAT, [n0[0]], [n0[1]], [n0[2]], n.reliable_order)
     assert abs(n.dot(const).coeffs[0] - 1.0) < 1e-12

@@ -26,10 +26,10 @@ from crosscap.cli import fixture_text, main
 from crosscap.report import build_report, render_report
 
 REPORT_SHA256 = {
-    ("s1", "exact"): "56de40a30299280664ecd20d818c743dd3303e9bff44e1d4ec8af08166473425",
-    ("s1", "float"): "4c33c0632baadce9238ff9d2e0e194fae5f844874850d321af52d79330094715",
-    ("s2", "exact"): "7161438a012547e3fa4bb35d2c21e9845aebcd044e5f76d614b0dd029ab77a79",
-    ("s2", "float"): "286bc96f13adbbd13304d89589677c9e25ab2f03ac2cbab154662870232e1168",
+    ("s1", "exact"): "f35b958e2702170271c461186d8df53824718da8c80b1dcb21ec9d471b5ad691",
+    ("s1", "float"): "2277b6afb6ffcee0531c9fe3dcff61affb5e477cb7d27129c9fa29edbe1a4094",
+    ("s2", "exact"): "d766cca52dd7c713885d4d8d345e6e11775fb9d385e71e63c7a05b372fb6a9e1",
+    ("s2", "float"): "4007ff940aabebcb9c8418918f376ac6d50644cd03666d09c849136bfb6f5e78",
     ("s3", "exact"): "50a6958d9589bc742dcd5108ccbe6ae1be5612f06e96bff39ea473728f849224",
     ("s3", "float"): "0c2a6d8c865be71ef6bd2804ad87902a4d43cfacf45aee5ee4076dfebf69444a",
 }
@@ -60,8 +60,8 @@ SWEEP_SHA256 = {
 #: One digest per field over the concatenated dense reports, shape by shape
 #: and draw by draw.
 DENSE_REPORTS_SHA256 = {
-    "exact": "60b2ad8dccb8d483dc3c1a5c312c47c950489e53cdb1932b255c044dc71cca9c",
-    "float": "b60fe610c53d603f7431721aa9ad003f5583b9faaf3b8e00d542037ec0deebe4",
+    "exact": "5ac08aa320f0921dbcda76dab3939acc410d65a88d338fc299598e2809cf9d23",
+    "float": "9e3f62bfba028d808eb341da3081ded7a4f880f5dfa9118df75cc5e0b5af0f4b",
 }
 
 

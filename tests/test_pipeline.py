@@ -136,14 +136,26 @@ def test_verify_builds_each_power_table_once(monkeypatch):
     assert all(s.field is Field.EXACT for s in built)
 
 
-def test_report_normalises_the_frame_once(monkeypatch):
-    # The frame builds 1/|E_t| and 1/|N| and the unit curvatures reuse
-    # them; the third root and reciprocal normalise the director.
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_report_makes_no_float_series(calls, monkeypatch, name):
+    # Every order, case and verdict is decided on exact series; each float
+    # the report prints is read from an exact value, none from a series.
     roots = count_calls(monkeypatch, series, "sqrt_series")
     inverses = count_calls(monkeypatch, series, "reciprocal")
-    build_report(fixture_config("s1"))
-    assert len(roots) == 3
-    assert len(inverses) == 3
+    floats = []
+    original = UniSeries.to_float
+    monkeypatch.setattr(UniSeries, "to_float", lambda s: floats.append(s) or original(s))
+    build_report(fixture_config(name))
+    assert (roots, inverses, calls["darboux_frame"], floats) == ([], [], [], [])
+
+
+def test_mesh_normalises_the_director_once(tmp_path, monkeypatch):
+    roots = count_calls(monkeypatch, series, "sqrt_series")
+    inverses = count_calls(monkeypatch, series, "reciprocal")
+    cfg_path = tmp_path / "s2.json"
+    cfg_path.write_text(fixture_text("s2"))
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(roots) == 1 and len(inverses) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import decimal
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from crosscap.series import (
     Vec3Series,
     compose_bi,
     factor_power,
+    over_sqrt,
     reciprocal,
     sqrt_series,
     valuation,
@@ -201,10 +205,49 @@ def test_factor_power_valuation_guard():
         factor_power(exact([0, 0, 1], 5), 3)
 
 
-def test_float_factor_power_discards_noise():
+def test_valuation_and_factor_power_are_exact_only():
+    # No order is decided on a float series.
     a = flt([1e-12, 1e-11, 2.0, 3.0])
-    f = factor_power(a, 2)
-    assert f.coeffs == (2.0, 3.0)
+    with pytest.raises(SeriesError, match="EXACT"):
+        valuation(a)
+    with pytest.raises(SeriesError, match="EXACT"):
+        factor_power(a, 2)
+
+
+# ---------------------------------------------------------------------------
+# over_sqrt
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.fractions(max_denominator=10**40).filter(lambda q: q != 0)
+
+
+@settings(deadline=None)
+@given(RATIONALS, RATIONALS.map(abs))
+def test_over_sqrt_rounds_to_the_nearest_float(value, radicand):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        want = (Decimal(value.numerator) / Decimal(value.denominator)) / (
+            Decimal(radicand.numerator) / Decimal(radicand.denominator)
+        ).sqrt()
+        got = over_sqrt(value, radicand)
+        assert abs(Decimal(got) - want) <= Decimal(math.ulp(got)) / 2
+
+
+@pytest.mark.parametrize(
+    "value, radicand, want",
+    [
+        (Fraction(8 * 2**1000), Fraction(2**2000), 8.0),  # the radicand alone passes the float range
+        (Fraction(3, 2**1000), Fraction(1, 2**2000), 3.0),  # the radicand alone underflows
+        (Fraction(-1), Fraction(4), -0.5),
+    ],
+)
+def test_over_sqrt_scales_the_radicand(value, radicand, want):
+    assert over_sqrt(value, radicand) == want
+
+
+def test_over_sqrt_refuses_a_quotient_beyond_the_float_range():
+    with pytest.raises(OverflowError):
+        over_sqrt(Fraction(10**400), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
