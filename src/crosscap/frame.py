@@ -199,13 +199,13 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
     a11 = coeffs.a_coeff(1, 1)
     a03 = coeffs.a_coeff(0, 3)
     b3 = coeffs.b_coeff(3)
-    m = Fraction(spec.m)
+    m = spec.m
     p = spec.p
     c0 = spec.c[0]
     advisory = [False, False, False]
 
     if isinstance(spec, FamilyMPQ):
-        q = Fraction(spec.q)
+        q = spec.q
         if p == 1:
             deg1, top1 = spec.m - spec.q - 1, m * (m * m - q * q) * a02 * a02 * c0
         elif p < 4:

@@ -10,16 +10,21 @@ apply to particular curve shapes (closed forms, the A/B/C/D block,
 geometric verdicts, the developable) are None with a reason otherwise.
 
 Every reported number is the lowest nonvanishing coefficient of a series,
-so a short jet usually fixes it already.  ``Analysis.climb`` first runs the
-same analysis on the jet cut at the working truncation k' = 5 when
-2 k' <= k, then on the configured truncation k itself.  It returns the
-first of these rungs whose results the consumer accepts as complete.  The
-reliability rules make this exact: a coefficient within its reliable order
-on the lower rung equals the one at truncation k.  The configured
-truncation is the last rung, and its outcome (values, reasons and errors)
-is final.  ``report`` climbs for every result it prints and ``verify`` for
-the oracle; ``mesh`` and the series-valued stages stay at the configured
-truncation.
+so a short jet usually fixes it already.  ``Analysis.climb`` is the one
+ladder of working truncations: it runs the same analysis on the jet cut at
+each lower rung its consumer passes, then on the configured truncation k
+itself, and returns the first rung whose results the consumer accepts as
+complete.  ``report`` passes ``lower_truncations`` (k' = 5 when 2 k' <= k)
+and ``verify``, which needs only the oracle, ``oracle_truncations`` (k' = 4
+when 4 < k, then the report's rungs).  The reliability rules make this
+exact: a coefficient within its reliable order on a lower rung equals the
+one at truncation k.  The configured truncation is the last rung, and its
+outcome (values, reasons and errors) is final.  ``mesh`` and the
+series-valued stages stay at the configured truncation.
+
+``analyze`` counts configurations: each consumer call makes one, and the
+rungs are built as ``Analysis`` directly, without it.  Every analysis, rung
+or not, builds its curve once with ``model.build_curve``.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .developable import (
 )
 
 
-#: The one working truncation below the configured one.  The invariants
+#: The report's working truncation below the configured one.  The invariants
 #: A-D read the jet through degree 4 (b4 in D), and delta and sigma
 #: differentiate once more.  Of the 128 dense jets of ``bench/workloads.py``,
 #: truncation 5 completes the report of 124 and truncation 4 only 16, and an
@@ -79,19 +84,31 @@ from .developable import (
 #: higher rung was measured and none runs.
 FIRST_RUNG = 5
 
+#: The first working truncation of ``verify``, which reads only the
+#: curvature degrees and tops.  On all 9216 draws of the 1024-seed sweep
+#: universe of ``bench/workloads.py`` (truncation 6), truncation 4 finds
+#: every degree, with the degrees and tops of truncation 6; truncation 3
+#: finds them only on the draws with p <= 3 (checked on seeds 0-255).
+ORACLE_RUNG = 4
+
 
 def lower_truncations(k: int) -> list:
-    """The working truncations run before k: FIRST_RUNG if 2 FIRST_RUNG <= k, else none.
+    """The rungs ``report`` runs before k: FIRST_RUNG if 2 FIRST_RUNG <= k, else none.
 
     A rung close to k saves little when it completes and costs nearly a
-    second analysis when it does not, so every input below truncation 10
-    (the bundled fixtures, the sweep) runs the configured truncation alone.
+    second analysis when it does not, so every report below truncation 10
+    (the bundled fixtures) runs the configured truncation alone.
     A rung at 5 under truncation 8 or 9 made the 32 dense jets of those
     truncations 1.5x faster (0.258 -> 0.176 s), but the s1 and s2 reports,
     which it does not complete and which are the median job of the CLI
     benchmark, slower: 3.9 -> 6.1 ms and 4.1 -> 5.9 ms.
     """
     return [FIRST_RUNG] if 2 * FIRST_RUNG <= k else []
+
+
+def oracle_truncations(k: int) -> list:
+    """The rungs ``verify`` runs before k: ORACLE_RUNG if below k, then ``lower_truncations(k)``."""
+    return ([ORACLE_RUNG] if ORACLE_RUNG < k else []) + lower_truncations(k)
 
 
 def _value_or_reason(compute, errors):
@@ -118,11 +135,12 @@ class Analysis:
         self.order = default_series_order(spec, coeffs.degree)
         self.c1, self.c2 = build_curve(spec, self.order)
 
-    def climb(self, complete) -> "Analysis":
+    def climb(self, complete, lower) -> "Analysis":
         """The lowest rung whose results ``complete(rung)`` accepts.
 
         A lower rung is this analysis on the jet cut at one of
-        ``lower_truncations(k)``.  A library error there (a ValueError, or
+        ``lower(k)``, in that order; it is built as ``Analysis`` directly,
+        not through ``analyze``.  A library error there (a ValueError, or
         an ArithmeticError such as a float overflow) moves on to the next rung:
         a short jet may fail where the configured one does not, and an
         error that is real is raised again by the configured truncation.
@@ -133,9 +151,9 @@ class Analysis:
         """
         if min(self.c1.reliable_order, self.c2.reliable_order) < self.order:
             return self
-        for k in lower_truncations(self.coeffs.degree):
+        for k in lower(self.coeffs.degree):
             try:
-                rung = analyze(self.coeffs.truncated(k), self.spec)
+                rung = Analysis(self.coeffs.truncated(k), self.spec)
                 if complete(rung):
                     return rung
             except (ValueError, ArithmeticError):

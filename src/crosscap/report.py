@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .config import RunConfig, config_to_dict, json_value
-from .pipeline import Analysis, analyze
+from .pipeline import Analysis, analyze, lower_truncations
 from .series import Field
 
 #: Series-valued result fields: a section reports their orders and top-terms,
@@ -53,7 +53,7 @@ def _complete(a: Analysis) -> bool:
 
 def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
     """The report of ``analysis``, each result read from the lowest rung that completes it."""
-    a = analysis.climb(_complete)
+    a = analysis.climb(_complete, lower_truncations)
     rational = _PRINT_RATIONAL[cfg.field]
 
     def _section(result) -> dict:

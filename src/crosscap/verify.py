@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import FamilyMP, FamilyMPQ, GeneralCurve, ModelError, UmbrellaCoefficients
-from .pipeline import Analysis
+from .pipeline import Analysis, oracle_truncations
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -106,7 +106,7 @@ def verify_fixture(coeffs: UmbrellaCoefficients, spec, subcase: str = "fixture",
     if isinstance(spec, GeneralCurve):
         raise ModelError("verify requires a family curve; general curves have no closed forms")
     analysis = Analysis(coeffs, spec)
-    oracle = analysis.climb(lambda rung: None not in rung.oracle.degrees).oracle
+    oracle = analysis.climb(lambda rung: None not in rung.oracle.degrees, oracle_truncations).oracle
     comparisons = compare_reports(oracle, analysis.closed_form)
     return VerifyRow(
         subcase=subcase,

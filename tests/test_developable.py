@@ -34,6 +34,7 @@ from crosscap.developable import (
     osculating_surface,
 )
 from crosscap.frame import darboux_frame, kappa_tilde_series
+from crosscap.pipeline import lower_truncations
 from crosscap.report import _complete
 from crosscap.series import Vec3Series, reciprocal, sqrt_series
 from crosscap.obj import (
@@ -337,7 +338,7 @@ def report_rungs():
     ]
     for text in texts:
         cfg = parse_config(text)
-        yield analyze(cfg.coeffs, cfg.spec).climb(_complete)
+        yield analyze(cfg.coeffs, cfg.spec).climb(_complete, lower_truncations)
 
 
 def close(got, want):

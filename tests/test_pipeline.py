@@ -5,8 +5,11 @@ counted function, so a consumer that rebuilds a stage by hand is counted too.
 
 The ladder of working truncations must not change a byte: reports and
 verify rows produced through it are compared with those of the configured
-truncation alone, obtained by raising ``pipeline.FIRST_RUNG`` above every
-truncation so that no lower rung runs.
+truncation alone, obtained by raising ``pipeline.FIRST_RUNG`` (the report's
+rung) and ``pipeline.ORACLE_RUNG`` (verify's first rung) above every
+truncation so that no lower rung runs.  Each rung is an analysis built
+without ``analyze``: ``analyze`` counts one configuration per consumer call,
+``model.build_curve`` one curve per rung.
 """
 
 import json
@@ -34,7 +37,7 @@ from crosscap import (
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
 from crosscap.report import _complete, build_report, render_report
-from crosscap.verify import verify_fixture
+from crosscap.verify import SUBCASES, _draw_fixture, verify_fixture
 
 
 def count_calls(monkeypatch, module, name, record=None):
@@ -169,6 +172,13 @@ def test_lower_truncations():
     assert pipeline.lower_truncations(200) == [5]
 
 
+def test_oracle_truncations():
+    assert pipeline.oracle_truncations(4) == []
+    assert pipeline.oracle_truncations(5) == [4]
+    assert pipeline.oracle_truncations(9) == [4]
+    assert pipeline.oracle_truncations(10) == [4, 5]
+
+
 # Truncation 16, which truncation 5 completes.
 DENSE_16 = workloads.dense_config(8, 0, "exact")
 
@@ -179,25 +189,38 @@ def test_report_builds_the_surface_jet_only_on_the_resolving_rung(monkeypatch):
     assert truncations == [5]
 
 
+def sweep_draw(seed, subcase):
+    """The draw of ``subcase`` in ``run_sweep(seed=seed, draws=1)``."""
+    return _draw_fixture(random.Random((seed, subcase).__repr__()), subcase)
+
+
 @pytest.mark.parametrize(
-    "config, analyses", [(DENSE_16, 2), (fixture_text("s1"), 1)], ids=["dense-16", "s1"]
+    "consume, curves, analyses",
+    [
+        (lambda: build_report(parse_config(DENSE_16)), 2, 1),  # the configuration and rung 5
+        (lambda: build_report(parse_config(fixture_text("s1"))), 1, 1),  # truncation 9: no rung
+        (lambda: verify_fixture(*sweep_draw(0, "mp/p3")), 2, 0),  # the configuration and rung 4
+    ],
+    ids=["dense-16", "s1", "sweep-draw"],
 )
-def test_each_rung_is_built_through_analyze(monkeypatch, config, analyses):
+def test_analyze_counts_configurations_and_build_curve_rungs(monkeypatch, consume, curves, analyses):
+    built = count_calls(monkeypatch, model, "build_curve")
     calls = count_calls(monkeypatch, pipeline, "analyze")
-    build_report(parse_config(config))
-    assert len(calls) == analyses
+    consume()
+    assert (len(built), len(calls)) == (curves, analyses)
 
 
 def through_ladder_and_alone(produce):
     """``produce()`` through the ladder, and with the configured truncation alone."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "FIRST_RUNG", sys.maxsize)
+        m.setattr(pipeline, "ORACLE_RUNG", sys.maxsize)
         alone = produce()
     return produce(), alone
 
 
 def resolving_truncation(cfg):
-    return analyze(cfg.coeffs, cfg.spec).climb(_complete).coeffs.degree
+    return analyze(cfg.coeffs, cfg.spec).climb(_complete, pipeline.lower_truncations).coeffs.degree
 
 
 def assert_ladder_keeps_bytes(cfg):
@@ -243,10 +266,12 @@ def test_ladder_keeps_the_fixture_reports(name, truncation, resolved, field):
 
 def test_verify_climbs_past_an_unresolved_degree():
     # With b3 = 0 the tabulated kappa2 top of this curve vanishes (a
-    # NON-GENERIC row); the true degree, 3, lies beyond what truncation 5
-    # resolves, so the oracle must come from the configured truncation.
+    # NON-GENERIC row); the true degree, 3, lies beyond what truncations 4
+    # and 5 resolve, so the oracle must come from the configured truncation.
     coeffs = UmbrellaCoefficients(12, {(0, 2): 1}, {})
     spec = FamilyMP(m=1, p=5, c=(1,))
+    assert pipeline.oracle_truncations(12) == [4, 5]
+    assert analyze(coeffs.truncated(4), spec).oracle.degrees[1] is None
     assert analyze(coeffs.truncated(5), spec).oracle.degrees[1] is None
     assert verify_fixture(coeffs, spec).comparisons[1].degree_oracle == 3
     assert_ladder_keeps_bytes(RunConfig(coeffs=coeffs, spec=spec))
@@ -309,7 +334,8 @@ def test_curve_short_of_the_configured_order_runs_no_lower_rung():
     )
     a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec)
     assert a.order == 12 and a.c1.reliable_order == 9
-    assert a.climb(lambda rung: True) is a
+    assert a.climb(lambda rung: True, pipeline.lower_truncations) is a
+    assert a.climb(lambda rung: True, pipeline.oracle_truncations) is a
 
 
 def test_climb_moves_on_only_past_library_errors():
@@ -321,9 +347,10 @@ def test_climb_moves_on_only_past_library_errors():
     def bug(rung):
         raise TypeError("a programming error")
 
-    assert a.climb(library_error) is a
-    with pytest.raises(TypeError):
-        a.climb(bug)
+    for lower in (pipeline.lower_truncations, pipeline.oracle_truncations):
+        assert a.climb(library_error, lower) is a
+        with pytest.raises(TypeError):
+            a.climb(bug, lower)
 
 
 @pytest.fixture
@@ -332,10 +359,12 @@ def compose_orders(monkeypatch):
     return count_calls(monkeypatch, series, "compose_bi", lambda F, u, v: u.reliable_order)
 
 
-# s3 at truncation 16 completes at rung 5.  Its curve has multiplicity 3, so
-# the curve is built to order 3 (5 + 1) - 1 = 17 there and to 3 (16 + 1) - 1 = 50
+# s3 at truncation 16 completes the report at rung 5 and the oracle at rung
+# 4.  Its curve has multiplicity 3, so the curve is built to order
+# 3 (5 + 1) - 1 = 17 and 3 (4 + 1) - 1 = 14 there and to 3 (16 + 1) - 1 = 50
 # at the configured truncation.
 S3_RUNG_5_ORDER = 17
+S3_RUNG_4_ORDER = 14
 S3_TRUNCATION_16_ORDER = 50
 
 
@@ -347,7 +376,7 @@ def test_report_composes_only_on_the_resolving_rung(compose_orders):
 def test_verify_composes_only_on_the_resolving_rung(compose_orders):
     cfg = fixture_at("s3", 16)
     verify_fixture(cfg.coeffs, cfg.spec)
-    assert compose_orders == [S3_RUNG_5_ORDER] * 6
+    assert compose_orders == [S3_RUNG_4_ORDER] * 6
 
 
 def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_path):
@@ -357,3 +386,18 @@ def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_pat
     cfg_path.write_text(json.dumps(raw))
     assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert compose_orders == [S3_TRUNCATION_16_ORDER] * 6
+
+
+def test_verify_resolves_every_sweep_draw_at_the_oracle_rung(monkeypatch):
+    # The 576 draws of sweep seeds 0-63 of the benchmark's sweep universe.
+    # The surface jet is built only on the rung whose oracle is read: once
+    # at the configured truncation alone, then once at 4 through the ladder
+    # when rung 4 resolves the draw.  The two rows must be equal.
+    jets = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
+    for seed in range(64):
+        for subcase in SUBCASES:
+            coeffs, spec = sweep_draw(seed, subcase)
+            laddered, alone = through_ladder_and_alone(lambda: verify_fixture(coeffs, spec, subcase))
+            assert jets == [coeffs.degree, 4], (seed, subcase)
+            assert laddered == alone, (seed, subcase)
+            jets.clear()
