@@ -77,7 +77,7 @@ def _cmd_mesh(args) -> int:
     # Every mesh is sampled and formatted before any file is written, so a
     # refusal (no developable, a non-finite vertex) leaves no partial output.
     patch = sample_surface_patch(analysis.W, mesh.u_range, mesh.v_range, mesh.nu, mesh.nv)
-    curve_pts = sample_curve_polyline(analysis.image, mesh.x_range, mesh.curve_samples)
+    curve_pts = sample_curve_polyline(ruled.gamma, mesh.x_range, mesh.curve_samples)
     od = sample_ruled_surface(ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
     texts = {
         "umbrella.obj": obj_mesh_text(patch),
@@ -143,8 +143,9 @@ def main(argv=None) -> int:
     p_mesh.set_defaults(func=_cmd_mesh)
 
     p_fix = sub.add_parser("fixtures", help="bundled fixture configurations")
-    p_fix.add_argument("--list", action="store_true", help="list bundled fixtures")
-    p_fix.add_argument("--show", metavar="NAME", help="print one fixture's JSON")
+    fix_mode = p_fix.add_mutually_exclusive_group()
+    fix_mode.add_argument("--list", action="store_true", help="list bundled fixtures")
+    fix_mode.add_argument("--show", metavar="NAME", help="print one fixture's JSON")
     p_fix.set_defaults(func=_cmd_fixtures)
 
     args = parser.parse_args(argv)

@@ -228,8 +228,8 @@ def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross
     )
 
 
-def osculating_surface(factors: FrameFactors, data: DevelopableData) -> RuledSurface:
-    """The osculating developable as a FLOAT ruled surface: the space curve and V / |V|."""
+def osculating_surface(img: Vec3Series, data: DevelopableData) -> RuledSurface:
+    """The osculating developable as a FLOAT ruled surface: the image curve ``img`` and V / |V|."""
     try:
         v = data.director.to_float()
         xi = v.scale(reciprocal(sqrt_series(v.norm_sq())))
@@ -238,4 +238,4 @@ def osculating_surface(factors: FrameFactors, data: DevelopableData) -> RuledSur
         finite = False
     if not finite:
         raise DevelopableError("values beyond the float range (the director has a non-finite coefficient)")
-    return RuledSurface(gamma=factors.curve.shift(factors.alpha0).to_float(), xi=xi)
+    return RuledSurface(gamma=img.to_float(), xi=xi)

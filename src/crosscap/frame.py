@@ -29,7 +29,6 @@ built once and shared with the osculating developable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .series import (
@@ -119,24 +118,18 @@ def curvature_numerators(factors: FrameFactors):
     return (k1, k2, k3), c
 
 
-class ReportSource(Enum):
-    ORACLE = "oracle"
-    CLOSED_FORM = "closed_form"
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
     """Divergence degrees alpha_1..alpha_3 and normalized top-terms T_1..T_3.
 
     A degree of ``None`` means the corresponding numerator vanished to its
-    reliable order (recorded in ``reliable_orders``); for the closed-form
-    source it never happens.  ``advisory`` flags table entries whose constant
+    reliable order (recorded in ``reliable_orders``); for a closed-form
+    report it never happens.  ``advisory`` flags table entries whose constant
     is known to disagree with the series computation on some inputs; the
     comparison layer reports instead of failing on those.  ``numerators``
     holds the khat_i an oracle report was extracted from.
     """
 
-    source: ReportSource
     degrees: tuple
     tops: tuple
     reliable_orders: tuple
@@ -155,7 +148,6 @@ def divergence_report(numerators) -> CurvatureReport:
         tops.append(v.leading)
         rel.append(v.reliable_order)
     return CurvatureReport(
-        source=ReportSource.ORACLE,
         degrees=tuple(degrees),
         tops=tuple(tops),
         reliable_orders=tuple(rel),
@@ -255,7 +247,6 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
     degrees = (deg1, deg2, deg3)
     tops = (Fraction(top1), Fraction(top2), Fraction(top3))
     return CurvatureReport(
-        source=ReportSource.CLOSED_FORM,
         degrees=degrees,
         tops=tops,
         reliable_orders=(-1, -1, -1),

@@ -18,7 +18,6 @@ are exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .series import (
     UniSeries,
     Vec3BiSeries,
     Vec3Series,
+    nearest_float,
     over_sqrt,
     vec3_factor_power,
     vec3_valuation,
@@ -101,7 +101,8 @@ class ProjectionTangency:
     ``coeff_along_b``/``coeff_along_n`` are the exact x^{3m} coefficients of
     the pairings with the unnormalized frame directions (-a02, 0, 2c0) and
     (0, 1, 0); they equal A/3 and B/3.  The float attributes carry the same
-    coefficients against the unit frame vectors b(0), n(0).
+    coefficients against the unit frame vectors b(0), n(0), each rounded
+    once from its exact value.
     """
 
     verdict: str
@@ -117,8 +118,7 @@ def projection_tangency(
     """Verdict from the EXACT image curve, cross-checked against the invariants."""
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
-    b_dir = Vec3Series.make(Field.EXACT, [-a02], [0], [2 * c0], img.reliable_order)
-    pb = img.dot(b_dir)
+    pb = img.x * -a02 + img.z * (2 * c0)
     pn = img.y
     if pb.reliable_order < 3 * m or pn.reliable_order < 3 * m:
         raise InvariantError("series not reliable to degree %d" % (3 * m))
@@ -139,14 +139,13 @@ def projection_tangency(
         verdict = PROJ_TANGENT_TO_B
     else:
         verdict = PROJ_GENERIC
-    s = 1.0 if a02 > 0 else -1.0
-    r = math.sqrt(float(4 * c0 * c0 + a02 * a02))
+    s = 1 if a02 > 0 else -1
     return ProjectionTangency(
         verdict=verdict,
         coeff_along_b=cb,
         coeff_along_n=cn,
-        unit_coeff_along_b=s * float(cb) / r,
-        unit_coeff_along_n=-s * float(cn),
+        unit_coeff_along_b=over_sqrt(s * cb, 4 * c0 * c0 + a02 * a02),
+        unit_coeff_along_n=nearest_float(-s * cn),
     )
 
 
@@ -191,8 +190,8 @@ def self_intersection(
         for deg in range(1, min(4, comp.reliable_order + 1), 2):
             if comp.coefficient(deg) != 0:
                 raise InvariantError("self-intersection image is not symmetric")
-    dv = vec3_valuation(img.diff())
-    lead_d = vec3_factor_power(img.diff(), dv.order).constant_vector()
+    d_img = img.diff()
+    lead_d = vec3_factor_power(d_img, vec3_valuation(d_img).order).constant_vector()
     lead_c = None
     tangent = None
     if spec is not None:
@@ -247,11 +246,11 @@ def contour_deviation(
 ) -> ContourDeviation:
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
-    b_dir = Vec3Series.make(Field.EXACT, [-a02], [0], [2 * c0], factors.normal.reliable_order)
-    exact_pairing = factors.normal.dot(b_dir)
+    n = factors.normal
+    exact_pairing = n.x * -a02 + n.z * (2 * c0)
     if exact_pairing.reliable_order < m:
         raise InvariantError("series not reliable to degree %d" % m)
     exact = exact_pairing.coefficient(m)
-    n2 = sum(c * c for c in factors.normal.constant_vector())
+    n2 = sum(c * c for c in n.constant_vector())
     coeff = over_sqrt(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
     return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)

@@ -24,6 +24,7 @@ from .series import (
     BiSeries,
     Vec3Series,
     Vec3BiSeries,
+    over_sqrt,
     valuation,
 )
 
@@ -151,7 +152,11 @@ class FamilyMP:
 
 @dataclass(frozen=True)
 class GeneralCurve:
-    """A finite-multiplicity curve given by two exact component series."""
+    """A finite-multiplicity curve given by two exact component series.
+
+    ``m``, the multiplicity (the smaller valuation of the two components), is
+    set on construction and is not a field, so it is not part of the config.
+    """
 
     c1: UniSeries
     c2: UniSeries
@@ -159,27 +164,28 @@ class GeneralCurve:
     def __post_init__(self):
         if self.c1.field is not Field.EXACT or self.c2.field is not Field.EXACT:
             raise ModelError("general curves must be given in the EXACT field")
-        for name, series in (("c1", self.c1), ("c2", self.c2)):
-            v = valuation(series)
+        v1, v2 = valuation(self.c1), valuation(self.c2)
+        for name, series, v in (("c1", self.c1, v1), ("c2", self.c2, v2)):
             if v.is_zero_to_order:
                 raise ModelError(
                     f"curve component {name} vanishes to its reliable order {series.reliable_order}"
                 )
             if v.order == 0:
                 raise ModelError("curve must pass through the origin")
-        if not _rank_two(self.c1, self.c2):
+        if not _rank_two(self.c1, self.c2, v1, v2):
             raise ModelError(
                 "curve components are proportional: the rank-two condition fails"
             )
+        object.__setattr__(self, "m", min(v1.order, v2.order))
 
 
 CurveSpec = Union[FamilyMPQ, FamilyMP, GeneralCurve]
 
 
-def _rank_two(c1: UniSeries, c2: UniSeries) -> bool:
+def _rank_two(c1: UniSeries, c2: UniSeries, v1, v2) -> bool:
     # Dependent iff both nonzero components are scalar multiples of a common
-    # series, checked coefficientwise up to the shared reliable order.
-    v1, v2 = valuation(c1), valuation(c2)
+    # series, checked coefficientwise up to the shared reliable order; v1 and
+    # v2 are the valuations of c1 and c2.
     if v1.order != v2.order:
         return True
     r = min(c1.reliable_order, c2.reliable_order)
@@ -190,29 +196,9 @@ def _rank_two(c1: UniSeries, c2: UniSeries) -> bool:
     return False
 
 
-def curve_multiplicity(c1: UniSeries, c2: UniSeries) -> int:
-    """The multiplicity m: the smaller valuation of the two components."""
-    v1, v2 = valuation(c1), valuation(c2)
-    orders = [v.order for v in (v1, v2) if not v.is_zero_to_order]
-    if not orders:
-        raise ModelError("curve components vanish to reliable order")
-    return min(orders)
-
-
-def spec_multiplicity(spec: CurveSpec) -> int:
-    if isinstance(spec, (FamilyMPQ, FamilyMP)):
-        return spec.m
-    return curve_multiplicity(spec.c1, spec.c2)
-
-
 def series_order(m: int, degree: int) -> int:
     """The storage/reliable order m (k + 1) - 1 that a surface tail of degree k dictates."""
     return m * (degree + 1) - 1
-
-
-def default_series_order(spec: CurveSpec, degree: int) -> int:
-    """``series_order`` at the curve's multiplicity."""
-    return series_order(spec_multiplicity(spec), degree)
 
 
 def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
@@ -297,20 +283,15 @@ class TangencyClassification:
     principal_plane_normal: tuple = PRINCIPAL_PLANE_NORMAL
 
 
-def _normalize(vec) -> tuple:
-    n = math.sqrt(sum(float(c) ** 2 for c in vec))
-    return tuple(float(c) / n for c in vec)
-
-
-def classify_tangency(coeffs: UmbrellaCoefficients, c1: UniSeries, c2: UniSeries) -> TangencyClassification:
-    """Classify by how far the first component vanishes past the multiplicity.
+def classify_tangency(coeffs: UmbrellaCoefficients, m: int, c1: UniSeries, c2: UniSeries) -> TangencyClassification:
+    """Classify by how far the first component vanishes past the multiplicity m.
 
     With the curve written as (f1, f2) x^m, the case is decided by
     l = val(first component) - m:  l = 0 -> (1), 0 < l < m -> (2), l = m -> (3),
     l > m -> (4).  The limiting tangent is the unit value at 0 of the factored
-    derivative, written out per case.
+    derivative, written out per case as an exact vector (x, 0, z) whose
+    components are each rounded once (``over_sqrt``).
     """
-    m = curve_multiplicity(c1, c2)
     v1 = valuation(c1)
     if v1.is_zero_to_order:
         if c1.reliable_order < 2 * m + 1:
@@ -325,24 +306,17 @@ def classify_tangency(coeffs: UmbrellaCoefficients, c1: UniSeries, c2: UniSeries
         v2 = valuation(c2)
         if v2.is_zero_to_order or v2.order != m:
             raise ModelError("degenerate curve: second component must carry the multiplicity")
-        c2_0 = c2.coeffs[m]
+        z = coeffs.a02 * v2.leading ** 2
     if ell == 0:
-        case = 1
-        tangent = (float(v1.leading), 0.0, 0.0)
+        case, x, z = 1, v1.leading, 0
     elif ell < m:
-        case = 2
-        tangent = (float(v1.leading), 0.0, 0.0)
+        case, x, z = 2, v1.leading, 0
     elif ell == m:
-        case = 3
         # Factored-derivative value (2m f1~(0), 0, m a_02 c2(0)^2), rescaled.
-        tangent = (
-            2.0 * float(v1.leading),
-            0.0,
-            float(coeffs.a02) * float(c2_0) ** 2,
-        )
+        case, x = 3, 2 * v1.leading
     else:
-        case = 4
-        tangent = (0.0, 0.0, float(coeffs.a02) * float(c2_0) ** 2)
+        case, x = 4, 0
+    r = x * x + z * z
     return TangencyClassification(
-        case=case, kind=_CASE_KIND[case], limiting_tangent=_normalize(tangent)
+        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(over_sqrt(c, r) for c in (x, 0, z))
     )

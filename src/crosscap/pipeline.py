@@ -23,8 +23,9 @@ outcome (values, reasons and errors) is final.  ``mesh`` and the
 series-valued stages stay at the configured truncation.
 
 ``analyze`` counts configurations: each consumer call makes one, and the
-rungs are built as ``Analysis`` directly, without it.  Every analysis, rung
-or not, builds its curve once with ``model.build_curve``.
+rungs are built as ``Analysis`` directly, without it.  An analysis builds
+its curve (``model.build_curve``) on the first read of a stage that needs
+it, so a configured analysis that a lower rung resolves builds none.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ from functools import cached_property
 from .series import Vec3BiSeries, Vec3Series
 from .model import (
     CurveSpec,
+    GeneralCurve,
     TangencyClassification,
     UmbrellaCoefficients,
     build_curve,
     build_umbrella,
     classify_tangency,
-    default_series_order,
     image_curve,
     normal_field_raw,
+    series_order,
 )
 from .frame import (
     CurvatureReport,
@@ -122,18 +124,17 @@ def _value_or_reason(compute, errors):
 class Analysis:
     """The lazily staged analysis of one surface jet and curve.
 
-    The curve, whose reliable order ``climb`` reads, is built on
-    construction; the surface jet and every other attribute are stages
-    computed on first access.  Every stage reads the one exact surface jet
-    and curve and decides every order on exact series; only ``ruled``, the
-    mesh's developable, is a float series.
+    Construction only fixes the series order m (k + 1) - 1 from the spec's
+    multiplicity m; the curve, the surface jet and every other attribute
+    are stages computed on first access.  Every stage reads the one exact
+    surface jet and curve and decides every order on exact series; only
+    ``ruled``, the mesh's developable, is a float series.
     """
 
     def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec):
         self.coeffs = coeffs
         self.spec = spec
-        self.order = default_series_order(spec, coeffs.degree)
-        self.c1, self.c2 = build_curve(spec, self.order)
+        self.order = series_order(spec.m, coeffs.degree)
 
     def climb(self, complete, lower) -> "Analysis":
         """The lowest rung whose results ``complete(rung)`` accepts.
@@ -147,9 +148,12 @@ class Analysis:
         Any other exception is a bug and propagates.  This analysis is the
         last rung and is returned unchecked.  A curve given to less than
         the configured order caps every reliable order, which then does not
-        grow with the truncation; it runs no lower rung.
+        grow with the truncation; it runs no lower rung.  Only a general
+        curve can be short: ``build_curve`` gives a family curve to exactly
+        the configured order.  So the rule reads the spec and builds no curve.
         """
-        if min(self.c1.reliable_order, self.c2.reliable_order) < self.order:
+        spec = self.spec
+        if isinstance(spec, GeneralCurve) and min(spec.c1.reliable_order, spec.c2.reliable_order) < self.order:
             return self
         for k in lower(self.coeffs.degree):
             try:
@@ -161,20 +165,25 @@ class Analysis:
         return self
 
     @cached_property
+    def curve(self) -> tuple:
+        """The component series (c1, c2) of the curve, to the series order."""
+        return build_curve(self.spec, self.order)
+
+    @cached_property
     def W(self) -> Vec3BiSeries:
         return build_umbrella(self.coeffs)
 
     @cached_property
     def tangency(self) -> TangencyClassification:
-        return classify_tangency(self.coeffs, self.c1, self.c2)
+        return classify_tangency(self.coeffs, self.spec.m, *self.curve)
 
     @cached_property
     def image(self) -> Vec3Series:
-        return image_curve(self.W, self.c1, self.c2)
+        return image_curve(self.W, *self.curve)
 
     @cached_property
     def raw_normal(self) -> Vec3Series:
-        return normal_field_raw(self.W, self.c1, self.c2)
+        return normal_field_raw(self.W, *self.curve)
 
     @cached_property
     def factors(self) -> FrameFactors:
@@ -258,7 +267,7 @@ class Analysis:
         """The osculating developable as a float ruled surface; DevelopableError if it has none."""
         if self.developable is None:
             raise DevelopableError(self.developable_reason)
-        return osculating_surface(self.factors, self.developable)
+        return osculating_surface(self.image, self.developable)
 
 
 def analyze(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> Analysis:

@@ -14,7 +14,7 @@ import json
 
 from .config import RunConfig, config_to_dict, json_value
 from .pipeline import Analysis, analyze, lower_truncations
-from .series import Field
+from .series import Field, nearest_float
 
 #: Series-valued result fields: a section reports their orders and top-terms,
 #: never the series themselves.
@@ -22,8 +22,10 @@ _SERIES_FIELDS = frozenset(
     {"tangent", "normal", "curve", "image", "director", "delta", "sigma", "scale"}
 )
 
-#: How each field prints an exact value of the result sections.
-_PRINT_RATIONAL = {Field.EXACT: str, Field.FLOAT: float}
+#: How each field prints an exact value of the result sections.  The float
+#: field refuses (OverflowError) a nonzero value beyond the float range
+#: either way, rather than print it as inf or 0.0.
+_PRINT_RATIONAL = {Field.EXACT: str, Field.FLOAT: nearest_float}
 
 
 def build_report(cfg: RunConfig) -> dict:

@@ -13,7 +13,9 @@ The univariate variable is called x throughout; bivariate series live in
 
 Zero tests, valuations and top-terms are EXACT only, so that degree/top-term
 extraction is bit-exact; square roots exist only in the FLOAT field, which the
-mesh reads.  ``over_sqrt`` rounds an exact value over an exact root to a float.
+mesh reads.  ``over_sqrt`` rounds an exact value over an exact root to a float,
+and ``nearest_float`` an exact value; both refuse a nonzero value beyond the
+float range either way.
 
 An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
 polynomial: integer numerators ``_num`` over one denominator ``_den``, in
@@ -445,12 +447,25 @@ def sqrt_series(a: UniSeries) -> UniSeries:
     return UniSeries(Field.FLOAT, tuple(out), a.reliable_order)
 
 
+def nearest_float(value: Fraction) -> float:
+    """The rational ``value`` rounded to the nearest float.
+
+    OverflowError when a nonzero value is beyond the float range either way:
+    above it, as ``float`` raises, or below it, where it would round to 0.0.
+    """
+    x = value.numerator / value.denominator  # integer true division rounds correctly
+    if x == 0 and value:
+        raise OverflowError("a nonzero value below the float range rounds to 0.0")
+    return x
+
+
 def over_sqrt(value: Fraction, radicand: Fraction) -> float:
     """value / sqrt(radicand) for rationals with radicand > 0, rounded to the nearest float.
 
     The square root of value^2 / radicand is taken in integers, to at least
     58 bits with a sticky bit, so that the one rounding to a float is that
-    of the real quotient.  OverflowError when it passes the float range.
+    of the real quotient.  OverflowError when it passes the float range,
+    either way (``nearest_float``).
     """
     q = value * value / radicand
     shift = max(0, 58 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
@@ -459,8 +474,7 @@ def over_sqrt(value: Fraction, radicand: Fraction) -> float:
     if rem or root * root != n:
         # The real root lies strictly between root and root + 1.
         root, shift = 2 * root + 1, shift + 1
-    x = root / (1 << shift)
-    return -x if value < 0 else x
+    return nearest_float(Fraction(-root if value < 0 else root, 1 << shift))
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_6_verdict_suite(s2_coeffs, s2_spec):
 
 def test_criterion_7_developable_suite(s1, s2, s3):
     for a in (s1, s2, s3):
-        surface = osculating_surface(a.factors, a.developable)
+        surface = osculating_surface(a.image, a.developable)
         resid = developability_residual(surface).truncate(8)
         assert max(abs(c) for c in resid.coeffs) <= 1e-8
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -427,6 +428,17 @@ HUGE_VALUES = json.dumps(
     }
 )
 
+#: Values within the digit cap whose case-(ii) constants E_scaled and
+#: F_scaled, about 5e-593, fall below the float range: the exact report
+#: prints in full, the float report is refused rather than print them as 0.0.
+TINY_EF = json.dumps(
+    {
+        "truncation": 6,
+        "surface": {"a": {"0,2": "1/" + LONGEST, "1,1": "1/" + LONGEST, "0,3": "1"}, "b": {"3": "1/" + LONGEST}},
+        "curve": {"family": "mpq", "m": 2, "p": 1, "q": 1, "c": ["1/" + LONGEST, "1"]},
+    }
+)
+
 #: Values within the digit cap whose delta top, |E_t(0)|^4 |N(0)|^5 times
 #: smaller than the exact top R_top, passes the float range: a02 = 10^-99,
 #: b3 = 10^99.
@@ -486,6 +498,19 @@ def test_exact_report_of_huge_values_prints_in_full(tmp_path, capsys):
     assert report["verdicts"]["projection"]["verdict"] == "generic"
     assert report["verdicts"]["self_intersection"]["tangent_to_curve"] is False
     assert report["verdicts"]["contour"]["vanishes"] is False
+
+
+def test_exact_report_of_tiny_case_ii_constants_prints_in_full(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(TINY_EF)
+    assert main(["report", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cls = json.loads(captured.out)["developable"]["classification"]
+    assert cls["case"] == "ii"
+    assert Fraction(cls["E_scaled"]) == Fraction(27, 5 * 10**593)
+    assert Fraction(cls["F_scaled"]) == Fraction(27, 10**593)
+    assert not any(flag.startswith("sigma top-term vanishes") for flag in json.loads(captured.out)["flags"])
 
 
 def test_exact_report_of_a_huge_delta_top_leaves_out_only_the_developable(tmp_path, capsys):
@@ -556,6 +581,15 @@ def test_fixtures_show_accepts_only_bundled_names(capsys, name):
     assert captured.err == f"fixtures: unknown fixture {name!r} (known: s1, s2, s3)\n"
 
 
+def test_fixtures_list_and_show_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "--list", "--show", "s1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"truncation": 4}')
@@ -595,11 +629,12 @@ def _in_field(text, field):
 
 # The float field prints the exact analysis, so it reports the tiny-scale
 # jets in full (``test_tiny_scale_jet_reports_in_full``); it refuses the huge
-# values, whose top-terms pass the float range when printed as floats.
-@pytest.mark.parametrize("config", ["huge-values"])
+# values, whose top-terms pass the float range when printed as floats, and
+# the tiny case-(ii) constants, which would print as 0.0.
+@pytest.mark.parametrize("config", ["huge-values", "tiny-values"])
 def test_float_field_report_exits_2_in_one_line(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_in_field({"huge-values": HUGE_VALUES}[config], "float"))
+    cfg_path.write_text(_in_field({"huge-values": HUGE_VALUES, "tiny-values": TINY_EF}[config], "float"))
     assert main(["report", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

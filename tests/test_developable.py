@@ -93,7 +93,7 @@ def test_s1_director_branch_and_frame_plane(s1):
     d = s1.developable
     assert d.branch == BRANCH_A3_GE_A2
     assert is_zero(d.director.dot(s1.factors.normal))
-    unit = osculating_surface(s1.factors, d).xi
+    unit = osculating_surface(s1.image, d).xi
     ns = unit.norm_sq()
     assert series_small(ns - UniSeries.constant(Field.FLOAT, 1.0, ns.reliable_order), 1e-12)
 
@@ -112,7 +112,7 @@ def test_s1_director_value(s1):
     raw = tuple(t3.coeffs[0] * e - t2.coeffs[0] * b for e, b in zip(e0, b0))
     norm = math.sqrt(sum(c * c for c in raw))
     want = tuple(c / norm for c in raw)
-    got = osculating_surface(s1.factors, s1.developable).xi.constant_vector()
+    got = osculating_surface(s1.image, s1.developable).xi.constant_vector()
     assert max(abs(p - q) for p, q in zip(got, want)) < 1e-12
 
 
@@ -159,7 +159,7 @@ def test_director_derivative_identity(s1, s2, s3):
 
 def test_residual_vanishes_on_fixtures(s1, s2, s3):
     for a in (s1, s2, s3):
-        surface = osculating_surface(a.factors, a.developable)
+        surface = osculating_surface(a.image, a.developable)
         resid = developability_residual(surface)
         assert series_small(resid, 1e-8, cap=8)
         # det(img', V, V') = 0 exactly
@@ -317,7 +317,7 @@ def test_cone_striction_is_apex():
 
 
 def test_striction_curve_utility_matches_osculating(s2):
-    surface = osculating_surface(s2.factors, s2.developable)
+    surface = osculating_surface(s2.image, s2.developable)
     _, s = striction_curve(surface)
     resid = s - striction(s2)[0].to_float()
     assert vec_small(resid, 1e-8, cap=5)
@@ -368,7 +368,7 @@ def test_exact_chain_agrees_with_the_float_reference():
                 assert abs(got - want) <= 1e-9 * abs(want) + FLOAT_TOL
         # the mesh's unit director is the reference's; the float chain's
         # rounding grows with the degree, so the comparison stops at x^8
-        unit = osculating_surface(a.factors, d).xi.truncate(8)
+        unit = osculating_surface(a.image, d).xi.truncate(8)
         scale = max(abs(c) for comp in unit.components for c in comp.coeffs)
         assert vec_small(unit - ref.director.truncate(8), 1e-9 * scale)
         count += 1
@@ -389,7 +389,7 @@ def test_mesh_counting_contract():
 
 
 def test_od_mesh_finite(s1):
-    surface = osculating_surface(s1.factors, s1.developable)
+    surface = osculating_surface(s1.image, s1.developable)
     mesh = sample_ruled_surface(surface, (-0.3, 0.3), (-0.3, 0.3), 21, 7)
     assert len(mesh.vertices) == 21 * 7
     assert all(all(math.isfinite(c) for c in v) for v in mesh.vertices)

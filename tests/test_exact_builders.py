@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients, parse_config
 from crosscap.cli import fixture_names, fixture_text
 from crosscap.frame import FrameError, curvature_numerators, frame_factors
-from crosscap.model import build_curve, build_umbrella, default_series_order, image_curve, normal_field_raw
+from crosscap.model import build_curve, build_umbrella, image_curve, normal_field_raw, series_order
 from crosscap.series import BiSeries, SeriesError, UniSeries, valuation, vec3_valuation
 from crosscap.verify import SUBCASES, _draw_fixture
 from reference import (
@@ -71,7 +71,7 @@ def assert_builders_agree(coeffs: UmbrellaCoefficients, spec, order: int):
 
 
 def assert_config_agrees(cfg):
-    assert_builders_agree(cfg.coeffs, cfg.spec, default_series_order(cfg.spec, cfg.coeffs.degree))
+    assert_builders_agree(cfg.coeffs, cfg.spec, series_order(cfg.spec.m, cfg.coeffs.degree))
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -92,7 +92,7 @@ def test_sweep_draws(seed):
         rng = random.Random((seed, subcase).__repr__())
         for _ in range(10):
             coeffs, spec = _draw_fixture(rng, subcase)
-            assert_builders_agree(coeffs, spec, default_series_order(spec, coeffs.degree))
+            assert_builders_agree(coeffs, spec, series_order(spec.m, coeffs.degree))
 
 
 RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)

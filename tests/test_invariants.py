@@ -124,8 +124,8 @@ def test_projection_s1_generic(s1_coeffs, s1_spec):
     p = analyze(s1_coeffs, s1_spec).projection
     assert p.verdict == PROJ_GENERIC
     assert (p.coeff_along_b, p.coeff_along_n) == (2, 1)  # A/3, B/3
-    assert abs(p.unit_coeff_along_b - 1 / math.sqrt(2)) < 1e-12
-    assert abs(p.unit_coeff_along_n - (-1.0)) < 1e-12
+    assert p.unit_coeff_along_b == math.sqrt(0.5)  # 1/sqrt(2), rounded once
+    assert p.unit_coeff_along_n == -1.0
 
 
 def test_projection_s2_tangent_to_b(s2_coeffs, s2_spec):
@@ -230,7 +230,7 @@ def test_self_intersection_tangency_iff_B_zero():
 def test_contour_s1_value(s1):
     c = s1.contour
     assert c.exact_coefficient == -2  # = C
-    assert abs(c.coefficient - (-1 / (2 * math.sqrt(2)))) < 1e-12
+    assert c.coefficient == -math.sqrt(0.125)  # -1/(2 sqrt(2)), rounded once
     assert not c.vanishes
 
 

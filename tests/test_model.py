@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -17,9 +18,9 @@ from crosscap.model import (
     build_curve,
     build_umbrella,
     classify_tangency,
-    default_series_order,
     image_curve,
     normal_field_raw,
+    series_order,
 )
 from conftest import random_family, random_surface
 
@@ -187,7 +188,7 @@ def test_normality_identity_on_random_fixtures():
         co = random_surface(rng)
         spec = random_family(rng)
         W = build_umbrella(co)
-        order = default_series_order(spec, co.degree)
+        order = series_order(spec.m, co.degree)
         c1, c2 = build_curve(spec, order)
         img = image_curve(W, c1, c2)
         raw = normal_field_raw(W, c1, c2)
@@ -204,15 +205,17 @@ def test_case3_limiting_tangent_s1(s1_coeffs, s1_spec):
     t = analyze(s1_coeffs, s1_spec).tangency
     assert t.case == 3
     assert t.kind == "principal-plane"
-    r = 1 / math.sqrt(2)
-    assert max(abs(a - b) for a, b in zip(t.limiting_tangent, (r, 0.0, r))) < 1e-12
+    # Each component is 1/sqrt(2) rounded once: 0.7071067811865476, where
+    # 1 / math.sqrt(2) rounds twice and gives 0.7071067811865475.
+    r = math.sqrt(0.5)
+    assert t.limiting_tangent == (r, 0.0, r)
 
 
 def test_case1_along_tangent_line():
     co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
     c1 = UniSeries.make(Field.EXACT, [0, 1], 10)
     c2 = UniSeries.make(Field.EXACT, [0, 1, 0, 1], 10)
-    t = classify_tangency(co, c1, c2)
+    t = classify_tangency(co, 1, c1, c2)
     assert t.case == 1
     assert t.limiting_tangent == (1.0, 0.0, 0.0)
     assert t.kind == "tangent-line"
@@ -260,5 +263,9 @@ def test_fixed_directions():
 
 
 def test_default_series_order_rule():
-    assert default_series_order(FamilyMP(m=1, p=2, c=(1,)), 9) == 9
-    assert default_series_order(FamilyMPQ(m=3, p=1, q=1, c=(1,)), 7) == 23
+    # The series order is series_order(spec.m, k); a general curve's m is its
+    # smaller component valuation, set on construction and not a field.
+    assert series_order(FamilyMP(m=1, p=2, c=(1,)).m, 9) == 9
+    assert series_order(FamilyMPQ(m=3, p=1, q=1, c=(1,)).m, 7) == 23
+    g = GeneralCurve(UniSeries.make(Field.EXACT, [0, 0, 0, 1], 8), UniSeries.make(Field.EXACT, [0, 0, 1], 8))
+    assert g.m == 2 and [f.name for f in fields(g)] == ["c1", "c2"]

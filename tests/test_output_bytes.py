@@ -10,26 +10,33 @@ says why in CHANGES.md.
 
 The float field prints the exact analysis with each rational of the result
 sections as its float; ``test_float_report_is_the_exact_report_in_floats``
-checks that contract value by value.
+checks that contract value by value.  Each float the report computes from an
+exact value over a square root is that value rounded once:
+``test_printed_floats_are_rounded_once`` checks it against 80 digits.
 """
 
+import decimal
 import hashlib
 import json
+import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 import workloads  # the benchmark's recorded input universe (bench/ is put on the path by conftest)
 
-from crosscap import parse_config
+from crosscap import analyze, parse_config
 from crosscap.cli import fixture_text, main
-from crosscap.report import build_report, render_report
+from crosscap.pipeline import lower_truncations
+from crosscap.report import _complete, build_report, render_report
+from crosscap.series import valuation
 
 REPORT_SHA256 = {
-    ("s1", "exact"): "f35b958e2702170271c461186d8df53824718da8c80b1dcb21ec9d471b5ad691",
-    ("s1", "float"): "2277b6afb6ffcee0531c9fe3dcff61affb5e477cb7d27129c9fa29edbe1a4094",
-    ("s2", "exact"): "d766cca52dd7c713885d4d8d345e6e11775fb9d385e71e63c7a05b372fb6a9e1",
-    ("s2", "float"): "4007ff940aabebcb9c8418918f376ac6d50644cd03666d09c849136bfb6f5e78",
+    ("s1", "exact"): "3fb1739a0322575216472acb0493d07b9081082ccafd7962ac4af890a4df4ae9",
+    ("s1", "float"): "bef9ac2685e19ac4fcd75fce24d21251bc625515686d051bbcfc6bcf11c25f2d",
+    ("s2", "exact"): "fd9bbb3de3ca45ce8ba6869badb499fe4c6a099b6985ab1cdd7e83807b8c1809",
+    ("s2", "float"): "911e669f8a0a06976019a5163e8431484badb1b327b917e56556dc034551d2e2",
     ("s3", "exact"): "50a6958d9589bc742dcd5108ccbe6ae1be5612f06e96bff39ea473728f849224",
     ("s3", "float"): "0c2a6d8c865be71ef6bd2804ad87902a4d43cfacf45aee5ee4076dfebf69444a",
 }
@@ -60,8 +67,8 @@ SWEEP_SHA256 = {
 #: One digest per field over the concatenated dense reports, shape by shape
 #: and draw by draw.
 DENSE_REPORTS_SHA256 = {
-    "exact": "5ac08aa320f0921dbcda76dab3939acc410d65a88d338fc299598e2809cf9d23",
-    "float": "9e3f62bfba028d808eb341da3081ded7a4f880f5dfa9118df75cc5e0b5af0f4b",
+    "exact": "3e05dbb996da71f2bd38840b8aa84771bd7afa61393408861d6e8458b70c50ce",
+    "float": "64183aa762ac5ce03cbae0719a62d4d15a869ac6c81f0a77036a9c1a893b4766",
 }
 
 
@@ -158,3 +165,65 @@ def test_float_report_is_the_exact_report_in_floats(name):
 def test_dense_float_report_is_the_exact_report_in_floats(shape):
     config = workloads.dense_config(shape, shape % workloads.DENSE_VARIANTS, "exact")
     assert_float_report_is_the_exact_report_in_floats(config)
+
+
+def assert_rounded_once(got, value, radicand=Fraction(1)):
+    """``got`` is within half an ulp of value / sqrt(radicand), computed to 80 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        want = Decimal(value.numerator) / Decimal(value.denominator)
+        want /= (Decimal(radicand.numerator) / Decimal(radicand.denominator)).sqrt()
+        assert abs(Decimal(got) - want) <= Decimal(math.ulp(got)) / 2, (got, value, radicand)
+
+
+def _square_norm(vector) -> Fraction:
+    return sum(c * c for c in vector)
+
+
+def assert_printed_floats_rounded_once(config: str) -> int:
+    """Check every square-root float of the report of ``config``; returns how many it checked."""
+    cfg = parse_config(config)
+    doc = build_report(cfg)
+    a = analyze(cfg.coeffs, cfg.spec).climb(_complete, lower_truncations)
+    e_t = a.factors.tangent.constant_vector()
+    n0 = a.factors.normal.constant_vector()
+    e2, n2 = _square_norm(e_t), _square_norm(n0)
+    checked = []
+
+    def check(got, value, radicand=Fraction(1)):
+        assert_rounded_once(got, Fraction(value), Fraction(radicand))
+        checked.append(got)
+
+    # The limiting tangent is E_t(0) / |E_t(0)|.
+    for got, c in zip(doc["tangency"]["limiting_tangent"], e_t):
+        check(got, c, e2)
+    if a.invariants is not None:
+        inv, c0, a02 = a.invariants, a.spec.c[0], cfg.coeffs.a02
+        s = 1 if a02 > 0 else -1
+        projection, contour = doc["verdicts"]["projection"], doc["verdicts"]["contour"]
+        check(projection["unit_coeff_along_b"], s * inv.A / 3, 4 * c0 * c0 + a02 * a02)
+        check(projection["unit_coeff_along_n"], -s * inv.B / 3)
+        check(contour["coefficient"], s * inv.C, (4 * c0 * c0 + a02 * a02) * n2)
+    d = a.developable
+    if d is not None:
+        printed = doc["developable"]
+        r_top = valuation(d.delta).leading if d.delta_order is not None else None
+        if r_top is not None:
+            check(printed["delta_top"], r_top / (e2 * e2 * n2 * n2), n2)
+        if d.sigma_order is not None:
+            vv0 = _square_norm(d.director.constant_vector())
+            check(printed["sigma_top"], valuation(d.sigma).leading / (r_top * r_top), vv0)
+        cls = d.classification
+        if cls.E_scaled is not None:
+            check(printed["classification"]["E_coeff"], cls.E_scaled / (e2 * n2), e2 * n2)
+            check(printed["classification"]["F_coeff"], cls.F_scaled / (e2 * n2), e2 * n2)
+    return len(checked)
+
+
+def test_printed_floats_are_rounded_once():
+    configs = [fixture_text(name) for name in ("s1", "s2", "s3")] + [
+        workloads.dense_config(shape, variant, "exact")
+        for shape in range(len(workloads.DENSE_SHAPES))
+        for variant in range(workloads.DENSE_VARIANTS)
+    ]
+    assert sum(map(assert_printed_floats_rounded_once, configs)) > 0

@@ -9,7 +9,8 @@ truncation alone, obtained by raising ``pipeline.FIRST_RUNG`` (the report's
 rung) and ``pipeline.ORACLE_RUNG`` (verify's first rung) above every
 truncation so that no lower rung runs.  Each rung is an analysis built
 without ``analyze``: ``analyze`` counts one configuration per consumer call,
-``model.build_curve`` one curve per rung.
+``model.build_curve`` one curve per analysis whose curve is read, so a
+configured analysis that a lower rung resolves builds none.
 """
 
 import json
@@ -197,9 +198,9 @@ def sweep_draw(seed, subcase):
 @pytest.mark.parametrize(
     "consume, curves, analyses",
     [
-        (lambda: build_report(parse_config(DENSE_16)), 2, 1),  # the configuration and rung 5
+        (lambda: build_report(parse_config(DENSE_16)), 1, 1),  # rung 5 alone
         (lambda: build_report(parse_config(fixture_text("s1"))), 1, 1),  # truncation 9: no rung
-        (lambda: verify_fixture(*sweep_draw(0, "mp/p3")), 2, 0),  # the configuration and rung 4
+        (lambda: verify_fixture(*sweep_draw(0, "mp/p3")), 1, 0),  # rung 4 alone
     ],
     ids=["dense-16", "s1", "sweep-draw"],
 )
@@ -333,7 +334,7 @@ def test_curve_short_of_the_configured_order_runs_no_lower_rung():
         c2=UniSeries.make(Field.EXACT, [0, 0, 1], 9),
     )
     a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec)
-    assert a.order == 12 and a.c1.reliable_order == 9
+    assert a.order == 12 and a.curve[0].reliable_order == 9
     assert a.climb(lambda rung: True, pipeline.lower_truncations) is a
     assert a.climb(lambda rung: True, pipeline.oracle_truncations) is a
 

@@ -15,6 +15,7 @@ from crosscap.series import (
     Vec3Series,
     compose_bi,
     factor_power,
+    nearest_float,
     over_sqrt,
     reciprocal,
     sqrt_series,
@@ -248,6 +249,17 @@ def test_over_sqrt_scales_the_radicand(value, radicand, want):
 def test_over_sqrt_refuses_a_quotient_beyond_the_float_range():
     with pytest.raises(OverflowError):
         over_sqrt(Fraction(10**400), Fraction(1))
+
+
+def test_over_sqrt_and_nearest_float_refuse_a_nonzero_value_below_the_float_range():
+    for tiny in (Fraction(1, 10**400), Fraction(-1, 2**1076)):
+        with pytest.raises(OverflowError):
+            over_sqrt(tiny, Fraction(1))
+        with pytest.raises(OverflowError):
+            nearest_float(tiny)
+    # The smallest subnormal and zero itself are in range.
+    assert over_sqrt(Fraction(1, 2**1074), Fraction(1)) == nearest_float(Fraction(1, 2**1074)) == 5e-324
+    assert over_sqrt(Fraction(0), Fraction(3)) == nearest_float(Fraction(0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
