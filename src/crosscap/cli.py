@@ -28,8 +28,8 @@ from .obj import (
 
 
 #: Largest ``verify --sweep --draws``.  Each draw adds one row per subcase,
-#: nine rows of exact work; 1000 draws take about five seconds on a 2-core
-#: x86_64 host with Python 3.11.
+#: nine rows of exact work; 1000 draws take about 7.5 s of wall time on a
+#: shared 2-core x86_64 host with Python 3.11.7.
 MAX_DRAWS = 1000
 
 
@@ -75,14 +75,12 @@ def _cmd_mesh(args) -> int:
     analysis = analyze(cfg.coeffs, cfg.spec)
     ruled = analysis.ruled  # fails first when the curve has no developable
     # Every mesh is sampled and formatted before any file is written, so a
-    # refusal (no developable, a non-finite vertex) leaves no partial output.
-    patch = sample_surface_patch(analysis.W, mesh.u_range, mesh.v_range, mesh.nu, mesh.nv)
-    curve_pts = sample_curve_polyline(ruled.gamma, mesh.x_range, mesh.curve_samples)
-    od = sample_ruled_surface(ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)
+    # refusal (no developable, a non-finite vertex) leaves no partial output;
+    # each grid is dropped as soon as its text is formatted.
     texts = {
-        "umbrella.obj": obj_mesh_text(patch),
-        "curve.obj": obj_polyline_text(curve_pts),
-        "od_w.obj": obj_mesh_text(od),
+        "umbrella.obj": obj_mesh_text(sample_surface_patch(analysis.W, mesh.u_range, mesh.v_range, mesh.nu, mesh.nv)),
+        "curve.obj": obj_polyline_text(sample_curve_polyline(ruled.gamma, mesh.x_range, mesh.curve_samples)),
+        "od_w.obj": obj_mesh_text(sample_ruled_surface(ruled, mesh.x_range, mesh.y_range, mesh.nx, mesh.ny)),
     }
     os.makedirs(args.out, exist_ok=True)
     for name, text in texts.items():

@@ -22,6 +22,7 @@ from .model import (
     GeneralCurve,
     ModelError,
     UmbrellaCoefficients,
+    curve_multiplicity,
     series_order,
 )
 
@@ -230,8 +231,7 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
             c2 = _coeff_list("c2")
             if None in c1 + c2:
                 return None
-            vals = [next((i for i, v in enumerate(cs) if v != 0), None) for cs in (c1, c2)]
-            m = min((v for v in vals if v is not None and v > 0), default=None)
+            m = curve_multiplicity(c1, c2)
             if m is None:
                 problems.append("curve: components must vanish at 0 with a nonzero jet")
                 return None

@@ -154,8 +154,8 @@ class FamilyMP:
 class GeneralCurve:
     """A finite-multiplicity curve given by two exact component series.
 
-    ``m``, the multiplicity (the smaller valuation of the two components), is
-    set on construction and is not a field, so it is not part of the config.
+    ``m``, the multiplicity (``curve_multiplicity``), is set on construction
+    and is not a field, so it is not part of the config.
     """
 
     c1: UniSeries
@@ -176,7 +176,13 @@ class GeneralCurve:
             raise ModelError(
                 "curve components are proportional: the rank-two condition fails"
             )
-        object.__setattr__(self, "m", min(v1.order, v2.order))
+        object.__setattr__(self, "m", curve_multiplicity(self.c1.coeffs, self.c2.coeffs))
+
+
+def curve_multiplicity(c1, c2) -> int | None:
+    """The least valuation of the coefficient sequences c1, c2 that vanish at 0 with a nonzero jet, or None."""
+    orders = (next((i for i, c in enumerate(cs) if c), None) for cs in (c1, c2))
+    return min(filter(None, orders), default=None)
 
 
 CurveSpec = Union[FamilyMPQ, FamilyMP, GeneralCurve]

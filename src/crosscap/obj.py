@@ -1,5 +1,11 @@
 """Quad-mesh sampling of surfaces/curves and Wavefront OBJ output.
 
+A mesh is its sampling grid: flat vertex coordinates (x, y, z, row by row),
+``rows`` and ``cols``; the faces follow from the shape.  A float series is
+evaluated over the whole x grid by a column Horner pass, ``acc = [a * x + c
+for a, x in zip(acc, xs)]``: at each x the operations of ``UniSeries.evaluate``
+in the same order, so each coordinate is that of a per-point evaluation.
+
 OBJ conventions: ``v x y z`` vertex lines followed by ``f i j k l`` quads
 (1-indexed) for surfaces, or ``l i j`` segments for polylines; LF endings;
 coordinates printed with 9 significant digits.
@@ -9,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 
-from .series import Vec3BiSeries, Vec3Series
+from .series import UniSeries, Vec3BiSeries, Vec3Series
 from .developable import RuledSurface
 
 
@@ -21,8 +27,9 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class QuadMesh:
-    vertices: tuple
-    faces: tuple  # 0-based quads (i, j, k, l)
+    coords: tuple  # x, y, z of vertex i * cols + j at 3 (i * cols + j)
+    rows: int
+    cols: int
 
 
 def _grid(lo: float, hi: float, n: int):
@@ -34,24 +41,23 @@ def _grid(lo: float, hi: float, n: int):
     return [lo + i * step for i in range(n)]
 
 
-def _quad_faces(nx: int, ny: int):
-    faces = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a = i * ny + j
-            faces.append((a, a + ny, a + ny + 1, a + 1))
-    return faces
+def _horner(series: UniSeries, xs) -> list:
+    """The float ``series`` at every x of ``xs``: ``evaluate``'s operations, column by column."""
+    acc = [0.0] * len(xs)
+    for c in reversed(series.coeffs):
+        acc = [a * x + c for a, x in zip(acc, xs)]
+    return acc
 
 
 def sample_ruled_surface(surface: RuledSurface, x_range, y_range, nx: int, ny: int) -> QuadMesh:
     xs = _grid(x_range[0], x_range[1], nx)
     ys = _grid(y_range[0], y_range[1], ny)
-    vertices = []
-    for x in xs:
-        gx, gy, gz = surface.gamma.evaluate(x)
-        dx, dy, dz = surface.xi.evaluate(x)
-        vertices += [(gx + y * dx, gy + y * dy, gz + y * dz) for y in ys]
-    return QuadMesh(tuple(vertices), tuple(_quad_faces(nx, ny)))
+    coords = [0.0] * (3 * nx * ny)
+    for axis, (g, d) in enumerate(zip(surface.gamma.components, surface.xi.components)):
+        gs, ds = _horner(g, xs), _horner(d, xs)
+        for col, y in enumerate(ys):
+            coords[3 * col + axis :: 3 * ny] = [gx + y * dx for gx, dx in zip(gs, ds)]
+    return QuadMesh(tuple(coords), nx, ny)
 
 
 def _powers(name: str, values, exponents) -> dict:
@@ -75,47 +81,47 @@ def sample_surface_patch(W: Vec3BiSeries, u_range, v_range, nu: int, nv: int) ->
     terms = [list(comp.float_coeffs().items()) for comp in W.components]
     upow = _powers("u", us, {i for t in terms for (i, _), _ in t})
     vpow = _powers("v", vs, {j for t in terms for (_, j), _ in t})
-    vertices = []
+    coords = [0.0] * (3 * nu * nv)
     for row in range(nu):
-        coords = []
-        for t in terms:
+        for axis, t in enumerate(terms):
             acc = [0.0] * nv
             for (i, j), c in t:
                 cu = c * upow[i][row]
                 acc = [a + cu * p for a, p in zip(acc, vpow[j])]
-            coords.append(acc)
-        vertices += zip(*coords)
-    return QuadMesh(tuple(vertices), tuple(_quad_faces(nu, nv)))
+            coords[3 * nv * row + axis : 3 * nv * (row + 1) : 3] = acc
+    return QuadMesh(tuple(coords), nu, nv)
 
 
-def sample_curve_polyline(curve: Vec3Series, x_range, n: int):
+def sample_curve_polyline(curve: Vec3Series, x_range, n: int) -> tuple:
     xs = _grid(x_range[0], x_range[1], n)
-    cf = curve.to_float()
-    return tuple(tuple(float(c) for c in cf.evaluate(x)) for x in xs)
+    columns = [_horner(comp, xs) for comp in curve.to_float().components]
+    return tuple(chain.from_iterable(zip(*columns)))
 
 
-def _coordinates(points) -> tuple:
-    """Every coordinate of ``points`` in vertex order; MeshError names the first non-finite one."""
-    flat = tuple(chain.from_iterable(points))
-    if not all(map(math.isfinite, flat)):
-        bad = next(c for c in flat if not math.isfinite(c))
-        raise MeshError(f"non-finite vertex coordinate {bad!r}: the window is too wide for this jet")
-    return flat
+def _finite(coords) -> tuple:
+    """``coords`` as a tuple; MeshError names the first non-finite one."""
+    coords = tuple(coords)
+    if not math.isfinite(sum(coords)):  # finite floats have a finite sum unless it overflows
+        for bad in filterfalse(math.isfinite, coords):
+            raise MeshError(f"non-finite vertex coordinate {bad!r}: the window is too wide for this jet")
+    return coords
 
 
 def obj_mesh_text(mesh: QuadMesh) -> str:
-    coords = _coordinates(mesh.vertices)
-    corners = tuple([i + 1 for f in mesh.faces for i in f])
-    return (
-        "v %.9g %.9g %.9g\n" * len(mesh.vertices) % coords
-        + "f %d %d %d %d\n" * len(mesh.faces) % corners
-    )
+    rows, cols = mesh.rows, mesh.cols
+    width = 4 * (cols - 1)
+    corners = [0] * (width * (rows - 1))
+    for j in range(cols - 1):  # the quad of vertex a = i cols + j: a, a + cols, a + cols + 1, a + 1
+        for offset, shift in enumerate((1, cols + 1, cols + 2, 2)):  # 1-based
+            corners[4 * j + offset :: width] = range(j + shift, (rows - 1) * cols + j + shift, cols)
+    vertices = "v %.9g %.9g %.9g\n" * (rows * cols) % _finite(mesh.coords)
+    return vertices + "f %d %d %d %d\n" * (len(corners) // 4) % tuple(corners)
 
 
-def obj_polyline_text(points) -> str:
-    coords = _coordinates(points)
-    ends = tuple([k for i in range(1, len(points)) for k in (i, i + 1)])
-    return "v %.9g %.9g %.9g\n" * len(points) % coords + "l %d %d\n" * (len(points) - 1) % ends
+def obj_polyline_text(coords) -> str:
+    n = len(coords) // 3
+    ends = tuple(chain.from_iterable(zip(range(1, n), range(2, n + 1))))
+    return "v %.9g %.9g %.9g\n" * n % _finite(coords) + "l %d %d\n" * (n - 1) % ends
 
 
 def write_obj(path, text: str) -> None:

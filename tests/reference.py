@@ -7,10 +7,10 @@ developable as the float chain of the unit Darboux frame, the curvature top-term
 that the A/B/C/D invariants predict, and the series operations, products
 and composition as coefficient-by-coefficient ``Fraction`` loops, the
 surface and curve builders, the vector valuation and the curvature
-numerators as they were before the exact builders, and the mesh vertices
-and OBJ text one vertex and one line at a time.  The float norm and
-unit vector of a vector series and a float zero test with an absolute
-tolerance serve these checks.
+numerators as they were before the exact builders, and the mesh vertices,
+the quads of a vertex grid and the OBJ text one vertex, one quad and one
+line at a time.  The float norm and unit vector of a vector series and a
+float zero test with an absolute tolerance serve these checks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from crosscap.developable import (
 from crosscap.frame import CurvatureReport, FrameError, FrameFactors, darboux_frame, kappa_tilde_series
 from crosscap.invariants import TopInvariants
 from crosscap.model import CurveSpec, GeneralCurve, UmbrellaCoefficients
-from crosscap.obj import MeshError, QuadMesh, _grid, _quad_faces
+from crosscap.obj import MeshError, QuadMesh, _grid
 from crosscap.series import (
     BiSeries,
     Field,
@@ -615,29 +615,50 @@ def reference_bi_evaluate(coeffs: dict, u: float, v: float) -> float:
     return acc
 
 
+def _quad_faces(rows: int, cols: int) -> list:
+    """The 0-based quads (a, a + cols, a + cols + 1, a + 1) of a rows x cols vertex grid, row by row."""
+    faces = []
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a = i * cols + j
+            faces.append((a, a + cols, a + cols + 1, a + 1))
+    return faces
+
+
+def _points(coords) -> list:
+    """Flat x, y, z coordinates as one 3-tuple per vertex."""
+    return [tuple(coords[k : k + 3]) for k in range(0, len(coords), 3)]
+
+
 def reference_surface_patch(W, u_range, v_range, nu: int, nv: int) -> QuadMesh:
     """``obj.sample_surface_patch`` by one evaluation per vertex and component."""
     us = _grid(u_range[0], u_range[1], nu)
     vs = _grid(v_range[0], v_range[1], nv)
     float_coeffs = [reference_bi_float_coeffs(c) for c in W.components]
-    vertices = []
+    coords = []
     for u in us:
         for v in vs:
-            vertices.append(tuple(reference_bi_evaluate(c, u, v) for c in float_coeffs))
-    return QuadMesh(tuple(vertices), tuple(_quad_faces(nu, nv)))
+            coords.extend(reference_bi_evaluate(c, u, v) for c in float_coeffs)
+    return QuadMesh(tuple(coords), nu, nv)
 
 
 def reference_ruled_surface(surface: RuledSurface, x_range, y_range, nx: int, ny: int) -> QuadMesh:
     """``obj.sample_ruled_surface`` by one evaluation of gamma and xi per vertex."""
     xs = _grid(x_range[0], x_range[1], nx)
     ys = _grid(y_range[0], y_range[1], ny)
-    vertices = []
+    coords = []
     for x in xs:
         g = surface.gamma.evaluate(x)
         d = surface.xi.evaluate(x)
         for y in ys:
-            vertices.append(tuple(float(gc) + y * float(dc) for gc, dc in zip(g, d)))
-    return QuadMesh(tuple(vertices), tuple(_quad_faces(nx, ny)))
+            coords.extend(float(gc) + y * float(dc) for gc, dc in zip(g, d))
+    return QuadMesh(tuple(coords), nx, ny)
+
+
+def reference_curve_polyline(curve: Vec3Series, x_range, n: int) -> tuple:
+    """``obj.sample_curve_polyline`` by one evaluation of the curve per sample point."""
+    cf = curve.to_float()
+    return tuple(c for x in _grid(x_range[0], x_range[1], n) for c in cf.evaluate(x))
 
 
 def _reference_fmt(value: float) -> str:
@@ -646,19 +667,21 @@ def _reference_fmt(value: float) -> str:
     return format(value, ".9g")
 
 
+def _vertex_lines(coords) -> list:
+    return ["v %s %s %s" % tuple(_reference_fmt(c) for c in p) for p in _points(coords)]
+
+
 def reference_obj_mesh_text(mesh: QuadMesh) -> str:
-    """``obj.obj_mesh_text``, one line at a time."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %s %s %s" % (_reference_fmt(v[0]), _reference_fmt(v[1]), _reference_fmt(v[2])))
-    for f in mesh.faces:
+    """``obj.obj_mesh_text``, one line at a time, with the faces of ``_quad_faces``."""
+    lines = _vertex_lines(mesh.coords)
+    for f in _quad_faces(mesh.rows, mesh.cols):
         lines.append("f %d %d %d %d" % tuple(i + 1 for i in f))
     return "\n".join(lines) + "\n"
 
 
-def reference_obj_polyline_text(points) -> str:
+def reference_obj_polyline_text(coords) -> str:
     """``obj.obj_polyline_text``, one line at a time."""
-    lines = ["v %s %s %s" % (_reference_fmt(p[0]), _reference_fmt(p[1]), _reference_fmt(p[2])) for p in points]
-    for i in range(len(points) - 1):
+    lines = _vertex_lines(coords)
+    for i in range(len(lines) - 1):
         lines.append("l %d %d" % (i + 1, i + 2))
     return "\n".join(lines) + "\n"

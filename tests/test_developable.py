@@ -384,15 +384,17 @@ def test_mesh_counting_contract():
     gamma = Vec3Series.make(Field.FLOAT, [0, 1.0], [0.0], [0.0], 4)
     xi = Vec3Series.make(Field.FLOAT, [0.0], [1.0], [0.0], 4)
     mesh = sample_ruled_surface(RuledSurface(gamma, xi), (-1, 1), (0, 1), 8, 2)
-    assert len(mesh.vertices) == 16
-    assert len(mesh.faces) == 7
+    assert (mesh.rows, mesh.cols, len(mesh.coords)) == (8, 2, 3 * 16)
+    lines = obj_mesh_text(mesh).splitlines()
+    assert sum(line.startswith("v ") for line in lines) == 16
+    assert sum(line.startswith("f ") for line in lines) == 7
 
 
 def test_od_mesh_finite(s1):
     surface = osculating_surface(s1.image, s1.developable)
     mesh = sample_ruled_surface(surface, (-0.3, 0.3), (-0.3, 0.3), 21, 7)
-    assert len(mesh.vertices) == 21 * 7
-    assert all(all(math.isfinite(c) for c in v) for v in mesh.vertices)
+    assert len(mesh.coords) == 3 * 21 * 7
+    assert all(map(math.isfinite, mesh.coords))
 
 
 def test_cross_cap_double_segment():
@@ -405,8 +407,8 @@ def test_cross_cap_double_segment():
     # with z = v^2 > 0
     seen = {}
     dup = []
-    for v in mesh.vertices:
-        key = tuple(round(c, 12) for c in v)
+    for k in range(0, len(mesh.coords), 3):
+        key = tuple(round(c, 12) for c in mesh.coords[k : k + 3])
         if key in seen:
             dup.append(key)
         seen[key] = True

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import fields
@@ -12,12 +13,15 @@ from crosscap import (
     UmbrellaCoefficients,
     UniSeries,
     analyze,
+    parse_config,
 )
+from crosscap.config import ConfigError
 from crosscap.model import (
     ModelError,
     build_curve,
     build_umbrella,
     classify_tangency,
+    curve_multiplicity,
     image_curve,
     normal_field_raw,
     series_order,
@@ -269,3 +273,30 @@ def test_default_series_order_rule():
     assert series_order(FamilyMPQ(m=3, p=1, q=1, c=(1,)).m, 7) == 23
     g = GeneralCurve(UniSeries.make(Field.EXACT, [0, 0, 0, 1], 8), UniSeries.make(Field.EXACT, [0, 0, 1], 8))
     assert g.m == 2 and [f.name for f in fields(g)] == ["c1", "c2"]
+
+
+def test_one_multiplicity_rule_for_general_curves():
+    # The smallest valuation over the components that vanish at 0 with a
+    # nonzero jet: a component with a constant term or no nonzero term does
+    # not count.
+    assert curve_multiplicity([0, 0, 3], [0, 1]) == 1
+    assert curve_multiplicity([0, 0, 0, 2], [0, 0, 1]) == 2
+    assert curve_multiplicity([1, 1], [0, 0, 1]) == 2
+    assert curve_multiplicity([0, 0], [0, 0, 5]) == 2
+    assert curve_multiplicity([0], [0, 0]) is None
+    assert curve_multiplicity([1], [0]) is None
+    # The config parser sizes a general curve by the same rule that sets the
+    # curve's m, for every accepted pair of coefficient lists.
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(500):
+        lists = [[rng.choice((0, 0, 1, -2)) for _ in range(rng.randint(1, 6))] for _ in range(2)]
+        doc = {"truncation": 4, "surface": {"a": {"0,2": "1"}}, "curve": {"family": "general"}}
+        doc["curve"].update(c1=[str(c) for c in lists[0]], c2=[str(c) for c in lists[1]])
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            continue
+        assert cfg.spec.m == curve_multiplicity(*lists) == curve_multiplicity(cfg.spec.c1.coeffs, cfg.spec.c2.coeffs)
+        checked += 1
+    assert checked >= 40

@@ -1,9 +1,10 @@
 """Mesh sampling and OBJ text against the per-vertex, per-line references.
 
-The tabulated sampling must run the float operations of one evaluation per
-vertex in the same order, so every coordinate is compared bit for bit
-(``float.hex``), and the bulk ``%.9g`` formatting must print the bytes of
-``format(value, ".9g")`` line by line.
+The tabulated and column-wise sampling must run the float operations of one
+evaluation per vertex in the same order, so every coordinate is compared bit
+for bit (``float.hex``), the bulk ``%.9g`` formatting must print the bytes of
+``format(value, ".9g")`` line by line, and the face block built from the
+grid shape must list the faces of the per-face reference.
 """
 
 import math
@@ -19,13 +20,17 @@ from crosscap.model import build_umbrella
 from crosscap.obj import (
     MeshError,
     QuadMesh,
+    _horner,
     obj_mesh_text,
     obj_polyline_text,
+    sample_curve_polyline,
     sample_ruled_surface,
     sample_surface_patch,
 )
-from crosscap.series import SeriesError
+from crosscap.series import Field, SeriesError, UniSeries
 from reference import (
+    _quad_faces,
+    reference_curve_polyline,
     reference_obj_mesh_text,
     reference_obj_polyline_text,
     reference_ruled_surface,
@@ -61,7 +66,7 @@ RESOLUTION = st.integers(2, 9)
 
 
 def hex_vertices(mesh: QuadMesh):
-    return [tuple(c.hex() for c in v) for v in mesh.vertices]
+    return (mesh.rows, mesh.cols, [c.hex() for c in mesh.coords])
 
 
 @settings(deadline=None, max_examples=60)
@@ -71,7 +76,6 @@ def test_surface_patch_matches_the_per_vertex_evaluation(coeffs, u_range, v_rang
     got = sample_surface_patch(W, u_range, v_range, nu, nv)
     want = reference_surface_patch(W, u_range, v_range, nu, nv)
     assert hex_vertices(got) == hex_vertices(want)
-    assert got.faces == want.faces
 
 
 def test_surface_patch_keeps_each_components_term_order():
@@ -101,7 +105,42 @@ def test_ruled_surface_matches_the_per_vertex_evaluation(coeffs, spec, x_range, 
     got = sample_ruled_surface(ruled, x_range, y_range, nx, ny)
     want = reference_ruled_surface(ruled, x_range, y_range, nx, ny)
     assert hex_vertices(got) == hex_vertices(want)
-    assert got.faces == want.faces
+    got = sample_curve_polyline(ruled.gamma, x_range, nx)
+    assert [c.hex() for c in got] == [c.hex() for c in reference_curve_polyline(ruled.gamma, x_range, nx)]
+
+
+#: Finite and non-finite floats that stress the column Horner pass: signed
+#: zeros, subnormals and values whose products overflow to inf (and then,
+#: added to an inf of the other sign, give nan).
+HORNER_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308)
+HORNER_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(HORNER_EDGES))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.one_of(HORNER_FLOATS, st.sampled_from((math.inf, -math.inf, math.nan))), min_size=1, max_size=8),
+    st.lists(HORNER_FLOATS, max_size=12),
+)
+def test_column_horner_is_evaluate_at_every_x(coeffs, xs):
+    series = UniSeries.make(Field.FLOAT, coeffs)
+    assert [v.hex() for v in _horner(series, xs)] == [series.evaluate(x).hex() for x in xs]
+
+
+def test_column_horner_covers_the_signed_and_non_finite_cases():
+    # 1.0 * -0.0 + -0.0 keeps the sign of zero; 1e300 * 1e300 overflows to
+    # inf, and inf + -inf is nan: the column pass must give each at its x.
+    cases = {
+        (-0.0, 1.0): [-0.0, 0.0],
+        (0.0, 1e300): [1e300, -1e300],
+        (-math.inf, 1e300): [1e300, 1.0],
+    }
+    seen = set()
+    for coeffs, xs in cases.items():
+        series = UniSeries.make(Field.FLOAT, coeffs)
+        got = _horner(series, xs)
+        assert [v.hex() for v in got] == [series.evaluate(x).hex() for x in xs]
+        seen.update(v.hex() for v in got)
+    assert {"-0x0.0p+0", "inf", "-inf", "nan"} <= seen
 
 
 #: Finite coordinates that stress the formatter: signed zeros, subnormals and
@@ -122,12 +161,15 @@ COORD = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_f
 POINTS = st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=40)
 
 
+GRID_SIDE = st.integers(2, 8)
+
+
 @st.composite
 def meshes(draw):
-    vertices = draw(POINTS)
-    corner = st.integers(0, len(vertices) - 1)
-    faces = draw(st.lists(st.tuples(corner, corner, corner, corner), max_size=40))
-    return QuadMesh(tuple(vertices), tuple(faces))
+    """A random rows x cols grid of random coordinates."""
+    rows, cols = draw(GRID_SIDE), draw(GRID_SIDE)
+    coords = draw(st.lists(COORD, min_size=3 * rows * cols, max_size=3 * rows * cols))
+    return QuadMesh(tuple(coords), rows, cols)
 
 
 @settings(deadline=None, max_examples=200)
@@ -136,10 +178,23 @@ def test_mesh_text_matches_the_line_by_line_formatter(mesh):
     assert obj_mesh_text(mesh) == reference_obj_mesh_text(mesh)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(2, 60), st.integers(2, 60))
+def test_the_face_block_is_the_per_face_reference(rows, cols):
+    text = obj_mesh_text(QuadMesh((0.0,) * (3 * rows * cols), rows, cols))
+    faces = [line for line in text.splitlines() if not line.startswith("v ")]
+    assert faces == ["f %d %d %d %d" % tuple(i + 1 for i in f) for f in _quad_faces(rows, cols)]
+    assert len(faces) == (rows - 1) * (cols - 1)
+
+
+def flat(points):
+    return tuple(c for p in points for c in p)
+
+
 @settings(deadline=None, max_examples=200)
 @given(POINTS)
 def test_polyline_text_matches_the_line_by_line_formatter(points):
-    assert obj_polyline_text(points) == reference_obj_polyline_text(points)
+    assert obj_polyline_text(flat(points)) == reference_obj_polyline_text(flat(points))
 
 
 NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
@@ -147,28 +202,34 @@ NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
 
 @st.composite
 def with_non_finite(draw):
-    """Points with one to three coordinates replaced by inf, -inf or nan."""
-    flat = [c for p in draw(POINTS) for c in p]
+    """A random grid with one to three coordinates replaced by inf, -inf or nan."""
+    mesh = draw(meshes())
+    coords = list(mesh.coords)
     for _ in range(draw(st.integers(1, 3))):
-        flat[draw(st.integers(0, len(flat) - 1))] = draw(NON_FINITE)
-    return [tuple(flat[k : k + 3]) for k in range(0, len(flat), 3)]
+        coords[draw(st.integers(0, len(coords) - 1))] = draw(NON_FINITE)
+    return QuadMesh(tuple(coords), mesh.rows, mesh.cols)
 
 
-def _first_non_finite(points):
-    return next(c for p in points for c in p if not math.isfinite(c))
+def test_finite_coordinates_whose_sum_overflows_are_accepted():
+    grid = QuadMesh((1.7976931348623157e308,) * 12, 2, 2)
+    assert obj_mesh_text(grid) == reference_obj_mesh_text(grid)
+    assert obj_polyline_text(grid.coords) == reference_obj_polyline_text(grid.coords)
 
 
 @settings(deadline=None, max_examples=100)
 @given(with_non_finite())
-def test_a_non_finite_coordinate_is_named_in_vertex_order(points):
-    message = f"non-finite vertex coordinate {_first_non_finite(points)!r}: the window is too wide for this jet"
+def test_a_non_finite_coordinate_is_named_in_vertex_order(grid):
+    first = next(c for c in grid.coords if not math.isfinite(c))
+    message = f"non-finite vertex coordinate {first!r}: the window is too wide for this jet"
     with pytest.raises(MeshError) as polyline:
-        obj_polyline_text(points)
+        obj_polyline_text(grid.coords)
     with pytest.raises(MeshError) as mesh:
-        obj_mesh_text(QuadMesh(tuple(points), ()))
-    with pytest.raises(MeshError) as reference:
-        reference_obj_polyline_text(points)
-    assert str(polyline.value) == str(mesh.value) == str(reference.value) == message
+        obj_mesh_text(grid)
+    with pytest.raises(MeshError) as reference_polyline:
+        reference_obj_polyline_text(grid.coords)
+    with pytest.raises(MeshError) as reference_mesh:
+        reference_obj_mesh_text(grid)
+    assert {str(e.value) for e in (polyline, mesh, reference_polyline, reference_mesh)} == {message}
 
 
 @pytest.mark.parametrize("window", ["u", "v"])

@@ -2,9 +2,11 @@
 
 The digests are those of ``crosscap report`` (exact and float field),
 ``crosscap mesh`` and ``crosscap verify --sweep --seed 0`` on the bundled
-fixtures, of ``verify --sweep --seed 1``, and one digest per field over the
+fixtures, of ``verify --sweep --seed 1``, one digest per field over the
 128 dense reports of the benchmark's jet universe
-(``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16).
+(``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16),
+and one digest over the benchmark's denser meshes
+(``bench/workloads.dense_mesh_config``: each fixture at each window scale).
 A change that alters these bytes on purpose records the new digests here and
 says why in CHANGES.md.
 
@@ -72,6 +74,11 @@ DENSE_REPORTS_SHA256 = {
 }
 
 
+#: One digest over the ``umbrella.obj``, ``curve.obj`` and ``od_w.obj`` bytes
+#: of ``crosscap mesh``, fixture by fixture and window scale by window scale.
+DENSE_MESHES_SHA256 = "584a2694a4c671b0a706973cd4de781db348a3acaa43e01792cd2a9b3be9927f"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -97,6 +104,19 @@ def test_mesh_bytes(tmp_path, name):
     assert main(["mesh", _fixture_in_field(tmp_path, name, "exact"), "--out", str(out)]) == 0
     digests = {obj: _sha256((out / obj).read_bytes()) for obj in MESH_SHA256[name]}
     assert digests == MESH_SHA256[name]
+
+
+def test_dense_mesh_bytes(tmp_path):
+    digest = hashlib.sha256()
+    config = tmp_path / "dense.json"
+    for name in workloads.FIXTURES:
+        for scale in range(len(workloads.DENSE_MESH_SCALES)):
+            config.write_text(workloads.dense_mesh_config(fixture_text(name), scale))
+            out = tmp_path / f"{name}-{scale}"
+            assert main(["mesh", str(config), "--out", str(out)]) == 0
+            for obj in workloads.MESH_FILES:
+                digest.update((out / obj).read_bytes())
+    assert digest.hexdigest() == DENSE_MESHES_SHA256
 
 
 def _sweep_digest(capsys, seed):
