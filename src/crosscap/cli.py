@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -112,7 +113,9 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="crosscap",
         description=(
@@ -145,8 +148,11 @@ def main(argv=None) -> int:
     fix_mode.add_argument("--list", action="store_true", help="list bundled fixtures")
     fix_mode.add_argument("--show", metavar="NAME", help="print one fixture's JSON")
     p_fix.set_defaults(func=_cmd_fixtures)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

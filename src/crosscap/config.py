@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .series import Field, UniSeries
+from .series import Field, SignedRoot, UniSeries
 from .model import (
     CurveSpec,
     FamilyMP,
@@ -311,11 +311,14 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
 def json_value(value, omit=frozenset(), rational=str):
     """``value`` as JSON data, with the field names of ``omit`` left out at any depth.
 
-    A dataclass becomes an object of its fields in declaration order, a
-    series the list of its coefficients, a tuple a list and a Fraction
-    ``rational(value)``: its "p/q" string by default, or its float; other
-    values pass through.
+    A ``SignedRoot`` becomes its float in either field (the one place that
+    rounds it, so it is tested before the dataclasses), a dataclass an
+    object of its fields in declaration order, a series the list of its
+    coefficients, a tuple a list and a Fraction ``rational(value)``: its
+    "p/q" string by default, or its float; other values pass through.
     """
+    if isinstance(value, SignedRoot):
+        return float(value)
     if isinstance(value, UniSeries):
         value = value.coeffs
     if is_dataclass(value):

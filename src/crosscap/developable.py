@@ -18,9 +18,9 @@ img' lies in span(V, V') on a developable, and T / R is its coefficient on
 V'.  T has order alpha + max(a2 - a3, 0), so T / R is a series exactly when
 the striction curve exists, and it vanishes at 0 exactly when that curve
 passes through the singular point.  Every order and case is decided on
-these exact series; each float top is an exact top over one square root
-(``over_sqrt``), and one beyond the float range makes the developable not
-applicable.  Only the mesh normalises V, in floats (``osculating_surface``).
+these exact series; each top of the unit frame is an exact top over one
+square root (``SignedRoot``), which only the report rounds.  Only the mesh
+normalises V, in floats (``osculating_surface``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from fractions import Fraction
 import math
 
 from .series import (
+    SignedRoot,
     UniSeries,
     Vec3Series,
     factor_power,
-    over_sqrt,
     reciprocal,
     sqrt_series,
     valuation,
@@ -89,8 +89,8 @@ class EFClassification:
     """Subcase of the vanishing analysis under a2 > a3, with the case-(ii) constants."""
 
     case: str
-    E_coeff: float | None
-    F_coeff: float | None
+    E_coeff: SignedRoot | None
+    F_coeff: SignedRoot | None
     E_scaled: Fraction | None
     F_scaled: Fraction | None
 
@@ -103,21 +103,13 @@ class DevelopableData:
     director: Vec3Series
     delta: UniSeries
     delta_order: int | None
-    delta_top: float | None
+    delta_top: SignedRoot | None
     striction: StrictionData
     sigma: UniSeries | None
     sigma_order: int | None
-    sigma_top: float | None
+    sigma_top: SignedRoot | None
     sigma_order_lower_bound: int
     classification: EFClassification
-
-
-def _float_top(value: Fraction, radicand: Fraction) -> float:
-    """value / sqrt(radicand); DevelopableError when it passes the float range."""
-    try:
-        return over_sqrt(value, radicand)
-    except OverflowError as exc:
-        raise DevelopableError(f"values beyond the float range ({exc})") from exc
 
 
 def _square_norms(factors: FrameFactors):
@@ -144,7 +136,7 @@ def delta_invariant(director: Vec3Series, factors: FrameFactors):
     if v.is_zero_to_order:
         return r, None, None
     e2, n2 = _square_norms(factors)
-    return r, v.order, _float_top(v.leading / (e2 * e2 * n2 * n2), n2)
+    return r, v.order, SignedRoot.of(v.leading / (e2 * e2 * n2 * n2), n2)
 
 
 def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassification:
@@ -173,8 +165,8 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassificat
     e2n2 = math.prod(_square_norms(factors))
     e_scaled = T1 * T3 - (a2 - a3) * T2 * e2n2
     f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * e2n2
-    e_coeff = _float_top(e_scaled / e2n2, e2n2)
-    f_coeff = _float_top(f_scaled / e2n2, e2n2)
+    e_coeff = SignedRoot.of(e_scaled / e2n2, e2n2)
+    f_coeff = SignedRoot.of(f_scaled / e2n2, e2n2)
     return EFClassification(CASE_II, e_coeff, f_coeff, e_scaled, f_scaled)
 
 
@@ -212,7 +204,7 @@ def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross
             else:
                 r0 = Rk.coeffs[0]
                 sigma_order, sigma_lower = v.order, v.order
-                sigma_top = _float_top(v.leading / (r0 * r0), vv.coeffs[0])
+                sigma_top = SignedRoot.of(v.leading / (r0 * r0), vv.coeffs[0])
     return DevelopableData(
         branch=branch,
         director=V,

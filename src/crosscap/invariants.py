@@ -23,11 +23,10 @@ from fractions import Fraction
 
 from .series import (
     Field,
+    SignedRoot,
     UniSeries,
     Vec3BiSeries,
     Vec3Series,
-    nearest_float,
-    over_sqrt,
     vec3_factor_power,
     vec3_valuation,
 )
@@ -100,16 +99,16 @@ class ProjectionTangency:
 
     ``coeff_along_b``/``coeff_along_n`` are the exact x^{3m} coefficients of
     the pairings with the unnormalized frame directions (-a02, 0, 2c0) and
-    (0, 1, 0); they equal A/3 and B/3.  The float attributes carry the same
-    coefficients against the unit frame vectors b(0), n(0), each rounded
-    once from its exact value.
+    (0, 1, 0); they equal A/3 and B/3.  The ``unit_`` attributes carry the
+    same coefficients against the unit frame vectors b(0), n(0), as exact
+    ``SignedRoot`` values.
     """
 
     verdict: str
     coeff_along_b: Fraction
     coeff_along_n: Fraction
-    unit_coeff_along_b: float
-    unit_coeff_along_n: float
+    unit_coeff_along_b: SignedRoot
+    unit_coeff_along_n: SignedRoot
 
 
 def projection_tangency(
@@ -144,8 +143,8 @@ def projection_tangency(
         verdict=verdict,
         coeff_along_b=cb,
         coeff_along_n=cn,
-        unit_coeff_along_b=over_sqrt(s * cb, 4 * c0 * c0 + a02 * a02),
-        unit_coeff_along_n=nearest_float(-s * cn),
+        unit_coeff_along_b=SignedRoot.of(s * cb, 4 * c0 * c0 + a02 * a02),
+        unit_coeff_along_n=SignedRoot.of(-s * cn, 1),
     )
 
 
@@ -229,12 +228,12 @@ class ContourDeviation:
     """x^m coefficient of <n(x), b(0)> and its exact counterpart.
 
     The exact coefficient pairs the factored normal with the unnormalized
-    direction (-a02, 0, 2c0) and equals C; the float value carries the
-    normalization sgn(a02) / (sqrt(4c0^2 + a02^2) |N(0)|), with one square
-    root.  ``vanishes`` is decided on the exact coefficient.
+    direction (-a02, 0, 2c0) and equals C; ``coefficient`` carries the
+    normalization sgn(a02) / (sqrt(4c0^2 + a02^2) |N(0)|) as an exact
+    ``SignedRoot``.  ``vanishes`` is decided on the exact coefficient.
     """
 
-    coefficient: float
+    coefficient: SignedRoot
     exact_coefficient: Fraction
     vanishes: bool
 
@@ -252,5 +251,5 @@ def contour_deviation(
         raise InvariantError("series not reliable to degree %d" % m)
     exact = exact_pairing.coefficient(m)
     n2 = sum(c * c for c in n.constant_vector())
-    coeff = over_sqrt(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
+    coeff = SignedRoot.of(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
     return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)

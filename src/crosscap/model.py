@@ -24,7 +24,7 @@ from .series import (
     BiSeries,
     Vec3Series,
     Vec3BiSeries,
-    over_sqrt,
+    SignedRoot,
     valuation,
 )
 
@@ -253,9 +253,13 @@ def image_curve(W: Vec3BiSeries, c1: UniSeries, c2: UniSeries) -> Vec3Series:
 
 
 def normal_field_raw(W: Vec3BiSeries, c1: UniSeries, c2: UniSeries) -> Vec3Series:
-    """(W_u x W_v) evaluated along the curve; vanishes at the singular point."""
-    cross = W.diff_u().cross(W.diff_v())
-    return cross.compose(c1, c2)
+    """(W_u x W_v) evaluated along the curve; vanishes at the singular point.
+
+    W_u and W_v are substituted first and crossed as series in x: W_u, W_v
+    and W_u x W_v are all reliable to total degree k - 1, so both orders of
+    the two steps give the same series to the same reliable order.
+    """
+    return W.diff_u().compose(c1, c2).cross(W.diff_v().compose(c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +299,8 @@ def classify_tangency(coeffs: UmbrellaCoefficients, m: int, c1: UniSeries, c2: U
     With the curve written as (f1, f2) x^m, the case is decided by
     l = val(first component) - m:  l = 0 -> (1), 0 < l < m -> (2), l = m -> (3),
     l > m -> (4).  The limiting tangent is the unit value at 0 of the factored
-    derivative, written out per case as an exact vector (x, 0, z) whose
-    components are each rounded once (``over_sqrt``).
+    derivative, written out per case as an exact vector (x, 0, z) over its
+    norm: each component is a ``SignedRoot``, rounded only when printed.
     """
     v1 = valuation(c1)
     if v1.is_zero_to_order:
@@ -324,5 +328,5 @@ def classify_tangency(coeffs: UmbrellaCoefficients, m: int, c1: UniSeries, c2: U
         case, x = 4, 0
     r = x * x + z * z
     return TangencyClassification(
-        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(over_sqrt(c, r) for c in (x, 0, z))
+        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(SignedRoot.of(c, r) for c in (x, 0, z))
     )

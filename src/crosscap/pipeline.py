@@ -127,7 +127,8 @@ class Analysis:
     Construction only fixes the series order m (k + 1) - 1 from the spec's
     multiplicity m; the curve, the surface jet and every other attribute
     are stages computed on first access.  Every stage reads the one exact
-    surface jet and curve and decides every order on exact series; only
+    surface jet and curve, decides every order on exact series and keeps
+    every value exact (a top of the unit frame is a ``SignedRoot``); only
     ``ruled``, the mesh's developable, is a float series.
     """
 
@@ -141,11 +142,12 @@ class Analysis:
 
         A lower rung is this analysis on the jet cut at one of
         ``lower(k)``, in that order; it is built as ``Analysis`` directly,
-        not through ``analyze``.  A library error there (a ValueError, or
-        an ArithmeticError such as a float overflow) moves on to the next rung:
-        a short jet may fail where the configured one does not, and an
-        error that is real is raised again by the configured truncation.
-        Any other exception is a bug and propagates.  This analysis is the
+        not through ``analyze``.  A library error there (a ValueError)
+        moves on to the next rung: a short jet may fail where the
+        configured one does not, and an error that is real is raised again
+        by the configured truncation.  No stage but ``ruled``, which is
+        never climbed, makes a float, so no float overflow can arise; any
+        other exception is a bug and propagates.  This analysis is the
         last rung and is returned unchecked.  A curve given to less than
         the configured order caps every reliable order, which then does not
         grow with the truncation; it runs no lower rung.  Only a general
@@ -160,7 +162,7 @@ class Analysis:
                 rung = Analysis(self.coeffs.truncated(k), self.spec)
                 if complete(rung):
                     return rung
-            except (ValueError, ArithmeticError):
+            except ValueError:
                 continue
         return self
 

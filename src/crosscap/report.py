@@ -1,10 +1,13 @@
 """Deterministic JSON reports of a full fixture analysis.
 
-Every configuration is analysed once, in the exact field.  Exact values are
-serialized as "p/q" strings and float values as JSON numbers, so a reader
-can always tell which an entry is.  The ``float`` field prints each exact
-value of the result sections as its float instead; the ``config`` echo and
-the flags read the same in both fields.  Key order is fixed by
+Every configuration is analysed once, in the exact field.  Exact rationals
+are serialized as "p/q" strings and a rational over one square root
+(``SignedRoot``) as its float, a JSON number, so a reader can always tell
+which an entry is.  The ``float`` field prints each exact rational of the
+result sections as its float instead; the ``config`` echo and the flags
+read the same in both fields.  Printing is the one place that rounds: a
+value whose float passes the float range, either way, is refused
+(OverflowError) in either field.  Key order is fixed by
 construction; two runs over the same configuration emit identical bytes.
 """
 

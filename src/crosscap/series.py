@@ -12,10 +12,11 @@ The univariate variable is called x throughout; bivariate series live in
 (u, v) and are indexed by (i, j) exponent pairs with a total-degree bound.
 
 Zero tests, valuations and top-terms are EXACT only, so that degree/top-term
-extraction is bit-exact; square roots exist only in the FLOAT field, which the
-mesh reads.  ``over_sqrt`` rounds an exact value over an exact root to a float,
-and ``nearest_float`` an exact value; both refuse a nonzero value beyond the
-float range either way.
+extraction is bit-exact; square-root series exist only in the FLOAT field,
+which the mesh reads.  A unit-frame top is exact too: ``SignedRoot`` holds
+a rational over one square root as a sign and a rational square, and only
+its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse a
+nonzero value beyond the float range either way.
 
 An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
 polynomial: integer numerators ``_num`` over one denominator ``_den``, in
@@ -459,22 +460,35 @@ def nearest_float(value: Fraction) -> float:
     return x
 
 
-def over_sqrt(value: Fraction, radicand: Fraction) -> float:
-    """value / sqrt(radicand) for rationals with radicand > 0, rounded to the nearest float.
+@dataclass(frozen=True)
+class SignedRoot:
+    """The exact real number sign * sqrt(square): a rational over one square root.
 
-    The square root of value^2 / radicand is taken in integers, to at least
-    58 bits with a sticky bit, so that the one rounding to a float is that
-    of the real quotient.  OverflowError when it passes the float range,
-    either way (``nearest_float``).
+    ``sign`` is -1, 0 or 1 and ``square`` a rational >= 0 that is 0 exactly
+    when ``sign`` is, so two values are equal exactly when their fields are.
+    ``float`` rounds it once: the root of ``square`` is taken in integers,
+    to at least 58 bits with a sticky bit, so that the one rounding to a
+    float is that of the real value.  OverflowError when it passes the
+    float range, either way (``nearest_float``).
     """
-    q = value * value / radicand
-    shift = max(0, 58 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
-    n, rem = divmod(q.numerator << (2 * shift), q.denominator)
-    root = math.isqrt(n)
-    if rem or root * root != n:
-        # The real root lies strictly between root and root + 1.
-        root, shift = 2 * root + 1, shift + 1
-    return nearest_float(Fraction(-root if value < 0 else root, 1 << shift))
+
+    sign: int
+    square: Fraction
+
+    @staticmethod
+    def of(value: Fraction, radicand: Fraction) -> "SignedRoot":
+        """value / sqrt(radicand) for rationals with radicand > 0."""
+        return SignedRoot((value > 0) - (value < 0), value * value / radicand)
+
+    def __float__(self) -> float:
+        q = self.square
+        shift = max(0, 58 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
+        n, rem = divmod(q.numerator << (2 * shift), q.denominator)
+        root = math.isqrt(n)
+        if rem or root * root != n:
+            # The real root lies strictly between root and root + 1.
+            root, shift = 2 * root + 1, shift + 1
+        return nearest_float(Fraction(-root if self.sign < 0 else root, 1 << shift))
 
 
 # ---------------------------------------------------------------------------
@@ -839,13 +853,6 @@ class Vec3BiSeries:
 
     def diff_v(self) -> "Vec3BiSeries":
         return Vec3BiSeries(self.x.diff_v(), self.y.diff_v(), self.z.diff_v())
-
-    def cross(self, other: "Vec3BiSeries") -> "Vec3BiSeries":
-        return Vec3BiSeries(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
 
     def compose(self, u: UniSeries, v: UniSeries) -> Vec3Series:
         return Vec3Series(

@@ -10,7 +10,9 @@ surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices,
 the quads of a vertex grid and the OBJ text one vertex, one quad and one
 line at a time.  The float norm and unit vector of a vector series and a
-float zero test with an absolute tolerance serve these checks.
+float zero test with an absolute tolerance serve these checks, and
+``over_sqrt``, the one-step float of value / sqrt(radicand), is the
+reference for the float of a ``SignedRoot``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from crosscap.series import (
     _coerce,
     _nonzero,
     _zero,
+    nearest_float,
     reciprocal,
     sqrt_series,
     valuation,
@@ -685,3 +688,26 @@ def reference_obj_polyline_text(coords) -> str:
     for i in range(len(lines) - 1):
         lines.append("l %d %d" % (i + 1, i + 2))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# value / sqrt(radicand) rounded to a float in one step
+# ---------------------------------------------------------------------------
+
+
+def over_sqrt(value: Fraction, radicand: Fraction) -> float:
+    """value / sqrt(radicand) for rationals with radicand > 0, rounded to the nearest float.
+
+    The square root of value^2 / radicand is taken in integers, to at least
+    58 bits with a sticky bit, so that the one rounding to a float is that
+    of the real quotient.  OverflowError when it passes the float range,
+    either way (``nearest_float``).  The reference for ``SignedRoot``'s float.
+    """
+    q = value * value / radicand
+    shift = max(0, 58 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
+    n, rem = divmod(q.numerator << (2 * shift), q.denominator)
+    root = math.isqrt(n)
+    if rem or root * root != n:
+        # The real root lies strictly between root and root + 1.
+        root, shift = 2 * root + 1, shift + 1
+    return nearest_float(Fraction(-root if value < 0 else root, 1 << shift))

@@ -193,11 +193,11 @@ def test_criterion_7_developable_suite(s1, s2, s3):
         d = a.developable
         if d is None or d.branch != BRANCH_A3_GE_A2:
             continue
-        if d.delta_order is None or abs(d.delta_top) < 1e-6:
+        if d.delta_order is None or d.delta_top.square < Fraction(1, 10**12):  # |top| < 1e-6
             continue
         if not d.striction.passes_through_singularity:
             continue
-        assert d.sigma_order is not None and abs(d.sigma_top) > 1e-9
+        assert d.sigma_order is not None and d.sigma_top.square > Fraction(1, 10**18)  # |top| > 1e-9
         done += 1
     _ok("criterion 7", "(residual/striction identities, S2 case (ii), 25 guarantee draws)")
 

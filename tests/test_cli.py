@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -441,7 +442,7 @@ TINY_EF = json.dumps(
 
 #: Values within the digit cap whose delta top, |E_t(0)|^4 |N(0)|^5 times
 #: smaller than the exact top R_top, passes the float range: a02 = 10^-99,
-#: b3 = 10^99.
+#: b3 = 10^99.  The analysis keeps the top exact; its report is refused.
 HUGE_DELTA_TOP = json.dumps(
     {
         "truncation": 6,
@@ -513,21 +514,19 @@ def test_exact_report_of_tiny_case_ii_constants_prints_in_full(tmp_path, capsys)
     assert not any(flag.startswith("sigma top-term vanishes") for flag in json.loads(captured.out)["flags"])
 
 
-def test_exact_report_of_a_huge_delta_top_leaves_out_only_the_developable(tmp_path, capsys):
-    # The orders are exact; only the float reading of the top fails.
+def test_report_of_a_huge_delta_top_exits_2_in_both_fields(tmp_path, capsys):
+    # The analysis keeps the top exact, so the developable exists; printing
+    # its float is the one place that rounds, and it refuses in either field.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(HUGE_DELTA_TOP)
-    assert main(["report", str(cfg_path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    report = json.loads(captured.out)
-    assert report["developable"] == {
-        "applicable": False,
-        "reason": "values beyond the float range (integer division result too large for a float)",
-    }
-    assert None not in report["curvatures"]["degrees"]
-    assert report["invariants"]["applicable"] is True
-    assert report["verdicts"]["contour"]["vanishes"] is False
+    for field in ("exact", "float"):
+        cfg_path.write_text(_in_field(HUGE_DELTA_TOP, field))
+        assert main(["report", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "integer division result too large for a float\n"
+    # The mesh reads only the float unit director, which is finite.
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["curve.obj", "od_w.obj", "umbrella.obj"]
 
 
 def test_report_of_a_non_finite_float_director_prints_the_developable(tmp_path, capsys):
@@ -588,6 +587,19 @@ def test_fixtures_list_and_show_exclude_each_other(capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "not allowed with argument" in captured.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    parsers = []
+    original = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(["fixtures", "--list"]) == main(["fixtures", "--show", "s1"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

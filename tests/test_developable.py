@@ -36,7 +36,7 @@ from crosscap.developable import (
 from crosscap.frame import darboux_frame, kappa_tilde_series
 from crosscap.pipeline import lower_truncations
 from crosscap.report import _complete
-from crosscap.series import Vec3Series, reciprocal, sqrt_series
+from crosscap.series import SignedRoot, Vec3Series, reciprocal, sqrt_series
 from crosscap.obj import (
     MeshError,
     obj_mesh_text,
@@ -50,6 +50,7 @@ from reference import (
     FLOAT_TOL,
     developability_residual,
     norm_series,
+    over_sqrt,
     reference_osculating_developable,
     striction_curve,
 )
@@ -134,14 +135,16 @@ def test_s1_is_cylindrical_to_computed_order(s1):
 def test_s2_delta(s2):
     d = s2.developable
     assert d.delta_order == 0
-    assert d.delta_top == 8.0
+    assert d.delta_top == SignedRoot(1, Fraction(64))
+    assert float(d.delta_top) == 8.0
     assert d.classification.case == CASE_II
 
 
 def test_s3_delta(s3):
     d = s3.developable
     assert d.delta_order == 1  # alpha1, case (ii) with E != 0
-    assert d.delta_top == -3.0
+    assert d.delta_top == SignedRoot(-1, Fraction(9))
+    assert float(d.delta_top) == -3.0
 
 
 def test_director_derivative_identity(s1, s2, s3):
@@ -215,7 +218,8 @@ def test_s2_sigma_collinearity(s2):
 def test_s2_sigma_top_vanishes(s2):
     # F = 0 makes the x^{alpha0 - 1} coefficient of sigma vanish
     d = s2.developable
-    assert d.classification.F_coeff == 0.0
+    assert d.classification.F_coeff == SignedRoot(0, Fraction(0))
+    assert float(d.classification.F_coeff) == 0.0
     assert d.sigma_order is not None and d.sigma_order > s2.factors.alpha0 - 1
 
 
@@ -224,7 +228,8 @@ def test_s2_classification_constants(s2):
     assert cls.case == CASE_II
     assert cls.E_scaled == 40  # 10 * 4: proportional to the exact value 4
     assert cls.F_scaled == 0
-    assert abs(cls.E_coeff - 8 / math.sqrt(5)) < 1e-15
+    assert cls.E_coeff == SignedRoot(1, Fraction(64, 5))  # 8 / sqrt(5)
+    assert float(cls.E_coeff) == over_sqrt(Fraction(8), Fraction(5)) == 3.5777087639996634
 
 
 def test_s2_variant_conical_order():
@@ -257,7 +262,8 @@ def test_s3_sigma(s3):
     d = s3.developable
     assert d.striction.exists and d.striction.passes_through_singularity
     assert d.sigma_order == s3.factors.alpha0 - 1 == 3
-    assert abs(d.sigma_top - (-14.0)) < 1e-12
+    assert d.sigma_top == SignedRoot(-1, Fraction(196))
+    assert float(d.sigma_top) == -14.0
     V = d.director
     dV = V.diff()
     s, _ = striction(s3)
@@ -360,12 +366,12 @@ def test_exact_chain_agrees_with_the_float_reference():
         for got, want in ((d.delta_top, ref.delta_top), (d.sigma_top, ref.sigma_top)):
             assert (got is None) == (want is None)
             if got is not None:
-                assert sign(got) == sign(want) and close(got, want), (got, want)
+                assert got.sign == sign(want) and close(float(got), want), (got, want)
         cls = d.classification
         for got, want in ((cls.E_coeff, ref.E_coeff), (cls.F_coeff, ref.F_coeff)):
             assert (got is None) == (want is None)
             if got is not None:
-                assert abs(got - want) <= 1e-9 * abs(want) + FLOAT_TOL
+                assert abs(float(got) - want) <= 1e-9 * abs(want) + FLOAT_TOL
         # the mesh's unit director is the reference's; the float chain's
         # rounding grows with the degree, so the comparison stops at x^8
         unit = osculating_surface(a.image, d).xi.truncate(8)

@@ -16,7 +16,7 @@ from crosscap.invariants import (
     top_invariants,
 )
 from crosscap.frame import darboux_frame
-from crosscap.series import Field, Vec3Series
+from crosscap.series import Field, SignedRoot, Vec3Series
 from crosscap.model import build_umbrella
 from conftest import rand_fraction, random_surface
 from reference import expected_tops, secondary_normal_top
@@ -124,8 +124,10 @@ def test_projection_s1_generic(s1_coeffs, s1_spec):
     p = analyze(s1_coeffs, s1_spec).projection
     assert p.verdict == PROJ_GENERIC
     assert (p.coeff_along_b, p.coeff_along_n) == (2, 1)  # A/3, B/3
-    assert p.unit_coeff_along_b == math.sqrt(0.5)  # 1/sqrt(2), rounded once
-    assert p.unit_coeff_along_n == -1.0
+    assert p.unit_coeff_along_b == SignedRoot(1, Fraction(1, 2))  # 1/sqrt(2)
+    assert p.unit_coeff_along_n == SignedRoot(-1, Fraction(1))
+    assert float(p.unit_coeff_along_b) == math.sqrt(0.5)  # rounded once
+    assert float(p.unit_coeff_along_n) == -1.0
 
 
 def test_projection_s2_tangent_to_b(s2_coeffs, s2_spec):
@@ -230,7 +232,8 @@ def test_self_intersection_tangency_iff_B_zero():
 def test_contour_s1_value(s1):
     c = s1.contour
     assert c.exact_coefficient == -2  # = C
-    assert c.coefficient == -math.sqrt(0.125)  # -1/(2 sqrt(2)), rounded once
+    assert c.coefficient == SignedRoot(-1, Fraction(1, 8))  # -1/(2 sqrt(2))
+    assert float(c.coefficient) == -math.sqrt(0.125)  # rounded once
     assert not c.vanishes
 
 
@@ -267,7 +270,7 @@ def test_contour_coefficient_is_the_float_frame_pairing(s1):
         b0 = fr.b.constant_vector()
         pairing = fr.n.dot(Vec3Series.make(Field.FLOAT, [b0[0]], [b0[1]], [b0[2]], fr.n.reliable_order))
         want = pairing.coefficient(a.spec.m)
-        assert abs(a.contour.coefficient - want) <= 1e-9 * abs(want) + 1e-12
+        assert abs(float(a.contour.coefficient) - want) <= 1e-9 * abs(want) + 1e-12
 
 
 def test_normal_pairing_with_itself(s1):

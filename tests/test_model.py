@@ -2,6 +2,7 @@ import json
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from crosscap import (
     parse_config,
 )
 from crosscap.config import ConfigError
+from crosscap.series import SignedRoot
 from crosscap.model import (
     ModelError,
     build_curve,
@@ -209,10 +211,11 @@ def test_case3_limiting_tangent_s1(s1_coeffs, s1_spec):
     t = analyze(s1_coeffs, s1_spec).tangency
     assert t.case == 3
     assert t.kind == "principal-plane"
-    # Each component is 1/sqrt(2) rounded once: 0.7071067811865476, where
-    # 1 / math.sqrt(2) rounds twice and gives 0.7071067811865475.
-    r = math.sqrt(0.5)
-    assert t.limiting_tangent == (r, 0.0, r)
+    # Each component is 1/sqrt(2), which rounds once to 0.7071067811865476,
+    # where 1 / math.sqrt(2) rounds twice and gives 0.7071067811865475.
+    r = SignedRoot(1, Fraction(1, 2))
+    assert t.limiting_tangent == (r, SignedRoot(0, Fraction(0)), r)
+    assert tuple(map(float, t.limiting_tangent)) == (math.sqrt(0.5), 0.0, math.sqrt(0.5))
 
 
 def test_case1_along_tangent_line():
@@ -221,7 +224,8 @@ def test_case1_along_tangent_line():
     c2 = UniSeries.make(Field.EXACT, [0, 1, 0, 1], 10)
     t = classify_tangency(co, 1, c1, c2)
     assert t.case == 1
-    assert t.limiting_tangent == (1.0, 0.0, 0.0)
+    assert t.limiting_tangent == (SignedRoot(1, Fraction(1)), SignedRoot(0, Fraction(0)), SignedRoot(0, Fraction(0)))
+    assert tuple(map(float, t.limiting_tangent)) == (1.0, 0.0, 0.0)
     assert t.kind == "tangent-line"
 
 
@@ -230,7 +234,8 @@ def test_case4_along_principal_intersection():
     spec = FamilyMP(m=1, p=5, c=(1,))
     t = analyze(co, spec).tangency
     assert t.case == 4
-    assert t.limiting_tangent == (0.0, 0.0, 1.0)
+    assert t.limiting_tangent == (SignedRoot(0, Fraction(0)), SignedRoot(0, Fraction(0)), SignedRoot(1, Fraction(1)))
+    assert tuple(map(float, t.limiting_tangent)) == (0.0, 0.0, 1.0)
     assert t.kind == "principal-intersection-line"
 
 
@@ -251,10 +256,11 @@ def test_case_mapping_per_family():
 def test_limiting_tangent_matches_frame(s1, s2, s3):
     # the tangency formula and the factored tangent E_t(0) / |E_t(0)| agree
     for a in (s1, s2, s3):
-        t0 = [float(c) for c in a.factors.tangent.constant_vector()]
-        e0 = [c / math.sqrt(sum(c * c for c in t0)) for c in t0]
+        t0 = a.factors.tangent.constant_vector()
         lt = a.tangency.limiting_tangent
-        assert max(abs(p - q) for p, q in zip(e0, lt)) < 1e-9
+        assert lt == tuple(SignedRoot.of(c, sum(c * c for c in t0)) for c in t0)
+        e0 = [float(c) / math.sqrt(sum(float(c) ** 2 for c in t0)) for c in t0]
+        assert max(abs(p - float(q)) for p, q in zip(e0, lt)) < 1e-9
 
 
 def test_fixed_directions():

@@ -16,6 +16,7 @@ configured analysis that a lower rung resolves builds none.
 import json
 import random
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -78,7 +79,7 @@ def fixture_config(name, field="exact"):
 
 @pytest.mark.parametrize(
     "name, field, compose, numerators",
-    [("s1", "exact", 9, 1), ("s1", "float", 9, 1), ("s3", "exact", 6, 1)],
+    [("s1", "exact", 12, 1), ("s1", "float", 12, 1), ("s3", "exact", 9, 1)],
 )
 def test_report_computes_each_stage_once(calls, name, field, compose, numerators):
     build_report(fixture_config(name, field))
@@ -90,13 +91,13 @@ def test_mesh_composes_only_the_image_and_the_normal(calls, tmp_path):
     cfg_path = tmp_path / "s1.json"
     cfg_path.write_text(fixture_text("s1"))
     assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls["compose_bi"]) == 6
+    assert len(calls["compose_bi"]) == 9
 
 
 def test_verify_skips_the_float_frame(calls):
     cfg = fixture_config("s1")
     assert verify_fixture(cfg.coeffs, cfg.spec).status == "PASS"
-    assert len(calls["compose_bi"]) == 6
+    assert len(calls["compose_bi"]) == 9
     assert len(calls["curvature_numerators"]) == 1
     assert calls["darboux_frame"] == []
 
@@ -122,7 +123,7 @@ def test_curvature_numerators_share_one_cross_product(calls, monkeypatch):
 
 
 def test_verify_builds_each_power_table_once(monkeypatch):
-    # The six compositions (image and raw normal) read the powers of the
+    # The nine compositions (the image, W_u and W_v) read the powers of the
     # curve components c1 and c2 from the tables kept on them: each table is
     # built on the first composition and only read or extended afterwards.
     built = []
@@ -160,6 +161,83 @@ def test_mesh_normalises_the_director_once(tmp_path, monkeypatch):
     cfg_path.write_text(fixture_text("s2"))
     assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert len(roots) == 1 and len(inverses) == 1
+
+
+class Rounded(Exception):
+    """A rounding routine was called; not a library error, so nothing catches it."""
+
+
+def _refuse(*args):
+    raise Rounded(args)
+
+
+#: Fields that hold constants of the normal form, not computed values.
+_CONSTANT_FIELDS = frozenset(
+    {"tangent_line_direction", "principal_intersection_direction", "null_vector", "principal_plane_normal"}
+)
+
+#: Every stage of ``Analysis`` but ``ruled``, the mesh's float developable.
+_EXACT_STAGES = (
+    "curve", "W", "tangency", "image", "raw_normal", "factors", "numerators", "cross", "oracle",
+    "closed_form", "invariants", "projection", "self_int", "contour", "developable",
+)
+
+
+def _floats_in(value, path):
+    """The paths of every float and float series held in ``value``."""
+    if isinstance(value, float) or (isinstance(value, UniSeries) and value.field is Field.FLOAT):
+        yield path
+    elif is_dataclass(value) and not isinstance(value, type):
+        for f in fields(value):
+            if f.name not in _CONSTANT_FIELDS:
+                yield from _floats_in(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            yield from _floats_in(v, f"{path}[{i}]")
+
+
+def _no_rounding_configs() -> dict:
+    from test_cli import HUGE_DELTA_TOP, HUGE_VALUES, LONGEST, NON_FINITE_DEVELOPABLE, TINY_EF
+
+    configs = {name: fixture_text(name) for name in ("s1", "s2", "s3")}
+    for shape in range(0, len(workloads.DENSE_SHAPES), 4):
+        configs[f"dense-{shape}"] = workloads.dense_config(shape, shape % workloads.DENSE_VARIANTS, "exact")
+    configs.update(
+        {
+            "huge-values": HUGE_VALUES,
+            "huge-delta-top": HUGE_DELTA_TOP,
+            "tiny-ef": TINY_EF,
+            "non-finite-developable": NON_FINITE_DEVELOPABLE,
+            # A limiting tangent whose first component is below the float range.
+            "tiny-tangent": json.dumps(
+                {
+                    "truncation": 5,
+                    "surface": {"a": {"0,2": LONGEST}},
+                    "curve": {"family": "general", "c1": ["0", "0", "1/" + LONGEST], "c2": ["0", LONGEST]},
+                }
+            ),
+        }
+    )
+    return configs
+
+
+@pytest.mark.parametrize("name", sorted(_no_rounding_configs()))
+def test_no_stage_but_ruled_rounds(monkeypatch, name):
+    # Every stage keeps its values exact: a float is made only when the
+    # report prints (``float`` of a SignedRoot, ``nearest_float``) or the
+    # mesh samples (``to_float``), so a stage that rounds raises here.
+    monkeypatch.setattr(series.SignedRoot, "__float__", _refuse)
+    monkeypatch.setattr(series, "nearest_float", _refuse)
+    monkeypatch.setattr(UniSeries, "to_float", _refuse)
+    cfg = parse_config(_no_rounding_configs()[name])
+    configured = analyze(cfg.coeffs, cfg.spec)
+    for a in {configured, configured.climb(_complete, pipeline.lower_truncations)}:
+        for stage in _EXACT_STAGES:
+            try:
+                value = getattr(a, stage)
+            except ValueError:  # a library error: the stage does not apply
+                continue
+            assert list(_floats_in(value, stage)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +426,14 @@ def test_climb_moves_on_only_past_library_errors():
     def bug(rung):
         raise TypeError("a programming error")
 
+    def overflow(rung):
+        raise OverflowError("no stage makes a float")
+
     for lower in (pipeline.lower_truncations, pipeline.oracle_truncations):
         assert a.climb(library_error, lower) is a
-        with pytest.raises(TypeError):
-            a.climb(bug, lower)
+        for error, compute in ((TypeError, bug), (OverflowError, overflow)):
+            with pytest.raises(error):
+                a.climb(compute, lower)
 
 
 @pytest.fixture
@@ -371,13 +453,13 @@ S3_TRUNCATION_16_ORDER = 50
 
 def test_report_composes_only_on_the_resolving_rung(compose_orders):
     build_report(fixture_at("s3", 16))
-    assert compose_orders == [S3_RUNG_5_ORDER] * 6  # the image and the normal
+    assert compose_orders == [S3_RUNG_5_ORDER] * 9  # the image, W_u and W_v
 
 
 def test_verify_composes_only_on_the_resolving_rung(compose_orders):
     cfg = fixture_at("s3", 16)
     verify_fixture(cfg.coeffs, cfg.spec)
-    assert compose_orders == [S3_RUNG_4_ORDER] * 6
+    assert compose_orders == [S3_RUNG_4_ORDER] * 9
 
 
 def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_path):
@@ -386,7 +468,7 @@ def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_pat
     cfg_path = tmp_path / "s3.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert compose_orders == [S3_TRUNCATION_16_ORDER] * 6
+    assert compose_orders == [S3_TRUNCATION_16_ORDER] * 9
 
 
 def test_verify_resolves_every_sweep_draw_at_the_oracle_rung(monkeypatch):

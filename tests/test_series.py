@@ -11,18 +11,18 @@ from crosscap.series import (
     BiSeries,
     Field,
     SeriesError,
+    SignedRoot,
     UniSeries,
     Vec3Series,
     compose_bi,
     factor_power,
     nearest_float,
-    over_sqrt,
     reciprocal,
     sqrt_series,
     valuation,
     vec3_valuation,
 )
-from reference import unit
+from reference import over_sqrt, unit
 
 
 def exact(coeffs, reliable=None):
@@ -216,10 +216,14 @@ def test_valuation_and_factor_power_are_exact_only():
 
 
 # ---------------------------------------------------------------------------
-# over_sqrt
+# SignedRoot: value / sqrt(radicand), rounded only by float
 # ---------------------------------------------------------------------------
 
 RATIONALS = st.fractions(max_denominator=10**40).filter(lambda q: q != 0)
+
+
+def root_float(value, radicand):
+    return float(SignedRoot.of(value, radicand))
 
 
 @settings(deadline=None)
@@ -230,7 +234,7 @@ def test_over_sqrt_rounds_to_the_nearest_float(value, radicand):
         want = (Decimal(value.numerator) / Decimal(value.denominator)) / (
             Decimal(radicand.numerator) / Decimal(radicand.denominator)
         ).sqrt()
-        got = over_sqrt(value, radicand)
+        got = root_float(value, radicand)
         assert abs(Decimal(got) - want) <= Decimal(math.ulp(got)) / 2
 
 
@@ -243,23 +247,69 @@ def test_over_sqrt_rounds_to_the_nearest_float(value, radicand):
     ],
 )
 def test_over_sqrt_scales_the_radicand(value, radicand, want):
-    assert over_sqrt(value, radicand) == want
+    assert SignedRoot.of(value, radicand) == SignedRoot(int(math.copysign(1, want)), Fraction(want) ** 2)
+    assert root_float(value, radicand) == want
 
 
 def test_over_sqrt_refuses_a_quotient_beyond_the_float_range():
+    huge = SignedRoot.of(Fraction(10**400), Fraction(1))  # exact, in range or not
+    assert huge == SignedRoot(1, Fraction(10**800))
     with pytest.raises(OverflowError):
-        over_sqrt(Fraction(10**400), Fraction(1))
+        float(huge)
 
 
 def test_over_sqrt_and_nearest_float_refuse_a_nonzero_value_below_the_float_range():
     for tiny in (Fraction(1, 10**400), Fraction(-1, 2**1076)):
         with pytest.raises(OverflowError):
-            over_sqrt(tiny, Fraction(1))
+            root_float(tiny, Fraction(1))
         with pytest.raises(OverflowError):
             nearest_float(tiny)
     # The smallest subnormal and zero itself are in range.
-    assert over_sqrt(Fraction(1, 2**1074), Fraction(1)) == nearest_float(Fraction(1, 2**1074)) == 5e-324
-    assert over_sqrt(Fraction(0), Fraction(3)) == nearest_float(Fraction(0)) == 0.0
+    assert root_float(Fraction(1, 2**1074), Fraction(1)) == nearest_float(Fraction(1, 2**1074)) == 5e-324
+    assert root_float(Fraction(0), Fraction(3)) == nearest_float(Fraction(0)) == 0.0
+
+
+def _float_or_error(compute):
+    """``compute()``'s float as ``float.hex``, or the type and text of its error."""
+    try:
+        return compute().hex()
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+WIDE_RATIONALS = st.builds(
+    lambda n, d, e: Fraction(n, d) * Fraction(2) ** e,
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+    st.integers(-1200, 1200),
+)
+
+
+@settings(deadline=None)
+@given(WIDE_RATIONALS, WIDE_RATIONALS.filter(lambda q: q != 0).map(abs))
+def test_signed_root_float_is_the_float_over_sqrt_rounded(value, radicand):
+    # Bit for bit, and the same refusal beyond the float range either way;
+    # over a unit radicand, the float is the rational's own.
+    got = _float_or_error(lambda: float(SignedRoot.of(value, radicand)))
+    assert got == _float_or_error(lambda: over_sqrt(value, radicand))
+    unit_radicand = _float_or_error(lambda: float(SignedRoot.of(value, 1)))
+    assert unit_radicand == _float_or_error(lambda: nearest_float(value))
+
+
+@settings(deadline=None)
+@given(WIDE_RATIONALS, WIDE_RATIONALS.filter(lambda q: q != 0).map(abs), RATIONALS, WIDE_RATIONALS)
+def test_signed_roots_are_equal_exactly_when_signs_and_squares_are(value, radicand, scale, other):
+    a = SignedRoot.of(value, radicand)
+    assert (a.sign == 0) == (a.square == 0) == (value == 0) and a.square >= 0
+    # The same real number from another quotient: v t / sqrt(r t^2) for t > 0.
+    t = abs(scale)
+    same = SignedRoot.of(value * t, radicand * t * t)
+    assert same == a and hash(same) == hash(a)
+    # Equal to its negative, or to another value over the same root, only where
+    # the sign and the square agree.
+    for b in (SignedRoot.of(-value, radicand), SignedRoot.of(other, radicand)):
+        assert (a == b) == (a.sign == b.sign and a.square == b.square)
+        assert (a == b) == (value * value == b.square * radicand and (value > 0) - (value < 0) == b.sign)
 
 
 # ---------------------------------------------------------------------------
