@@ -36,7 +36,11 @@ MAX_DRAWS = 1000
 
 def _load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"not UTF-8 text: {exc}"]) from None
+    return parse_config(text)
 
 
 def _cmd_report(args) -> int:

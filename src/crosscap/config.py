@@ -2,8 +2,11 @@
 
 Rationals travel as strings ("3", "-1/2") or integers so that nothing is
 mangled through floats; numerator and denominator have at most
-``MAX_RATIONAL_DIGITS`` decimal digits each.  Unknown keys are rejected;
-every violation found is reported, not just the first.
+``MAX_RATIONAL_DIGITS`` decimal digits each.  An index key has one
+spelling, as a rational does: ``0`` or ASCII digits without a leading zero,
+and an ``a`` key is two of them as ``i,j``.  Unknown keys and a key given
+twice in one object are rejected; every violation found is reported, not
+just the first.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ class RunConfig:
 
 
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+_INDEX = "0|[1-9][0-9]*"
+_A_KEY = re.compile(f"({_INDEX}),({_INDEX})")
+_B_KEY = re.compile(_INDEX)
 
 
 def parse_rational(value, where: str, problems) -> Fraction | None:
@@ -119,12 +125,33 @@ def _check_keys(obj: dict, allowed, where: str, problems) -> None:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
+    """Parse and validate a JSON configuration document.
+
+    A key given twice in one object is a problem.  It is reported with every
+    problem that ``config_from_dict`` finds in the document as JSON reads
+    it, keeping the last value of each key.
+    """
+    duplicates: list = []
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                duplicates.append(f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError([f"not valid JSON: {exc}"])
-    return config_from_dict(doc)
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(duplicates + exc.problems) from None
+    if duplicates:
+        raise ConfigError(duplicates)
+    return cfg
 
 
 def config_from_dict(doc) -> RunConfig:
@@ -170,24 +197,21 @@ def _parse_surface(surface, problems, truncation) -> UmbrellaCoefficients | None
         problems.append("surface.a: must be an object keyed by 'i,j'")
         raw_a = {}
     for key, value in raw_a.items():
-        try:
-            i, j = (int(part) for part in key.split(","))
-        except (ValueError, AttributeError):
+        match = _A_KEY.fullmatch(key) if isinstance(key, str) else None
+        if match is None:
             problems.append(f"surface.a: bad index key {key!r} (expected 'i,j')")
             continue
-        a[(i, j)] = parse_rational(value, f"surface.a[{key}]", problems)
+        a[(int(match[1]), int(match[2]))] = parse_rational(value, f"surface.a[{key}]", problems)
     b = {}
     raw_b = surface.get("b", {})
     if not isinstance(raw_b, dict):
         problems.append("surface.b: must be an object keyed by the index i")
         raw_b = {}
     for key, value in raw_b.items():
-        try:
-            i = int(key)
-        except ValueError:
+        if not (isinstance(key, str) and _B_KEY.fullmatch(key)):
             problems.append(f"surface.b: bad index key {key!r}")
             continue
-        b[i] = parse_rational(value, f"surface.b[{key}]", problems)
+        b[int(key)] = parse_rational(value, f"surface.b[{key}]", problems)
     if None in a.values() or None in b.values():
         return None
     try:

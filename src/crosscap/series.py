@@ -20,21 +20,27 @@ nonzero value beyond the float range either way.
 
 An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
 polynomial: integer numerators ``_num`` over one denominator ``_den``, in
-canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), which is what
-``_over_lcd`` gives for reduced coefficients.  A ``UniSeries`` keeps a tuple
-of numerators; a ``BiSeries`` keeps a dict (i, j) -> numerator without zero
-entries, in the key order of its ``coeffs``.  Sums, differences, negation,
-scalar and series products, derivatives, ``shift``, ``truncate``,
-``factor_power``, ``valuation`` (which builds only the leading ``Fraction``),
-``to_float`` and ``float_coeffs`` (``n / _den``, rounded as
-``float(Fraction)`` rounds) and ``compose_bi`` work on these integers and
-bring each result back to that form with at most one ``math.gcd``.  A
-product convolves the numerators (``_convolve``, ``_bi_convolve``) over the
+canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), and that pair
+is its only stored form.  A ``UniSeries`` keeps a tuple of numerators; a
+``BiSeries`` keeps a dict (i, j) -> numerator without zero entries.  Each
+kind is one class, whatever built the series.  Sums, differences,
+negation, scalar and series products, derivatives, ``shift``,
+``truncate``, ``factor_power``, ``valuation`` (which builds only the
+leading ``Fraction``), ``to_float`` and ``float_coeffs`` (``n / _den``,
+rounded as ``float(Fraction)`` rounds) and ``compose_bi`` work on these
+integers and bring each result back to that form with at most one
+``math.gcd``.  A product convolves the numerators (``_convolve``) over the
 product of the denominators.  The reduced ``Fraction`` coefficients
-``coeffs`` are built from the pair on first read and kept; since the pair
-is canonical, comparing pairs compares values.  ``UniSeries.from_numerators``
-and ``BiSeries.from_numerators`` build a series from integer numerators
-over a positive denominator, with one ``math.gcd`` and no ``Fraction``.
+``coeffs`` are a view of the pair, built on first read and kept (primed
+when a ``UniSeries`` is built from Fractions; a FLOAT series stores its
+coefficients as given); since the pair is canonical, comparing or hashing
+pairs compares values.  ``UniSeries.from_numerators`` and
+``BiSeries.from_numerators`` build a series from integer numerators over a
+positive denominator, with one ``math.gcd`` and no ``Fraction``; the latter
+is the one way to build a ``BiSeries``.  A ``BiSeries`` is differentiated,
+read as floats (``float_coeffs``) and substituted (``compose_bi``); no stage
+adds or multiplies two of them, and the bivariate ring the tests check
+against is in ``tests/reference.py``.
 
 ``compose_bi`` substitutes EXACT series only.  A ``UniSeries`` keeps the
 numerator lists of its own powers over ``_den^i``, built on first use by
@@ -129,12 +135,14 @@ class UniSeries(_Frozen):
     """A univariate series c_0 + c_1 x + ... + c_R x^R + O(x^{R+1}).
 
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
-    never stores coefficients it cannot vouch for.  An EXACT series also
-    holds the canonical pair ``_num``, ``_den`` (see the module docstring).
-    Instances are immutable; ``_pows``, the table of powers, only grows.
+    never stores coefficients it cannot vouch for.  An EXACT series is the
+    canonical pair ``_num``, ``_den`` (see the module docstring) and its
+    ``coeffs`` are built on first read; a FLOAT series stores its
+    coefficients as given.  Instances are immutable; ``_coeffs`` is set at
+    most once and ``_pows``, the table of powers, only grows.
     """
 
-    __slots__ = ("field", "reliable_order", "coeffs", "_num", "_den", "_pows")
+    __slots__ = ("field", "reliable_order", "_coeffs", "_num", "_den", "_pows")
 
     def __init__(self, field: Field, coeffs, reliable_order: int):
         if reliable_order < 0:
@@ -149,7 +157,21 @@ class UniSeries(_Frozen):
             _set(self, "_den", den)
         _set(self, "field", field)
         _set(self, "reliable_order", reliable_order)
-        _set(self, "coeffs", coeffs)
+        _set(self, "_coeffs", coeffs)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients; those of an EXACT series are reduced ``Fraction``s.
+
+        A property, not a ``__getattr__`` hook, so that reading any other
+        attribute stays a plain slot read.
+        """
+        try:
+            return self._coeffs
+        except AttributeError:
+            coeffs = _over(self._num, self._den)
+            _set(self, "_coeffs", coeffs)
+            return coeffs
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
@@ -161,7 +183,9 @@ class UniSeries(_Frozen):
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs, self.reliable_order))
+        if self.field is Field.EXACT:
+            return hash((self._num, self._den, self.reliable_order))
+        return hash((self.field, self._coeffs, self.reliable_order))
 
     def __repr__(self):
         return (
@@ -195,22 +219,6 @@ class UniSeries(_Frozen):
         if len(num) != reliable_order + 1 or den <= 0:
             raise SeriesError("need reliable_order + 1 numerators over a positive denominator")
         return _exact(num, den, reliable_order)
-
-    @staticmethod
-    def zero(field: Field, reliable_order: int) -> "UniSeries":
-        return UniSeries.make(field, [], reliable_order)
-
-    @staticmethod
-    def constant(field: Field, value, reliable_order: int) -> "UniSeries":
-        return UniSeries.make(field, [value], reliable_order)
-
-    @staticmethod
-    def monomial(field: Field, value, degree: int, reliable_order: int) -> "UniSeries":
-        if degree > reliable_order:
-            raise SeriesError("monomial degree exceeds reliable order")
-        cs = [_zero(field)] * (degree + 1)
-        cs[degree] = _coerce(field, value)
-        return UniSeries.make(field, cs, reliable_order)
 
     # -- inspection -------------------------------------------------------
 
@@ -325,28 +333,9 @@ class UniSeries(_Frozen):
         )
 
 
-class _ExactResult(UniSeries):
-    """An EXACT series made by an operation: ``coeffs`` is built on first read.
-
-    A property, not a ``__getattr__`` hook, so that reading the other
-    attributes of any series stays a plain slot read.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    @property
-    def coeffs(self) -> tuple:
-        try:
-            return self._coeffs
-        except AttributeError:
-            coeffs = _over(self._num, self._den)
-            _set(self, "_coeffs", coeffs)
-            return coeffs
-
-
 def _canonical(num: tuple, den: int, r: int) -> UniSeries:
     """The EXACT series ``num / den`` of a pair that is already canonical."""
-    s = _new(_ExactResult)
+    s = _new(UniSeries)
     _set(s, "field", Field.EXACT)
     _set(s, "reliable_order", r)
     _set(s, "_num", num)
@@ -499,30 +488,27 @@ class SignedRoot:
 class BiSeries(_Frozen):
     """A series in (u, v) truncated by total degree, with exact coefficients.
 
-    ``coeffs`` maps (i, j) -> nonzero Fraction with i + j <= reliable_order;
-    pairs that are absent are zero.  Reliability bookkeeping is by total
-    degree, exactly as in the univariate case.  The series also holds the
-    canonical pair ``_num``, ``_den`` (see the module docstring).  The field
-    is always EXACT; ``float_coeffs`` is the one float reading.  Instances
-    are immutable.
+    The series is the canonical pair ``_num``, ``_den`` (see the module
+    docstring): ``_num`` maps (i, j) with i + j <= reliable_order to a
+    nonzero integer, and pairs that are absent are zero.  ``coeffs``, the
+    map (i, j) -> nonzero ``Fraction`` in the key order of ``_num``, is
+    built on first read.  Reliability bookkeeping is by total degree,
+    exactly as in the univariate case.  ``from_numerators`` builds every
+    ``BiSeries``; ``float_coeffs`` is the one float reading.  Instances are
+    immutable.
     """
 
-    __slots__ = ("reliable_order", "coeffs", "_num", "_den")
+    __slots__ = ("reliable_order", "_coeffs", "_num", "_den")
 
-    field = Field.EXACT
-
-    def __init__(self, field: Field, coeffs: Mapping, reliable_order: int):
-        if field is not Field.EXACT:
-            raise SeriesError("BiSeries is defined on the EXACT field only")
-        coeffs = {k: c if type(c) is Fraction else _coerce(field, c) for k, c in coeffs.items()}
-        num, den = _over_lcd(coeffs.values())  # reduced inputs: already canonical
-        if not all(num):
-            coeffs = {k: c for (k, c), n in zip(coeffs.items(), num) if n}
-            num = [n for n in num if n]
-        _set(self, "_num", dict(zip(coeffs, num)))
-        _set(self, "_den", den)
-        _set(self, "reliable_order", reliable_order)
-        _set(self, "coeffs", coeffs)
+    @property
+    def coeffs(self) -> dict:
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self._den
+            coeffs = {k: Fraction(n, den) for k, n in self._num.items()}
+            _set(self, "_coeffs", coeffs)
+            return coeffs
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -535,19 +521,6 @@ class BiSeries(_Frozen):
 
     def __repr__(self):
         return f"BiSeries(coeffs={self.coeffs!r}, reliable_order={self.reliable_order!r})"
-
-    @staticmethod
-    def make(field: Field, coeffs: Mapping, reliable_order: int) -> "BiSeries":
-        if reliable_order < 0:
-            raise SeriesError("reliable_order must be >= 0")
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if i < 0 or j < 0:
-                raise SeriesError("negative exponent in BiSeries")
-            if i + j <= reliable_order:
-                clean[(i, j)] = c
-        # The constructor coerces and drops the zeros by their numerators.
-        return BiSeries(field, clean, reliable_order)
 
     @staticmethod
     def from_numerators(num: Mapping, den: int, reliable_order: int) -> "BiSeries":
@@ -567,21 +540,9 @@ class BiSeries(_Frozen):
                 raise SeriesError("BiSeries exponent outside 0 <= i, j and i + j <= reliable_order")
         return _exact_bi(_nonzero(num), den, reliable_order)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        if i + j > self.reliable_order:
-            raise SeriesError("coefficient beyond reliable total degree requested")
-        return self.coeffs.get((i, j), Fraction(0))
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        return _exact_bi_sum(self, other, 1)
-
-    def __neg__(self) -> "BiSeries":
-        return _canonical_bi({k: -n for k, n in self._num.items()}, self._den, self.reliable_order)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return _exact_bi_sum(self, other, -1)
-
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        # No stage multiplies two BiSeries; the product stays only because
+        # the benchmark's tracer wraps it (``series.bimul`` in bench/tracing.py).
         r = min(self.reliable_order, other.reliable_order)
         return _exact_bi(_nonzero(_bi_convolve(self._num, other._num, r)), self._den * other._den, r)
 
@@ -604,25 +565,9 @@ class BiSeries(_Frozen):
         return {k: n / den for k, n in self._num.items()}
 
 
-class _ExactBiResult(BiSeries):
-    """An EXACT ``BiSeries`` made by an operation: ``coeffs`` is built on first read."""
-
-    __slots__ = ("_coeffs",)
-
-    @property
-    def coeffs(self) -> dict:
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self._den
-            coeffs = {k: Fraction(n, den) for k, n in self._num.items()}
-            _set(self, "_coeffs", coeffs)
-            return coeffs
-
-
 def _canonical_bi(num: dict, den: int, r: int) -> BiSeries:
-    """The EXACT ``BiSeries`` ``num / den`` of a pair that is already canonical."""
-    s = _new(_ExactBiResult)
+    """The ``BiSeries`` ``num / den`` of a pair that is already canonical."""
+    s = _new(BiSeries)
     _set(s, "reliable_order", r)
     _set(s, "_num", num)
     _set(s, "_den", den)
@@ -630,23 +575,11 @@ def _canonical_bi(num: dict, den: int, r: int) -> BiSeries:
 
 
 def _exact_bi(num: dict, den: int, r: int) -> BiSeries:
-    """The EXACT ``BiSeries`` ``num / den`` (``den > 0``, no zero entries), divided by the gcd of the pair."""
+    """The ``BiSeries`` ``num / den`` (``den > 0``, no zero entries), divided by the gcd of the pair."""
     g = math.gcd(den, *num.values())
     if g != 1:
         return _canonical_bi({k: n // g for k, n in num.items()}, den // g, r)
     return _canonical_bi(num, den, r)
-
-
-def _exact_bi_sum(a: BiSeries, b: BiSeries, sign: int) -> BiSeries:
-    """a + sign * b for EXACT ``BiSeries``: a's terms, then b's new ones, over the lcm of the denominators."""
-    r = min(a.reliable_order, b.reliable_order)
-    d = math.lcm(a._den, b._den)
-    sa, sb = d // a._den, sign * (d // b._den)
-    out = {(i, j): n * sa for (i, j), n in a._num.items() if i + j <= r}
-    for (i, j), n in b._num.items():
-        if i + j <= r:
-            out[(i, j)] = out.get((i, j), 0) + n * sb
-    return _exact_bi(_nonzero(out), d, r)
 
 
 def _nonzero(coeffs: dict) -> dict:
@@ -676,11 +609,12 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     Output reliability: discarding the O(u,v)^{R_F + 1} tail of F loses
     information only from x-degree m_min * (R_F + 1) on, where m_min is the
     smaller valuation of the two substituted series (their reliable orders
-    cap the result as well).  The field is EXACT, the field of every
+    cap the result as well).  Both curves must be EXACT, the field of every
     ``BiSeries``.  Each term convolves the power of v, the outer operand,
-    with the power of u: for v = x^m that is one pass.
+    with the power of u: for v = x^m that is one pass.  The terms are summed
+    as exact integers, so their order does not matter.
     """
-    if u.field is not v.field or u.field is not F.field:
+    if u.field is not Field.EXACT or v.field is not Field.EXACT:
         raise SeriesError("field mismatch between series operands")
     val_u = _valuation_lower_bound(u)
     val_v = _valuation_lower_bound(v)
@@ -691,7 +625,7 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise SeriesError("composition carries no reliable coefficients")
-    terms = [(i, j, n) for (i, j), n in sorted(F._num.items()) if i * val_u + j * val_v <= r_out]
+    terms = [(i, j, n) for (i, j), n in F._num.items() if i * val_u + j * val_v <= r_out]
     top_i = max((i for i, _, _ in terms), default=0)
     top_j = max((j for _, j, _ in terms), default=0)
     u_pows = _powers(u, top_i)

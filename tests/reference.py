@@ -5,7 +5,9 @@ curvatures straight from the unfactored series, the developability residual
 and the striction curve of a generic ruled surface, the osculating
 developable as the float chain of the unit Darboux frame, the curvature top-terms
 that the A/B/C/D invariants predict, and the series operations, products
-and composition as coefficient-by-coefficient ``Fraction`` loops, the
+and composition as coefficient-by-coefficient ``Fraction`` loops (with
+the sum and product of two ``BiSeries``, and ``reference_bi_make``, the
+one builder of a ``BiSeries`` from ``Fraction``s in the tests), the
 surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices,
 the quads of a vertex grid and the OBJ text one vertex, one quad and one
@@ -44,7 +46,6 @@ from crosscap.series import (
     Vec3BiSeries,
     Vec3Series,
     _coerce,
-    _nonzero,
     _zero,
     nearest_float,
     reciprocal,
@@ -420,24 +421,30 @@ def reference_mul(self: UniSeries, other: UniSeries) -> UniSeries:
     return UniSeries(self.field, tuple(cs), r)
 
 
-def reference_bi_make(field: Field, coeffs, reliable_order: int) -> BiSeries:
-    """``BiSeries.make``."""
+def reference_bi_make(coeffs, reliable_order: int) -> BiSeries:
+    """The ``BiSeries`` with the rational coefficients ``coeffs`` up to total degree ``reliable_order``.
+
+    The one way the tests build a ``BiSeries`` from ``Fraction``s: the terms
+    are put over their least common denominator and go through
+    ``BiSeries.from_numerators``, which drops the zeros and keeps the key
+    order of ``coeffs``.
+    """
     if reliable_order < 0:
         raise SeriesError("reliable_order must be >= 0")
     clean = {}
     for (i, j), c in coeffs.items():
         if i < 0 or j < 0:
             raise SeriesError("negative exponent in BiSeries")
-        if i + j > reliable_order:
-            continue
-        c = _coerce(Field.EXACT, c)
-        if c != 0:
-            clean[(i, j)] = c
-    return BiSeries(field, clean, reliable_order)
+        if i + j <= reliable_order:
+            clean[(i, j)] = _coerce(Field.EXACT, c)
+    den = math.lcm(*(c.denominator for c in clean.values()))
+    return BiSeries.from_numerators(
+        {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den, reliable_order
+    )
 
 
 def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
-    """``BiSeries.__add__``."""
+    """The sum of two ``BiSeries``, reliable to the smaller order."""
     r = min(self.reliable_order, other.reliable_order)
     out = dict()
     for (i, j), c in self.coeffs.items():
@@ -446,17 +453,7 @@ def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
     for (i, j), c in other.coeffs.items():
         if i + j <= r:
             out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    return BiSeries(Field.EXACT, _nonzero(out), r)
-
-
-def reference_bi_neg(self: BiSeries) -> BiSeries:
-    """``BiSeries.__neg__``."""
-    return BiSeries(Field.EXACT, {k: -c for k, c in self.coeffs.items()}, self.reliable_order)
-
-
-def reference_bi_sub(self: BiSeries, other: BiSeries) -> BiSeries:
-    """``BiSeries.__sub__``."""
-    return reference_bi_add(self, reference_bi_neg(other))
+    return reference_bi_make(out, r)
 
 
 def reference_bi_diff_u(self: BiSeries) -> BiSeries:
@@ -465,7 +462,7 @@ def reference_bi_diff_u(self: BiSeries) -> BiSeries:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
     out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
-    return BiSeries(Field.EXACT, _nonzero(out), r)
+    return reference_bi_make(out, r)
 
 
 def reference_bi_diff_v(self: BiSeries) -> BiSeries:
@@ -474,7 +471,7 @@ def reference_bi_diff_v(self: BiSeries) -> BiSeries:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
     out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
-    return BiSeries(Field.EXACT, _nonzero(out), r)
+    return reference_bi_make(out, r)
 
 
 def reference_bi_float_coeffs(self: BiSeries) -> dict:
@@ -493,12 +490,12 @@ def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
                 continue
             key = (i, j)
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return BiSeries.make(Field.EXACT, out, r)
+    return reference_bi_make(out, r)
 
 
 def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     """``compose_bi``: sums c u^i v^j series by series."""
-    if u.field is not v.field or u.field is not F.field:
+    if u.field is not Field.EXACT or v.field is not Field.EXACT:
         raise SeriesError("field mismatch between series operands")
     for s, name in ((u, "u"), (v, "v")):
         if not is_zero_coeff(s.field, s.coeffs[0]):
@@ -517,8 +514,8 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
         raise SeriesError("composition carries no reliable coefficients")
     u = reference_truncate(u, r_out)
     v = reference_truncate(v, r_out)
-    zero = UniSeries.zero(F.field, r_out)
-    one = UniSeries.constant(F.field, 1, r_out)
+    zero = UniSeries.make(Field.EXACT, [], r_out)
+    one = UniSeries.make(Field.EXACT, [1], r_out)
 
     # Cache powers of u and v up to the largest exponent that can contribute.
     u_pows = [one]
@@ -555,15 +552,15 @@ def reference_build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
     """``model.build_umbrella``."""
     k = coeffs.degree
     fact = math.factorial
-    comp1 = BiSeries.make(Field.EXACT, {(1, 0): Fraction(1)}, k)
+    comp1 = reference_bi_make({(1, 0): Fraction(1)}, k)
     second = {(1, 1): Fraction(1)}
     for i, b in coeffs.b.items():
         second[(0, i)] = Fraction(b.numerator, b.denominator * fact(i))
-    comp2 = BiSeries.make(Field.EXACT, second, k)
+    comp2 = reference_bi_make(second, k)
     third = {}
     for (i, j), a in coeffs.a.items():
         third[(i, j)] = Fraction(a.numerator, a.denominator * fact(i) * fact(j))
-    comp3 = BiSeries.make(Field.EXACT, third, k)
+    comp3 = reference_bi_make(third, k)
     return Vec3BiSeries(comp1, comp2, comp3)
 
 
@@ -577,7 +574,7 @@ def reference_build_curve(spec: CurveSpec, order: int) -> tuple:
         if shift + n <= order:
             first[shift + n] = cn
     c1 = UniSeries.make(Field.EXACT, first, order)
-    c2 = UniSeries.monomial(Field.EXACT, 1, spec.m, order) if spec.m <= order else UniSeries.zero(Field.EXACT, order)
+    c2 = UniSeries.make(Field.EXACT, [0] * spec.m + [1] if spec.m <= order else [], order)
     return c1, c2
 
 

@@ -2,19 +2,23 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
 
-from crosscap import ConfigError, parse_config
+from crosscap import ConfigError, UmbrellaCoefficients, parse_config
 from crosscap.cli import MAX_DRAWS, fixture_names, fixture_text, main
 from crosscap.config import (
     MAX_MESH_VERTICES,
     MAX_RATIONAL_DIGITS,
     MAX_SERIES_ORDER,
     MeshOptions,
+    config_from_dict,
     config_to_dict,
 )
 from crosscap.report import build_report, render_report
@@ -169,6 +173,111 @@ def test_all_violations_reported_together():
             ' "curve": {"family": "mpq", "m": 2, "p": 1, "q": 5, "c": ["1"]}}'
         )
     assert len(err.value.problems) >= 3
+
+
+MP_CURVE = {"family": "mp", "m": 1, "p": 2, "c": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "part, key",
+    [
+        ("a", " 0, 2"),
+        ("a", "0,2 "),
+        ("a", "+0,2"),
+        ("a", "0,02"),
+        ("a", "0,\u0662"),  # ARABIC-INDIC DIGIT TWO
+        ("b", "03"),
+        ("b", "1_0"),
+        ("b", "+3"),
+        ("b", " 3"),
+        ("b", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+    ],
+)
+def test_an_index_key_has_one_spelling(part, key):
+    # Each of these keys read as an index through ``int``: an alias of "0,2"
+    # overwrote a_02 and "1_0" was b_10.  An index is 0 or ASCII digits
+    # without a leading zero, and an ``a`` pair has no spaces or signs.
+    surface = {"a": {"0,2": "1"}, "b": {}}
+    surface[part][key] = "5"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"truncation": 12, "surface": surface, "curve": MP_CURVE}))
+    suffix = " (expected 'i,j')" if part == "a" else ""
+    assert err.value.problems == [f"surface.{part}: bad index key {key!r}{suffix}"]
+
+
+def test_a_key_given_twice_is_a_problem():
+    # JSON keeps the last of two equal keys: a02 = 5 and truncation 6 were read
+    # without a word.  Each repeat is one problem, reported with the others.
+    text = (
+        '{"truncation": 5, "truncation": 6, "surface": {"a": {"0,2": "1", "0,2": "5", "1,1": "x"}},'
+        ' "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"], "c": ["2"], "c": ["3"]}, "bogus": 1}'
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [
+        "duplicate key '0,2'",
+        "duplicate key 'c'",
+        "duplicate key 'c'",
+        "duplicate key 'truncation'",
+        "top level: unknown key 'bogus'",
+        "surface.a[1,1]: malformed rational 'x'; rationals must be integers or strings like '-3' or '1/2'",
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"truncation": 5, "truncation": 5, "surface": {"a": {"0,2": "1"}}, "curve": {"family": "mp",'
+                     ' "m": 1, "p": 2, "c": ["1"]}}')
+    assert err.value.problems == ["duplicate key 'truncation'"]
+
+
+def test_a_non_string_index_key_is_a_bad_key():
+    doc = {
+        "truncation": 5,
+        1: 2,
+        "surface": {"a": {"0,2": "1", (1, 1): "1", 2: "1"}, "b": {3: "1", None: "1", 4.0: "2"}},
+        "curve": MP_CURVE,
+    }
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.problems == [
+        "top level: unknown key 1",
+        "surface.a: bad index key (1, 1) (expected 'i,j')",
+        "surface.a: bad index key 2 (expected 'i,j')",
+        "surface.b: bad index key 3",
+        "surface.b: bad index key None",
+        "surface.b: bad index key 4.0",
+    ]
+
+
+def _bundled_and_benchmark_configs():
+    texts = [fixture_text(name) for name in fixture_names()]
+    for shape in range(len(workloads.DENSE_SHAPES)):
+        for variant in range(workloads.DENSE_VARIANTS):
+            texts += [workloads.dense_config(shape, variant, field) for field in ("exact", "float")]
+    return texts
+
+
+def test_bundled_and_benchmark_configs_read_their_keys_as_before():
+    # The index keys that ship or that the benchmark draws are canonical, so
+    # they read as ``int`` of each part read them.
+    texts = _bundled_and_benchmark_configs()
+    assert len(texts) == 3 + 2 * 128
+    for text in texts:
+        doc = json.loads(text)
+        surface = doc["surface"]
+        a = {tuple(int(p) for p in k.split(",")): Fraction(str(v)) for k, v in surface["a"].items()}
+        b = {int(k): Fraction(str(v)) for k, v in surface.get("b", {}).items()}
+        cfg = parse_config(text)
+        assert cfg.coeffs == UmbrellaCoefficients(degree=doc["truncation"], a=a, b=b)
+        assert cfg == config_from_dict(doc)
+
+
+def test_the_readme_configuration_examples_parse_and_report():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        cfg = parse_config(block)
+        doc = build_report(cfg)
+        assert json.loads(render_report(doc)) == doc
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +718,21 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "invalid configuration" in err
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "mesh"])
+def test_a_config_file_that_is_not_utf8_exits_2_in_one_line(tmp_path, capsys, command):
+    # A UTF-16 file with its byte-order mark: the decoder fails on byte 0xff.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + fixture_text("s1").encode("utf-16-le"))
+    out = tmp_path / "out"
+    argv = [command, str(bad)] + (["--out", str(out)] if command == "mesh" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_console_entry_point():

@@ -96,7 +96,7 @@ def test_s1_director_branch_and_frame_plane(s1):
     assert is_zero(d.director.dot(s1.factors.normal))
     unit = osculating_surface(s1.image, d).xi
     ns = unit.norm_sq()
-    assert series_small(ns - UniSeries.constant(Field.FLOAT, 1.0, ns.reliable_order), 1e-12)
+    assert series_small(ns - UniSeries.make(Field.FLOAT, [1.0], ns.reliable_order), 1e-12)
 
 
 def test_s2_director_branch(s2):

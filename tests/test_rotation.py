@@ -6,7 +6,8 @@ derivatives, which a proper rotation of the surface jet W leaves unchanged.
 So the rotated analysis must find the same curvature degrees and tops, the
 same order and top of R and the same sigma order, identical as Fractions.
 The rotation is the rational Cayley transform (I - S)^{-1} (I + S) of a skew
-matrix S, applied to the surface jet before any stage reads it.
+matrix S, applied to the surface jet before any stage reads it; the rotated
+jet is built with the ``BiSeries`` sum and product of ``tests/reference.py``.
 """
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ from crosscap.cli import fixture_text
 from crosscap.model import build_umbrella
 from crosscap.pipeline import lower_truncations
 from crosscap.report import _complete
-from crosscap.series import BiSeries, Field, Vec3BiSeries, valuation
+from crosscap.series import Vec3BiSeries, valuation
+from reference import reference_bi_add, reference_bi_make, reference_bimul
 
 
 def skew(a, b, c):
@@ -62,9 +64,9 @@ def rotated(W: Vec3BiSeries) -> Vec3BiSeries:
     order = W.reliable_order
     rows = []
     for row in ROTATION:
-        acc = BiSeries.make(Field.EXACT, {}, order)
+        acc = reference_bi_make({}, order)
         for r, comp in zip(row, W.components):
-            acc = acc + BiSeries.make(Field.EXACT, {(0, 0): r}, order) * comp
+            acc = reference_bi_add(acc, reference_bimul(reference_bi_make({(0, 0): r}, order), comp))
         rows.append(acc)
     return Vec3BiSeries(*rows)
 
