@@ -2,11 +2,13 @@
 
 Rationals travel as strings ("3", "-1/2") or integers so that nothing is
 mangled through floats; numerator and denominator have at most
-``MAX_RATIONAL_DIGITS`` decimal digits each.  An index key has one
-spelling, as a rational does: ``0`` or ASCII digits without a leading zero,
-and an ``a`` key is two of them as ``i,j``.  Unknown keys and a key given
-twice in one object are rejected; every violation found is reported, not
-just the first.
+``MAX_RATIONAL_DIGITS`` decimal digits each, and so has every integer
+setting and every index.  An index key has one spelling: ``0`` or ASCII
+digits without a leading zero, and an ``a`` key is two of them as ``i,j``.
+Unknown keys and a key given twice in one object are rejected; every
+violation found is reported, not just the first.  ``field`` is the print
+mode of ``report``, the string ``"exact"`` or ``"float"``; the analysis is
+exact in both.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .series import Field, SignedRoot, UniSeries
+from .series import SignedRoot, UniSeries
 from .model import (
     CurveSpec,
     FamilyMP,
@@ -49,9 +51,11 @@ class ConfigError(ValueError):
 #: with m = 3 (truncation 66) on a 2-core x86_64 host.
 MAX_SERIES_ORDER = 200
 #: Most decimal digits of the numerator and of the denominator of an input
-#: rational.  With 100-digit p/q coefficients a dense report (truncation
-#: 8-16) takes 0.12 s on average, not 0.01 s, and prints integers of up to
-#: 697 digits; at 1000 digits a top-term passes Python's 4300-digit limit.
+#: rational, and of an integer setting or an index, so that a product of two
+#: of them that a problem names still prints within Python's 4300-digit
+#: ``int``/``str`` limit.  With 100-digit p/q coefficients a dense report
+#: (truncation 8-16) takes 0.12 s on average, not 0.01 s, and prints integers
+#: of up to 697 digits; at 1000 digits a top-term passes that limit.
 MAX_RATIONAL_DIGITS = 100
 #: Largest vertex count of one exported mesh: nu * nv for the umbrella,
 #: nx * ny for the developable and curve_samples for the curve polyline.  At
@@ -86,13 +90,13 @@ class MeshOptions:
 class RunConfig:
     coeffs: UmbrellaCoefficients  # its degree is the configured truncation
     spec: CurveSpec
-    field: Field = Field.EXACT
+    field: str = "exact"  # the print mode of ``report``: "exact" or "float"
     description: str | None = None
     mesh: MeshOptions | None = None
 
 
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
-_INDEX = "0|[1-9][0-9]*"
+_INDEX = f"0|[1-9][0-9]{{0,{MAX_RATIONAL_DIGITS - 1}}}"
 _A_KEY = re.compile(f"({_INDEX}),({_INDEX})")
 _B_KEY = re.compile(_INDEX)
 
@@ -115,6 +119,21 @@ def parse_rational(value, where: str, problems) -> Fraction | None:
         problems.append(f"{where}: zero denominator in {value!r}")
     else:
         return Fraction(int(match[1] + match[2]), int(match[3] or 1))
+    return None
+
+
+def _integer(value, minimum: int, where: str, rule: str, problems) -> int | None:
+    """``value`` when it is an integer >= ``minimum`` of at most ``MAX_RATIONAL_DIGITS`` digits.
+
+    Otherwise the problem ``where: rule``, or the digit cap, is added and
+    the result is None.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        problems.append(f"{where}: {rule}")
+    elif value >= 10**MAX_RATIONAL_DIGITS:
+        problems.append(f"{where}: integer has more than {MAX_RATIONAL_DIGITS} digits")
+    else:
+        return value
     return None
 
 
@@ -143,7 +162,9 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    # A JSONDecodeError, an integer past Python's digit limit, or arrays and
+    # objects nested deeper than the decoder recurses.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"not valid JSON: {exc}"])
     try:
         cfg = config_from_dict(doc)
@@ -160,20 +181,15 @@ def config_from_dict(doc) -> RunConfig:
         raise ConfigError(["top-level document must be a JSON object"])
     _check_keys(doc, _TOP_KEYS, "top level", problems)
 
-    truncation = doc.get("truncation")
-    if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < 3:
-        problems.append("truncation: required integer >= 3")
-        truncation = 3
+    rule = "required integer >= 3"
+    truncation = _integer(doc.get("truncation"), 3, "truncation", rule, problems) or 3
 
     coeffs = _parse_surface(doc.get("surface"), problems, truncation)
     spec = _parse_curve(doc.get("curve"), problems, truncation)
 
-    field = Field.EXACT
-    raw_field = doc.get("field", "exact")
-    if raw_field not in ("exact", "float"):
+    field = doc.get("field", "exact")
+    if field not in ("exact", "float"):
         problems.append("field: must be 'exact' or 'float'")
-    elif raw_field == "float":
-        field = Field.FLOAT
 
     description = doc.get("description")
     if description is not None and not isinstance(description, str):
@@ -236,11 +252,8 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
             problems.append(f"curve.{key}: not a family {family!r} key")
 
     def _int(name, minimum):
-        value = curve.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            problems.append(f"curve.{name}: required integer >= {minimum}")
-            return minimum
-        return value
+        rule = f"required integer >= {minimum}"
+        return _integer(curve.get(name), minimum, f"curve.{name}", rule, problems) or minimum
 
     def _coeff_list(name):
         raw = curve.get(name)
@@ -280,8 +293,8 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
         # Config-sourced components are exact polynomials: pad them to the
         # series order the surface truncation supports.
         return GeneralCurve(
-            c1=UniSeries.make(Field.EXACT, c1, order),
-            c2=UniSeries.make(Field.EXACT, c2, order),
+            c1=UniSeries.make(c1, order),
+            c2=UniSeries.make(c2, order),
         )
     except ModelError as exc:
         problems.append(f"curve: {exc}")
@@ -312,9 +325,7 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
                 problems.append(f"mesh.{f.name}: must be [lo, hi] with finite lo < hi")
             else:
                 kwargs[f.name] = (float(raw[0]), float(raw[1]))
-        elif not isinstance(raw, int) or isinstance(raw, bool) or raw < 2:
-            problems.append(f"mesh.{f.name}: must be an integer >= 2")
-        else:
+        elif _integer(raw, 2, f"mesh.{f.name}", "must be an integer >= 2", problems) is not None:
             kwargs[f.name] = raw
     mesh = MeshOptions(**kwargs)
     for name, vertices in (
@@ -368,7 +379,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
     doc["surface"] = surface
     family = next(tag for tag, cls in _CURVE_FAMILIES.items() if isinstance(cfg.spec, cls))
     doc["curve"] = {"family": family, **json_value(cfg.spec)}
-    doc["field"] = cfg.field.value
+    doc["field"] = cfg.field
     if cfg.description is not None:
         doc["description"] = cfg.description
     if cfg.mesh is not None:

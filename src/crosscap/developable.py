@@ -1,4 +1,4 @@
-"""Ruled surfaces and the osculating developable along the curve, in EXACT arithmetic.
+"""Ruled surfaces and the osculating developable along the curve, in exact arithmetic.
 
 The osculating developable rules the curve by D = V / |V|, where the director
 
@@ -20,7 +20,7 @@ the striction curve exists, and it vanishes at 0 exactly when that curve
 passes through the singular point.  Every order and case is decided on
 these exact series; each top of the unit frame is an exact top over one
 square root (``SignedRoot``), which only the report rounds.  Only the mesh
-normalises V, in floats (``osculating_surface``).
+normalises V, as a ``FloatSeries`` vector (``osculating_surface``).
 """
 
 from __future__ import annotations
@@ -221,7 +221,11 @@ def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross
 
 
 def osculating_surface(img: Vec3Series, data: DevelopableData) -> RuledSurface:
-    """The osculating developable as a FLOAT ruled surface: the image curve ``img`` and V / |V|."""
+    """The osculating developable as a float ruled surface: the image curve ``img`` and V / |V|.
+
+    Both are ``Vec3Series`` of ``FloatSeries``: ``to_float`` of the exact
+    series, and the director normalised by ``reciprocal(sqrt_series(...))``.
+    """
     try:
         v = data.director.to_float()
         xi = v.scale(reciprocal(sqrt_series(v.norm_sq())))

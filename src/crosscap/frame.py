@@ -7,14 +7,15 @@ point; both factor as a nonvanishing vector series times a power of x:
     (W_u x W_v)(c_w(x))    = N(x)  x^beta,      N(0)  != 0,
     (W o c_w)(x)           = E_c(x) x^alpha0,   E_c(0) != 0.
 
-The factors are EXACT series.  Normalizing E_t and N takes square roots,
-so the extended frame {e, b, n} with b = n x e is a FLOAT series built from
-them (``darboux_frame``).  No analysis reads it, only the tests (as a float
+The factors are exact series.  Normalizing E_t and N takes square roots,
+so the extended frame {e, b, n} with b = n x e has ``FloatSeries``
+components, built from the float images of the factors
+(``darboux_frame``).  No analysis reads it, only the tests (as a float
 reference) and the benchmark's tracer.  The structure functions are
 
     kappa_1 = <e', b>,   kappa_2 = <e', n>,   kappa_3 = <b', n>.
 
-Their degrees and tops never take square roots: the EXACT numerators
+Their degrees and tops never take square roots: the exact numerators
 
     khat_1 = <E_t', N x E_t>, khat_2 = <E_t', N>, khat_3 = -<N', N x E_t>
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
-    UniSeries,
+    FloatSeries,
     Vec3Series,
     factor_power,
     reciprocal,
@@ -50,7 +51,7 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class FrameFactors:
-    """The three factorizations with their exponents (EXACT field)."""
+    """The three factorizations with their exponents (exact series)."""
 
     alpha: int
     tangent: Vec3Series  # E_t
@@ -77,13 +78,13 @@ def _factor(vec: Vec3Series, label: str):
 
 @dataclass(frozen=True)
 class DarbouxFrame:
-    """Orthonormal frame {e, b, n} along the curve (FLOAT field)."""
+    """Orthonormal frame {e, b, n} along the curve, with float series components."""
 
     e: Vec3Series
     b: Vec3Series
     n: Vec3Series
-    inv_e: UniSeries  # 1/|E_t|, reused by the unit curvature parts
-    inv_n: UniSeries  # 1/|N|
+    inv_e: FloatSeries  # 1/|E_t|, reused by the unit curvature parts
+    inv_n: FloatSeries  # 1/|N|
 
 
 def darboux_frame(factors: FrameFactors) -> DarbouxFrame:
@@ -97,14 +98,14 @@ def darboux_frame(factors: FrameFactors) -> DarbouxFrame:
 
 
 def curvature_series(frame: DarbouxFrame):
-    """(kappa_1, kappa_2, kappa_3) as FLOAT series from the frame derivative."""
+    """(kappa_1, kappa_2, kappa_3) as float series from the frame derivative."""
     de = frame.e.diff()
     db = frame.b.diff()
     return (de.dot(frame.b), de.dot(frame.n), db.dot(frame.n))
 
 
 def curvature_numerators(factors: FrameFactors):
-    """Square-root-free curvature numerators (khat_1, khat_2, khat_3) and N x E_t, EXACT.
+    """Square-root-free curvature numerators (khat_1, khat_2, khat_3) and N x E_t, exact.
 
     The cross product N x E_t is built once and read by khat_1, khat_3 and
     the osculating developable; the numerators take 15 series products.
@@ -255,7 +256,7 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
 
 
 # ---------------------------------------------------------------------------
-# FLOAT unit curvature parts, a reference for the exact developable chain
+# Float unit curvature parts, a reference for the exact developable chain
 # ---------------------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
-    Field,
     SignedRoot,
     UniSeries,
     Vec3BiSeries,
@@ -182,8 +181,8 @@ def self_intersection(
     d12 = -b3 / 6
     d22 = (b3 * a11 - a03) / (6 * a02)
     order = coeffs.degree  # composition with a multiplicity-1 curve keeps degree k
-    d1 = UniSeries.make(Field.EXACT, [0, 0, d12], order)
-    d2 = UniSeries.make(Field.EXACT, [0, 1, d22], order)
+    d1 = UniSeries.make([0, 0, d12], order)
+    d2 = UniSeries.make([0, 1, d22], order)
     img = image_curve(W, d1, d2)
     for comp in img.components:
         for deg in range(1, min(4, comp.reliable_order + 1), 2):

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Union
 
 from .series import (
-    Field,
     UniSeries,
     BiSeries,
     Vec3Series,
@@ -162,7 +161,7 @@ class GeneralCurve:
     c2: UniSeries
 
     def __post_init__(self):
-        if self.c1.field is not Field.EXACT or self.c2.field is not Field.EXACT:
+        if type(self.c1) is not UniSeries or type(self.c2) is not UniSeries:
             raise ModelError("general curves must be given in the EXACT field")
         v1, v2 = valuation(self.c1), valuation(self.c2)
         for name, series, v in (("c1", self.c1, v1), ("c2", self.c2, v2)):

@@ -1,10 +1,12 @@
 """Quad-mesh sampling of surfaces/curves and Wavefront OBJ output.
 
 A mesh is its sampling grid: flat vertex coordinates (x, y, z, row by row),
-``rows`` and ``cols``; the faces follow from the shape.  A float series is
+``rows`` and ``cols``; the faces follow from the shape.  A float series
+(``FloatSeries``, the components of the ruled surface ``mesh`` samples) is
 evaluated over the whole x grid by a column Horner pass, ``acc = [a * x + c
-for a, x in zip(acc, xs)]``: at each x the operations of ``UniSeries.evaluate``
-in the same order, so each coordinate is that of a per-point evaluation.
+for a, x in zip(acc, xs)]``: at each x the operations of a per-point Horner
+evaluation from 0.0, in the same order, so each coordinate is that of a
+per-point evaluation.
 
 OBJ conventions: ``v x y z`` vertex lines followed by ``f i j k l`` quads
 (1-indexed) for surfaces, or ``l i j`` segments for polylines; LF endings;
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, filterfalse
 
-from .series import UniSeries, Vec3BiSeries, Vec3Series
+from .series import FloatSeries, Vec3BiSeries, Vec3Series
 from .developable import RuledSurface
 
 
@@ -41,8 +43,8 @@ def _grid(lo: float, hi: float, n: int):
     return [lo + i * step for i in range(n)]
 
 
-def _horner(series: UniSeries, xs) -> list:
-    """The float ``series`` at every x of ``xs``: ``evaluate``'s operations, column by column."""
+def _horner(series: FloatSeries, xs) -> list:
+    """The float ``series`` at every x of ``xs``: a per-point Horner pass's operations, column by column."""
     acc = [0.0] * len(xs)
     for c in reversed(series.coeffs):
         acc = [a * x + c for a, x in zip(acc, xs)]
@@ -93,8 +95,9 @@ def sample_surface_patch(W: Vec3BiSeries, u_range, v_range, nu: int, nv: int) ->
 
 
 def sample_curve_polyline(curve: Vec3Series, x_range, n: int) -> tuple:
+    """Flat x, y, z coordinates of the float ``curve`` (``RuledSurface.gamma``) at ``n`` samples."""
     xs = _grid(x_range[0], x_range[1], n)
-    columns = [_horner(comp, xs) for comp in curve.to_float().components]
+    columns = [_horner(comp, xs) for comp in curve.components]
     return tuple(chain.from_iterable(zip(*columns)))
 
 

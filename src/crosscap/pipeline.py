@@ -129,7 +129,7 @@ class Analysis:
     are stages computed on first access.  Every stage reads the one exact
     surface jet and curve, decides every order on exact series and keeps
     every value exact (a top of the unit frame is a ``SignedRoot``); only
-    ``ruled``, the mesh's developable, is a float series.
+    ``ruled``, the mesh's developable, has ``FloatSeries`` components.
     """
 
     def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec):

@@ -17,7 +17,7 @@ import json
 
 from .config import RunConfig, config_to_dict, json_value
 from .pipeline import Analysis, analyze, lower_truncations
-from .series import Field, nearest_float
+from .series import nearest_float
 
 #: Series-valued result fields: a section reports their orders and top-terms,
 #: never the series themselves.
@@ -28,7 +28,7 @@ _SERIES_FIELDS = frozenset(
 #: How each field prints an exact value of the result sections.  The float
 #: field refuses (OverflowError) a nonzero value beyond the float range
 #: either way, rather than print it as inf or 0.0.
-_PRINT_RATIONAL = {Field.EXACT: str, Field.FLOAT: nearest_float}
+_PRINT_RATIONAL = {"exact": str, "float": nearest_float}
 
 
 def build_report(cfg: RunConfig) -> dict:

@@ -1,24 +1,29 @@
 """Truncated power-series (jet) arithmetic with explicit reliability tracking.
 
-Univariate series come in two coefficient fields: EXACT (arbitrary-precision
-rationals, ``fractions.Fraction``) and FLOAT (binary64).  Bivariate series,
-the surface jets, are EXACT only; ``BiSeries.float_coeffs`` is their one
-float reading, for mesh sampling.  Every series carries a
-``reliable_order`` R: coefficients of degree <= R are guaranteed by the
-computation that produced them, anything beyond is unknown.  All operations
-propagate R by a conservative documented rule and never claim more.
+Every series the analysis builds is exact: a ``UniSeries`` or a
+``BiSeries`` (the surface jets) has arbitrary-precision rational
+coefficients.  Floats enter in one place, ``UniSeries.to_float``, which
+gives a ``FloatSeries`` of binary64 coefficients; that small type serves the
+mesh's unit director and the float Darboux frame, with the sum, difference,
+product and derivative they use and the square root (``sqrt_series``) and
+inverse (``reciprocal``) that normalise a vector.  An exact and a float
+operand never mix: that is a ``SeriesError``.  ``BiSeries.float_coeffs`` is
+the one float reading of a surface jet, for mesh sampling.  Every series
+carries a ``reliable_order`` R: coefficients of degree <= R are guaranteed
+by the computation that produced them, anything beyond is unknown.  All
+operations propagate R by a conservative documented rule and never claim
+more.
 
 The univariate variable is called x throughout; bivariate series live in
 (u, v) and are indexed by (i, j) exponent pairs with a total-degree bound.
 
-Zero tests, valuations and top-terms are EXACT only, so that degree/top-term
-extraction is bit-exact; square-root series exist only in the FLOAT field,
-which the mesh reads.  A unit-frame top is exact too: ``SignedRoot`` holds
-a rational over one square root as a sign and a rational square, and only
-its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse a
-nonzero value beyond the float range either way.
+Zero tests, valuations and top-terms are exact only, so that degree/top-term
+extraction is bit-exact.  A unit-frame top is exact too: ``SignedRoot``
+holds a rational over one square root as a sign and a rational square, and
+only its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse
+a nonzero value beyond the float range either way.
 
-An EXACT series is stored as FLINT's ``fmpq_poly`` stores a rational
+An exact series is stored as FLINT's ``fmpq_poly`` stores a rational
 polynomial: integer numerators ``_num`` over one denominator ``_den``, in
 canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), and that pair
 is its only stored form.  A ``UniSeries`` keeps a tuple of numerators; a
@@ -32,17 +37,17 @@ integers and bring each result back to that form with at most one
 ``math.gcd``.  A product convolves the numerators (``_convolve``) over the
 product of the denominators.  The reduced ``Fraction`` coefficients
 ``coeffs`` are a view of the pair, built on first read and kept (primed
-when a ``UniSeries`` is built from Fractions; a FLOAT series stores its
-coefficients as given); since the pair is canonical, comparing or hashing
-pairs compares values.  ``UniSeries.from_numerators`` and
-``BiSeries.from_numerators`` build a series from integer numerators over a
-positive denominator, with one ``math.gcd`` and no ``Fraction``; the latter
-is the one way to build a ``BiSeries``.  A ``BiSeries`` is differentiated,
+when a ``UniSeries`` is built from Fractions); since the pair is
+canonical, comparing or hashing pairs compares values.
+``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
+series from integer numerators over a positive denominator, with one
+``math.gcd`` and no ``Fraction``; the latter is the one way to build a
+``BiSeries``.  A ``BiSeries`` is differentiated,
 read as floats (``float_coeffs``) and substituted (``compose_bi``); no stage
 adds or multiplies two of them, and the bivariate ring the tests check
 against is in ``tests/reference.py``.
 
-``compose_bi`` substitutes EXACT series only.  A ``UniSeries`` keeps the
+``compose_bi`` substitutes exact series only.  A ``UniSeries`` keeps the
 numerator lists of its own powers over ``_den^i``, built on first use by
 ``compose_bi`` and extended on demand (``_powers``).  Coefficient k of a
 ``_convolve`` product does not depend on the order it is cut at, so one
@@ -57,34 +62,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-class Field(Enum):
-    EXACT = "exact"
-    FLOAT = "float"
-
-
-Coeff = Union[Fraction, float]
+from typing import Iterable, Mapping
 
 
 class SeriesError(ValueError):
-    """Raised on field mismatches, domain violations and reliability abuse."""
+    """Raised on mixed exact and float operands, domain violations and reliability abuse."""
 
 
-def _coerce(field: Field, value) -> Coeff:
-    if field is Field.EXACT:
-        if type(value) is Fraction:
-            return value
-        if isinstance(value, float):
-            raise SeriesError("EXACT series cannot absorb float coefficients")
-        return Fraction(value)
-    return float(value)
-
-
-def _zero(field: Field) -> Coeff:
-    return Fraction(0) if field is Field.EXACT else 0.0
+def _coerce(value) -> Fraction:
+    """``value`` as an exact coefficient; a float or a float series is refused."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise SeriesError("EXACT series cannot absorb float coefficients")
+    if isinstance(value, FloatSeries):
+        raise SeriesError("field mismatch between series operands")
+    return Fraction(value)
 
 
 def _over_lcd(coeffs) -> tuple:
@@ -104,7 +98,7 @@ def _convolve(a, b, r: int, zero=0) -> list:
 
     Integer numerators and floats share this loop.  Zero entries are skipped
     and the products are added in ascending (i, j) order, which fixes the
-    rounding of a FLOAT product.
+    rounding of a float product.
     """
     out = [zero] * (r + 1)
     for i, x in enumerate(a[: r + 1]):
@@ -132,36 +126,34 @@ class _Frozen:
 
 
 class UniSeries(_Frozen):
-    """A univariate series c_0 + c_1 x + ... + c_R x^R + O(x^{R+1}).
+    """A univariate exact series c_0 + c_1 x + ... + c_R x^R + O(x^{R+1}).
 
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
-    never stores coefficients it cannot vouch for.  An EXACT series is the
+    never stores coefficients it cannot vouch for.  The series is the
     canonical pair ``_num``, ``_den`` (see the module docstring) and its
-    ``coeffs`` are built on first read; a FLOAT series stores its
-    coefficients as given.  Instances are immutable; ``_coeffs`` is set at
-    most once and ``_pows``, the table of powers, only grows.
+    ``coeffs`` are built on first read.  Instances are immutable;
+    ``_coeffs`` is set at most once and ``_pows``, the table of powers, only
+    grows.
     """
 
-    __slots__ = ("field", "reliable_order", "_coeffs", "_num", "_den", "_pows")
+    __slots__ = ("reliable_order", "_coeffs", "_num", "_den", "_pows")
 
-    def __init__(self, field: Field, coeffs, reliable_order: int):
+    def __init__(self, coeffs, reliable_order: int):
         if reliable_order < 0:
             raise SeriesError("reliable_order must be >= 0")
         coeffs = tuple(coeffs)
         if len(coeffs) != reliable_order + 1:
             raise SeriesError("coefficient count must equal reliable_order + 1")
-        if field is Field.EXACT:
-            coeffs = tuple(c if type(c) is Fraction else _coerce(field, c) for c in coeffs)
-            num, den = _over_lcd(coeffs)  # reduced inputs: already canonical
-            _set(self, "_num", tuple(num))
-            _set(self, "_den", den)
-        _set(self, "field", field)
+        coeffs = tuple(c if type(c) is Fraction else _coerce(c) for c in coeffs)
+        num, den = _over_lcd(coeffs)  # reduced inputs: already canonical
+        _set(self, "_num", tuple(num))
+        _set(self, "_den", den)
         _set(self, "reliable_order", reliable_order)
         _set(self, "_coeffs", coeffs)
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients; those of an EXACT series are reduced ``Fraction``s.
+        """The coefficients as reduced ``Fraction``s.
 
         A property, not a ``__getattr__`` hook, so that reading any other
         attribute stays a plain slot read.
@@ -176,39 +168,35 @@ class UniSeries(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
-        if self.field is not other.field or self.reliable_order != other.reliable_order:
-            return False
-        if self.field is Field.EXACT:
-            return self._den == other._den and self._num == other._num
-        return self.coeffs == other.coeffs
+        return (
+            self.reliable_order == other.reliable_order
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
-        if self.field is Field.EXACT:
-            return hash((self._num, self._den, self.reliable_order))
-        return hash((self.field, self._coeffs, self.reliable_order))
+        return hash((self._num, self._den, self.reliable_order))
 
     def __repr__(self):
-        return (
-            f"UniSeries(field={self.field!r}, coeffs={self.coeffs!r}, "
-            f"reliable_order={self.reliable_order!r})"
-        )
+        return f"UniSeries(coeffs={self.coeffs!r}, reliable_order={self.reliable_order!r})"
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def make(field: Field, coeffs: Iterable, reliable_order: int | None = None) -> "UniSeries":
-        cs = [_coerce(field, c) for c in coeffs]
+    def make(coeffs: Iterable, reliable_order: int | None = None) -> "UniSeries":
+        """The series of the rationals ``coeffs``, cut or padded with zeros to ``reliable_order``."""
+        cs = [_coerce(c) for c in coeffs]
         if reliable_order is None:
             reliable_order = len(cs) - 1
         if reliable_order < 0:
             raise SeriesError("reliable_order must be >= 0")
         if len(cs) < reliable_order + 1:
-            cs += [_zero(field)] * (reliable_order + 1 - len(cs))
-        return UniSeries(field, tuple(cs[: reliable_order + 1]), reliable_order)
+            cs += [Fraction(0)] * (reliable_order + 1 - len(cs))
+        return UniSeries(tuple(cs[: reliable_order + 1]), reliable_order)
 
     @staticmethod
     def from_numerators(num, den: int, reliable_order: int) -> "UniSeries":
-        """The EXACT series with coefficients ``num[i] / den``, i = 0 .. reliable_order.
+        """The series with coefficients ``num[i] / den``, i = 0 .. reliable_order.
 
         ``num`` holds integers and ``den`` is a positive integer; they may
         share a factor, which one ``math.gcd`` removes.  No ``Fraction`` is
@@ -222,7 +210,7 @@ class UniSeries(_Frozen):
 
     # -- inspection -------------------------------------------------------
 
-    def coefficient(self, degree: int) -> Coeff:
+    def coefficient(self, degree: int) -> Fraction:
         """Coefficient of x^degree; degrees beyond reliable_order are an error."""
         if degree < 0:
             raise SeriesError("negative degree")
@@ -235,75 +223,49 @@ class UniSeries(_Frozen):
 
     def truncate(self, reliable_order: int) -> "UniSeries":
         r = min(self.reliable_order, reliable_order)
-        if self.field is Field.EXACT:
-            return self if r == self.reliable_order else _exact(self._num[: r + 1], self._den, r)
-        return UniSeries(self.field, self.coeffs[: r + 1], r)
+        return self if r == self.reliable_order else _exact(self._num[: r + 1], self._den, r)
 
-    def to_float(self) -> "UniSeries":
-        if self.field is Field.FLOAT:
-            return self
+    def to_float(self) -> "FloatSeries":
+        """The coefficients rounded to floats: the one way into a ``FloatSeries``."""
         # Integer true division rounds correctly, as float(Fraction) does.
         den = self._den
-        return UniSeries(Field.FLOAT, tuple([n / den for n in self._num]), self.reliable_order)
+        return FloatSeries(tuple([n / den for n in self._num]), self.reliable_order)
 
-    def evaluate(self, x) -> Coeff:
+    def evaluate(self, x) -> Fraction:
         """Horner evaluation of the reliable polynomial part at x."""
-        x = _coerce(self.field, x)
-        acc = _zero(self.field)
+        x = _coerce(x)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_field(self, other: "UniSeries") -> None:
-        if self.field is not other.field:
-            raise SeriesError("field mismatch between series operands")
-
     def __add__(self, other):
         if isinstance(other, UniSeries):
-            self._check_field(other)
-            if self.field is Field.EXACT:
-                return _exact_sum(self, other, 1)
-            r = min(self.reliable_order, other.reliable_order)
-            cs = [self.coeffs[i] + other.coeffs[i] for i in range(r + 1)]
-            return UniSeries(self.field, tuple(cs), r)
-        c0 = _coerce(self.field, other)
-        if self.field is Field.EXACT:
-            d = math.lcm(self._den, c0.denominator)
-            scale = d // self._den
-            num = [n * scale for n in self._num]
-            num[0] += c0.numerator * (d // c0.denominator)
-            return _exact(num, d, self.reliable_order)
-        cs = list(self.coeffs)
-        cs[0] = cs[0] + c0
-        return UniSeries(self.field, tuple(cs), self.reliable_order)
+            return _exact_sum(self, other, 1)
+        c0 = _coerce(other)
+        d = math.lcm(self._den, c0.denominator)
+        scale = d // self._den
+        num = [n * scale for n in self._num]
+        num[0] += c0.numerator * (d // c0.denominator)
+        return _exact(num, d, self.reliable_order)
 
     def __neg__(self):
-        if self.field is Field.EXACT:
-            return _canonical(tuple([-n for n in self._num]), self._den, self.reliable_order)
-        return UniSeries(self.field, tuple(-c for c in self.coeffs), self.reliable_order)
+        return _canonical(tuple([-n for n in self._num]), self._den, self.reliable_order)
 
     def __sub__(self, other):
         if isinstance(other, UniSeries):
-            if self.field is Field.EXACT:
-                self._check_field(other)
-                return _exact_sum(self, other, -1)
-            return self + (-other)
-        return self + (-_coerce(self.field, other))
+            return _exact_sum(self, other, -1)
+        return self + (-_coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, UniSeries):
-            self._check_field(other)
             r = min(self.reliable_order, other.reliable_order)
-            if self.field is Field.FLOAT:
-                return UniSeries(self.field, tuple(_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
             return _exact(_convolve(self._num, other._num, r), self._den * other._den, r)
-        c = _coerce(self.field, other)
-        if self.field is Field.EXACT:
-            p = c.numerator
-            return _exact([n * p for n in self._num], self._den * c.denominator, self.reliable_order)
-        return UniSeries(self.field, tuple(a * c for a in self.coeffs), self.reliable_order)
+        c = _coerce(other)
+        p = c.numerator
+        return _exact([n * p for n in self._num], self._den * c.denominator, self.reliable_order)
 
     __rmul__ = __mul__
 
@@ -311,11 +273,8 @@ class UniSeries(_Frozen):
         """d/dx; the output is reliable one order less."""
         if self.reliable_order < 1:
             raise SeriesError("cannot differentiate a series reliable only to order 0")
-        if self.field is Field.EXACT:
-            num = self._num
-            return _exact([i * num[i] for i in range(1, len(num))], self._den, self.reliable_order - 1)
-        cs = [i * self.coeffs[i] for i in range(1, self.reliable_order + 1)]
-        return UniSeries(self.field, tuple(cs), self.reliable_order - 1)
+        num = self._num
+        return _exact([i * num[i] for i in range(1, len(num))], self._den, self.reliable_order - 1)
 
     def shift(self, power: int) -> "UniSeries":
         """Multiply by the exact monomial x^power (power >= 0)."""
@@ -323,20 +282,12 @@ class UniSeries(_Frozen):
             raise SeriesError("shift power must be >= 0")
         if power == 0:
             return self
-        if self.field is Field.EXACT:
-            return _canonical((0,) * power + self._num, self._den, self.reliable_order + power)
-        zero = _zero(self.field)
-        return UniSeries(
-            self.field,
-            tuple([zero] * power + list(self.coeffs)),
-            self.reliable_order + power,
-        )
+        return _canonical((0,) * power + self._num, self._den, self.reliable_order + power)
 
 
 def _canonical(num: tuple, den: int, r: int) -> UniSeries:
-    """The EXACT series ``num / den`` of a pair that is already canonical."""
+    """The series ``num / den`` of a pair that is already canonical."""
     s = _new(UniSeries)
-    _set(s, "field", Field.EXACT)
     _set(s, "reliable_order", r)
     _set(s, "_num", num)
     _set(s, "_den", den)
@@ -344,7 +295,7 @@ def _canonical(num: tuple, den: int, r: int) -> UniSeries:
 
 
 def _exact(num, den: int, r: int) -> UniSeries:
-    """The EXACT series ``num / den`` (``den > 0``), divided by the gcd of the pair."""
+    """The series ``num / den`` (``den > 0``), divided by the gcd of the pair."""
     g = math.gcd(den, *num)
     if g != 1:
         den //= g
@@ -353,7 +304,7 @@ def _exact(num, den: int, r: int) -> UniSeries:
 
 
 def _exact_sum(a: UniSeries, b: UniSeries, sign: int) -> UniSeries:
-    """a + sign * b for EXACT series, over the lcm of their denominators."""
+    """a + sign * b over the lcm of the denominators."""
     na, da, nb, db = a._num, a._den, b._num, b._den
     r = min(a.reliable_order, b.reliable_order)
     if da == db:
@@ -365,6 +316,50 @@ def _exact_sum(a: UniSeries, b: UniSeries, sign: int) -> UniSeries:
     return _exact([x * sa + y * sb for x, y in zip(na, nb)], d, r)
 
 
+class FloatSeries(_Frozen):
+    """A univariate series with binary64 coefficients, for the mesh and the float frame.
+
+    ``coeffs`` holds exactly ``reliable_order + 1`` floats.  A float series
+    comes from ``UniSeries.to_float``, ``reciprocal``, ``sqrt_series`` or an
+    operation on float series, and its operands are float series only.  Its
+    sum, difference, product and derivative do the float operations of a
+    coefficient loop in a fixed order (a product is ``_convolve``), so the
+    mesh bytes depend on nothing else; ``x - y`` equals ``x + (-y)`` in IEEE
+    754.  Instances are immutable.
+    """
+
+    __slots__ = ("coeffs", "reliable_order")
+
+    def __init__(self, coeffs: tuple, reliable_order: int):
+        _set(self, "coeffs", coeffs)
+        _set(self, "reliable_order", reliable_order)
+
+    def _order_with(self, other) -> int:
+        """The reliable order of a result with ``other``, which must be a float series."""
+        if type(other) is not FloatSeries:
+            raise SeriesError("field mismatch between series operands")
+        return min(self.reliable_order, other.reliable_order)
+
+    def __add__(self, other):
+        r = self._order_with(other)
+        return FloatSeries(tuple([x + y for x, y in zip(self.coeffs, other.coeffs)]), r)
+
+    def __sub__(self, other):
+        r = self._order_with(other)
+        return FloatSeries(tuple([x - y for x, y in zip(self.coeffs, other.coeffs)]), r)
+
+    def __mul__(self, other):
+        r = self._order_with(other)
+        return FloatSeries(tuple(_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
+
+    def diff(self) -> "FloatSeries":
+        """d/dx; the output is reliable one order less."""
+        if self.reliable_order < 1:
+            raise SeriesError("cannot differentiate a series reliable only to order 0")
+        c = self.coeffs
+        return FloatSeries(tuple([i * c[i] for i in range(1, len(c))]), self.reliable_order - 1)
+
+
 @dataclass(frozen=True)
 class Valuation:
     """Result of valuation extraction.
@@ -374,7 +369,7 @@ class Valuation:
     """
 
     order: int | None
-    leading: Coeff | None
+    leading: Fraction | None
     reliable_order: int
 
     @property
@@ -383,8 +378,8 @@ class Valuation:
 
 
 def valuation(a: UniSeries) -> Valuation:
-    """Smallest degree with a nonzero reliable coefficient, and that coefficient (EXACT only)."""
-    if a.field is not Field.EXACT:
+    """Smallest degree with a nonzero reliable coefficient, and that coefficient (exact only)."""
+    if type(a) is not UniSeries:
         raise SeriesError("valuation is defined on the EXACT field only")
     for i, n in enumerate(a._num):
         if n:
@@ -393,8 +388,8 @@ def valuation(a: UniSeries) -> Valuation:
 
 
 def factor_power(a: UniSeries, power: int) -> UniSeries:
-    """Divide by x^power given that val(a) >= power; reliability drops by power (EXACT only)."""
-    if a.field is not Field.EXACT:
+    """Divide by x^power given that val(a) >= power; reliability drops by power (exact only)."""
+    if type(a) is not UniSeries:
         raise SeriesError("factor_power is defined on the EXACT field only")
     if power < 0:
         raise SeriesError("power must be >= 0")
@@ -407,23 +402,25 @@ def factor_power(a: UniSeries, power: int) -> UniSeries:
     return _canonical(a._num[power:], a._den, a.reliable_order - power)
 
 
-def reciprocal(a: UniSeries) -> UniSeries:
-    """Multiplicative inverse: a * reciprocal(a) = 1 + O(x^{R+1}); needs a_0 != 0."""
+def reciprocal(a: FloatSeries) -> FloatSeries:
+    """Multiplicative inverse: a * reciprocal(a) = 1 + O(x^{R+1}); needs a_0 != 0 (float only)."""
+    if type(a) is not FloatSeries:
+        raise SeriesError("reciprocal is defined on the FLOAT field only")
     if a.coeffs[0] == 0:
         raise SeriesError("reciprocal requires a nonzero constant term")
-    inv0 = 1 / a.coeffs[0]  # a Fraction in EXACT, a float in FLOAT
+    inv0 = 1 / a.coeffs[0]
     out = [inv0]
     for n in range(1, a.reliable_order + 1):
-        acc = _zero(a.field)
+        acc = 0.0
         for k in range(1, n + 1):
             acc += a.coeffs[k] * out[n - k]
         out.append(-acc * inv0)
-    return UniSeries(a.field, tuple(out), a.reliable_order)
+    return FloatSeries(tuple(out), a.reliable_order)
 
 
-def sqrt_series(a: UniSeries) -> UniSeries:
-    """Square root with positive constant term.  FLOAT only: roots leave the rationals."""
-    if a.field is not Field.FLOAT:
+def sqrt_series(a: FloatSeries) -> FloatSeries:
+    """Square root with positive constant term.  Float only: roots leave the rationals."""
+    if type(a) is not FloatSeries:
         raise SeriesError("sqrt_series is defined on the FLOAT field only")
     if a.coeffs[0] <= 0:
         raise SeriesError("sqrt_series requires a positive constant term")
@@ -434,7 +431,7 @@ def sqrt_series(a: UniSeries) -> UniSeries:
         for k in range(1, n):
             acc += out[k] * out[n - k]
         out.append((a.coeffs[n] - acc) / (2.0 * s0))
-    return UniSeries(Field.FLOAT, tuple(out), a.reliable_order)
+    return FloatSeries(tuple(out), a.reliable_order)
 
 
 def nearest_float(value: Fraction) -> float:
@@ -609,12 +606,12 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     Output reliability: discarding the O(u,v)^{R_F + 1} tail of F loses
     information only from x-degree m_min * (R_F + 1) on, where m_min is the
     smaller valuation of the two substituted series (their reliable orders
-    cap the result as well).  Both curves must be EXACT, the field of every
-    ``BiSeries``.  Each term convolves the power of v, the outer operand,
+    cap the result as well).  Both curves must be exact, as every
+    ``BiSeries`` is.  Each term convolves the power of v, the outer operand,
     with the power of u: for v = x^m that is one pass.  The terms are summed
     as exact integers, so their order does not matter.
     """
-    if u.field is not Field.EXACT or v.field is not Field.EXACT:
+    if type(u) is not UniSeries or type(v) is not UniSeries:
         raise SeriesError("field mismatch between series operands")
     val_u = _valuation_lower_bound(u)
     val_v = _valuation_lower_bound(v)
@@ -642,7 +639,7 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
 
 
 def _powers(s: UniSeries, n: int) -> list:
-    """The numerator lists of the EXACT s^0 .. s^n (at least), cut after s's reliable order.
+    """The numerator lists of s^0 .. s^n (at least), cut after s's reliable order.
 
     The list of s^i holds its numerators over ``s._den`` to the power i.  The
     table is kept on ``s`` and extended on demand.
@@ -664,19 +661,20 @@ def _powers(s: UniSeries, n: int) -> list:
 
 @dataclass(frozen=True)
 class Vec3Series:
-    """A vector-valued map (R, 0) -> R^3 stored componentwise."""
+    """A vector-valued map (R, 0) -> R^3 stored componentwise.
 
-    x: UniSeries
-    y: UniSeries
-    z: UniSeries
+    The components are all exact (``UniSeries``) or all float
+    (``FloatSeries``); a float vector comes from ``to_float`` of an exact
+    one, and its operations are those its components have.
+    """
+
+    x: UniSeries | FloatSeries
+    y: UniSeries | FloatSeries
+    z: UniSeries | FloatSeries
 
     def __post_init__(self):
-        if not (self.x.field is self.y.field is self.z.field):
+        if not (type(self.x) is type(self.y) is type(self.z)):
             raise SeriesError("Vec3Series components must share one field")
-
-    @property
-    def field(self) -> Field:
-        return self.x.field
 
     @property
     def reliable_order(self) -> int:
@@ -687,11 +685,11 @@ class Vec3Series:
         return (self.x, self.y, self.z)
 
     @staticmethod
-    def make(field: Field, cx, cy, cz, reliable_order: int) -> "Vec3Series":
+    def make(cx, cy, cz, reliable_order: int) -> "Vec3Series":
         return Vec3Series(
-            UniSeries.make(field, cx, reliable_order),
-            UniSeries.make(field, cy, reliable_order),
-            UniSeries.make(field, cz, reliable_order),
+            UniSeries.make(cx, reliable_order),
+            UniSeries.make(cy, reliable_order),
+            UniSeries.make(cz, reliable_order),
         )
 
     def truncate(self, r: int) -> "Vec3Series":
@@ -710,7 +708,7 @@ class Vec3Series:
         return Vec3Series(-self.x, -self.y, -self.z)
 
     def scale(self, factor) -> "Vec3Series":
-        """Multiply every component by a scalar or a UniSeries."""
+        """Multiply every component by a scalar or a series of the components' type."""
         return Vec3Series(self.x * factor, self.y * factor, self.z * factor)
 
     def dot(self, other: "Vec3Series") -> UniSeries:
@@ -742,10 +740,10 @@ class Vec3Series:
 def vec3_valuation(a: Vec3Series) -> Valuation:
     """Minimum valuation over the three components (ZERO_TO_ORDER if all vanish).
 
-    EXACT only.  The leading coefficient is that of the first component of
+    Exact only.  The leading coefficient is that of the first component of
     that order, the one ``Fraction`` built.
     """
-    if a.field is not Field.EXACT:
+    if type(a.x) is not UniSeries:
         raise SeriesError("vec3_valuation is defined on the EXACT field only")
     first = None
     for comp in a.components:

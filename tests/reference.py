@@ -11,8 +11,13 @@ one builder of a ``BiSeries`` from ``Fraction``s in the tests), the
 surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices,
 the quads of a vertex grid and the OBJ text one vertex, one quad and one
-line at a time.  The float norm and unit vector of a vector series and a
-float zero test with an absolute tolerance serve these checks, and
+line at a time.  The float norm and unit vector of a vector series, a
+float zero test with an absolute tolerance, the exact and float
+``reference_reciprocal`` of the striction checks, and ``float_series``
+and ``float_vec3`` (float fixtures padded with 0.0) and ``horner`` (the
+per-point float evaluation) serve these checks; the univariate ring
+loops take an exact ``UniSeries`` or a ``FloatSeries`` and return the same
+type.
 ``over_sqrt``, the one-step float of value / sqrt(radicand), is the
 reference for the float of a ``SignedRoot``.
 """
@@ -39,14 +44,13 @@ from crosscap.model import CurveSpec, GeneralCurve, UmbrellaCoefficients
 from crosscap.obj import MeshError, QuadMesh, _grid
 from crosscap.series import (
     BiSeries,
-    Field,
+    FloatSeries,
     SeriesError,
     UniSeries,
     Valuation,
     Vec3BiSeries,
     Vec3Series,
     _coerce,
-    _zero,
     nearest_float,
     reciprocal,
     sqrt_series,
@@ -55,28 +59,55 @@ from crosscap.series import (
 
 
 # ---------------------------------------------------------------------------
-# Float zero test and normalisation
+# Float fixtures, evaluation, zero test and normalisation
 # ---------------------------------------------------------------------------
 
-#: Absolute tolerance for treating a FLOAT coefficient as zero.
+#: Absolute tolerance for treating a float coefficient as zero.
 FLOAT_TOL = 1e-9
 
 
-def is_zero_coeff(field: Field, value) -> bool:
-    """Zero test: exact in EXACT, absolute tolerance FLOAT_TOL in FLOAT."""
-    if field is Field.EXACT:
-        return value == 0
-    return abs(value) <= FLOAT_TOL
+def float_series(coeffs, reliable_order: int | None = None) -> FloatSeries:
+    """The float series of ``coeffs`` (each through ``float``), cut or padded with 0.0 to ``reliable_order``."""
+    cs = [float(c) for c in coeffs]
+    if reliable_order is None:
+        reliable_order = len(cs) - 1
+    cs += [0.0] * (reliable_order + 1 - len(cs))
+    return FloatSeries(tuple(cs[: reliable_order + 1]), reliable_order)
+
+
+def float_vec3(cx, cy, cz, reliable_order: int) -> Vec3Series:
+    """The float vector series of three coefficient lists, each padded as ``float_series`` pads."""
+    return Vec3Series(*(float_series(c, reliable_order) for c in (cx, cy, cz)))
+
+
+def horner(series: FloatSeries, x: float) -> float:
+    """The float ``series`` at ``x`` by Horner's rule from 0.0: the per-point reference of ``obj._horner``."""
+    acc = 0.0
+    for c in reversed(series.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def horner_vec3(vec: Vec3Series, x: float) -> tuple:
+    """The float vector series ``vec`` at ``x``, component by component."""
+    return tuple(horner(c, x) for c in vec.components)
+
+
+def is_zero_coeff(value) -> bool:
+    """Zero test: exact for a rational, absolute tolerance FLOAT_TOL for a float."""
+    if isinstance(value, float):
+        return abs(value) <= FLOAT_TOL
+    return value == 0
 
 
 
-def norm_series(vec: Vec3Series) -> UniSeries:
-    """|vec| as a FLOAT series (the value at 0 must be nonzero)."""
+def norm_series(vec: Vec3Series) -> FloatSeries:
+    """|vec| of an exact vector as a float series (the value at 0 must be nonzero)."""
     return sqrt_series(vec.to_float().norm_sq())
 
 
 def unit(self: Vec3Series) -> Vec3Series:
-    """Normalized vector field (FLOAT only; needs a nonvanishing value at 0)."""
+    """Normalized vector field (float only; needs a nonvanishing value at 0)."""
     inv_norm = reciprocal(sqrt_series(self.norm_sq()))
     return self.scale(inv_norm)
 
@@ -104,7 +135,7 @@ def striction_curve(surface: RuledSurface):
     if vd.is_zero_to_order:
         raise DevelopableError("director derivative vanishes to reliable order: cylinder")
     num = surface.gamma.diff().dot(w)
-    scale = reference_factor_power(num, vd.order) * reciprocal(reference_factor_power(den, vd.order))
+    scale = reference_factor_power(num, vd.order) * reference_reciprocal(reference_factor_power(den, vd.order))
     return scale, surface.gamma - xi_bar.scale(scale)
 
 
@@ -154,11 +185,11 @@ def reference_osculating_developable(factors: FrameFactors, report: CurvatureRep
     a0 = factors.alpha0
     a1, a2, a3 = report.degrees
     branch = BRANCH_A2_GT_A3 if a2 > a3 else BRANCH_A3_GE_A2
-    t2b = t2.shift(max(a2 - a3, 0))
-    t3b = t3.shift(max(a3 - a2, 0))
+    t2b = reference_shift(t2, max(a2 - a3, 0))
+    t3b = reference_shift(t3, max(a3 - a2, 0))
     rho_sq = t2b * t2b + t3b * t3b
     director = (frame.e.scale(t3b) - frame.b.scale(t2b)).scale(reciprocal(sqrt_series(rho_sq)))
-    delta = t1.shift(a1) * rho_sq + t2b * t3b.diff() - t2b.diff() * t3b
+    delta = reference_shift(t1, a1) * rho_sq + t2b * t3b.diff() - t2b.diff() * t3b
     v = reference_valuation(delta)
     k, delta_top = v.order, v.leading
 
@@ -167,10 +198,10 @@ def reference_osculating_developable(factors: FrameFactors, report: CurvatureRep
     passes = exists and exists_bound > k
     scale = curve = sigma = sigma_order = sigma_top = None
     if exists:
-        img = factors.curve.to_float().shift(a0)
+        img = factors.curve.shift(a0).to_float()
         dpr = director.diff()
         num = reference_factor_power(img.diff().dot(dpr), 2 * k)
-        scale = num * reciprocal(reference_factor_power(dpr.dot(dpr), 2 * k))
+        scale = num * reference_reciprocal(reference_factor_power(dpr.dot(dpr), 2 * k))
         curve = img - director.scale(scale)
         if passes:
             sigma = curve.diff().dot(director)
@@ -221,8 +252,8 @@ def reconstruct_regular_curvatures(
     """
     if x == 0.0:
         raise FrameError("regular curvatures are undefined at the singular point")
-    k1, k2, k3 = (k.evaluate(x) for k in kappas)
-    et = factors.tangent.to_float().evaluate(x)
+    k1, k2, k3 = (horner(k, x) for k in kappas)
+    et = horner_vec3(factors.tangent.to_float(), x)
     norm_et = math.sqrt(sum(c * c for c in et))
     denom = norm_et * x**factors.alpha
     sab = _sgn_power(x, factors.alpha + factors.beta)
@@ -249,10 +280,10 @@ def direct_regular_curvatures(img: Vec3Series, raw_normal: Vec3Series, x: float)
     nraw = raw_normal.to_float()
     dnraw = nraw.diff()
 
-    c1 = d1.evaluate(x)
-    c2 = d2.evaluate(x)
-    nv = nraw.evaluate(x)
-    dnv = dnraw.evaluate(x)
+    c1 = horner_vec3(d1, x)
+    c2 = horner_vec3(d2, x)
+    nv = horner_vec3(nraw, x)
+    dnv = horner_vec3(dnraw, x)
 
     def norm(v):
         return math.sqrt(sum(c * c for c in v))
@@ -307,88 +338,93 @@ def secondary_normal_top(inv: TopInvariants, m: int):
 # ---------------------------------------------------------------------------
 #
 # The univariate and bivariate series operations, the products and the
-# composition as they were written before EXACT series became integer
+# composition as they were written before exact series became integer
 # numerators over one denominator: one coefficient operation at a time on the
-# ``coeffs`` tuples and maps.  The composition uses only these references, no
-# ``UniSeries`` operator, and builds its powers afresh on every call.
+# ``coeffs`` tuples and maps.  A univariate loop takes an exact ``UniSeries``
+# (``Fraction`` coefficients) or a ``FloatSeries`` (floats) and returns the
+# same type.  The composition uses only these references, no ``UniSeries``
+# operator, and builds its powers afresh on every call.
 
 
-def reference_add(self: UniSeries, other) -> UniSeries:
-    """``UniSeries.__add__`` of a series and a series or a scalar."""
-    if isinstance(other, UniSeries):
-        self._check_field(other)
+def _zero_of(s):
+    """The zero coefficient of the series ``s``: 0.0 for a float series, else ``Fraction(0)``."""
+    return 0.0 if isinstance(s, FloatSeries) else Fraction(0)
+
+
+def _same_type(a, b) -> None:
+    if type(a) is not type(b):
+        raise SeriesError("field mismatch between series operands")
+
+
+def reference_add(self, other):
+    """``UniSeries.__add__`` of a series and a series or a scalar, and ``FloatSeries.__add__``."""
+    if isinstance(other, (UniSeries, FloatSeries)):
+        _same_type(self, other)
         r = min(self.reliable_order, other.reliable_order)
         cs = [self.coeffs[i] + other.coeffs[i] for i in range(r + 1)]
-        return UniSeries(self.field, tuple(cs), r)
-    c0 = _coerce(self.field, other)
+        return type(self)(tuple(cs), r)
+    c0 = _coerce(other)
     cs = list(self.coeffs)
     cs[0] = cs[0] + c0
-    return UniSeries(self.field, tuple(cs), self.reliable_order)
+    return type(self)(tuple(cs), self.reliable_order)
 
 
-def reference_neg(self: UniSeries) -> UniSeries:
-    """``UniSeries.__neg__``."""
-    return UniSeries(self.field, tuple(-c for c in self.coeffs), self.reliable_order)
+def reference_neg(self):
+    """``UniSeries.__neg__``, and negation coefficient by coefficient of a float series."""
+    return type(self)(tuple(-c for c in self.coeffs), self.reliable_order)
 
 
-def reference_sub(self: UniSeries, other) -> UniSeries:
-    """``UniSeries.__sub__``."""
-    if isinstance(other, UniSeries):
+def reference_sub(self, other):
+    """``UniSeries.__sub__`` and ``FloatSeries.__sub__``: the sum with the negated operand."""
+    if isinstance(other, (UniSeries, FloatSeries)):
         return reference_add(self, reference_neg(other))
-    return reference_add(self, -_coerce(self.field, other))
+    return reference_add(self, -_coerce(other))
 
 
-def reference_scale(self: UniSeries, other) -> UniSeries:
+def reference_scale(self, other):
     """The scalar branch of ``UniSeries.__mul__``."""
-    c = _coerce(self.field, other)
-    return UniSeries(self.field, tuple(a * c for a in self.coeffs), self.reliable_order)
+    c = _coerce(other)
+    return type(self)(tuple(a * c for a in self.coeffs), self.reliable_order)
 
 
-def reference_diff(self: UniSeries) -> UniSeries:
-    """``UniSeries.diff``."""
+def reference_diff(self):
+    """``UniSeries.diff`` and ``FloatSeries.diff``."""
     if self.reliable_order < 1:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     cs = [i * self.coeffs[i] for i in range(1, self.reliable_order + 1)]
-    return UniSeries(self.field, tuple(cs), self.reliable_order - 1)
+    return type(self)(tuple(cs), self.reliable_order - 1)
 
 
-def reference_shift(self: UniSeries, power: int) -> UniSeries:
-    """``UniSeries.shift``."""
+def reference_shift(self, power: int):
+    """``UniSeries.shift``, and the same shift of a float series."""
     if power < 0:
         raise SeriesError("shift power must be >= 0")
     if power == 0:
         return self
-    zero = _zero(self.field)
-    return UniSeries(
-        self.field,
-        tuple([zero] * power + list(self.coeffs)),
-        self.reliable_order + power,
-    )
+    return type(self)(tuple([_zero_of(self)] * power + list(self.coeffs)), self.reliable_order + power)
 
 
-def reference_truncate(self: UniSeries, reliable_order: int) -> UniSeries:
-    """``UniSeries.truncate``."""
+def reference_truncate(self, reliable_order: int):
+    """``UniSeries.truncate``, and the same cut of a float series."""
     r = min(self.reliable_order, reliable_order)
-    return UniSeries(self.field, self.coeffs[: r + 1], r)
+    return type(self)(self.coeffs[: r + 1], r)
 
 
-def reference_to_float(self: UniSeries) -> UniSeries:
+def reference_to_float(self: UniSeries) -> FloatSeries:
     """``UniSeries.to_float``."""
-    if self.field is Field.FLOAT:
-        return self
-    return UniSeries(Field.FLOAT, tuple(float(c) for c in self.coeffs), self.reliable_order)
+    return FloatSeries(tuple(float(c) for c in self.coeffs), self.reliable_order)
 
 
-def reference_valuation(a: UniSeries) -> Valuation:
-    """``valuation``."""
+def reference_valuation(a) -> Valuation:
+    """``valuation``, and its float counterpart with the tolerance of ``is_zero_coeff``."""
     for i, c in enumerate(a.coeffs):
-        if not is_zero_coeff(a.field, c):
+        if not is_zero_coeff(c):
             return Valuation(i, c, a.reliable_order)
     return Valuation(None, None, a.reliable_order)
 
 
-def reference_factor_power(a: UniSeries, power: int) -> UniSeries:
-    """``factor_power``."""
+def reference_factor_power(a, power: int):
+    """``factor_power``, and its float counterpart with the tolerance of ``is_zero_coeff``."""
     if power < 0:
         raise SeriesError("power must be >= 0")
     if power == 0:
@@ -396,19 +432,18 @@ def reference_factor_power(a: UniSeries, power: int) -> UniSeries:
     if a.reliable_order < power:
         raise SeriesError("series not reliable far enough to factor x^%d" % power)
     for c in a.coeffs[:power]:
-        if not is_zero_coeff(a.field, c):
+        if not is_zero_coeff(c):
             raise SeriesError(
                 "valuation smaller than %d: cannot factor x^%d out of the series" % (power, power)
             )
-    return UniSeries(a.field, a.coeffs[power:], a.reliable_order - power)
+    return type(a)(a.coeffs[power:], a.reliable_order - power)
 
 
-def reference_mul(self: UniSeries, other: UniSeries) -> UniSeries:
-    """``UniSeries.__mul__`` of two series."""
-    self._check_field(other)
+def reference_mul(self, other):
+    """``UniSeries.__mul__`` of two series and ``FloatSeries.__mul__``."""
+    _same_type(self, other)
     r = min(self.reliable_order, other.reliable_order)
-    zero = _zero(self.field)
-    cs = [zero] * (r + 1)
+    cs = [_zero_of(self)] * (r + 1)
     for i, a in enumerate(self.coeffs):
         if i > r:
             break
@@ -418,7 +453,24 @@ def reference_mul(self: UniSeries, other: UniSeries) -> UniSeries:
             if b == 0:
                 continue
             cs[i + j] += a * b
-    return UniSeries(self.field, tuple(cs), r)
+    return type(self)(tuple(cs), r)
+
+
+def reference_reciprocal(a):
+    """The inverse a * reference_reciprocal(a) = 1 + O(x^{R+1}) of a series with a_0 != 0.
+
+    Exact for a ``UniSeries``, and ``reciprocal``'s loop for a ``FloatSeries``.
+    """
+    if a.coeffs[0] == 0:
+        raise SeriesError("reciprocal requires a nonzero constant term")
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for n in range(1, a.reliable_order + 1):
+        acc = _zero_of(a)
+        for k in range(1, n + 1):
+            acc += a.coeffs[k] * out[n - k]
+        out.append(-acc * inv0)
+    return type(a)(tuple(out), a.reliable_order)
 
 
 def reference_bi_make(coeffs, reliable_order: int) -> BiSeries:
@@ -436,7 +488,7 @@ def reference_bi_make(coeffs, reliable_order: int) -> BiSeries:
         if i < 0 or j < 0:
             raise SeriesError("negative exponent in BiSeries")
         if i + j <= reliable_order:
-            clean[(i, j)] = _coerce(Field.EXACT, c)
+            clean[(i, j)] = _coerce(c)
     den = math.lcm(*(c.denominator for c in clean.values()))
     return BiSeries.from_numerators(
         {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den, reliable_order
@@ -495,10 +547,10 @@ def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
 
 def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     """``compose_bi``: sums c u^i v^j series by series."""
-    if u.field is not Field.EXACT or v.field is not Field.EXACT:
+    if type(u) is not UniSeries or type(v) is not UniSeries:
         raise SeriesError("field mismatch between series operands")
     for s, name in ((u, "u"), (v, "v")):
-        if not is_zero_coeff(s.field, s.coeffs[0]):
+        if not is_zero_coeff(s.coeffs[0]):
             raise SeriesError(f"compose_bi requires {name}(0) = 0")
 
     def lower_bound(s: UniSeries) -> int:
@@ -514,8 +566,8 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
         raise SeriesError("composition carries no reliable coefficients")
     u = reference_truncate(u, r_out)
     v = reference_truncate(v, r_out)
-    zero = UniSeries.make(Field.EXACT, [], r_out)
-    one = UniSeries.make(Field.EXACT, [1], r_out)
+    zero = UniSeries.make([], r_out)
+    one = UniSeries.make([1], r_out)
 
     # Cache powers of u and v up to the largest exponent that can contribute.
     u_pows = [one]
@@ -573,8 +625,8 @@ def reference_build_curve(spec: CurveSpec, order: int) -> tuple:
     for n, cn in enumerate(spec.c):
         if shift + n <= order:
             first[shift + n] = cn
-    c1 = UniSeries.make(Field.EXACT, first, order)
-    c2 = UniSeries.make(Field.EXACT, [0] * spec.m + [1] if spec.m <= order else [], order)
+    c1 = UniSeries.make(first, order)
+    c2 = UniSeries.make([0] * spec.m + [1] if spec.m <= order else [], order)
     return c1, c2
 
 
@@ -648,17 +700,16 @@ def reference_ruled_surface(surface: RuledSurface, x_range, y_range, nx: int, ny
     ys = _grid(y_range[0], y_range[1], ny)
     coords = []
     for x in xs:
-        g = surface.gamma.evaluate(x)
-        d = surface.xi.evaluate(x)
+        g = horner_vec3(surface.gamma, x)
+        d = horner_vec3(surface.xi, x)
         for y in ys:
-            coords.extend(float(gc) + y * float(dc) for gc, dc in zip(g, d))
+            coords.extend(gc + y * dc for gc, dc in zip(g, d))
     return QuadMesh(tuple(coords), nx, ny)
 
 
 def reference_curve_polyline(curve: Vec3Series, x_range, n: int) -> tuple:
-    """``obj.sample_curve_polyline`` by one evaluation of the curve per sample point."""
-    cf = curve.to_float()
-    return tuple(c for x in _grid(x_range[0], x_range[1], n) for c in cf.evaluate(x))
+    """``obj.sample_curve_polyline`` by one evaluation of the float curve per sample point."""
+    return tuple(c for x in _grid(x_range[0], x_range[1], n) for c in horner_vec3(curve, x))
 
 
 def _reference_fmt(value: float) -> str:

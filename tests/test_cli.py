@@ -735,6 +735,111 @@ def test_a_config_file_that_is_not_utf8_exits_2_in_one_line(tmp_path, capsys, co
     assert not out.exists()
 
 
+def _with(doc_text: str, key: str, raw: str) -> str:
+    """``doc_text`` with the JSON value of the string ``"KEY"`` replaced by the raw JSON ``raw``."""
+    return doc_text.replace(f'"{key}"', raw)
+
+
+#: 4299 digits: JSON reads it, but a product of two of them has more digits
+#: than Python's ``int``/``str`` limit of 4300 lets a message print.
+DIGITS_4299 = "9" * 4299
+_PLAIN = json.dumps({"truncation": "T", "surface": {"a": {"0,2": "1"}}, "curve": {**MP_CURVE, "m": "M"}})
+
+#: Configurations that raised a Python limit out of ``parse_config`` and
+#: exited 1 with a traceback, with the problems each now reports.
+RUNTIME_LIMIT_CONFIGS = {
+    # The JSON decoder recurses once per level: RecursionError.
+    "nested-arrays": (
+        "[" * 100000 + "]" * 100000,
+        ["not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"],
+    ),
+    # ``int`` of an index key past 4300 digits: ValueError.
+    "a-key-5000-digits": (
+        json.dumps({"truncation": 6, "surface": {"a": {"0,2": "1", "9" * 5000 + ",0": "1"}}, "curve": MP_CURVE}),
+        [f"surface.a: bad index key {'9' * 5000 + ',0'!r} (expected 'i,j')"],
+    ),
+    "b-key-5000-digits": (
+        json.dumps({"truncation": 6, "surface": {"a": {"0,2": "1"}, "b": {"9" * 5000: "1"}}, "curve": MP_CURVE}),
+        [f"surface.b: bad index key {'9' * 5000!r}"],
+    ),
+    # The vertex budget message formats nx * ny: ValueError.
+    "mesh-4299-digits": (
+        _with(_with(_PLAIN, "T", "6"), "M", "1")[:-1] + f', "mesh": {{"nx": {DIGITS_4299}, "ny": {DIGITS_4299}}}}}',
+        [
+            f"mesh.nx: integer has more than {MAX_RATIONAL_DIGITS} digits",
+            f"mesh.ny: integer has more than {MAX_RATIONAL_DIGITS} digits",
+        ],
+    ),
+    # The series-order message formats m (truncation + 1) - 1: ValueError.
+    "order-4299-digits": (
+        _with(_with(_PLAIN, "T", DIGITS_4299), "M", DIGITS_4299),
+        [
+            f"truncation: integer has more than {MAX_RATIONAL_DIGITS} digits",
+            f"curve.m: integer has more than {MAX_RATIONAL_DIGITS} digits",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "mesh"])
+@pytest.mark.parametrize("case", sorted(RUNTIME_LIMIT_CONFIGS))
+def test_a_config_past_a_python_limit_exits_2_in_one_line(tmp_path, capsys, command, case):
+    text, problems = RUNTIME_LIMIT_CONFIGS[case]
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == problems
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, str(cfg_path)] + (["--out", str(out)] if command == "mesh" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration: " + "; ".join(problems) + "\n"
+    assert not out.exists()
+
+
+def test_integers_and_indices_have_at_most_the_digit_cap():
+    # Up to the cap the budget and index checks read the value as before.
+    longest, too_long = "9" * MAX_RATIONAL_DIGITS, "1" + "0" * MAX_RATIONAL_DIGITS
+    order = int(longest) * (int(longest) + 1) - 1  # m (truncation + 1) - 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(_with(_with(_PLAIN, "T", longest), "M", longest))
+    assert err.value.problems == [f"curve: series order m (truncation + 1) - 1 = {order} exceeds {MAX_SERIES_ORDER}"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(_with(_with(_PLAIN, "T", too_long), "M", "1"))
+    assert err.value.problems == [f"truncation: integer has more than {MAX_RATIONAL_DIGITS} digits"]
+    mesh = _with(_with(_PLAIN, "T", "6"), "M", "1")[:-1] + ', "mesh": {"nu": NU, "nv": 2}}'
+    with pytest.raises(ConfigError) as err:
+        parse_config(mesh.replace("NU", longest))
+    assert err.value.problems == [f"mesh: nu * nv = {2 * int(longest)} vertices exceed {MAX_MESH_VERTICES}"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(mesh.replace("NU", too_long))
+    assert err.value.problems == [f"mesh.nu: integer has more than {MAX_RATIONAL_DIGITS} digits"]
+    for key, problem in ((longest, "surface: b index"), (too_long, "surface.b: bad index key")):
+        doc = {"truncation": 6, "surface": {"a": {"0,2": "1"}, "b": {key: "1"}}, "curve": MP_CURVE}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert [p[: len(problem)] for p in err.value.problems] == [problem]
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_verify_and_mesh_ignore_the_field(tmp_path, capsys, name):
+    # ``field`` is the print mode of ``report`` only: the verify table and
+    # every OBJ byte are the same in both fields.
+    outputs = {}
+    for field in ("exact", "float"):
+        cfg_path = tmp_path / f"{field}.json"
+        cfg_path.write_text(json.dumps({**json.loads(fixture_text(name)), "field": field}))
+        rc = main(["verify", str(cfg_path)])
+        table = capsys.readouterr().out
+        assert main(["mesh", str(cfg_path), "--out", str(tmp_path / field)]) == 0
+        meshes = {obj: (tmp_path / field / obj).read_bytes() for obj in ("umbrella.obj", "curve.obj", "od_w.obj")}
+        outputs[field] = (rc, table, meshes)
+    assert outputs["exact"] == outputs["float"]
+    assert outputs["exact"][0] == 0 and outputs["exact"][1]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "crosscap.cli", "fixtures", "--list"],

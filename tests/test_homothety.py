@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from crosscap import FamilyMP, FamilyMPQ, Field, UmbrellaCoefficients
+from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients
 from crosscap.config import RunConfig
 from crosscap.report import build_report
 
@@ -78,7 +78,7 @@ LARGE_C0 = (Fraction(1), Fraction(100))
 LARGE_C0_TWIN = (Fraction(1, 100000), Fraction(1, 1000))
 
 
-def curve_on_cross_cap(a02, c0, field=Field.EXACT):
+def curve_on_cross_cap(a02, c0, field="exact"):
     """The report of the curve (c0 x^2, x) on the cross-cap with a_02 = a02 alone, truncation 8."""
     coeffs = UmbrellaCoefficients(8, {(0, 2): a02}, {})
     return build_report(RunConfig(coeffs=coeffs, spec=FamilyMP(m=1, p=2, c=(c0,)), field=field))
@@ -109,4 +109,4 @@ def test_the_exact_field_finds_the_degrees_of_the_twin():
 
 def test_the_float_field_finds_the_exact_degrees_of_the_twin():
     # The float field prints the exact analysis: no tolerance decides a degree.
-    assert curve_on_cross_cap(*LARGE_C0_TWIN, Field.FLOAT)["curvatures"]["degrees"] == TWIN_DEGREES
+    assert curve_on_cross_cap(*LARGE_C0_TWIN, "float")["curvatures"]["degrees"] == TWIN_DEGREES

@@ -16,10 +16,10 @@ from crosscap.invariants import (
     top_invariants,
 )
 from crosscap.frame import darboux_frame
-from crosscap.series import Field, SignedRoot, Vec3Series
+from crosscap.series import SignedRoot
 from crosscap.model import build_umbrella
 from conftest import rand_fraction, random_surface
-from reference import expected_tops, secondary_normal_top
+from reference import expected_tops, float_vec3, secondary_normal_top
 
 
 def a0_fixture():
@@ -268,13 +268,13 @@ def test_contour_coefficient_is_the_float_frame_pairing(s1):
     for a in [s1] + draws:
         fr = darboux_frame(a.factors)
         b0 = fr.b.constant_vector()
-        pairing = fr.n.dot(Vec3Series.make(Field.FLOAT, [b0[0]], [b0[1]], [b0[2]], fr.n.reliable_order))
-        want = pairing.coefficient(a.spec.m)
+        pairing = fr.n.dot(float_vec3([b0[0]], [b0[1]], [b0[2]], fr.n.reliable_order))
+        want = pairing.coeffs[a.spec.m]
         assert abs(float(a.contour.coefficient) - want) <= 1e-9 * abs(want) + 1e-12
 
 
 def test_normal_pairing_with_itself(s1):
     n = darboux_frame(s1.factors).n
     n0 = n.constant_vector()
-    const = Vec3Series.make(Field.FLOAT, [n0[0]], [n0[1]], [n0[2]], n.reliable_order)
+    const = float_vec3([n0[0]], [n0[1]], [n0[2]], n.reliable_order)
     assert abs(n.dot(const).coeffs[0] - 1.0) < 1e-12

@@ -9,7 +9,6 @@ import pytest
 from crosscap import (
     FamilyMP,
     FamilyMPQ,
-    Field,
     GeneralCurve,
     UmbrellaCoefficients,
     UniSeries,
@@ -109,14 +108,14 @@ def test_family_bounds():
 
 def test_general_curve_rank_two():
     ok = GeneralCurve(
-        c1=UniSeries.make(Field.EXACT, [0, 1], 5),
-        c2=UniSeries.make(Field.EXACT, [0, 1, 1], 5),
+        c1=UniSeries.make([0, 1], 5),
+        c2=UniSeries.make([0, 1, 1], 5),
     )
     assert ok.c1.coeffs[1] == 1
     with pytest.raises(ModelError, match="rank-two"):
         GeneralCurve(
-            c1=UniSeries.make(Field.EXACT, [0, 2, 4], 5),
-            c2=UniSeries.make(Field.EXACT, [0, 1, 2], 5),
+            c1=UniSeries.make([0, 2, 4], 5),
+            c2=UniSeries.make([0, 1, 2], 5),
         )
 
 
@@ -176,8 +175,8 @@ def test_normal_field_cross_cap_slanted_curve():
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2}, b={})
     W = build_umbrella(co)
     g = GeneralCurve(
-        c1=UniSeries.make(Field.EXACT, [0, 1], 12),
-        c2=UniSeries.make(Field.EXACT, [0, 1, 1], 12),
+        c1=UniSeries.make([0, 1], 12),
+        c2=UniSeries.make([0, 1, 1], 12),
     )
     c1, c2 = build_curve(g, 12)
     raw = normal_field_raw(W, c1, c2)
@@ -220,8 +219,8 @@ def test_case3_limiting_tangent_s1(s1_coeffs, s1_spec):
 
 def test_case1_along_tangent_line():
     co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
-    c1 = UniSeries.make(Field.EXACT, [0, 1], 10)
-    c2 = UniSeries.make(Field.EXACT, [0, 1, 0, 1], 10)
+    c1 = UniSeries.make([0, 1], 10)
+    c2 = UniSeries.make([0, 1, 0, 1], 10)
     t = classify_tangency(co, 1, c1, c2)
     assert t.case == 1
     assert t.limiting_tangent == (SignedRoot(1, Fraction(1)), SignedRoot(0, Fraction(0)), SignedRoot(0, Fraction(0)))
@@ -277,7 +276,7 @@ def test_default_series_order_rule():
     # smaller component valuation, set on construction and not a field.
     assert series_order(FamilyMP(m=1, p=2, c=(1,)).m, 9) == 9
     assert series_order(FamilyMPQ(m=3, p=1, q=1, c=(1,)).m, 7) == 23
-    g = GeneralCurve(UniSeries.make(Field.EXACT, [0, 0, 0, 1], 8), UniSeries.make(Field.EXACT, [0, 0, 1], 8))
+    g = GeneralCurve(UniSeries.make([0, 0, 0, 1], 8), UniSeries.make([0, 0, 1], 8))
     assert g.m == 2 and [f.name for f in fields(g)] == ["c1", "c2"]
 
 

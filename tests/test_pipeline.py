@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from crosscap import (
     FamilyMP,
-    Field,
     GeneralCurve,
     UmbrellaCoefficients,
     UniSeries,
@@ -38,6 +37,7 @@ from crosscap import (
 )
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
+from crosscap.series import FloatSeries
 from crosscap.report import _complete, build_report, render_report
 from crosscap.verify import SUBCASES, _draw_fixture, verify_fixture
 
@@ -138,7 +138,7 @@ def test_verify_builds_each_power_table_once(monkeypatch):
     cfg = fixture_config("s1")
     verify_fixture(cfg.coeffs, cfg.spec)
     assert len(built) == 2 and built[0] is not built[1]
-    assert all(s.field is Field.EXACT for s in built)
+    assert all(type(s) is UniSeries for s in built)
 
 
 @pytest.mark.parametrize("name", ["s1", "s2", "s3"])
@@ -185,7 +185,7 @@ _EXACT_STAGES = (
 
 def _floats_in(value, path):
     """The paths of every float and float series held in ``value``."""
-    if isinstance(value, float) or (isinstance(value, UniSeries) and value.field is Field.FLOAT):
+    if isinstance(value, (float, FloatSeries)):
         yield path
     elif is_dataclass(value) and not isinstance(value, type):
         for f in fields(value):
@@ -408,8 +408,8 @@ def test_curve_short_of_the_configured_order_runs_no_lower_rung():
     # A curve reliable to less than m (k + 1) - 1 caps every reliable order,
     # so no lower rung may stand in for the configured truncation.
     spec = GeneralCurve(
-        c1=UniSeries.make(Field.EXACT, [0, 1, 0, 1], 9),
-        c2=UniSeries.make(Field.EXACT, [0, 0, 1], 9),
+        c1=UniSeries.make([0, 1, 0, 1], 9),
+        c2=UniSeries.make([0, 0, 1], 9),
     )
     a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec)
     assert a.order == 12 and a.curve[0].reliable_order == 9

@@ -4,9 +4,11 @@ Every ``UniSeries`` and ``BiSeries`` operation, ``valuation``,
 ``factor_power`` and ``compose_bi`` must return exactly what the
 coefficient-by-coefficient loops of ``tests/reference.py`` return: equal
 values, reduced ``Fraction`` coefficients and a canonical numerator /
-denominator pair in the exact field, the same float bits in the float field,
-and for a ``BiSeries`` the same key order.  A ``BiSeries`` and
-``compose_bi`` are exact only.  ``compose_bi`` must match also when the
+denominator pair for an exact series, and for a ``BiSeries`` the same key
+order.  The sum, difference, product, derivative and inverse of a
+``FloatSeries`` must give the float bits of the same loops (``float.hex``).
+An exact and a float operand never mix: each mixed operation raises its one
+``SeriesError`` message.  A ``BiSeries`` and ``compose_bi`` are exact only.  ``compose_bi`` must match also when the
 power tables kept on its substituted series were built by earlier
 compositions, and whatever the key order of the surface's numerators.
 Every exact series is a plain ``UniSeries`` or ``BiSeries``, whatever built
@@ -15,24 +17,30 @@ it, so equal values have equal pairs, equal ``coeffs`` and, for a
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crosscap.model import GeneralCurve, ModelError
 from crosscap.series import (
     BiSeries,
-    Field,
+    FloatSeries,
     SeriesError,
     UniSeries,
+    Vec3Series,
     _valuation_lower_bound,
     compose_bi,
     factor_power,
     reciprocal,
+    sqrt_series,
     valuation,
+    vec3_valuation,
 )
 from reference import (
+    float_series,
     reference_add,
     reference_bi_diff_u,
     reference_bi_diff_v,
@@ -44,6 +52,7 @@ from reference import (
     reference_factor_power,
     reference_mul,
     reference_neg,
+    reference_reciprocal,
     reference_scale,
     reference_shift,
     reference_sub,
@@ -51,8 +60,6 @@ from reference import (
     reference_truncate,
     reference_valuation,
 )
-
-E, F = Field.EXACT, Field.FLOAT
 
 RATIONALS = st.one_of(
     st.just(Fraction(0)),
@@ -64,18 +71,15 @@ FLOATS = st.one_of(
 )
 
 
-def _values(field):
-    return RATIONALS if field is E else FLOATS
-
-
-def _zero(field):
-    return Fraction(0) if field is E else 0.0
+def _values(kind):
+    return RATIONALS if kind is UniSeries else FLOATS
 
 
 @st.composite
-def uni(draw, field, max_order=14):
-    cs = draw(st.lists(_values(field), min_size=1, max_size=max_order + 1))
-    return UniSeries(field, tuple(cs), len(cs) - 1)
+def uni(draw, kind, max_order=14):
+    """An exact ``UniSeries`` or a ``FloatSeries``, as ``kind`` says, of drawn coefficients."""
+    cs = draw(st.lists(_values(kind), min_size=1, max_size=max_order + 1))
+    return kind(tuple(cs), len(cs) - 1)
 
 
 @st.composite
@@ -86,42 +90,43 @@ def bi(draw, max_order=6):
 
 
 @st.composite
-def substituted(draw, field):
-    """A series with s(0) = 0 and valuation at least 1, often more."""
+def substituted(draw):
+    """An exact series with s(0) = 0 and valuation at least 1, often more."""
     r = draw(st.integers(1, 14))
     leading_zeros = draw(st.integers(1, 4))
-    tail = draw(st.lists(_values(field), min_size=r + 1, max_size=r + 1))
-    cs = [_zero(field)] * leading_zeros + tail
-    return UniSeries(field, tuple(cs[: r + 1]), r)
+    tail = draw(st.lists(RATIONALS, min_size=r + 1, max_size=r + 1))
+    cs = [Fraction(0)] * leading_zeros + tail
+    return UniSeries(tuple(cs[: r + 1]), r)
 
 
 def ex(*cs):
-    return UniSeries(E, tuple(Fraction(c) for c in cs), len(cs) - 1)
+    return UniSeries(tuple(Fraction(c) for c in cs), len(cs) - 1)
 
 
 def _assert_canonical(s: UniSeries):
-    """An EXACT series is its numerators over one denominator, den > 0, gcd 1."""
+    """An exact series is its numerators over one denominator, den > 0, gcd 1."""
     assert len(s._num) == s.reliable_order + 1
     assert all(type(n) is int for n in s._num)
     assert s._den > 0 and math.gcd(s._den, *s._num) == 1
 
 
-def _assert_same_uni(got: UniSeries, want: UniSeries):
-    assert type(got) is UniSeries
-    assert got.field is want.field
+def _assert_same_uni(got, want):
+    """Two exact series of one value and one canonical pair, or two float series of the same bits."""
+    assert type(got) is type(want) and type(got) in (UniSeries, FloatSeries)
     assert got.reliable_order == want.reliable_order
-    if got.field is E:
+    if type(got) is UniSeries:
         _assert_canonical(got)
         assert got == want
         assert got.coeffs == want.coeffs
         assert all(type(c) is Fraction for c in got.coeffs)
     else:
-        assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+        assert len(got.coeffs) == got.reliable_order + 1
+        assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
         assert all(type(c) is float for c in got.coeffs)
 
 
 def _assert_canonical_bi(s: BiSeries):
-    """An EXACT BiSeries is nonzero integer numerators, in its coeffs' key order, over one denominator."""
+    """An exact BiSeries is nonzero integer numerators, in its coeffs' key order, over one denominator."""
     assert list(s._num) == list(s.coeffs)
     assert all(type(n) is int and n != 0 for n in s._num.values())
     assert s._den > 0 and math.gcd(s._den, *s._num.values()) == 1
@@ -138,7 +143,7 @@ def _assert_same_bi(got: BiSeries, want: BiSeries):
 
 
 @settings(deadline=None)
-@given(st.sampled_from((E, F)).flatmap(lambda f: st.tuples(uni(f), uni(f))))
+@given(st.sampled_from((UniSeries, FloatSeries)).flatmap(lambda kind: st.tuples(uni(kind), uni(kind))))
 @example((ex(Fraction(-1, 6), 0, Fraction(5, 4)), ex(0, Fraction(7, 9), -3, Fraction(1, 10))))
 @example((ex(0, 0, 0), ex(Fraction(2, 3))))
 def test_uni_mul_matches_fraction_loop(pair):
@@ -163,7 +168,7 @@ def test_bi_mul_matches_fraction_loop(pair):
 
 
 @settings(deadline=None)
-@given(st.tuples(bi(), substituted(E), substituted(E)))
+@given(st.tuples(bi(), substituted(), substituted()))
 @example((bi_make({}, 3), ex(0, 1, 2), ex(0, 0, Fraction(1, 2))))
 @example(
     (
@@ -179,11 +184,11 @@ def test_compose_bi_matches_fraction_loop(args):
 
 def _fresh(s: UniSeries) -> UniSeries:
     """The same series without the power table that compositions keep on it."""
-    return UniSeries(s.field, s.coeffs, s.reliable_order)
+    return UniSeries(s.coeffs, s.reliable_order)
 
 
 @settings(deadline=None)
-@given(st.tuples(bi(), bi(), substituted(E), substituted(E), st.booleans()))
+@given(st.tuples(bi(), bi(), substituted(), substituted(), st.booleans()))
 @example(
     (
         bi_make({(1, 0): Fraction(1, 2), (0, 1): Fraction(-3)}, 1),
@@ -272,7 +277,7 @@ def test_bi_from_numerators_matches_fraction_loop(num, den, r):
 
 def test_bi_series_refuse_floats():
     with pytest.raises(TypeError):
-        BiSeries(E, {(1, 0): Fraction(1)}, 3)  # no constructor from Fractions
+        BiSeries({(1, 0): Fraction(1)}, 3)  # no constructor from Fractions
     with pytest.raises(TypeError):
         BiSeries.from_numerators({(1, 0): 0.5}, 1, 3)
     with pytest.raises(SeriesError, match="float"):
@@ -287,7 +292,7 @@ SCALARS = st.one_of(st.integers(-30, 30), RATIONALS)
 
 
 @settings(deadline=None)
-@given(uni(E), uni(E), SCALARS)
+@given(uni(UniSeries), uni(UniSeries), SCALARS)
 @example(ex(Fraction(1, 2), Fraction(1, 2)), ex(Fraction(1, 2), Fraction(-1, 2)), Fraction(2, 3))
 @example(ex(Fraction(1, 6), 0, Fraction(5, 4)), ex(Fraction(-1, 10), Fraction(7, 9)), 0)
 def test_exact_ring_operations_match_fraction_loops(a, b, c):
@@ -303,7 +308,7 @@ def test_exact_ring_operations_match_fraction_loops(a, b, c):
 
 
 @settings(deadline=None)
-@given(uni(E), st.integers(0, 16))
+@given(uni(UniSeries), st.integers(0, 16))
 @example(ex(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)), 1)
 def test_exact_calculus_and_slicing_match_fraction_loops(a, k):
     if a.reliable_order >= 1:
@@ -326,11 +331,69 @@ def test_exact_calculus_and_slicing_match_fraction_loops(a, k):
 
 
 @settings(deadline=None)
-@given(substituted(E))
+@given(substituted())
 def test_exact_factor_power_up_to_the_valuation(a):
     v = valuation(a)
     for power in range(a.reliable_order + 1 if v.order is None else v.order + 1):
         _assert_same_uni(factor_power(a, power), reference_factor_power(a, power))
+
+
+SIGNED_ZEROS = float_series([-0.0, 0.0, -1.5, 0.0]), float_series([0.0, -0.0, 2.0])
+
+
+@settings(deadline=None)
+@given(uni(FloatSeries), uni(FloatSeries))
+@example(*SIGNED_ZEROS)
+@example(*reversed(SIGNED_ZEROS))
+@example(float_series([0.1, 0.2, 0.3]), float_series([3.0, 1 / 3]))
+def test_float_operations_match_float_loops(a, b):
+    # The mesh and the float frame read these bits: each operation does the
+    # float operations of the coefficient loop in the same order, and the
+    # difference a - b is the loop's a + (-b).
+    _assert_same_uni(a + b, reference_add(a, b))
+    _assert_same_uni(a - b, reference_sub(a, b))
+    _assert_same_uni(a * b, reference_mul(a, b))
+    for s in (a, b):
+        if s.reliable_order >= 1:
+            _assert_same_uni(s.diff(), reference_diff(s))
+        else:
+            with pytest.raises(SeriesError):
+                s.diff()
+        if s.coeffs[0]:
+            _assert_same_uni(reciprocal(s), reference_reciprocal(s))
+
+
+MISMATCH = "field mismatch between series operands"
+
+
+def _message(call, *args, error=SeriesError):
+    with pytest.raises(error) as err:
+        call(*args)
+    return str(err.value)
+
+
+def test_exact_and_float_operands_never_mix():
+    e = ex(0, 1, Fraction(1, 3))
+    f = e.to_float()
+    for op in (operator.add, operator.sub, operator.mul):
+        assert _message(op, e, f) == MISMATCH
+        assert _message(op, f, e) == MISMATCH
+    assert _message(Vec3Series, e, f, e) == "Vec3Series components must share one field"
+    assert _message(Vec3Series, f, f, e) == "Vec3Series components must share one field"
+    G = bi_make({(1, 0): Fraction(1), (0, 1): Fraction(2)}, 3)
+    assert _message(compose_bi, G, f, f) == MISMATCH
+    assert _message(compose_bi, G, e, f) == MISMATCH
+    assert _message(compose_bi, G, f, e) == MISMATCH
+    assert _message(valuation, f) == "valuation is defined on the EXACT field only"
+    assert _message(factor_power, f, 1) == "factor_power is defined on the EXACT field only"
+    assert _message(vec3_valuation, Vec3Series(f, f, f)) == "vec3_valuation is defined on the EXACT field only"
+    assert _message(sqrt_series, e + 1) == "sqrt_series is defined on the FLOAT field only"
+    assert _message(reciprocal, e + 1) == "reciprocal is defined on the FLOAT field only"
+    assert _message(UniSeries.make, [f]) == MISMATCH
+    assert _message(UniSeries.make, [0.5]) == "EXACT series cannot absorb float coefficients"
+    general = "general curves must be given in the EXACT field"
+    assert _message(GeneralCurve, f, f, error=ModelError) == general
+    assert _message(GeneralCurve, e, f, error=ModelError) == general
 
 
 @st.composite
@@ -350,7 +413,7 @@ def extreme(draw):
 @example([Fraction(1, 2**1075), Fraction(3, 2**1076), Fraction(1, 7)])  # ties at the bottom
 @example([Fraction(-(2**53 + 1), 2**1128), Fraction(0)])
 def test_to_float_rounds_like_float_of_fraction(cs):
-    a = UniSeries(E, tuple(cs), len(cs) - 1)
+    a = UniSeries(tuple(cs), len(cs) - 1)
     try:
         want = [float(c) for c in cs]
     except OverflowError:
@@ -358,7 +421,7 @@ def test_to_float_rounds_like_float_of_fraction(cs):
             a.to_float()
         return
     got = a.to_float()
-    assert got.field is F and got.reliable_order == a.reliable_order
+    assert type(got) is FloatSeries and got.reliable_order == a.reliable_order
     assert [repr(x) for x in got.coeffs] == [repr(x) for x in want]
 
 
@@ -382,14 +445,14 @@ def test_bi_to_float_rounds_like_float_of_fraction(coeffs):
 
 def test_series_built_from_fractions_are_canonical_and_read_back():
     cs = (Fraction(2, 6), Fraction(0), Fraction(-5, 4), Fraction(7))
-    a = UniSeries(E, cs, 3)
+    a = UniSeries(cs, 3)
     _assert_canonical(a)
     assert (a._num, a._den) == ((4, 0, -15, 84), 12)
     assert a.coeffs == cs and a.coefficient(2) == Fraction(-5, 4)
     b = (a * 3).truncate(1)  # 1 + 0 x over 1
     assert (b._num, b._den) == ((1, 0), 1) and b.coeffs == (1, 0)
-    assert b == UniSeries(E, (1, 0), 1) and hash(b) == hash(UniSeries(E, (1, 0), 1))
-    assert a != a.to_float() and a.to_float() == UniSeries(F, (1 / 3, 0.0, -1.25, 7.0), 3)
+    assert b == UniSeries((1, 0), 1) and hash(b) == hash(UniSeries((1, 0), 1))
+    assert a != a.to_float() and a.to_float().coeffs == (1 / 3, 0.0, -1.25, 7.0)
     for s in (a, b):
         with pytest.raises(AttributeError):
             s.reliable_order = 5
@@ -404,24 +467,24 @@ def test_every_exact_uni_series_is_one_plain_class(cs, scale):
     # series of one value is one pair, one Fraction view and one hash.
     r = len(cs) - 1
     den = math.lcm(*(c.denominator for c in cs)) * scale
-    a = UniSeries(E, tuple(cs), r)
+    a = UniSeries(tuple(cs), r)
     built = [
         a,
-        UniSeries.make(E, cs),
-        UniSeries.make(E, cs + [0], r),
+        UniSeries.make(cs),
+        UniSeries.make(cs + [0], r),
         UniSeries.from_numerators([int(c * den) for c in cs], den, r),
-        a + UniSeries.make(E, [], r),
+        a + UniSeries.make([], r),
         a + 0,
         a * 1,
-        a * UniSeries.make(E, [1], r),
+        a * UniSeries.make([1], r),
         a * 3 - (a + a),
         -(-a),
         factor_power(a.shift(2), 2),
-        UniSeries.make(E, [0] + [c / (i + 1) for i, c in enumerate(cs)]).diff(),
-        factor_power(compose_bi(bi_make({(1, 0): 1}, r + 1), a.shift(1), UniSeries.make(E, [0, 1], r + 1)), 1),
+        UniSeries.make([0] + [c / (i + 1) for i, c in enumerate(cs)]).diff(),
+        factor_power(compose_bi(bi_make({(1, 0): 1}, r + 1), a.shift(1), UniSeries.make([0, 1], r + 1)), 1),
     ]
     if cs[0]:
-        built.append(reciprocal(reciprocal(a)))
+        built.append(reference_reciprocal(reference_reciprocal(a)))
     fresh = a * 1  # an operation result whose Fraction view was never read
     hash(fresh)
     assert not hasattr(fresh, "_coeffs")  # hashing reads the pair only
@@ -454,7 +517,7 @@ def test_every_bi_series_is_one_plain_class(a, scale):
 
 
 @settings(deadline=None)
-@given(st.tuples(bi(), substituted(E), substituted(E)), st.randoms(use_true_random=False))
+@given(st.tuples(bi(), substituted(), substituted()), st.randoms(use_true_random=False))
 @example(
     (
         bi_make({(0, 3): Fraction(7), (2, 0): Fraction(-2, 5), (1, 0): Fraction(1, 3)}, 3),
