@@ -16,7 +16,7 @@ from .model import ModelError
 from .frame import FrameError
 from .invariants import InvariantError
 from .developable import DevelopableError
-from .pipeline import analyze
+from .pipeline import Analysis, analyze
 from .obj import (
     MeshError,
     obj_mesh_text,
@@ -69,7 +69,7 @@ def _cmd_verify(args) -> int:
             sys.stderr.write("verify: provide a config file or --sweep\n")
             return 2
         cfg = _load_config(args.config)
-        rows = [verify_fixture(cfg.coeffs, cfg.spec)]
+        rows = [verify_fixture(Analysis(cfg.coeffs, cfg.spec))]
     sys.stdout.write(render_rows(rows))
     return 1 if has_hard_failure(rows) else 0
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 import math
 
 from .series import (
+    ReliabilityError,
     SignedRoot,
     UniSeries,
     Vec3Series,
@@ -173,10 +174,20 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassificat
 def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
     """Full invariant chain: director, delta, striction, sigma, classification.
 
-    ``cross`` is N x E_t, as ``frame.curvature_numerators`` builds it.
+    ``cross`` is N x E_t, as ``frame.curvature_numerators`` builds it.  A
+    jet too short for a derivative or a factor the chain takes (a
+    ``ReliabilityError``) makes the developable not applicable, as a
+    structure function that vanishes to reliable order does.
     """
     if report.degrees[0] is None:
         raise DevelopableError("tangential structure function vanishes to reliable order")
+    try:
+        return _developable_chain(factors, report, cross)
+    except ReliabilityError as exc:
+        raise DevelopableError(f"jet too short for the developable: {exc}") from None
+
+
+def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
     V, branch = osculating_director(factors, report, cross)
     R, k_cyl, delta_top = delta_invariant(V, factors)
     classification = classify_EF(factors, report)

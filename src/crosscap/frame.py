@@ -5,13 +5,13 @@ point; both factor as a nonvanishing vector series times a power of x:
 
     (W o c_w)'(x)          = E_t(x) x^alpha,    E_t(0) != 0,
     (W_u x W_v)(c_w(x))    = N(x)  x^beta,      N(0)  != 0,
-    (W o c_w)(x)           = E_c(x) x^alpha0,   E_c(0) != 0.
 
-The factors are exact series.  Normalizing E_t and N takes square roots,
-so the extended frame {e, b, n} with b = n x e has ``FloatSeries``
-components, built from the float images of the factors
-(``darboux_frame``).  No analysis reads it, only the tests (as a float
-reference) and the benchmark's tracer.  The structure functions are
+and the image curve W o c_w itself has valuation alpha0.  The factors are
+exact series.  Normalizing E_t and N takes square roots, so the extended
+frame {e, b, n} with b = n x e has ``FloatSeries`` components, built from
+the float images of the factors (``darboux_frame``).  No analysis reads
+it, only the tests (as a float reference) and the benchmark's tracer.  The
+structure functions are
 
     kappa_1 = <e', b>,   kappa_2 = <e', n>,   kappa_3 = <b', n>.
 
@@ -25,6 +25,9 @@ the khat_i are exactly the divergence degrees alpha_i and the normalized
 top-terms T_i of the curvatures.  khat_3 is the triple product
 <N' x E_t, N> written over the cross product N x E_t of khat_1, which is
 built once and shared with the osculating developable.
+
+The tabulated closed forms (``closed_form_reference``) read the top-term
+invariants A, B and C of their p = 2 row from ``invariants.invariant_values``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .series import (
     FloatSeries,
     Vec3Series,
     factor_power,
+    first_nonzero,
     reciprocal,
     sqrt_series,
     valuation,
@@ -43,6 +47,7 @@ from .series import (
     vec3_valuation,
 )
 from .model import CurveSpec, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
+from .invariants import invariant_values
 
 
 class FrameError(ValueError):
@@ -51,29 +56,33 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class FrameFactors:
-    """The three factorizations with their exponents (exact series)."""
+    """The two factorizations with their exponents (exact series), and the image's valuation."""
 
     alpha: int
     tangent: Vec3Series  # E_t
     beta: int
     normal: Vec3Series  # N
     alpha0: int
-    curve: Vec3Series  # E_c
 
 
 def frame_factors(img: Vec3Series, raw: Vec3Series) -> FrameFactors:
-    """Factor the image curve, its derivative and the raw normal along it."""
-    alpha0, e_c = _factor(img, "curve")
+    """Factor the derivative of the image curve and the raw normal along it."""
+    alpha0 = _order(img, "curve")
     alpha, e_t = _factor(img.diff(), "tangent derivative")
     beta, n = _factor(raw, "normal field")
-    return FrameFactors(alpha=alpha, tangent=e_t, beta=beta, normal=n, alpha0=alpha0, curve=e_c)
+    return FrameFactors(alpha=alpha, tangent=e_t, beta=beta, normal=n, alpha0=alpha0)
 
 
-def _factor(vec: Vec3Series, label: str):
+def _order(vec: Vec3Series, label: str) -> int:
     val = vec3_valuation(vec)
     if val.is_zero_to_order:
         raise FrameError(f"{label} vanishes to reliable order {val.reliable_order}")
-    return val.order, vec3_factor_power(vec, val.order)
+    return val.order
+
+
+def _factor(vec: Vec3Series, label: str):
+    order = _order(vec, label)
+    return order, vec3_factor_power(vec, order)
 
 
 @dataclass(frozen=True)
@@ -161,14 +170,6 @@ def divergence_report(numerators) -> CurvatureReport:
 # ---------------------------------------------------------------------------
 
 
-def first_nonzero_index(c: tuple) -> int | None:
-    """First n >= 1 with c_n != 0, or None when c is constant."""
-    for n in range(1, len(c)):
-        if c[n] != 0:
-            return n
-    return None
-
-
 def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> CurvatureReport:
     """Tabulated degrees and top-terms for the two curve families.
 
@@ -189,8 +190,6 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
     if isinstance(spec, GeneralCurve):
         raise FrameError("closed forms apply only to the two curve families")
     a02 = coeffs.a02
-    a11 = coeffs.a_coeff(1, 1)
-    a03 = coeffs.a_coeff(0, 3)
     b3 = coeffs.b_coeff(3)
     m = spec.m
     p = spec.p
@@ -215,17 +214,14 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
         else:
             deg3, top3 = spec.m - 1, m * m * a02 ** 3
     else:
-        n = first_nonzero_index(spec.c)
-        cm = spec.c[spec.m] if spec.m < len(spec.c) else Fraction(0)
         if p == 2:
-            if n is not None and n < spec.m:
-                cn = spec.c[n]
-                deg1, top1 = n - 1, -m * n * (2 * m + n) * a02 * a02 * cn
-            elif n == spec.m:
-                deg1 = spec.m - 1
-                top1 = m ** 3 * a02 * (6 * a11 * c0 * c0 + a03 * c0 - 3 * a02 * cm)
+            # c_m is 0 when the first nonzero c_n (n >= 1) lies above m.
+            inv = invariant_values(coeffs, c0, spec.c[m] if m < len(spec.c) else Fraction(0))
+            n = first_nonzero(spec.c, 1)
+            if n is not None and n < m:
+                deg1, top1 = n - 1, -m * n * (2 * m + n) * a02 * a02 * spec.c[n]
             else:
-                deg1, top1 = spec.m - 1, m ** 3 * a02 * c0 * (6 * a11 * c0 + a03)
+                deg1, top1 = m - 1, m ** 3 * a02 * inv.A
         elif p == 3:
             deg1, top1 = spec.m - 1, -3 * m ** 3 * a02 * a02 * c0
         elif p == 4:
@@ -235,13 +231,13 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
             advisory[0] = True
         deg2 = spec.m - 1
         if p == 2:
-            top2 = -m * m * a02 * (3 * c0 + b3 / 2)
+            top2 = -m * m * a02 * inv.B
         else:
             top2 = -m * m * (p - 1) * a02 * b3 / 2
             advisory[1] = True
         deg3 = spec.m - 1
         if p == 2:
-            top3 = -m * m * a02 * (2 * c0 * c0 + b3 * c0 - a02 * a02)
+            top3 = -m * m * a02 * inv.C
         else:
             top3 = m * m * a02 ** 3
 

@@ -13,7 +13,9 @@ control (in order) the projected limiting tangent, tangency to the surface's
 self-intersection curve, the contour-line pairing, and the secondary normal
 top-term once B vanishes.  The verdict operations compute the geometry from
 series and cross-check it against the plugged invariant values; both sides
-are exact rationals.
+are exact rationals.  ``invariant_values`` is the one place the formulas
+are written: ``top_invariants`` and the p = 2 row of
+``frame.closed_form_reference`` both read it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .series import (
     UniSeries,
     Vec3BiSeries,
     Vec3Series,
+    first_nonzero,
     vec3_factor_power,
     vec3_valuation,
 )
@@ -35,7 +38,6 @@ from .model import (
     UmbrellaCoefficients,
     image_curve,
 )
-from .frame import FrameFactors
 
 
 class InvariantError(ValueError):
@@ -50,11 +52,9 @@ def c2m_shape(spec: CurveSpec):
     """
     if not isinstance(spec, FamilyMP) or spec.p != 2:
         raise InvariantError("curve is not of the (c(x) x^{2m}, x^m) shape")
-    for j in range(1, spec.m):
-        if j < len(spec.c) and spec.c[j] != 0:
-            raise InvariantError(
-                "curve is not of the (c(x) x^{2m}, x^m) shape: c_%d != 0" % j
-            )
+    j = first_nonzero(spec.c[: spec.m], 1)
+    if j is not None:
+        raise InvariantError("curve is not of the (c(x) x^{2m}, x^m) shape: c_%d != 0" % j)
     cm = spec.c[spec.m] if spec.m < len(spec.c) else Fraction(0)
     return spec.m, spec.c[0], cm
 
@@ -69,6 +69,11 @@ class TopInvariants:
 
 def top_invariants(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> TopInvariants:
     _, c0, cm = c2m_shape(spec)
+    return invariant_values(coeffs, c0, cm)
+
+
+def invariant_values(coeffs: UmbrellaCoefficients, c0: Fraction, cm: Fraction) -> TopInvariants:
+    """A, B, C and D of the surface jet ``coeffs`` and the curve coefficients c_0 and c_m."""
     a02 = coeffs.a02
     a11 = coeffs.a_coeff(1, 1)
     a03 = coeffs.a_coeff(0, 3)
@@ -237,14 +242,10 @@ class ContourDeviation:
     vanishes: bool
 
 
-def contour_deviation(
-    coeffs: UmbrellaCoefficients,
-    spec: CurveSpec,
-    factors: FrameFactors,
-) -> ContourDeviation:
+def contour_deviation(coeffs: UmbrellaCoefficients, spec: CurveSpec, n: Vec3Series) -> ContourDeviation:
+    """The pairing of the factored normal N (``FrameFactors.normal``) with (-a02, 0, 2c0)."""
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
-    n = factors.normal
     exact_pairing = n.x * -a02 + n.z * (2 * c0)
     if exact_pairing.reliable_order < m:
         raise InvariantError("series not reliable to degree %d" % m)

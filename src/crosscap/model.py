@@ -24,6 +24,7 @@ from .series import (
     Vec3Series,
     Vec3BiSeries,
     SignedRoot,
+    first_nonzero,
     valuation,
 )
 
@@ -180,8 +181,7 @@ class GeneralCurve:
 
 def curve_multiplicity(c1, c2) -> int | None:
     """The least valuation of the coefficient sequences c1, c2 that vanish at 0 with a nonzero jet, or None."""
-    orders = (next((i for i, c in enumerate(cs) if c), None) for cs in (c1, c2))
-    return min(filter(None, orders), default=None)
+    return min(filter(None, (first_nonzero(cs) for cs in (c1, c2))), default=None)
 
 
 CurveSpec = Union[FamilyMPQ, FamilyMP, GeneralCurve]

@@ -248,7 +248,7 @@ class Analysis:
     def contour(self) -> ContourDeviation | None:
         if self.invariants is None:
             return None
-        return contour_deviation(self.coeffs, self.spec, self.factors)
+        return contour_deviation(self.coeffs, self.spec, self.factors.normal)
 
     @cached_property
     def _developable(self):

@@ -22,7 +22,7 @@ from .series import nearest_float
 #: Series-valued result fields: a section reports their orders and top-terms,
 #: never the series themselves.
 _SERIES_FIELDS = frozenset(
-    {"tangent", "normal", "curve", "image", "director", "delta", "sigma", "scale"}
+    {"tangent", "normal", "image", "director", "delta", "sigma", "scale"}
 )
 
 #: How each field prints an exact value of the result sections.  The float

@@ -12,7 +12,7 @@ the one float reading of a surface jet, for mesh sampling.  Every series
 carries a ``reliable_order`` R: coefficients of degree <= R are guaranteed
 by the computation that produced them, anything beyond is unknown.  All
 operations propagate R by a conservative documented rule and never claim
-more.
+more; one that needs a coefficient beyond R raises ``ReliabilityError``.
 
 The univariate variable is called x throughout; bivariate series live in
 (u, v) and are indexed by (i, j) exponent pairs with a total-degree bound.
@@ -68,6 +68,15 @@ from typing import Iterable, Mapping
 
 class SeriesError(ValueError):
     """Raised on mixed exact and float operands, domain violations and reliability abuse."""
+
+
+class ReliabilityError(SeriesError):
+    """A computation needs a coefficient beyond the reliable order of a series."""
+
+
+def first_nonzero(values, start: int = 0) -> int | None:
+    """The first index i >= ``start`` with ``values[i] != 0``, or None."""
+    return next((i for i in range(start, len(values)) if values[i]), None)
 
 
 def _coerce(value) -> Fraction:
@@ -215,7 +224,7 @@ class UniSeries(_Frozen):
         if degree < 0:
             raise SeriesError("negative degree")
         if degree > self.reliable_order:
-            raise SeriesError(
+            raise ReliabilityError(
                 f"coefficient of degree {degree} requested, but series is only "
                 f"reliable to order {self.reliable_order}"
             )
@@ -230,14 +239,6 @@ class UniSeries(_Frozen):
         # Integer true division rounds correctly, as float(Fraction) does.
         den = self._den
         return FloatSeries(tuple([n / den for n in self._num]), self.reliable_order)
-
-    def evaluate(self, x) -> Fraction:
-        """Horner evaluation of the reliable polynomial part at x."""
-        x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- ring operations ---------------------------------------------------
 
@@ -272,7 +273,7 @@ class UniSeries(_Frozen):
     def diff(self) -> "UniSeries":
         """d/dx; the output is reliable one order less."""
         if self.reliable_order < 1:
-            raise SeriesError("cannot differentiate a series reliable only to order 0")
+            raise ReliabilityError("cannot differentiate a series reliable only to order 0")
         num = self._num
         return _exact([i * num[i] for i in range(1, len(num))], self._den, self.reliable_order - 1)
 
@@ -355,7 +356,7 @@ class FloatSeries(_Frozen):
     def diff(self) -> "FloatSeries":
         """d/dx; the output is reliable one order less."""
         if self.reliable_order < 1:
-            raise SeriesError("cannot differentiate a series reliable only to order 0")
+            raise ReliabilityError("cannot differentiate a series reliable only to order 0")
         c = self.coeffs
         return FloatSeries(tuple([i * c[i] for i in range(1, len(c))]), self.reliable_order - 1)
 
@@ -381,10 +382,10 @@ def valuation(a: UniSeries) -> Valuation:
     """Smallest degree with a nonzero reliable coefficient, and that coefficient (exact only)."""
     if type(a) is not UniSeries:
         raise SeriesError("valuation is defined on the EXACT field only")
-    for i, n in enumerate(a._num):
-        if n:
-            return Valuation(i, Fraction(n, a._den), a.reliable_order)
-    return Valuation(None, None, a.reliable_order)
+    i = first_nonzero(a._num)
+    if i is None:
+        return Valuation(None, None, a.reliable_order)
+    return Valuation(i, Fraction(a._num[i], a._den), a.reliable_order)
 
 
 def factor_power(a: UniSeries, power: int) -> UniSeries:
@@ -396,7 +397,7 @@ def factor_power(a: UniSeries, power: int) -> UniSeries:
     if power == 0:
         return a
     if a.reliable_order < power:
-        raise SeriesError("series not reliable far enough to factor x^%d" % power)
+        raise ReliabilityError("series not reliable far enough to factor x^%d" % power)
     if any(a._num[:power]):
         raise SeriesError("valuation smaller than %d: cannot factor x^%d out of the series" % (power, power))
     return _canonical(a._num[power:], a._den, a.reliable_order - power)
@@ -545,13 +546,13 @@ class BiSeries(_Frozen):
 
     def diff_u(self) -> "BiSeries":
         if self.reliable_order < 1:
-            raise SeriesError("cannot differentiate a series reliable only to order 0")
+            raise ReliabilityError("cannot differentiate a series reliable only to order 0")
         r = self.reliable_order - 1
         return _exact_bi({(i - 1, j): n * i for (i, j), n in self._num.items() if i >= 1}, self._den, r)
 
     def diff_v(self) -> "BiSeries":
         if self.reliable_order < 1:
-            raise SeriesError("cannot differentiate a series reliable only to order 0")
+            raise ReliabilityError("cannot differentiate a series reliable only to order 0")
         r = self.reliable_order - 1
         return _exact_bi({(i, j - 1): n * j for (i, j), n in self._num.items() if j >= 1}, self._den, r)
 
@@ -597,7 +598,9 @@ def _bi_convolve(a: Mapping, b: Mapping, r: int) -> dict:
 
 
 def _valuation_lower_bound(a: UniSeries) -> int:
-    return next((i for i, n in enumerate(a._num) if n), a.reliable_order + 1)
+    """The valuation of ``a``, or ``reliable_order + 1`` when it vanishes to that order."""
+    i = first_nonzero(a._num)
+    return a.reliable_order + 1 if i is None else i
 
 
 def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
@@ -621,7 +624,7 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     m_min = min(val_u, val_v)
     r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
-        raise SeriesError("composition carries no reliable coefficients")
+        raise ReliabilityError("composition carries no reliable coefficients")
     terms = [(i, j, n) for (i, j), n in F._num.items() if i * val_u + j * val_v <= r_out]
     top_i = max((i for i, _, _ in terms), default=0)
     top_j = max((j for _, j, _ in terms), default=0)
@@ -684,28 +687,11 @@ class Vec3Series:
     def components(self):
         return (self.x, self.y, self.z)
 
-    @staticmethod
-    def make(cx, cy, cz, reliable_order: int) -> "Vec3Series":
-        return Vec3Series(
-            UniSeries.make(cx, reliable_order),
-            UniSeries.make(cy, reliable_order),
-            UniSeries.make(cz, reliable_order),
-        )
-
-    def truncate(self, r: int) -> "Vec3Series":
-        return Vec3Series(self.x.truncate(r), self.y.truncate(r), self.z.truncate(r))
-
     def to_float(self) -> "Vec3Series":
         return Vec3Series(self.x.to_float(), self.y.to_float(), self.z.to_float())
 
-    def __add__(self, other: "Vec3Series") -> "Vec3Series":
-        return Vec3Series(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: "Vec3Series") -> "Vec3Series":
         return Vec3Series(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3Series":
-        return Vec3Series(-self.x, -self.y, -self.z)
 
     def scale(self, factor) -> "Vec3Series":
         """Multiply every component by a scalar or a series of the components' type."""
@@ -726,12 +712,6 @@ class Vec3Series:
 
     def diff(self) -> "Vec3Series":
         return Vec3Series(self.x.diff(), self.y.diff(), self.z.diff())
-
-    def shift(self, power: int) -> "Vec3Series":
-        return Vec3Series(self.x.shift(power), self.y.shift(power), self.z.shift(power))
-
-    def evaluate(self, t):
-        return (self.x.evaluate(t), self.y.evaluate(t), self.z.evaluate(t))
 
     def constant_vector(self):
         return (self.x.coeffs[0], self.y.coeffs[0], self.z.coeffs[0])
@@ -771,10 +751,6 @@ class Vec3BiSeries:
     x: BiSeries
     y: BiSeries
     z: BiSeries
-
-    @property
-    def reliable_order(self) -> int:
-        return min(self.x.reliable_order, self.y.reliable_order, self.z.reliable_order)
 
     @property
     def components(self):

@@ -80,6 +80,16 @@ def float_vec3(cx, cy, cz, reliable_order: int) -> Vec3Series:
     return Vec3Series(*(float_series(c, reliable_order) for c in (cx, cy, cz)))
 
 
+def exact_vec3(cx, cy, cz, reliable_order: int) -> Vec3Series:
+    """The exact vector series of three coefficient lists, each cut or padded as ``UniSeries.make`` does."""
+    return Vec3Series(*(UniSeries.make(c, reliable_order) for c in (cx, cy, cz)))
+
+
+def reference_evaluate(series: UniSeries, x: Fraction) -> Fraction:
+    """The exact ``series`` at the rational ``x``: the sum of its reliable terms."""
+    return sum((c * x**k for k, c in enumerate(series.coeffs)), Fraction(0))
+
+
 def horner(series: FloatSeries, x: float) -> float:
     """The float ``series`` at ``x`` by Horner's rule from 0.0: the per-point reference of ``obj._horner``."""
     acc = 0.0
@@ -173,8 +183,10 @@ class FloatDevelopable:
     F_coeff: float | None
 
 
-def reference_osculating_developable(factors: FrameFactors, report: CurvatureReport) -> FloatDevelopable:
+def reference_osculating_developable(factors: FrameFactors, report: CurvatureReport, img: Vec3Series) -> FloatDevelopable:
     """The float chain: unit frame, kappa~_i, unit director, delta, striction and sigma.
+
+    ``img`` is the exact image curve.
 
     delta = k1~ x^a1 rho^2 + t2b t3b' - t2b' t3b, the striction scale is
     <img', D'> / <D', D'> with x^{2k} factored out of both, and sigma is the
@@ -198,7 +210,7 @@ def reference_osculating_developable(factors: FrameFactors, report: CurvatureRep
     passes = exists and exists_bound > k
     scale = curve = sigma = sigma_order = sigma_top = None
     if exists:
-        img = factors.curve.shift(a0).to_float()
+        img = img.to_float()
         dpr = director.diff()
         num = reference_factor_power(img.diff().dot(dpr), 2 * k)
         scale = num * reference_reciprocal(reference_factor_power(dpr.dot(dpr), 2 * k))

@@ -160,7 +160,7 @@ def test_criterion_7_developable_suite(s1, s2, s3):
     d2 = s2.developable
     t, r = d2.striction.scale
     V, dV = d2.director, d2.director.diff()
-    sw = (s2.factors.curve.shift(s2.factors.alpha0) - V.scale(t * reference_reciprocal(r))).diff()
+    sw = (s2.image - V.scale(t * reference_reciprocal(r))).diff()
     ortho = sw.dot(dV.scale(V.norm_sq()) - V.scale(V.dot(dV)))
     assert all(c == 0 for c in ortho.coeffs)
     assert all(c == 0 for comp in sw.cross(V).components for c in comp.coeffs)

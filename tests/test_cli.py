@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
 
-from crosscap import ConfigError, UmbrellaCoefficients, parse_config
+from crosscap import Analysis, ConfigError, UmbrellaCoefficients, parse_config
 from crosscap.cli import MAX_DRAWS, fixture_names, fixture_text, main
 from crosscap.config import (
     MAX_MESH_VERTICES,
@@ -342,7 +342,7 @@ def _fixture_path(name):
 
 def test_verify_single_fixture_passes():
     cfg = parse_config(fixture_text("s1"))
-    row = verify_fixture(cfg.coeffs, cfg.spec)
+    row = verify_fixture(Analysis(cfg.coeffs, cfg.spec))
     assert row.status == PASS
 
 
@@ -444,6 +444,25 @@ def test_mesh_without_developable_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "tangential structure function vanishes to reliable order\n"
+    assert list(tmp_path.rglob("*.obj")) == []
+
+
+@pytest.mark.parametrize("name, truncation", [("s1", 3), ("s2", 4)])
+def test_a_jet_too_short_for_the_developable_reports_every_other_section(tmp_path, capsys, name, truncation):
+    # The director is reliable only to order 0, so delta cannot differentiate
+    # it: the developable is not applicable, as when a structure function
+    # vanishes to reliable order, and every other section computes.
+    raw = json.loads(fixture_text(name))
+    raw["truncation"] = truncation
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    reason = "jet too short for the developable: cannot differentiate a series reliable only to order 0"
+    assert main(["report", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["developable"] == {"applicable": False, "reason": reason}
+    assert doc["invariants"]["applicable"] and None not in doc["curvatures"]["degrees"]
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == reason + "\n"
     assert list(tmp_path.rglob("*.obj")) == []
 
 

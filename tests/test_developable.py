@@ -23,18 +23,21 @@ from crosscap import (
     parse_config,
 )
 from crosscap.cli import fixture_text
+from crosscap import developable
 from crosscap.developable import (
     BRANCH_A2_GT_A3,
     BRANCH_A3_GE_A2,
     CASE_II,
     CASE_SIGMA_TOP_NONZERO,
+    DevelopableError,
     RuledSurface,
+    osculating_developable,
     osculating_surface,
 )
 from crosscap.frame import darboux_frame, kappa_tilde_series
 from crosscap.pipeline import lower_truncations
 from crosscap.report import _complete
-from crosscap.series import SignedRoot, Vec3Series, reciprocal, sqrt_series
+from crosscap.series import ReliabilityError, SeriesError, SignedRoot, Vec3Series, reciprocal, sqrt_series
 from crosscap.obj import (
     MeshError,
     obj_mesh_text,
@@ -51,6 +54,7 @@ from reference import (
     float_vec3,
     norm_series,
     over_sqrt,
+    reference_neg,
     reference_osculating_developable,
     reference_reciprocal,
     reference_shift,
@@ -82,7 +86,7 @@ def striction(a):
     """The exact striction curve img - (T~ / R~) V and the derivative img' of the curve."""
     d = a.developable
     t, r = d.striction.scale
-    img = a.factors.curve.shift(a.factors.alpha0)
+    img = a.image
     return img - d.director.scale(t * reference_reciprocal(r)), img.diff()
 
 
@@ -133,6 +137,17 @@ def test_s1_is_cylindrical_to_computed_order(s1):
     assert d.striction.exists is False
 
 
+@pytest.mark.parametrize("error", [ReliabilityError, SeriesError])
+def test_only_a_reliability_shortfall_makes_the_developable_not_applicable(s1, monkeypatch, error):
+    def failing(*args):
+        raise error("raised in the chain")
+
+    monkeypatch.setattr(developable, "delta_invariant", failing)
+    with pytest.raises(ValueError, match="raised in the chain") as info:
+        osculating_developable(s1.factors, s1.oracle, s1.cross)
+    assert type(info.value) is (DevelopableError if error is ReliabilityError else SeriesError)
+
+
 def test_s2_delta(s2):
     d = s2.developable
     assert d.delta_order == 0
@@ -167,7 +182,7 @@ def test_residual_vanishes_on_fixtures(s1, s2, s3):
         resid = developability_residual(surface)
         assert series_small(resid, 1e-8, cap=8)
         # det(img', V, V') = 0 exactly
-        img = a.factors.curve.shift(a.factors.alpha0)
+        img = a.image
         V = a.developable.director
         assert is_zero(img.diff().dot(V.cross(V.diff())))
 
@@ -274,7 +289,7 @@ def test_s3_sigma(s3):
 def test_sigma_closed_form_identity(s2, s3):
     # The float reference: sigma = |E_t| k3~ x^{alpha0-1} / rho - S' on the a2 > a3 branch
     for a in (s2, s3):
-        ref = reference_osculating_developable(a.factors, a.oracle)
+        ref = reference_osculating_developable(a.factors, a.oracle, a.image)
         t1, t2, t3 = ref.tilde
         t2b, t3b, rho_sq = ref.shifted
         ne = norm_series(a.factors.tangent)
@@ -359,7 +374,7 @@ def sign(x):
 def test_exact_chain_agrees_with_the_float_reference():
     count = 0
     for a in report_rungs():
-        d, ref = a.developable, reference_osculating_developable(a.factors, a.oracle)
+        d, ref = a.developable, reference_osculating_developable(a.factors, a.oracle, a.image)
         assert (d.branch, d.classification.case) == (ref.branch, ref.case)
         assert d.delta_order == ref.delta_order
         assert (d.striction.exists, d.striction.passes_through_singularity) == (ref.exists, ref.passes)
@@ -457,13 +472,13 @@ def test_branch2_consistency_identities():
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1, (0, 3): 1}, b={3: 2})
     a = analyze(co, FamilyMP(m=1, p=3, c=(1,)))
     d = a.developable
-    ref = reference_osculating_developable(a.factors, a.oracle)
+    ref = reference_osculating_developable(a.factors, a.oracle, a.image)
     assert d.branch == ref.branch == BRANCH_A3_GE_A2
     frame = darboux_frame(a.factors)
     t1, t2, t3 = ref.tilde
     t2b, t3b, rho_sq = ref.shifted
     rho = sqrt_series(rho_sq)
-    closed_dir = (frame.e.scale(t2b) + frame.b.scale(t3b)).scale(
+    closed_dir = (frame.e.scale(t2b) - frame.b.scale(reference_neg(t3b))).scale(
         ref.delta * reciprocal(rho_sq * rho)
     )
     assert vec_small(ref.director.diff() - closed_dir, 1e-8, cap=5)

@@ -91,7 +91,8 @@ def test_sweep_draws(seed):
     for subcase in SUBCASES:
         rng = random.Random((seed, subcase).__repr__())
         for _ in range(10):
-            coeffs, spec = _draw_fixture(rng, subcase)
+            drawn = _draw_fixture(rng, subcase)
+            coeffs, spec = drawn.coeffs, drawn.spec
             assert_builders_agree(coeffs, spec, series_order(spec.m, coeffs.degree))
 
 

@@ -22,6 +22,7 @@ from reference import (
     horner_vec3,
     norm_series,
     reconstruct_regular_curvatures,
+    reference_shift,
     reference_truncate,
 )
 
@@ -47,7 +48,7 @@ def test_s1_factors(s1):
     assert f.tangent.y.coeffs[:3] == (0, 3, 0)
     assert f.tangent.z.coeffs[:3] == (2, 3, 0)
     assert f.normal.constant_vector() == (0, -2, 0)
-    assert f.curve.constant_vector() == (1, 0, 1)
+    assert tuple(c.coefficient(f.alpha0) for c in s1.image.components) == (1, 0, 1)
 
 
 def test_s3_factors(s3):
@@ -83,18 +84,17 @@ def test_factorization_identities_exact():
         raw = normal_field_raw(W, c1, c2)
         f = frame_factors(img, raw)
         der = img.diff()
-        back = f.tangent.shift(f.alpha)
-        for orig, rec in zip(der.components, back.components):
+        for orig, factor in zip(der.components, f.tangent.components):
+            rec = reference_shift(factor, f.alpha)
             r = min(orig.reliable_order, rec.reliable_order)
             assert orig.coeffs[: r + 1] == rec.coeffs[: r + 1]
-        backn = f.normal.shift(f.beta)
-        for orig, rec in zip(raw.components, backn.components):
+        for orig, factor in zip(raw.components, f.normal.components):
+            rec = reference_shift(factor, f.beta)
             r = min(orig.reliable_order, rec.reliable_order)
             assert orig.coeffs[: r + 1] == rec.coeffs[: r + 1]
-        backc = f.curve.shift(f.alpha0)
-        for orig, rec in zip(img.components, backc.components):
-            r = min(orig.reliable_order, rec.reliable_order)
-            assert orig.coeffs[: r + 1] == rec.coeffs[: r + 1]
+        # alpha0 is the valuation of the image itself.
+        assert not any(c.coeffs[i] for c in img.components for i in range(f.alpha0))
+        assert any(c.coeffs[f.alpha0] for c in img.components)
 
 
 def test_normal_tangent_orthogonality_as_series(s1, s2, s3):
@@ -193,7 +193,7 @@ def test_frenet_antisymmetry(s1, s2, s3):
 def test_frenet_reconstruction(s1):
     fr = darboux_frame(s1.factors)
     k1, k2, k3 = curvature_series(fr)
-    resid = fr.e.diff() - (fr.b.scale(k1) + fr.n.scale(k2))
+    resid = fr.e.diff() - fr.b.scale(k1) - fr.n.scale(k2)
     assert all(series_small(c, 1e-9) for c in resid.components)
 
 

@@ -24,6 +24,7 @@ import workloads  # the benchmark's dense jet universe (bench/ is put on the pat
 from hypothesis import given, settings, strategies as st
 
 from crosscap import (
+    Analysis,
     FamilyMP,
     GeneralCurve,
     UmbrellaCoefficients,
@@ -39,7 +40,7 @@ from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
 from crosscap.series import FloatSeries
 from crosscap.report import _complete, build_report, render_report
-from crosscap.verify import SUBCASES, _draw_fixture, verify_fixture
+from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
 
 
 def count_calls(monkeypatch, module, name, record=None):
@@ -96,7 +97,7 @@ def test_mesh_composes_only_the_image_and_the_normal(calls, tmp_path):
 
 def test_verify_skips_the_float_frame(calls):
     cfg = fixture_config("s1")
-    assert verify_fixture(cfg.coeffs, cfg.spec).status == "PASS"
+    assert verify_fixture(Analysis(cfg.coeffs, cfg.spec)).status == "PASS"
     assert len(calls["compose_bi"]) == 9
     assert len(calls["curvature_numerators"]) == 1
     assert calls["darboux_frame"] == []
@@ -136,7 +137,7 @@ def test_verify_builds_each_power_table_once(monkeypatch):
 
     monkeypatch.setattr(series, "_powers", recording)
     cfg = fixture_config("s1")
-    verify_fixture(cfg.coeffs, cfg.spec)
+    verify_fixture(Analysis(cfg.coeffs, cfg.spec))
     assert len(built) == 2 and built[0] is not built[1]
     assert all(type(s) is UniSeries for s in built)
 
@@ -269,7 +270,7 @@ def test_report_builds_the_surface_jet_only_on_the_resolving_rung(monkeypatch):
 
 
 def sweep_draw(seed, subcase):
-    """The draw of ``subcase`` in ``run_sweep(seed=seed, draws=1)``."""
+    """The analysis of the draw of ``subcase`` in ``run_sweep(seed=seed, draws=1)``."""
     return _draw_fixture(random.Random((seed, subcase).__repr__()), subcase)
 
 
@@ -278,7 +279,7 @@ def sweep_draw(seed, subcase):
     [
         (lambda: build_report(parse_config(DENSE_16)), 1, 1),  # rung 5 alone
         (lambda: build_report(parse_config(fixture_text("s1"))), 1, 1),  # truncation 9: no rung
-        (lambda: verify_fixture(*sweep_draw(0, "mp/p3")), 1, 0),  # rung 4 alone
+        (lambda: verify_fixture(sweep_draw(0, "mp/p3")), 1, 0),  # rung 4 alone
     ],
     ids=["dense-16", "s1", "sweep-draw"],
 )
@@ -306,7 +307,7 @@ def assert_ladder_keeps_bytes(cfg):
     laddered, alone = through_ladder_and_alone(lambda: render_report(build_report(cfg)))
     assert laddered == alone
     if not isinstance(cfg.spec, GeneralCurve):
-        rows = through_ladder_and_alone(lambda: verify_fixture(cfg.coeffs, cfg.spec))
+        rows = through_ladder_and_alone(lambda: verify_fixture(Analysis(cfg.coeffs, cfg.spec)))
         assert rows[0] == rows[1]
 
 
@@ -352,7 +353,7 @@ def test_verify_climbs_past_an_unresolved_degree():
     assert pipeline.oracle_truncations(12) == [4, 5]
     assert analyze(coeffs.truncated(4), spec).oracle.degrees[1] is None
     assert analyze(coeffs.truncated(5), spec).oracle.degrees[1] is None
-    assert verify_fixture(coeffs, spec).comparisons[1].degree_oracle == 3
+    assert verify_fixture(Analysis(coeffs, spec)).comparisons[1].degree_oracle == 3
     assert_ladder_keeps_bytes(RunConfig(coeffs=coeffs, spec=spec))
 
 
@@ -458,7 +459,7 @@ def test_report_composes_only_on_the_resolving_rung(compose_orders):
 
 def test_verify_composes_only_on_the_resolving_rung(compose_orders):
     cfg = fixture_at("s3", 16)
-    verify_fixture(cfg.coeffs, cfg.spec)
+    verify_fixture(Analysis(cfg.coeffs, cfg.spec))
     assert compose_orders == [S3_RUNG_4_ORDER] * 9
 
 
@@ -471,6 +472,15 @@ def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_pat
     assert compose_orders == [S3_TRUNCATION_16_ORDER] * 9
 
 
+def test_each_sweep_draw_computes_its_table_once(monkeypatch):
+    # A draw is redrawn on its own closed form, and its row compares with
+    # that same table: every computation reads a jet no other one read.
+    tables = count_calls(monkeypatch, frame, "closed_form_reference", lambda spec, coeffs: coeffs)
+    rows = run_sweep(seed=0, draws=10)
+    assert len({id(coeffs) for coeffs in tables}) == len(tables) >= len(rows) == 90
+    assert NON_GENERIC not in {row.status for row in rows}
+
+
 def test_verify_resolves_every_sweep_draw_at_the_oracle_rung(monkeypatch):
     # The 576 draws of sweep seeds 0-63 of the benchmark's sweep universe.
     # The surface jet is built only on the rung whose oracle is read: once
@@ -479,8 +489,8 @@ def test_verify_resolves_every_sweep_draw_at_the_oracle_rung(monkeypatch):
     jets = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
     for seed in range(64):
         for subcase in SUBCASES:
-            coeffs, spec = sweep_draw(seed, subcase)
-            laddered, alone = through_ladder_and_alone(lambda: verify_fixture(coeffs, spec, subcase))
-            assert jets == [coeffs.degree, 4], (seed, subcase)
+            analysis = sweep_draw(seed, subcase)
+            laddered, alone = through_ladder_and_alone(lambda: verify_fixture(analysis, subcase))
+            assert jets == [analysis.coeffs.degree, 4], (seed, subcase)
             assert laddered == alone, (seed, subcase)
             jets.clear()

@@ -61,7 +61,7 @@ def test_the_cayley_transform_is_a_rotation():
 
 
 def rotated(W: Vec3BiSeries) -> Vec3BiSeries:
-    order = W.reliable_order
+    order = min(c.reliable_order for c in W.components)
     rows = []
     for row in ROTATION:
         acc = reference_bi_make({}, order)
