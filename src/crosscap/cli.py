@@ -6,7 +6,6 @@ import argparse
 import functools
 import os
 import sys
-from importlib import resources
 
 from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
@@ -94,11 +93,17 @@ def _cmd_mesh(args) -> int:
 
 
 def fixture_names() -> list:
+    # Imported here and in fixture_text, not at the top: it loads pathlib,
+    # zipfile and tempfile, about 12 ms of every report, verify or mesh start.
+    from importlib import resources
+
     root = resources.files("crosscap").joinpath("fixtures")
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def fixture_text(name: str) -> str:
+    from importlib import resources
+
     return resources.files("crosscap").joinpath("fixtures", name + ".json").read_text()
 
 

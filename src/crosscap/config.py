@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import SignedRoot, UniSeries
 from .model import (
@@ -66,13 +66,10 @@ _TOP_KEYS = {"truncation", "surface", "curve", "field", "description", "mesh"}
 _SURFACE_KEYS = {"a", "b"}
 #: The curve families by their ``family`` tag; a family's keys are its fields.
 _CURVE_FAMILIES = {"mpq": FamilyMPQ, "mp": FamilyMP, "general": GeneralCurve}
-_CURVE_KEYS = ("family",) + tuple(
-    dict.fromkeys(f.name for cls in _CURVE_FAMILIES.values() for f in fields(cls))
-)
+_CURVE_KEYS = ("family",) + tuple(dict.fromkeys(name for cls in _CURVE_FAMILIES.values() for name in cls._fields))
 
 
-@dataclass(frozen=True)
-class MeshOptions:
+class MeshOptions(NamedTuple):
     """The ``mesh`` keys with their defaults: [lo, hi] windows and resolutions >= 2."""
 
     x_range: tuple = (-0.3, 0.3)
@@ -86,8 +83,7 @@ class MeshOptions:
     curve_samples: int = 81
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     coeffs: UmbrellaCoefficients  # its degree is the configured truncation
     spec: CurveSpec
     field: str = "exact"  # the print mode of ``report``: "exact" or "float"
@@ -246,7 +242,7 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
     if not isinstance(family, str) or family not in _CURVE_FAMILIES:
         problems.append("curve.family: must be 'mpq', 'mp' or 'general'")
         return None
-    own_keys = {f.name for f in fields(_CURVE_FAMILIES[family])}
+    own_keys = set(_CURVE_FAMILIES[family]._fields)
     for key in _CURVE_KEYS[1:]:
         if key in curve and key not in own_keys:
             problems.append(f"curve.{key}: not a family {family!r} key")
@@ -307,14 +303,14 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
     if not isinstance(mesh, dict):
         problems.append("mesh: must be an object")
         return None
-    options = fields(MeshOptions)
-    _check_keys(mesh, {f.name for f in options}, "mesh", problems)
+    defaults = MeshOptions._field_defaults
+    _check_keys(mesh, defaults, "mesh", problems)
     kwargs = {}
-    for f in options:
-        if f.name not in mesh:
+    for name, default in defaults.items():
+        if name not in mesh:
             continue
-        raw = mesh[f.name]
-        if isinstance(f.default, tuple):
+        raw = mesh[name]
+        if isinstance(default, tuple):
             if (
                 not isinstance(raw, list)
                 or len(raw) != 2
@@ -322,11 +318,11 @@ def _parse_mesh(mesh, problems) -> MeshOptions | None:
                 or not all(abs(v) <= sys.float_info.max for v in raw)  # finite, ints included
                 or not raw[0] < raw[1]
             ):
-                problems.append(f"mesh.{f.name}: must be [lo, hi] with finite lo < hi")
+                problems.append(f"mesh.{name}: must be [lo, hi] with finite lo < hi")
             else:
-                kwargs[f.name] = (float(raw[0]), float(raw[1]))
-        elif _integer(raw, 2, f"mesh.{f.name}", "must be an integer >= 2", problems) is not None:
-            kwargs[f.name] = raw
+                kwargs[name] = (float(raw[0]), float(raw[1]))
+        elif _integer(raw, 2, f"mesh.{name}", "must be an integer >= 2", problems) is not None:
+            kwargs[name] = raw
     mesh = MeshOptions(**kwargs)
     for name, vertices in (
         ("nu * nv", mesh.nu * mesh.nv),
@@ -347,22 +343,20 @@ def json_value(value, omit=frozenset(), rational=str):
     """``value`` as JSON data, with the field names of ``omit`` left out at any depth.
 
     A ``SignedRoot`` becomes its float in either field (the one place that
-    rounds it, so it is tested before the dataclasses), a dataclass an
-    object of its fields in declaration order, a series the list of its
-    coefficients, a tuple a list and a Fraction ``rational(value)``: its
-    "p/q" string by default, or its float; other values pass through.
+    rounds it), a record (a ``NamedTuple``) an object of its fields in
+    declaration order, a series the list of its coefficients, any other
+    tuple a list and a Fraction ``rational(value)``: its "p/q" string by
+    default, or its float; other values pass through.  A record is a tuple,
+    so it is told apart by its ``_fields`` before the tuple branch.
     """
     if isinstance(value, SignedRoot):
         return float(value)
     if isinstance(value, UniSeries):
         value = value.coeffs
-    if is_dataclass(value):
-        return {
-            f.name: json_value(getattr(value, f.name), omit, rational)
-            for f in fields(value)
-            if f.name not in omit
-        }
     if isinstance(value, tuple):
+        names = getattr(value, "_fields", None)
+        if names is not None:
+            return {name: json_value(v, omit, rational) for name, v in zip(names, value) if name not in omit}
         return [json_value(v, omit, rational) for v in value]
     if isinstance(value, Fraction):
         return rational(value)

@@ -25,9 +25,9 @@ normalises V, as a ``FloatSeries`` vector (``osculating_surface``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
+from typing import NamedTuple
 
 from .series import (
     ReliabilityError,
@@ -51,16 +51,15 @@ class DevelopableError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+class RuledSurface(NamedTuple("RuledSurface", [("gamma", Vec3Series), ("xi", Vec3Series)])):
     """F(x, y) = gamma(x) + y xi(x); the director must not vanish at 0."""
 
-    gamma: Vec3Series
-    xi: Vec3Series
+    __slots__ = ()
 
-    def __post_init__(self):
-        if all(v == 0 for v in self.xi.constant_vector()):
+    def __new__(cls, gamma: Vec3Series, xi: Vec3Series):
+        if all(v == 0 for v in xi.constant_vector()):
             raise DevelopableError("director curve vanishes at 0")
+        return tuple.__new__(cls, (gamma, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +75,7 @@ CASE_III = "iii"
 CASE_SIGMA_TOP_NONZERO = "sigma-top-guaranteed-nonzero"
 
 
-@dataclass(frozen=True)
-class StrictionData:
+class StrictionData(NamedTuple):
     """Whether the striction curve img - (T~ / R~) V exists; ``scale`` is (T~, R~)."""
 
     exists: bool
@@ -85,8 +83,7 @@ class StrictionData:
     scale: tuple | None
 
 
-@dataclass(frozen=True)
-class EFClassification:
+class EFClassification(NamedTuple):
     """Subcase of the vanishing analysis under a2 > a3, with the case-(ii) constants."""
 
     case: str
@@ -96,8 +93,7 @@ class EFClassification:
     F_scaled: Fraction | None
 
 
-@dataclass(frozen=True)
-class DevelopableData:
+class DevelopableData(NamedTuple):
     """The exact chain: ``director`` is V, ``delta`` is R and ``sigma`` is S."""
 
     branch: str

@@ -32,8 +32,8 @@ invariants A, B and C of their p = 2 row from ``invariants.invariant_values``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import (
     FloatSeries,
@@ -54,8 +54,7 @@ class FrameError(ValueError):
     """Degenerate factorization or an inapplicable closed form."""
 
 
-@dataclass(frozen=True)
-class FrameFactors:
+class FrameFactors(NamedTuple):
     """The two factorizations with their exponents (exact series), and the image's valuation."""
 
     alpha: int
@@ -85,8 +84,7 @@ def _factor(vec: Vec3Series, label: str):
     return order, vec3_factor_power(vec, order)
 
 
-@dataclass(frozen=True)
-class DarbouxFrame:
+class DarbouxFrame(NamedTuple):
     """Orthonormal frame {e, b, n} along the curve, with float series components."""
 
     e: Vec3Series
@@ -128,8 +126,7 @@ def curvature_numerators(factors: FrameFactors):
     return (k1, k2, k3), c
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Divergence degrees alpha_1..alpha_3 and normalized top-terms T_1..T_3.
 
     A degree of ``None`` means the corresponding numerator vanished to its
@@ -174,9 +171,13 @@ def closed_form_reference(spec: CurveSpec, coeffs: UmbrellaCoefficients) -> Curv
     """Tabulated degrees and top-terms for the two curve families.
 
     The entries are transcribed literally from the reference tables.  Four
-    constants are flagged advisory because the series computation (confirmed
-    independently by pointwise finite differences) contradicts them on
-    generic inputs; the degrees are reliable throughout:
+    constants are flagged advisory because the series computation
+    contradicts them on generic inputs; the degrees are reliable throughout.
+    The computed values are those of the exact series oracle, which the
+    tests check on the bundled fixtures against the float Darboux frame and,
+    at regular points, against curvatures taken straight from the unfactored
+    float series (``tests/reference.py``); ``tests/test_frame.py`` pins the
+    four values.  No test derives them independently (ROADMAP item 4):
 
     * family (mp+q), p = 1, kappa_3: tabulated -q(mp+q) a02 c0, computed
       -q(mp+q) a02 c0^2 (they coincide only at c0 = 1);

@@ -20,8 +20,8 @@ are written: ``top_invariants`` and the p = 2 row of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import (
     SignedRoot,
@@ -59,8 +59,7 @@ def c2m_shape(spec: CurveSpec):
     return spec.m, spec.c[0], cm
 
 
-@dataclass(frozen=True)
-class TopInvariants:
+class TopInvariants(NamedTuple):
     A: Fraction
     B: Fraction
     C: Fraction
@@ -97,8 +96,7 @@ PROJ_TANGENT_TO_B = "tangent_to_b"
 PROJ_DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class ProjectionTangency:
+class ProjectionTangency(NamedTuple):
     """Leading behavior of the curve projected to the plane orthogonal to e(0).
 
     ``coeff_along_b``/``coeff_along_n`` are the exact x^{3m} coefficients of
@@ -157,12 +155,13 @@ def projection_tangency(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfIntersectionCurve:
+class SelfIntersectionCurve(NamedTuple):
     """Quadratic-order preimage of the surface's double-point curve.
 
     Normalized to d(x) = (d12 x^2, x + d22 x^2); the image is symmetric in
-    x -> -x through order 3 by construction.
+    x -> -x through order 3 by construction.  ``image`` is reliable to
+    order 3: the symmetry check reads its degrees 1 and 3, and the tangent
+    direction degree 1 of its derivative.
     """
 
     d11: Fraction
@@ -185,7 +184,7 @@ def self_intersection(
     b3 = coeffs.b_coeff(3)
     d12 = -b3 / 6
     d22 = (b3 * a11 - a03) / (6 * a02)
-    order = coeffs.degree  # composition with a multiplicity-1 curve keeps degree k
+    order = 3  # the highest degree read below
     d1 = UniSeries.make([0, 0, d12], order)
     d2 = UniSeries.make([0, 1, d22], order)
     img = image_curve(W, d1, d2)
@@ -227,8 +226,7 @@ def _cross3(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContourDeviation:
+class ContourDeviation(NamedTuple):
     """x^m coefficient of <n(x), b(0)> and its exact counterpart.
 
     The exact coefficient pairs the factored normal with the unnormalized

@@ -14,9 +14,8 @@ series of finite multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .series import (
     UniSeries,
@@ -44,40 +43,36 @@ def _frac(value) -> Fraction:
         raise ModelError(f"not a rational number: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class UmbrellaCoefficients:
+class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), ("a", dict), ("b", dict)])):
     """Normal-form data: truncation degree k, the a_ij map and the b_i map.
 
     Absent entries are zero.  ``a[(0, 2)]`` must be nonzero; indices must
     satisfy 2 <= i+j <= k for a and 3 <= i <= k for b.
     """
 
-    degree: int
-    a: dict
-    b: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 3:
+    def __new__(cls, degree: int, a: dict, b: dict):
+        if degree < 3:
             raise ModelError("truncation degree k must be >= 3")
-        a = {}
-        for key, value in self.a.items():
+        clean_a = {}
+        for key, value in a.items():
             i, j = key
-            if i < 0 or j < 0 or not (2 <= i + j <= self.degree):
+            if i < 0 or j < 0 or not (2 <= i + j <= degree):
                 raise ModelError(f"a index {key} outside 2 <= i+j <= k")
             value = _frac(value)
             if value != 0:
-                a[(i, j)] = value
-        b = {}
-        for i, value in self.b.items():
-            if not (3 <= i <= self.degree):
+                clean_a[(i, j)] = value
+        clean_b = {}
+        for i, value in b.items():
+            if not (3 <= i <= degree):
                 raise ModelError(f"b index {i} outside 3 <= i <= k")
             value = _frac(value)
             if value != 0:
-                b[i] = value
-        if a.get((0, 2), Fraction(0)) == 0:
+                clean_b[i] = value
+        if clean_a.get((0, 2), Fraction(0)) == 0:
             raise ModelError("a_02 must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return tuple.__new__(cls, (degree, clean_a, clean_b))
 
     @property
     def a02(self) -> Fraction:
@@ -98,85 +93,80 @@ class UmbrellaCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class FamilyMPQ:
+class FamilyMPQ(NamedTuple("FamilyMPQ", [("m", int), ("p", int), ("q", int), ("c", tuple)])):
     """Curve (c(x) x^{m p + q}, x^m) with 1 <= p and 1 <= q < m.
 
     ``c`` lists the coefficients c_0, c_1, ... of c(x); c_0 != 0.
     """
 
-    m: int
-    p: int
-    q: int
-    c: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = tuple(_frac(v) for v in self.c)
-        object.__setattr__(self, "c", c)
-        if self.m < 2:
+    def __new__(cls, m: int, p: int, q: int, c: tuple):
+        c = tuple(_frac(v) for v in c)
+        if m < 2:
             raise ModelError("family (m p + q) requires m >= 2")
-        if self.p < 1:
+        if p < 1:
             raise ModelError("family (m p + q) requires p >= 1")
-        if not (1 <= self.q < self.m):
+        if not (1 <= q < m):
             raise ModelError("family (m p + q) requires 1 <= q < m")
         if not c or c[0] == 0:
             raise ModelError("c_0 must be nonzero")
+        return tuple.__new__(cls, (m, p, q, c))
 
     @property
     def first_exponent(self) -> int:
         return self.m * self.p + self.q
 
 
-@dataclass(frozen=True)
-class FamilyMP:
+class FamilyMP(NamedTuple("FamilyMP", [("m", int), ("p", int), ("c", tuple)])):
     """Curve (c(x) x^{m p}, x^m) with p >= 2 and c_0 != 0."""
 
-    m: int
-    p: int
-    c: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = tuple(_frac(v) for v in self.c)
-        object.__setattr__(self, "c", c)
-        if self.m < 1:
+    def __new__(cls, m: int, p: int, c: tuple):
+        c = tuple(_frac(v) for v in c)
+        if m < 1:
             raise ModelError("family (m p) requires m >= 1")
-        if self.p < 2:
+        if p < 2:
             raise ModelError("family (m p) requires p >= 2")
         if not c or c[0] == 0:
             raise ModelError("c_0 must be nonzero")
+        return tuple.__new__(cls, (m, p, c))
 
     @property
     def first_exponent(self) -> int:
         return self.m * self.p
 
 
-@dataclass(frozen=True)
-class GeneralCurve:
+class GeneralCurve(NamedTuple("GeneralCurve", [("c1", UniSeries), ("c2", UniSeries)])):
     """A finite-multiplicity curve given by two exact component series.
 
-    ``m``, the multiplicity (``curve_multiplicity``), is set on construction
-    and is not a field, so it is not part of the config.
+    ``m``, the multiplicity (``curve_multiplicity``), is read from the
+    components and is not a field, so it is not part of the config.
     """
 
-    c1: UniSeries
-    c2: UniSeries
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.c1) is not UniSeries or type(self.c2) is not UniSeries:
+    def __new__(cls, c1: UniSeries, c2: UniSeries):
+        if type(c1) is not UniSeries or type(c2) is not UniSeries:
             raise ModelError("general curves must be given in the EXACT field")
-        v1, v2 = valuation(self.c1), valuation(self.c2)
-        for name, series, v in (("c1", self.c1, v1), ("c2", self.c2, v2)):
+        v1, v2 = valuation(c1), valuation(c2)
+        for name, series, v in (("c1", c1, v1), ("c2", c2, v2)):
             if v.is_zero_to_order:
                 raise ModelError(
                     f"curve component {name} vanishes to its reliable order {series.reliable_order}"
                 )
             if v.order == 0:
                 raise ModelError("curve must pass through the origin")
-        if not _rank_two(self.c1, self.c2, v1, v2):
+        if not _rank_two(c1, c2, v1, v2):
             raise ModelError(
                 "curve components are proportional: the rank-two condition fails"
             )
-        object.__setattr__(self, "m", curve_multiplicity(self.c1.coeffs, self.c2.coeffs))
+        return tuple.__new__(cls, (c1, c2))
+
+    @property
+    def m(self) -> int:
+        return curve_multiplicity(self.c1._num, self.c2._num)
 
 
 def curve_multiplicity(c1, c2) -> int | None:
@@ -279,8 +269,7 @@ _CASE_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class TangencyClassification:
+class TangencyClassification(NamedTuple):
     """Which of the four contact cases the curve realizes at the singular point."""
 
     case: int

@@ -16,8 +16,8 @@ coordinates printed with 9 significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, filterfalse
+from typing import NamedTuple
 
 from .series import FloatSeries, Vec3BiSeries, Vec3Series
 from .developable import RuledSurface
@@ -27,8 +27,7 @@ class MeshError(ValueError):
     """Degenerate sampling ranges or resolutions, or a non-finite vertex."""
 
 
-@dataclass(frozen=True)
-class QuadMesh:
+class QuadMesh(NamedTuple):
     coords: tuple  # x, y, z of vertex i * cols + j at 3 (i * cols + j)
     rows: int
     cols: int

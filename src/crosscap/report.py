@@ -62,7 +62,7 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
     rational = _PRINT_RATIONAL[cfg.field]
 
     def _section(result) -> dict:
-        """A result dataclass as a report section: every field but the series ones."""
+        """A result record as a report section: every field but the series ones."""
         return json_value(result, _SERIES_FIELDS, rational)
 
     doc: dict = {}

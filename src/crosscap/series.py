@@ -35,10 +35,11 @@ leading ``Fraction``), ``to_float`` and ``float_coeffs`` (``n / _den``,
 rounded as ``float(Fraction)`` rounds) and ``compose_bi`` work on these
 integers and bring each result back to that form with at most one
 ``math.gcd``.  A product convolves the numerators (``_convolve``) over the
-product of the denominators.  The reduced ``Fraction`` coefficients
-``coeffs`` are a view of the pair, built on first read and kept (primed
-when a ``UniSeries`` is built from Fractions); since the pair is
-canonical, comparing or hashing pairs compares values.
+product of the denominators.  A ``UniSeries``' reduced ``Fraction``
+coefficients ``coeffs`` are a view of the pair, built on first read and
+kept (primed when it is built from Fractions); a ``BiSeries`` has no such
+view in the library (the tests build it, ``reference_bi_coeffs``).  Since
+the pair is canonical, comparing or hashing pairs compares values.
 ``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
 series from integer numerators over a positive denominator, with one
 ``math.gcd`` and no ``Fraction``; the latter is the one way to build a
@@ -61,9 +62,8 @@ each of its terms then costs one pass over the power of u.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class SeriesError(ValueError):
@@ -123,15 +123,21 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable slotted instances: attributes are set once, with ``_set``."""
+    """Immutable slotted instances: attributes are set once, with ``_set``.
+
+    A value class (a series, a vector of series, ``SignedRoot``) derives
+    from it; a result record is a ``NamedTuple``.  A value is not a tuple,
+    so that ``v + w`` and ``2 * v`` are its own arithmetic, never a
+    concatenation.
+    """
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class UniSeries(_Frozen):
@@ -361,8 +367,7 @@ class FloatSeries(_Frozen):
         return FloatSeries(tuple([i * c[i] for i in range(1, len(c))]), self.reliable_order - 1)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Result of valuation extraction.
 
     ``order is None`` encodes ZERO_TO_ORDER: every reliable coefficient
@@ -447,8 +452,7 @@ def nearest_float(value: Fraction) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class SignedRoot:
+class SignedRoot(_Frozen):
     """The exact real number sign * sqrt(square): a rational over one square root.
 
     ``sign`` is -1, 0 or 1 and ``square`` a rational >= 0 that is 0 exactly
@@ -456,11 +460,25 @@ class SignedRoot:
     ``float`` rounds it once: the root of ``square`` is taken in integers,
     to at least 58 bits with a sticky bit, so that the one rounding to a
     float is that of the real value.  OverflowError when it passes the
-    float range, either way (``nearest_float``).
+    float range, either way (``nearest_float``).  Instances are immutable.
     """
 
-    sign: int
-    square: Fraction
+    __slots__ = ("sign", "square")
+
+    def __init__(self, sign: int, square: Fraction):
+        _set(self, "sign", sign)
+        _set(self, "square", square)
+
+    def __eq__(self, other):
+        if type(other) is not SignedRoot:
+            return NotImplemented
+        return self.sign == other.sign and self.square == other.square
+
+    def __hash__(self):
+        return hash((self.sign, self.square))
+
+    def __repr__(self):
+        return f"SignedRoot(sign={self.sign!r}, square={self.square!r})"
 
     @staticmethod
     def of(value: Fraction, radicand: Fraction) -> "SignedRoot":
@@ -488,25 +506,13 @@ class BiSeries(_Frozen):
 
     The series is the canonical pair ``_num``, ``_den`` (see the module
     docstring): ``_num`` maps (i, j) with i + j <= reliable_order to a
-    nonzero integer, and pairs that are absent are zero.  ``coeffs``, the
-    map (i, j) -> nonzero ``Fraction`` in the key order of ``_num``, is
-    built on first read.  Reliability bookkeeping is by total degree,
-    exactly as in the univariate case.  ``from_numerators`` builds every
-    ``BiSeries``; ``float_coeffs`` is the one float reading.  Instances are
-    immutable.
+    nonzero integer, and pairs that are absent are zero.  Reliability
+    bookkeeping is by total degree, exactly as in the univariate case.
+    ``from_numerators`` builds every ``BiSeries``; ``float_coeffs`` is the
+    one float reading.  Instances are immutable.
     """
 
-    __slots__ = ("reliable_order", "_coeffs", "_num", "_den")
-
-    @property
-    def coeffs(self) -> dict:
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self._den
-            coeffs = {k: Fraction(n, den) for k, n in self._num.items()}
-            _set(self, "_coeffs", coeffs)
-            return coeffs
+    __slots__ = ("reliable_order", "_num", "_den")
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -518,7 +524,7 @@ class BiSeries(_Frozen):
         )
 
     def __repr__(self):
-        return f"BiSeries(coeffs={self.coeffs!r}, reliable_order={self.reliable_order!r})"
+        return f"BiSeries(num={self._num!r}, den={self._den!r}, reliable_order={self.reliable_order!r})"
 
     @staticmethod
     def from_numerators(num: Mapping, den: int, reliable_order: int) -> "BiSeries":
@@ -557,7 +563,7 @@ class BiSeries(_Frozen):
         return _exact_bi({(i, j - 1): n * j for (i, j), n in self._num.items() if j >= 1}, self._den, r)
 
     def float_coeffs(self) -> dict:
-        """The coefficients as floats, in the key order of ``coeffs``."""
+        """The coefficients as floats, in the key order of ``_num``."""
         # Integer true division rounds correctly, as float(Fraction) does.
         den = self._den
         return {k: n / den for k, n in self._num.items()}
@@ -662,22 +668,34 @@ def _powers(s: UniSeries, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vec3Series:
+class Vec3Series(_Frozen):
     """A vector-valued map (R, 0) -> R^3 stored componentwise.
 
     The components are all exact (``UniSeries``) or all float
     (``FloatSeries``); a float vector comes from ``to_float`` of an exact
-    one, and its operations are those its components have.
+    one, and its operations are those its components have.  Instances are
+    immutable and equal when their components are.
     """
 
-    x: UniSeries | FloatSeries
-    y: UniSeries | FloatSeries
-    z: UniSeries | FloatSeries
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not (type(self.x) is type(self.y) is type(self.z)):
+    def __init__(self, x: UniSeries | FloatSeries, y: UniSeries | FloatSeries, z: UniSeries | FloatSeries):
+        if not (type(x) is type(y) is type(z)):
             raise SeriesError("Vec3Series components must share one field")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+
+    def __eq__(self, other):
+        if type(other) is not Vec3Series:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self):
+        return f"Vec3Series(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def reliable_order(self) -> int:
@@ -744,13 +762,26 @@ def vec3_factor_power(a: Vec3Series, power: int) -> Vec3Series:
     )
 
 
-@dataclass(frozen=True)
-class Vec3BiSeries:
-    """A vector of bivariate series: the ambient surface map (u, v) -> R^3."""
+class Vec3BiSeries(_Frozen):
+    """A vector of bivariate series: the ambient surface map (u, v) -> R^3.
 
-    x: BiSeries
-    y: BiSeries
-    z: BiSeries
+    Instances are immutable and equal when their components are.
+    """
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: BiSeries, y: BiSeries, z: BiSeries):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+
+    def __eq__(self, other):
+        if type(other) is not Vec3BiSeries:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __repr__(self):
+        return f"Vec3BiSeries(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def components(self):

@@ -14,8 +14,8 @@ genericity rule of the sweep.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import FamilyMP, FamilyMPQ, GeneralCurve, ModelError, UmbrellaCoefficients
 from .pipeline import Analysis, oracle_truncations
@@ -44,8 +44,7 @@ SUBCASES = (
 )
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     quantity: str
     degree_oracle: int | None
     degree_reference: int
@@ -55,8 +54,7 @@ class Comparison:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     subcase: str
     draw: int
     params: str

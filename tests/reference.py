@@ -511,10 +511,10 @@ def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
     """The sum of two ``BiSeries``, reliable to the smaller order."""
     r = min(self.reliable_order, other.reliable_order)
     out = dict()
-    for (i, j), c in self.coeffs.items():
+    for (i, j), c in reference_bi_coeffs(self).items():
         if i + j <= r:
             out[(i, j)] = c
-    for (i, j), c in other.coeffs.items():
+    for (i, j), c in reference_bi_coeffs(other).items():
         if i + j <= r:
             out[(i, j)] = out.get((i, j), Fraction(0)) + c
     return reference_bi_make(out, r)
@@ -525,7 +525,7 @@ def reference_bi_diff_u(self: BiSeries) -> BiSeries:
     if self.reliable_order < 1:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
-    out = {(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i >= 1 and i + j <= r + 1}
+    out = {(i - 1, j): c * i for (i, j), c in reference_bi_coeffs(self).items() if i >= 1 and i + j <= r + 1}
     return reference_bi_make(out, r)
 
 
@@ -534,21 +534,26 @@ def reference_bi_diff_v(self: BiSeries) -> BiSeries:
     if self.reliable_order < 1:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
-    out = {(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j >= 1 and i + j <= r + 1}
+    out = {(i, j - 1): c * j for (i, j), c in reference_bi_coeffs(self).items() if j >= 1 and i + j <= r + 1}
     return reference_bi_make(out, r)
+
+
+def reference_bi_coeffs(self: BiSeries) -> dict:
+    """The coefficients of a ``BiSeries`` as reduced ``Fraction``s, in the key order of its numerators."""
+    return {k: Fraction(n, self._den) for k, n in self._num.items()}
 
 
 def reference_bi_float_coeffs(self: BiSeries) -> dict:
     """``BiSeries.float_coeffs``."""
-    return {k: float(c) for k, c in self.coeffs.items()}
+    return {k: float(c) for k, c in reference_bi_coeffs(self).items()}
 
 
 def reference_bimul(self: BiSeries, other: BiSeries) -> BiSeries:
     """``BiSeries.__mul__``."""
     r = min(self.reliable_order, other.reliable_order)
     out: dict = {}
-    for (i1, j1), c1 in self.coeffs.items():
-        for (i2, j2), c2 in other.coeffs.items():
+    for (i1, j1), c1 in reference_bi_coeffs(self).items():
+        for (i2, j2), c2 in reference_bi_coeffs(other).items():
             i, j = i1 + i2, j1 + j2
             if i + j > r:
                 continue
@@ -596,7 +601,7 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
         return v_pows[j]
 
     acc = zero
-    for (i, j), c in sorted(F.coeffs.items()):
+    for (i, j), c in sorted(reference_bi_coeffs(F).items()):
         if i * val_u + j * val_v > r_out:
             continue
         acc = reference_add(acc, reference_scale(reference_mul(upow(i), vpow(j)), c))

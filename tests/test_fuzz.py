@@ -15,7 +15,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import fields
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -32,7 +31,7 @@ BASES = [
 KEYS = st.sampled_from(
     ["truncation", "surface", "curve", "field", "description", "mesh", "a", "b"]
     + ["family", "m", "p", "q", "c", "c1", "c2"]
-    + [f.name for f in fields(MeshOptions)]
+    + list(MeshOptions._fields)
     + ["0,2", "1,1", "2,0", "0,3", "3", "4", "-1,3", "1,2,3", "x", ""]
 )
 #: Values near every validation boundary: tiny and capped integers, special

@@ -1,14 +1,9 @@
 """Byte-identity gate: SHA-256 of CLI outputs that a refactor must not change.
 
-The digests are those of ``crosscap report`` (exact and float field),
-``crosscap mesh`` and ``crosscap verify --sweep --seed 0`` on the bundled
-fixtures, of ``verify --sweep --seed 1``, one digest per field over the
-128 dense reports of the benchmark's jet universe
-(``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16),
-and one digest over the benchmark's denser meshes
-(``bench/workloads.dense_mesh_config``: each fixture at each window scale).
-A change that alters these bytes on purpose records the new digests here and
-says why in CHANGES.md.
+The pinned digests, and the functions that recompute them, are in
+``tests/output_digests.py``, which also runs without pytest
+(``python3 tests/output_digests.py``).  A change that alters these bytes on
+purpose records the new digests there and says why in CHANGES.md.
 
 The float field prints the exact analysis with each rational of the result
 sections as its float; ``test_float_report_is_the_exact_report_in_floats``
@@ -18,7 +13,6 @@ exact value over a square root is that value rounded once:
 """
 
 import decimal
-import hashlib
 import json
 import math
 import re
@@ -29,124 +23,52 @@ import pytest
 import workloads  # the benchmark's recorded input universe (bench/ is put on the path by conftest)
 
 from crosscap import analyze, parse_config
-from crosscap.cli import fixture_text, main
+from crosscap.cli import fixture_text
 from crosscap.pipeline import lower_truncations
-from crosscap.report import _complete, build_report, render_report
+from crosscap.report import _complete, build_report
 from crosscap.series import valuation
-
-REPORT_SHA256 = {
-    ("s1", "exact"): "3fb1739a0322575216472acb0493d07b9081082ccafd7962ac4af890a4df4ae9",
-    ("s1", "float"): "bef9ac2685e19ac4fcd75fce24d21251bc625515686d051bbcfc6bcf11c25f2d",
-    ("s2", "exact"): "fd9bbb3de3ca45ce8ba6869badb499fe4c6a099b6985ab1cdd7e83807b8c1809",
-    ("s2", "float"): "911e669f8a0a06976019a5163e8431484badb1b327b917e56556dc034551d2e2",
-    ("s3", "exact"): "50a6958d9589bc742dcd5108ccbe6ae1be5612f06e96bff39ea473728f849224",
-    ("s3", "float"): "0c2a6d8c865be71ef6bd2804ad87902a4d43cfacf45aee5ee4076dfebf69444a",
-}
-
-MESH_SHA256 = {
-    "s1": {
-        "umbrella.obj": "f9809e4ebad4a2554ce9f6773ba3e9f163e145233828bb113b400aba64024095",
-        "curve.obj": "3dccd2a885cf6517d7e992b5446596f8639960c4f5768b6590dff774ccff2ced",
-        "od_w.obj": "50f427cc54bcb514d6a2b82892d06800692ff7bce28f60c3880b831b61f52186",
-    },
-    "s2": {
-        "umbrella.obj": "6d440c14c603a9a576c1f43ba7152682df10adf87e0951c2e0efd2c44e41cb2b",
-        "curve.obj": "a8f942de08d52963319cd66fea5fd070b3e6a6928280db56e2332cf2f739a924",
-        "od_w.obj": "4ad0b96c181e1d764b707ea5be4a6717aff2965a51482786833553aad49e8aa6",
-    },
-    "s3": {
-        "umbrella.obj": "5b4010ea8ab779c1be83dd1fc692f27590d40c9dbb36d52657d67168864c246c",
-        "curve.obj": "9ec89fcf7b8edd4821e5d9ee3c6ce9acfad1d8e5d187a5599f141ad452dd8cc7",
-        "od_w.obj": "8c94dede169d093e4792f63619eb7a72a94879aa423cf1ee0521d632ec0e350b",
-    },
-}
-
-SWEEP_SHA256 = {
-    0: "45a90c92af4967d2adb75002bfa5e42837efec2105f59303fa2854521642b86d",
-    1: "86b96a5441f548f170922f53c7c7c5c1ca7f7374c89aa637c672ee1021d2b660",
-}
-
-#: One digest per field over the concatenated dense reports, shape by shape
-#: and draw by draw.
-DENSE_REPORTS_SHA256 = {
-    "exact": "3e05dbb996da71f2bd38840b8aa84771bd7afa61393408861d6e8458b70c50ce",
-    "float": "64183aa762ac5ce03cbae0719a62d4d15a869ac6c81f0a77036a9c1a893b4766",
-}
-
-
-#: One digest over the ``umbrella.obj``, ``curve.obj`` and ``od_w.obj`` bytes
-#: of ``crosscap mesh``, fixture by fixture and window scale by window scale.
-DENSE_MESHES_SHA256 = "584a2694a4c671b0a706973cd4de781db348a3acaa43e01792cd2a9b3be9927f"
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _fixture_in_field(tmp_path, name, field):
-    doc = json.loads(fixture_text(name))
-    doc["field"] = field
-    path = tmp_path / f"{name}-{field}.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+from output_digests import (
+    DENSE_MESHES_SHA256,
+    DENSE_REPORTS_SHA256,
+    MESH_SHA256,
+    REPORT_SHA256,
+    SWEEP_SHA256,
+    dense_mesh_digest,
+    dense_report_digest,
+    mesh_digests,
+    report_digest,
+    sweep_digest,
+)
 
 
 @pytest.mark.parametrize("name, field", sorted(REPORT_SHA256))
 def test_report_bytes(tmp_path, name, field):
-    out = tmp_path / "report.json"
-    assert main(["report", _fixture_in_field(tmp_path, name, field), "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == REPORT_SHA256[name, field]
+    assert report_digest(str(tmp_path), name, field) == REPORT_SHA256[name, field]
 
 
 @pytest.mark.parametrize("name", sorted(MESH_SHA256))
 def test_mesh_bytes(tmp_path, name):
-    out = tmp_path / "mesh"
-    assert main(["mesh", _fixture_in_field(tmp_path, name, "exact"), "--out", str(out)]) == 0
-    digests = {obj: _sha256((out / obj).read_bytes()) for obj in MESH_SHA256[name]}
-    assert digests == MESH_SHA256[name]
+    assert mesh_digests(str(tmp_path), name) == MESH_SHA256[name]
 
 
 def test_dense_mesh_bytes(tmp_path):
-    digest = hashlib.sha256()
-    config = tmp_path / "dense.json"
-    for name in workloads.FIXTURES:
-        for scale in range(len(workloads.DENSE_MESH_SCALES)):
-            config.write_text(workloads.dense_mesh_config(fixture_text(name), scale))
-            out = tmp_path / f"{name}-{scale}"
-            assert main(["mesh", str(config), "--out", str(out)]) == 0
-            for obj in workloads.MESH_FILES:
-                digest.update((out / obj).read_bytes())
-    assert digest.hexdigest() == DENSE_MESHES_SHA256
+    assert dense_mesh_digest(str(tmp_path)) == DENSE_MESHES_SHA256
 
 
-def _sweep_digest(capsys, seed):
-    assert main(["verify", "--sweep", "--seed", str(seed)]) == 0
-    return _sha256(capsys.readouterr().out.encode())
+def test_verify_sweep_bytes():
+    assert sweep_digest(0) == SWEEP_SHA256[0]
 
 
-def test_verify_sweep_bytes(capsys):
-    assert _sweep_digest(capsys, 0) == SWEEP_SHA256[0]
-
-
-def test_verify_sweep_seed_1_bytes(capsys):
-    assert _sweep_digest(capsys, 1) == SWEEP_SHA256[1]
-
-
-def _dense_digest(field):
-    digest = hashlib.sha256()
-    for shape in range(len(workloads.DENSE_SHAPES)):
-        for variant in range(workloads.DENSE_VARIANTS):
-            cfg = parse_config(workloads.dense_config(shape, variant, field))
-            digest.update(render_report(build_report(cfg)).encode())
-    return digest.hexdigest()
+def test_verify_sweep_seed_1_bytes():
+    assert sweep_digest(1) == SWEEP_SHA256[1]
 
 
 def test_dense_report_bytes():
-    assert _dense_digest("exact") == DENSE_REPORTS_SHA256["exact"]
+    assert dense_report_digest("exact") == DENSE_REPORTS_SHA256["exact"]
 
 
 def test_dense_float_report_bytes():
-    assert _dense_digest("float") == DENSE_REPORTS_SHA256["float"]
+    assert dense_report_digest("float") == DENSE_REPORTS_SHA256["float"]
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -16,7 +16,6 @@ configured analysis that a lower rung resolves builds none.
 import json
 import random
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -38,7 +37,7 @@ from crosscap import (
 )
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
-from crosscap.series import FloatSeries
+from crosscap.series import FloatSeries, Vec3Series
 from crosscap.report import _complete, build_report, render_report
 from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
 
@@ -188,13 +187,24 @@ def _floats_in(value, path):
     """The paths of every float and float series held in ``value``."""
     if isinstance(value, (float, FloatSeries)):
         yield path
-    elif is_dataclass(value) and not isinstance(value, type):
-        for f in fields(value):
-            if f.name not in _CONSTANT_FIELDS:
-                yield from _floats_in(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):  # a record, before the tuple branch
+        for name, v in zip(value._fields, value):
+            if name not in _CONSTANT_FIELDS:
+                yield from _floats_in(v, f"{path}.{name}")
+    elif isinstance(value, Vec3Series):
+        for name, v in zip("xyz", value.components):
+            yield from _floats_in(v, f"{path}.{name}")
     elif isinstance(value, (tuple, list)):
         for i, v in enumerate(value):
             yield from _floats_in(v, f"{path}[{i}]")
+
+
+def test_the_float_walker_reads_records_and_vectors(s1):
+    # The walker sees the floats of the mesh's ruled surface through the
+    # record and its vectors, and skips only the named constant fields.
+    assert list(_floats_in(s1.ruled, "ruled"))[:2] == ["ruled.gamma.x", "ruled.gamma.y"]
+    assert list(_floats_in(s1.tangency, "tangency")) == []
+    assert list(_floats_in(tuple(s1.tangency), "tangency"))[-1] == "tangency[6][2]"
 
 
 def _no_rounding_configs() -> dict:

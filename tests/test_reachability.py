@@ -30,12 +30,19 @@ ALLOWED = {
     "series.FloatSeries.diff": "the float frame's derivatives",
     "series.BiSeries.__mul__": "kept only for bench/tracing.TARGETS (series.bimul)",
     "series._bi_convolve": "the kernel of BiSeries.__mul__",
-    "series.BiSeries.coeffs": "the Fraction view of a surface jet: __repr__ and the tests' bivariate reference read it",
     "series.UniSeries.__eq__": "value semantics of an immutable series",
     "series.UniSeries.__hash__": "value semantics of an immutable series",
     "series.UniSeries.__repr__": "value semantics of an immutable series",
     "series.BiSeries.__eq__": "value semantics of an immutable series",
     "series.BiSeries.__repr__": "value semantics of an immutable series",
+    "series.Vec3Series.__eq__": "value semantics of an immutable vector of series",
+    "series.Vec3Series.__hash__": "value semantics of an immutable vector of series",
+    "series.Vec3Series.__repr__": "value semantics of an immutable vector of series",
+    "series.Vec3BiSeries.__eq__": "value semantics of an immutable vector of series",
+    "series.Vec3BiSeries.__repr__": "value semantics of an immutable vector of series",
+    "series.SignedRoot.__eq__": "value semantics of an immutable exact value",
+    "series.SignedRoot.__hash__": "value semantics of an immutable exact value",
+    "series.SignedRoot.__repr__": "value semantics of an immutable exact value",
     "series._Frozen.__setattr__": "refuses assignment to an immutable series",
     "series._Frozen.__delattr__": "refuses deletion from an immutable series",
 }
