@@ -13,7 +13,6 @@ configuration can express and analyse it; everything else is imported from
 its submodule.
 """
 
-from .series import UniSeries
 from .model import FamilyMP, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
 from .pipeline import Analysis, analyze
 from .config import ConfigError, parse_config

@@ -9,7 +9,7 @@ import sys
 
 from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
-from .verify import has_hard_failure, render_rows, run_sweep, verify_fixture
+from .verify import has_hard_failure, has_undetermined, render_rows, run_sweep, verify_fixture
 from .series import SeriesError
 from .model import ModelError
 from .frame import FrameError
@@ -70,7 +70,12 @@ def _cmd_verify(args) -> int:
         cfg = _load_config(args.config)
         rows = [verify_fixture(Analysis(cfg.coeffs, cfg.spec))]
     sys.stdout.write(render_rows(rows))
-    return 1 if has_hard_failure(rows) else 0
+    if has_hard_failure(rows):
+        return 1
+    if has_undetermined(rows):
+        sys.stderr.write("verify: a degree is undetermined: the jet is too short; raise the truncation\n")
+        return 2
+    return 0
 
 
 def _cmd_mesh(args) -> int:

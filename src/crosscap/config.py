@@ -8,7 +8,9 @@ digits without a leading zero, and an ``a`` key is two of them as ``i,j``.
 Unknown keys and a key given twice in one object are rejected; every
 violation found is reported, not just the first.  ``field`` is the print
 mode of ``report``, the string ``"exact"`` or ``"float"``; the analysis is
-exact in both.
+exact in both.  A curve is parsed into its spec, whose fields are exact
+coefficient tuples (a general curve's ``c1`` and ``c2`` too), and the
+config echo prints them back as given; no series is built here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import SignedRoot, UniSeries
+from .series import SignedRoot
 from .model import (
     CurveSpec,
     FamilyMP,
@@ -27,7 +29,6 @@ from .model import (
     GeneralCurve,
     ModelError,
     UmbrellaCoefficients,
-    curve_multiplicity,
     series_order,
 )
 
@@ -242,59 +243,36 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
     if not isinstance(family, str) or family not in _CURVE_FAMILIES:
         problems.append("curve.family: must be 'mpq', 'mp' or 'general'")
         return None
-    own_keys = set(_CURVE_FAMILIES[family]._fields)
+    cls = _CURVE_FAMILIES[family]
     for key in _CURVE_KEYS[1:]:
-        if key in curve and key not in own_keys:
+        if key in curve and key not in cls._fields:
             problems.append(f"curve.{key}: not a family {family!r} key")
-
-    def _int(name, minimum):
-        rule = f"required integer >= {minimum}"
-        return _integer(curve.get(name), minimum, f"curve.{name}", rule, problems) or minimum
-
-    def _coeff_list(name):
+    # The least value of each integer field.  A refused integer reads as its
+    # least value, so that the rest of the spec is still checked.
+    least = {"m": 2, "p": 1, "q": 1} if family == "mpq" else {"m": 1, "p": 2}
+    fields = {}
+    for name in cls._fields:
         raw = curve.get(name)
-        if not isinstance(raw, list) or not raw:
-            problems.append(f"curve.{name}: required nonempty list of rationals")
-            return (Fraction(1),)
-        return tuple(parse_rational(v, f"curve.{name}[{i}]", problems) for i, v in enumerate(raw))
-
-    try:
-        if family == "general":
-            c1 = _coeff_list("c1")
-            c2 = _coeff_list("c2")
-            if None in c1 + c2:
-                return None
-            m = curve_multiplicity(c1, c2)
-            if m is None:
-                problems.append("curve: components must vanish at 0 with a nonzero jet")
-                return None
+        if name in least:
+            rule = f"required integer >= {least[name]}"
+            fields[name] = _integer(raw, least[name], f"curve.{name}", rule, problems) or least[name]
+        elif isinstance(raw, list) and raw:
+            fields[name] = tuple(parse_rational(v, f"curve.{name}[{i}]", problems) for i, v in enumerate(raw))
         else:
-            if family == "mpq":
-                ints = {"m": _int("m", 2), "p": _int("p", 1), "q": _int("q", 1)}
-            else:
-                ints = {"m": _int("m", 1), "p": _int("p", 2)}
-            c = _coeff_list("c")
-            if None in c:
-                return None
-            spec = _CURVE_FAMILIES[family](**ints, c=c)
-            m = spec.m
-        order = series_order(m, truncation)
-        if order > MAX_SERIES_ORDER:
-            problems.append(
-                f"curve: series order m (truncation + 1) - 1 = {order} exceeds {MAX_SERIES_ORDER}"
-            )
-            return None
-        if family != "general":
-            return spec
-        # Config-sourced components are exact polynomials: pad them to the
-        # series order the surface truncation supports.
-        return GeneralCurve(
-            c1=UniSeries.make(c1, order),
-            c2=UniSeries.make(c2, order),
-        )
+            problems.append(f"curve.{name}: required nonempty list of rationals")
+            fields[name] = (None,)
+    if any(None in v for v in fields.values() if type(v) is tuple):
+        return None
+    try:
+        spec = cls(**fields)
     except ModelError as exc:
         problems.append(f"curve: {exc}")
         return None
+    order = series_order(spec.m, truncation)
+    if order > MAX_SERIES_ORDER:
+        problems.append(f"curve: series order m (truncation + 1) - 1 = {order} exceeds {MAX_SERIES_ORDER}")
+        return None
+    return spec
 
 
 def _parse_mesh(mesh, problems) -> MeshOptions | None:
@@ -344,15 +322,13 @@ def json_value(value, omit=frozenset(), rational=str):
 
     A ``SignedRoot`` becomes its float in either field (the one place that
     rounds it), a record (a ``NamedTuple``) an object of its fields in
-    declaration order, a series the list of its coefficients, any other
-    tuple a list and a Fraction ``rational(value)``: its "p/q" string by
-    default, or its float; other values pass through.  A record is a tuple,
-    so it is told apart by its ``_fields`` before the tuple branch.
+    declaration order, any other tuple a list and a Fraction
+    ``rational(value)``: its "p/q" string by default, or its float; other
+    values pass through.  A record is a tuple, so it is told apart by its
+    ``_fields`` before the tuple branch.
     """
     if isinstance(value, SignedRoot):
         return float(value)
-    if isinstance(value, UniSeries):
-        value = value.coeffs
     if isinstance(value, tuple):
         names = getattr(value, "_fields", None)
         if names is not None:

@@ -8,7 +8,10 @@ The surface is the coefficient-parameterized normal form of the cross-cap
 
 truncated at total degree k.  Curves through the singular point come either
 from the two admissible one-parameter families or as a general pair of exact
-series of finite multiplicity.
+polynomials of finite multiplicity.  Every curve spec is its two exact
+coefficient tuples (``components``), and everything about the curve is read
+from them here: its valuations and multiplicity, its tangency case and
+limiting tangent (``classify_tangency``) and its series (``build_curve``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .series import (
     Vec3BiSeries,
     SignedRoot,
     first_nonzero,
-    valuation,
 )
 
 
@@ -114,8 +116,9 @@ class FamilyMPQ(NamedTuple("FamilyMPQ", [("m", int), ("p", int), ("q", int), ("c
         return tuple.__new__(cls, (m, p, q, c))
 
     @property
-    def first_exponent(self) -> int:
-        return self.m * self.p + self.q
+    def components(self) -> tuple:
+        """The coefficients of the two components, from x^0."""
+        return (0,) * (self.m * self.p + self.q) + self.c, (0,) * self.m + (1,)
 
 
 class FamilyMP(NamedTuple("FamilyMP", [("m", int), ("p", int), ("c", tuple)])):
@@ -134,39 +137,47 @@ class FamilyMP(NamedTuple("FamilyMP", [("m", int), ("p", int), ("c", tuple)])):
         return tuple.__new__(cls, (m, p, c))
 
     @property
-    def first_exponent(self) -> int:
-        return self.m * self.p
+    def components(self) -> tuple:
+        """The coefficients of the two components, from x^0."""
+        return (0,) * (self.m * self.p) + self.c, (0,) * self.m + (1,)
 
 
-class GeneralCurve(NamedTuple("GeneralCurve", [("c1", UniSeries), ("c2", UniSeries)])):
-    """A finite-multiplicity curve given by two exact component series.
+class GeneralCurve(NamedTuple("GeneralCurve", [("c1", tuple), ("c2", tuple)])):
+    """A finite-multiplicity curve (c1(x), c2(x)) of two exact polynomials.
 
-    ``m``, the multiplicity (``curve_multiplicity``), is read from the
-    components and is not a field, so it is not part of the config.
+    ``c1`` and ``c2`` list the coefficients from x^0, as ``FamilyMP.c``
+    does.  Each component is nonzero and vanishes at 0, and the two are not
+    proportional; all three are decided on the whole polynomials.  ``m``,
+    the multiplicity (``curve_multiplicity``), is read from the components
+    and is not a field, so it is not part of the config.
     """
 
     __slots__ = ()
 
-    def __new__(cls, c1: UniSeries, c2: UniSeries):
-        if type(c1) is not UniSeries or type(c2) is not UniSeries:
-            raise ModelError("general curves must be given in the EXACT field")
-        v1, v2 = valuation(c1), valuation(c2)
-        for name, series, v in (("c1", c1, v1), ("c2", c2, v2)):
-            if v.is_zero_to_order:
-                raise ModelError(
-                    f"curve component {name} vanishes to its reliable order {series.reliable_order}"
-                )
-            if v.order == 0:
+    def __new__(cls, c1: tuple, c2: tuple):
+        c1 = tuple(_frac(v) for v in c1)
+        c2 = tuple(_frac(v) for v in c2)
+        for name, cs in (("c1", c1), ("c2", c2)):
+            if not any(cs):
+                raise ModelError(f"curve component {name} is zero")
+            if cs[0]:
                 raise ModelError("curve must pass through the origin")
-        if not _rank_two(c1, c2, v1, v2):
-            raise ModelError(
-                "curve components are proportional: the rank-two condition fails"
-            )
+        # Proportional iff c1 c2[v] = c2 c1[v] termwise, v the valuation of c1.
+        n = max(len(c1), len(c2))
+        p1, p2 = c1 + (0,) * (n - len(c1)), c2 + (0,) * (n - len(c2))
+        v = first_nonzero(p1)
+        if all(a * p2[v] == b * p1[v] for a, b in zip(p1, p2)):
+            raise ModelError("curve components are proportional: the rank-two condition fails")
         return tuple.__new__(cls, (c1, c2))
 
     @property
+    def components(self) -> tuple:
+        """The coefficients of the two components, from x^0."""
+        return self.c1, self.c2
+
+    @property
     def m(self) -> int:
-        return curve_multiplicity(self.c1._num, self.c2._num)
+        return curve_multiplicity(self.c1, self.c2)
 
 
 def curve_multiplicity(c1, c2) -> int | None:
@@ -175,20 +186,6 @@ def curve_multiplicity(c1, c2) -> int | None:
 
 
 CurveSpec = Union[FamilyMPQ, FamilyMP, GeneralCurve]
-
-
-def _rank_two(c1: UniSeries, c2: UniSeries, v1, v2) -> bool:
-    # Dependent iff both nonzero components are scalar multiples of a common
-    # series, checked coefficientwise up to the shared reliable order; v1 and
-    # v2 are the valuations of c1 and c2.
-    if v1.order != v2.order:
-        return True
-    r = min(c1.reliable_order, c2.reliable_order)
-    lead1, lead2 = v1.leading, v2.leading
-    for i in range(r + 1):
-        if c1.coeffs[i] * lead2 != c2.coeffs[i] * lead1:
-            return True
-    return False
 
 
 def series_order(m: int, degree: int) -> int:
@@ -218,22 +215,9 @@ def _bi_over_lcd(terms: dict, k: int) -> BiSeries:
 
 
 def build_curve(spec: CurveSpec, order: int) -> tuple:
-    """Component series (first, second) of the curve, exact to the given order.
-
-    A family curve is built as integer numerators: c(x) x^e over the lcm
-    of the denominators of the c_n, and x^m over 1.
-    """
-    if isinstance(spec, GeneralCurve):
-        return spec.c1.truncate(order), spec.c2.truncate(order)
-    shift = spec.first_exponent
-    den = math.lcm(*(cn.denominator for cn in spec.c))
-    first = [0] * (order + 1)
-    for n, cn in enumerate(spec.c[: max(order + 1 - shift, 0)]):
-        first[shift + n] = cn.numerator * (den // cn.denominator)
-    second = [0] * (order + 1)
-    if spec.m <= order:
-        second[spec.m] = 1
-    return UniSeries.from_numerators(first, den, order), UniSeries.from_numerators(second, 1, order)
+    """Component series (first, second) of the curve, exact to the given order."""
+    c1, c2 = spec.components
+    return UniSeries.make(c1, order), UniSeries.make(c2, order)
 
 
 def image_curve(W: Vec3BiSeries, c1: UniSeries, c2: UniSeries) -> Vec3Series:
@@ -281,39 +265,29 @@ class TangencyClassification(NamedTuple):
     principal_plane_normal: tuple = PRINCIPAL_PLANE_NORMAL
 
 
-def classify_tangency(coeffs: UmbrellaCoefficients, m: int, c1: UniSeries, c2: UniSeries) -> TangencyClassification:
+def classify_tangency(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> TangencyClassification:
     """Classify by how far the first component vanishes past the multiplicity m.
 
     With the curve written as (f1, f2) x^m, the case is decided by
     l = val(first component) - m:  l = 0 -> (1), 0 < l < m -> (2), l = m -> (3),
-    l > m -> (4).  The limiting tangent is the unit value at 0 of the factored
-    derivative, written out per case as an exact vector (x, 0, z) over its
-    norm: each component is a ``SignedRoot``, rounded only when printed.
+    l > m -> (4).  Both valuations and leading coefficients are read from the
+    exact ``spec.components``; for l > 0 the second component carries m.  The
+    limiting tangent is the unit value at 0 of the factored derivative,
+    written out per case as an exact vector (x, 0, z) over its norm: each
+    component is a ``SignedRoot``, rounded only when printed.
     """
-    v1 = valuation(c1)
-    if v1.is_zero_to_order:
-        if c1.reliable_order < 2 * m + 1:
-            raise ModelError(
-                "tangency case indeterminable: first component vanishes to "
-                "reliable order %d < %d" % (c1.reliable_order, 2 * m + 1)
-            )
-        ell = m + 1  # anything > m acts the same
-    else:
-        ell = v1.order - m
-    if ell > 0:
-        v2 = valuation(c2)
-        if v2.is_zero_to_order or v2.order != m:
-            raise ModelError("degenerate curve: second component must carry the multiplicity")
-        z = coeffs.a02 * v2.leading ** 2
+    c1, c2 = spec.components
+    m = spec.m
+    v1 = first_nonzero(c1)
+    ell = v1 - m
     if ell == 0:
-        case, x, z = 1, v1.leading, 0
+        case, x, z = 1, c1[v1], 0
     elif ell < m:
-        case, x, z = 2, v1.leading, 0
-    elif ell == m:
-        # Factored-derivative value (2m f1~(0), 0, m a_02 c2(0)^2), rescaled.
-        case, x = 3, 2 * v1.leading
+        case, x, z = 2, c1[v1], 0
     else:
-        case, x = 4, 0
+        z = coeffs.a02 * c2[m] ** 2
+        # Case 3: the factored-derivative value (2m f1~(0), 0, m a_02 c2(0)^2), rescaled.
+        case, x = (3, 2 * c1[v1]) if ell == m else (4, 0)
     r = x * x + z * z
     return TangencyClassification(
         case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(SignedRoot.of(c, r) for c in (x, 0, z))

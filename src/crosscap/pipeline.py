@@ -23,9 +23,12 @@ outcome (values, reasons and errors) is final.  ``mesh`` and the
 series-valued stages stay at the configured truncation.
 
 ``analyze`` counts configurations: each consumer call makes one, and the
-rungs are built as ``Analysis`` directly, without it.  An analysis builds
-its curve (``model.build_curve``) on the first read of a stage that needs
-it, so a configured analysis that a lower rung resolves builds none.
+rungs are built as ``Analysis`` directly, without it.  A curve is exact
+polynomials, so every rung and the configured truncation build it to their
+own series order.  An analysis builds its curve series
+(``model.build_curve``) on the first read of a stage that needs them, so a
+configured analysis that a lower rung resolves builds none; the tangency
+is read from the spec and needs no series.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from functools import cached_property
 from .series import Vec3BiSeries, Vec3Series
 from .model import (
     CurveSpec,
-    GeneralCurve,
     TangencyClassification,
     UmbrellaCoefficients,
     build_curve,
@@ -148,15 +150,8 @@ class Analysis:
         by the configured truncation.  No stage but ``ruled``, which is
         never climbed, makes a float, so no float overflow can arise; any
         other exception is a bug and propagates.  This analysis is the
-        last rung and is returned unchecked.  A curve given to less than
-        the configured order caps every reliable order, which then does not
-        grow with the truncation; it runs no lower rung.  Only a general
-        curve can be short: ``build_curve`` gives a family curve to exactly
-        the configured order.  So the rule reads the spec and builds no curve.
+        last rung and is returned unchecked.
         """
-        spec = self.spec
-        if isinstance(spec, GeneralCurve) and min(spec.c1.reliable_order, spec.c2.reliable_order) < self.order:
-            return self
         for k in lower(self.coeffs.degree):
             try:
                 rung = Analysis(self.coeffs.truncated(k), self.spec)
@@ -177,7 +172,7 @@ class Analysis:
 
     @cached_property
     def tangency(self) -> TangencyClassification:
-        return classify_tangency(self.coeffs, self.spec.m, *self.curve)
+        return classify_tangency(self.coeffs, self.spec)
 
     @cached_property
     def image(self) -> Vec3Series:

@@ -28,22 +28,24 @@ polynomial: integer numerators ``_num`` over one denominator ``_den``, in
 canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), and that pair
 is its only stored form.  A ``UniSeries`` keeps a tuple of numerators; a
 ``BiSeries`` keeps a dict (i, j) -> numerator without zero entries.  Each
-kind is one class, whatever built the series.  Sums, differences,
-negation, scalar and series products, derivatives, ``shift``,
-``truncate``, ``factor_power``, ``valuation`` (which builds only the
-leading ``Fraction``), ``to_float`` and ``float_coeffs`` (``n / _den``,
-rounded as ``float(Fraction)`` rounds) and ``compose_bi`` work on these
-integers and bring each result back to that form with at most one
-``math.gcd``.  A product convolves the numerators (``_convolve``) over the
-product of the denominators.  A ``UniSeries``' reduced ``Fraction``
-coefficients ``coeffs`` are a view of the pair, built on first read and
-kept (primed when it is built from Fractions); a ``BiSeries`` has no such
-view in the library (the tests build it, ``reference_bi_coeffs``).  Since
-the pair is canonical, comparing or hashing pairs compares values.
+kind is one class, whatever built the series.  Sums and differences of
+two series, negation, scalar and series products, derivatives, ``shift``,
+``factor_power``, ``valuation`` (which builds only the leading
+``Fraction``), ``to_float`` and ``float_coeffs`` (``n / _den``, rounded as
+``float(Fraction)`` rounds) and ``compose_bi`` work on these integers and
+bring each result back to that form with at most one ``math.gcd``.  A
+product convolves the numerators (``_convolve``) over the product of the
+denominators.  A ``UniSeries``' reduced ``Fraction`` coefficients
+``coeffs`` are a view of the pair, built on first read and kept; a
+``BiSeries`` has no such view in the library (the tests build it,
+``reference_bi_coeffs``).  Since the pair is canonical, comparing or
+hashing pairs compares values.  There is no ``Fraction`` constructor:
 ``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
 series from integer numerators over a positive denominator, with one
-``math.gcd`` and no ``Fraction``; the latter is the one way to build a
-``BiSeries``.  A ``BiSeries`` is differentiated,
+``math.gcd`` and no ``Fraction``, and ``UniSeries.make``, the one rational
+constructor, reads the numerators of a list of rationals over the lcm of
+their denominators and passes them on; ``BiSeries.from_numerators`` is the
+one way to build a ``BiSeries``.  A ``BiSeries`` is differentiated,
 read as floats (``float_coeffs``) and substituted (``compose_bi``); no stage
 adds or multiplies two of them, and the bivariate ring the tests check
 against is in ``tests/reference.py``.
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class SeriesError(ValueError):
@@ -88,12 +90,6 @@ def _coerce(value) -> Fraction:
     if isinstance(value, FloatSeries):
         raise SeriesError("field mismatch between series operands")
     return Fraction(value)
-
-
-def _over_lcd(coeffs) -> tuple:
-    """Integer numerators of the rationals ``coeffs`` over their least common denominator."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _over(numerators, d: int) -> tuple:
@@ -153,19 +149,6 @@ class UniSeries(_Frozen):
 
     __slots__ = ("reliable_order", "_coeffs", "_num", "_den", "_pows")
 
-    def __init__(self, coeffs, reliable_order: int):
-        if reliable_order < 0:
-            raise SeriesError("reliable_order must be >= 0")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != reliable_order + 1:
-            raise SeriesError("coefficient count must equal reliable_order + 1")
-        coeffs = tuple(c if type(c) is Fraction else _coerce(c) for c in coeffs)
-        num, den = _over_lcd(coeffs)  # reduced inputs: already canonical
-        _set(self, "_num", tuple(num))
-        _set(self, "_den", den)
-        _set(self, "reliable_order", reliable_order)
-        _set(self, "_coeffs", coeffs)
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as reduced ``Fraction``s.
@@ -198,16 +181,27 @@ class UniSeries(_Frozen):
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def make(coeffs: Iterable, reliable_order: int | None = None) -> "UniSeries":
-        """The series of the rationals ``coeffs``, cut or padded with zeros to ``reliable_order``."""
-        cs = [_coerce(c) for c in coeffs]
+    def make(coeffs, reliable_order: int | None = None) -> "UniSeries":
+        """The series of the rationals ``coeffs``, cut or padded with zeros to ``reliable_order``.
+
+        The numerators are taken over the lcm of the denominators; a zero
+        (``int`` or ``Fraction``) has denominator 1, so this is the lcm of
+        the nonzero entries' denominators.  An ``int`` entry is read as it
+        is, and no ``Fraction`` is built.  A float, or a float series, is
+        refused.
+        """
         if reliable_order is None:
-            reliable_order = len(cs) - 1
-        if reliable_order < 0:
-            raise SeriesError("reliable_order must be >= 0")
-        if len(cs) < reliable_order + 1:
-            cs += [Fraction(0)] * (reliable_order + 1 - len(cs))
-        return UniSeries(tuple(cs[: reliable_order + 1]), reliable_order)
+            coeffs = tuple(coeffs)
+            reliable_order = len(coeffs) - 1
+        cs = coeffs[: reliable_order + 1]
+        try:
+            den = math.lcm(*[c.denominator for c in cs])
+        except AttributeError:  # not an int or a Fraction
+            cs = [_coerce(c) for c in cs]
+            den = math.lcm(*[c.denominator for c in cs])
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        num += [0] * (reliable_order + 1 - len(num))
+        return UniSeries.from_numerators(num, den, reliable_order)
 
     @staticmethod
     def from_numerators(num, den: int, reliable_order: int) -> "UniSeries":
@@ -236,10 +230,6 @@ class UniSeries(_Frozen):
             )
         return self.coeffs[degree]
 
-    def truncate(self, reliable_order: int) -> "UniSeries":
-        r = min(self.reliable_order, reliable_order)
-        return self if r == self.reliable_order else _exact(self._num[: r + 1], self._den, r)
-
     def to_float(self) -> "FloatSeries":
         """The coefficients rounded to floats: the one way into a ``FloatSeries``."""
         # Integer true division rounds correctly, as float(Fraction) does.
@@ -249,22 +239,21 @@ class UniSeries(_Frozen):
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, UniSeries):
+        if type(other) is UniSeries:
             return _exact_sum(self, other, 1)
-        c0 = _coerce(other)
-        d = math.lcm(self._den, c0.denominator)
-        scale = d // self._den
-        num = [n * scale for n in self._num]
-        num[0] += c0.numerator * (d // c0.denominator)
-        return _exact(num, d, self.reliable_order)
+        if isinstance(other, FloatSeries):
+            raise SeriesError("field mismatch between series operands")
+        return NotImplemented  # a scalar: TypeError
 
     def __neg__(self):
         return _canonical(tuple([-n for n in self._num]), self._den, self.reliable_order)
 
     def __sub__(self, other):
-        if isinstance(other, UniSeries):
+        if type(other) is UniSeries:
             return _exact_sum(self, other, -1)
-        return self + (-_coerce(other))
+        if isinstance(other, FloatSeries):
+            raise SeriesError("field mismatch between series operands")
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, UniSeries):

@@ -6,9 +6,12 @@ Degrees compare hard.  Tops compare hard except for the three advisory
 entries whose tabulated constants are contradicted by the oracle (see
 ``frame.closed_form_reference``); those rows report both values.  A row
 with a vanishing tabulated top is NON-GENERIC: the oracle's degree must then
-strictly exceed the tabulated one instead of matching it.  A sweep draw is
-redrawn while a top of its closed form vanishes, so the table is the one
-genericity rule of the sweep.
+strictly exceed the tabulated one instead of matching it.  A row whose
+oracle numerator vanishes only to a reliable order below the tabulated
+degree is UNDETERMINED: the jet is too short to confirm or refute the
+table, so it is neither a mismatch nor a proof of non-genericity.  A sweep
+draw is redrawn while a top of its closed form vanishes, so the table is
+the one genericity rule of the sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 ADVISORY = "ADVISORY"
 NON_GENERIC = "NON-GENERIC"
+UNDETERMINED = "UNDETERMINED"
 
-_STATUS_RANK = {PASS: 0, NON_GENERIC: 1, ADVISORY: 2, FAIL: 3}
+_STATUS_RANK = {PASS: 0, NON_GENERIC: 1, ADVISORY: 2, UNDETERMINED: 3, FAIL: 4}
 
 #: Truncation degree used for sweep draws; large enough to resolve every
 #: tabulated degree for m <= 3 with margin.
@@ -68,7 +72,12 @@ def compare_reports(oracle, reference) -> list:
         deg_o, top_o = oracle.degrees[i], oracle.tops[i]
         deg_r, top_r = reference.degrees[i], reference.tops[i]
         advisory = reference.advisory[i]
-        if top_r == 0:
+        if deg_o is None and oracle.reliable_orders[i] < deg_r:
+            # The numerator vanishes only to an order below the tabulated
+            # degree: the jet can neither confirm nor refute the table.
+            status = UNDETERMINED
+            note = f"oracle reliable only to order {oracle.reliable_orders[i]} < tabulated degree {deg_r}"
+        elif top_r == 0:
             # The tabulated top factor vanishes: the degree claim is void and
             # the true valuation must sit strictly above it.
             if deg_o is None or deg_o > deg_r:
@@ -240,6 +249,10 @@ def has_hard_failure(rows) -> bool:
     return any(row.status == FAIL for row in rows)
 
 
+def has_undetermined(rows) -> bool:
+    return any(row.status == UNDETERMINED for row in rows)
+
+
 def render_rows(rows) -> str:
     lines = []
     for row in rows:
@@ -258,5 +271,6 @@ def render_rows(rows) -> str:
     lines.append(
         "summary: %d rows | pass=%d non-generic=%d advisory=%d fail=%d"
         % (len(rows), counts[PASS], counts[NON_GENERIC], counts[ADVISORY], counts[FAIL])
+        + (" undetermined=%d" % counts[UNDETERMINED] if counts[UNDETERMINED] else "")
     )
     return "\n".join(lines) + "\n"

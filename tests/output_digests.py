@@ -2,8 +2,9 @@
 
 The digests are those of ``crosscap report`` (exact and float field),
 ``crosscap mesh`` and ``crosscap verify --sweep --seed 0`` on the bundled
-fixtures, of ``verify --sweep --seed 1``, one digest per field over the
-128 dense reports of the benchmark's jet universe
+fixtures, of ``report`` (both fields) and ``mesh`` on one general curve
+(``GENERAL_CURVE``), of ``verify --sweep --seed 1``, one digest per field
+over the 128 dense reports of the benchmark's jet universe
 (``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16),
 and one digest over the benchmark's denser meshes
 (``bench/workloads.dense_mesh_config``: each fixture at each window scale).
@@ -35,6 +36,8 @@ REPORT_SHA256 = {
     ("s2", "float"): "911e669f8a0a06976019a5163e8431484badb1b327b917e56556dc034551d2e2",
     ("s3", "exact"): "50a6958d9589bc742dcd5108ccbe6ae1be5612f06e96bff39ea473728f849224",
     ("s3", "float"): "0c2a6d8c865be71ef6bd2804ad87902a4d43cfacf45aee5ee4076dfebf69444a",
+    ("general", "exact"): "2af2226467b347f30f287554795699486bfed5dc7bc49277f564c8edc1907096",
+    ("general", "float"): "5a469ef5a22cd847b88f58b1d39aff068af547d3a528d97569ffa7012a14446e",
 }
 
 MESH_SHA256 = {
@@ -53,6 +56,19 @@ MESH_SHA256 = {
         "curve.obj": "9ec89fcf7b8edd4821e5d9ee3c6ce9acfad1d8e5d187a5599f141ad452dd8cc7",
         "od_w.obj": "8c94dede169d093e4792f63619eb7a72a94879aa423cf1ee0521d632ec0e350b",
     },
+    "general": {
+        "umbrella.obj": "63ec0182c9a96c4d8caf42e4edc79f395653ff21b382226ccc2d3be27f696f2d",
+        "curve.obj": "1c859ef624b6f68bb9f59bdd3c92c82234771f57d3d8b9bf9b1225d582668c7f",
+        "od_w.obj": "0434be4a62b7bdd39844856bc53fc38a9275d012f99c1dc0e9701c356b8789d7",
+    },
+}
+
+#: The one general curve of the pinned outputs, given by its exact
+#: coefficient lists; ``tests/test_reachability.py`` runs it too.
+GENERAL_CURVE = {
+    "truncation": 6,
+    "surface": {"a": {"0,2": "2", "1,1": "1"}, "b": {"3": "1"}},
+    "curve": {"family": "general", "c1": ["0", "0", "1", "1/2"], "c2": ["0", "1"]},
 }
 
 SWEEP_SHA256 = {
@@ -78,10 +94,13 @@ def sha256(data: bytes) -> str:
 
 
 def fixture_in_field(workdir: str, name: str, field: str) -> str:
-    """The path of a copy of fixture ``name`` in ``workdir`` with its ``field`` set."""
+    """The path of a copy of fixture ``name`` in ``workdir`` with its ``field`` set.
+
+    The name ``"general"`` stands for ``GENERAL_CURVE``.
+    """
     from crosscap.cli import fixture_text
 
-    doc = json.loads(fixture_text(name))
+    doc = dict(GENERAL_CURVE) if name == "general" else json.loads(fixture_text(name))
     doc["field"] = field
     path = os.path.join(workdir, f"{name}-{field}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -40,7 +40,7 @@ from crosscap.developable import (
 )
 from crosscap.frame import CurvatureReport, FrameError, FrameFactors, darboux_frame, kappa_tilde_series
 from crosscap.invariants import TopInvariants
-from crosscap.model import CurveSpec, GeneralCurve, UmbrellaCoefficients
+from crosscap.model import CurveSpec, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
 from crosscap.obj import MeshError, QuadMesh, _grid
 from crosscap.series import (
     BiSeries,
@@ -363,40 +363,39 @@ def _zero_of(s):
     return 0.0 if isinstance(s, FloatSeries) else Fraction(0)
 
 
+def _like(s, coeffs, r: int):
+    """The series of type ``type(s)`` with the coefficients ``coeffs``, reliable to ``r``."""
+    if isinstance(s, FloatSeries):
+        return FloatSeries(tuple(coeffs), r)
+    return UniSeries.make(coeffs, r)
+
+
 def _same_type(a, b) -> None:
     if type(a) is not type(b):
         raise SeriesError("field mismatch between series operands")
 
 
 def reference_add(self, other):
-    """``UniSeries.__add__`` of a series and a series or a scalar, and ``FloatSeries.__add__``."""
-    if isinstance(other, (UniSeries, FloatSeries)):
-        _same_type(self, other)
-        r = min(self.reliable_order, other.reliable_order)
-        cs = [self.coeffs[i] + other.coeffs[i] for i in range(r + 1)]
-        return type(self)(tuple(cs), r)
-    c0 = _coerce(other)
-    cs = list(self.coeffs)
-    cs[0] = cs[0] + c0
-    return type(self)(tuple(cs), self.reliable_order)
+    """``UniSeries.__add__`` and ``FloatSeries.__add__`` of two series."""
+    _same_type(self, other)
+    r = min(self.reliable_order, other.reliable_order)
+    return _like(self, [self.coeffs[i] + other.coeffs[i] for i in range(r + 1)], r)
 
 
 def reference_neg(self):
     """``UniSeries.__neg__``, and negation coefficient by coefficient of a float series."""
-    return type(self)(tuple(-c for c in self.coeffs), self.reliable_order)
+    return _like(self, [-c for c in self.coeffs], self.reliable_order)
 
 
 def reference_sub(self, other):
     """``UniSeries.__sub__`` and ``FloatSeries.__sub__``: the sum with the negated operand."""
-    if isinstance(other, (UniSeries, FloatSeries)):
-        return reference_add(self, reference_neg(other))
-    return reference_add(self, -_coerce(other))
+    return reference_add(self, reference_neg(other))
 
 
 def reference_scale(self, other):
     """The scalar branch of ``UniSeries.__mul__``."""
     c = _coerce(other)
-    return type(self)(tuple(a * c for a in self.coeffs), self.reliable_order)
+    return _like(self, [a * c for a in self.coeffs], self.reliable_order)
 
 
 def reference_diff(self):
@@ -404,7 +403,7 @@ def reference_diff(self):
     if self.reliable_order < 1:
         raise SeriesError("cannot differentiate a series reliable only to order 0")
     cs = [i * self.coeffs[i] for i in range(1, self.reliable_order + 1)]
-    return type(self)(tuple(cs), self.reliable_order - 1)
+    return _like(self, cs, self.reliable_order - 1)
 
 
 def reference_shift(self, power: int):
@@ -413,13 +412,13 @@ def reference_shift(self, power: int):
         raise SeriesError("shift power must be >= 0")
     if power == 0:
         return self
-    return type(self)(tuple([_zero_of(self)] * power + list(self.coeffs)), self.reliable_order + power)
+    return _like(self, [_zero_of(self)] * power + list(self.coeffs), self.reliable_order + power)
 
 
 def reference_truncate(self, reliable_order: int):
-    """``UniSeries.truncate``, and the same cut of a float series."""
+    """The series cut at ``reliable_order``, exact or float."""
     r = min(self.reliable_order, reliable_order)
-    return type(self)(self.coeffs[: r + 1], r)
+    return _like(self, self.coeffs[: r + 1], r)
 
 
 def reference_to_float(self: UniSeries) -> FloatSeries:
@@ -448,7 +447,7 @@ def reference_factor_power(a, power: int):
             raise SeriesError(
                 "valuation smaller than %d: cannot factor x^%d out of the series" % (power, power)
             )
-    return type(a)(a.coeffs[power:], a.reliable_order - power)
+    return _like(a, a.coeffs[power:], a.reliable_order - power)
 
 
 def reference_mul(self, other):
@@ -465,7 +464,7 @@ def reference_mul(self, other):
             if b == 0:
                 continue
             cs[i + j] += a * b
-    return type(self)(tuple(cs), r)
+    return _like(self, cs, r)
 
 
 def reference_reciprocal(a):
@@ -482,7 +481,7 @@ def reference_reciprocal(a):
         for k in range(1, n + 1):
             acc += a.coeffs[k] * out[n - k]
         out.append(-acc * inv0)
-    return type(a)(tuple(out), a.reliable_order)
+    return _like(a, out, a.reliable_order)
 
 
 def reference_bi_make(coeffs, reliable_order: int) -> BiSeries:
@@ -634,17 +633,15 @@ def reference_build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
 
 
 def reference_build_curve(spec: CurveSpec, order: int) -> tuple:
-    """``model.build_curve``."""
+    """``model.build_curve``: each component padded with ``Fraction`` zeros and cut to ``order``."""
     if isinstance(spec, GeneralCurve):
-        return spec.c1.truncate(order), spec.c2.truncate(order)
-    shift = spec.first_exponent
-    first = [Fraction(0)] * (order + 1)
-    for n, cn in enumerate(spec.c):
-        if shift + n <= order:
-            first[shift + n] = cn
-    c1 = UniSeries.make(first, order)
-    c2 = UniSeries.make([0] * spec.m + [1] if spec.m <= order else [], order)
-    return c1, c2
+        c1, c2 = spec.c1, spec.c2
+    else:
+        shift = spec.m * spec.p + (spec.q if isinstance(spec, FamilyMPQ) else 0)
+        c1, c2 = [Fraction(0)] * shift + list(spec.c), [Fraction(0)] * spec.m + [Fraction(1)]
+    return tuple(
+        UniSeries.make([c[i] if i < len(c) else Fraction(0) for i in range(order + 1)], order) for c in (c1, c2)
+    )
 
 
 def reference_vec3_valuation(a: Vec3Series) -> Valuation:

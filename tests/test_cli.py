@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
@@ -22,7 +23,7 @@ from crosscap.config import (
     config_to_dict,
 )
 from crosscap.report import build_report, render_report
-from crosscap.verify import PASS, verify_fixture
+from crosscap.verify import FAIL, NON_GENERIC, PASS, UNDETERMINED, compare_reports, verify_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,56 @@ def test_verify_sweep_draws_cap(capsys, monkeypatch):
     assert calls == [MAX_DRAWS]
     assert captured.out == ""
     assert captured.err == f"verify: --draws must be <= {MAX_DRAWS}\n"
+
+
+#: A valid jet too short for the tabulated kappa1 degree: the oracle's
+#: khat_1 vanishes to its reliable order 0, below the tabulated degree 1.
+TOO_SHORT = {
+    "truncation": 3,
+    "surface": {"a": {"0,2": "2", "1,1": "1"}, "b": {"3": "1"}},
+    "curve": {"family": "mp", "m": 1, "p": 4, "c": ["1"]},
+}
+
+
+def test_verify_calls_a_jet_too_short_undetermined(tmp_path, capsys):
+    cfg_path = tmp_path / "short.json"
+    cfg_path.write_text(json.dumps(TOO_SHORT))
+    assert main(["verify", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "[UNDETERMINED] fixture draw=0 m=1 p=4 c=(1)"
+    assert lines[1] == (
+        "    kappa1: degree oracle=None ref=1 | top oracle=None ref=-34"
+        "  [UNDETERMINED: oracle reliable only to order 0 < tabulated degree 1]"
+    )
+    assert lines[-1] == "summary: 1 rows | pass=0 non-generic=0 advisory=0 fail=0 undetermined=1"
+    assert captured.err == "verify: a degree is undetermined: the jet is too short; raise the truncation\n"
+    # One order more resolves the degree, and the row is no longer undetermined.
+    cfg_path.write_text(json.dumps({**TOO_SHORT, "truncation": 4}))
+    assert main(["verify", str(cfg_path)]) == 0
+    assert "UNDETERMINED" not in capsys.readouterr().out
+
+
+def _oracle(degrees, reliable_orders=None):
+    tops = tuple(None if d is None else Fraction(1) for d in degrees)
+    if reliable_orders is None:  # as ``bench/workloads.closed_form_failures`` builds it
+        return SimpleNamespace(degrees=degrees, tops=tops)
+    return SimpleNamespace(degrees=degrees, tops=tops, reliable_orders=reliable_orders)
+
+
+def test_compare_reports_reads_reliable_orders_only_for_a_vanished_numerator():
+    table = SimpleNamespace(degrees=(3, 1, 2), tops=(Fraction(1), Fraction(0), Fraction(1)), advisory=(False,) * 3)
+    # Vanished to an order below the tabulated degree: undetermined, in the
+    # mismatch branch (kappa1, kappa3) and in the vanishing-top branch (kappa2).
+    rows = compare_reports(_oracle((None, None, None), (2, 0, 1)), table)
+    assert [c.status for c in rows] == [UNDETERMINED] * 3
+    # Vanished to the tabulated degree or past it: a proven mismatch, and a
+    # proven valuation above a vanishing top.
+    rows = compare_reports(_oracle((None, None, None), (3, 1, 5)), table)
+    assert [c.status for c in rows] == [FAIL, NON_GENERIC, FAIL]
+    # Every degree found: the reliable orders are not read.
+    rows = compare_reports(_oracle((3, 2, 2)), table)
+    assert [c.status for c in rows] == [PASS, NON_GENERIC, PASS]
 
 
 GENERAL_CURVE = (
@@ -973,8 +1024,10 @@ def test_general_curve_polynomial_reliability():
     )
     # coefficient lists are exact polynomials: reliability extends to
     # m_min (k + 1) - 1 like the family constructors
-    assert cfg.spec.c1.reliable_order == 6
-    assert cfg.spec.c2.reliable_order == 6
+    assert cfg.spec.c1 == (0, 0, 1) and cfg.spec.c2 == (0, 1)
+    c1, c2 = Analysis(cfg.coeffs, cfg.spec).curve
+    assert c1.reliable_order == 6
+    assert c2.reliable_order == 6
 
 
 def test_general_curve_requires_origin():
@@ -990,18 +1043,25 @@ def test_general_curve_requires_origin():
         )
 
 
-def test_general_curve_names_a_truncated_component():
-    # x^12 keeps no term below the reliable order m (k + 1) - 1 = 4
-    with pytest.raises(ConfigError, match="component c1 vanishes to its reliable order 4"):
-        parse_config(
-            json.dumps(
-                {
-                    "truncation": 4,
-                    "surface": {"a": {"0,2": "1"}},
-                    "curve": {"family": "general", "c1": ["0"] * 12 + ["1"], "c2": ["0", "1"]},
-                }
-            )
+def test_general_curve_past_the_series_order_is_analysed(tmp_path, capsys):
+    # x^12 keeps no term up to the series order m (k + 1) - 1 = 4, but the
+    # curve is the exact pair (x^12, x): it is reported, and its echo gives
+    # the components as they were given.
+    c1 = ["0"] * 12 + ["1"]
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "truncation": 4,
+                "surface": {"a": {"0,2": "1"}},
+                "curve": {"family": "general", "c1": c1, "c2": ["0", "1", "0"]},
+            }
         )
+    )
+    assert main(["report", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["curve"] == {"family": "general", "c1": c1, "c2": ["0", "1", "0"]}
+    assert doc["series_order"] == 4 and doc["tangency"]["case"] == 4
 
 
 # ---------------------------------------------------------------------------

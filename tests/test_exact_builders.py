@@ -119,9 +119,11 @@ def family_curves(draw):
     if draw(st.booleans()):
         m = draw(st.integers(2, 5))
         spec = FamilyMPQ(m=m, p=draw(st.integers(1, 3)), q=draw(st.integers(1, m - 1)), c=tuple(c))
+        first_exponent = spec.m * spec.p + spec.q
     else:
         spec = FamilyMP(m=draw(st.integers(1, 5)), p=draw(st.integers(2, 4)), c=tuple(c))
-    return spec, draw(st.integers(0, 3 * spec.first_exponent))
+        first_exponent = spec.m * spec.p
+    return spec, draw(st.integers(0, 3 * first_exponent))
 
 
 @settings(deadline=None, max_examples=60)

@@ -59,12 +59,12 @@ def test_s3_factors(s3):
 
 
 def test_normal_value_cross_cap_diagonal_curve():
-    from crosscap import GeneralCurve, UniSeries
+    from crosscap import GeneralCurve
 
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2}, b={})
     g = GeneralCurve(
-        c1=UniSeries.make([0, 1], 12),
-        c2=UniSeries.make([0, 1, 1], 12),
+        c1=(0, 1),
+        c2=(0, 1, 1),
     )
     f = analyze(co, g).factors
     assert f.normal.constant_vector() == (0, -2, 1)
@@ -277,12 +277,12 @@ def test_closed_form_literal_transcription_p5():
 
 
 def test_closed_form_rejects_general_curve():
-    from crosscap import GeneralCurve, UniSeries
+    from crosscap import GeneralCurve
 
     co = UmbrellaCoefficients(degree=4, a={(0, 2): 2}, b={})
     g = GeneralCurve(
-        c1=UniSeries.make([0, 1], 8),
-        c2=UniSeries.make([0, 0, 1], 8),
+        c1=(0, 1),
+        c2=(0, 0, 1),
     )
     with pytest.raises(FrameError, match="families"):
         closed_form_reference(g, co)

@@ -10,12 +10,11 @@ from crosscap import (
     FamilyMPQ,
     GeneralCurve,
     UmbrellaCoefficients,
-    UniSeries,
     analyze,
     parse_config,
 )
 from crosscap.config import ConfigError
-from crosscap.series import SignedRoot
+from crosscap.series import SignedRoot, UniSeries
 from crosscap.model import (
     ModelError,
     build_curve,
@@ -108,15 +107,35 @@ def test_family_bounds():
 
 def test_general_curve_rank_two():
     ok = GeneralCurve(
-        c1=UniSeries.make([0, 1], 5),
-        c2=UniSeries.make([0, 1, 1], 5),
+        c1=(0, 1),
+        c2=(0, 1, 1),
     )
-    assert ok.c1.coeffs[1] == 1
+    assert ok.c1 == (0, 1) and type(ok.c1[1]) is Fraction
     with pytest.raises(ModelError, match="rank-two"):
         GeneralCurve(
-            c1=UniSeries.make([0, 2, 4], 5),
-            c2=UniSeries.make([0, 1, 2], 5),
+            c1=(0, 2, 4),
+            c2=(0, 1, 2),
         )
+    # Proportionality is decided on the whole polynomials, zero-padded:
+    # trailing zeros do not matter, and a difference past any series order
+    # makes the pair independent.
+    with pytest.raises(ModelError, match="rank-two"):
+        GeneralCurve(c1=(0, 2, 4, 0, 0), c2=(0, Fraction(1, 3), Fraction(2, 3)))
+    assert GeneralCurve(c1=(0, 2, 4) + (0,) * 40 + (1,), c2=(0, 1, 2)).m == 1
+
+
+def test_general_curve_is_validated_on_its_polynomials():
+    with pytest.raises(ModelError, match="curve component c2 is zero"):
+        GeneralCurve(c1=(0, 1), c2=(0, 0))
+    with pytest.raises(ModelError, match="curve component c1 is zero"):
+        GeneralCurve(c1=(), c2=(0, 1))
+    with pytest.raises(ModelError, match="origin"):
+        GeneralCurve(c1=(0, 1), c2=(Fraction(1, 2), 1))
+    with pytest.raises(ModelError, match="not floats"):
+        GeneralCurve(c1=(0, 0.5), c2=(0, 0, 1))
+    # A component whose terms all lie past any series order is a curve.
+    g = GeneralCurve(c1=(0,) * 12 + (1,), c2=(0, 1))
+    assert g.m == 1 and analyze(UmbrellaCoefficients(4, {(0, 2): 1}, {}), g).tangency.case == 4
 
 
 def test_curve_valuations_per_family():
@@ -175,8 +194,8 @@ def test_normal_field_cross_cap_slanted_curve():
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2}, b={})
     W = build_umbrella(co)
     g = GeneralCurve(
-        c1=UniSeries.make([0, 1], 12),
-        c2=UniSeries.make([0, 1, 1], 12),
+        c1=(0, 1),
+        c2=(0, 1, 1),
     )
     c1, c2 = build_curve(g, 12)
     raw = normal_field_raw(W, c1, c2)
@@ -219,9 +238,7 @@ def test_case3_limiting_tangent_s1(s1_coeffs, s1_spec):
 
 def test_case1_along_tangent_line():
     co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
-    c1 = UniSeries.make([0, 1], 10)
-    c2 = UniSeries.make([0, 1, 0, 1], 10)
-    t = classify_tangency(co, 1, c1, c2)
+    t = classify_tangency(co, GeneralCurve(c1=(0, 1), c2=(0, 1, 0, 1)))
     assert t.case == 1
     assert t.limiting_tangent == (SignedRoot(1, Fraction(1)), SignedRoot(0, Fraction(0)), SignedRoot(0, Fraction(0)))
     assert tuple(map(float, t.limiting_tangent)) == (1.0, 0.0, 0.0)
@@ -252,6 +269,22 @@ def test_case_mapping_per_family():
             assert t.case == 4
 
 
+def test_tangency_is_read_from_the_spec(monkeypatch):
+    # The case and the limiting tangent come from the exact coefficient
+    # tuples: no curve series is built, and the analysis' curve stays unread.
+    monkeypatch.setattr(UniSeries, "make", None)
+    co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
+    for spec, case in (
+        (GeneralCurve(c1=(0, 0, 1), c2=(0, 1)), 3),
+        (GeneralCurve(c1=(0, 0, 3), c2=(0, 0, 0, 1)), 1),
+        (FamilyMPQ(m=3, p=1, q=1, c=(1,)), 2),
+        (FamilyMP(m=2, p=3, c=(1,)), 4),
+    ):
+        a = analyze(co, spec)
+        assert a.tangency.case == case
+        assert "curve" not in vars(a)
+
+
 def test_limiting_tangent_matches_frame(s1, s2, s3):
     # the tangency formula and the factored tangent E_t(0) / |E_t(0)| agree
     for a in (s1, s2, s3):
@@ -276,7 +309,7 @@ def test_default_series_order_rule():
     # smaller component valuation, read from the components and not a field.
     assert series_order(FamilyMP(m=1, p=2, c=(1,)).m, 9) == 9
     assert series_order(FamilyMPQ(m=3, p=1, q=1, c=(1,)).m, 7) == 23
-    g = GeneralCurve(UniSeries.make([0, 0, 0, 1], 8), UniSeries.make([0, 0, 1], 8))
+    g = GeneralCurve((0, 0, 0, 1), (0, 0, 1))
     assert g.m == 2 and g._fields == ("c1", "c2")
 
 
@@ -302,6 +335,6 @@ def test_one_multiplicity_rule_for_general_curves():
             cfg = parse_config(json.dumps(doc))
         except ConfigError:
             continue
-        assert cfg.spec.m == curve_multiplicity(*lists) == curve_multiplicity(cfg.spec.c1.coeffs, cfg.spec.c2.coeffs)
+        assert cfg.spec.m == curve_multiplicity(*lists) == curve_multiplicity(cfg.spec.c1, cfg.spec.c2)
         checked += 1
     assert checked >= 40

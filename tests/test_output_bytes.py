@@ -30,6 +30,7 @@ from crosscap.series import valuation
 from output_digests import (
     DENSE_MESHES_SHA256,
     DENSE_REPORTS_SHA256,
+    GENERAL_CURVE,
     MESH_SHA256,
     REPORT_SHA256,
     SWEEP_SHA256,
@@ -101,6 +102,10 @@ def assert_float_report_is_the_exact_report_in_floats(exact_config: str):
 @pytest.mark.parametrize("name", ["s1", "s2", "s3"])
 def test_float_report_is_the_exact_report_in_floats(name):
     assert_float_report_is_the_exact_report_in_floats(fixture_text(name))
+
+
+def test_general_float_report_is_the_exact_report_in_floats():
+    assert_float_report_is_the_exact_report_in_floats(json.dumps(GENERAL_CURVE))
 
 
 @pytest.mark.parametrize("shape", range(len(workloads.DENSE_SHAPES)))

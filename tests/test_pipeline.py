@@ -27,7 +27,6 @@ from crosscap import (
     FamilyMP,
     GeneralCurve,
     UmbrellaCoefficients,
-    UniSeries,
     analyze,
     frame,
     model,
@@ -37,7 +36,7 @@ from crosscap import (
 )
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
-from crosscap.series import FloatSeries, Vec3Series
+from crosscap.series import FloatSeries, UniSeries, Vec3Series
 from crosscap.report import _complete, build_report, render_report
 from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
 
@@ -415,17 +414,19 @@ def test_ladder_keeps_general_curves(seed):
     assert_ladder_keeps_bytes(parse_config(json.dumps(doc)))
 
 
-def test_curve_short_of_the_configured_order_runs_no_lower_rung():
-    # A curve reliable to less than m (k + 1) - 1 caps every reliable order,
-    # so no lower rung may stand in for the configured truncation.
+def test_a_general_curve_climbs_like_a_family_curve():
+    # A curve is exact polynomials: each rung builds it to its own series
+    # order, so a general curve runs the lower rungs as a family curve does.
     spec = GeneralCurve(
-        c1=UniSeries.make([0, 1, 0, 1], 9),
-        c2=UniSeries.make([0, 0, 1], 9),
+        c1=(0, 1, 0, 1),
+        c2=(0, 0, 1),
     )
     a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec)
-    assert a.order == 12 and a.curve[0].reliable_order == 9
-    assert a.climb(lambda rung: True, pipeline.lower_truncations) is a
-    assert a.climb(lambda rung: True, pipeline.oracle_truncations) is a
+    for lower, k in ((pipeline.lower_truncations, 5), (pipeline.oracle_truncations, 4)):
+        rung = a.climb(lambda rung: True, lower)
+        assert rung is not a and rung.coeffs.degree == k
+        assert [c.reliable_order for c in rung.curve] == [k, k]
+    assert a.order == 12 and [c.reliable_order for c in a.curve] == [12, 12]
 
 
 def test_climb_moves_on_only_past_library_errors():

@@ -20,6 +20,7 @@ import sys
 
 import crosscap
 from crosscap.cli import fixture_names, fixture_text, main
+from output_digests import GENERAL_CURVE
 
 #: Functions no run enters, by qualified name, with the reason each stays.
 ALLOWED = {
@@ -47,11 +48,6 @@ ALLOWED = {
     "series._Frozen.__delattr__": "refuses deletion from an immutable series",
 }
 
-GENERAL_CURVE = {
-    "truncation": 6,
-    "surface": {"a": {"0,2": "2", "1,1": "1"}, "b": {"3": "1"}},
-    "curve": {"family": "general", "c1": ["0", "0", "1", "1/2"], "c2": ["0", "1"]},
-}
 
 INVALID = {"truncation": 6, "surface": {"a": {"0,2": "0"}}, "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"]}}
 

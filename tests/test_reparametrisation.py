@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from crosscap import GeneralCurve, UmbrellaCoefficients, UniSeries, analyze
+from crosscap import GeneralCurve, UmbrellaCoefficients, analyze
 from crosscap.frame import FrameError
 from crosscap.model import ModelError, series_order
 
@@ -51,12 +51,12 @@ def jets(draw):
     components = []
     for v in (v1, v2):
         cs = [Fraction(0)] * v + [draw(NONZERO)] + [draw(SMALL) for _ in range(order - v)]
-        components.append(UniSeries(tuple(cs[: order + 1]), order))
+        components.append(tuple(cs[: order + 1]))
     return UmbrellaCoefficients(k, a, b), components
 
 
-def reparametrised(c: UniSeries, lam: Fraction) -> UniSeries:
-    return UniSeries(tuple(cn * lam**n for n, cn in enumerate(c.coeffs)), c.reliable_order)
+def reparametrised(c: tuple, lam: Fraction) -> tuple:
+    return tuple(cn * lam**n for n, cn in enumerate(c))
 
 
 def oracle(coeffs, c1, c2):
@@ -75,8 +75,8 @@ def oracle(coeffs, c1, c2):
             4, {(0, 2): Fraction(1), (1, 1): Fraction(2), (0, 3): Fraction(-1, 2)}, {3: Fraction(1)}
         ),
         [
-            UniSeries((0, 0, 1, Fraction(1, 3), 0, 2, 0, 0, 0, 0), 9),
-            UniSeries((0, 1, 0, -1, 0, 0, 0, 0, 0, 0), 9),
+            (0, 0, 1, Fraction(1, 3), 0, 2, 0, 0, 0, 0),
+            (0, 1, 0, -1, 0, 0, 0, 0, 0, 0),
         ],
     ),
     Fraction(-1, 3),
