@@ -49,7 +49,9 @@ class ConfigError(ValueError):
 #: compositions are quadratic in the series order m (truncation + 1) - 1, and
 #: the surface has about truncation^2 / 2 terms.  At the cap a report of a
 #: dense exact jet takes about 16 s with m = 1 (truncation 200) and 1.4 s
-#: with m = 3 (truncation 66) on a 2-core x86_64 host.
+#: with m = 3 (truncation 66) on a 2-core x86_64 host.  A curve's coefficient
+#: list (``c``, ``c1``, ``c2``) holds at most MAX_SERIES_ORDER + 1 entries: one
+#: past index MAX_SERIES_ORDER can never reach a series.
 MAX_SERIES_ORDER = 200
 #: Most decimal digits of the numerator and of the denominator of an input
 #: rational, and of an integer setting or an index, so that a product of two
@@ -256,11 +258,14 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
         if name in least:
             rule = f"required integer >= {least[name]}"
             fields[name] = _integer(raw, least[name], f"curve.{name}", rule, problems) or least[name]
-        elif isinstance(raw, list) and raw:
-            fields[name] = tuple(parse_rational(v, f"curve.{name}[{i}]", problems) for i, v in enumerate(raw))
-        else:
+        elif not (isinstance(raw, list) and raw):
             problems.append(f"curve.{name}: required nonempty list of rationals")
             fields[name] = (None,)
+        elif len(raw) > MAX_SERIES_ORDER + 1:
+            problems.append(f"curve.{name}: more than {MAX_SERIES_ORDER + 1} entries")
+            fields[name] = (None,)
+        else:
+            fields[name] = tuple(parse_rational(v, f"curve.{name}[{i}]", problems) for i, v in enumerate(raw))
     if any(None in v for v in fields.values() if type(v) is tuple):
         return None
     try:

@@ -43,8 +43,6 @@ from .series import (
     reciprocal,
     sqrt_series,
     valuation,
-    vec3_factor_power,
-    vec3_valuation,
 )
 from .model import CurveSpec, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
 from .invariants import invariant_values
@@ -73,7 +71,7 @@ def frame_factors(img: Vec3Series, raw: Vec3Series) -> FrameFactors:
 
 
 def _order(vec: Vec3Series, label: str) -> int:
-    val = vec3_valuation(vec)
+    val = valuation(vec)
     if val.is_zero_to_order:
         raise FrameError(f"{label} vanishes to reliable order {val.reliable_order}")
     return val.order
@@ -81,7 +79,7 @@ def _order(vec: Vec3Series, label: str) -> int:
 
 def _factor(vec: Vec3Series, label: str):
     order = _order(vec, label)
-    return order, vec3_factor_power(vec, order)
+    return order, factor_power(vec, order)
 
 
 class DarbouxFrame(NamedTuple):

@@ -26,11 +26,10 @@ from typing import NamedTuple
 from .series import (
     SignedRoot,
     UniSeries,
-    Vec3BiSeries,
     Vec3Series,
+    factor_power,
     first_nonzero,
-    vec3_factor_power,
-    vec3_valuation,
+    valuation,
 )
 from .model import (
     CurveSpec,
@@ -175,7 +174,7 @@ class SelfIntersectionCurve(NamedTuple):
 
 
 def self_intersection(
-    coeffs: UmbrellaCoefficients, W: Vec3BiSeries, spec: CurveSpec | None = None
+    coeffs: UmbrellaCoefficients, W: Vec3Series, spec: CurveSpec | None = None
 ) -> SelfIntersectionCurve:
     """The double-point curve of the EXACT umbrella ``W`` built from ``coeffs``."""
     a02 = coeffs.a02
@@ -193,7 +192,7 @@ def self_intersection(
             if comp.coefficient(deg) != 0:
                 raise InvariantError("self-intersection image is not symmetric")
     d_img = img.diff()
-    lead_d = vec3_factor_power(d_img, vec3_valuation(d_img).order).constant_vector()
+    lead_d = factor_power(d_img, valuation(d_img).order).constant_vector()
     lead_c = None
     tangent = None
     if spec is not None:

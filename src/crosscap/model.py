@@ -24,7 +24,6 @@ from .series import (
     UniSeries,
     BiSeries,
     Vec3Series,
-    Vec3BiSeries,
     SignedRoot,
     first_nonzero,
 )
@@ -193,7 +192,7 @@ def series_order(m: int, degree: int) -> int:
     return m * (degree + 1) - 1
 
 
-def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
+def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3Series:
     """The normal-form surface as a vector of bivariate series, reliable to degree k.
 
     Each of the components u, u v + B and A is built as integer numerators
@@ -205,7 +204,7 @@ def build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
     for i, b in coeffs.b.items():
         second[(0, i)] = (b.numerator, b.denominator * fact(i))
     third = {(i, j): (a.numerator, a.denominator * fact(i) * fact(j)) for (i, j), a in coeffs.a.items()}
-    return Vec3BiSeries(_bi_over_lcd({(1, 0): (1, 1)}, k), _bi_over_lcd(second, k), _bi_over_lcd(third, k))
+    return Vec3Series(_bi_over_lcd({(1, 0): (1, 1)}, k), _bi_over_lcd(second, k), _bi_over_lcd(third, k))
 
 
 def _bi_over_lcd(terms: dict, k: int) -> BiSeries:
@@ -220,12 +219,12 @@ def build_curve(spec: CurveSpec, order: int) -> tuple:
     return UniSeries.make(c1, order), UniSeries.make(c2, order)
 
 
-def image_curve(W: Vec3BiSeries, c1: UniSeries, c2: UniSeries) -> Vec3Series:
+def image_curve(W: Vec3Series, c1: UniSeries, c2: UniSeries) -> Vec3Series:
     """The space curve W(c1(x), c2(x)) with propagated reliability."""
     return W.compose(c1, c2)
 
 
-def normal_field_raw(W: Vec3BiSeries, c1: UniSeries, c2: UniSeries) -> Vec3Series:
+def normal_field_raw(W: Vec3Series, c1: UniSeries, c2: UniSeries) -> Vec3Series:
     """(W_u x W_v) evaluated along the curve; vanishes at the singular point.
 
     W_u and W_v are substituted first and crossed as series in x: W_u, W_v

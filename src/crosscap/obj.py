@@ -19,7 +19,7 @@ import math
 from itertools import chain, filterfalse
 from typing import NamedTuple
 
-from .series import FloatSeries, Vec3BiSeries, Vec3Series
+from .series import FloatSeries, Vec3Series
 from .developable import RuledSurface
 
 
@@ -72,7 +72,7 @@ def _powers(name: str, values, exponents) -> dict:
     return table
 
 
-def sample_surface_patch(W: Vec3BiSeries, u_range, v_range, nu: int, nv: int) -> QuadMesh:
+def sample_surface_patch(W: Vec3Series, u_range, v_range, nu: int, nv: int) -> QuadMesh:
     us = _grid(u_range[0], u_range[1], nu)
     vs = _grid(v_range[0], v_range[1], nv)
     # Each coordinate adds c * u**i * v**j over its terms in dict order, left

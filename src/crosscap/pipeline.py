@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .series import Vec3BiSeries, Vec3Series
+from .series import Vec3Series
 from .model import (
     CurveSpec,
     TangencyClassification,
@@ -167,7 +167,7 @@ class Analysis:
         return build_curve(self.spec, self.order)
 
     @cached_property
-    def W(self) -> Vec3BiSeries:
+    def W(self) -> Vec3Series:
         return build_umbrella(self.coeffs)
 
     @cached_property

@@ -18,6 +18,7 @@ import json
 from .config import RunConfig, config_to_dict, json_value
 from .pipeline import Analysis, analyze, lower_truncations
 from .series import nearest_float
+from .verify import UNDETERMINED, compare_reports
 
 #: Series-valued result fields: a section reports their orders and top-terms,
 #: never the series themselves.
@@ -81,13 +82,19 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
         "tops": json_value(a.oracle.tops, rational=rational),
         "reliable_orders": [r + analysis.order - a.order for r in a.oracle.reliable_orders],
     }
+    # A row that ``verify`` calls UNDETERMINED (the jet is too short to
+    # confirm or refute the table) matches neither way and is flagged as
+    # such; every other vanished degree is NON-GENERIC.
     flags = []
-    if any(d is None for d in a.oracle.degrees):
+    cf = a.closed_form
+    rows = compare_reports(a.oracle, cf) if cf is not None else []
+    undetermined = [row.status == UNDETERMINED for row in rows] or [False] * 3
+    if any(d is None and not u for d, u in zip(a.oracle.degrees, undetermined)):
         flags.append("NON-GENERIC: a curvature numerator vanishes to reliable order")
-    if a.closed_form is not None:
-        cf = a.closed_form
-        matches_deg = [o == c for o, c in zip(a.oracle.degrees, cf.degrees)]
-        matches_top = [o == c for o, c in zip(a.oracle.tops, cf.tops)]
+    flags += [f"UNDETERMINED: {row.quantity} jet too short: {row.note}" for row in rows if row.status == UNDETERMINED]
+    if cf is not None:
+        matches_deg = [None if u else o == c for u, o, c in zip(undetermined, a.oracle.degrees, cf.degrees)]
+        matches_top = [None if u else o == c for u, o, c in zip(undetermined, a.oracle.tops, cf.tops)]
         curv["closed_form"] = {
             "applicable": True,
             "degrees": list(cf.degrees),
@@ -97,7 +104,7 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
             "top_match": matches_top,
         }
         for i in range(3):
-            if not matches_top[i] and cf.advisory[i]:
+            if matches_top[i] is False and cf.advisory[i]:
                 flags.append(
                     "ADVISORY: kappa%d tabulated top %s disagrees with computed %s"
                     % (i + 1, cf.tops[i], a.oracle.tops[i])

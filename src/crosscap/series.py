@@ -18,9 +18,12 @@ The univariate variable is called x throughout; bivariate series live in
 (u, v) and are indexed by (i, j) exponent pairs with a total-degree bound.
 
 Zero tests, valuations and top-terms are exact only, so that degree/top-term
-extraction is bit-exact.  A unit-frame top is exact too: ``SignedRoot``
-holds a rational over one square root as a sign and a rational square, and
-only its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse
+extraction is bit-exact.  ``valuation`` and ``factor_power`` take a series
+or a ``Vec3Series``, the one vector type: three components of one kind,
+exact, float or bivariate (the surface map, which ``compose`` substitutes a
+curve into).  A unit-frame top is exact too: ``SignedRoot`` holds a
+rational over one square root as a sign and a rational square, and only
+its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse
 a nonzero value beyond the float range either way.
 
 An exact series is stored as FLINT's ``fmpq_poly`` stores a rational
@@ -39,8 +42,11 @@ denominators.  A ``UniSeries``' reduced ``Fraction`` coefficients
 ``coeffs`` are a view of the pair, built on first read and kept; a
 ``BiSeries`` has no such view in the library (the tests build it,
 ``reference_bi_coeffs``).  Since the pair is canonical, comparing or
-hashing pairs compares values.  There is no ``Fraction`` constructor:
-``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
+hashing pairs compares values.  Every value class derives its equality,
+hash and repr from ``_Frozen`` and its ``_fields``; a ``UniSeries``
+compares and hashes by the pair, a ``BiSeries`` is unhashable (it holds a
+dict) and a ``FloatSeries`` compares by identity.  There is no
+``Fraction`` constructor: ``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
 series from integer numerators over a positive denominator, with one
 ``math.gcd`` and no ``Fraction``, and ``UniSeries.make``, the one rational
 constructor, reads the numerators of a list of rationals over the lcm of
@@ -119,21 +125,40 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable slotted instances: attributes are set once, with ``_set``.
+    """Immutable slotted values: attributes are set once, with ``_set``.
 
     A value class (a series, a vector of series, ``SignedRoot``) derives
     from it; a result record is a ``NamedTuple``.  A value is not a tuple,
     so that ``v + w`` and ``2 * v`` are its own arithmetic, never a
-    concatenation.
+    concatenation.  The class-level ``_fields`` names what ``repr`` shows
+    and what ``_key()`` returns; two values are equal when they are of one
+    type with equal keys, and equal values hash alike.  A class whose key is
+    not its shown fields overrides ``_key``.
     """
 
     __slots__ = ()
+    _fields: tuple = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class UniSeries(_Frozen):
@@ -142,12 +167,14 @@ class UniSeries(_Frozen):
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
     never stores coefficients it cannot vouch for.  The series is the
     canonical pair ``_num``, ``_den`` (see the module docstring) and its
-    ``coeffs`` are built on first read.  Instances are immutable;
-    ``_coeffs`` is set at most once and ``_pows``, the table of powers, only
-    grows.
+    ``coeffs`` are built on first read; its repr shows them, but it
+    compares and hashes by the pair, so neither builds them.  Instances are
+    immutable; ``_coeffs`` is set at most once and ``_pows``, the table of
+    powers, only grows.
     """
 
     __slots__ = ("reliable_order", "_coeffs", "_num", "_den", "_pows")
+    _fields = ("coeffs", "reliable_order")
 
     @property
     def coeffs(self) -> tuple:
@@ -163,20 +190,8 @@ class UniSeries(_Frozen):
             _set(self, "_coeffs", coeffs)
             return coeffs
 
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return (
-            self.reliable_order == other.reliable_order
-            and self._den == other._den
-            and self._num == other._num
-        )
-
-    def __hash__(self):
-        return hash((self._num, self._den, self.reliable_order))
-
-    def __repr__(self):
-        return f"UniSeries(coeffs={self.coeffs!r}, reliable_order={self.reliable_order!r})"
+    def _key(self) -> tuple:
+        return (self._num, self._den, self.reliable_order)
 
     # -- construction -----------------------------------------------------
 
@@ -321,10 +336,12 @@ class FloatSeries(_Frozen):
     sum, difference, product and derivative do the float operations of a
     coefficient loop in a fixed order (a product is ``_convolve``), so the
     mesh bytes depend on nothing else; ``x - y`` equals ``x + (-y)`` in IEEE
-    754.  Instances are immutable.
+    754.  Instances are immutable, and a working series: it compares by
+    identity, as ``object`` does.
     """
 
     __slots__ = ("coeffs", "reliable_order")
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __init__(self, coeffs: tuple, reliable_order: int):
         _set(self, "coeffs", coeffs)
@@ -372,18 +389,33 @@ class Valuation(NamedTuple):
         return self.order is None
 
 
-def valuation(a: UniSeries) -> Valuation:
-    """Smallest degree with a nonzero reliable coefficient, and that coefficient (exact only)."""
-    if type(a) is not UniSeries:
+def valuation(a: "UniSeries | Vec3Series") -> Valuation:
+    """Smallest degree with a nonzero reliable coefficient, and that coefficient (exact only).
+
+    A vector's valuation is the least over its components (ZERO_TO_ORDER if
+    all vanish), led by the first component of that order; its leading
+    coefficient is the one ``Fraction`` built.
+    """
+    comps = a.components if type(a) is Vec3Series else (a,)
+    if type(comps[0]) is not UniSeries:
         raise SeriesError("valuation is defined on the EXACT field only")
-    i = first_nonzero(a._num)
-    if i is None:
+    order = lead = None
+    for s in comps:
+        i = first_nonzero(s._num)
+        if i is not None and (order is None or i < order):
+            order, lead = i, s
+    if order is None:
         return Valuation(None, None, a.reliable_order)
-    return Valuation(i, Fraction(a._num[i], a._den), a.reliable_order)
+    return Valuation(order, Fraction(lead._num[order], lead._den), a.reliable_order)
 
 
-def factor_power(a: UniSeries, power: int) -> UniSeries:
-    """Divide by x^power given that val(a) >= power; reliability drops by power (exact only)."""
+def factor_power(a: "UniSeries | Vec3Series", power: int) -> "UniSeries | Vec3Series":
+    """Divide by x^power given that val(a) >= power; reliability drops by power (exact only).
+
+    A vector is divided componentwise.
+    """
+    if type(a) is Vec3Series:
+        return Vec3Series(*[factor_power(s, power) for s in a.components])
     if type(a) is not UniSeries:
         raise SeriesError("factor_power is defined on the EXACT field only")
     if power < 0:
@@ -452,22 +484,11 @@ class SignedRoot(_Frozen):
     float range, either way (``nearest_float``).  Instances are immutable.
     """
 
-    __slots__ = ("sign", "square")
+    __slots__ = _fields = ("sign", "square")
 
     def __init__(self, sign: int, square: Fraction):
         _set(self, "sign", sign)
         _set(self, "square", square)
-
-    def __eq__(self, other):
-        if type(other) is not SignedRoot:
-            return NotImplemented
-        return self.sign == other.sign and self.square == other.square
-
-    def __hash__(self):
-        return hash((self.sign, self.square))
-
-    def __repr__(self):
-        return f"SignedRoot(sign={self.sign!r}, square={self.square!r})"
 
     @staticmethod
     def of(value: Fraction, radicand: Fraction) -> "SignedRoot":
@@ -498,22 +519,12 @@ class BiSeries(_Frozen):
     nonzero integer, and pairs that are absent are zero.  Reliability
     bookkeeping is by total degree, exactly as in the univariate case.
     ``from_numerators`` builds every ``BiSeries``; ``float_coeffs`` is the
-    one float reading.  Instances are immutable.
+    one float reading.  Instances are immutable; they hold a dict, so they
+    are unhashable.
     """
 
-    __slots__ = ("reliable_order", "_num", "_den")
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return (
-            self.reliable_order == other.reliable_order
-            and self._den == other._den
-            and self._num == other._num
-        )
-
-    def __repr__(self):
-        return f"BiSeries(num={self._num!r}, den={self._den!r}, reliable_order={self.reliable_order!r})"
+    __slots__ = _fields = ("_num", "_den", "reliable_order")
+    __hash__ = None
 
     @staticmethod
     def from_numerators(num: Mapping, den: int, reliable_order: int) -> "BiSeries":
@@ -658,33 +669,25 @@ def _powers(s: UniSeries, n: int) -> list:
 
 
 class Vec3Series(_Frozen):
-    """A vector-valued map (R, 0) -> R^3 stored componentwise.
+    """Three series stored componentwise: a curve (R, 0) -> R^3, or the surface map.
 
-    The components are all exact (``UniSeries``) or all float
-    (``FloatSeries``); a float vector comes from ``to_float`` of an exact
-    one, and its operations are those its components have.  Instances are
-    immutable and equal when their components are.
+    The components are all of one kind: exact (``UniSeries``), float
+    (``FloatSeries``) or bivariate (``BiSeries``, the surface map
+    (u, v) -> R^3, which is differentiated in u and v and composed with a
+    curve).  A float vector
+    comes from ``to_float`` of an exact one, and the operations of a vector
+    are those its components have.  Instances are immutable and equal when
+    their components are.
     """
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __init__(self, x: UniSeries | FloatSeries, y: UniSeries | FloatSeries, z: UniSeries | FloatSeries):
+    def __init__(self, x, y, z):
         if not (type(x) is type(y) is type(z)):
-            raise SeriesError("Vec3Series components must share one field")
+            raise SeriesError("Vec3Series components must share one kind")
         _set(self, "x", x)
         _set(self, "y", y)
         _set(self, "z", z)
-
-    def __eq__(self, other):
-        if type(other) is not Vec3Series:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
-
-    def __repr__(self):
-        return f"Vec3Series(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def reliable_order(self) -> int:
@@ -720,71 +723,15 @@ class Vec3Series(_Frozen):
     def diff(self) -> "Vec3Series":
         return Vec3Series(self.x.diff(), self.y.diff(), self.z.diff())
 
+    def diff_u(self) -> "Vec3Series":
+        return Vec3Series(self.x.diff_u(), self.y.diff_u(), self.z.diff_u())
+
+    def diff_v(self) -> "Vec3Series":
+        return Vec3Series(self.x.diff_v(), self.y.diff_v(), self.z.diff_v())
+
+    def compose(self, u: UniSeries, v: UniSeries) -> "Vec3Series":
+        """The surface map along the curve (u(x), v(x)): ``compose_bi`` of each component."""
+        return Vec3Series(compose_bi(self.x, u, v), compose_bi(self.y, u, v), compose_bi(self.z, u, v))
+
     def constant_vector(self):
         return (self.x.coeffs[0], self.y.coeffs[0], self.z.coeffs[0])
-
-
-def vec3_valuation(a: Vec3Series) -> Valuation:
-    """Minimum valuation over the three components (ZERO_TO_ORDER if all vanish).
-
-    Exact only.  The leading coefficient is that of the first component of
-    that order, the one ``Fraction`` built.
-    """
-    if type(a.x) is not UniSeries:
-        raise SeriesError("vec3_valuation is defined on the EXACT field only")
-    first = None
-    for comp in a.components:
-        order = _valuation_lower_bound(comp)
-        if order <= comp.reliable_order and (first is None or order < first[0]):
-            first = (order, comp)
-    if first is None:
-        return Valuation(None, None, a.reliable_order)
-    order, comp = first
-    return Valuation(order, Fraction(comp._num[order], comp._den), a.reliable_order)
-
-
-def vec3_factor_power(a: Vec3Series, power: int) -> Vec3Series:
-    return Vec3Series(
-        factor_power(a.x, power),
-        factor_power(a.y, power),
-        factor_power(a.z, power),
-    )
-
-
-class Vec3BiSeries(_Frozen):
-    """A vector of bivariate series: the ambient surface map (u, v) -> R^3.
-
-    Instances are immutable and equal when their components are.
-    """
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: BiSeries, y: BiSeries, z: BiSeries):
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-
-    def __eq__(self, other):
-        if type(other) is not Vec3BiSeries:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __repr__(self):
-        return f"Vec3BiSeries(x={self.x!r}, y={self.y!r}, z={self.z!r})"
-
-    @property
-    def components(self):
-        return (self.x, self.y, self.z)
-
-    def diff_u(self) -> "Vec3BiSeries":
-        return Vec3BiSeries(self.x.diff_u(), self.y.diff_u(), self.z.diff_u())
-
-    def diff_v(self) -> "Vec3BiSeries":
-        return Vec3BiSeries(self.x.diff_v(), self.y.diff_v(), self.z.diff_v())
-
-    def compose(self, u: UniSeries, v: UniSeries) -> Vec3Series:
-        return Vec3Series(
-            compose_bi(self.x, u, v),
-            compose_bi(self.y, u, v),
-            compose_bi(self.z, u, v),
-        )

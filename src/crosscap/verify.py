@@ -2,14 +2,15 @@
 
 Each row compares, for one curve fixture, the exact divergence degrees and
 top-terms computed by the series oracle against the tabulated closed forms.
-Degrees compare hard.  Tops compare hard except for the three advisory
+Degrees compare hard.  Tops compare hard except for the four advisory
 entries whose tabulated constants are contradicted by the oracle (see
 ``frame.closed_form_reference``); those rows report both values.  A row
 with a vanishing tabulated top is NON-GENERIC: the oracle's degree must then
 strictly exceed the tabulated one instead of matching it.  A row whose
 oracle numerator vanishes only to a reliable order below the tabulated
 degree is UNDETERMINED: the jet is too short to confirm or refute the
-table, so it is neither a mismatch nor a proof of non-genericity.  A sweep
+table, so it is neither a mismatch nor a proof of non-genericity; ``report``
+takes that status from ``compare_reports`` too.  A sweep
 draw is redrawn while a top of its closed form vanishes, so the table is
 the one genericity rule of the sweep.
 """

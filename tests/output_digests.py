@@ -8,9 +8,13 @@ over the 128 dense reports of the benchmark's jet universe
 (``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16),
 and one digest over the benchmark's denser meshes
 (``bench/workloads.dense_mesh_config``: each fixture at each window scale).
-A change that alters these bytes on purpose records the new digests here and
-says why in CHANGES.md.  ``tests/test_output_bytes.py`` checks each digest
-with the functions below.
+It also holds the two pins that only CI checks, being too slow for every
+test run: the 1000-draw sweep (``SWEEP_1000_SHA256``) and the s1 meshes at
+the vertex cap (``VERTEX_CAP_MESH_SHA256``); ``.github/workflows/tier1.yml``
+reads them from here.  A change that alters these bytes on purpose records
+the new digests here and says why in CHANGES.md.
+``tests/test_output_bytes.py`` checks each other digest with the functions
+below.
 
     python3 tests/output_digests.py
 
@@ -74,6 +78,18 @@ GENERAL_CURVE = {
 SWEEP_SHA256 = {
     0: "45a90c92af4967d2adb75002bfa5e42837efec2105f59303fa2854521642b86d",
     1: "86b96a5441f548f170922f53c7c7c5c1ca7f7374c89aa637c672ee1021d2b660",
+}
+
+#: The stdout of ``verify --sweep --seed 0 --draws 1000``: 9000 rows that pin
+#: every rung of verify's ladder across all nine subcases.  CI checks it.
+SWEEP_1000_SHA256 = "3fd813e5a7512a6e1c97f0910184caf2ac58c424f20104e4ee1322395809e0e4"
+
+#: ``mesh`` of s1 with every mesh at the vertex cap (500 x 500 grids, 250000
+#: curve samples), file by file in the order CI lists them.  CI checks it.
+VERTEX_CAP_MESH_SHA256 = {
+    "umbrella.obj": "d73784daf4867f0ed8c529300874ff1336f6ebe3d84d4dee45284735d1a7ca33",
+    "curve.obj": "aef811f527b24344ff5eb19b91422198dbe66e17707ccf3f4165fa68756dccdb",
+    "od_w.obj": "c9391aa1a0b3f8edefad1a96ac0830161e6d2bed49d115b2a29d1f44d97482d9",
 }
 
 #: One digest per field over the concatenated dense reports, shape by shape

@@ -48,7 +48,6 @@ from crosscap.series import (
     SeriesError,
     UniSeries,
     Valuation,
-    Vec3BiSeries,
     Vec3Series,
     _coerce,
     nearest_float,
@@ -616,7 +615,7 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
 # curvature numerators with two cross products (21 series products).
 
 
-def reference_build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
+def reference_build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3Series:
     """``model.build_umbrella``."""
     k = coeffs.degree
     fact = math.factorial
@@ -629,7 +628,7 @@ def reference_build_umbrella(coeffs: UmbrellaCoefficients) -> Vec3BiSeries:
     for (i, j), a in coeffs.a.items():
         third[(i, j)] = Fraction(a.numerator, a.denominator * fact(i) * fact(j))
     comp3 = reference_bi_make(third, k)
-    return Vec3BiSeries(comp1, comp2, comp3)
+    return Vec3Series(comp1, comp2, comp3)
 
 
 def reference_build_curve(spec: CurveSpec, order: int) -> tuple:
@@ -644,8 +643,8 @@ def reference_build_curve(spec: CurveSpec, order: int) -> tuple:
     )
 
 
-def reference_vec3_valuation(a: Vec3Series) -> Valuation:
-    """``vec3_valuation``."""
+def reference_vector_valuation(a: Vec3Series) -> Valuation:
+    """``valuation`` of a vector."""
     best: Valuation | None = None
     for comp in a.components:
         v = valuation(comp)

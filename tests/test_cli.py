@@ -412,6 +412,48 @@ def test_verify_calls_a_jet_too_short_undetermined(tmp_path, capsys):
     assert "UNDETERMINED" not in capsys.readouterr().out
 
 
+def test_report_calls_a_jet_too_short_undetermined(tmp_path, capsys):
+    cfg_path = tmp_path / "short.json"
+    cfg_path.write_text(json.dumps(TOO_SHORT))
+    assert main(["report", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["curvatures"]["degrees"] == [None, 0, 0]
+    # kappa1 is verify's UNDETERMINED row: it matches neither way.
+    assert doc["curvatures"]["closed_form"]["degree_match"] == [None, True, True]
+    assert doc["curvatures"]["closed_form"]["top_match"] == [None, False, True]
+    assert doc["flags"] == [
+        "UNDETERMINED: kappa1 jet too short: oracle reliable only to order 0 < tabulated degree 1",
+        "ADVISORY: kappa2 tabulated top -3 disagrees with computed -1",
+    ]
+
+
+#: b3 = 0 makes the tabulated kappa1 and kappa2 tops of this curve vanish.
+VANISHING_TOPS = {"surface": {"a": {"0,2": "1"}}, "curve": {"family": "mp", "m": 1, "p": 5, "c": ["1"]}}
+
+
+@pytest.mark.parametrize(
+    "truncation, degree_match, undetermined",
+    [
+        # khat_2 vanishes to order 0, the tabulated degree: NON-GENERIC; khat_1
+        # only to order 0, below the tabulated degree 1: UNDETERMINED.
+        (3, [None, False, True], ["UNDETERMINED: kappa1 jet too short: oracle reliable only to order 0 < tabulated degree 1"]),
+        # Both vanish to order 1, at or past the tabulated degrees: NON-GENERIC.
+        (4, [False, False, True], []),
+    ],
+)
+def test_report_keeps_non_generic_for_a_vanished_degree_that_verify_does_not_call_undetermined(
+    tmp_path, capsys, truncation, degree_match, undetermined
+):
+    cfg_path = tmp_path / "vanishing.json"
+    cfg_path.write_text(json.dumps({**VANISHING_TOPS, "truncation": truncation}))
+    assert main(["report", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["curvatures"]["degrees"] == [None, None, 0]
+    assert doc["curvatures"]["closed_form"]["degree_match"] == degree_match
+    assert doc["flags"][0] == "NON-GENERIC: a curvature numerator vanishes to reliable order"
+    assert [flag for flag in doc["flags"] if flag.startswith("UNDETERMINED")] == undetermined
+
+
 def _oracle(degrees, reliable_orders=None):
     tops = tuple(None if d is None else Fraction(1) for d in degrees)
     if reliable_orders is None:  # as ``bench/workloads.closed_form_failures`` builds it
@@ -1101,6 +1143,31 @@ def test_series_order_cap_counts_the_multiplicity():
     parse_config(_budget_config(top, curve))
     with pytest.raises(ConfigError, match=f"= {2 * top + 3} exceeds"):
         parse_config(_budget_config(top + 1, curve))
+
+
+@pytest.mark.parametrize(
+    "curve, name",
+    [
+        ({"family": "mp", "m": 1, "p": 2}, "c"),
+        ({"family": "mpq", "m": 2, "p": 1, "q": 1}, "c"),
+        ({"family": "general", "c2": ["0", "1"]}, "c1"),
+        ({"family": "general", "c1": ["0", "1"]}, "c2"),
+    ],
+)
+def test_curve_coefficient_list_cap(tmp_path, capsys, curve, name):
+    # An entry past index MAX_SERIES_ORDER can never reach a series.
+    first = "0" if curve["family"] == "general" else "1"  # c_0 != 0, or a general curve through 0
+    longest = [first] + ["1"] * MAX_SERIES_ORDER
+    parse_config(_budget_config(4, {**curve, name: longest}))
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(_budget_config(4, {**curve, name: longest + ["1"]}))
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_path.read_text())
+    assert err.value.problems == [f"curve.{name}: more than {MAX_SERIES_ORDER + 1} entries"]
+    assert main(["report", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid configuration: curve.{name}: more than {MAX_SERIES_ORDER + 1} entries\n"
 
 
 def _factor_pair(n):

@@ -1,7 +1,7 @@
 """Differential tests: the integer-numerator builders against their Fraction originals.
 
 ``build_umbrella`` and ``build_curve`` build integer numerators over one
-denominator, ``vec3_valuation`` builds one leading ``Fraction`` and
+denominator, ``valuation`` of a vector builds one leading ``Fraction`` and
 ``curvature_numerators`` shares the cross product N x E_t.  Each must return
 exactly what its original in ``tests/reference.py`` returns: the same
 canonical numerator / denominator pair, the same reliable order, the same
@@ -24,14 +24,14 @@ from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients, parse_config
 from crosscap.cli import fixture_names, fixture_text
 from crosscap.frame import FrameError, curvature_numerators, frame_factors
 from crosscap.model import build_curve, build_umbrella, image_curve, normal_field_raw, series_order
-from crosscap.series import BiSeries, SeriesError, UniSeries, valuation, vec3_valuation
+from crosscap.series import BiSeries, SeriesError, UniSeries, valuation
 from crosscap.verify import SUBCASES, _draw_fixture
 from reference import (
     reference_bi_coeffs,
     reference_build_curve,
     reference_build_umbrella,
     reference_curvature_numerators,
-    reference_vec3_valuation,
+    reference_vector_valuation,
 )
 
 
@@ -58,7 +58,7 @@ def assert_builders_agree(coeffs: UmbrellaCoefficients, spec, order: int):
     image, raw = image_curve(W, *curve), normal_field_raw(W, *curve)
     vectors = [image, raw] + ([image.diff()] if image.reliable_order >= 1 else [])
     for vec in vectors:
-        assert vec3_valuation(vec) == reference_vec3_valuation(vec)
+        assert valuation(vec) == reference_vector_valuation(vec)
     try:
         factors = frame_factors(image, raw)
         numerators = reference_curvature_numerators(factors)

@@ -31,21 +31,13 @@ ALLOWED = {
     "series.FloatSeries.diff": "the float frame's derivatives",
     "series.BiSeries.__mul__": "kept only for bench/tracing.TARGETS (series.bimul)",
     "series._bi_convolve": "the kernel of BiSeries.__mul__",
-    "series.UniSeries.__eq__": "value semantics of an immutable series",
-    "series.UniSeries.__hash__": "value semantics of an immutable series",
-    "series.UniSeries.__repr__": "value semantics of an immutable series",
-    "series.BiSeries.__eq__": "value semantics of an immutable series",
-    "series.BiSeries.__repr__": "value semantics of an immutable series",
-    "series.Vec3Series.__eq__": "value semantics of an immutable vector of series",
-    "series.Vec3Series.__hash__": "value semantics of an immutable vector of series",
-    "series.Vec3Series.__repr__": "value semantics of an immutable vector of series",
-    "series.Vec3BiSeries.__eq__": "value semantics of an immutable vector of series",
-    "series.Vec3BiSeries.__repr__": "value semantics of an immutable vector of series",
-    "series.SignedRoot.__eq__": "value semantics of an immutable exact value",
-    "series.SignedRoot.__hash__": "value semantics of an immutable exact value",
-    "series.SignedRoot.__repr__": "value semantics of an immutable exact value",
     "series._Frozen.__setattr__": "refuses assignment to an immutable series",
     "series._Frozen.__delattr__": "refuses deletion from an immutable series",
+    "series._Frozen._key": "value semantics of an immutable series, vector or exact value",
+    "series._Frozen.__eq__": "value semantics of an immutable series, vector or exact value",
+    "series._Frozen.__hash__": "value semantics of an immutable series, vector or exact value",
+    "series._Frozen.__repr__": "value semantics of an immutable series, vector or exact value",
+    "series.UniSeries._key": "a series compares and hashes by its numerators, not its coefficients",
 }
 
 

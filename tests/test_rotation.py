@@ -20,7 +20,7 @@ from crosscap.cli import fixture_text
 from crosscap.model import build_umbrella
 from crosscap.pipeline import lower_truncations
 from crosscap.report import _complete
-from crosscap.series import Vec3BiSeries, valuation
+from crosscap.series import Vec3Series, valuation
 from reference import reference_bi_add, reference_bi_make, reference_bimul
 
 
@@ -60,7 +60,7 @@ def test_the_cayley_transform_is_a_rotation():
     assert det == 1
 
 
-def rotated(W: Vec3BiSeries) -> Vec3BiSeries:
+def rotated(W: Vec3Series) -> Vec3Series:
     order = min(c.reliable_order for c in W.components)
     rows = []
     for row in ROTATION:
@@ -68,7 +68,7 @@ def rotated(W: Vec3BiSeries) -> Vec3BiSeries:
         for r, comp in zip(row, W.components):
             acc = reference_bi_add(acc, reference_bimul(reference_bi_make({(0, 0): r}, order), comp))
         rows.append(acc)
-    return Vec3BiSeries(*rows)
+    return Vec3Series(*rows)
 
 
 def invariants(a):

@@ -37,7 +37,6 @@ from crosscap.series import (
     reciprocal,
     sqrt_series,
     valuation,
-    vec3_valuation,
 )
 from reference import (
     float_series,
@@ -372,15 +371,16 @@ def test_exact_and_float_operands_never_mix():
     for op in (operator.add, operator.sub, operator.mul):
         assert _message(op, e, f) == MISMATCH
         assert _message(op, f, e) == MISMATCH
-    assert _message(Vec3Series, e, f, e) == "Vec3Series components must share one field"
-    assert _message(Vec3Series, f, f, e) == "Vec3Series components must share one field"
+    assert _message(Vec3Series, e, f, e) == "Vec3Series components must share one kind"
+    assert _message(Vec3Series, f, f, e) == "Vec3Series components must share one kind"
     G = bi_make({(1, 0): Fraction(1), (0, 1): Fraction(2)}, 3)
     assert _message(compose_bi, G, f, f) == MISMATCH
     assert _message(compose_bi, G, e, f) == MISMATCH
     assert _message(compose_bi, G, f, e) == MISMATCH
     assert _message(valuation, f) == "valuation is defined on the EXACT field only"
     assert _message(factor_power, f, 1) == "factor_power is defined on the EXACT field only"
-    assert _message(vec3_valuation, Vec3Series(f, f, f)) == "vec3_valuation is defined on the EXACT field only"
+    assert _message(valuation, Vec3Series(f, f, f)) == "valuation is defined on the EXACT field only"
+    assert _message(factor_power, Vec3Series(f, f, f), 1) == "factor_power is defined on the EXACT field only"
     assert _message(sqrt_series, ex(1, 1)) == "sqrt_series is defined on the FLOAT field only"
     assert _message(reciprocal, ex(1, 1)) == "reciprocal is defined on the FLOAT field only"
     assert _message(UniSeries.make, [f]) == MISMATCH
