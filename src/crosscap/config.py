@@ -181,7 +181,7 @@ def config_from_dict(doc) -> RunConfig:
     _check_keys(doc, _TOP_KEYS, "top level", problems)
 
     rule = "required integer >= 3"
-    truncation = _integer(doc.get("truncation"), 3, "truncation", rule, problems) or 3
+    truncation = _integer(doc.get("truncation"), 3, "truncation", rule, problems)
 
     coeffs = _parse_surface(doc.get("surface"), problems, truncation)
     spec = _parse_curve(doc.get("curve"), problems, truncation)
@@ -201,7 +201,8 @@ def config_from_dict(doc) -> RunConfig:
     return RunConfig(coeffs=coeffs, spec=spec, field=field, description=description, mesh=mesh)
 
 
-def _parse_surface(surface, problems, truncation) -> UmbrellaCoefficients | None:
+def _parse_surface(surface, problems, truncation: int | None) -> UmbrellaCoefficients | None:
+    """The surface jet; a refused truncation (None) bounds no index from above."""
     if not isinstance(surface, dict):
         problems.append("surface: required object with 'a' (and optional 'b') maps")
         return None
@@ -230,13 +231,14 @@ def _parse_surface(surface, problems, truncation) -> UmbrellaCoefficients | None
     if None in a.values() or None in b.values():
         return None
     try:
-        return UmbrellaCoefficients(degree=truncation, a=a, b=b)
+        return UmbrellaCoefficients(degree=truncation or max([3, *map(sum, a), *b]), a=a, b=b)
     except ModelError as exc:
         problems.append(f"surface: {exc}")
         return None
 
 
-def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
+def _parse_curve(curve, problems, truncation: int | None) -> CurveSpec | None:
+    """The curve spec; its series order is capped only under an accepted truncation."""
     if not isinstance(curve, dict):
         problems.append("curve: required object with a 'family' tag")
         return None
@@ -273,7 +275,7 @@ def _parse_curve(curve, problems, truncation: int) -> CurveSpec | None:
     except ModelError as exc:
         problems.append(f"curve: {exc}")
         return None
-    order = series_order(spec.m, truncation)
+    order = series_order(spec.m, truncation) if truncation is not None else 0
     if order > MAX_SERIES_ORDER:
         problems.append(f"curve: series order m (truncation + 1) - 1 = {order} exceeds {MAX_SERIES_ORDER}")
         return None

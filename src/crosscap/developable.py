@@ -51,15 +51,11 @@ class DevelopableError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class RuledSurface(NamedTuple("RuledSurface", [("gamma", Vec3Series), ("xi", Vec3Series)])):
-    """F(x, y) = gamma(x) + y xi(x); the director must not vanish at 0."""
+class RuledSurface(NamedTuple):
+    """F(x, y) = gamma(x) + y xi(x)."""
 
-    __slots__ = ()
-
-    def __new__(cls, gamma: Vec3Series, xi: Vec3Series):
-        if all(v == 0 for v in xi.constant_vector()):
-            raise DevelopableError("director curve vanishes at 0")
-        return tuple.__new__(cls, (gamma, xi))
+    gamma: Vec3Series
+    xi: Vec3Series
 
 
 # ---------------------------------------------------------------------------

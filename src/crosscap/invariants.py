@@ -40,7 +40,7 @@ from .model import (
 
 
 class InvariantError(ValueError):
-    """Curve shape outside the (c, 2m) family or insufficient reliability."""
+    """Curve shape outside the (c, 2m) family, or a failed identity cross-check."""
 
 
 def c2m_shape(spec: CurveSpec):
@@ -120,8 +120,6 @@ def projection_tangency(
     a02 = coeffs.a02
     pb = img.x * -a02 + img.z * (2 * c0)
     pn = img.y
-    if pb.reliable_order < 3 * m or pn.reliable_order < 3 * m:
-        raise InvariantError("series not reliable to degree %d" % (3 * m))
     # The projection along e(0) leaves the b/n pairings untouched; everything
     # below x^{3m} must cancel.
     for deg in range(3 * m):
@@ -169,14 +167,12 @@ class SelfIntersectionCurve(NamedTuple):
     d22: Fraction
     image: Vec3Series
     image_tangent_direction: tuple
-    curve_tangent_direction: tuple | None
-    tangent_to_curve: bool | None
+    curve_tangent_direction: tuple
+    tangent_to_curve: bool
 
 
-def self_intersection(
-    coeffs: UmbrellaCoefficients, W: Vec3Series, spec: CurveSpec | None = None
-) -> SelfIntersectionCurve:
-    """The double-point curve of the EXACT umbrella ``W`` built from ``coeffs``."""
+def self_intersection(coeffs: UmbrellaCoefficients, W: Vec3Series, spec: CurveSpec) -> SelfIntersectionCurve:
+    """The double-point curve of the EXACT umbrella ``W`` built from ``coeffs``, against the curve ``spec``."""
     a02 = coeffs.a02
     a11 = coeffs.a_coeff(1, 1)
     a03 = coeffs.a_coeff(0, 3)
@@ -193,13 +189,9 @@ def self_intersection(
                 raise InvariantError("self-intersection image is not symmetric")
     d_img = img.diff()
     lead_d = factor_power(d_img, valuation(d_img).order).constant_vector()
-    lead_c = None
-    tangent = None
-    if spec is not None:
-        _, c0, _ = c2m_shape(spec)
-        lead_c = (2 * c0, Fraction(0), a02)
-        cr = _cross3(lead_d, lead_c)
-        tangent = all(c == 0 for c in cr)
+    _, c0, _ = c2m_shape(spec)
+    lead_c = (2 * c0, Fraction(0), a02)
+    tangent = all(c == 0 for c in _cross3(lead_d, lead_c))
     return SelfIntersectionCurve(
         d11=Fraction(0),
         d21=Fraction(1),
@@ -243,10 +235,7 @@ def contour_deviation(coeffs: UmbrellaCoefficients, spec: CurveSpec, n: Vec3Seri
     """The pairing of the factored normal N (``FrameFactors.normal``) with (-a02, 0, 2c0)."""
     m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
-    exact_pairing = n.x * -a02 + n.z * (2 * c0)
-    if exact_pairing.reliable_order < m:
-        raise InvariantError("series not reliable to degree %d" % m)
-    exact = exact_pairing.coefficient(m)
+    exact = (n.x * -a02 + n.z * (2 * c0)).coefficient(m)
     n2 = sum(c * c for c in n.constant_vector())
     coeff = SignedRoot.of(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
     return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)

@@ -10,17 +10,19 @@ apply to particular curve shapes (closed forms, the A/B/C/D block,
 geometric verdicts, the developable) are None with a reason otherwise.
 
 Every reported number is the lowest nonvanishing coefficient of a series,
-so a short jet usually fixes it already.  ``Analysis.climb`` is the one
-ladder of working truncations: it runs the same analysis on the jet cut at
-each lower rung its consumer passes, then on the configured truncation k
-itself, and returns the first rung whose results the consumer accepts as
-complete.  ``report`` passes ``lower_truncations`` (k' = 5 when 2 k' <= k)
-and ``verify``, which needs only the oracle, ``oracle_truncations`` (k' = 4
-when 4 < k, then the report's rungs).  The reliability rules make this
-exact: a coefficient within its reliable order on a lower rung equals the
-one at truncation k.  The configured truncation is the last rung, and its
-outcome (values, reasons and errors) is final.  ``mesh`` and the
-series-valued stages stay at the configured truncation.
+so a short jet usually fixes it already.  Two stages decide which working
+truncation a consumer reads, and nothing outside this module does:
+``report_rung`` is the lowest rung of ``lower_truncations`` (k' = 5 when
+2 k' <= k) whose report is complete, and ``oracle_rung`` the lowest rung of
+``oracle_truncations`` (k' = 4 when 4 < k, then the report's rungs) that
+finds all three curvature degrees, which is all ``verify`` reads.  Either
+is the analysis itself when no lower rung qualifies, and either is cached
+like every stage: a second read climbs no ladder.  A rung is the same
+analysis on the jet cut at k'.  The reliability rules make this exact: a
+coefficient within its reliable order on a lower rung equals the one at
+truncation k.  The configured truncation is the last rung, and its outcome
+(values, reasons and errors) is final.  ``mesh`` and the series-valued
+stages stay at the configured truncation.
 
 ``analyze`` counts configurations: each consumer call makes one, and the
 rungs are built as ``Analysis`` directly, without it.  A curve is exact
@@ -115,6 +117,25 @@ def oracle_truncations(k: int) -> list:
     return ([ORACLE_RUNG] if ORACLE_RUNG < k else []) + lower_truncations(k)
 
 
+def _report_complete(a: "Analysis") -> bool:
+    """Whether a rung resolves every result a shorter jet can leave unresolved in the report.
+
+    Those are the three curvature degrees, and the developable with its
+    delta order, and with its sigma order whenever the striction curve
+    passes through the singular point.  Nothing else the report prints
+    depends on the rung: the tangency reads only the spec, A-D read the
+    jet through degree 4, and the three verdicts read jet terms of total
+    degree <= 3, all within every rung's reliable orders.
+    """
+    d = a.developable
+    return (
+        None not in a.oracle.degrees
+        and d is not None
+        and d.delta_order is not None
+        and (d.sigma_order is not None or not d.striction.passes_through_singularity)
+    )
+
+
 def _value_or_reason(compute, errors):
     """(value, None), or (None, message) when ``compute`` raises one of ``errors``."""
     try:
@@ -139,7 +160,7 @@ class Analysis:
         self.spec = spec
         self.order = series_order(spec.m, coeffs.degree)
 
-    def climb(self, complete, lower) -> "Analysis":
+    def _climb(self, complete, lower) -> "Analysis":
         """The lowest rung whose results ``complete(rung)`` accepts.
 
         A lower rung is this analysis on the jet cut at one of
@@ -160,6 +181,16 @@ class Analysis:
             except ValueError:
                 continue
         return self
+
+    @cached_property
+    def report_rung(self) -> "Analysis":
+        """The rung ``report`` reads: the lowest of ``lower_truncations`` whose report is complete."""
+        return self._climb(_report_complete, lower_truncations)
+
+    @cached_property
+    def oracle_rung(self) -> "Analysis":
+        """The rung ``verify`` reads: the lowest of ``oracle_truncations`` that finds every degree."""
+        return self._climb(lambda rung: None not in rung.oracle.degrees, oracle_truncations)
 
     @cached_property
     def curve(self) -> tuple:

@@ -1,6 +1,8 @@
 """Deterministic JSON reports of a full fixture analysis.
 
-Every configuration is analysed once, in the exact field.  Exact rationals
+Every configuration is analysed once, in the exact field, and each result
+is read from the analysis's ``report_rung``: the lowest working truncation
+that resolves the report (see ``crosscap.pipeline``).  Exact rationals
 are serialized as "p/q" strings and a rational over one square root
 (``SignedRoot``) as its float, a JSON number, so a reader can always tell
 which an entry is.  The ``float`` field prints each exact rational of the
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .config import RunConfig, config_to_dict, json_value
-from .pipeline import Analysis, analyze, lower_truncations
+from .pipeline import Analysis, analyze
 from .series import nearest_float
 from .verify import UNDETERMINED, compare_reports
 
@@ -37,29 +39,9 @@ def build_report(cfg: RunConfig) -> dict:
     return report_from_analysis(cfg, analysis)
 
 
-def _complete(a: Analysis) -> bool:
-    """Whether a rung finds every result the report prints.
-
-    Every factor exponent and curvature degree is found, the developable
-    exists with its delta order, and with its sigma order whenever the
-    striction curve passes through the singular point, and the verdicts
-    compute.  The other stages the report reads are read here for their
-    errors only, so that an error there moves on to the next rung as well.
-    """
-    a.tangency, a.self_int
-    d = a.developable
-    return (
-        None not in a.oracle.degrees
-        and d is not None
-        and d.delta_order is not None
-        and (d.sigma_order is not None or not d.striction.passes_through_singularity)
-        and (a.invariants is None or None not in (a.projection, a.contour))
-    )
-
-
 def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
-    """The report of ``analysis``, each result read from the lowest rung that completes it."""
-    a = analysis.climb(_complete, lower_truncations)
+    """The report of ``analysis``, each result read from its ``report_rung``."""
+    a = analysis.report_rung
     rational = _PRINT_RATIONAL[cfg.field]
 
     def _section(result) -> dict:

@@ -1,7 +1,9 @@
 """Oracle-vs-closed-form verification: single fixtures and seeded sweeps.
 
 Each row compares, for one curve fixture, the exact divergence degrees and
-top-terms computed by the series oracle against the tabulated closed forms.
+top-terms computed by the series oracle, read from the analysis's
+``oracle_rung`` (the lowest working truncation that finds every degree; see
+``crosscap.pipeline``), against the tabulated closed forms.
 Degrees compare hard.  Tops compare hard except for the four advisory
 entries whose tabulated constants are contradicted by the oracle (see
 ``frame.closed_form_reference``); those rows report both values.  A row
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .model import FamilyMP, FamilyMPQ, GeneralCurve, ModelError, UmbrellaCoefficients
-from .pipeline import Analysis, oracle_truncations
+from .pipeline import Analysis
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -113,11 +115,10 @@ def _row_status(comparisons) -> str:
 
 
 def verify_fixture(analysis: Analysis, subcase: str = "fixture", draw: int = 0) -> VerifyRow:
-    """The row of ``analysis``: its climbed oracle against its closed form."""
+    """The row of ``analysis``: the oracle of its ``oracle_rung`` against its closed form."""
     if isinstance(analysis.spec, GeneralCurve):
         raise ModelError("verify requires a family curve; general curves have no closed forms")
-    oracle = analysis.climb(lambda rung: None not in rung.oracle.degrees, oracle_truncations).oracle
-    comparisons = compare_reports(oracle, analysis.closed_form)
+    comparisons = compare_reports(analysis.oracle_rung.oracle, analysis.closed_form)
     return VerifyRow(
         subcase=subcase,
         draw=draw,

@@ -8,19 +8,21 @@ over the 128 dense reports of the benchmark's jet universe
 (``bench/workloads.dense_config``: 16 shapes x 8 draws, truncation 8 to 16),
 and one digest over the benchmark's denser meshes
 (``bench/workloads.dense_mesh_config``: each fixture at each window scale).
-It also holds the two pins that only CI checks, being too slow for every
-test run: the 1000-draw sweep (``SWEEP_1000_SHA256``) and the s1 meshes at
-the vertex cap (``VERTEX_CAP_MESH_SHA256``); ``.github/workflows/tier1.yml``
-reads them from here.  A change that alters these bytes on purpose records
-the new digests here and says why in CHANGES.md.
+Two more pins are too slow for every test run: the 1000-draw sweep
+(``SWEEP_1000_SHA256``) and the s1 meshes at the vertex cap
+(``VERTEX_CAP_MESH_SHA256``).  A change that alters these bytes on purpose
+records the new digests here and says why in CHANGES.md.
 ``tests/test_output_bytes.py`` checks each other digest with the functions
 below.
 
-    python3 tests/output_digests.py
+    PYTHONHASHSEED=4242 python3 tests/output_digests.py
 
-recomputes every digest with the standard library alone, prints one line
-per digest and exits 1 if any differs, naming each mismatch; so it runs
-under any supported Python, with or without pytest installed.
+recomputes every digest, those two included (about 11 s on a 2-core host),
+with the standard library alone, prints one line per digest and exits 1 if
+any differs, naming each mismatch; so it runs under any supported Python,
+with or without pytest installed.  CI runs it so, under one fixed hash
+seed, on every Python it tests: an output that hung on set or hash order
+would then fail on every run, not now and then.
 """
 
 from __future__ import annotations
@@ -81,11 +83,11 @@ SWEEP_SHA256 = {
 }
 
 #: The stdout of ``verify --sweep --seed 0 --draws 1000``: 9000 rows that pin
-#: every rung of verify's ladder across all nine subcases.  CI checks it.
+#: every rung of verify's ladder across all nine subcases.
 SWEEP_1000_SHA256 = "3fd813e5a7512a6e1c97f0910184caf2ac58c424f20104e4ee1322395809e0e4"
 
 #: ``mesh`` of s1 with every mesh at the vertex cap (500 x 500 grids, 250000
-#: curve samples), file by file in the order CI lists them.  CI checks it.
+#: curve samples), file by file: the resource bound the README documents.
 VERTEX_CAP_MESH_SHA256 = {
     "umbrella.obj": "d73784daf4867f0ed8c529300874ff1336f6ebe3d84d4dee45284735d1a7ca33",
     "curve.obj": "aef811f527b24344ff5eb19b91422198dbe66e17707ccf3f4165fa68756dccdb",
@@ -170,8 +172,21 @@ def dense_mesh_digest(workdir: str) -> str:
     return digest.hexdigest()
 
 
-def sweep_digest(seed: int) -> str:
-    return sha256(_run(["verify", "--sweep", "--seed", str(seed)]).encode())
+def sweep_digest(seed: int, draws: int = 10) -> str:
+    return sha256(_run(["verify", "--sweep", "--seed", str(seed), "--draws", str(draws)]).encode())
+
+
+def vertex_cap_mesh_digests(workdir: str) -> dict:
+    from crosscap.cli import fixture_text
+
+    doc = json.loads(fixture_text("s1"))
+    doc["mesh"] = {"nu": 500, "nv": 500, "nx": 500, "ny": 500, "curve_samples": 250000}
+    config = os.path.join(workdir, "cap.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+    out = os.path.join(workdir, "cap")
+    _run(["mesh", config, "--out", out])
+    return {obj: sha256(_read(os.path.join(out, obj))) for obj in VERTEX_CAP_MESH_SHA256}
 
 
 def dense_report_digest(field: str) -> str:
@@ -200,6 +215,9 @@ def main() -> int:
         for field, want in sorted(DENSE_REPORTS_SHA256.items()):
             checks.append((f"dense reports {field}", dense_report_digest(field), want))
         checks.append(("dense meshes", dense_mesh_digest(workdir), DENSE_MESHES_SHA256))
+        checks.append(("verify --sweep --seed 0 --draws 1000", sweep_digest(0, 1000), SWEEP_1000_SHA256))
+        got = vertex_cap_mesh_digests(workdir)
+        checks += [(f"vertex-cap mesh s1 {obj}", got[obj], want) for obj, want in VERTEX_CAP_MESH_SHA256.items()]
     mismatches = [label for label, got, want in checks if got != want]
     for label, got, want in checks:
         print(f"{'ok' if got == want else 'MISMATCH'} {label}: {got}" + ("" if got == want else f" (pinned {want})"))

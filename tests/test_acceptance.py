@@ -207,7 +207,7 @@ def test_criterion_8_self_intersection_coefficients():
     rng = random.Random(300)
     for _ in range(10):
         co = random_surface(rng)
-        si = self_intersection(co, build_umbrella(co))
+        si = self_intersection(co, build_umbrella(co), FamilyMP(m=1, p=2, c=(1,)))
         b3 = co.b_coeff(3)
         a11 = co.a_coeff(1, 1)
         a03 = co.a_coeff(0, 3)

@@ -180,6 +180,32 @@ MP_CURVE = {"family": "mp", "m": 1, "p": 2, "c": ["1"]}
 
 
 @pytest.mark.parametrize(
+    "surface, curve, problems",
+    [
+        ({"a": {"0,2": "1", "0,4": "1"}, "b": {"9": "1"}}, MP_CURVE, []),
+        ({"a": {"0,2": "1"}}, dict(MP_CURVE, m=100), []),
+        ({"a": {"0,2": "0", "5,5": "1"}}, MP_CURVE, ["surface: a_02 must be nonzero"]),
+        ({"a": {"0,2": "1", "1,0": "1"}}, MP_CURVE, ["surface: a index (1, 0) outside 2 <= i+j <= k"]),
+        ({"a": {"0,2": "1"}, "b": {"2": "1"}}, MP_CURVE, ["surface: b index 2 outside 3 <= i <= k"]),
+        ({"a": {"0,2": "1", "0,04": "1"}}, MP_CURVE, ["surface.a: bad index key '0,04' (expected 'i,j')"]),
+        ({"a": {"0,2": "1/0"}}, MP_CURVE, ["surface.a[0,2]: zero denominator in '1/0'"]),
+    ],
+    ids=["upper-degree", "series-order", "a02", "a-lower-degree", "b-lower-degree", "index-syntax", "rational"],
+)
+@pytest.mark.parametrize("truncation", ["x", 2, None])
+def test_a_refused_truncation_causes_no_other_problem(truncation, surface, curve, problems):
+    # A refused truncation once read as 3, so an index of degree above 3 and
+    # the curve's series-order cap failed as well.  Without a truncation
+    # neither is checked; every other rule still is.
+    doc = {"surface": surface, "curve": curve}
+    if truncation is not None:
+        doc["truncation"] = truncation
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.problems == ["truncation: required integer >= 3"] + problems
+
+
+@pytest.mark.parametrize(
     "part, key",
     [
         ("a", " 0, 2"),

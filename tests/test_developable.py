@@ -35,8 +35,6 @@ from crosscap.developable import (
     osculating_surface,
 )
 from crosscap.frame import darboux_frame, kappa_tilde_series
-from crosscap.pipeline import lower_truncations
-from crosscap.report import _complete
 from crosscap.series import ReliabilityError, SeriesError, SignedRoot, Vec3Series, reciprocal, sqrt_series
 from crosscap.obj import (
     MeshError,
@@ -360,7 +358,7 @@ def report_rungs():
     ]
     for text in texts:
         cfg = parse_config(text)
-        yield analyze(cfg.coeffs, cfg.spec).climb(_complete, lower_truncations)
+        yield analyze(cfg.coeffs, cfg.spec).report_rung
 
 
 def close(got, want):

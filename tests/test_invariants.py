@@ -174,7 +174,7 @@ def test_projection_verdict_matches_invariants_randomly():
 
 def test_self_intersection_printed_formulas():
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1, (0, 3): 2}, b={3: 6})
-    si = self_intersection(co, build_umbrella(co))
+    si = self_intersection(co, build_umbrella(co), FamilyMP(m=1, p=2, c=(1,)))
     assert si.d12 == -1  # -b3/6
     assert si.d22 == Fraction(6 * 1 - 2, 6 * 2)  # (b3 a11 - a03)/(6 a02) = 1/3
     assert (si.d11, si.d21) == (0, 1)
@@ -199,7 +199,7 @@ def test_self_intersection_symmetry_random():
     rng = random.Random(66)
     for _ in range(10):
         co = random_surface(rng)
-        si = self_intersection(co, build_umbrella(co))
+        si = self_intersection(co, build_umbrella(co), FamilyMP(m=1, p=2, c=(1,)))
         for comp in si.image.components:
             for deg in range(min(4, comp.reliable_order + 1)):
                 if deg % 2 == 1:

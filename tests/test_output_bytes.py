@@ -24,8 +24,7 @@ import workloads  # the benchmark's recorded input universe (bench/ is put on th
 
 from crosscap import analyze, parse_config
 from crosscap.cli import fixture_text
-from crosscap.pipeline import lower_truncations
-from crosscap.report import _complete, build_report
+from crosscap.report import build_report
 from crosscap.series import valuation
 from output_digests import (
     DENSE_MESHES_SHA256,
@@ -131,7 +130,7 @@ def assert_printed_floats_rounded_once(config: str) -> int:
     """Check every square-root float of the report of ``config``; returns how many it checked."""
     cfg = parse_config(config)
     doc = build_report(cfg)
-    a = analyze(cfg.coeffs, cfg.spec).climb(_complete, lower_truncations)
+    a = analyze(cfg.coeffs, cfg.spec).report_rung
     e_t = a.factors.tangent.constant_vector()
     n0 = a.factors.normal.constant_vector()
     e2, n2 = _square_norm(e_t), _square_norm(n0)

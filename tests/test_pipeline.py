@@ -7,7 +7,8 @@ The ladder of working truncations must not change a byte: reports and
 verify rows produced through it are compared with those of the configured
 truncation alone, obtained by raising ``pipeline.FIRST_RUNG`` (the report's
 rung) and ``pipeline.ORACLE_RUNG`` (verify's first rung) above every
-truncation so that no lower rung runs.  Each rung is an analysis built
+truncation so that no lower rung runs; an analysis keeps the rung it first
+read (``report_rung``, ``oracle_rung``), so each policy reads a fresh one.  Each rung is an analysis built
 without ``analyze``: ``analyze`` counts one configuration per consumer call,
 ``model.build_curve`` one curve per analysis whose curve is read, so a
 configured analysis that a lower rung resolves builds none.
@@ -37,7 +38,7 @@ from crosscap import (
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
 from crosscap.series import FloatSeries, UniSeries, Vec3Series
-from crosscap.report import _complete, build_report, render_report
+from crosscap.report import build_report, render_report, report_from_analysis
 from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
 
 
@@ -241,7 +242,7 @@ def test_no_stage_but_ruled_rounds(monkeypatch, name):
     monkeypatch.setattr(UniSeries, "to_float", _refuse)
     cfg = parse_config(_no_rounding_configs()[name])
     configured = analyze(cfg.coeffs, cfg.spec)
-    for a in {configured, configured.climb(_complete, pipeline.lower_truncations)}:
+    for a in {configured, configured.report_rung}:
         for stage in _EXACT_STAGES:
             try:
                 value = getattr(a, stage)
@@ -278,6 +279,48 @@ def test_report_builds_the_surface_jet_only_on_the_resolving_rung(monkeypatch):
     assert truncations == [5]
 
 
+def test_each_rung_is_read_once_per_analysis(monkeypatch):
+    # ``report_rung`` and ``oracle_rung`` are cached stages: a second report
+    # or row of the same analysis climbs no ladder and builds no surface
+    # jet, and a policy changed afterwards does not move the rung it read.
+    jets = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
+    cfg = parse_config(DENSE_16)
+    analysis = analyze(cfg.coeffs, cfg.spec)
+    report = report_from_analysis(cfg, analysis)
+    assert report_from_analysis(cfg, analysis) == report and jets == [5]
+    row = verify_fixture(analysis)
+    assert verify_fixture(analysis) == row and jets == [5, 4]
+    monkeypatch.setattr(pipeline, "FIRST_RUNG", sys.maxsize)
+    monkeypatch.setattr(pipeline, "ORACLE_RUNG", sys.maxsize)
+    assert (analysis.report_rung.coeffs.degree, analysis.oracle_rung.coeffs.degree) == (5, 4)
+    assert jets == [5, 4]
+
+
+#: The report stages that the report rung's completeness test does not read:
+#: the tangency reads only the spec, A-D the jet through degree 4, and the
+#: verdicts jet terms of total degree <= 3.
+RUNG_FREE_STAGES = ("tangency", "invariants", "self_int", "projection", "contour")
+
+
+def test_the_report_rung_reads_every_untested_stage_as_the_configured_truncation():
+    texts = [fixture_text(name) for name in ("s1", "s2", "s3")]
+    texts += [
+        workloads.dense_config(shape, variant, "exact")
+        for shape in range(len(workloads.DENSE_SHAPES))
+        for variant in range(workloads.DENSE_VARIANTS)
+    ]
+    lowered = with_invariants = 0
+    for text in texts:
+        cfg = parse_config(text)
+        configured = analyze(cfg.coeffs, cfg.spec)
+        rung = configured.report_rung
+        for stage in RUNG_FREE_STAGES:
+            assert getattr(rung, stage) == getattr(configured, stage), (text, stage)
+        lowered += rung is not configured
+        with_invariants += rung is not configured and rung.invariants is not None
+    assert lowered >= 90 and with_invariants >= 20  # 94 and 24: the test reads lower rungs
+
+
 def sweep_draw(seed, subcase):
     """The analysis of the draw of ``subcase`` in ``run_sweep(seed=seed, draws=1)``."""
     return _draw_fixture(random.Random((seed, subcase).__repr__()), subcase)
@@ -300,7 +343,11 @@ def test_analyze_counts_configurations_and_build_curve_rungs(monkeypatch, consum
 
 
 def through_ladder_and_alone(produce):
-    """``produce()`` through the ladder, and with the configured truncation alone."""
+    """``produce()`` through the ladder, and with the configured truncation alone.
+
+    An analysis keeps the rung it first read, so ``produce`` must build a
+    fresh analysis on each call for the policy to take effect.
+    """
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "FIRST_RUNG", sys.maxsize)
         m.setattr(pipeline, "ORACLE_RUNG", sys.maxsize)
@@ -309,7 +356,7 @@ def through_ladder_and_alone(produce):
 
 
 def resolving_truncation(cfg):
-    return analyze(cfg.coeffs, cfg.spec).climb(_complete, pipeline.lower_truncations).coeffs.degree
+    return analyze(cfg.coeffs, cfg.spec).report_rung.coeffs.degree
 
 
 def assert_ladder_keeps_bytes(cfg):
@@ -423,7 +470,7 @@ def test_a_general_curve_climbs_like_a_family_curve():
     )
     a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec)
     for lower, k in ((pipeline.lower_truncations, 5), (pipeline.oracle_truncations, 4)):
-        rung = a.climb(lambda rung: True, lower)
+        rung = a._climb(lambda rung: True, lower)
         assert rung is not a and rung.coeffs.degree == k
         assert [c.reliable_order for c in rung.curve] == [k, k]
     assert a.order == 12 and [c.reliable_order for c in a.curve] == [12, 12]
@@ -442,10 +489,10 @@ def test_climb_moves_on_only_past_library_errors():
         raise OverflowError("no stage makes a float")
 
     for lower in (pipeline.lower_truncations, pipeline.oracle_truncations):
-        assert a.climb(library_error, lower) is a
+        assert a._climb(library_error, lower) is a
         for error, compute in ((TypeError, bug), (OverflowError, overflow)):
             with pytest.raises(error):
-                a.climb(compute, lower)
+                a._climb(compute, lower)
 
 
 @pytest.fixture
@@ -496,12 +543,15 @@ def test_verify_resolves_every_sweep_draw_at_the_oracle_rung(monkeypatch):
     # The 576 draws of sweep seeds 0-63 of the benchmark's sweep universe.
     # The surface jet is built only on the rung whose oracle is read: once
     # at the configured truncation alone, then once at 4 through the ladder
-    # when rung 4 resolves the draw.  The two rows must be equal.
+    # when rung 4 resolves the draw.  The two rows must be equal.  Each run
+    # reads a fresh analysis of the draw, since an analysis keeps its rung.
     jets = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
     for seed in range(64):
         for subcase in SUBCASES:
             analysis = sweep_draw(seed, subcase)
-            laddered, alone = through_ladder_and_alone(lambda: verify_fixture(analysis, subcase))
+            laddered, alone = through_ladder_and_alone(
+                lambda: verify_fixture(Analysis(analysis.coeffs, analysis.spec), subcase)
+            )
             assert jets == [analysis.coeffs.degree, 4], (seed, subcase)
             assert laddered == alone, (seed, subcase)
             jets.clear()
