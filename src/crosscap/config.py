@@ -233,7 +233,7 @@ def _parse_surface(surface, problems, truncation: int | None) -> UmbrellaCoeffic
     try:
         return UmbrellaCoefficients(degree=truncation or max([3, *map(sum, a), *b]), a=a, b=b)
     except ModelError as exc:
-        problems.append(f"surface: {exc}")
+        problems.extend(f"surface: {problem}" for problem in exc.problems)
         return None
 
 

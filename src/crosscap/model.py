@@ -30,7 +30,11 @@ from .series import (
 
 
 class ModelError(ValueError):
-    """Invalid surface coefficients or curve parameters."""
+    """Invalid surface coefficients or curve parameters; ``problems`` lists each one."""
+
+    def __init__(self, *problems):
+        self.problems = problems
+        super().__init__("; ".join(problems))
 
 
 def _frac(value) -> Fraction:
@@ -48,7 +52,8 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
     """Normal-form data: truncation degree k, the a_ij map and the b_i map.
 
     Absent entries are zero.  ``a[(0, 2)]`` must be nonzero; indices must
-    satisfy 2 <= i+j <= k for a and 3 <= i <= k for b.
+    satisfy 2 <= i+j <= k for a and 3 <= i <= k for b.  One ModelError
+    names every index and a_02 problem.
     """
 
     __slots__ = ()
@@ -56,23 +61,28 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
     def __new__(cls, degree: int, a: dict, b: dict):
         if degree < 3:
             raise ModelError("truncation degree k must be >= 3")
+        problems = []
         clean_a = {}
         for key, value in a.items():
             i, j = key
             if i < 0 or j < 0 or not (2 <= i + j <= degree):
-                raise ModelError(f"a index {key} outside 2 <= i+j <= k")
+                problems.append(f"a index {key} outside 2 <= i+j <= k")
+                continue
             value = _frac(value)
             if value != 0:
                 clean_a[(i, j)] = value
         clean_b = {}
         for i, value in b.items():
             if not (3 <= i <= degree):
-                raise ModelError(f"b index {i} outside 3 <= i <= k")
+                problems.append(f"b index {i} outside 3 <= i <= k")
+                continue
             value = _frac(value)
             if value != 0:
                 clean_b[i] = value
         if clean_a.get((0, 2), Fraction(0)) == 0:
-            raise ModelError("a_02 must be nonzero")
+            problems.append("a_02 must be nonzero")
+        if problems:
+            raise ModelError(*problems)
         return tuple.__new__(cls, (degree, clean_a, clean_b))
 
     @property

@@ -12,17 +12,18 @@ geometric verdicts, the developable) are None with a reason otherwise.
 Every reported number is the lowest nonvanishing coefficient of a series,
 so a short jet usually fixes it already.  Two stages decide which working
 truncation a consumer reads, and nothing outside this module does:
-``report_rung`` is the lowest rung of ``lower_truncations`` (k' = 5 when
-2 k' <= k) whose report is complete, and ``oracle_rung`` the lowest rung of
-``oracle_truncations`` (k' = 4 when 4 < k, then the report's rungs) that
-finds all three curvature degrees, which is all ``verify`` reads.  Either
-is the analysis itself when no lower rung qualifies, and either is cached
-like every stage: a second read climbs no ladder.  A rung is the same
-analysis on the jet cut at k'.  The reliability rules make this exact: a
-coefficient within its reliable order on a lower rung equals the one at
-truncation k.  The configured truncation is the last rung, and its outcome
-(values, reasons and errors) is final.  ``mesh`` and the series-valued
-stages stay at the configured truncation.
+``report_rung`` is the lowest rung of ``lower_truncations`` whose report is
+complete, and ``oracle_rung`` the lowest rung of ``oracle_truncations``
+(k' = 4 when 4 < k, then the report's rungs) that finds all three curvature
+degrees, which is all ``verify`` reads.  The report's rung k' = 5 is tried
+from truncation 10, and from truncation 8 for a curve of multiplicity
+m = 3.  Either is the analysis itself when no lower rung qualifies, and
+either is cached like every stage: a second read climbs no ladder.  A rung
+is the same analysis on the jet cut at k'.  The reliability rules make this
+exact: a coefficient within its reliable order on a lower rung equals the
+one at truncation k.  The configured truncation is the last rung, and its
+outcome (values, reasons and errors) is final.  ``mesh`` and the
+series-valued stages stay at the configured truncation.
 
 ``analyze`` counts configurations: each consumer call makes one, and the
 rungs are built as ``Analysis`` directly, without it.  A curve is exact
@@ -86,8 +87,10 @@ from .developable import (
 #: (process time, 2-core x86_64, Python 3.11) a rung at 5 made the reports
 #: 2.05x faster than the configured truncation alone in the exact field and
 #: 1.7x in the float field; rungs from 4 (4, 8, ...) made them no faster
-#: (1.0x and 0.8x).  No benchmark input has truncation 20 or more, so no
-#: higher rung was measured and none runs.
+#: (1.0x and 0.8x).  ``lower_truncations`` tries it on 112 of those jets
+#: (every shape of truncation 10 or more, and the two of truncation 8 and 9
+#: with m = 3), and it completes 110 of them.  No benchmark input has
+#: truncation 20 or more, so no higher rung was measured and none runs.
 FIRST_RUNG = 5
 
 #: The first working truncation of ``verify``, which reads only the
@@ -98,23 +101,29 @@ FIRST_RUNG = 5
 ORACLE_RUNG = 4
 
 
-def lower_truncations(k: int) -> list:
-    """The rungs ``report`` runs before k: FIRST_RUNG if 2 FIRST_RUNG <= k, else none.
+def lower_truncations(m: int, k: int) -> list:
+    """The rungs ``report`` runs before k for a curve of multiplicity m: FIRST_RUNG or none.
 
-    A rung close to k saves little when it completes and costs nearly a
-    second analysis when it does not, so every report below truncation 10
-    (the bundled fixtures) runs the configured truncation alone.
-    A rung at 5 under truncation 8 or 9 made the 32 dense jets of those
-    truncations 1.5x faster (0.258 -> 0.176 s), but the s1 and s2 reports,
-    which it does not complete and which are the median job of the CLI
-    benchmark, slower: 3.9 -> 6.1 ms and 4.1 -> 5.9 ms.
+    FIRST_RUNG is tried from truncation 10, and from truncation 8 when
+    m = 3.  Below truncation 10 a rung that cannot complete the report
+    costs nearly a second analysis: a rung at 5 took the s1 report at
+    truncation 9 (m = 1) from 1.66 to 2.26 ms and s2 from 2.24 to 3.25 ms.
+    The only m >= 2 jets of truncation 8 and 9 that ``bench/workloads.py``
+    measures are dense shapes 9 and 10 (m = 3), whose 16 variants all
+    complete at rung 5; their reports became 2.0-2.2x and 2.2-2.5x faster
+    (in-process medians over the 8 variants of each, 2-core x86_64,
+    Python 3.11).  On sparse jets the rung fails more often: over 40 drawn
+    jets per m of truncation 8 and 9 with about 30% of the terms, a failed
+    rung cost a median of +48% (m = 2) and +47% (m = 3), a completed one
+    saved 23% and 32%, and the mean change was +8% and +0%.  No workload
+    measures m = 2 or m >= 4 there, so those keep truncation 10.
     """
-    return [FIRST_RUNG] if 2 * FIRST_RUNG <= k else []
+    return [FIRST_RUNG] if k >= (8 if m == 3 else 2 * FIRST_RUNG) else []
 
 
-def oracle_truncations(k: int) -> list:
-    """The rungs ``verify`` runs before k: ORACLE_RUNG if below k, then ``lower_truncations(k)``."""
-    return ([ORACLE_RUNG] if ORACLE_RUNG < k else []) + lower_truncations(k)
+def oracle_truncations(m: int, k: int) -> list:
+    """The rungs ``verify`` runs before k: ORACLE_RUNG if below k, then ``lower_truncations(m, k)``."""
+    return ([ORACLE_RUNG] if ORACLE_RUNG < k else []) + lower_truncations(m, k)
 
 
 def _report_complete(a: "Analysis") -> bool:
@@ -164,7 +173,7 @@ class Analysis:
         """The lowest rung whose results ``complete(rung)`` accepts.
 
         A lower rung is this analysis on the jet cut at one of
-        ``lower(k)``, in that order; it is built as ``Analysis`` directly,
+        ``lower(m, k)``, in that order; it is built as ``Analysis`` directly,
         not through ``analyze``.  A library error there (a ValueError)
         moves on to the next rung: a short jet may fail where the
         configured one does not, and an error that is real is raised again
@@ -173,7 +182,7 @@ class Analysis:
         other exception is a bug and propagates.  This analysis is the
         last rung and is returned unchecked.
         """
-        for k in lower(self.coeffs.degree):
+        for k in lower(self.spec.m, self.coeffs.degree):
             try:
                 rung = Analysis(self.coeffs.truncated(k), self.spec)
                 if complete(rung):

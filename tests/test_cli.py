@@ -179,6 +179,18 @@ def test_all_violations_reported_together():
 MP_CURVE = {"family": "mp", "m": 1, "p": 2, "c": ["1"]}
 
 
+def test_every_surface_index_problem_is_reported():
+    surface = {"a": {"0,2": "0", "1,0": "1", "0,1": "1"}, "b": {"2": "1"}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"truncation": 4, "surface": surface, "curve": MP_CURVE}))
+    assert err.value.problems == [
+        "surface: a index (1, 0) outside 2 <= i+j <= k",
+        "surface: a index (0, 1) outside 2 <= i+j <= k",
+        "surface: b index 2 outside 3 <= i <= k",
+        "surface: a_02 must be nonzero",
+    ]
+
+
 @pytest.mark.parametrize(
     "surface, curve, problems",
     [

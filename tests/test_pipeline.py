@@ -3,15 +3,15 @@
 Each case counts calls through every ``crosscap`` module binding of the
 counted function, so a consumer that rebuilds a stage by hand is counted too.
 
-The ladder of working truncations must not change a byte: reports and
-verify rows produced through it are compared with those of the configured
-truncation alone, obtained by raising ``pipeline.FIRST_RUNG`` (the report's
-rung) and ``pipeline.ORACLE_RUNG`` (verify's first rung) above every
-truncation so that no lower rung runs; an analysis keeps the rung it first
-read (``report_rung``, ``oracle_rung``), so each policy reads a fresh one.  Each rung is an analysis built
-without ``analyze``: ``analyze`` counts one configuration per consumer call,
-``model.build_curve`` one curve per analysis whose curve is read, so a
-configured analysis that a lower rung resolves builds none.
+The ladder of working truncations must not change a byte: reports and verify
+rows produced through it are compared with those of the configured
+truncation alone, obtained by making ``pipeline.lower_truncations`` (the
+report's rungs) and ``pipeline.oracle_truncations`` (verify's) return no
+rung; an analysis keeps the rung it first read (``report_rung``,
+``oracle_rung``), so each policy reads a fresh one.  Each rung is an
+analysis built without ``analyze``: ``analyze`` counts one configuration per
+consumer call, ``model.build_curve`` one curve per analysis whose curve is
+read, so a configured analysis that a lower rung resolves builds none.
 """
 
 import json
@@ -257,16 +257,21 @@ def test_no_stage_but_ruled_rounds(monkeypatch, name):
 
 
 def test_lower_truncations():
-    assert pipeline.lower_truncations(9) == []
-    assert pipeline.lower_truncations(10) == [5]
-    assert pipeline.lower_truncations(200) == [5]
+    # Rung 5 runs from truncation 10, and from truncation 8 at m = 3, the
+    # only multiplicity the benchmark measures below truncation 10.
+    for m in (1, 2, 4):
+        for k in range(3, 201):
+            assert pipeline.lower_truncations(m, k) == ([5] if k >= 10 else [])
+    assert pipeline.lower_truncations(3, 6) == pipeline.lower_truncations(3, 7) == []
+    assert pipeline.lower_truncations(3, 8) == pipeline.lower_truncations(3, 200) == [5]
 
 
 def test_oracle_truncations():
-    assert pipeline.oracle_truncations(4) == []
-    assert pipeline.oracle_truncations(5) == [4]
-    assert pipeline.oracle_truncations(9) == [4]
-    assert pipeline.oracle_truncations(10) == [4, 5]
+    for m in (1, 2, 4):
+        for k in range(3, 201):
+            assert pipeline.oracle_truncations(m, k) == [4] * (k > 4) + [5] * (k >= 10)
+    assert pipeline.oracle_truncations(3, 6) == pipeline.oracle_truncations(3, 7) == [4]
+    assert pipeline.oracle_truncations(3, 8) == [4, 5]
 
 
 # Truncation 16, which truncation 5 completes.
@@ -277,6 +282,21 @@ def test_report_builds_the_surface_jet_only_on_the_resolving_rung(monkeypatch):
     truncations = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
     build_report(parse_config(DENSE_16))
     assert truncations == [5]
+
+
+@pytest.mark.parametrize("name, truncation", [("s1", 9), ("s2", 9), ("s3", 7)])
+def test_a_report_below_the_first_rung_builds_one_surface_jet(monkeypatch, name, truncation):
+    # s1 and s2 (m = 1) and s3 (m = 3) are too short for rung 5 to pay:
+    # their reports run the configured truncation alone.
+    truncations = count_calls(monkeypatch, model, "build_umbrella", lambda coeffs: coeffs.degree)
+    build_report(fixture_at(name, truncation))
+    assert truncations == [truncation]
+
+
+def no_lower_rungs(monkeypatch):
+    """Run every analysis at its configured truncation alone."""
+    monkeypatch.setattr(pipeline, "lower_truncations", lambda m, k: [])
+    monkeypatch.setattr(pipeline, "oracle_truncations", lambda m, k: [])
 
 
 def test_each_rung_is_read_once_per_analysis(monkeypatch):
@@ -290,8 +310,7 @@ def test_each_rung_is_read_once_per_analysis(monkeypatch):
     assert report_from_analysis(cfg, analysis) == report and jets == [5]
     row = verify_fixture(analysis)
     assert verify_fixture(analysis) == row and jets == [5, 4]
-    monkeypatch.setattr(pipeline, "FIRST_RUNG", sys.maxsize)
-    monkeypatch.setattr(pipeline, "ORACLE_RUNG", sys.maxsize)
+    no_lower_rungs(monkeypatch)
     assert (analysis.report_rung.coeffs.degree, analysis.oracle_rung.coeffs.degree) == (5, 4)
     assert jets == [5, 4]
 
@@ -318,7 +337,7 @@ def test_the_report_rung_reads_every_untested_stage_as_the_configured_truncation
             assert getattr(rung, stage) == getattr(configured, stage), (text, stage)
         lowered += rung is not configured
         with_invariants += rung is not configured and rung.invariants is not None
-    assert lowered >= 90 and with_invariants >= 20  # 94 and 24: the test reads lower rungs
+    assert lowered >= 110 and with_invariants >= 32  # the test reads lower rungs
 
 
 def sweep_draw(seed, subcase):
@@ -348,9 +367,8 @@ def through_ladder_and_alone(produce):
     An analysis keeps the rung it first read, so ``produce`` must build a
     fresh analysis on each call for the policy to take effect.
     """
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(pipeline, "FIRST_RUNG", sys.maxsize)
-        m.setattr(pipeline, "ORACLE_RUNG", sys.maxsize)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        no_lower_rungs(monkeypatch)
         alone = produce()
     return produce(), alone
 
@@ -374,28 +392,44 @@ def test_ladder_keeps_the_dense_reports(field):
         cfg = parse_config(workloads.dense_config(shape, shape % workloads.DENSE_VARIANTS, field))
         assert_ladder_keeps_bytes(cfg)
         resolved_low += resolving_truncation(cfg) < cfg.coeffs.degree
-    assert resolved_low >= 10  # 12 of the 16 shapes have truncation >= 10
+    # The 12 shapes of truncation >= 10, and shapes 9 and 10 (truncation 8
+    # and 9, m = 3).
+    assert resolved_low >= 14
 
 
-def fixture_at(name, truncation, field="exact"):
+@pytest.mark.parametrize("field", ["exact", "float"])
+@pytest.mark.parametrize("shape", [9, 10])
+def test_ladder_keeps_the_dense_m3_reports_below_truncation_10(shape, field):
+    for variant in range(workloads.DENSE_VARIANTS):
+        cfg = parse_config(workloads.dense_config(shape, variant, field))
+        assert resolving_truncation(cfg) == 5
+        assert_ladder_keeps_bytes(cfg)
+
+
+def fixture_at(name, truncation, field="exact", curve=None):
     raw = json.loads(fixture_text(name))
     raw["truncation"] = truncation
     raw["field"] = field
+    if curve is not None:
+        raw["curve"] = curve
     return parse_config(json.dumps(raw))
 
 
 @pytest.mark.parametrize("field", ["exact", "float"])
 @pytest.mark.parametrize(
-    "name, truncation, resolved",
+    "name, truncation, curve, resolved",
     [
-        ("s1", 12, 12),  # a cylinder: only the configured truncation completes it
-        ("s2", 14, 14),  # sigma first appears at truncation 7
-        ("s2", 20, 20),  # no rung between 5 and the configured truncation
-        ("s3", 16, 5),
+        ("s1", 12, None, 12),  # a cylinder: only the configured truncation completes it
+        ("s2", 14, None, 14),  # sigma first appears at truncation 7
+        ("s2", 20, None, 20),  # no rung between 5 and the configured truncation
+        ("s3", 16, None, 5),
+        # m = 3 runs rung 5 from truncation 8, which leaves this sparse report incomplete.
+        ("s1", 8, {"family": "mp", "m": 3, "p": 2, "c": ["1"]}, 8),
     ],
+    ids=["s1-12-12", "s2-14-14", "s2-20-20", "s3-16-5", "s1-mp-m3-8-8"],
 )
-def test_ladder_keeps_the_fixture_reports(name, truncation, resolved, field):
-    cfg = fixture_at(name, truncation, field)
+def test_ladder_keeps_the_fixture_reports(name, truncation, curve, resolved, field):
+    cfg = fixture_at(name, truncation, field, curve)
     assert resolving_truncation(cfg) == resolved
     assert_ladder_keeps_bytes(cfg)
 
@@ -406,7 +440,7 @@ def test_verify_climbs_past_an_unresolved_degree():
     # and 5 resolve, so the oracle must come from the configured truncation.
     coeffs = UmbrellaCoefficients(12, {(0, 2): 1}, {})
     spec = FamilyMP(m=1, p=5, c=(1,))
-    assert pipeline.oracle_truncations(12) == [4, 5]
+    assert pipeline.oracle_truncations(1, 12) == [4, 5]
     assert analyze(coeffs.truncated(4), spec).oracle.degrees[1] is None
     assert analyze(coeffs.truncated(5), spec).oracle.degrees[1] is None
     assert verify_fixture(Analysis(coeffs, spec)).comparisons[1].degree_oracle == 3
@@ -419,9 +453,9 @@ def rational(rng):
 
 @st.composite
 def family_jets(draw):
-    """A jet of truncation 10..14 with terms up to that degree and a family curve."""
+    """A jet of truncation 8..14 with terms up to that degree and a family curve."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    k = draw(st.integers(10, 14))
+    k = draw(st.integers(8, 14))
     a = {f"{i},{s - i}": str(rational(rng)) for s in range(2, k + 1) for i in range(s + 1) if rng.random() < 0.6}
     a["0,2"] = str(rng.choice((1, -1, 2, Fraction(1, 3))))
     b = {str(i): str(rational(rng)) for i in range(3, k + 1) if rng.random() < 0.6}
