@@ -10,14 +10,9 @@ import sys
 from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
 from .verify import has_hard_failure, has_undetermined, render_rows, run_sweep, verify_fixture
-from .series import SeriesError
-from .model import ModelError
-from .frame import FrameError
-from .invariants import InvariantError
-from .developable import DevelopableError
+from .series import CrosscapError
 from .pipeline import Analysis, analyze
 from .obj import (
-    MeshError,
     obj_mesh_text,
     obj_polyline_text,
     sample_curve_polyline,
@@ -169,16 +164,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        SeriesError,
-        ModelError,
-        FrameError,
-        InvariantError,
-        DevelopableError,
-        MeshError,
-        OverflowError,  # a float conversion of a jet value beyond the float range
-    ) as exc:
+    # Every library error is a CrosscapError; an OverflowError is a float
+    # conversion of a jet value beyond the float range.
+    except (CrosscapError, OverflowError) as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
     except OSError as exc:

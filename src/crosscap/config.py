@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import SignedRoot
+from .series import CrosscapError, SignedRoot
 from .model import (
     CurveSpec,
     FamilyMP,
@@ -33,7 +33,7 @@ from .model import (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(CrosscapError):
     """One or more validation problems; ``problems`` lists all of them.
 
     The message is one line, ``invalid configuration: <p1>; <p2>``, like

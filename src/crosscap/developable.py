@@ -30,6 +30,7 @@ import math
 from typing import NamedTuple
 
 from .series import (
+    CrosscapError,
     ReliabilityError,
     SignedRoot,
     UniSeries,
@@ -42,7 +43,7 @@ from .series import (
 from .frame import CurvatureReport, FrameFactors
 
 
-class DevelopableError(ValueError):
+class DevelopableError(CrosscapError):
     """Violated preconditions of the osculating-developable construction."""
 
 

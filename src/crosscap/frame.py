@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .series import (
+    CrosscapError,
     FloatSeries,
     Vec3Series,
     factor_power,
@@ -48,7 +49,7 @@ from .model import CurveSpec, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
 from .invariants import invariant_values
 
 
-class FrameError(ValueError):
+class FrameError(CrosscapError):
     """Degenerate factorization or an inapplicable closed form."""
 
 

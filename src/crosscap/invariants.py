@@ -16,6 +16,11 @@ series and cross-check it against the plugged invariant values; both sides
 are exact rationals.  ``invariant_values`` is the one place the formulas
 are written: ``top_invariants`` and the p = 2 row of
 ``frame.closed_form_reference`` both read it.
+
+The shape is checked once, by ``top_invariants`` through ``c2m_shape``.  The
+three verdicts take the m and c0 of a curve that passed it, and
+``Verdicts`` holds them, in report order, for the ``verdicts`` stage of
+``pipeline.Analysis``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .series import (
+    CrosscapError,
     SignedRoot,
     UniSeries,
     Vec3Series,
@@ -39,8 +45,12 @@ from .model import (
 )
 
 
-class InvariantError(ValueError):
-    """Curve shape outside the (c, 2m) family, or a failed identity cross-check."""
+class InvariantError(CrosscapError):
+    """A curve outside the (c, 2m) family, which ``top_invariants`` refuses, or a failed verdict cross-check.
+
+    The first makes the invariants and the verdicts not applicable; the
+    second is raised out of the ``verdicts`` stage.
+    """
 
 
 def c2m_shape(spec: CurveSpec):
@@ -113,10 +123,9 @@ class ProjectionTangency(NamedTuple):
 
 
 def projection_tangency(
-    coeffs: UmbrellaCoefficients, spec: CurveSpec, img: Vec3Series, inv: TopInvariants
+    coeffs: UmbrellaCoefficients, m: int, c0: Fraction, img: Vec3Series, inv: TopInvariants
 ) -> ProjectionTangency:
     """Verdict from the EXACT image curve, cross-checked against the invariants."""
-    m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
     pb = img.x * -a02 + img.z * (2 * c0)
     pn = img.y
@@ -171,8 +180,8 @@ class SelfIntersectionCurve(NamedTuple):
     tangent_to_curve: bool
 
 
-def self_intersection(coeffs: UmbrellaCoefficients, W: Vec3Series, spec: CurveSpec) -> SelfIntersectionCurve:
-    """The double-point curve of the EXACT umbrella ``W`` built from ``coeffs``, against the curve ``spec``."""
+def self_intersection(coeffs: UmbrellaCoefficients, W: Vec3Series, c0: Fraction) -> SelfIntersectionCurve:
+    """The double-point curve of the EXACT umbrella ``W`` built from ``coeffs``, against a curve of constant c0."""
     a02 = coeffs.a02
     a11 = coeffs.a_coeff(1, 1)
     a03 = coeffs.a_coeff(0, 3)
@@ -189,7 +198,6 @@ def self_intersection(coeffs: UmbrellaCoefficients, W: Vec3Series, spec: CurveSp
                 raise InvariantError("self-intersection image is not symmetric")
     d_img = img.diff()
     lead_d = factor_power(d_img, valuation(d_img).order).constant_vector()
-    _, c0, _ = c2m_shape(spec)
     lead_c = (2 * c0, Fraction(0), a02)
     tangent = all(c == 0 for c in _cross3(lead_d, lead_c))
     return SelfIntersectionCurve(
@@ -231,11 +239,18 @@ class ContourDeviation(NamedTuple):
     vanishes: bool
 
 
-def contour_deviation(coeffs: UmbrellaCoefficients, spec: CurveSpec, n: Vec3Series) -> ContourDeviation:
+def contour_deviation(coeffs: UmbrellaCoefficients, m: int, c0: Fraction, n: Vec3Series) -> ContourDeviation:
     """The pairing of the factored normal N (``FrameFactors.normal``) with (-a02, 0, 2c0)."""
-    m, c0, _ = c2m_shape(spec)
     a02 = coeffs.a02
     exact = (n.x * -a02 + n.z * (2 * c0)).coefficient(m)
     n2 = sum(c * c for c in n.constant_vector())
     coeff = SignedRoot.of(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
     return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)
+
+
+class Verdicts(NamedTuple):
+    """The three geometric verdicts of a (c, 2m) curve, in report order."""
+
+    projection: ProjectionTangency
+    self_intersection: SelfIntersectionCurve
+    contour: ContourDeviation

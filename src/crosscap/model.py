@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .series import (
+    CrosscapError,
     UniSeries,
     BiSeries,
     Vec3Series,
@@ -29,7 +30,7 @@ from .series import (
 )
 
 
-class ModelError(ValueError):
+class ModelError(CrosscapError):
     """Invalid surface coefficients or curve parameters; ``problems`` lists each one."""
 
     def __init__(self, *problems):

@@ -19,11 +19,11 @@ import math
 from itertools import chain, filterfalse
 from typing import NamedTuple
 
-from .series import FloatSeries, Vec3Series
+from .series import CrosscapError, FloatSeries, Vec3Series
 from .developable import RuledSurface
 
 
-class MeshError(ValueError):
+class MeshError(CrosscapError):
     """Degenerate sampling ranges or resolutions, or a non-finite vertex."""
 
 

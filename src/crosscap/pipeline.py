@@ -8,6 +8,9 @@ report, verify and mesh share one computation and each runs only the
 stages it reads.  Pieces that only
 apply to particular curve shapes (closed forms, the A/B/C/D block,
 geometric verdicts, the developable) are None with a reason otherwise.
+The (c(x) x^{2m}, x^m) shape is checked once, by the invariants stage; the
+three verdicts are one stage, ``verdicts``, which is None exactly when the
+invariants are.
 
 Every reported number is the lowest nonvanishing coefficient of a series,
 so a short jet usually fixes it already.  Two stages decide which working
@@ -21,8 +24,10 @@ m = 3.  Either is the analysis itself when no lower rung qualifies, and
 either is cached like every stage: a second read climbs no ladder.  A rung
 is the same analysis on the jet cut at k'.  The reliability rules make this
 exact: a coefficient within its reliable order on a lower rung equals the
-one at truncation k.  The configured truncation is the last rung, and its
-outcome (values, reasons and errors) is final.  ``mesh`` and the
+one at truncation k.  A library error (a ``CrosscapError``) on a lower rung
+moves on to the next; any other exception is a bug and propagates.  The
+configured truncation is the last rung, and its outcome (values, reasons
+and errors) is final.  ``mesh`` and the
 series-valued stages stay at the configured truncation.
 
 ``analyze`` counts configurations: each consumer call makes one, and the
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .series import Vec3Series
+from .series import CrosscapError, Vec3Series
 from .model import (
     CurveSpec,
     TangencyClassification,
@@ -60,11 +65,9 @@ from .frame import (
     frame_factors,
 )
 from .invariants import (
-    ContourDeviation,
     InvariantError,
-    ProjectionTangency,
-    SelfIntersectionCurve,
     TopInvariants,
+    Verdicts,
     contour_deviation,
     projection_tangency,
     self_intersection,
@@ -174,7 +177,7 @@ class Analysis:
 
         A lower rung is this analysis on the jet cut at one of
         ``lower(m, k)``, in that order; it is built as ``Analysis`` directly,
-        not through ``analyze``.  A library error there (a ValueError)
+        not through ``analyze``.  A library error there (a ``CrosscapError``)
         moves on to the next rung: a short jet may fail where the
         configured one does not, and an error that is real is raised again
         by the configured truncation.  No stage but ``ruled``, which is
@@ -187,7 +190,7 @@ class Analysis:
                 rung = Analysis(self.coeffs.truncated(k), self.spec)
                 if complete(rung):
                     return rung
-            except ValueError:
+            except CrosscapError:
                 continue
         return self
 
@@ -268,22 +271,17 @@ class Analysis:
         return self._invariants[1]
 
     @cached_property
-    def projection(self) -> ProjectionTangency | None:
-        if self.invariants is None:
+    def verdicts(self) -> Verdicts | None:
+        """The three verdicts; None when the invariants, which check the curve's shape, do not apply."""
+        inv = self.invariants
+        if inv is None:
             return None
-        return projection_tangency(self.coeffs, self.spec, self.image, self.invariants)
-
-    @cached_property
-    def self_int(self) -> SelfIntersectionCurve | None:
-        if self.invariants is None:
-            return None
-        return self_intersection(self.coeffs, self.W, self.spec)
-
-    @cached_property
-    def contour(self) -> ContourDeviation | None:
-        if self.invariants is None:
-            return None
-        return contour_deviation(self.coeffs, self.spec, self.factors.normal)
+        m, c0 = self.spec.m, self.spec.c[0]
+        return Verdicts(
+            projection_tangency(self.coeffs, m, c0, self.image, inv),
+            self_intersection(self.coeffs, self.W, c0),
+            contour_deviation(self.coeffs, m, c0, self.factors.normal),
+        )
 
     @cached_property
     def _developable(self):

@@ -97,11 +97,7 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
 
     if a.invariants is not None:
         doc["invariants"] = {"applicable": True, **_section(a.invariants)}
-        doc["verdicts"] = {
-            "projection": _section(a.projection),
-            "self_intersection": _section(a.self_int),
-            "contour": _section(a.contour),
-        }
+        doc["verdicts"] = _section(a.verdicts)
     else:
         doc["invariants"] = {"applicable": False, "reason": a.invariants_reason}
         doc["verdicts"] = {"applicable": False, "reason": a.invariants_reason}

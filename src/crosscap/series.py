@@ -74,7 +74,14 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 
-class SeriesError(ValueError):
+class CrosscapError(ValueError):
+    """The base of every error the library raises on a refused input or an analysis it cannot complete.
+
+    A stdlib ``ValueError`` is not one: raised out of the library, it is a bug.
+    """
+
+
+class SeriesError(CrosscapError):
     """Raised on mixed exact and float operands, domain violations and reliability abuse."""
 
 

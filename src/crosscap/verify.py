@@ -23,7 +23,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import FamilyMP, FamilyMPQ, GeneralCurve, ModelError, UmbrellaCoefficients
+from .model import FamilyMP, FamilyMPQ, UmbrellaCoefficients
+from .frame import FrameError
 from .pipeline import Analysis
 
 PASS = "PASS"
@@ -116,8 +117,8 @@ def _row_status(comparisons) -> str:
 
 def verify_fixture(analysis: Analysis, subcase: str = "fixture", draw: int = 0) -> VerifyRow:
     """The row of ``analysis``: the oracle of its ``oracle_rung`` against its closed form."""
-    if isinstance(analysis.spec, GeneralCurve):
-        raise ModelError("verify requires a family curve; general curves have no closed forms")
+    if analysis.closed_form is None:
+        raise FrameError(f"verify: {analysis.closed_form_reason}")
     comparisons = compare_reports(analysis.oracle_rung.oracle, analysis.closed_form)
     return VerifyRow(
         subcase=subcase,

@@ -128,24 +128,24 @@ def test_criterion_6_verdict_suite(s2_coeffs, s2_spec):
     # S2: B = 0, tangent to the self-intersection curve, projection along b(0)
     inv = top_invariants(s2_coeffs, s2_spec)
     assert inv.B == 0
-    si = self_intersection(s2_coeffs, build_umbrella(s2_coeffs), s2_spec)
+    si = self_intersection(s2_coeffs, build_umbrella(s2_coeffs), s2_spec.c[0])
     assert si.tangent_to_curve is True
-    proj = analyze(s2_coeffs, s2_spec).projection
+    proj = analyze(s2_coeffs, s2_spec).verdicts.projection
     assert proj.verdict == PROJ_TANGENT_TO_B
 
     # constructed A = 0 fixture projects along n(0)
     a0_co = UmbrellaCoefficients(degree=9, a={(0, 2): 2, (1, 1): 1}, b={})
     a0_spec = FamilyMP(m=1, p=2, c=(1, 1))
     assert top_invariants(a0_co, a0_spec).A == 0
-    assert analyze(a0_co, a0_spec).projection.verdict == PROJ_TANGENT_TO_N
+    assert analyze(a0_co, a0_spec).verdicts.projection.verdict == PROJ_TANGENT_TO_N
 
     # constructed C = 0 fixture zeroes the contour pairing at order m
     c0_co = UmbrellaCoefficients(degree=9, a={(0, 2): 2, (1, 1): 1}, b={3: 2})
     c0_spec = FamilyMP(m=1, p=2, c=(1,))
     a = analyze(c0_co, c0_spec)
     assert a.invariants.C == 0
-    assert a.contour.exact_coefficient == 0
-    assert a.contour.vanishes
+    assert a.verdicts.contour.exact_coefficient == 0
+    assert a.verdicts.contour.vanishes
     _ok("criterion 6", "(S2 tangency + projection, A=0 -> n(0), C=0 -> contour zero)")
 
 
@@ -207,7 +207,7 @@ def test_criterion_8_self_intersection_coefficients():
     rng = random.Random(300)
     for _ in range(10):
         co = random_surface(rng)
-        si = self_intersection(co, build_umbrella(co), FamilyMP(m=1, p=2, c=(1,)))
+        si = self_intersection(co, build_umbrella(co), Fraction(1))
         b3 = co.b_coeff(3)
         a11 = co.a_coeff(1, 1)
         a03 = co.a_coeff(0, 3)

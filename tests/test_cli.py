@@ -524,7 +524,7 @@ def test_verify_rejects_general_curve(tmp_path, capsys):
     cfg_path = tmp_path / "general.json"
     cfg_path.write_text(GENERAL_CURVE)
     assert main(["verify", str(cfg_path)]) == 2
-    assert "general curves" in capsys.readouterr().err
+    assert capsys.readouterr().err == "verify: closed forms apply only to the two curve families\n"
     assert main(["verify"]) == 2
     assert "provide a config file or --sweep" in capsys.readouterr().err
 

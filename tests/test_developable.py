@@ -35,7 +35,7 @@ from crosscap.developable import (
     osculating_surface,
 )
 from crosscap.frame import darboux_frame, kappa_tilde_series
-from crosscap.series import ReliabilityError, SeriesError, SignedRoot, Vec3Series, reciprocal, sqrt_series
+from crosscap.series import ReliabilityError, SeriesError, SignedRoot, Vec3Series, reciprocal, sqrt_series, valuation
 from crosscap.obj import (
     MeshError,
     obj_mesh_text,
@@ -326,6 +326,55 @@ def test_guarantee_sigma_top_nonzero_when_a3_ge_a2():
         assert d.sigma_order == a.factors.alpha0 - d.delta_order - 2
         assert d.sigma_top != 0
         done += 1
+
+
+#: Jets on the standard cross-cap (a02 = 2 and no other a_ij) at truncation
+#: 7: (b, curve, branch, striction exists, striction passes through 0).
+STRICTION_JETS = {
+    # a2 > a3: val(T) = 3 > val(R) = 1, and the other branch's bound,
+    # alpha0 - 1 = 1, would say the curve misses the singular point.
+    "a2-gt-a3": ({}, FamilyMP(m=1, p=4, c=(1,)), BRANCH_A2_GT_A3, True, True),
+    "a3-ge-a2": ({}, FamilyMP(m=1, p=2, c=(1, 1)), BRANCH_A3_GE_A2, True, True),
+    # val(T) = val(R) = 1: T / R is a series that does not vanish at 0.
+    "boundary": ({3: 1}, FamilyMP(m=1, p=4, c=(1,)), BRANCH_A3_GE_A2, True, False),
+    # val(T) = 1 < val(R) = 2: T / R is no series.
+    "no-striction": ({3: 1}, FamilyMP(m=1, p=5, c=(1,)), BRANCH_A3_GE_A2, False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICTION_JETS))
+def test_the_striction_decisions_follow_the_valuations_of_T_and_R(name):
+    # The striction curve img - (T / R) V exists when T / R is a series,
+    # val(T) >= val(R), and passes through the singular point when T / R
+    # vanishes at 0, val(T) > val(R).  The chain decides both from a bound
+    # on val(T) that depends on the branch; here they are read from the
+    # series T = -x^alpha V . (N x E_t) and R themselves.
+    b, spec, branch, exists, passes = STRICTION_JETS[name]
+    a = analyze(UmbrellaCoefficients(7, {(0, 2): 2}, b), spec)
+    d = a.developable
+    t = valuation(d.director.dot(a.cross).shift(a.factors.alpha))
+    r = valuation(d.delta)
+    assert not t.is_zero_to_order and not r.is_zero_to_order
+    assert (d.branch, d.striction.exists, d.striction.passes_through_singularity) == (branch, exists, passes)
+    assert (t.order >= r.order, t.order > r.order) == (exists, passes)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_the_sigma_order_lower_bound_never_exceeds_the_order_a_longer_jet_finds(p):
+    # A sigma that vanishes to reliable order R has order R + 1 or more.  On
+    # these jets the shortest truncation with a developable (5, 6 and 7)
+    # leaves sigma vanishing to order 0, and every longer one finds it at
+    # order 1: the bound is met exactly.
+    spec = FamilyMP(m=1, p=p, c=(1,))
+    found = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), spec).developable.sigma_order
+    bounds = []
+    for k in range(4, 12):
+        d = analyze(UmbrellaCoefficients(k, {(0, 2): 2}, {}), spec).developable
+        if d is not None:
+            assert d.striction.passes_through_singularity and d.sigma_order_lower_bound <= found
+            if d.sigma_order is None:
+                bounds.append(d.sigma_order_lower_bound)
+    assert bounds == [found] == [1]
 
 
 def test_cone_striction_is_apex():

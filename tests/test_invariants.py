@@ -121,7 +121,7 @@ def test_secondary_normal_top_when_B_vanishes():
 
 
 def test_projection_s1_generic(s1_coeffs, s1_spec):
-    p = analyze(s1_coeffs, s1_spec).projection
+    p = analyze(s1_coeffs, s1_spec).verdicts.projection
     assert p.verdict == PROJ_GENERIC
     assert (p.coeff_along_b, p.coeff_along_n) == (2, 1)  # A/3, B/3
     assert p.unit_coeff_along_b == SignedRoot(1, Fraction(1, 2))  # 1/sqrt(2)
@@ -131,7 +131,7 @@ def test_projection_s1_generic(s1_coeffs, s1_spec):
 
 
 def test_projection_s2_tangent_to_b(s2_coeffs, s2_spec):
-    p = analyze(s2_coeffs, s2_spec).projection
+    p = analyze(s2_coeffs, s2_spec).verdicts.projection
     assert p.verdict == PROJ_TANGENT_TO_B
     assert p.coeff_along_n == 0
     assert p.coeff_along_b == 4
@@ -141,7 +141,7 @@ def test_projection_a0_tangent_to_n():
     co, spec = a0_fixture()
     inv = top_invariants(co, spec)
     assert inv.A == 0 and inv.B == 3
-    p = analyze(co, spec).projection
+    p = analyze(co, spec).verdicts.projection
     assert p.verdict == PROJ_TANGENT_TO_N
     assert p.coeff_along_b == 0
 
@@ -150,7 +150,7 @@ def test_projection_degenerate_when_A_and_B_vanish():
     # c0 = 1, a02 = 2, b3 = -6 makes B = 0; pick cm so A = 0 too
     co = UmbrellaCoefficients(degree=9, a={(0, 2): 2, (1, 1): 1}, b={3: -6})
     spec = FamilyMP(m=1, p=2, c=(1, 1))  # A = 6 + 0 - 6 = 0
-    p = analyze(co, spec).projection
+    p = analyze(co, spec).verdicts.projection
     assert p.verdict == PROJ_DEGENERATE
 
 
@@ -162,7 +162,7 @@ def test_projection_verdict_matches_invariants_randomly():
         c = [rand_fraction(rng, nonzero=True)] + [Fraction(0)] * (m - 1) + [rand_fraction(rng)]
         spec = FamilyMP(m=m, p=2, c=tuple(c))
         inv = top_invariants(co, spec)
-        p = analyze(co, spec).projection
+        p = analyze(co, spec).verdicts.projection
         assert p.coeff_along_b * 3 == inv.A
         assert p.coeff_along_n * 3 == inv.B
 
@@ -174,14 +174,14 @@ def test_projection_verdict_matches_invariants_randomly():
 
 def test_self_intersection_printed_formulas():
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 2, (1, 1): 1, (0, 3): 2}, b={3: 6})
-    si = self_intersection(co, build_umbrella(co), FamilyMP(m=1, p=2, c=(1,)))
+    si = self_intersection(co, build_umbrella(co), Fraction(1))
     assert si.d12 == -1  # -b3/6
     assert si.d22 == Fraction(6 * 1 - 2, 6 * 2)  # (b3 a11 - a03)/(6 a02) = 1/3
     assert (si.d11, si.d21) == (0, 1)
 
 
 def test_self_intersection_s1(s1_coeffs, s1_spec):
-    si = self_intersection(s1_coeffs, build_umbrella(s1_coeffs), s1_spec)
+    si = self_intersection(s1_coeffs, build_umbrella(s1_coeffs), s1_spec.c[0])
     assert si.d12 == 0 and si.d22 == 0
     # image tangent along the principal intersection line
     assert si.image_tangent_direction == (0, 0, 2)
@@ -189,7 +189,7 @@ def test_self_intersection_s1(s1_coeffs, s1_spec):
 
 
 def test_self_intersection_s2_tangency(s2_coeffs, s2_spec):
-    si = self_intersection(s2_coeffs, build_umbrella(s2_coeffs), s2_spec)
+    si = self_intersection(s2_coeffs, build_umbrella(s2_coeffs), s2_spec.c[0])
     assert si.image_tangent_direction == (2, 0, 1)
     assert si.curve_tangent_direction == (2, 0, 1)
     assert si.tangent_to_curve is True
@@ -199,7 +199,7 @@ def test_self_intersection_symmetry_random():
     rng = random.Random(66)
     for _ in range(10):
         co = random_surface(rng)
-        si = self_intersection(co, build_umbrella(co), FamilyMP(m=1, p=2, c=(1,)))
+        si = self_intersection(co, build_umbrella(co), Fraction(1))
         for comp in si.image.components:
             for deg in range(min(4, comp.reliable_order + 1)):
                 if deg % 2 == 1:
@@ -214,14 +214,14 @@ def test_self_intersection_tangency_iff_B_zero():
         c0 = rand_fraction(rng, nonzero=True)
         spec = FamilyMP(m=1, p=2, c=(c0,))
         inv = top_invariants(co, spec)
-        si = self_intersection(co, build_umbrella(co), spec)
+        si = self_intersection(co, build_umbrella(co), spec.c[0])
         assert si.tangent_to_curve == (inv.B == 0)
         done += 1
     # and a constructed B = 0 instance
     co = UmbrellaCoefficients(degree=6, a={(0, 2): 3, (1, 1): 1}, b={3: -12})
     spec = FamilyMP(m=1, p=2, c=(2,))
     assert top_invariants(co, spec).B == 0
-    assert self_intersection(co, build_umbrella(co), spec).tangent_to_curve is True
+    assert self_intersection(co, build_umbrella(co), spec.c[0]).tangent_to_curve is True
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_self_intersection_tangency_iff_B_zero():
 
 
 def test_contour_s1_value(s1):
-    c = s1.contour
+    c = s1.verdicts.contour
     assert c.exact_coefficient == -2  # = C
     assert c.coefficient == SignedRoot(-1, Fraction(1, 8))  # -1/(2 sqrt(2))
     assert float(c.coefficient) == -math.sqrt(0.125)  # rounded once
@@ -241,8 +241,8 @@ def test_contour_c0_fixture_vanishes():
     co, spec = c0_fixture()
     a = analyze(co, spec)
     assert a.invariants.C == 0
-    assert a.contour.exact_coefficient == 0
-    assert a.contour.vanishes
+    assert a.verdicts.contour.exact_coefficient == 0
+    assert a.verdicts.contour.vanishes
 
 
 def test_contour_exact_equals_C_randomly():
@@ -253,7 +253,7 @@ def test_contour_exact_equals_C_randomly():
         c = [rand_fraction(rng, nonzero=True)] + [Fraction(0)] * (m - 1) + [rand_fraction(rng)]
         spec = FamilyMP(m=m, p=2, c=tuple(c))
         a = analyze(co, spec)
-        assert a.contour.exact_coefficient == a.invariants.C
+        assert a.verdicts.contour.exact_coefficient == a.invariants.C
 
 
 def test_contour_coefficient_is_the_float_frame_pairing(s1):
@@ -270,7 +270,7 @@ def test_contour_coefficient_is_the_float_frame_pairing(s1):
         b0 = fr.b.constant_vector()
         pairing = fr.n.dot(float_vec3([b0[0]], [b0[1]], [b0[2]], fr.n.reliable_order))
         want = pairing.coeffs[a.spec.m]
-        assert abs(float(a.contour.coefficient) - want) <= 1e-9 * abs(want) + 1e-12
+        assert abs(float(a.verdicts.contour.coefficient) - want) <= 1e-9 * abs(want) + 1e-12
 
 
 def test_normal_pairing_with_itself(s1):

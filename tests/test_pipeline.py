@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
@@ -37,7 +38,7 @@ from crosscap import (
 )
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
-from crosscap.series import FloatSeries, UniSeries, Vec3Series
+from crosscap.series import CrosscapError, FloatSeries, UniSeries, Vec3Series
 from crosscap.report import build_report, render_report, report_from_analysis
 from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
 
@@ -179,7 +180,7 @@ _CONSTANT_FIELDS = frozenset(
 #: Every stage of ``Analysis`` but ``ruled``, the mesh's float developable.
 _EXACT_STAGES = (
     "curve", "W", "tangency", "image", "raw_normal", "factors", "numerators", "cross", "oracle",
-    "closed_form", "invariants", "projection", "self_int", "contour", "developable",
+    "closed_form", "invariants", "verdicts", "developable",
 )
 
 
@@ -246,7 +247,7 @@ def test_no_stage_but_ruled_rounds(monkeypatch, name):
         for stage in _EXACT_STAGES:
             try:
                 value = getattr(a, stage)
-            except ValueError:  # a library error: the stage does not apply
+            except CrosscapError:  # the stage does not apply
                 continue
             assert list(_floats_in(value, stage)) == []
 
@@ -318,7 +319,7 @@ def test_each_rung_is_read_once_per_analysis(monkeypatch):
 #: The report stages that the report rung's completeness test does not read:
 #: the tangency reads only the spec, A-D the jet through degree 4, and the
 #: verdicts jet terms of total degree <= 3.
-RUNG_FREE_STAGES = ("tangency", "invariants", "self_int", "projection", "contour")
+RUNG_FREE_STAGES = ("tangency", "invariants", "verdicts")
 
 
 def test_the_report_rung_reads_every_untested_stage_as_the_configured_truncation():
@@ -514,7 +515,10 @@ def test_climb_moves_on_only_past_library_errors():
     a = analyze(UmbrellaCoefficients(12, {(0, 2): 2}, {}), FamilyMP(m=1, p=2, c=(1,)))
 
     def library_error(rung):
-        raise ValueError("unresolved on a short jet")
+        raise frame.FrameError("unresolved on a short jet")
+
+    def stdlib_error(rung):
+        raise ValueError("a programming error")
 
     def bug(rung):
         raise TypeError("a programming error")
@@ -524,9 +528,40 @@ def test_climb_moves_on_only_past_library_errors():
 
     for lower in (pipeline.lower_truncations, pipeline.oracle_truncations):
         assert a._climb(library_error, lower) is a
-        for error, compute in ((TypeError, bug), (OverflowError, overflow)):
-            with pytest.raises(error):
+        for error, compute in ((ValueError, stdlib_error), (TypeError, bug), (OverflowError, overflow)):
+            with pytest.raises(error) as caught:
                 a._climb(compute, lower)
+            assert not isinstance(caught.value, CrosscapError)
+
+
+def oracle_fails_below(monkeypatch, error, k):
+    """Make the ``oracle`` stage raise ``error`` on every analysis of a truncation below k."""
+    original = Analysis.oracle.func
+
+    def failing(self):
+        if self.coeffs.degree < k:
+            raise error("oracle on a lower rung")
+        return original(self)
+
+    patched = cached_property(failing)
+    patched.__set_name__(Analysis, "oracle")
+    monkeypatch.setattr(Analysis, "oracle", patched)
+
+
+def test_a_library_error_on_a_lower_rung_moves_on_and_a_stdlib_one_propagates(monkeypatch):
+    # s3 at truncation 16 completes its report at rung 5.  A CrosscapError
+    # there moves on to the configured truncation, with the same report; a
+    # stdlib ValueError is a bug, and report_rung raises it.
+    cfg = fixture_at("s3", 16)
+    assert resolving_truncation(cfg) == 5
+    report = render_report(build_report(cfg))
+    oracle_fails_below(monkeypatch, frame.FrameError, 16)
+    assert resolving_truncation(cfg) == 16
+    assert render_report(build_report(cfg)) == report
+    oracle_fails_below(monkeypatch, ValueError, 16)
+    with pytest.raises(ValueError, match="on a lower rung") as caught:
+        analyze(cfg.coeffs, cfg.spec).report_rung
+    assert not isinstance(caught.value, CrosscapError)
 
 
 @pytest.fixture

@@ -7,6 +7,10 @@ lifted to 12 (the report's lower rung), on one general curve and on one
 invalid configuration, and ``fixtures`` and a short sweep.  It fails on every
 function or method of the package whose code none of those runs enters,
 unless ``ALLOWED`` names it with the reason it stays.
+
+The same walk over the package finds every exception class it defines: each
+must derive from ``CrosscapError``, the one library error ``cli.main``
+reports as a line on stderr, so that no new error escapes it as a traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import sys
 
 import crosscap
 from crosscap.cli import fixture_names, fixture_text, main
+from crosscap.series import CrosscapError
 from output_digests import GENERAL_CURVE
 
 #: Functions no run enters, by qualified name, with the reason each stays.
@@ -44,30 +49,48 @@ ALLOWED = {
 INVALID = {"truncation": 6, "surface": {"a": {"0,2": "0"}}, "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"]}}
 
 
+def defined_objects():
+    """(module name, name, value) of every module-level object defined in the package.
+
+    An object imported from another module is skipped: that module lists it.
+    """
+    for info in pkgutil.iter_modules(crosscap.__path__):
+        module = importlib.import_module(f"crosscap.{info.name}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) == module.__name__:
+                yield info.name, name, value
+
+
 def defined_functions() -> dict:
     """Code object -> qualified name of every function and method defined in the package."""
     root = crosscap.__path__[0]
     found = {}
-    for info in pkgutil.iter_modules(crosscap.__path__):
-        module = importlib.import_module(f"crosscap.{info.name}")
-        for name, value in vars(module).items():
-            if getattr(value, "__module__", None) != module.__name__:
-                continue  # imported from another module, which lists it
-            if inspect.isclass(value):
-                members = [(f"{name}.{key}", member) for key, member in vars(value).items()]
-            else:
-                members = [(name, value)]
-            for qualname, member in members:
-                if isinstance(member, (staticmethod, classmethod)):
-                    member = member.__func__
-                elif isinstance(member, property):
-                    member = member.fget
-                elif isinstance(member, functools.cached_property):
-                    member = member.func
-                code = getattr(member, "__code__", None)
-                if code is not None and code.co_filename.startswith(root):
-                    found[code] = f"{info.name}.{qualname}"
+    for module_name, name, value in defined_objects():
+        if inspect.isclass(value):
+            members = [(f"{name}.{key}", member) for key, member in vars(value).items()]
+        else:
+            members = [(name, value)]
+        for qualname, member in members:
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            elif isinstance(member, property):
+                member = member.fget
+            elif isinstance(member, functools.cached_property):
+                member = member.func
+            code = getattr(member, "__code__", None)
+            if code is not None and code.co_filename.startswith(root):
+                found[code] = f"{module_name}.{qualname}"
     return found
+
+
+def test_every_error_class_of_the_package_is_a_crosscap_error():
+    errors = {
+        f"{module_name}.{name}": value
+        for module_name, name, value in defined_objects()
+        if inspect.isclass(value) and issubclass(value, BaseException)
+    }
+    assert {"series.CrosscapError", "series.ReliabilityError", "config.ConfigError", "obj.MeshError"} <= set(errors)
+    assert [name for name, cls in errors.items() if not issubclass(cls, CrosscapError)] == []
 
 
 def test_every_function_in_src_is_entered_by_a_run(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_the_cli_import_loads_no_dataclasses_inspect_or_resources():
 
 
 def test_the_records_and_values_are_the_expected_ones():
-    assert len(RECORDS) == 22 and len(VALUES) == 5
+    assert len(RECORDS) == 23 and len(VALUES) == 5
     names = {"UniSeries", "FloatSeries", "BiSeries", "Vec3Series", "SignedRoot"}
     assert {cls.__name__ for cls in VALUES} == names
     assert {type(a) for a, _, _ in CASES.values()} == set(VALUES)
