@@ -11,7 +11,7 @@ from .config import ConfigError, RunConfig, MeshOptions, parse_config
 from .report import build_report, render_report
 from .verify import has_hard_failure, has_undetermined, render_rows, run_sweep, verify_fixture
 from .series import CrosscapError
-from .pipeline import Analysis, analyze
+from .pipeline import analyze
 from .obj import (
     obj_mesh_text,
     obj_polyline_text,
@@ -51,19 +51,26 @@ def _cmd_report(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.sweep:
-        if args.draws < 1:
+        if args.config:
+            sys.stderr.write("verify: give a config file or --sweep, not both\n")
+            return 2
+        draws = 10 if args.draws is None else args.draws
+        if draws < 1:
             sys.stderr.write("verify: --draws must be >= 1\n")
             return 2
-        if args.draws > MAX_DRAWS:
+        if draws > MAX_DRAWS:
             sys.stderr.write(f"verify: --draws must be <= {MAX_DRAWS}\n")
             return 2
-        rows = run_sweep(seed=args.seed, draws=args.draws)
+        rows = run_sweep(seed=0 if args.seed is None else args.seed, draws=draws)
     else:
         if not args.config:
             sys.stderr.write("verify: provide a config file or --sweep\n")
             return 2
+        if args.seed is not None or args.draws is not None:
+            sys.stderr.write("verify: --seed and --draws apply only to --sweep\n")
+            return 2
         cfg = _load_config(args.config)
-        rows = [verify_fixture(Analysis(cfg.coeffs, cfg.spec))]
+        rows = [verify_fixture(analyze(cfg.coeffs, cfg.spec))]
     sys.stdout.write(render_rows(rows))
     if has_hard_failure(rows):
         return 1
@@ -143,8 +150,9 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="oracle vs closed-form comparison table")
     p_verify.add_argument("config", nargs="?", help="JSON configuration file")
     p_verify.add_argument("--sweep", action="store_true", help="run the seeded sweep over all subcases")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--draws", type=int, default=10)
+    # None when not given, so that a config run can refuse them.
+    p_verify.add_argument("--seed", type=int, help="sweep seed (default 0)")
+    p_verify.add_argument("--draws", type=int, help="sweep draws per subcase (default 10)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_mesh = sub.add_parser("mesh", help="export umbrella.obj, curve.obj and od_w.obj")

@@ -167,8 +167,9 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassificat
 def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
     """Full invariant chain: director, delta, striction, sigma, classification.
 
-    ``cross`` is N x E_t, as ``frame.curvature_numerators`` builds it.  A
-    jet too short for a derivative or a factor the chain takes (a
+    ``cross`` is N x E_t, the one that ``frame.curvature_numerators``
+    reads too (the ``cross`` stage of ``pipeline.Analysis``).  A jet too
+    short for a derivative or a factor the chain takes (a
     ``ReliabilityError``) makes the developable not applicable, as a
     structure function that vanishes to reliable order does.
     """

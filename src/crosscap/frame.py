@@ -23,8 +23,9 @@ satisfy kappa_1 = khat_1 / (|E_t|^2 |N|), kappa_2 = khat_2 / (|E_t| |N|),
 kappa_3 = khat_3 / (|N|^2 |E_t|), so valuations and leading coefficients of
 the khat_i are exactly the divergence degrees alpha_i and the normalized
 top-terms T_i of the curvatures.  khat_3 is the triple product
-<N' x E_t, N> written over the cross product N x E_t of khat_1, which is
-built once and shared with the osculating developable.
+<N' x E_t, N> written over the cross product N x E_t of khat_1.  The
+caller builds N x E_t once (the ``cross`` stage of ``pipeline.Analysis``)
+and passes it to ``curvature_numerators`` and the osculating developable.
 
 The tabulated closed forms (``closed_form_reference``) read the top-term
 invariants A, B and C of their p = 2 row from ``invariants.invariant_values``.
@@ -110,19 +111,15 @@ def curvature_series(frame: DarbouxFrame):
     return (de.dot(frame.b), de.dot(frame.n), db.dot(frame.n))
 
 
-def curvature_numerators(factors: FrameFactors):
-    """Square-root-free curvature numerators (khat_1, khat_2, khat_3) and N x E_t, exact.
+def curvature_numerators(factors: FrameFactors, cross: Vec3Series) -> tuple:
+    """Square-root-free curvature numerators (khat_1, khat_2, khat_3), exact.
 
-    The cross product N x E_t is built once and read by khat_1, khat_3 and
-    the osculating developable; the numerators take 15 series products.
+    ``cross`` is N x E_t, which khat_1 and khat_3 read and the osculating
+    developable shares; beyond its 6 series products, the numerators take 9.
     """
     e_t, n = factors.tangent, factors.normal
     de = e_t.diff()
-    c = n.cross(e_t)
-    k1 = de.dot(c)
-    k2 = de.dot(n)
-    k3 = -n.diff().dot(c)
-    return (k1, k2, k3), c
+    return (de.dot(cross), de.dot(n), -n.diff().dot(cross))
 
 
 class CurvatureReport(NamedTuple):

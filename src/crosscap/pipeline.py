@@ -3,14 +3,17 @@
 ``Analysis`` names every quantity of the chain surface jet -> image curve
 and raw normal -> factorizations -> curvature numerators -> degrees and
 tops -> invariants and developable, all in exact arithmetic.  Each stage,
-the surface jet included, is computed on first access and cached, so
-report, verify and mesh share one computation and each runs only the
-stages it reads.  Pieces that only
-apply to particular curve shapes (closed forms, the A/B/C/D block,
-geometric verdicts, the developable) are None with a reason otherwise.
-The (c(x) x^{2m}, x^m) shape is checked once, by the invariants stage; the
-three verdicts are one stage, ``verdicts``, which is None exactly when the
-invariants are.
+the surface jet included, is one cached property that returns one value,
+computed on first access, so report, verify and mesh share one computation
+and each runs only the stages it reads.  N x E_t is the ``cross`` stage,
+read by the ``numerators`` and the ``developable``.  The sections that
+apply only to particular curves, ``closed_form``, ``invariants`` (A-D) and
+``developable``, are their record or None; when one is None, the message of
+the error that refused it is ``reasons[stage]``, under the stage's name, and
+``reasons`` holds nothing else.  The (c(x) x^{2m}, x^m) shape is checked
+once, by the invariants stage; the three verdicts are one stage,
+``verdicts``, which is None exactly when the invariants are, for their
+reason.
 
 Every reported number is the lowest nonvanishing coefficient of a series,
 so a short jet usually fixes it already.  Two stages decide which working
@@ -30,8 +33,9 @@ configured truncation is the last rung, and its outcome (values, reasons
 and errors) is final.  ``mesh`` and the
 series-valued stages stay at the configured truncation.
 
-``analyze`` counts configurations: each consumer call makes one, and the
-rungs are built as ``Analysis`` directly, without it.  A curve is exact
+``analyze`` counts configurations: each ``report``, ``mesh`` and ``verify
+CONFIG`` makes one, and the sweep's draws and the rungs are built as
+``Analysis`` directly, without it.  A curve is exact
 polynomials, so every rung and the configured truncation build it to their
 own series order.  An analysis builds its curve series
 (``model.build_curve``) on the first read of a stage that needs them, so a
@@ -148,20 +152,14 @@ def _report_complete(a: "Analysis") -> bool:
     )
 
 
-def _value_or_reason(compute, errors):
-    """(value, None), or (None, message) when ``compute`` raises one of ``errors``."""
-    try:
-        return compute(), None
-    except errors as exc:
-        return None, str(exc)
-
-
 class Analysis:
     """The lazily staged analysis of one surface jet and curve.
 
     Construction only fixes the series order m (k + 1) - 1 from the spec's
-    multiplicity m; the curve, the surface jet and every other attribute
-    are stages computed on first access.  Every stage reads the one exact
+    multiplicity m and starts ``reasons`` empty; the curve, the surface jet
+    and every other attribute are stages computed on first access.  A
+    stage of an optional section that does not apply reads None and adds
+    its reason to ``reasons`` (see the module docstring).  Every stage reads the one exact
     surface jet and curve, decides every order on exact series and keeps
     every value exact (a top of the unit frame is a ``SignedRoot``); only
     ``ruled``, the mesh's developable, has ``FloatSeries`` components.
@@ -171,6 +169,7 @@ class Analysis:
         self.coeffs = coeffs
         self.spec = spec
         self.order = series_order(spec.m, coeffs.degree)
+        self.reasons: dict = {}
 
     def _climb(self, complete, lower) -> "Analysis":
         """The lowest rung whose results ``complete(rung)`` accepts.
@@ -230,45 +229,33 @@ class Analysis:
         return frame_factors(self.image, self.raw_normal)
 
     @cached_property
-    def _curvature(self) -> tuple:
-        return curvature_numerators(self.factors)
-
-    @property
-    def numerators(self) -> tuple:
-        return self._curvature[0]
-
-    @property
     def cross(self) -> Vec3Series:
         """N x E_t, shared by the curvature numerators and the developable."""
-        return self._curvature[1]
+        return self.factors.normal.cross(self.factors.tangent)
+
+    @cached_property
+    def numerators(self) -> tuple:
+        return curvature_numerators(self.factors, self.cross)
 
     @cached_property
     def oracle(self) -> CurvatureReport:
         return divergence_report(self.numerators)
 
-    @cached_property
-    def _closed_form(self):
-        return _value_or_reason(lambda: closed_form_reference(self.spec, self.coeffs), FrameError)
+    def _or_reason(self, stage: str, error: type, compute, *args):
+        """``compute(*args)``, or None when it raises ``error``, whose message becomes ``reasons[stage]``."""
+        try:
+            return compute(*args)
+        except error as exc:
+            self.reasons[stage] = str(exc)
+            return None
 
-    @property
+    @cached_property
     def closed_form(self) -> CurvatureReport | None:
-        return self._closed_form[0]
-
-    @property
-    def closed_form_reason(self) -> str | None:
-        return self._closed_form[1]
+        return self._or_reason("closed_form", FrameError, closed_form_reference, self.spec, self.coeffs)
 
     @cached_property
-    def _invariants(self):
-        return _value_or_reason(lambda: top_invariants(self.coeffs, self.spec), InvariantError)
-
-    @property
     def invariants(self) -> TopInvariants | None:
-        return self._invariants[0]
-
-    @property
-    def invariants_reason(self) -> str | None:
-        return self._invariants[1]
+        return self._or_reason("invariants", InvariantError, top_invariants, self.coeffs, self.spec)
 
     @cached_property
     def verdicts(self) -> Verdicts | None:
@@ -284,24 +271,16 @@ class Analysis:
         )
 
     @cached_property
-    def _developable(self):
-        return _value_or_reason(
-            lambda: osculating_developable(self.factors, self.oracle, self.cross), DevelopableError
-        )
-
-    @property
     def developable(self) -> DevelopableData | None:
-        return self._developable[0]
-
-    @property
-    def developable_reason(self) -> str | None:
-        return self._developable[1]
+        return self._or_reason(
+            "developable", DevelopableError, osculating_developable, self.factors, self.oracle, self.cross
+        )
 
     @cached_property
     def ruled(self) -> RuledSurface:
         """The osculating developable as a float ruled surface; DevelopableError if it has none."""
         if self.developable is None:
-            raise DevelopableError(self.developable_reason)
+            raise DevelopableError(self.reasons["developable"])
         return osculating_surface(self.image, self.developable)
 
 

@@ -92,15 +92,15 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
                     % (i + 1, cf.tops[i], a.oracle.tops[i])
                 )
     else:
-        curv["closed_form"] = {"applicable": False, "reason": a.closed_form_reason}
+        curv["closed_form"] = {"applicable": False, "reason": a.reasons["closed_form"]}
     doc["curvatures"] = curv
 
     if a.invariants is not None:
         doc["invariants"] = {"applicable": True, **_section(a.invariants)}
         doc["verdicts"] = _section(a.verdicts)
     else:
-        doc["invariants"] = {"applicable": False, "reason": a.invariants_reason}
-        doc["verdicts"] = {"applicable": False, "reason": a.invariants_reason}
+        doc["invariants"] = {"applicable": False, "reason": a.reasons["invariants"]}
+        doc["verdicts"] = {"applicable": False, "reason": a.reasons["invariants"]}
 
     if a.developable is not None:
         d = a.developable
@@ -117,7 +117,7 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
                 "sigma top-term vanishes: order > %d" % (a.factors.alpha0 - 1)
             )
     else:
-        doc["developable"] = {"applicable": False, "reason": a.developable_reason}
+        doc["developable"] = {"applicable": False, "reason": a.reasons["developable"]}
 
     doc["flags"] = flags
     return doc

@@ -118,7 +118,7 @@ def _row_status(comparisons) -> str:
 def verify_fixture(analysis: Analysis, subcase: str = "fixture", draw: int = 0) -> VerifyRow:
     """The row of ``analysis``: the oracle of its ``oracle_rung`` against its closed form."""
     if analysis.closed_form is None:
-        raise FrameError(f"verify: {analysis.closed_form_reason}")
+        raise FrameError(f"verify: {analysis.reasons['closed_form']}")
     comparisons = compare_reports(analysis.oracle_rung.oracle, analysis.closed_form)
     return VerifyRow(
         subcase=subcase,

@@ -529,6 +529,22 @@ def test_verify_rejects_general_curve(tmp_path, capsys):
     assert "provide a config file or --sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["{missing}", "--sweep", "--draws", "1"], "verify: give a config file or --sweep, not both"),
+        (["{s1}", "--sweep"], "verify: give a config file or --sweep, not both"),
+        (["{s1}", "--seed", "5", "--draws", "3"], "verify: --seed and --draws apply only to --sweep"),
+        (["{s1}", "--seed", "0"], "verify: --seed and --draws apply only to --sweep"),  # the sweep's default
+        (["{s1}", "--draws", "10"], "verify: --seed and --draws apply only to --sweep"),
+    ],
+)
+def test_verify_refuses_arguments_it_would_ignore(tmp_path, capsys, args, error):
+    paths = {"missing": str(tmp_path / "missing.json"), "s1": _fixture_path("s1")}
+    assert main(["verify"] + [arg.format(**paths) for arg in args]) == 2
+    assert capsys.readouterr() == ("", error + "\n")
+
+
 # ---------------------------------------------------------------------------
 # mesh command
 # ---------------------------------------------------------------------------

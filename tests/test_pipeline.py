@@ -19,6 +19,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cached_property
+from importlib import resources
 
 import pytest
 import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
@@ -41,6 +42,7 @@ from crosscap.config import RunConfig
 from crosscap.series import CrosscapError, FloatSeries, UniSeries, Vec3Series
 from crosscap.report import build_report, render_report, report_from_analysis
 from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
+from output_digests import GENERAL_CURVE
 
 
 def count_calls(monkeypatch, module, name, record=None):
@@ -252,6 +254,55 @@ def test_no_stage_but_ruled_rounds(monkeypatch, name):
             assert list(_floats_in(value, stage)) == []
 
 
+#: The stages of the sections that apply only to particular curves.
+OPTIONAL_STAGES = ("closed_form", "invariants", "developable")
+
+
+def _reason_configs() -> dict:
+    configs = {name: fixture_text(name) for name in ("s1", "s2", "s3")}
+    raw = json.loads(fixture_text("s1"))
+    raw["truncation"] = 3  # too short for the developable
+    configs["s1-3"] = json.dumps(raw)
+    configs["general"] = json.dumps(GENERAL_CURVE)
+    return configs
+
+
+def test_reasons_hold_exactly_the_optional_stages_that_read_none():
+    printed = set()
+    for name, text in _reason_configs().items():
+        cfg = parse_config(text)
+        configured = analyze(cfg.coeffs, cfg.spec)
+        doc = report_from_analysis(cfg, configured)
+        rung = configured.report_rung
+        for a in {configured, rung}:
+            read = [stage for stage in OPTIONAL_STAGES if stage in vars(a)]  # cached by the report
+            assert read == list(OPTIONAL_STAGES) or (a is not rung and read == []), name
+            assert set(a.reasons) == {stage for stage in read if vars(a)[stage] is None}, name
+        sections = (
+            ("closed_form", doc["curvatures"]["closed_form"]),
+            ("invariants", doc["invariants"]),
+            ("invariants", doc["verdicts"]),  # the verdicts print the invariants' reason
+            ("developable", doc["developable"]),
+        )
+        for stage, body in sections:
+            assert ("reason" in body) == (stage in rung.reasons), (name, stage)
+            if "reason" in body:
+                assert body["reason"] == rung.reasons[stage]
+                printed.add(stage)
+    assert printed == set(OPTIONAL_STAGES)  # each optional stage is refused at least once
+
+
+def test_mesh_prints_the_developable_reason(tmp_path, capsys):
+    text = _reason_configs()["s1-3"]
+    cfg = parse_config(text)
+    analysis = analyze(cfg.coeffs, cfg.spec)
+    assert analysis.developable is None
+    cfg_path = tmp_path / "s1-3.json"
+    cfg_path.write_text(text)
+    assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == analysis.reasons["developable"] + "\n"
+
+
 # ---------------------------------------------------------------------------
 # The ladder of working truncations
 # ---------------------------------------------------------------------------
@@ -346,14 +397,19 @@ def sweep_draw(seed, subcase):
     return _draw_fixture(random.Random((seed, subcase).__repr__()), subcase)
 
 
+def fixture_path(name):
+    return str(resources.files("crosscap").joinpath("fixtures", name + ".json"))
+
+
 @pytest.mark.parametrize(
     "consume, curves, analyses",
     [
         (lambda: build_report(parse_config(DENSE_16)), 1, 1),  # rung 5 alone
         (lambda: build_report(parse_config(fixture_text("s1"))), 1, 1),  # truncation 9: no rung
+        (lambda: main(["verify", fixture_path("s1")]), 1, 1),  # rung 4 alone
         (lambda: verify_fixture(sweep_draw(0, "mp/p3")), 1, 0),  # rung 4 alone
     ],
-    ids=["dense-16", "s1", "sweep-draw"],
+    ids=["dense-16", "s1", "cli-verify", "sweep-draw"],
 )
 def test_analyze_counts_configurations_and_build_curve_rungs(monkeypatch, consume, curves, analyses):
     built = count_calls(monkeypatch, model, "build_curve")

@@ -6,7 +6,8 @@ the bundled fixtures s1-s3, on s1 cut to truncation 3 (no developable) and
 lifted to 12 (the report's lower rung), on one general curve and on one
 invalid configuration, and ``fixtures`` and a short sweep.  It fails on every
 function or method of the package whose code none of those runs enters,
-unless ``ALLOWED`` names it with the reason it stays.
+unless ``ALLOWED`` names it with the reason it stays.  An entry whose reason
+is the benchmark's tracer must name a target of ``bench/tracing.TARGETS``.
 
 The same walk over the package finds every exception class it defines: each
 must derive from ``CrosscapError``, the one library error ``cli.main``
@@ -23,6 +24,7 @@ import pkgutil
 import sys
 
 import crosscap
+import tracing  # the benchmark's per-layer tracer (bench/ is put on the path by conftest)
 from crosscap.cli import fixture_names, fixture_text, main
 from crosscap.series import CrosscapError
 from output_digests import GENERAL_CURVE
@@ -44,6 +46,15 @@ ALLOWED = {
     "series._Frozen.__repr__": "value semantics of an immutable series, vector or exact value",
     "series.UniSeries._key": "a series compares and hashes by its numerators, not its coefficients",
 }
+
+
+def test_every_entry_kept_for_the_tracer_is_a_tracer_target():
+    # An entry whose reason is a target of bench/tracing.TARGETS must name
+    # one, so that dropping the target leaves no stale reason behind.
+    targets = {f"{module}.{attr}" for _, module, attr in tracing.TARGETS}
+    cited = [name for name, reason in ALLOWED.items() if "bench/tracing.TARGETS" in reason]
+    assert len(cited) == 4  # the three float-frame functions and BiSeries.__mul__
+    assert [name for name in cited if name not in targets] == []
 
 
 INVALID = {"truncation": 6, "surface": {"a": {"0,2": "0"}}, "curve": {"family": "mp", "m": 1, "p": 2, "c": ["1"]}}
