@@ -334,14 +334,14 @@ def json_value(value, omit=frozenset(), rational=str):
     values pass through.  A record is a tuple, so it is told apart by its
     ``_fields`` before the tuple branch.
     """
-    if isinstance(value, SignedRoot):
+    if type(value) is SignedRoot:
         return float(value)
     if isinstance(value, tuple):
         names = getattr(value, "_fields", None)
         if names is not None:
             return {name: json_value(v, omit, rational) for name, v in zip(names, value) if name not in omit}
         return [json_value(v, omit, rational) for v in value]
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return rational(value)
     return value
 

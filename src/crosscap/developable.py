@@ -207,9 +207,9 @@ def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Ve
             if v.is_zero_to_order:
                 sigma_lower = v.reliable_order + 1
             else:
-                r0 = Rk.coeffs[0]
+                r0 = Rk.coefficient(0)
                 sigma_order, sigma_lower = v.order, v.order
-                sigma_top = SignedRoot.of(v.leading / (r0 * r0), vv.coeffs[0])
+                sigma_top = SignedRoot.of(v.leading / (r0 * r0), vv.coefficient(0))
     return DevelopableData(
         branch=branch,
         director=V,

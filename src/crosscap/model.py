@@ -97,12 +97,15 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
         return self.b.get(i, Fraction(0))
 
     def truncated(self, degree: int) -> "UmbrellaCoefficients":
-        """The same jet cut at total degree ``degree``: a_ij with i+j > degree and b_i with i > degree dropped."""
-        return UmbrellaCoefficients(
-            degree,
-            {key: value for key, value in self.a.items() if sum(key) <= degree},
-            {i: value for i, value in self.b.items() if i <= degree},
-        )
+        """The same jet cut at total degree ``degree``: a_ij with i+j > degree and b_i with i > degree dropped.
+
+        The entries kept passed the checks of the constructor, and a_02
+        survives every cut of degree >= 3, so only the degree is checked.
+        """
+        if degree < 3:
+            raise ModelError("truncation degree k must be >= 3")
+        a = {(i, j): value for (i, j), value in self.a.items() if i + j <= degree}
+        return tuple.__new__(UmbrellaCoefficients, (degree, a, {i: v for i, v in self.b.items() if i <= degree}))
 
 
 class FamilyMPQ(NamedTuple("FamilyMPQ", [("m", int), ("p", int), ("q", int), ("c", tuple)])):

@@ -38,15 +38,18 @@ two series, negation, scalar and series products, derivatives, ``shift``,
 ``float(Fraction)`` rounds) and ``compose_bi`` work on these integers and
 bring each result back to that form with at most one ``math.gcd``.  A
 product convolves the numerators (``_convolve``) over the product of the
-denominators.  A ``UniSeries``' reduced ``Fraction`` coefficients
-``coeffs`` are a view of the pair, built on first read and kept; a
-``BiSeries`` has no such view in the library (the tests build it,
-``reference_bi_coeffs``).  Since the pair is canonical, comparing or
-hashing pairs compares values.  Every value class derives its equality,
-hash and repr from ``_Frozen`` and its ``_fields``; a ``UniSeries``
-compares and hashes by the pair, a ``BiSeries`` is unhashable (it holds a
-dict) and a ``FloatSeries`` compares by identity.  There is no
-``Fraction`` constructor: ``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
+denominators.  The library reads every coefficient from the pair, one
+``Fraction`` per read (``coefficient``, ``constant_vector``, the leading
+one of ``valuation``).  A ``UniSeries``' reduced ``Fraction`` coefficients
+``coeffs`` are a view of the pair, built on first read and kept; it serves
+repr, the tests and the benchmark tracer's product counter, and no run of
+the program builds it.  A ``BiSeries`` has no such view in the library
+(the tests build it, ``reference_bi_coeffs``).  Since the pair is
+canonical, comparing or hashing pairs compares values.  Every value class
+derives its equality, hash and repr from ``_Frozen`` and its ``_fields``;
+a ``UniSeries`` compares and hashes by the pair, a ``BiSeries`` is
+unhashable (it holds a dict) and a ``FloatSeries`` compares by identity.
+There is no ``Fraction`` constructor: ``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
 series from integer numerators over a positive denominator, with one
 ``math.gcd`` and no ``Fraction``, and ``UniSeries.make``, the one rational
 constructor, reads the numerators of a list of rationals over the lcm of
@@ -61,7 +64,9 @@ numerator lists of its own powers over ``_den^i``, built on first use by
 ``compose_bi`` and extended on demand (``_powers``).  Coefficient k of a
 ``_convolve`` product does not depend on the order it is cut at, so one
 table, cut at the series' reliable order, serves every composition that
-substitutes the series.  ``_convolve`` runs its outer loop over the nonzero
+substitutes the series.  ``_convolve`` is the one convolution loop: it adds
+a scaled product into a list it is given, and ``compose_bi`` adds each of
+its terms into one accumulator that way.  The loop runs over the nonzero
 entries of its first operand, so ``compose_bi`` passes the power of v
 first: a family curve substitutes v = x^m, whose powers are monomials, and
 each of its terms then costs one pass over the power of u.
@@ -91,7 +96,10 @@ class ReliabilityError(SeriesError):
 
 def first_nonzero(values, start: int = 0) -> int | None:
     """The first index i >= ``start`` with ``values[i] != 0``, or None."""
-    return next((i for i in range(start, len(values)) if values[i]), None)
+    for i in range(start, len(values)):
+        if values[i]:
+            return i
+    return None
 
 
 def _coerce(value) -> Fraction:
@@ -111,17 +119,22 @@ def _over(numerators, d: int) -> tuple:
     return tuple(Fraction(n, d) if n else zero for n in numerators)
 
 
-def _convolve(a, b, r: int, zero=0) -> list:
-    """Coefficients 0..r of the product of the coefficient lists ``a`` and ``b``.
+def _convolve(out: list, a, b, scale=1) -> list:
+    """Add ``scale`` times the product of the coefficient lists ``a`` and ``b`` into ``out``, in place.
 
-    Integer numerators and floats share this loop.  Zero entries are skipped
-    and the products are added in ascending (i, j) order, which fixes the
-    rounding of a float product.
+    The product is cut after ``len(out)`` coefficients, and ``out`` is
+    returned.  This is the one convolution loop: exact products and powers
+    (integer numerators, into a list of zeros), ``compose_bi`` (each term
+    scaled into one accumulator) and float products share it.  Zero entries
+    are skipped and the products are added in ascending (i, j) order, which
+    fixes the rounding of a float product; a float product has ``scale``
+    1, and ``1 * x`` is ``x``.
     """
-    out = [zero] * (r + 1)
-    for i, x in enumerate(a[: r + 1]):
+    n = len(out)
+    for i, x in enumerate(a[:n]):
         if x:
-            for k, y in enumerate(b[: r + 1 - i], i):
+            x *= scale
+            for k, y in enumerate(b[: n - i], i):
                 if y:
                     out[k] += x * y
     return out
@@ -173,11 +186,12 @@ class UniSeries(_Frozen):
 
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
     never stores coefficients it cannot vouch for.  The series is the
-    canonical pair ``_num``, ``_den`` (see the module docstring) and its
-    ``coeffs`` are built on first read; its repr shows them, but it
-    compares and hashes by the pair, so neither builds them.  Instances are
-    immutable; ``_coeffs`` is set at most once and ``_pows``, the table of
-    powers, only grows.
+    canonical pair ``_num``, ``_den`` (see the module docstring);
+    ``coefficient`` reads one value from it, and ``coeffs`` are built on
+    first read, for repr, the tests and the tracer.  It compares and hashes
+    by the pair, so neither builds them.  Instances are immutable;
+    ``_coeffs`` is set at most once and ``_pows``, the table of powers,
+    only grows.
     """
 
     __slots__ = ("reliable_order", "_coeffs", "_num", "_den", "_pows")
@@ -250,7 +264,7 @@ class UniSeries(_Frozen):
                 f"coefficient of degree {degree} requested, but series is only "
                 f"reliable to order {self.reliable_order}"
             )
-        return self.coeffs[degree]
+        return Fraction(self._num[degree], self._den)
 
     def to_float(self) -> "FloatSeries":
         """The coefficients rounded to floats: the one way into a ``FloatSeries``."""
@@ -280,7 +294,7 @@ class UniSeries(_Frozen):
     def __mul__(self, other):
         if isinstance(other, UniSeries):
             r = min(self.reliable_order, other.reliable_order)
-            return _exact(_convolve(self._num, other._num, r), self._den * other._den, r)
+            return _exact(_convolve([0] * (r + 1), self._num, other._num), self._den * other._den, r)
         c = _coerce(other)
         p = c.numerator
         return _exact([n * p for n in self._num], self._den * c.denominator, self.reliable_order)
@@ -370,7 +384,7 @@ class FloatSeries(_Frozen):
 
     def __mul__(self, other):
         r = self._order_with(other)
-        return FloatSeries(tuple(_convolve(self.coeffs, other.coeffs, r, 0.0)), r)
+        return FloatSeries(tuple(_convolve([0.0] * (r + 1), self.coeffs, other.coeffs)), r)
 
     def diff(self) -> "FloatSeries":
         """d/dx; the output is reliable one order less."""
@@ -623,9 +637,10 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     information only from x-degree m_min * (R_F + 1) on, where m_min is the
     smaller valuation of the two substituted series (their reliable orders
     cap the result as well).  Both curves must be exact, as every
-    ``BiSeries`` is.  Each term convolves the power of v, the outer operand,
-    with the power of u: for v = x^m that is one pass.  The terms are summed
-    as exact integers, so their order does not matter.
+    ``BiSeries`` is.  Each term c u^i v^j is added, scaled to the common
+    denominator, into one accumulator by ``_convolve``, with the power of v
+    as the outer operand: for v = x^m that is one pass over the power of u.
+    The terms are summed as exact integers, so their order does not matter.
     """
     if type(u) is not UniSeries or type(v) is not UniSeries:
         raise SeriesError("field mismatch between series operands")
@@ -649,8 +664,7 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     du, dv = u._den, v._den
     acc = [0] * (r_out + 1)
     for i, j, n in terms:
-        scale = n * du ** (top_i - i) * dv ** (top_j - j)
-        acc = [a + scale * x for a, x in zip(acc, _convolve(v_pows[j], u_pows[i], r_out))]
+        _convolve(acc, v_pows[j], u_pows[i], n * du ** (top_i - i) * dv ** (top_j - j))
     return _exact(acc, F._den * du**top_i * dv**top_j, r_out)
 
 
@@ -666,7 +680,7 @@ def _powers(s: UniSeries, n: int) -> list:
         pows = [[1] + [0] * s.reliable_order]
         _set(s, "_pows", pows)
     while len(pows) <= n:
-        pows.append(_convolve(pows[-1], s._num, s.reliable_order))
+        pows.append(_convolve([0] * (s.reliable_order + 1), pows[-1], s._num))
     return pows
 
 
@@ -740,5 +754,8 @@ class Vec3Series(_Frozen):
         """The surface map along the curve (u(x), v(x)): ``compose_bi`` of each component."""
         return Vec3Series(compose_bi(self.x, u, v), compose_bi(self.y, u, v), compose_bi(self.z, u, v))
 
-    def constant_vector(self):
-        return (self.x.coeffs[0], self.y.coeffs[0], self.z.coeffs[0])
+    def constant_vector(self) -> tuple:
+        """The coefficients of x^0; an exact vector reads them from its numerators."""
+        if type(self.x) is FloatSeries:  # the float frame, which only the tests read
+            return (self.x.coeffs[0], self.y.coeffs[0], self.z.coeffs[0])
+        return (self.x.coefficient(0), self.y.coefficient(0), self.z.coefficient(0))

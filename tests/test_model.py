@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap import (
     FamilyMP,
@@ -70,6 +71,38 @@ def test_index_bounds():
         UmbrellaCoefficients(degree=4, a={(0, 2): 1, (0, 5): 1}, b={})
     with pytest.raises(ModelError, match="outside"):
         UmbrellaCoefficients(degree=4, a={(0, 2): 1}, b={2: 1})
+
+
+_VALUES = st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def jets(draw):
+    """A valid jet, zero entries included (the constructor drops them), in a drawn key order."""
+    k = draw(st.integers(3, 10))
+    a_keys = [(i, n - i) for n in range(2, k + 1) for i in range(n + 1) if (i, n - i) != (0, 2)]
+    a = {key: draw(_VALUES) for key in draw(st.lists(st.sampled_from(a_keys), unique=True))}
+    a[(0, 2)] = draw(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool))
+    b = {i: draw(_VALUES) for i in draw(st.lists(st.integers(3, k), unique=True))}
+    return UmbrellaCoefficients(k, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jets(), st.integers(0, 13))
+def test_a_cut_jet_equals_the_validated_cut(coeffs, degree):
+    # ``truncated`` skips the constructor's checks; it must still give what
+    # the constructor gives for the kept entries, in their key order, and
+    # refuse a degree below 3 as the constructor does.
+    a = {key: value for key, value in coeffs.a.items() if sum(key) <= degree}
+    b = {i: value for i, value in coeffs.b.items() if i <= degree}
+    if degree < 3:
+        for make in (lambda: coeffs.truncated(degree), lambda: UmbrellaCoefficients(degree, a, b)):
+            with pytest.raises(ModelError, match="must be >= 3"):
+                make()
+        return
+    cut, validated = coeffs.truncated(degree), UmbrellaCoefficients(degree, a, b)
+    assert type(cut) is UmbrellaCoefficients and cut == validated
+    assert (list(cut.a.items()), list(cut.b.items())) == (list(validated.a.items()), list(validated.b.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,27 @@ def test_mesh_normalises_the_director_once(tmp_path, monkeypatch):
     assert len(roots) == 1 and len(inverses) == 1
 
 
+def test_no_run_builds_the_fraction_view_of_a_series(tmp_path, monkeypatch, capsys):
+    # The library reads each coefficient from the numerator / denominator
+    # pair; ``UniSeries.coeffs`` (the one caller of ``_over``) builds the
+    # whole tuple of reduced Fractions, for repr and the tests only.
+    built = count_calls(monkeypatch, series, "_over")
+    runs = []
+    for name in ("s1", "s2", "s3"):
+        for field in ("exact", "float"):
+            raw = json.loads(fixture_text(name))
+            raw["field"] = field
+            path = tmp_path / f"{name}-{field}.json"
+            path.write_text(json.dumps(raw))
+            runs.append(["report", str(path)])
+        runs += [["verify", str(path)], ["mesh", str(path), "--out", str(tmp_path / name)]]
+    assert [main(run) for run in runs] == [0] * len(runs)
+    capsys.readouterr()
+    for shape in range(len(workloads.DENSE_SHAPES)):
+        build_report(parse_config(workloads.dense_config(shape, 0, "exact")))
+    assert built == []
+
+
 class Rounded(Exception):
     """A rounding routine was called; not a library error, so nothing catches it."""
 

@@ -45,6 +45,11 @@ ALLOWED = {
     "series._Frozen.__hash__": "value semantics of an immutable series, vector or exact value",
     "series._Frozen.__repr__": "value semantics of an immutable series, vector or exact value",
     "series.UniSeries._key": "a series compares and hashes by its numerators, not its coefficients",
+    "series.UniSeries.coeffs": (
+        "the Fraction view of a series, read by repr, the tests and the benchmark tracer's"
+        " product counter (bench/tracing.Tracer._count_mul); the library reads _num/_den"
+    ),
+    "series._over": "builds UniSeries.coeffs, the Fraction view for repr, the tests and Tracer._count_mul",
 }
 
 

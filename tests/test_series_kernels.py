@@ -28,12 +28,15 @@ from crosscap.model import GeneralCurve, ModelError
 from crosscap.series import (
     BiSeries,
     FloatSeries,
+    ReliabilityError,
     SeriesError,
     UniSeries,
     Vec3Series,
+    _convolve,
     _valuation_lower_bound,
     compose_bi,
     factor_power,
+    first_nonzero,
     reciprocal,
     sqrt_series,
     valuation,
@@ -176,6 +179,78 @@ def test_bi_mul_matches_fraction_loop(pair):
 def test_compose_bi_matches_fraction_loop(args):
     G, u, v = args
     _assert_same_uni(compose_bi(G, u, v), reference_compose_bi(G, u, v))
+
+
+@settings(deadline=None)
+@given(uni(UniSeries), uni(UniSeries), st.lists(st.integers(-50, 50), max_size=16), st.integers(-30, 30), st.data())
+@example(ex(Fraction(1, 2), 0, 3), ex(0, Fraction(-2, 3), 1), [5, -1, 2], 7, None)
+def test_convolve_adds_the_scaled_product_into_its_list(a, b, start, scale, data):
+    # The numerator product a._num * b._num is the Fraction product times
+    # a._den * b._den; cut after len(out) coefficients, it is added in place.
+    r = min(a.reliable_order, b.reliable_order)
+    n = r + 1 if data is None else data.draw(st.integers(0, r + 1))
+    out = (start + [0] * n)[:n]
+    want = [o + scale * c * a._den * b._den for o, c in zip(out, reference_mul(a, b).coeffs)]
+    got = _convolve(out, a._num, b._num, scale)
+    assert got is out and got == want
+
+
+@pytest.mark.parametrize(
+    "G, u, v",
+    [
+        # v is not a monomial and has interior zeros; u has zero coefficients.
+        (
+            bi_make({(1, 0): Fraction(2, 3), (0, 2): Fraction(-1, 2), (1, 1): Fraction(5), (2, 1): Fraction(1, 7)}, 4),
+            ex(0, 0, Fraction(1, 3), 0, 0, 2, 0, Fraction(-3, 5), 0, 0, 0, 0),
+            ex(0, 1, 0, 0, Fraction(-2, 9), 0, 3, 0, 0, 0, 0, 0),
+        ),
+        (
+            bi_make({(0, 1): Fraction(1), (3, 0): Fraction(-4, 3), (1, 2): Fraction(2, 5), (0, 4): Fraction(1, 6)}, 5),
+            ex(0, Fraction(1, 2), 0, 0, 7, 0, 0, 0, 0, 0),
+            ex(0, 0, Fraction(-1, 4), 0, 0, 0, Fraction(9, 2), 0, 0, 0),
+        ),
+        # u is v: both skip branches on one power table.
+        (
+            bi_make({(1, 1): Fraction(3, 2), (2, 0): Fraction(1, 5), (0, 3): Fraction(-2)}, 3),
+            ex(0, 2, 0, 0, Fraction(1, 3), 0, 0, 0),
+            None,
+        ),
+    ],
+)
+def test_compose_bi_with_sparse_curves_matches_fraction_loop(G, u, v):
+    v = u if v is None else v
+    _assert_same_uni(compose_bi(G, u, v), reference_compose_bi(G, u, v))
+
+
+@pytest.mark.parametrize(
+    "values, start, want",
+    [
+        ((0, 0, 3, 0, 5), 0, 2),
+        ((0, 0, 3, 0, 5), 3, 4),  # start inside a run of zeros
+        ((0, 0, 3, 0, 5), 2, 2),
+        ((0, 0, 3, 0, 5), 5, None),  # start at the end
+        ((0, 0, 3, 0, 5), 9, None),  # start past the end
+        ((0, Fraction(0), 0), 0, None),  # all zeros
+        ((), 0, None),
+        ([Fraction(0), Fraction(1, 3)], 1, 1),
+    ],
+)
+def test_first_nonzero(values, start, want):
+    assert first_nonzero(values, start) == want
+
+
+@settings(deadline=None)
+@given(uni(UniSeries))
+@example(ex(Fraction(2, 6), 0, Fraction(-4, 8), 3))
+def test_coefficient_reads_the_reduced_value_of_the_pair(a):
+    for d in range(a.reliable_order + 1):
+        c = a.coefficient(d)
+        assert type(c) is Fraction and c == a.coeffs[d]
+        assert (c.numerator, c.denominator) == (a.coeffs[d].numerator, a.coeffs[d].denominator)
+    with pytest.raises(ReliabilityError):
+        a.coefficient(a.reliable_order + 1)
+    with pytest.raises(SeriesError, match="negative degree"):
+        a.coefficient(-1)
 
 
 def _fresh(s: UniSeries) -> UniSeries:
