@@ -228,7 +228,8 @@ def _parse_surface(surface, problems, truncation: int | None) -> UmbrellaCoeffic
             problems.append(f"surface.b: bad index key {key!r}")
             continue
         b[int(key)] = parse_rational(value, f"surface.b[{key}]", problems)
-    if None in a.values() or None in b.values():
+    # An identity test: ``None in`` would compare every Fraction with None.
+    if any(value is None for value in (*a.values(), *b.values())):
         return None
     try:
         return UmbrellaCoefficients(degree=truncation or max([3, *map(sum, a), *b]), a=a, b=b)

@@ -26,6 +26,7 @@ from .series import (
     BiSeries,
     Vec3Series,
     SignedRoot,
+    compose_partials,
     first_nonzero,
 )
 
@@ -47,6 +48,10 @@ def _frac(value) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"not a rational number: {value!r}") from exc
+
+
+#: The one zero an absent coefficient reads as.
+_ZERO = Fraction(0)
 
 
 class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), ("a", dict), ("b", dict)])):
@@ -80,7 +85,7 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
             value = _frac(value)
             if value != 0:
                 clean_b[i] = value
-        if clean_a.get((0, 2), Fraction(0)) == 0:
+        if (0, 2) not in clean_a:  # zeros were dropped
             problems.append("a_02 must be nonzero")
         if problems:
             raise ModelError(*problems)
@@ -91,10 +96,10 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
         return self.a[(0, 2)]
 
     def a_coeff(self, i: int, j: int) -> Fraction:
-        return self.a.get((i, j), Fraction(0))
+        return self.a.get((i, j), _ZERO)
 
     def b_coeff(self, i: int) -> Fraction:
-        return self.b.get(i, Fraction(0))
+        return self.b.get(i, _ZERO)
 
     def truncated(self, degree: int) -> "UmbrellaCoefficients":
         """The same jet cut at total degree ``degree``: a_ij with i+j > degree and b_i with i > degree dropped.
@@ -241,11 +246,13 @@ def image_curve(W: Vec3Series, c1: UniSeries, c2: UniSeries) -> Vec3Series:
 def normal_field_raw(W: Vec3Series, c1: UniSeries, c2: UniSeries) -> Vec3Series:
     """(W_u x W_v) evaluated along the curve; vanishes at the singular point.
 
-    W_u and W_v are substituted first and crossed as series in x: W_u, W_v
-    and W_u x W_v are all reliable to total degree k - 1, so both orders of
+    W_u and W_v are substituted first, each component's pair in one pass
+    (``compose_partials``), and crossed as series in x: W_u, W_v and
+    W_u x W_v are all reliable to total degree k - 1, so both orders of
     the two steps give the same series to the same reliable order.
     """
-    return W.diff_u().compose(c1, c2).cross(W.diff_v().compose(c1, c2))
+    W_u, W_v = zip(*[compose_partials(F, c1, c2) for F in W.components])
+    return Vec3Series(*W_u).cross(Vec3Series(*W_v))
 
 
 # ---------------------------------------------------------------------------

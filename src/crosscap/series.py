@@ -35,7 +35,7 @@ kind is one class, whatever built the series.  Sums and differences of
 two series, negation, scalar and series products, derivatives, ``shift``,
 ``factor_power``, ``valuation`` (which builds only the leading
 ``Fraction``), ``to_float`` and ``float_coeffs`` (``n / _den``, rounded as
-``float(Fraction)`` rounds) and ``compose_bi`` work on these integers and
+``float(Fraction)`` rounds) and the compositions work on these integers and
 bring each result back to that form with at most one ``math.gcd``.  A
 product convolves the numerators (``_convolve``) over the product of the
 denominators.  The library reads every coefficient from the pair, one
@@ -54,20 +54,23 @@ series from integer numerators over a positive denominator, with one
 ``math.gcd`` and no ``Fraction``, and ``UniSeries.make``, the one rational
 constructor, reads the numerators of a list of rationals over the lcm of
 their denominators and passes them on; ``BiSeries.from_numerators`` is the
-one way to build a ``BiSeries``.  A ``BiSeries`` is differentiated,
-read as floats (``float_coeffs``) and substituted (``compose_bi``); no stage
-adds or multiplies two of them, and the bivariate ring the tests check
-against is in ``tests/reference.py``.
+one way to build a ``BiSeries``.  A ``BiSeries`` is read as floats
+(``float_coeffs``) and substituted, itself (``compose_bi``) or its two
+partial derivatives in one pass (``compose_partials``, which builds no
+derivative series); no stage differentiates, adds or multiplies two of
+them, and the bivariate ring the tests check against, the derivatives
+included, is in ``tests/reference.py``.
 
-``compose_bi`` substitutes exact series only.  A ``UniSeries`` keeps the
-numerator lists of its own powers over ``_den^i``, built on first use by
-``compose_bi`` and extended on demand (``_powers``).  Coefficient k of a
-``_convolve`` product does not depend on the order it is cut at, so one
-table, cut at the series' reliable order, serves every composition that
-substitutes the series.  ``_convolve`` is the one convolution loop: it adds
-a scaled product into a list it is given, and ``compose_bi`` adds each of
+``compose_bi`` and ``compose_partials`` substitute exact series only, and
+share one cut and one accumulation (``_substitute``).  A ``UniSeries``
+keeps the numerator lists of its own powers over ``_den^i``, built on
+first use by a composition and extended on demand (``_powers``).
+Coefficient k of a ``_convolve`` product does not depend on the order it
+is cut at, so one table, cut at the series' reliable order, serves every
+composition that substitutes the series.  ``_convolve`` is the one convolution loop: it adds
+a scaled product into a list it is given, and a composition adds each of
 its terms into one accumulator that way.  The loop runs over the nonzero
-entries of its first operand, so ``compose_bi`` passes the power of v
+entries of its first operand, so a composition passes the power of v
 first: a family curve substitutes v = x^m, whose powers are monomials, and
 each of its terms then costs one pass over the power of u.
 """
@@ -124,7 +127,7 @@ def _convolve(out: list, a, b, scale=1) -> list:
 
     The product is cut after ``len(out)`` coefficients, and ``out`` is
     returned.  This is the one convolution loop: exact products and powers
-    (integer numerators, into a list of zeros), ``compose_bi`` (each term
+    (integer numerators, into a list of zeros), the compositions (each term
     scaled into one accumulator) and float products share it.  Zero entries
     are skipped and the products are added in ascending (i, j) order, which
     fixes the rounding of a float product; a float product has ``scale``
@@ -571,18 +574,6 @@ class BiSeries(_Frozen):
         r = min(self.reliable_order, other.reliable_order)
         return _exact_bi(_nonzero(_bi_convolve(self._num, other._num, r)), self._den * other._den, r)
 
-    def diff_u(self) -> "BiSeries":
-        if self.reliable_order < 1:
-            raise ReliabilityError("cannot differentiate a series reliable only to order 0")
-        r = self.reliable_order - 1
-        return _exact_bi({(i - 1, j): n * i for (i, j), n in self._num.items() if i >= 1}, self._den, r)
-
-    def diff_v(self) -> "BiSeries":
-        if self.reliable_order < 1:
-            raise ReliabilityError("cannot differentiate a series reliable only to order 0")
-        r = self.reliable_order - 1
-        return _exact_bi({(i, j - 1): n * j for (i, j), n in self._num.items() if j >= 1}, self._den, r)
-
     def float_coeffs(self) -> dict:
         """The coefficients as floats, in the key order of ``_num``."""
         # Integer true division rounds correctly, as float(Fraction) does.
@@ -642,30 +633,69 @@ def compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
     as the outer operand: for v = x^m that is one pass over the power of u.
     The terms are summed as exact integers, so their order does not matter.
     """
+    val_u, val_v, r_out = _composition_order(F.reliable_order, u, v)
+    return _substitute(F._num.items(), F._den, u, v, val_u, val_v, r_out)
+
+
+def compose_partials(F: BiSeries, u: UniSeries, v: UniSeries) -> tuple:
+    """(F_u, F_v) along the curve: ``compose_bi`` of the two partial derivatives, built as no ``BiSeries``.
+
+    F_u and F_v are reliable to R_F - 1 (``ReliabilityError`` for R_F < 1,
+    before the curves are checked), so both substitutions share one output
+    order and one error.  F's terms are read once, as i n at (i - 1, j) and
+    j n at (i, j - 1) over F's denominator, and each list is cut and
+    substituted as ``compose_bi`` cuts and substitutes its terms.
+    """
+    if F.reliable_order < 1:
+        raise ReliabilityError("cannot differentiate a series reliable only to order 0")
+    val_u, val_v, r_out = _composition_order(F.reliable_order - 1, u, v)
+    d_u, d_v = [], []
+    for (i, j), n in F._num.items():
+        if i:
+            d_u.append(((i - 1, j), i * n))
+        if j:
+            d_v.append(((i, j - 1), j * n))
+    return tuple([_substitute(d, F._den, u, v, val_u, val_v, r_out) for d in (d_u, d_v)])
+
+
+def _composition_order(r_F: int, u: UniSeries, v: UniSeries) -> tuple:
+    """The valuations of u and v and the reliable order of a series of order ``r_F`` composed with them."""
     if type(u) is not UniSeries or type(v) is not UniSeries:
         raise SeriesError("field mismatch between series operands")
-    val_u = _valuation_lower_bound(u)
-    val_v = _valuation_lower_bound(v)
+    val_u, val_v = _valuation_lower_bound(u), _valuation_lower_bound(v)
     for val, name in ((val_u, "u"), (val_v, "v")):
         if val == 0:
             raise SeriesError(f"compose_bi requires {name}(0) = 0")
-    m_min = min(val_u, val_v)
-    r_out = min(m_min * (F.reliable_order + 1) - 1, u.reliable_order, v.reliable_order)
+    r_out = min(min(val_u, val_v) * (r_F + 1) - 1, u.reliable_order, v.reliable_order)
     if r_out < 0:
         raise ReliabilityError("composition carries no reliable coefficients")
-    terms = [(i, j, n) for (i, j), n in F._num.items() if i * val_u + j * val_v <= r_out]
-    top_i = max((i for i, _, _ in terms), default=0)
-    top_j = max((j for _, j, _ in terms), default=0)
-    u_pows = _powers(u, top_i)
-    v_pows = _powers(v, top_j)
-    # c u^i v^j is n / dF times the numerators u_pows[i] * v_pows[j] over
+    return val_u, val_v, r_out
+
+
+def _substitute(terms, den: int, u: UniSeries, v: UniSeries, val_u: int, val_v: int, r_out: int) -> UniSeries:
+    """The sum to x-degree ``r_out`` of n / den u^i v^j over the ((i, j), n) of ``terms``.
+
+    A term of x-degree i val_u + j val_v > r_out is cut; the loop that cuts
+    finds the highest powers of u and v the others read.
+    """
+    kept = []
+    top_i = top_j = 0
+    for (i, j), n in terms:
+        if i * val_u + j * val_v <= r_out:
+            kept.append((i, j, n))
+            if i > top_i:
+                top_i = i
+            if j > top_j:
+                top_j = j
+    u_pows, v_pows = _powers(u, top_i), _powers(v, top_j)
+    # c u^i v^j is n / den times the numerators u_pows[i] * v_pows[j] over
     # du^i dv^j; each term is scaled up to the common denominator
-    # dF du^top_i dv^top_j.
+    # den du^top_i dv^top_j.
     du, dv = u._den, v._den
     acc = [0] * (r_out + 1)
-    for i, j, n in terms:
+    for i, j, n in kept:
         _convolve(acc, v_pows[j], u_pows[i], n * du ** (top_i - i) * dv ** (top_j - j))
-    return _exact(acc, F._den * du**top_i * dv**top_j, r_out)
+    return _exact(acc, den * du**top_i * dv**top_j, r_out)
 
 
 def _powers(s: UniSeries, n: int) -> list:
@@ -694,8 +724,7 @@ class Vec3Series(_Frozen):
 
     The components are all of one kind: exact (``UniSeries``), float
     (``FloatSeries``) or bivariate (``BiSeries``, the surface map
-    (u, v) -> R^3, which is differentiated in u and v and composed with a
-    curve).  A float vector
+    (u, v) -> R^3, which is composed with a curve).  A float vector
     comes from ``to_float`` of an exact one, and the operations of a vector
     are those its components have.  Instances are immutable and equal when
     their components are.
@@ -743,12 +772,6 @@ class Vec3Series(_Frozen):
 
     def diff(self) -> "Vec3Series":
         return Vec3Series(self.x.diff(), self.y.diff(), self.z.diff())
-
-    def diff_u(self) -> "Vec3Series":
-        return Vec3Series(self.x.diff_u(), self.y.diff_u(), self.z.diff_u())
-
-    def diff_v(self) -> "Vec3Series":
-        return Vec3Series(self.x.diff_v(), self.y.diff_v(), self.z.diff_v())
 
     def compose(self, u: UniSeries, v: UniSeries) -> "Vec3Series":
         """The surface map along the curve (u(x), v(x)): ``compose_bi`` of each component."""

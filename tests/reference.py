@@ -6,8 +6,9 @@ and the striction curve of a generic ruled surface, the osculating
 developable as the float chain of the unit Darboux frame, the curvature top-terms
 that the A/B/C/D invariants predict, and the series operations, products
 and composition as coefficient-by-coefficient ``Fraction`` loops (with
-the sum and product of two ``BiSeries``, and ``reference_bi_make``, the
-one builder of a ``BiSeries`` from ``Fraction``s in the tests), the
+the sum and product of two ``BiSeries``, the two partial derivatives of
+one, and ``reference_bi_make``, the one builder of a ``BiSeries`` from
+``Fraction``s in the tests), the raw normal taken bivariate first, the
 surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices,
 the quads of a vertex grid and the OBJ text one vertex, one quad and one
@@ -45,6 +46,7 @@ from crosscap.obj import MeshError, QuadMesh, _grid
 from crosscap.series import (
     BiSeries,
     FloatSeries,
+    ReliabilityError,
     SeriesError,
     UniSeries,
     Valuation,
@@ -519,18 +521,18 @@ def reference_bi_add(self: BiSeries, other: BiSeries) -> BiSeries:
 
 
 def reference_bi_diff_u(self: BiSeries) -> BiSeries:
-    """``BiSeries.diff_u``."""
+    """d/du of a ``BiSeries``, reliable one order less; ``compose_partials`` substitutes it without building it."""
     if self.reliable_order < 1:
-        raise SeriesError("cannot differentiate a series reliable only to order 0")
+        raise ReliabilityError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
     out = {(i - 1, j): c * i for (i, j), c in reference_bi_coeffs(self).items() if i >= 1 and i + j <= r + 1}
     return reference_bi_make(out, r)
 
 
 def reference_bi_diff_v(self: BiSeries) -> BiSeries:
-    """``BiSeries.diff_v``."""
+    """d/dv of a ``BiSeries``, reliable one order less; ``compose_partials`` substitutes it without building it."""
     if self.reliable_order < 1:
-        raise SeriesError("cannot differentiate a series reliable only to order 0")
+        raise ReliabilityError("cannot differentiate a series reliable only to order 0")
     r = self.reliable_order - 1
     out = {(i, j - 1): c * j for (i, j), c in reference_bi_coeffs(self).items() if j >= 1 and i + j <= r + 1}
     return reference_bi_make(out, r)
@@ -604,6 +606,20 @@ def reference_compose_bi(F: BiSeries, u: UniSeries, v: UniSeries) -> UniSeries:
             continue
         acc = reference_add(acc, reference_scale(reference_mul(upow(i), vpow(j)), c))
     return acc
+
+
+def reference_normal_field_raw(W: Vec3Series, c1: UniSeries, c2: UniSeries) -> Vec3Series:
+    """``model.normal_field_raw`` bivariate first: W_u x W_v in the reference ring, then substituted."""
+    W_u = [reference_bi_diff_u(F) for F in W.components]
+    W_v = [reference_bi_diff_v(F) for F in W.components]
+
+    def minus(a: BiSeries, b: BiSeries) -> BiSeries:
+        return reference_bi_add(a, reference_bimul(reference_bi_make({(0, 0): -1}, b.reliable_order), b))
+
+    normal = [
+        minus(reference_bimul(W_u[i], W_v[j]), reference_bimul(W_u[j], W_v[i])) for i, j in ((1, 2), (2, 0), (0, 1))
+    ]
+    return Vec3Series(*[reference_compose_bi(N, c1, c2) for N in normal])
 
 
 # ---------------------------------------------------------------------------

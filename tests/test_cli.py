@@ -13,6 +13,7 @@ import pytest
 import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
 
 from crosscap import Analysis, ConfigError, UmbrellaCoefficients, parse_config
+from crosscap import config as config_module
 from crosscap.cli import MAX_DRAWS, fixture_names, fixture_text, main
 from crosscap.config import (
     MAX_MESH_VERTICES,
@@ -189,6 +190,25 @@ def test_every_surface_index_problem_is_reported():
         "surface: b index 2 outside 3 <= i <= k",
         "surface: a_02 must be nonzero",
     ]
+
+
+REFUSED_A = "surface.a[1,1]: malformed rational 'x'; rationals must be integers or strings like '-3' or '1/2'"
+REFUSED_B = "surface.b[3]: zero denominator in '1/0'"
+
+
+@pytest.mark.parametrize(
+    "a11, b3, problems",
+    [("x", "1/0", [REFUSED_A, REFUSED_B]), ("x", "2", [REFUSED_A]), ("3", "1/0", [REFUSED_B])],
+    ids=["a-and-b", "a", "b"],
+)
+def test_a_refused_a_and_b_coefficient_are_both_reported_and_build_no_jet(monkeypatch, a11, b3, problems):
+    built = []
+    monkeypatch.setattr(config_module, "UmbrellaCoefficients", lambda *args, **kwargs: built.append(args))
+    surface = {"a": {"0,2": "1", "1,1": a11, "2,0": "1/2"}, "b": {"3": b3, "4": "5"}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"truncation": 4, "surface": surface, "curve": MP_CURVE}))
+    assert err.value.problems == problems
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,13 @@ inputs are the bundled fixtures, the 128 dense jets of the benchmark's
 universe, the draws of ``verify --sweep --seed 0`` to ``--seed 3``, and
 drawn jets and curves whose multiplicity or first exponent may exceed the
 order the curve is built to.
+
+``normal_field_raw`` substitutes W_u and W_v first and crosses them as series
+in x; it must equal the normal taken bivariate first
+(``reference_normal_field_raw``: W_u x W_v in the reference ring, then
+substituted), values and reliable orders, on every dense jet at its
+truncation and at rung 5, on drawn sparse jets, on the general curve of
+``tests/output_digests.py`` and on a truncation-3 jet.
 """
 
 import json
@@ -26,11 +33,13 @@ from crosscap.frame import FrameError, curvature_numerators, frame_factors
 from crosscap.model import build_curve, build_umbrella, image_curve, normal_field_raw, series_order
 from crosscap.series import BiSeries, SeriesError, UniSeries, valuation
 from crosscap.verify import SUBCASES, _draw_fixture
+from output_digests import GENERAL_CURVE
 from reference import (
     reference_bi_coeffs,
     reference_build_curve,
     reference_build_umbrella,
     reference_curvature_numerators,
+    reference_normal_field_raw,
     reference_vector_valuation,
 )
 
@@ -149,3 +158,36 @@ def test_general_curves_are_cut_as_before(s1_coeffs):
     )
     for order in (1, 3, 9):
         assert_builders_agree(s1_coeffs, cfg.spec, order)
+
+
+def assert_normal_is_bivariate_first(coeffs: UmbrellaCoefficients, spec, order: int):
+    W, curve = build_umbrella(coeffs), build_curve(spec, order)
+    got, want = normal_field_raw(W, *curve), reference_normal_field_raw(W, *curve)
+    for got_c, want_c in zip(got.components, want.components):
+        assert (got_c, got_c.reliable_order) == (want_c, want_c.reliable_order)
+
+
+@pytest.mark.parametrize("shape", range(len(workloads.DENSE_SHAPES)))
+def test_the_raw_normal_is_the_bivariate_first_normal_on_dense_jets(shape):
+    for variant in range(workloads.DENSE_VARIANTS):
+        cfg = parse_config(workloads.dense_config(shape, variant, "exact"))
+        for k in (cfg.coeffs.degree, 5):
+            assert_normal_is_bivariate_first(cfg.coeffs.truncated(k), cfg.spec, series_order(cfg.spec.m, k))
+
+
+@settings(deadline=None, max_examples=60)
+@given(jets(), family_curves())
+@example(UmbrellaCoefficients(3, {(0, 2): 2, (2, 0): Fraction(-1, 3)}, {3: 1}), (FamilyMP(m=2, p=2, c=(1, 2)), 7))
+def test_the_raw_normal_is_the_bivariate_first_normal_on_drawn_jets(coeffs, curve):
+    spec, order = curve
+    assert_normal_is_bivariate_first(coeffs, spec, order)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [GENERAL_CURVE, {**json.loads(fixture_text("s1")), "truncation": 3}],
+    ids=["general-curve", "s1-truncation-3"],
+)
+def test_the_raw_normal_is_the_bivariate_first_normal_on_a_general_curve_and_at_truncation_3(doc):
+    cfg = parse_config(json.dumps(doc))
+    assert_normal_is_bivariate_first(cfg.coeffs, cfg.spec, series_order(cfg.spec.m, cfg.coeffs.degree))

@@ -68,6 +68,7 @@ def calls(monkeypatch):
         name: count_calls(monkeypatch, module, name)
         for module, name in (
             (series, "compose_bi"),
+            (series, "compose_partials"),
             (frame, "curvature_numerators"),
             (frame, "darboux_frame"),
         )
@@ -81,12 +82,13 @@ def fixture_config(name, field="exact"):
 
 
 @pytest.mark.parametrize(
-    "name, field, compose, numerators",
-    [("s1", "exact", 12, 1), ("s1", "float", 12, 1), ("s3", "exact", 9, 1)],
+    "name, field, compose, partials, numerators",
+    [("s1", "exact", 6, 3, 1), ("s1", "float", 6, 3, 1), ("s3", "exact", 3, 3, 1)],
 )
-def test_report_computes_each_stage_once(calls, name, field, compose, numerators):
+def test_report_computes_each_stage_once(calls, name, field, compose, partials, numerators):
     build_report(fixture_config(name, field))
     assert len(calls["compose_bi"]) == compose
+    assert len(calls["compose_partials"]) == partials
     assert len(calls["curvature_numerators"]) == numerators
 
 
@@ -94,13 +96,13 @@ def test_mesh_composes_only_the_image_and_the_normal(calls, tmp_path):
     cfg_path = tmp_path / "s1.json"
     cfg_path.write_text(fixture_text("s1"))
     assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls["compose_bi"]) == 9
+    assert (len(calls["compose_bi"]), len(calls["compose_partials"])) == (3, 3)
 
 
 def test_verify_skips_the_float_frame(calls):
     cfg = fixture_config("s1")
     assert verify_fixture(Analysis(cfg.coeffs, cfg.spec)).status == "PASS"
-    assert len(calls["compose_bi"]) == 9
+    assert (len(calls["compose_bi"]), len(calls["compose_partials"])) == (3, 3)
     assert len(calls["curvature_numerators"]) == 1
     assert calls["darboux_frame"] == []
 
@@ -643,8 +645,16 @@ def test_a_library_error_on_a_lower_rung_moves_on_and_a_stdlib_one_propagates(mo
 
 @pytest.fixture
 def compose_orders(monkeypatch):
-    """The reliable order of the substituted curve of every ``compose_bi`` call."""
-    return count_calls(monkeypatch, series, "compose_bi", lambda F, u, v: u.reliable_order)
+    """The reliable order of the substituted curve of every ``compose_bi`` and every ``compose_partials`` call."""
+    return {
+        name: count_calls(monkeypatch, series, name, lambda F, u, v: u.reliable_order)
+        for name in ("compose_bi", "compose_partials")
+    }
+
+
+def each_component_once(order):
+    """The image's three compositions and the three of W_u and W_v, one pass per component."""
+    return {"compose_bi": [order] * 3, "compose_partials": [order] * 3}
 
 
 # s3 at truncation 16 completes the report at rung 5 and the oracle at rung
@@ -658,13 +668,13 @@ S3_TRUNCATION_16_ORDER = 50
 
 def test_report_composes_only_on_the_resolving_rung(compose_orders):
     build_report(fixture_at("s3", 16))
-    assert compose_orders == [S3_RUNG_5_ORDER] * 9  # the image, W_u and W_v
+    assert compose_orders == each_component_once(S3_RUNG_5_ORDER)
 
 
 def test_verify_composes_only_on_the_resolving_rung(compose_orders):
     cfg = fixture_at("s3", 16)
     verify_fixture(Analysis(cfg.coeffs, cfg.spec))
-    assert compose_orders == [S3_RUNG_4_ORDER] * 9
+    assert compose_orders == each_component_once(S3_RUNG_4_ORDER)
 
 
 def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_path):
@@ -673,7 +683,7 @@ def test_mesh_composes_only_at_the_configured_truncation(compose_orders, tmp_pat
     cfg_path = tmp_path / "s3.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["mesh", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert compose_orders == [S3_TRUNCATION_16_ORDER] * 9
+    assert compose_orders == each_component_once(S3_TRUNCATION_16_ORDER)
 
 
 def test_each_sweep_draw_computes_its_table_once(monkeypatch):

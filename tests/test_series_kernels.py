@@ -2,7 +2,9 @@
 
 Every ``UniSeries`` and ``BiSeries`` operation, ``valuation``,
 ``factor_power`` and ``compose_bi`` must return exactly what the
-coefficient-by-coefficient loops of ``tests/reference.py`` return: equal
+coefficient-by-coefficient loops of ``tests/reference.py`` return, and
+``compose_partials`` what ``compose_bi`` returns on each reference
+derivative, its error type and message included: equal
 values, reduced ``Fraction`` coefficients and a canonical numerator /
 denominator pair for an exact series, and for a ``BiSeries`` the same key
 order.  The sum, difference, product, derivative and inverse of a
@@ -35,6 +37,7 @@ from crosscap.series import (
     _convolve,
     _valuation_lower_bound,
     compose_bi,
+    compose_partials,
     factor_power,
     first_nonzero,
     reciprocal,
@@ -44,6 +47,7 @@ from crosscap.series import (
 from reference import (
     float_series,
     reference_add,
+    reference_bi_add,
     reference_bi_diff_u,
     reference_bi_coeffs,
     reference_bi_diff_v,
@@ -297,6 +301,80 @@ def test_compose_bi_skips_terms_beyond_the_cut():
     _assert_same_uni(out, reference_compose_bi(G, u, v))
 
 
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of the ``SeriesError`` it raises."""
+    try:
+        return call(*args)
+    except SeriesError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_partials(G, u, v):
+    """``compose_partials`` gives ``compose_bi`` of each reference derivative, or raises as it does."""
+    got = _outcome(compose_partials, G, _fresh(u), _fresh(v))
+    want = [_outcome(lambda d: compose_bi(d(G), u, v), d) for d in (reference_bi_diff_u, reference_bi_diff_v)]
+    if isinstance(want[0], tuple):  # an error: both derivatives raise the same one
+        assert got == want[0] == want[1]
+        return
+    assert type(got) is tuple and len(got) == 2
+    for got_d, want_d in zip(got, want):
+        _assert_same_uni(got_d, want_d)
+
+
+# A term kept in one partial and cut in the other: val u = 3, val v = 1 and
+# R_F = 3 give r_out = 1 * 3 - 1 = 2; u v has F_u = v (x-degree 1, kept)
+# and F_v = u (x-degree 3, cut), v^2 gives 2 v in F_v, kept.
+KEPT_AND_CUT = (
+    bi_make({(1, 1): Fraction(2, 3), (0, 2): Fraction(-5, 4)}, 3),
+    ex(0, 0, 0, Fraction(1, 2)),
+    ex(0, 1, Fraction(-1, 3), 0),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.tuples(
+        bi(),
+        st.one_of(substituted(), uni(UniSeries)),  # u(0) != 0 is drawn too
+        st.one_of(substituted(), uni(UniSeries)),
+    )
+)
+@example((bi_make({}, 3), ex(0, 1, 2), ex(0, 0, Fraction(1, 2))))  # F = 0
+@example((bi_make({(0, 0): Fraction(5, 3)}, 4), ex(0, 1, 2), ex(0, 0, Fraction(1, 2))))  # a constant F
+@example((bi_make({(0, 0): Fraction(5, 3)}, 0), ex(0, 1, 2), ex(0, 0, 1)))  # R_F = 0
+@example((bi_make({(1, 0): Fraction(1, 3)}, 0), ex(1, 2), ex(2)))  # R_F = 0 before u(0) != 0
+@example((bi_make({(1, 0): Fraction(1, 3), (0, 2): 1}, 3), ex(Fraction(1, 2), 2), ex(0, 1)))  # u(0) != 0
+@example((bi_make({(1, 0): Fraction(1, 3), (0, 2): 1}, 3), ex(0, 2), ex(0, 0, 0)))  # v vanishes to its order
+@example(
+    (
+        bi_make({(2, 1): Fraction(1, 2), (1, 2): Fraction(-3, 7), (0, 3): Fraction(2, 3), (3, 0): 5}, 4),
+        ex(0, Fraction(2, 5), Fraction(-1, 3), 0, Fraction(7, 2), 0, 0, 0, 0, 0, 0, 0),
+        ex(0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),  # v = x^3
+    )
+)
+@example(
+    (
+        bi_make({(2, 1): Fraction(1, 2), (1, 2): Fraction(-3, 7), (0, 3): Fraction(2, 3), (3, 0): 5}, 4),
+        ex(0, 0, 1, 0, 0, 0, 0, 0, 0),
+        ex(0, Fraction(1, 3), Fraction(-2, 9), Fraction(4, 5), 3, Fraction(-1, 6), 2, Fraction(5, 7), 1),  # dense v
+    )
+)
+@example(KEPT_AND_CUT)
+def test_compose_partials_matches_compose_bi_of_the_derivatives(args):
+    _assert_partials(*args)
+
+
+def test_compose_partials_keeps_a_term_in_one_partial_and_cuts_it_in_the_other():
+    G, u, v = KEPT_AND_CUT
+    u, v = _fresh(u), _fresh(v)
+    F_u, F_v = compose_partials(G, u, v)
+    assert (len(u._pows), len(v._pows)) == (1, 2)  # the cut term reads no power of u
+    assert F_u.reliable_order == F_v.reliable_order == 2
+    assert F_u == UniSeries.make([0, Fraction(2, 3), Fraction(-2, 9)], 2)  # 2/3 v
+    assert F_v == UniSeries.make([0, Fraction(-5, 2), Fraction(5, 6)], 2)  # -5/2 v; 2/3 u is cut
+    _assert_partials(G, u, v)
+
+
 @settings(deadline=None)
 @given(st.tuples(bi(), bi()))
 @example(
@@ -313,14 +391,22 @@ def test_compose_bi_skips_terms_beyond_the_cut():
 )
 @example((bi_make({}, 0), bi_make({(0, 0): Fraction(-4, 3)}, 5)))
 def test_bi_derivatives_match_fraction_loops(pair):
+    # The reference derivatives, which the composition of the partials is
+    # checked against: i c at (i - 1, j) and j c at (i, j - 1), in key
+    # order, reliable one order less, and the product rule on the pair.
     for a in pair:
-        if a.reliable_order >= 1:
-            _assert_same_bi(a.diff_u(), reference_bi_diff_u(a))
-            _assert_same_bi(a.diff_v(), reference_bi_diff_v(a))
-        else:
-            for op in (BiSeries.diff_u, BiSeries.diff_v):
-                with pytest.raises(SeriesError):
-                    op(a)
+        coeffs, r = reference_bi_coeffs(a), a.reliable_order - 1
+        if r < 0:
+            for op in (reference_bi_diff_u, reference_bi_diff_v):
+                assert _message(op, a, error=ReliabilityError) == "cannot differentiate a series reliable only to order 0"
+            continue
+        _assert_same_bi(reference_bi_diff_u(a), bi_make({(i - 1, j): i * c for (i, j), c in coeffs.items() if i}, r))
+        _assert_same_bi(reference_bi_diff_v(a), bi_make({(i, j - 1): j * c for (i, j), c in coeffs.items() if j}, r))
+    a, b = pair
+    if min(a.reliable_order, b.reliable_order) >= 1:
+        for d in (reference_bi_diff_u, reference_bi_diff_v):
+            leibniz = reference_bi_add(reference_bimul(d(a), b), reference_bimul(a, d(b)))
+            assert d(reference_bimul(a, b)) == leibniz
 
 
 BI_INPUT_KEYS = st.tuples(st.integers(-1, 7), st.integers(-1, 7))
@@ -594,8 +680,8 @@ def test_every_bi_series_is_one_plain_class(a, scale):
         BiSeries.from_numerators({k: n * scale for k, n in a._num.items()}, a._den * scale, r),
         a * one,
         one * a,
-        bi_make({(i + 1, j): c / (i + 1) for (i, j), c in reference_bi_coeffs(a).items()}, r + 1).diff_u(),
-        bi_make({(i, j + 1): c / (j + 1) for (i, j), c in reference_bi_coeffs(a).items()}, r + 1).diff_v(),
+        reference_bi_diff_u(bi_make({(i + 1, j): c / (i + 1) for (i, j), c in reference_bi_coeffs(a).items()}, r + 1)),
+        reference_bi_diff_v(bi_make({(i, j + 1): c / (j + 1) for (i, j), c in reference_bi_coeffs(a).items()}, r + 1)),
     ]
     for s in built:
         assert type(s) is BiSeries
