@@ -12,9 +12,11 @@ from .report import build_report, render_report
 from .verify import has_hard_failure, has_undetermined, render_rows, run_sweep, verify_fixture
 from .series import CrosscapError
 from .pipeline import analyze
+from .developable import DevelopableError
 from .obj import (
     obj_mesh_text,
     obj_polyline_text,
+    osculating_surface,
     sample_curve_polyline,
     sample_ruled_surface,
     sample_surface_patch,
@@ -84,7 +86,10 @@ def _cmd_mesh(args) -> int:
     cfg = _load_config(args.config)
     mesh = cfg.mesh or MeshOptions()
     analysis = analyze(cfg.coeffs, cfg.spec)
-    ruled = analysis.ruled  # fails first when the curve has no developable
+    d = analysis.developable  # fails first when the curve has no developable
+    if d is None:
+        raise DevelopableError(analysis.reasons["developable"])
+    ruled = osculating_surface(analysis.image, d.director)
     # Every mesh is sampled and formatted before any file is written, so a
     # refusal (no developable, a non-finite vertex) leaves no partial output;
     # each grid is dropped as soon as its text is formatted.

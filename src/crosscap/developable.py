@@ -1,4 +1,4 @@
-"""Ruled surfaces and the osculating developable along the curve, in exact arithmetic.
+"""The osculating developable along the curve, in exact arithmetic.
 
 The osculating developable rules the curve by D = V / |V|, where the director
 
@@ -19,8 +19,8 @@ V'.  T has order alpha + max(a2 - a3, 0), so T / R is a series exactly when
 the striction curve exists, and it vanishes at 0 exactly when that curve
 passes through the singular point.  Every order and case is decided on
 these exact series; each top of the unit frame is an exact top over one
-square root (``SignedRoot``), which only the report rounds.  Only the mesh
-normalises V, as a ``FloatSeries`` vector (``osculating_surface``).
+square root (``SignedRoot``), which only the report rounds.  This module
+makes no float: the mesh normalises V itself (``obj.osculating_surface``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .series import (
     UniSeries,
     Vec3Series,
     factor_power,
-    reciprocal,
-    sqrt_series,
     valuation,
 )
 from .frame import CurvatureReport, FrameFactors
@@ -45,18 +43,6 @@ from .frame import CurvatureReport, FrameFactors
 
 class DevelopableError(CrosscapError):
     """Violated preconditions of the osculating-developable construction."""
-
-
-# ---------------------------------------------------------------------------
-# Generic ruled surfaces
-# ---------------------------------------------------------------------------
-
-
-class RuledSurface(NamedTuple):
-    """F(x, y) = gamma(x) + y xi(x)."""
-
-    gamma: Vec3Series
-    xi: Vec3Series
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +172,12 @@ def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Ve
     R, k_cyl, delta_top = delta_invariant(V, factors)
     classification = classify_EF(factors, report)
 
-    a0 = factors.alpha0
+    # T's order: alpha, and the shift that h2 takes.  A cylinder (delta
+    # vanishing to reliable order) has no striction curve.
     a2, a3 = report.degrees[1], report.degrees[2]
-    exists_bound = a0 + a2 - a3 - 1 if branch == BRANCH_A2_GT_A3 else a0 - 1
-
-    # A cylinder (delta vanishing to reliable order) has no striction curve.
-    exists = k_cyl is not None and exists_bound >= k_cyl
-    passes = exists and exists_bound > k_cyl
+    t_order = factors.alpha + max(a2 - a3, 0)
+    exists = k_cyl is not None and t_order >= k_cyl
+    passes = exists and t_order > k_cyl
     scale = S = sigma_order = sigma_top = None
     sigma_lower = 0
     if exists:
@@ -224,19 +209,3 @@ def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Ve
         classification=classification,
     )
 
-
-def osculating_surface(img: Vec3Series, data: DevelopableData) -> RuledSurface:
-    """The osculating developable as a float ruled surface: the image curve ``img`` and V / |V|.
-
-    Both are ``Vec3Series`` of ``FloatSeries``: ``to_float`` of the exact
-    series, and the director normalised by ``reciprocal(sqrt_series(...))``.
-    """
-    try:
-        v = data.director.to_float()
-        xi = v.scale(reciprocal(sqrt_series(v.norm_sq())))
-        finite = all(math.isfinite(c) for s in xi.components for c in s.coeffs)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise DevelopableError("values beyond the float range (the director has a non-finite coefficient)")
-    return RuledSurface(gamma=img.to_float(), xi=xi)

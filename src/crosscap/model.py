@@ -75,7 +75,7 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
                 problems.append(f"a index {key} outside 2 <= i+j <= k")
                 continue
             value = _frac(value)
-            if value != 0:
+            if value:
                 clean_a[(i, j)] = value
         clean_b = {}
         for i, value in b.items():
@@ -83,7 +83,7 @@ class UmbrellaCoefficients(NamedTuple("UmbrellaCoefficients", [("degree", int), 
                 problems.append(f"b index {i} outside 3 <= i <= k")
                 continue
             value = _frac(value)
-            if value != 0:
+            if value:
                 clean_b[i] = value
         if (0, 2) not in clean_a:  # zeros were dropped
             problems.append("a_02 must be nonzero")

@@ -1,8 +1,11 @@
-"""Quad-mesh sampling of surfaces/curves and Wavefront OBJ output.
+"""The float ruled surface of the mesh, quad-mesh sampling of surfaces/curves and Wavefront OBJ output.
 
-A mesh is its sampling grid: flat vertex coordinates (x, y, z, row by row),
-``rows`` and ``cols``; the faces follow from the shape.  A float series
-(``FloatSeries``, the components of the ruled surface ``mesh`` samples) is
+The analysis is exact; floats enter the mesh here.  ``osculating_surface``
+turns the image curve and the exact director V of the osculating developable
+into a float ruled surface, gamma = img and xi = V / |V|, normalised as
+``FloatSeries``.  A mesh is its sampling grid: flat vertex coordinates (x,
+y, z, row by row), ``rows`` and ``cols``; the faces follow from the shape.
+A float series (the components of the ruled surface ``mesh`` samples) is
 evaluated over the whole x grid by a column Horner pass, ``acc = [a * x + c
 for a, x in zip(acc, xs)]``: at each x the operations of a per-point Horner
 evaluation from 0.0, in the same order, so each coordinate is that of a
@@ -19,12 +22,36 @@ import math
 from itertools import chain, filterfalse
 from typing import NamedTuple
 
-from .series import CrosscapError, FloatSeries, Vec3Series
-from .developable import RuledSurface
+from .series import CrosscapError, FloatSeries, Vec3Series, reciprocal, sqrt_series
 
 
 class MeshError(CrosscapError):
-    """Degenerate sampling ranges or resolutions, or a non-finite vertex."""
+    """Degenerate sampling ranges or resolutions, or a non-finite director or vertex."""
+
+
+class RuledSurface(NamedTuple):
+    """F(x, y) = gamma(x) + y xi(x)."""
+
+    gamma: Vec3Series
+    xi: Vec3Series
+
+
+def osculating_surface(img: Vec3Series, director: Vec3Series) -> RuledSurface:
+    """The osculating developable as a float ruled surface: the image curve ``img`` and V / |V|.
+
+    Both are ``Vec3Series`` of ``FloatSeries``: ``to_float`` of the exact
+    series, and the exact director V normalised by
+    ``reciprocal(sqrt_series(...))``.
+    """
+    try:
+        v = director.to_float()
+        xi = v.scale(reciprocal(sqrt_series(v.norm_sq())))
+        finite = all(math.isfinite(c) for s in xi.components for c in s.coeffs)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise MeshError("values beyond the float range (the director has a non-finite coefficient)")
+    return RuledSurface(gamma=img.to_float(), xi=xi)
 
 
 class QuadMesh(NamedTuple):

@@ -2,8 +2,9 @@
 
 ``Analysis`` names every quantity of the chain surface jet -> image curve
 and raw normal -> factorizations -> curvature numerators -> degrees and
-tops -> invariants and developable, all in exact arithmetic.  Each stage,
-the surface jet included, is one cached property that returns one value,
+tops -> invariants and developable, all in exact arithmetic: no stage
+holds a float (the mesh builds its float ruled surface in ``obj``).  Each
+stage, the surface jet included, is one cached property that returns one value,
 computed on first access, so report, verify and mesh share one computation
 and each runs only the stages it reads.  N x E_t is the ``cross`` stage,
 read by the ``numerators`` and the ``developable``.  The sections that
@@ -77,13 +78,7 @@ from .invariants import (
     self_intersection,
     top_invariants,
 )
-from .developable import (
-    DevelopableData,
-    DevelopableError,
-    RuledSurface,
-    osculating_developable,
-    osculating_surface,
-)
+from .developable import DevelopableData, DevelopableError, osculating_developable
 
 
 #: The report's working truncation below the configured one.  The invariants
@@ -161,8 +156,7 @@ class Analysis:
     stage of an optional section that does not apply reads None and adds
     its reason to ``reasons`` (see the module docstring).  Every stage reads the one exact
     surface jet and curve, decides every order on exact series and keeps
-    every value exact (a top of the unit frame is a ``SignedRoot``); only
-    ``ruled``, the mesh's developable, has ``FloatSeries`` components.
+    every value exact (a top of the unit frame is a ``SignedRoot``).
     """
 
     def __init__(self, coeffs: UmbrellaCoefficients, spec: CurveSpec):
@@ -179,10 +173,9 @@ class Analysis:
         not through ``analyze``.  A library error there (a ``CrosscapError``)
         moves on to the next rung: a short jet may fail where the
         configured one does not, and an error that is real is raised again
-        by the configured truncation.  No stage but ``ruled``, which is
-        never climbed, makes a float, so no float overflow can arise; any
-        other exception is a bug and propagates.  This analysis is the
-        last rung and is returned unchecked.
+        by the configured truncation.  No stage makes a float, so no float
+        overflow can arise; any other exception is a bug and propagates.
+        This analysis is the last rung and is returned unchecked.
         """
         for k in lower(self.spec.m, self.coeffs.degree):
             try:
@@ -275,13 +268,6 @@ class Analysis:
         return self._or_reason(
             "developable", DevelopableError, osculating_developable, self.factors, self.oracle, self.cross
         )
-
-    @cached_property
-    def ruled(self) -> RuledSurface:
-        """The osculating developable as a float ruled surface; DevelopableError if it has none."""
-        if self.developable is None:
-            raise DevelopableError(self.reasons["developable"])
-        return osculating_surface(self.image, self.developable)
 
 
 def analyze(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> Analysis:

@@ -4,9 +4,10 @@ Every series the analysis builds is exact: a ``UniSeries`` or a
 ``BiSeries`` (the surface jets) has arbitrary-precision rational
 coefficients.  Floats enter in one place, ``UniSeries.to_float``, which
 gives a ``FloatSeries`` of binary64 coefficients; that small type serves the
-mesh's unit director and the float Darboux frame, with the sum, difference,
-product and derivative they use and the square root (``sqrt_series``) and
-inverse (``reciprocal``) that normalise a vector.  An exact and a float
+mesh's unit director (``obj.osculating_surface``) and the float Darboux
+frame, with the sum, difference, product and derivative they use and the
+square root (``sqrt_series``) and inverse (``reciprocal``) that normalise a
+vector.  No analysis stage holds one.  An exact and a float
 operand never mix: that is a ``SeriesError``.  ``BiSeries.float_coeffs`` is
 the one float reading of a surface jet, for mesh sampling.  Every series
 carries a ``reliable_order`` R: coefficients of degree <= R are guaranteed
@@ -778,7 +779,5 @@ class Vec3Series(_Frozen):
         return Vec3Series(compose_bi(self.x, u, v), compose_bi(self.y, u, v), compose_bi(self.z, u, v))
 
     def constant_vector(self) -> tuple:
-        """The coefficients of x^0; an exact vector reads them from its numerators."""
-        if type(self.x) is FloatSeries:  # the float frame, which only the tests read
-            return (self.x.coeffs[0], self.y.coeffs[0], self.z.coeffs[0])
+        """The coefficients of x^0 of an exact vector, read from its numerators."""
         return (self.x.coefficient(0), self.y.coefficient(0), self.z.coefficient(0))

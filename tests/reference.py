@@ -15,8 +15,9 @@ the quads of a vertex grid and the OBJ text one vertex, one quad and one
 line at a time.  The float norm and unit vector of a vector series, a
 float zero test with an absolute tolerance, the exact and float
 ``reference_reciprocal`` of the striction checks, and ``float_series``
-and ``float_vec3`` (float fixtures padded with 0.0) and ``horner`` (the
-per-point float evaluation) serve these checks; the univariate ring
+and ``float_vec3`` (float fixtures padded with 0.0), ``float_constant_vector``
+(the value at 0 of a float vector) and ``horner`` (the per-point float
+evaluation) serve these checks; the univariate ring
 loops take an exact ``UniSeries`` or a ``FloatSeries`` and return the same
 type.
 ``over_sqrt``, the one-step float of value / sqrt(radicand), is the
@@ -37,12 +38,11 @@ from crosscap.developable import (
     CASE_III,
     CASE_SIGMA_TOP_NONZERO,
     DevelopableError,
-    RuledSurface,
 )
 from crosscap.frame import CurvatureReport, FrameError, FrameFactors, darboux_frame, kappa_tilde_series
 from crosscap.invariants import TopInvariants
 from crosscap.model import CurveSpec, FamilyMPQ, GeneralCurve, UmbrellaCoefficients
-from crosscap.obj import MeshError, QuadMesh, _grid
+from crosscap.obj import MeshError, QuadMesh, RuledSurface, _grid
 from crosscap.series import (
     BiSeries,
     FloatSeries,
@@ -79,6 +79,11 @@ def float_series(coeffs, reliable_order: int | None = None) -> FloatSeries:
 def float_vec3(cx, cy, cz, reliable_order: int) -> Vec3Series:
     """The float vector series of three coefficient lists, each padded as ``float_series`` pads."""
     return Vec3Series(*(float_series(c, reliable_order) for c in (cx, cy, cz)))
+
+
+def float_constant_vector(vec: Vec3Series) -> tuple:
+    """The coefficients of x^0 of a float vector; ``Vec3Series.constant_vector`` reads an exact one."""
+    return tuple(c.coeffs[0] for c in vec.components)
 
 
 def exact_vec3(cx, cy, cz, reliable_order: int) -> Vec3Series:

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from crosscap import FamilyMP, FamilyMPQ, UmbrellaCoefficients, analyze, parse_config
 from crosscap.cli import fixture_text, main
-from crosscap.developable import BRANCH_A3_GE_A2, CASE_II, osculating_surface
+from crosscap.developable import BRANCH_A3_GE_A2, CASE_II
+from crosscap.obj import osculating_surface
 from crosscap.frame import closed_form_reference, curvature_series, darboux_frame
 from crosscap.invariants import (
     PROJ_TANGENT_TO_B,
@@ -151,7 +152,7 @@ def test_criterion_6_verdict_suite(s2_coeffs, s2_spec):
 
 def test_criterion_7_developable_suite(s1, s2, s3):
     for a in (s1, s2, s3):
-        surface = osculating_surface(a.image, a.developable)
+        surface = osculating_surface(a.image, a.developable.director)
         resid = reference_truncate(developability_residual(surface), 8)
         assert max(abs(c) for c in resid.coeffs) <= 1e-8
 

@@ -30,16 +30,16 @@ from crosscap.developable import (
     CASE_II,
     CASE_SIGMA_TOP_NONZERO,
     DevelopableError,
-    RuledSurface,
     osculating_developable,
-    osculating_surface,
 )
 from crosscap.frame import darboux_frame, kappa_tilde_series
 from crosscap.series import ReliabilityError, SeriesError, SignedRoot, Vec3Series, reciprocal, sqrt_series, valuation
 from crosscap.obj import (
     MeshError,
+    RuledSurface,
     obj_mesh_text,
     obj_polyline_text,
+    osculating_surface,
     sample_curve_polyline,
     sample_ruled_surface,
     sample_surface_patch,
@@ -48,6 +48,7 @@ from conftest import rand_fraction, random_surface
 from reference import (
     FLOAT_TOL,
     developability_residual,
+    float_constant_vector,
     float_series,
     float_vec3,
     norm_series,
@@ -97,7 +98,7 @@ def test_s1_director_branch_and_frame_plane(s1):
     d = s1.developable
     assert d.branch == BRANCH_A3_GE_A2
     assert is_zero(d.director.dot(s1.factors.normal))
-    unit = osculating_surface(s1.image, d).xi
+    unit = osculating_surface(s1.image, d.director).xi
     ns = unit.norm_sq()
     assert series_small(ns - float_series([1.0], ns.reliable_order), 1e-12)
 
@@ -111,12 +112,11 @@ def test_s1_director_value(s1):
     # D_o(0) is the normalized (k3~ e - k2~ b)(0) of the unit frame
     frame = darboux_frame(s1.factors)
     t1, t2, t3 = kappa_tilde_series(frame, s1.oracle)
-    e0 = frame.e.constant_vector()
-    b0 = frame.b.constant_vector()
+    e0, b0 = float_constant_vector(frame.e), float_constant_vector(frame.b)
     raw = tuple(t3.coeffs[0] * e - t2.coeffs[0] * b for e, b in zip(e0, b0))
     norm = math.sqrt(sum(c * c for c in raw))
     want = tuple(c / norm for c in raw)
-    got = osculating_surface(s1.image, s1.developable).xi.constant_vector()
+    got = float_constant_vector(osculating_surface(s1.image, s1.developable.director).xi)
     assert max(abs(p - q) for p, q in zip(got, want)) < 1e-12
 
 
@@ -176,7 +176,7 @@ def test_director_derivative_identity(s1, s2, s3):
 
 def test_residual_vanishes_on_fixtures(s1, s2, s3):
     for a in (s1, s2, s3):
-        surface = osculating_surface(a.image, a.developable)
+        surface = osculating_surface(a.image, a.developable.director)
         resid = developability_residual(surface)
         assert series_small(resid, 1e-8, cap=8)
         # det(img', V, V') = 0 exactly
@@ -386,7 +386,7 @@ def test_cone_striction_is_apex():
 
 
 def test_striction_curve_utility_matches_osculating(s2):
-    surface = osculating_surface(s2.image, s2.developable)
+    surface = osculating_surface(s2.image, s2.developable.director)
     _, s = striction_curve(surface)
     resid = s - striction(s2)[0].to_float()
     assert vec_small(resid, 1e-8, cap=5)
@@ -437,7 +437,7 @@ def test_exact_chain_agrees_with_the_float_reference():
                 assert abs(float(got) - want) <= 1e-9 * abs(want) + FLOAT_TOL
         # the mesh's unit director is the reference's; the float chain's
         # rounding grows with the degree, so the comparison stops at x^8
-        unit = osculating_surface(a.image, d).xi
+        unit = osculating_surface(a.image, d.director).xi
         scale = max(abs(c) for comp in unit.components for c in comp.coeffs[:9])
         assert vec_small(unit - ref.director, 1e-9 * scale, cap=8)
         count += 1
@@ -460,7 +460,7 @@ def test_mesh_counting_contract():
 
 
 def test_od_mesh_finite(s1):
-    surface = osculating_surface(s1.image, s1.developable)
+    surface = osculating_surface(s1.image, s1.developable.director)
     mesh = sample_ruled_surface(surface, (-0.3, 0.3), (-0.3, 0.3), 21, 7)
     assert len(mesh.coords) == 3 * 21 * 7
     assert all(map(math.isfinite, mesh.coords))

@@ -18,6 +18,7 @@ from crosscap.series import valuation
 from conftest import random_family, random_surface
 from reference import (
     direct_regular_curvatures,
+    float_constant_vector,
     horner,
     horner_vec3,
     norm_series,
@@ -110,9 +111,7 @@ def test_normal_tangent_orthogonality_as_series(s1, s2, s3):
 
 def test_s1_frame_values(s1):
     fr = darboux_frame(s1.factors)
-    e0 = fr.e.constant_vector()
-    n0 = fr.n.constant_vector()
-    b0 = fr.b.constant_vector()
+    e0, n0, b0 = (float_constant_vector(v) for v in (fr.e, fr.n, fr.b))
     r = 1 / math.sqrt(2)
     assert max(abs(a - b) for a, b in zip(e0, (r, 0, r))) < 1e-12
     assert max(abs(a - b) for a, b in zip(n0, (0, -1, 0))) < 1e-12
@@ -135,9 +134,8 @@ def test_frame_value_formula_random_c2m():
         n0 = (0.0, -s, 0.0)
         b0 = (-s * a02f / r, 0.0, s * 2 * c0f / r)
         fr = darboux_frame(a.factors)
-        assert max(abs(p - q) for p, q in zip(fr.e.constant_vector(), e0)) < 1e-9
-        assert max(abs(p - q) for p, q in zip(fr.n.constant_vector(), n0)) < 1e-9
-        assert max(abs(p - q) for p, q in zip(fr.b.constant_vector(), b0)) < 1e-9
+        for v, want in ((fr.e, e0), (fr.n, n0), (fr.b, b0)):
+            assert max(abs(p - q) for p, q in zip(float_constant_vector(v), want)) < 1e-9
 
 
 def orthonormality_defect(frame, order_cap=None):

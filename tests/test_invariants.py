@@ -19,7 +19,7 @@ from crosscap.frame import darboux_frame
 from crosscap.series import SignedRoot
 from crosscap.model import build_umbrella
 from conftest import rand_fraction, random_surface
-from reference import expected_tops, float_vec3, secondary_normal_top
+from reference import expected_tops, float_constant_vector, float_vec3, secondary_normal_top
 
 
 def a0_fixture():
@@ -267,7 +267,7 @@ def test_contour_coefficient_is_the_float_frame_pairing(s1):
         draws.append(analyze(random_surface(rng), FamilyMP(m=m, p=2, c=tuple(c))))
     for a in [s1] + draws:
         fr = darboux_frame(a.factors)
-        b0 = fr.b.constant_vector()
+        b0 = float_constant_vector(fr.b)
         pairing = fr.n.dot(float_vec3([b0[0]], [b0[1]], [b0[2]], fr.n.reliable_order))
         want = pairing.coeffs[a.spec.m]
         assert abs(float(a.verdicts.contour.coefficient) - want) <= 1e-9 * abs(want) + 1e-12
@@ -275,6 +275,6 @@ def test_contour_coefficient_is_the_float_frame_pairing(s1):
 
 def test_normal_pairing_with_itself(s1):
     n = darboux_frame(s1.factors).n
-    n0 = n.constant_vector()
+    n0 = float_constant_vector(n)
     const = float_vec3([n0[0]], [n0[1]], [n0[2]], n.reliable_order)
     assert abs(n.dot(const).coeffs[0] - 1.0) < 1e-12

@@ -39,6 +39,7 @@ from crosscap import (
 )
 from crosscap.cli import fixture_text, main
 from crosscap.config import RunConfig
+from crosscap.obj import osculating_surface
 from crosscap.series import CrosscapError, FloatSeries, UniSeries, Vec3Series
 from crosscap.report import build_report, render_report, report_from_analysis
 from crosscap.verify import NON_GENERIC, SUBCASES, _draw_fixture, run_sweep, verify_fixture
@@ -202,11 +203,11 @@ _CONSTANT_FIELDS = frozenset(
     {"tangent_line_direction", "principal_intersection_direction", "null_vector", "principal_plane_normal"}
 )
 
-#: Every stage of ``Analysis`` but ``ruled``, the mesh's float developable.
-_EXACT_STAGES = (
-    "curve", "W", "tangency", "image", "raw_normal", "factors", "numerators", "cross", "oracle",
-    "closed_form", "invariants", "verdicts", "developable",
-)
+#: Every stage of ``Analysis``: each of its cached properties.
+_STAGES = tuple(name for name, value in vars(Analysis).items() if isinstance(value, cached_property))
+
+#: The stages whose value is an analysis, a rung; its own stages are read in turn.
+_RUNG_STAGES = ("report_rung", "oracle_rung")
 
 
 def _floats_in(value, path):
@@ -228,7 +229,8 @@ def _floats_in(value, path):
 def test_the_float_walker_reads_records_and_vectors(s1):
     # The walker sees the floats of the mesh's ruled surface through the
     # record and its vectors, and skips only the named constant fields.
-    assert list(_floats_in(s1.ruled, "ruled"))[:2] == ["ruled.gamma.x", "ruled.gamma.y"]
+    ruled = osculating_surface(s1.image, s1.developable.director)
+    assert list(_floats_in(ruled, "ruled"))[:2] == ["ruled.gamma.x", "ruled.gamma.y"]
     assert list(_floats_in(s1.tangency, "tangency")) == []
     assert list(_floats_in(tuple(s1.tangency), "tangency"))[-1] == "tangency[6][2]"
 
@@ -262,19 +264,25 @@ def _no_rounding_configs() -> dict:
 def test_no_stage_but_ruled_rounds(monkeypatch, name):
     # Every stage keeps its values exact: a float is made only when the
     # report prints (``float`` of a SignedRoot, ``nearest_float``) or the
-    # mesh samples (``to_float``), so a stage that rounds raises here.
+    # mesh builds its ruled surface (``to_float``), so a stage that rounds
+    # raises here.  The rungs are read as analyses, stage by stage.
     monkeypatch.setattr(series.SignedRoot, "__float__", _refuse)
     monkeypatch.setattr(series, "nearest_float", _refuse)
     monkeypatch.setattr(UniSeries, "to_float", _refuse)
     cfg = parse_config(_no_rounding_configs()[name])
-    configured = analyze(cfg.coeffs, cfg.spec)
-    for a in {configured, configured.report_rung}:
-        for stage in _EXACT_STAGES:
+    analyses = [analyze(cfg.coeffs, cfg.spec)]
+    for a in analyses:
+        for stage in _STAGES:
             try:
                 value = getattr(a, stage)
             except CrosscapError:  # the stage does not apply
                 continue
-            assert list(_floats_in(value, stage)) == []
+            if stage in _RUNG_STAGES:
+                assert isinstance(value, Analysis)
+                if value not in analyses:
+                    analyses.append(value)
+            else:
+                assert list(_floats_in(value, stage)) == []
 
 
 #: The stages of the sections that apply only to particular curves.

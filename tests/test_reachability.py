@@ -12,6 +12,9 @@ is the benchmark's tracer must name a target of ``bench/tracing.TARGETS``.
 The same walk over the package finds every exception class it defines: each
 must derive from ``CrosscapError``, the one library error ``cli.main``
 reports as a line on stderr, so that no new error escapes it as a traceback.
+It also reads what each module imports from the package: the analysis is
+exact, so ``obj``, which makes the mesh's floats, imports only ``series``,
+and neither ``developable`` nor ``pipeline`` binds a float-series name.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import sys
 
 import crosscap
 import tracing  # the benchmark's per-layer tracer (bench/ is put on the path by conftest)
+from crosscap import developable, obj, pipeline, series
 from crosscap.cli import fixture_names, fixture_text, main
 from crosscap.series import CrosscapError
 from output_digests import GENERAL_CURVE
@@ -107,6 +111,24 @@ def test_every_error_class_of_the_package_is_a_crosscap_error():
     }
     assert {"series.CrosscapError", "series.ReliabilityError", "config.ConfigError", "obj.MeshError"} <= set(errors)
     assert [name for name, cls in errors.items() if not issubclass(cls, CrosscapError)] == []
+
+
+#: The float series and the two kernels that normalise a float vector.
+FLOAT_NAMES = ("FloatSeries", "reciprocal", "sqrt_series")
+
+
+def package_sources(module) -> set:
+    """The other package modules that ``module`` binds, or whose objects it binds."""
+    found = {value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None) for value in vars(module).values()}
+    return {s.removeprefix("crosscap.") for s in found if isinstance(s, str) and s.startswith("crosscap.") and s != module.__name__}
+
+
+def test_obj_imports_only_series_and_the_analysis_binds_no_float_series():
+    assert package_sources(obj) == {"series"}  # no analysis module: obj is handed exact series
+    floats = [getattr(series, name) for name in FLOAT_NAMES]
+    for module in (developable, pipeline):
+        bound = [key for key, value in vars(module).items() if any(value is f for f in floats)]
+        assert bound == [], module.__name__
 
 
 def test_every_function_in_src_is_entered_by_a_run(tmp_path, capsys):
