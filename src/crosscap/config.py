@@ -57,7 +57,7 @@ MAX_SERIES_ORDER = 200
 #: rational, and of an integer setting or an index, so that a product of two
 #: of them that a problem names still prints within Python's 4300-digit
 #: ``int``/``str`` limit.  With 100-digit p/q coefficients a dense report
-#: (truncation 8-16) takes 0.12 s on average, not 0.01 s, and prints integers
+#: (truncation 8-16) takes 0.1 s on average, not 0.003 s, and prints integers
 #: of up to 697 digits; at 1000 digits a top-term passes that limit.
 MAX_RATIONAL_DIGITS = 100
 #: Largest vertex count of one exported mesh: nu * nv for the umbrella,

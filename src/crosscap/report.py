@@ -11,11 +11,16 @@ read the same in both fields.  Printing is the one place that rounds: a
 value whose float passes the float range, either way, is refused
 (OverflowError) in either field.  Key order is fixed by
 construction; two runs over the same configuration emit identical bytes.
+
+``render_report`` writes the text itself, without ``json.dumps``, whose
+pure-Python indenting encoder took about a tenth of a dense report's time;
+its bytes are those of ``json.dumps(doc, indent=2, ensure_ascii=True)``
+for every document a report can hold, and any other value raises TypeError.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .config import RunConfig, config_to_dict, json_value
 from .pipeline import Analysis, analyze
@@ -123,5 +128,59 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
     return doc
 
 
+#: ``json.dumps``'s spelling of the non-finite floats, by their ``repr``.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def render_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """``doc`` as the text of ``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"``.
+
+    The bytes are the same for every document of dicts with ``str`` keys,
+    lists, tuples, ``str``, ``int``, ``float``, ``bool`` and None: strings
+    and keys are quoted by the function that quotes them in ``json.dumps``,
+    numbers print as their ``int``/``float`` repr, with ``NaN``,
+    ``Infinity`` and ``-Infinity`` for the non-finite floats, and an empty
+    container as ``{}`` or ``[]``.  Any other value raises TypeError, so an
+    exact value that escaped ``json_value`` is never printed; so does a key
+    that is not a ``str``, which no report holds and which ``json.dumps``
+    would turn into a string when it is a number, a bool or None.
+    """
+    out: list = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, out: list, indent: str) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``indent`` starts each line of its level."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append(_NON_FINITE.get(text, text))
+    elif not isinstance(o, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner = indent + "  "
+        out.append("{")
+        for key, value in o.items():
+            # _quote raises TypeError on a key that is not a str.
+            out.append(inner + _quote(key) + ": ")
+            _write(value, out, inner)
+            out.append(",")
+        # The last item's comma gives way to the closing bracket.
+        out[-1] = indent + "}"
+    else:
+        inner = indent + "  "
+        out.append("[")
+        for item in o:
+            out.append(inner)
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = indent + "]"
