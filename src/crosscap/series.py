@@ -28,28 +28,32 @@ its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse
 a nonzero value beyond the float range either way.
 
 An exact series is stored as FLINT's ``fmpq_poly`` stores a rational
-polynomial: integer numerators ``_num`` over one denominator ``_den``, in
-canonical form (``_den > 0`` and ``gcd(_den, *_num) == 1``), and that pair
-is its only stored form.  A ``UniSeries`` keeps a tuple of numerators; a
-``BiSeries`` keeps a dict (i, j) -> numerator without zero entries.  Each
-kind is one class, whatever built the series.  Sums and differences of
-two series, negation, scalar and series products, derivatives, ``shift``,
-``factor_power``, ``valuation`` (which builds only the leading
+polynomial: integer numerators ``_num`` over one denominator ``_den > 0``.
+A ``UniSeries`` keeps a tuple of numerators; a ``BiSeries`` keeps a dict
+(i, j) -> numerator without zero entries.  Each kind is one class, whatever
+built the series.  The pair is canonical (``gcd(_den, *_num) == 1``) for
+every series but a ``UniSeries`` product: sums and differences of two
+series, negation, derivatives, ``shift``, ``factor_power``, the
+compositions and ``BiSeries`` products work on these integers and bring
+each result back to canonical form with one ``math.gcd``.  A ``UniSeries``
+product, of two series or of a series and a rational, takes no gcd: it
+convolves the numerators (``_convolve``) over the product of the
+denominators, and keeps that pair as it is.  The sum, difference or
+composition that reads it reduces it, so every series an analysis stage
+keeps is canonical.  ``valuation`` (which builds only the leading
 ``Fraction``), ``to_float`` and ``float_coeffs`` (``n / _den``, rounded as
-``float(Fraction)`` rounds) and the compositions work on these integers and
-bring each result back to that form with at most one ``math.gcd``.  A
-product convolves the numerators (``_convolve``) over the product of the
-denominators.  The library reads every coefficient from the pair, one
-``Fraction`` per read (``coefficient``, ``constant_vector``, the leading
-one of ``valuation``).  A ``UniSeries``' reduced ``Fraction`` coefficients
-``coeffs`` are a view of the pair, built on first read and kept; it serves
-repr, the tests and the benchmark tracer's product counter, and no run of
-the program builds it.  A ``BiSeries`` has no such view in the library
-(the tests build it, ``reference_bi_coeffs``).  Since the pair is
-canonical, comparing or hashing pairs compares values.  Every value class
-derives its equality, hash and repr from ``_Frozen`` and its ``_fields``;
-a ``UniSeries`` compares and hashes by the pair, a ``BiSeries`` is
-unhashable (it holds a dict) and a ``FloatSeries`` compares by identity.
+``float(Fraction)`` rounds) read any pair.  The library reads every
+coefficient from the pair, one ``Fraction`` per read (``coefficient``,
+``constant_vector``, the leading one of ``valuation``), and a ``Fraction``
+is reduced.  A ``UniSeries``' reduced ``Fraction`` coefficients ``coeffs``
+are a view of the pair, built on first read and kept; it serves repr, the
+tests and the benchmark tracer's product counter, and no run of the
+program builds it.  A ``BiSeries`` has no such view in the library (the
+tests build it, ``reference_bi_coeffs``).  Every value class derives its
+equality, hash and repr from ``_Frozen`` and its ``_fields``; a
+``UniSeries`` compares and hashes by its canonical pair, which it reduces
+first (a gcd of 1 returns the stored pair), a ``BiSeries`` is unhashable
+(it holds a dict) and a ``FloatSeries`` compares by identity.
 There is no ``Fraction`` constructor: ``UniSeries.from_numerators`` and ``BiSeries.from_numerators`` build a
 series from integer numerators over a positive denominator, with one
 ``math.gcd`` and no ``Fraction``, and ``UniSeries.make``, the one rational
@@ -149,7 +153,7 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable slotted values: attributes are set once, with ``_set``.
+    """Immutable slotted values: attributes are set once, with ``_set`` or a slot's own setter.
 
     A value class (a series, a vector of series, ``SignedRoot``) derives
     from it; a result record is a ``NamedTuple``.  A value is not a tuple,
@@ -189,13 +193,14 @@ class UniSeries(_Frozen):
     """A univariate exact series c_0 + c_1 x + ... + c_R x^R + O(x^{R+1}).
 
     ``coeffs`` always has exactly ``reliable_order + 1`` entries; the class
-    never stores coefficients it cannot vouch for.  The series is the
-    canonical pair ``_num``, ``_den`` (see the module docstring);
-    ``coefficient`` reads one value from it, and ``coeffs`` are built on
-    first read, for repr, the tests and the tracer.  It compares and hashes
-    by the pair, so neither builds them.  Instances are immutable;
-    ``_coeffs`` is set at most once and ``_pows``, the table of powers,
-    only grows.
+    never stores coefficients it cannot vouch for.  The series is the pair
+    ``_num``, ``_den`` (see the module docstring): a product's pair may
+    share a factor, which the sum, difference or composition that reads it
+    removes, and every other result is canonical.  ``coefficient`` reads one
+    value from it, and ``coeffs`` are built on first read, for repr, the
+    tests and the tracer.  It compares and hashes by the reduced pair, so
+    neither builds them.  Instances are immutable; ``_coeffs`` is set at
+    most once and ``_pows``, the table of powers, only grows.
     """
 
     __slots__ = ("reliable_order", "_coeffs", "_num", "_den", "_pows")
@@ -216,7 +221,12 @@ class UniSeries(_Frozen):
             return coeffs
 
     def _key(self) -> tuple:
-        return (self._num, self._den, self.reliable_order)
+        # The canonical pair: a product's pair may share a factor.
+        num, den = self._num, self._den
+        g = math.gcd(den, *num)
+        if g != 1:
+            return (tuple([n // g for n in num]), den // g, self.reliable_order)
+        return (num, den, self.reliable_order)
 
     # -- construction -----------------------------------------------------
 
@@ -286,7 +296,7 @@ class UniSeries(_Frozen):
         return NotImplemented  # a scalar: TypeError
 
     def __neg__(self):
-        return _canonical(tuple([-n for n in self._num]), self._den, self.reliable_order)
+        return _exact([-n for n in self._num], self._den, self.reliable_order)
 
     def __sub__(self, other):
         if type(other) is UniSeries:
@@ -298,10 +308,10 @@ class UniSeries(_Frozen):
     def __mul__(self, other):
         if isinstance(other, UniSeries):
             r = min(self.reliable_order, other.reliable_order)
-            return _exact(_convolve([0] * (r + 1), self._num, other._num), self._den * other._den, r)
+            return _pair(tuple(_convolve([0] * (r + 1), self._num, other._num)), self._den * other._den, r)
         c = _coerce(other)
         p = c.numerator
-        return _exact([n * p for n in self._num], self._den * c.denominator, self.reliable_order)
+        return _pair(tuple([n * p for n in self._num]), self._den * c.denominator, self.reliable_order)
 
     __rmul__ = __mul__
 
@@ -318,15 +328,19 @@ class UniSeries(_Frozen):
             raise SeriesError("shift power must be >= 0")
         if power == 0:
             return self
-        return _canonical((0,) * power + self._num, self._den, self.reliable_order + power)
+        return _exact((0,) * power + self._num, self._den, self.reliable_order + power)
 
 
-def _canonical(num: tuple, den: int, r: int) -> UniSeries:
-    """The series ``num / den`` of a pair that is already canonical."""
+# The slots' own setters, which skip the attribute lookup of ``object.__setattr__``.
+_set_order, _set_num, _set_den = UniSeries.reliable_order.__set__, UniSeries._num.__set__, UniSeries._den.__set__
+
+
+def _pair(num: tuple, den: int, r: int) -> UniSeries:
+    """The series ``num / den`` (``den > 0``), stored as the pair it is given."""
     s = _new(UniSeries)
-    _set(s, "reliable_order", r)
-    _set(s, "_num", num)
-    _set(s, "_den", den)
+    _set_order(s, r)
+    _set_num(s, num)
+    _set_den(s, den)
     return s
 
 
@@ -335,8 +349,8 @@ def _exact(num, den: int, r: int) -> UniSeries:
     g = math.gcd(den, *num)
     if g != 1:
         den //= g
-        return _canonical(tuple([n // g for n in num]), den, r)
-    return _canonical(tuple(num), den, r)
+        return _pair(tuple([n // g for n in num]), den, r)
+    return _pair(tuple(num), den, r)
 
 
 def _exact_sum(a: UniSeries, b: UniSeries, sign: int) -> UniSeries:
@@ -451,7 +465,7 @@ def factor_power(a: "UniSeries | Vec3Series", power: int) -> "UniSeries | Vec3Se
         raise ReliabilityError("series not reliable far enough to factor x^%d" % power)
     if any(a._num[:power]):
         raise SeriesError("valuation smaller than %d: cannot factor x^%d out of the series" % (power, power))
-    return _canonical(a._num[power:], a._den, a.reliable_order - power)
+    return _exact(a._num[power:], a._den, a.reliable_order - power)
 
 
 def reciprocal(a: FloatSeries) -> FloatSeries:

@@ -15,6 +15,7 @@ read, so a configured analysis that a lower rung resolves builds none.
 """
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -210,20 +211,25 @@ _STAGES = tuple(name for name, value in vars(Analysis).items() if isinstance(val
 _RUNG_STAGES = ("report_rung", "oracle_rung")
 
 
-def _floats_in(value, path):
-    """The paths of every float and float series held in ``value``."""
-    if isinstance(value, (float, FloatSeries)):
-        yield path
+def _held(value, path, kinds):
+    """(path, item) for every instance of ``kinds`` held in ``value``."""
+    if isinstance(value, kinds):
+        yield path, value
     elif isinstance(value, tuple) and hasattr(value, "_fields"):  # a record, before the tuple branch
         for name, v in zip(value._fields, value):
             if name not in _CONSTANT_FIELDS:
-                yield from _floats_in(v, f"{path}.{name}")
+                yield from _held(v, f"{path}.{name}", kinds)
     elif isinstance(value, Vec3Series):
         for name, v in zip("xyz", value.components):
-            yield from _floats_in(v, f"{path}.{name}")
+            yield from _held(v, f"{path}.{name}", kinds)
     elif isinstance(value, (tuple, list)):
         for i, v in enumerate(value):
-            yield from _floats_in(v, f"{path}[{i}]")
+            yield from _held(v, f"{path}[{i}]", kinds)
+
+
+def _floats_in(value, path):
+    """The paths of every float and float series held in ``value``."""
+    return [p for p, _ in _held(value, path, (float, FloatSeries))]
 
 
 def test_the_float_walker_reads_records_and_vectors(s1):
@@ -283,6 +289,37 @@ def test_no_stage_but_ruled_rounds(monkeypatch, name):
                     analyses.append(value)
             else:
                 assert list(_floats_in(value, stage)) == []
+
+
+#: The stages that hold exact series: the curve, the chain to the curvature
+#: numerators and the developable (V, R, S and the striction scale).
+SERIES_STAGES = ("curve", "image", "raw_normal", "factors", "cross", "numerators", "developable")
+
+
+def _stored_series_analyses():
+    """The report rungs of s1-s3 and of the 16 dense shapes at draw 0, and the oracle rungs of sweep seeds 0-39."""
+    texts = [fixture_text(name) for name in ("s1", "s2", "s3")]
+    texts += [workloads.dense_config(shape, 0, "exact") for shape in range(len(workloads.DENSE_SHAPES))]
+    for text in texts:
+        cfg = parse_config(text)
+        yield analyze(cfg.coeffs, cfg.spec).report_rung
+    for seed in range(40):
+        for subcase in SUBCASES:
+            yield sweep_draw(seed, subcase).oracle_rung
+
+
+def test_every_series_a_stage_stores_is_canonical():
+    # A product keeps its pair unreduced, and the sum, difference or
+    # composition that reads it reduces it; every series a stage stores is
+    # a canonical pair: den > 0 and gcd(den, *num) == 1.
+    read = set()
+    for a in _stored_series_analyses():
+        for stage in SERIES_STAGES:
+            for path, s in _held(getattr(a, stage), stage, UniSeries):
+                assert s._den > 0 and math.gcd(s._den, *s._num) == 1, (a.spec, path)
+                read.add(path)
+    # The walk reaches every series the developable keeps.
+    assert {"developable.director.z", "developable.delta", "developable.sigma", "developable.striction.scale[1]"} <= read
 
 
 #: The stages of the sections that apply only to particular curves.

@@ -7,15 +7,17 @@ coefficient-by-coefficient loops of ``tests/reference.py`` return, and
 derivative, its error type and message included: equal
 values, reduced ``Fraction`` coefficients and a canonical numerator /
 denominator pair for an exact series, and for a ``BiSeries`` the same key
-order.  The sum, difference, product, derivative and inverse of a
+order.  A ``UniSeries`` product is the exception: its pair is its
+numerators over the product of the operands' denominators, unreduced, and
+it equals and hashes as the canonical reference.  The sum, difference, product, derivative and inverse of a
 ``FloatSeries`` must give the float bits of the same loops (``float.hex``).
 An exact and a float operand never mix: each mixed operation raises its one
 ``SeriesError`` message.  A ``BiSeries`` and ``compose_bi`` are exact only.  ``compose_bi`` must match also when the
 power tables kept on its substituted series were built by earlier
 compositions, and whatever the key order of the surface's numerators.
 Every exact series is a plain ``UniSeries`` or ``BiSeries``, whatever built
-it, so equal values have equal pairs, equal ``coeffs`` and, for a
-``UniSeries``, equal hashes.
+it, so equal values have equal canonical pairs (a product's once reduced),
+equal ``coeffs`` and, for a ``UniSeries``, equal hashes.
 """
 
 import math
@@ -131,6 +133,22 @@ def _assert_same_uni(got, want):
         assert all(type(c) is float for c in got.coeffs)
 
 
+def _assert_same_product(got, want, a, b):
+    """A product as ``_assert_same_uni`` asks, but an exact product keeps its pair unreduced.
+
+    Its numerators are those of its value over ``a._den * b._den``, or over
+    ``a._den * c.denominator`` for a rational c, with no gcd taken; its
+    equality, hash and ``coeffs`` are those of the canonical reference.
+    """
+    if type(got) is not UniSeries:
+        return _assert_same_uni(got, want)
+    assert type(want) is UniSeries and got.reliable_order == want.reliable_order
+    den = a._den * (b._den if type(b) is UniSeries else Fraction(b).denominator)
+    assert got._den == den and got._num == tuple([int(c * den) for c in want.coeffs])
+    assert got == want and hash(got) == hash(want)
+    assert got.coeffs == want.coeffs and all(type(c) is Fraction for c in got.coeffs)
+
+
 def _assert_canonical_bi(s: BiSeries):
     """An exact BiSeries is nonzero integer numerators over one denominator."""
     assert all(type(n) is int and n != 0 for n in s._num.values())
@@ -151,8 +169,8 @@ def _assert_same_bi(got: BiSeries, want: BiSeries):
 @example((ex(0, 0, 0), ex(Fraction(2, 3))))
 def test_uni_mul_matches_fraction_loop(pair):
     a, b = pair
-    _assert_same_uni(a * b, reference_mul(a, b))
-    _assert_same_uni(b * a, reference_mul(b, a))
+    _assert_same_product(a * b, reference_mul(a, b), a, b)
+    _assert_same_product(b * a, reference_mul(b, a), b, a)
 
 
 @settings(deadline=None)
@@ -456,9 +474,9 @@ def test_exact_ring_operations_match_fraction_loops(a, b, c):
     _assert_same_uni(a + b, reference_add(a, b))
     _assert_same_uni(a - b, reference_sub(a, b))
     _assert_same_uni(-a, reference_neg(a))
-    _assert_same_uni(a * b, reference_mul(a, b))
-    _assert_same_uni(a * c, reference_scale(a, c))
-    _assert_same_uni(c * a, reference_scale(a, c))
+    _assert_same_product(a * b, reference_mul(a, b), a, b)
+    _assert_same_product(a * c, reference_scale(a, c), a, c)
+    _assert_same_product(c * a, reference_scale(a, c), a, c)
     _assert_same_uni(a - a, reference_scale(a, 0))
 
 
@@ -649,6 +667,17 @@ def test_every_exact_uni_series_is_one_plain_class(cs, scale):
         assert (s._num, s._den, s.reliable_order) == (a._num, a._den, r)
         assert hash(s) == hash(a)
         assert s == a and s.coeffs == tuple(cs)
+    # A product keeps its pair unreduced: (1 / (scale + 1)) (scale + 1) a is
+    # a's numerators and denominator times scale + 1, and it is the value a.
+    unreduced = UniSeries.make([Fraction(1, scale + 1)], r) * UniSeries.make([scale + 1], r) * a
+    half_x_two_x = ex(0, Fraction(1, 2), 0) * ex(0, 2, 0)
+    for s, value, g in ((unreduced, a, scale + 1), (half_x_two_x, ex(0, 0, 1), 2)):
+        assert math.gcd(s._den, *s._num) == g > 1 and s.reliable_order == value.reliable_order
+        hash(s)
+        assert not hasattr(s, "_coeffs")  # hashing reduces the pair, and builds no Fraction view
+        assert s == value and value == s and hash(s) == hash(value)
+        assert repr(s) == repr(value) and s.coeffs == value.coeffs
+    assert (half_x_two_x._num, half_x_two_x._den) == ((0, 0, 2), 2)
 
 
 def test_uni_series_has_one_rational_constructor_and_no_scalar_sum():
