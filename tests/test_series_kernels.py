@@ -9,8 +9,9 @@ values, reduced ``Fraction`` coefficients and a canonical numerator /
 denominator pair for an exact series, and for a ``BiSeries`` the same key
 order.  A ``UniSeries`` product is the exception: its pair is its
 numerators over the product of the operands' denominators, unreduced, and
-it equals and hashes as the canonical reference.  The sum, difference, product, derivative and inverse of a
-``FloatSeries`` must give the float bits of the same loops (``float.hex``).
+it equals and hashes as the canonical reference.  The sum, difference,
+product, derivative and inverse of a ``FloatSeries`` must give the float
+bits of the same loops (``float.hex``).
 An exact and a float operand never mix: each mixed operation raises its one
 ``SeriesError`` message.  A ``BiSeries`` and ``compose_bi`` are exact only.  ``compose_bi`` must match also when the
 power tables kept on its substituted series were built by earlier
