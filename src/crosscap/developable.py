@@ -26,7 +26,6 @@ makes no float: the mesh normalises V itself (``obj.osculating_surface``).
 from __future__ import annotations
 
 from fractions import Fraction
-import math
 from typing import NamedTuple
 
 from .series import (
@@ -109,17 +108,19 @@ def osculating_director(factors: FrameFactors, report: CurvatureReport, cross: V
     return factors.tangent.scale(h3) - cross.scale(h2), branch
 
 
-def delta_invariant(director: Vec3Series, factors: FrameFactors):
-    """R = (V x V') . N; returns (R, order, top), with delta's top R_top / (|E_t(0)|^4 |N(0)|^5)."""
-    r = director.cross(director.diff()).dot(factors.normal)
+def delta_invariant(director: Vec3Series, normal: Vec3Series, e2: Fraction, n2: Fraction):
+    """R = (V x V') . N; returns (R, order, top), with delta's top R_top / (|E_t(0)|^4 |N(0)|^5).
+
+    ``e2`` and ``n2`` are |E_t(0)|^2 and |N(0)|^2 (``_square_norms``).
+    """
+    r = director.cross(director.diff()).dot(normal)
     v = valuation(r)
     if v.is_zero_to_order:
         return r, None, None
-    e2, n2 = _square_norms(factors)
     return r, v.order, SignedRoot.of(v.leading / (e2 * e2 * n2 * n2), n2)
 
 
-def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassification:
+def classify_EF(factors: FrameFactors, report: CurvatureReport, e2n2: Fraction) -> EFClassification:
     """Vanishing analysis of the delta/sigma top-terms under a2 > a3.
 
     case (i): a1 < a2 - a3 - 1, (ii): equality, (iii): a1 > a2 - a3 - 1.
@@ -127,9 +128,9 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassificat
 
         E = k1~ k3~ - (a2 - a3) k2~,   F = k1~ k3~ - (a0 + a2 - a3) k2~
 
-    at 0.  The scaled values multiply through by |E_t(0)|^3 |N(0)|^3 and are
-    exact rationals with the same signs; ``E_coeff`` and ``F_coeff`` are E
-    and F themselves.  For a3 >= a2 the sigma top-term cannot vanish; no
+    at 0, with ``e2n2`` = |E_t(0)|^2 |N(0)|^2.  The scaled values multiply
+    through by |E_t(0)|^3 |N(0)|^3 and are exact rationals with the same
+    signs; ``E_coeff`` and ``F_coeff`` are E and F themselves.  For a3 >= a2 the sigma top-term cannot vanish; no
     constants are attached.
     """
     a0 = factors.alpha0
@@ -142,7 +143,6 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport) -> EFClassificat
     if a1 > gap:
         return EFClassification(CASE_III, None, None, None, None)
     T1, T2, T3 = report.tops
-    e2n2 = math.prod(_square_norms(factors))
     e_scaled = T1 * T3 - (a2 - a3) * T2 * e2n2
     f_scaled = T1 * T3 - (a0 + a2 - a3) * T2 * e2n2
     e_coeff = SignedRoot.of(e_scaled / e2n2, e2n2)
@@ -169,8 +169,9 @@ def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross
 
 def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
     V, branch = osculating_director(factors, report, cross)
-    R, k_cyl, delta_top = delta_invariant(V, factors)
-    classification = classify_EF(factors, report)
+    e2, n2 = _square_norms(factors)
+    R, k_cyl, delta_top = delta_invariant(V, factors.normal, e2, n2)
+    classification = classify_EF(factors, report, e2 * n2)
 
     # T's order: alpha, and the shift that h2 takes.  A cylinder (delta
     # vanishing to reliable order) has no striction curve.
@@ -187,7 +188,7 @@ def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Ve
         if passes:
             vv = V.norm_sq()
             iv = factors.tangent.dot(V).shift(factors.alpha)
-            S = iv * (Rk * Rk) - (vv.diff() * Fraction(1, 2)) * (T * Rk) - vv * (T.diff() * Rk - T * Rk.diff())
+            S = Rk * (iv * Rk - (vv.diff() * Fraction(1, 2)) * T - vv * T.diff()) + vv * (T * Rk.diff())
             v = valuation(S)
             if v.is_zero_to_order:
                 sigma_lower = v.reliable_order + 1

@@ -6,7 +6,9 @@ point; both factor as a nonvanishing vector series times a power of x:
     (W o c_w)'(x)          = E_t(x) x^alpha,    E_t(0) != 0,
     (W_u x W_v)(c_w(x))    = N(x)  x^beta,      N(0)  != 0,
 
-and the image curve W o c_w itself has valuation alpha0.  The factors are
+and the image curve W o c_w itself has valuation alpha0 = alpha + 1: W(0, 0)
+= 0 and the curve passes through 0, so the image vanishes at 0 and its
+derivative has valuation one less than its own.  The factors are
 exact series.  Normalizing E_t and N takes square roots, so the extended
 frame {e, b, n} with b = n x e has ``FloatSeries`` components, built from
 the float images of the factors (``darboux_frame``).  No analysis reads
@@ -66,22 +68,16 @@ class FrameFactors(NamedTuple):
 
 def frame_factors(img: Vec3Series, raw: Vec3Series) -> FrameFactors:
     """Factor the derivative of the image curve and the raw normal along it."""
-    alpha0 = _order(img, "curve")
     alpha, e_t = _factor(img.diff(), "tangent derivative")
     beta, n = _factor(raw, "normal field")
-    return FrameFactors(alpha=alpha, tangent=e_t, beta=beta, normal=n, alpha0=alpha0)
-
-
-def _order(vec: Vec3Series, label: str) -> int:
-    val = valuation(vec)
-    if val.is_zero_to_order:
-        raise FrameError(f"{label} vanishes to reliable order {val.reliable_order}")
-    return val.order
+    return FrameFactors(alpha=alpha, tangent=e_t, beta=beta, normal=n, alpha0=alpha + 1)
 
 
 def _factor(vec: Vec3Series, label: str):
-    order = _order(vec, label)
-    return order, factor_power(vec, order)
+    val = valuation(vec)
+    if val.is_zero_to_order:
+        raise FrameError(f"{label} vanishes to reliable order {val.reliable_order}")
+    return val.order, factor_power(vec, val.order)
 
 
 class DarbouxFrame(NamedTuple):

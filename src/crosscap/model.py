@@ -10,8 +10,9 @@ truncated at total degree k.  Curves through the singular point come either
 from the two admissible one-parameter families or as a general pair of exact
 polynomials of finite multiplicity.  Every curve spec is its two exact
 coefficient tuples (``components``), and everything about the curve is read
-from them here: its valuations and multiplicity, its tangency case and
-limiting tangent (``classify_tangency``) and its series (``build_curve``).
+from them here: its valuations and multiplicity, its tangency case
+(``classify_tangency``, which takes the limiting tangent from the factored
+derivative E_t(0)) and its series (``build_curve``).
 """
 
 from __future__ import annotations
@@ -285,30 +286,20 @@ class TangencyClassification(NamedTuple):
     principal_plane_normal: tuple = PRINCIPAL_PLANE_NORMAL
 
 
-def classify_tangency(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> TangencyClassification:
+def classify_tangency(spec: CurveSpec, tangent: tuple) -> TangencyClassification:
     """Classify by how far the first component vanishes past the multiplicity m.
 
     With the curve written as (f1, f2) x^m, the case is decided by
     l = val(first component) - m:  l = 0 -> (1), 0 < l < m -> (2), l = m -> (3),
-    l > m -> (4).  Both valuations and leading coefficients are read from the
-    exact ``spec.components``; for l > 0 the second component carries m.  The
-    limiting tangent is the unit value at 0 of the factored derivative,
-    written out per case as an exact vector (x, 0, z) over its norm: each
-    component is a ``SignedRoot``, rounded only when printed.
+    l > m -> (4), both valuations read from the exact ``spec.components``.
+    The limiting tangent is the unit vector of ``tangent``, the value E_t(0)
+    of the factored derivative (``frame.frame_factors``): each component is
+    a ``SignedRoot``, rounded only when printed.
     """
-    c1, c2 = spec.components
     m = spec.m
-    v1 = first_nonzero(c1)
-    ell = v1 - m
-    if ell == 0:
-        case, x, z = 1, c1[v1], 0
-    elif ell < m:
-        case, x, z = 2, c1[v1], 0
-    else:
-        z = coeffs.a02 * c2[m] ** 2
-        # Case 3: the factored-derivative value (2m f1~(0), 0, m a_02 c2(0)^2), rescaled.
-        case, x = (3, 2 * c1[v1]) if ell == m else (4, 0)
-    r = x * x + z * z
+    ell = first_nonzero(spec.components[0]) - m
+    case = 1 if ell == 0 else 2 if ell < m else 3 if ell == m else 4
+    r = sum(c * c for c in tangent)
     return TangencyClassification(
-        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(SignedRoot.of(c, r) for c in (x, 0, z))
+        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(SignedRoot.of(c, r) for c in tangent)
     )

@@ -40,8 +40,9 @@ CONFIG`` makes one, and the sweep's draws and the rungs are built as
 polynomials, so every rung and the configured truncation build it to their
 own series order.  An analysis builds its curve series
 (``model.build_curve``) on the first read of a stage that needs them, so a
-configured analysis that a lower rung resolves builds none; the tangency
-is read from the spec and needs no series.
+configured analysis that a lower rung resolves builds none.  The tangency
+reads its case from the spec and its limiting tangent from E_t(0) of the
+``factors`` stage.
 """
 
 from __future__ import annotations
@@ -134,9 +135,10 @@ def _report_complete(a: "Analysis") -> bool:
     Those are the three curvature degrees, and the developable with its
     delta order, and with its sigma order whenever the striction curve
     passes through the singular point.  Nothing else the report prints
-    depends on the rung: the tangency reads only the spec, A-D read the
-    jet through degree 4, and the three verdicts read jet terms of total
-    degree <= 3, all within every rung's reliable orders.
+    depends on the rung: the tangency reads the spec's case and E_t(0),
+    which every rung fixes, A-D read the jet through degree 4, and the
+    three verdicts read jet terms of total degree <= 3, all within every
+    rung's reliable orders.
     """
     d = a.developable
     return (
@@ -207,7 +209,7 @@ class Analysis:
 
     @cached_property
     def tangency(self) -> TangencyClassification:
-        return classify_tangency(self.coeffs, self.spec)
+        return classify_tangency(self.spec, self.factors.tangent.constant_vector())
 
     @cached_property
     def image(self) -> Vec3Series:

@@ -69,33 +69,32 @@ def report_from_analysis(cfg: RunConfig, analysis: Analysis) -> dict:
         "tops": json_value(a.oracle.tops, rational=rational),
         "reliable_orders": [r + analysis.order - a.order for r in a.oracle.reliable_orders],
     }
-    # A row that ``verify`` calls UNDETERMINED (the jet is too short to
-    # confirm or refute the table) matches neither way and is flagged as
+    # Every match and flag is read from the rows of ``verify``.  A row it
+    # calls UNDETERMINED (the jet is too short to confirm or refute the
+    # table) has a vanished degree, matches neither way and is flagged as
     # such; every other vanished degree is NON-GENERIC.
     flags = []
     cf = a.closed_form
     rows = compare_reports(a.oracle, cf) if cf is not None else []
-    undetermined = [row.status == UNDETERMINED for row in rows] or [False] * 3
-    if any(d is None and not u for d, u in zip(a.oracle.degrees, undetermined)):
+    undetermined = [row for row in rows if row.status == UNDETERMINED]
+    if a.oracle.degrees.count(None) > len(undetermined):
         flags.append("NON-GENERIC: a curvature numerator vanishes to reliable order")
-    flags += [f"UNDETERMINED: {row.quantity} jet too short: {row.note}" for row in rows if row.status == UNDETERMINED]
+    flags += [f"UNDETERMINED: {row.quantity} jet too short: {row.note}" for row in undetermined]
     if cf is not None:
-        matches_deg = [None if u else o == c for u, o, c in zip(undetermined, a.oracle.degrees, cf.degrees)]
-        matches_top = [None if u else o == c for u, o, c in zip(undetermined, a.oracle.tops, cf.tops)]
         curv["closed_form"] = {
             "applicable": True,
             "degrees": list(cf.degrees),
             "tops": json_value(cf.tops, rational=rational),
             "advisory": list(cf.advisory),
-            "degree_match": matches_deg,
-            "top_match": matches_top,
+            "degree_match": [None if r in undetermined else r.degree_oracle == r.degree_reference for r in rows],
+            "top_match": [None if r in undetermined else r.top_oracle == r.top_reference for r in rows],
         }
-        for i in range(3):
-            if matches_top[i] is False and cf.advisory[i]:
-                flags.append(
-                    "ADVISORY: kappa%d tabulated top %s disagrees with computed %s"
-                    % (i + 1, cf.tops[i], a.oracle.tops[i])
-                )
+        flags += [
+            "ADVISORY: %s tabulated top %s disagrees with computed %s"
+            % (row.quantity, row.top_reference, row.top_oracle)
+            for row, advisory in zip(rows, cf.advisory)
+            if advisory and row not in undetermined and row.top_oracle != row.top_reference
+        ]
     else:
         curv["closed_form"] = {"applicable": False, "reason": a.reasons["closed_form"]}
     doc["curvatures"] = curv

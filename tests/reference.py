@@ -4,7 +4,8 @@ Each one checks a library result by an independent route: the regular-point
 curvatures straight from the unfactored series, the developability residual
 and the striction curve of a generic ruled surface, the osculating
 developable as the float chain of the unit Darboux frame, the curvature top-terms
-that the A/B/C/D invariants predict, and the series operations, products
+that the A/B/C/D invariants predict, the limiting tangent by tangency case,
+and the series operations, products
 and composition as coefficient-by-coefficient ``Fraction`` loops (with
 the sum and product of two ``BiSeries``, the two partial derivatives of
 one, and ``reference_bi_make``, the one builder of a ``BiSeries`` from
@@ -48,6 +49,7 @@ from crosscap.series import (
     FloatSeries,
     ReliabilityError,
     SeriesError,
+    SignedRoot,
     UniSeries,
     Valuation,
     Vec3Series,
@@ -349,6 +351,31 @@ def expected_tops(inv: TopInvariants, m: int, a02: Fraction):
 def secondary_normal_top(inv: TopInvariants, m: int):
     """Top-term of the normal structure function once B = 0: m^2 D at degree 2m-1."""
     return Fraction(m) ** 2 * inv.D
+
+
+# ---------------------------------------------------------------------------
+# The limiting tangent by tangency case
+# ---------------------------------------------------------------------------
+
+
+def reference_limiting_tangent(coeffs: UmbrellaCoefficients, spec: CurveSpec) -> tuple:
+    """E_t(0) / |E_t(0)| written out per tangency case, from the curve's leading coefficients and a_02.
+
+    With v1 = val(c1) and l = v1 - m, E_t(0) is a positive multiple of
+    (c1[v1], 0, 0) when l < m (cases 1 and 2), of (2 c1[v1], 0, a_02 c2[m]^2)
+    when l = m (case 3) and of (0, 0, a_02 c2[m]^2) when l > m (case 4).
+    """
+    c1, c2 = spec.components
+    m = spec.m
+    v1 = next(i for i, c in enumerate(c1) if c)
+    if v1 - m < m:
+        x, z = c1[v1], 0
+    else:
+        z = coeffs.a02 * c2[m] ** 2
+        # Case 3: the factored-derivative value (2m f1~(0), 0, m a_02 c2(0)^2), rescaled.
+        x = 2 * c1[v1] if v1 - m == m else 0
+    r = x * x + z * z
+    return tuple(SignedRoot.of(c, r) for c in (x, 0, z))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ checked with ``==``.  The float chain of the unit Darboux frame
 (``reference.reference_osculating_developable``) is the independent
 reference: on the fixtures and on the 128 dense jets of the benchmark's
 universe, each analysed at the truncation its report reads, both must find
-the same orders, case and signs, and the same tops to 1e-9 relative.
+the same orders, case and signs, and the same tops to 1e-9 relative.  An
+exact second route to delta's numerator R, the identity that the frame
+relations give R through the curvature numerators, must equal it on those
+jets and on drawn sparse ones.
 """
 
 import math
@@ -33,7 +36,16 @@ from crosscap.developable import (
     osculating_developable,
 )
 from crosscap.frame import darboux_frame, kappa_tilde_series
-from crosscap.series import ReliabilityError, SeriesError, SignedRoot, Vec3Series, reciprocal, sqrt_series, valuation
+from crosscap.series import (
+    ReliabilityError,
+    SeriesError,
+    SignedRoot,
+    Vec3Series,
+    factor_power,
+    reciprocal,
+    sqrt_series,
+    valuation,
+)
 from crosscap.obj import (
     MeshError,
     RuledSurface,
@@ -442,6 +454,59 @@ def test_exact_chain_agrees_with_the_float_reference():
         assert vec_small(unit - ref.director, 1e-9 * scale, cap=8)
         count += 1
     assert count == 3 + 128
+
+
+def sparse_rungs(count):
+    """``count`` drawn sparse jets whose developable applies, each at the truncation its report reads.
+
+    Truncation 6 to 9, a family curve of multiplicity 1 to 3, and each a_ij
+    and b_i present with probability 0.3 (a_02 always).
+    """
+    rng = random.Random(5)
+    found = []
+    while len(found) < count:
+        k = rng.randint(6, 9)
+        a = {(i, s - i): rand_fraction(rng, nonzero=True) for s in range(2, k + 1) for i in range(s + 1)}
+        a = {key: value for key, value in a.items() if rng.random() < 0.3}
+        a[(0, 2)] = rand_fraction(rng, nonzero=True)
+        b = {i: rand_fraction(rng, nonzero=True) for i in range(3, k + 1) if rng.random() < 0.3}
+        m = rng.randint(1, 3)
+        c = (rand_fraction(rng, nonzero=True), rand_fraction(rng))
+        if m == 1 or rng.random() < 0.5:
+            spec = FamilyMP(m=m, p=rng.randint(2, 4), c=c)
+        else:
+            spec = FamilyMPQ(m=m, p=rng.randint(1, 3), q=rng.randint(1, m - 1), c=c)
+        rung = analyze(UmbrellaCoefficients(k, a, b), spec).report_rung
+        if rung.developable is not None:
+            found.append(rung)
+    return found
+
+
+def test_delta_numerator_is_the_frame_identity():
+    # With E = E_t, N and C = N x E, the relations E.N = C.E = C.N = 0,
+    # E x C = |E|^2 N and N x C = -|N|^2 E turn R = (V x V').N, for
+    # V = h3 E - h2 C, into
+    #   R = khat_1 (h3^2 + h2^2 |N|^2) + |E|^2 |N|^2 (h2 h3' - h3 h2')
+    #       - 1/2 h2 h3 |E|^2 (|N|^2)',
+    # with h2, h3 the numerators khat_2, khat_3 factored by their degrees and
+    # the one of higher degree shifted by the gap.
+    rungs = [a for a in report_rungs() if a.developable is not None]
+    assert len(rungs) == 3 + 128
+    rungs += sparse_rungs(60)
+    for a in rungs:
+        _, a2, a3 = a.oracle.degrees
+        k1, k2, k3 = a.oracle.numerators
+        h2 = factor_power(k2, a2).shift(max(a2 - a3, 0))
+        h3 = factor_power(k3, a3).shift(max(a3 - a2, 0))
+        e2, n2 = a.factors.tangent.norm_sq(), a.factors.normal.norm_sq()
+        R = (
+            k1 * (h3 * h3 + h2 * h2 * n2)
+            + e2 * n2 * (h2 * h3.diff() - h3 * h2.diff())
+            - h2 * h3 * e2 * n2.diff() * Fraction(1, 2)
+        )
+        delta = a.developable.delta
+        assert R.reliable_order == delta.reliable_order, a.spec
+        assert R.coeffs == delta.coeffs, a.spec
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from crosscap.model import (
     normal_field_raw,
     series_order,
 )
+import workloads  # the benchmark's dense jet universe (bench/ is put on the path by conftest)
 from conftest import random_family, random_surface
-from reference import reference_bi_coeffs
+from output_digests import GENERAL_CURVE
+from reference import reference_bi_coeffs, reference_limiting_tangent
 
 
 def bicoeff(W, comp, i, j):
@@ -271,7 +273,7 @@ def test_case3_limiting_tangent_s1(s1_coeffs, s1_spec):
 
 def test_case1_along_tangent_line():
     co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
-    t = classify_tangency(co, GeneralCurve(c1=(0, 1), c2=(0, 1, 0, 1)))
+    t = analyze(co, GeneralCurve(c1=(0, 1), c2=(0, 1, 0, 1))).tangency
     assert t.case == 1
     assert t.limiting_tangent == (SignedRoot(1, Fraction(1)), SignedRoot(0, Fraction(0)), SignedRoot(0, Fraction(0)))
     assert tuple(map(float, t.limiting_tangent)) == (1.0, 0.0, 0.0)
@@ -302,30 +304,39 @@ def test_case_mapping_per_family():
             assert t.case == 4
 
 
+#: A curve of each tangency case, with its case.
+TANGENCY_CASES = (
+    (GeneralCurve(c1=(0, 0, 1), c2=(0, 1)), 3),
+    (GeneralCurve(c1=(0, 0, 3), c2=(0, 0, 0, 1)), 1),
+    (FamilyMPQ(m=3, p=1, q=1, c=(1,)), 2),
+    (FamilyMP(m=2, p=3, c=(1,)), 4),
+)
+
+
 def test_tangency_is_read_from_the_spec(monkeypatch):
-    # The case and the limiting tangent come from the exact coefficient
-    # tuples: no curve series is built, and the analysis' curve stays unread.
+    # The case comes from the exact coefficient tuples: it needs no curve
+    # series, only the limiting tangent reads E_t(0).
     monkeypatch.setattr(UniSeries, "make", None)
-    co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
-    for spec, case in (
-        (GeneralCurve(c1=(0, 0, 1), c2=(0, 1)), 3),
-        (GeneralCurve(c1=(0, 0, 3), c2=(0, 0, 0, 1)), 1),
-        (FamilyMPQ(m=3, p=1, q=1, c=(1,)), 2),
-        (FamilyMP(m=2, p=3, c=(1,)), 4),
-    ):
-        a = analyze(co, spec)
-        assert a.tangency.case == case
-        assert "curve" not in vars(a)
+    for spec, case in TANGENCY_CASES:
+        assert classify_tangency(spec, (1, 0, 0)).case == case
 
 
 def test_limiting_tangent_matches_frame(s1, s2, s3):
-    # the tangency formula and the factored tangent E_t(0) / |E_t(0)| agree
-    for a in (s1, s2, s3):
+    # The tangency's E_t(0) / |E_t(0)| is the unit vector that the four case
+    # formulas write out from the curve's leading coefficients and a_02.
+    co = UmbrellaCoefficients(degree=5, a={(0, 2): 2}, b={})
+    analyses = [s1, s2, s3] + [analyze(co, spec) for spec, _ in TANGENCY_CASES]
+    texts = [json.dumps(GENERAL_CURVE)]
+    texts += [workloads.dense_config(shape, 0, "exact") for shape in range(len(workloads.DENSE_SHAPES))]
+    analyses += [analyze(cfg.coeffs, cfg.spec) for cfg in map(parse_config, texts)]
+    for a in analyses:
         t0 = a.factors.tangent.constant_vector()
         lt = a.tangency.limiting_tangent
-        assert lt == tuple(SignedRoot.of(c, sum(c * c for c in t0)) for c in t0)
+        assert lt == reference_limiting_tangent(a.coeffs, a.spec), a.spec
         e0 = [float(c) / math.sqrt(sum(float(c) ** 2 for c in t0)) for c in t0]
         assert max(abs(p - float(q)) for p, q in zip(e0, lt)) < 1e-9
+    assert len(analyses) == 3 + 4 + 1 + 16
+    assert {a.tangency.case for a in analyses} == {1, 2, 3, 4}
 
 
 def test_fixed_directions():

@@ -436,8 +436,8 @@ def test_each_rung_is_read_once_per_analysis(monkeypatch):
 
 
 #: The report stages that the report rung's completeness test does not read:
-#: the tangency reads only the spec, A-D the jet through degree 4, and the
-#: verdicts jet terms of total degree <= 3.
+#: the tangency reads the spec's case and E_t(0), which every rung fixes, A-D
+#: the jet through degree 4, and the verdicts jet terms of total degree <= 3.
 RUNG_FREE_STAGES = ("tangency", "invariants", "verdicts")
 
 

@@ -35,9 +35,9 @@ from output_digests import GENERAL_CURVE
 
 #: Functions no run enters, by qualified name, with the reason each stays.
 ALLOWED = {
-    "frame.darboux_frame": "the float frame: a test reference, timed by bench/tracing.TARGETS",
-    "frame.curvature_series": "the float frame: a test reference, timed by bench/tracing.TARGETS",
-    "frame.kappa_tilde_series": "the float frame: a test reference, timed by bench/tracing.TARGETS",
+    "frame.darboux_frame": "the float frame: the reference of tests/reference.py and tests/test_frame.py",
+    "frame.curvature_series": "the float frame: the reference of tests/reference.py and tests/test_frame.py",
+    "frame.kappa_tilde_series": "the float frame: the reference of tests/reference.py and tests/test_frame.py",
     "series.FloatSeries.__sub__": "the float frame's cross product",
     "series.FloatSeries.diff": "the float frame's derivatives",
     "series.BiSeries.__mul__": "kept only for bench/tracing.TARGETS (series.bimul)",
@@ -62,7 +62,7 @@ def test_every_entry_kept_for_the_tracer_is_a_tracer_target():
     # one, so that dropping the target leaves no stale reason behind.
     targets = {f"{module}.{attr}" for _, module, attr in tracing.TARGETS}
     cited = [name for name, reason in ALLOWED.items() if "bench/tracing.TARGETS" in reason]
-    assert len(cited) == 4  # the three float-frame functions and BiSeries.__mul__
+    assert cited == ["series.BiSeries.__mul__"]
     assert [name for name in cited if name not in targets] == []
 
 
