@@ -351,10 +351,12 @@ def json_value(value, omit=frozenset(), rational=str):
 def config_to_dict(cfg: RunConfig) -> dict:
     doc: dict = {"truncation": cfg.coeffs.degree}
     surface: dict = {"a": {}, "b": {}}
-    for (i, j), value in sorted(cfg.coeffs.a.items()):
-        surface["a"][f"{i},{j}"] = str(value)
-    for i, value in sorted(cfg.coeffs.b.items()):
-        surface["b"][str(i)] = str(value)
+    # Sort the keys, not the items: two items compare their keys twice, by == and then <.
+    a, b = cfg.coeffs.a, cfg.coeffs.b
+    for i, j in sorted(a):
+        surface["a"][f"{i},{j}"] = str(a[i, j])
+    for i in sorted(b):
+        surface["b"][str(i)] = str(b[i])
     doc["surface"] = surface
     family = next(tag for tag, cls in _CURVE_FAMILIES.items() if isinstance(cfg.spec, cls))
     doc["curve"] = {"family": family, **json_value(cfg.spec)}

@@ -91,11 +91,6 @@ class DevelopableData(NamedTuple):
     classification: EFClassification
 
 
-def _square_norms(factors: FrameFactors):
-    """|E_t(0)|^2 and |N(0)|^2."""
-    return [sum(c * c for c in v.constant_vector()) for v in (factors.tangent, factors.normal)]
-
-
 def osculating_director(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series):
     """The director V = h3 E_t - h2 (N x E_t) and its branch; needs alpha_2 and alpha_3."""
     _, a2, a3 = report.degrees
@@ -111,7 +106,8 @@ def osculating_director(factors: FrameFactors, report: CurvatureReport, cross: V
 def delta_invariant(director: Vec3Series, normal: Vec3Series, e2: Fraction, n2: Fraction):
     """R = (V x V') . N; returns (R, order, top), with delta's top R_top / (|E_t(0)|^4 |N(0)|^5).
 
-    ``e2`` and ``n2`` are |E_t(0)|^2 and |N(0)|^2 (``_square_norms``).
+    ``e2`` and ``n2`` are |E_t(0)|^2 and |N(0)|^2 (the ``norms`` stage of
+    ``pipeline.Analysis``).
     """
     r = director.cross(director.diff()).dot(normal)
     v = valuation(r)
@@ -128,7 +124,8 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport, e2n2: Fraction) 
 
         E = k1~ k3~ - (a2 - a3) k2~,   F = k1~ k3~ - (a0 + a2 - a3) k2~
 
-    at 0, with ``e2n2`` = |E_t(0)|^2 |N(0)|^2.  The scaled values multiply
+    at 0, with ``e2n2`` = |E_t(0)|^2 |N(0)|^2, the product of the ``norms``
+    stage of ``pipeline.Analysis``.  The scaled values multiply
     through by |E_t(0)|^3 |N(0)|^3 and are exact rationals with the same
     signs; ``E_coeff`` and ``F_coeff`` are E and F themselves.  For a3 >= a2 the sigma top-term cannot vanish; no
     constants are attached.
@@ -150,11 +147,14 @@ def classify_EF(factors: FrameFactors, report: CurvatureReport, e2n2: Fraction) 
     return EFClassification(CASE_II, e_coeff, f_coeff, e_scaled, f_scaled)
 
 
-def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
+def osculating_developable(
+    factors: FrameFactors, report: CurvatureReport, cross: Vec3Series, norms: tuple
+) -> DevelopableData:
     """Full invariant chain: director, delta, striction, sigma, classification.
 
     ``cross`` is N x E_t, the one that ``frame.curvature_numerators``
-    reads too (the ``cross`` stage of ``pipeline.Analysis``).  A jet too
+    reads too (the ``cross`` stage of ``pipeline.Analysis``), and ``norms``
+    is (|E_t(0)|^2, |N(0)|^2), its ``norms`` stage.  A jet too
     short for a derivative or a factor the chain takes (a
     ``ReliabilityError``) makes the developable not applicable, as a
     structure function that vanishes to reliable order does.
@@ -162,14 +162,16 @@ def osculating_developable(factors: FrameFactors, report: CurvatureReport, cross
     if report.degrees[0] is None:
         raise DevelopableError("tangential structure function vanishes to reliable order")
     try:
-        return _developable_chain(factors, report, cross)
+        return _developable_chain(factors, report, cross, norms)
     except ReliabilityError as exc:
         raise DevelopableError(f"jet too short for the developable: {exc}") from None
 
 
-def _developable_chain(factors: FrameFactors, report: CurvatureReport, cross: Vec3Series) -> DevelopableData:
+def _developable_chain(
+    factors: FrameFactors, report: CurvatureReport, cross: Vec3Series, norms: tuple
+) -> DevelopableData:
     V, branch = osculating_director(factors, report, cross)
-    e2, n2 = _square_norms(factors)
+    e2, n2 = norms
     R, k_cyl, delta_top = delta_invariant(V, factors.normal, e2, n2)
     classification = classify_EF(factors, report, e2 * n2)
 

@@ -239,11 +239,15 @@ class ContourDeviation(NamedTuple):
     vanishes: bool
 
 
-def contour_deviation(coeffs: UmbrellaCoefficients, m: int, c0: Fraction, n: Vec3Series) -> ContourDeviation:
-    """The pairing of the factored normal N (``FrameFactors.normal``) with (-a02, 0, 2c0)."""
+def contour_deviation(
+    coeffs: UmbrellaCoefficients, m: int, c0: Fraction, n: Vec3Series, n2: Fraction
+) -> ContourDeviation:
+    """The pairing of the factored normal N (``FrameFactors.normal``) with (-a02, 0, 2c0).
+
+    ``n2`` is |N(0)|^2 (the ``norms`` stage of ``pipeline.Analysis``).
+    """
     a02 = coeffs.a02
     exact = (n.x * -a02 + n.z * (2 * c0)).coefficient(m)
-    n2 = sum(c * c for c in n.constant_vector())
     coeff = SignedRoot.of(exact if a02 > 0 else -exact, (4 * c0 * c0 + a02 * a02) * n2)
     return ContourDeviation(coefficient=coeff, exact_coefficient=exact, vanishes=exact == 0)
 

@@ -286,20 +286,20 @@ class TangencyClassification(NamedTuple):
     principal_plane_normal: tuple = PRINCIPAL_PLANE_NORMAL
 
 
-def classify_tangency(spec: CurveSpec, tangent: tuple) -> TangencyClassification:
+def classify_tangency(spec: CurveSpec, tangent: tuple, norm_sq: Fraction) -> TangencyClassification:
     """Classify by how far the first component vanishes past the multiplicity m.
 
     With the curve written as (f1, f2) x^m, the case is decided by
     l = val(first component) - m:  l = 0 -> (1), 0 < l < m -> (2), l = m -> (3),
     l > m -> (4), both valuations read from the exact ``spec.components``.
     The limiting tangent is the unit vector of ``tangent``, the value E_t(0)
-    of the factored derivative (``frame.frame_factors``): each component is
-    a ``SignedRoot``, rounded only when printed.
+    of the factored derivative (``frame.frame_factors``), and ``norm_sq`` is
+    |E_t(0)|^2 (the ``norms`` stage of ``pipeline.Analysis``): each component
+    is a ``SignedRoot``, rounded only when printed.
     """
     m = spec.m
     ell = first_nonzero(spec.components[0]) - m
     case = 1 if ell == 0 else 2 if ell < m else 3 if ell == m else 4
-    r = sum(c * c for c in tangent)
     return TangencyClassification(
-        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(SignedRoot.of(c, r) for c in tangent)
+        case=case, kind=_CASE_KIND[case], limiting_tangent=tuple(SignedRoot.of(c, norm_sq) for c in tangent)
     )

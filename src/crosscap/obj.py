@@ -138,13 +138,15 @@ def _finite(coords) -> tuple:
 
 def obj_mesh_text(mesh: QuadMesh) -> str:
     rows, cols = mesh.rows, mesh.cols
-    width = 4 * (cols - 1)
-    corners = [0] * (width * (rows - 1))
-    for j in range(cols - 1):  # the quad of vertex a = i cols + j: a, a + cols, a + cols + 1, a + 1
-        for offset, shift in enumerate((1, cols + 1, cols + 2, 2)):  # 1-based
-            corners[4 * j + offset :: width] = range(j + shift, (rows - 1) * cols + j + shift, cols)
     vertices = "v %.9g %.9g %.9g\n" * (rows * cols) % _finite(mesh.coords)
-    return vertices + "f %d %d %d %d\n" * (len(corners) // 4) % tuple(corners)
+    # Each 1-based vertex index is formatted once; the quad of vertex
+    # a = i cols + j is a, a + cols, a + cols + 1, a + 1.
+    ids = [str(k) for k in range(1, rows * cols + 1)]
+    faces = [vertices]
+    for a in range(0, (rows - 1) * cols, cols):
+        top, bottom = ids[a : a + cols], ids[a + cols : a + 2 * cols]
+        faces += [f"f {p} {q} {r} {s}\n" for p, q, r, s in zip(top, bottom, bottom[1:], top[1:])]
+    return "".join(faces)
 
 
 def obj_polyline_text(coords) -> str:

@@ -42,7 +42,9 @@ own series order.  An analysis builds its curve series
 (``model.build_curve``) on the first read of a stage that needs them, so a
 configured analysis that a lower rung resolves builds none.  The tangency
 reads its case from the spec and its limiting tangent from E_t(0) of the
-``factors`` stage.
+``factors`` stage, and its square |E_t(0)|^2 from the ``norms`` stage, which
+holds |E_t(0)|^2 and |N(0)|^2 for the tangency, the contour deviation and the
+developable.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ class Analysis:
 
     @cached_property
     def tangency(self) -> TangencyClassification:
-        return classify_tangency(self.spec, self.factors.tangent.constant_vector())
+        return classify_tangency(self.spec, self.factors.tangent.constant_vector(), self.norms[0])
 
     @cached_property
     def image(self) -> Vec3Series:
@@ -222,6 +224,12 @@ class Analysis:
     @cached_property
     def factors(self) -> FrameFactors:
         return frame_factors(self.image, self.raw_normal)
+
+    @cached_property
+    def norms(self) -> tuple:
+        """|E_t(0)|^2 and |N(0)|^2, read by the tangency, the contour deviation and the developable."""
+        f = self.factors
+        return f.tangent.constant_norm_sq(), f.normal.constant_norm_sq()
 
     @cached_property
     def cross(self) -> Vec3Series:
@@ -262,13 +270,13 @@ class Analysis:
         return Verdicts(
             projection_tangency(self.coeffs, m, c0, self.image, inv),
             self_intersection(self.coeffs, self.W, c0),
-            contour_deviation(self.coeffs, m, c0, self.factors.normal),
+            contour_deviation(self.coeffs, m, c0, self.factors.normal, self.norms[1]),
         )
 
     @cached_property
     def developable(self) -> DevelopableData | None:
         return self._or_reason(
-            "developable", DevelopableError, osculating_developable, self.factors, self.oracle, self.cross
+            "developable", DevelopableError, osculating_developable, self.factors, self.oracle, self.cross, self.norms
         )
 
 

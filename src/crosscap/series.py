@@ -23,9 +23,10 @@ extraction is bit-exact.  ``valuation`` and ``factor_power`` take a series
 or a ``Vec3Series``, the one vector type: three components of one kind,
 exact, float or bivariate (the surface map, which ``compose`` substitutes a
 curve into).  A unit-frame top is exact too: ``SignedRoot`` holds a
-rational over one square root as a sign and a rational square, and only
-its ``float`` rounds.  ``nearest_float`` rounds a rational; both refuse
-a nonzero value beyond the float range either way.
+rational over one square root as a sign and a rational square, which
+``SignedRoot.of`` builds from integer numerators and denominators as one
+``Fraction``, and only its ``float`` rounds.  ``nearest_float`` rounds a
+rational; both refuse a nonzero value beyond the float range either way.
 
 An exact series is stored as FLINT's ``fmpq_poly`` stores a rational
 polynomial: integer numerators ``_num`` over one denominator ``_den > 0``.
@@ -45,10 +46,11 @@ keeps is canonical.  ``valuation`` (which builds only the leading
 ``float(Fraction)`` rounds) read any pair.  The library reads every
 coefficient from the pair, one ``Fraction`` per read (``coefficient``,
 ``constant_vector``, the leading one of ``valuation``), and a ``Fraction``
-is reduced.  A ``UniSeries``' reduced ``Fraction`` coefficients ``coeffs``
-are a view of the pair, built on first read and kept; it serves repr, the
-tests and the benchmark tracer's product counter, and no run of the
-program builds it.  A ``BiSeries`` has no such view in the library (the
+is reduced; ``Vec3Series.constant_norm_sq`` builds |v(0)|^2 from the
+numerators of x^0 as one ``Fraction``.  A ``UniSeries``' reduced
+``Fraction`` coefficients ``coeffs`` are a view of the pair, built on
+first read and kept; it serves repr, the tests and the benchmark tracer's
+product counter, and no run of the program builds it.  A ``BiSeries`` has no such view in the library (the
 tests build it, ``reference_bi_coeffs``).  Every value class derives its
 equality, hash and repr from ``_Frozen`` and its ``_fields``; a
 ``UniSeries`` compares and hashes by its canonical pair, which it reduces
@@ -531,8 +533,14 @@ class SignedRoot(_Frozen):
 
     @staticmethod
     def of(value: Fraction, radicand: Fraction) -> "SignedRoot":
-        """value / sqrt(radicand) for rationals with radicand > 0."""
-        return SignedRoot((value > 0) - (value < 0), value * value / radicand)
+        """value / sqrt(radicand) for rationals (``int`` or ``Fraction``) with radicand > 0.
+
+        The sign is that of ``value.numerator``, and the square is built
+        from the four integers as one ``Fraction``: one gcd, no rational
+        product or quotient.
+        """
+        n, d = value.numerator, value.denominator
+        return SignedRoot((n > 0) - (n < 0), Fraction(n * n * radicand.denominator, d * d * radicand.numerator))
 
     def __float__(self) -> float:
         q = self.square
@@ -795,3 +803,10 @@ class Vec3Series(_Frozen):
     def constant_vector(self) -> tuple:
         """The coefficients of x^0 of an exact vector, read from its numerators."""
         return (self.x.coefficient(0), self.y.coefficient(0), self.z.coefficient(0))
+
+    def constant_norm_sq(self) -> Fraction:
+        """|v(0)|^2 of an exact vector: the numerators of x^0 over the lcm of the denominators, one ``Fraction``."""
+        x, y, z = self.x, self.y, self.z
+        d = math.lcm(x._den, y._den, z._den)
+        nx, ny, nz = x._num[0] * (d // x._den), y._num[0] * (d // y._den), z._num[0] * (d // z._den)
+        return Fraction(nx * nx + ny * ny + nz * nz, d * d)

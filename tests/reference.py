@@ -13,7 +13,7 @@ one, and ``reference_bi_make``, the one builder of a ``BiSeries`` from
 surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices,
 the quads of a vertex grid and the OBJ text one vertex, one quad and one
-line at a time.  The float norm and unit vector of a vector series, a
+line at a time, and the face block ``%d``-formatted from one flat index list.  The float norm and unit vector of a vector series, a
 float zero test with an absolute tolerance, the exact and float
 ``reference_reciprocal`` of the striction checks, and ``float_series``
 and ``float_vec3`` (float fixtures padded with 0.0), ``float_constant_vector``
@@ -789,6 +789,16 @@ def reference_obj_mesh_text(mesh: QuadMesh) -> str:
     for f in _quad_faces(mesh.rows, mesh.cols):
         lines.append("f %d %d %d %d" % tuple(i + 1 for i in f))
     return "\n".join(lines) + "\n"
+
+
+def reference_face_block(rows: int, cols: int) -> str:
+    """The ``f`` lines of ``obj.obj_mesh_text``, every index ``%d``-formatted in one pass over a flat index list."""
+    width = 4 * (cols - 1)
+    corners = [0] * (width * (rows - 1))
+    for j in range(cols - 1):  # the quad of vertex a = i cols + j: a, a + cols, a + cols + 1, a + 1
+        for offset, shift in enumerate((1, cols + 1, cols + 2, 2)):  # 1-based
+            corners[4 * j + offset :: width] = range(j + shift, (rows - 1) * cols + j + shift, cols)
+    return "f %d %d %d %d\n" * (len(corners) // 4) % tuple(corners)
 
 
 def reference_obj_polyline_text(coords) -> str:

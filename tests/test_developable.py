@@ -154,7 +154,7 @@ def test_only_a_reliability_shortfall_makes_the_developable_not_applicable(s1, m
 
     monkeypatch.setattr(developable, "delta_invariant", failing)
     with pytest.raises(ValueError, match="raised in the chain") as info:
-        osculating_developable(s1.factors, s1.oracle, s1.cross)
+        osculating_developable(s1.factors, s1.oracle, s1.cross, s1.norms)
     assert type(info.value) is (DevelopableError if error is ReliabilityError else SeriesError)
 
 

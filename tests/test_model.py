@@ -318,7 +318,7 @@ def test_tangency_is_read_from_the_spec(monkeypatch):
     # series, only the limiting tangent reads E_t(0).
     monkeypatch.setattr(UniSeries, "make", None)
     for spec, case in TANGENCY_CASES:
-        assert classify_tangency(spec, (1, 0, 0)).case == case
+        assert classify_tangency(spec, (1, 0, 0), 1).case == case
 
 
 def test_limiting_tangent_matches_frame(s1, s2, s3):

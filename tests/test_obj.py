@@ -33,6 +33,7 @@ from reference import (
     float_series,
     horner,
     reference_curve_polyline,
+    reference_face_block,
     reference_obj_mesh_text,
     reference_obj_polyline_text,
     reference_ruled_surface,
@@ -189,6 +190,14 @@ def test_the_face_block_is_the_per_face_reference(rows, cols):
     faces = [line for line in text.splitlines() if not line.startswith("v ")]
     assert faces == ["f %d %d %d %d" % tuple(i + 1 for i in f) for f in _quad_faces(rows, cols)]
     assert len(faces) == (rows - 1) * (cols - 1)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 7), (7, 2), (41, 21), (81, 81)])
+def test_the_face_block_is_the_percent_d_reference(rows, cols):
+    text = obj_mesh_text(QuadMesh((0.0,) * (3 * rows * cols), rows, cols))
+    vertices = "v 0 0 0\n" * (rows * cols)
+    assert text[: len(vertices)] == vertices
+    assert text[len(vertices) :] == reference_face_block(rows, cols)
 
 
 def flat(points):

@@ -48,7 +48,11 @@ from output_digests import GENERAL_CURVE
 
 
 def count_calls(monkeypatch, module, name, record=None):
-    """The calls of ``module.name``: its name per call, or what ``record(*args)`` returns."""
+    """The calls of ``module.name``: its name per call, or what ``record(*args)`` returns.
+
+    ``module`` may be a class, whose method ``name`` is then counted with
+    ``self`` as the first argument.
+    """
     original = getattr(module, name)
     calls = []
 
@@ -56,6 +60,8 @@ def count_calls(monkeypatch, module, name, record=None):
         calls.append(name if record is None else record(*args))
         return original(*args, **kwargs)
 
+    if isinstance(module, type):
+        monkeypatch.setattr(module, name, counting)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "crosscap" or mod_name.startswith("crosscap."):
             for key, value in list(vars(mod).items()):
@@ -92,6 +98,25 @@ def test_report_computes_each_stage_once(calls, name, field, compose, partials, 
     assert len(calls["compose_bi"]) == compose
     assert len(calls["compose_partials"]) == partials
     assert len(calls["curvature_numerators"]) == numerators
+
+
+#: (mp) p = 2 jets, the (c x^{2m}, x^m) shape: s1 at truncation 9, and dense
+#: shapes of m = 1, 2, 3 whose report is read at truncation 8 or from rung 5.
+MP2_CONFIGS = [fixture_text("s1")] + [workloads.dense_config(shape, 1, "exact") for shape in (0, 3, 9, 13)]
+
+
+@pytest.mark.parametrize("text", MP2_CONFIGS)
+def test_report_squares_each_norm_once(monkeypatch, text):
+    # |E_t(0)|^2 and |N(0)|^2 are the ``norms`` stage: the tangency, the
+    # contour deviation and the developable all read it.
+    norms = count_calls(monkeypatch, Vec3Series, "constant_norm_sq", lambda v: v)
+    cfg = parse_config(text)
+    analysis = analyze(cfg.coeffs, cfg.spec)
+    doc = report_from_analysis(cfg, analysis)
+    a = analysis.report_rung
+    assert doc["invariants"]["applicable"] and doc["developable"]["applicable"]
+    assert len(norms) == 2
+    assert norms[0] is a.factors.tangent and norms[1] is a.factors.normal
 
 
 def test_mesh_composes_only_the_image_and_the_normal(calls, tmp_path):

@@ -321,6 +321,31 @@ def test_signed_roots_are_equal_exactly_when_signs_and_squares_are(value, radica
         assert (a == b) == (value * value == b.square * radicand and (value > 0) - (value < 0) == b.sign)
 
 
+BIG = 10**100
+#: Zero, small and negative rationals, and numerators and denominators of up to 100 digits.
+ANY_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=36),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+RADICANDS = st.one_of(
+    st.integers(1, BIG),
+    st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG)),
+    st.fractions(min_value=0, max_value=20, max_denominator=36).filter(lambda q: q > 0),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ANY_RATIONALS, RADICANDS)
+def test_signed_root_of_is_the_rational_quotient(value, radicand):
+    # The square built from the four integers is the reduced value^2 / radicand.
+    got = SignedRoot.of(value, radicand)
+    want = SignedRoot((value > 0) - (value < 0), value * value / radicand)
+    assert type(got.sign) is int and type(got.square) is Fraction
+    assert (got.sign, got.square) == (want.sign, want.square)
+    assert got.square.denominator > 0 and math.gcd(got.square.numerator, got.square.denominator) == 1
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------

@@ -719,6 +719,27 @@ def test_every_bi_series_is_one_plain_class(a, scale):
         assert s == a
 
 
+@st.composite
+def vector_component(draw):
+    """An exact series, or an unreduced product of two, or of one and a rational."""
+    a = draw(uni(UniSeries, max_order=4))
+    how = draw(st.sampled_from(("series", "product", "scaled")))
+    if how == "product":
+        return a * draw(uni(UniSeries, max_order=4))
+    if how == "scaled":
+        return a * draw(RATIONALS | st.fractions(max_denominator=10**30))
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(vector_component(), vector_component(), vector_component())
+@example(ex(Fraction(1, 6)) * ex(Fraction(3, 4)), ex(Fraction(2, 3)) * Fraction(9, 2), ex(0) * ex(Fraction(5, 7)))
+def test_constant_norm_sq_is_the_sum_of_the_squared_constants(x, y, z):
+    v = Vec3Series(x, y, z)
+    got = v.constant_norm_sq()
+    assert type(got) is Fraction and got == sum(c * c for c in v.constant_vector())
+
+
 @settings(deadline=None)
 @given(st.tuples(bi(), substituted(), substituted()), st.randoms(use_true_random=False))
 @example(
