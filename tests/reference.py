@@ -13,8 +13,9 @@ one, and ``reference_bi_make``, the one builder of a ``BiSeries`` from
 surface and curve builders, the vector valuation and the curvature
 numerators as they were before the exact builders, and the mesh vertices,
 the quads of a vertex grid and the OBJ text one vertex, one quad and one
-line at a time, and the face block ``%d``-formatted from one flat index list.  The float norm and unit vector of a vector series, a
-float zero test with an absolute tolerance, the exact and float
+line at a time, and the face block ``%d``-formatted from one flat index
+list.  The float norm and unit vector of a vector series, a float zero
+test with an absolute tolerance, the exact and float
 ``reference_reciprocal`` of the striction checks, and ``float_series``
 and ``float_vec3`` (float fixtures padded with 0.0), ``float_constant_vector``
 (the value at 0 of a float vector) and ``horner`` (the per-point float
